@@ -38,8 +38,8 @@ from .spectra import (
 )
 from .subspaces import GammaSpec, orbit, orbit_representatives
 from .constructions import (
-    RotationSpec,
     construct,
+    family_of,
     normalize_family,
     spec_from_dict,
     function_file_dict,
@@ -62,8 +62,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_SPEC = 4
 EXIT_FILE = 5
-
-_SET_FAMILIES = ("S1", "S2", "S3", "S4")
 
 _FILE_KEYS = ("n", "family", "params", "tt_hex", "anf", "dual_tt_hex",
               "predicts_max_degree")
@@ -131,24 +129,24 @@ def _add_spec_options(sp: argparse.ArgumentParser, with_infile: bool = True) -> 
 
 
 def _spec_from_args(args) -> tuple[str, object]:
+    """Gather the spec flags into a params object and parse it the way a
+    function file's params are parsed."""
     if not args.family:
         raise InvalidSpecError("--family is required without --in")
-    family = normalize_family(args.family)
+    fam = family_of(args.family)
     if args.k is None:
         raise InvalidSpecError("--k is required without --in")
-    k = args.k
-    set_tag = {"G4K": "S1", "G8K": "S2", "H4K2": "S3", "H8K2": "S4"}.get(family)
-    if set_tag is not None:
-        gammas = tuple(BitVector.from_string(s) for s in args.gamma)
-        esets = tuple(args.eset) if args.eset else None
-        return family, GammaSpec(k, set_tag, gammas, esets)
-    if family == "F2RS":
-        return family, RotationSpec(k, tuple(BitVector.from_string(s) for s in args.p))
-    if family == "F2RS_SET":
-        return family, RotationSpec(k, tuple(BitVector.from_string(s) for s in args.a_set))
-    if len(args.gamma) != 1:
-        raise InvalidSpecError("F2RS_ORBIT takes exactly one --gamma")
-    return family, RotationSpec(k, (BitVector.from_string(args.gamma[0]),))
+    key = fam.params_key
+    # --gamma fills both the gammas list and the single-orbit gamma
+    values = getattr(args, "gamma" if key == "gammas" else key)
+    if key == "gamma":
+        if len(values) != 1:
+            raise InvalidSpecError(f"{fam.name} takes exactly one --gamma")
+        values = values[0]
+    params = {"k": args.k, key: values}
+    if args.eset:
+        params["esets"] = args.eset
+    return fam.name, spec_from_dict(fam.name, params)
 
 
 def _load_file(path: str) -> dict:
@@ -167,6 +165,8 @@ def _load_file(path: str) -> dict:
 
 
 def _function_from_file(data: dict) -> BooleanFunction:
+    if not isinstance(data["tt_hex"], str):
+        raise _InputFileError("bad truth table: tt_hex must be a string")
     try:
         return BooleanFunction.from_hex(int(data["n"]), data["tt_hex"])
     except (TypeError, ValueError) as exc:
@@ -271,8 +271,6 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
-    if args.set_family not in _SET_FAMILIES:
-        raise InvalidSpecError(f"--set must be one of {', '.join(_SET_FAMILIES)}")
     gammas = tuple(BitVector.from_string(s) for s in args.gamma)
     esets = tuple(args.eset) if args.eset else None
     spec = GammaSpec(args.k, args.set_family, gammas, esets)
@@ -312,12 +310,20 @@ def _cmd_repro_examples(args) -> int:
 # parser
 
 
+def _max_n_arg(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= DEFAULT_MAX_N:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {DEFAULT_MAX_N}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negabench",
         description="Construct and verify bent-negabent Boolean functions.")
-    parser.add_argument("--max-n", type=int, default=None,
-                        help=f"cap on variable count (default {DEFAULT_MAX_N})")
+    parser.add_argument("--max-n", type=_max_n_arg, default=DEFAULT_MAX_N,
+                        help=f"cap on variable count, 1..{DEFAULT_MAX_N} "
+                             f"(default {DEFAULT_MAX_N})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", help="build a construction and write its JSON record")
@@ -384,7 +390,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    set_max_n(args.max_n if args.max_n is not None else DEFAULT_MAX_N)
+    set_max_n(args.max_n)
     try:
         return args.handler(args)
     except CapacityError as exc:

@@ -14,6 +14,7 @@ Variable layouts (fixed across the package):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -31,37 +32,64 @@ from .subspaces import (
     GammaSpec,
     build_modifier_set,
     build_S1,
-    build_T,
     orbit,
     orbit_representative,
     orbit_representatives,
     pair_repetition_members,
+    swap_halves,
 )
 
-FAMILIES = ("G4K", "G8K", "H4K2", "H8K2", "F2RS", "F2RS_SET", "F2RS_ORBIT")
 
-_SET_FAMILY_OF = {"G4K": "S1", "G8K": "S2", "H4K2": "S3", "H8K2": "S4"}
+@dataclass(frozen=True)
+class Family:
+    """One construction family: a quadratic bent-negabent base plus the
+    indicator of a modifier set.  The variable count, the maximum degree and
+    rotation symmetry all follow from these fields."""
+
+    name: str
+    set_tag: str  # modifier set: S1..S4, or T for the rotation-symmetric forms
+    base: str  # g0, h0 or f0
+    base_mult: int  # the base parameter is base_mult * k
+    params_key: str  # key of the parameter vectors in a function file
+
+    @property
+    def rotation_symmetric(self) -> bool:
+        return self.set_tag == "T"
+
+    def base_param(self, k: int) -> int:
+        return self.base_mult * k
+
+    def n(self, k: int) -> int:
+        """g0(t) and f0(t) have 4t variables, h0(t) has 4t+2."""
+        t = self.base_param(k)
+        return 4 * t + 2 if self.base == "h0" else 4 * t
+
+    def max_degree(self, k: int) -> int:
+        return self.n(k) // 2
+
+
+FAMILY_TABLE = {f.name: f for f in (
+    Family("G4K", "S1", "g0", 1, "gammas"),
+    Family("G8K", "S2", "g0", 2, "gammas"),
+    Family("H4K2", "S3", "h0", 1, "gammas"),
+    Family("H8K2", "S4", "h0", 2, "gammas"),
+    Family("F2RS", "T", "f0", 1, "p"),
+    Family("F2RS_SET", "T", "f0", 1, "a_set"),
+    Family("F2RS_ORBIT", "T", "f0", 1, "gamma"),
+)}
+
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def normalize_family(name: str) -> str:
     tag = name.strip().upper().replace("-", "_")
-    if tag not in FAMILIES:
+    if tag not in FAMILY_TABLE:
         raise InvalidSpecError(f"unknown family {name!r}; choose from {FAMILIES}")
     return tag
 
 
-def family_n(family: str, k: int) -> int:
-    return {
-        "G4K": 4 * k, "G8K": 8 * k, "H4K2": 4 * k + 2, "H8K2": 8 * k + 2,
-        "F2RS": 4 * k, "F2RS_SET": 4 * k, "F2RS_ORBIT": 4 * k,
-    }[family]
-
-
-def family_max_degree(family: str, k: int) -> int:
-    return {
-        "G4K": 2 * k, "G8K": 4 * k, "H4K2": 2 * k + 1, "H8K2": 4 * k + 1,
-        "F2RS": 2 * k, "F2RS_SET": 2 * k, "F2RS_ORBIT": 2 * k,
-    }[family]
+def family_of(name: str) -> Family:
+    return FAMILY_TABLE[normalize_family(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +254,14 @@ class RotationSpec:
 ConstructionSpec = Union[GammaSpec, RotationSpec]
 
 
-def _swap_halves(bits: int, half: int) -> int:
-    return (bits >> half) | ((bits & ((1 << half) - 1)) << half)
-
-
-def _rotation_p_and_gamma(family: str, spec: ConstructionSpec):
-    """(P representatives, full orbit-closed Gamma) for the F2RS families."""
-    if isinstance(spec, GammaSpec):
+def _resolve(fam: Family, spec: ConstructionSpec) -> ConstructionSpec:
+    """Check a spec against its family and return the canonical parameters:
+    the GammaSpec itself for S1..S4, the sorted orbit representatives for T."""
+    if not fam.rotation_symmetric:
+        if not isinstance(spec, GammaSpec) or spec.family != fam.set_tag:
+            raise InvalidSpecError(f"{fam.name} needs a {fam.set_tag}-tagged GammaSpec")
+        return spec
+    if fam.name == "F2RS" and isinstance(spec, GammaSpec):
         if spec.family != "T":
             raise InvalidSpecError("rotation-symmetric families take T-tagged specs")
         if not spec.rotation_closed:
@@ -240,15 +269,30 @@ def _rotation_p_and_gamma(family: str, spec: ConstructionSpec):
                 "rotation-symmetric construction needs an orbit-closed gamma set "
                 "(rotation_closed flag)")
         reps = sorted(set(orbit_representative(g).bits for g in spec.gammas))
-        p = tuple(BitVector(2 * spec.k, r) for r in reps)
-        return p, spec
+        return RotationSpec(spec.k, tuple(BitVector(2 * spec.k, r) for r in reps))
     if not isinstance(spec, RotationSpec):
-        raise InvalidSpecError("expected RotationSpec or T-tagged GammaSpec")
-    p = spec.normalized_reps()
-    gamma_idx = sorted(set(i for v in p for i in orbit(v).indices()))
-    gammas = tuple(BitVector(2 * spec.k, i) for i in gamma_idx)
-    gs = GammaSpec(spec.k, "T", gammas, rotation_closed=True)
-    return p, gs
+        raise InvalidSpecError(f"{fam.name} needs a RotationSpec")
+    vectors = spec.normalized_reps()
+    if fam.name == "F2RS_ORBIT":
+        if len(vectors) != 1:
+            raise InvalidSpecError("single-orbit form takes exactly one vector")
+        if vectors[0].weight() < 2:
+            raise InvalidSpecError(
+                "single-orbit form needs wt(gamma) >= 2 (lower weights break flatness)")
+    return RotationSpec(spec.k, vectors)
+
+
+def _modifier_spec(fam: Family, params: ConstructionSpec) -> GammaSpec:
+    """Parameters of the modifier set for canonical family parameters.  For
+    T this is the orbit closure of the covering-form representatives; the
+    orbit-sum forms get theirs by decomposition, so the truth table they
+    build is checked against their defining orbit-sum ANF."""
+    if not fam.rotation_symmetric:
+        return params  # type: ignore[return-value]
+    k = params.k
+    reps = params.vectors if fam.name == "F2RS" else decompose_orbit_sum(k, params.vectors)
+    idx = sorted(set(i for v in reps for i in orbit(v).indices()))
+    return GammaSpec(k, "T", tuple(BitVector(2 * k, i) for i in idx), rotation_closed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +308,13 @@ def orbit_covering_poly(k2: int, beta: BitVector) -> int:
     return acc
 
 
-def decompose_orbit_sum(k: int, vectors: Iterable[BitVector]) -> tuple[BitVector, ...]:
-    """Express sum over the given orbits of the exact-cover sum as an XOR of
-    covering-sum basis polynomials; returns the orbit representatives P of
-    the combination.  Solvability is guaranteed for every input orbit."""
-    k2 = 2 * k
-    reps = orbit_representatives(k2)
-    target = 0
-    for v in vectors:
-        for m in _orbit_sum_masks(k2, v.bits):
-            target ^= 1 << m
+@functools.lru_cache(maxsize=None)
+def _covering_basis(k2: int) -> tuple[tuple[BitVector, ...], tuple[tuple[int, int, int], ...]]:
+    """The orbit representatives of length k2 and an echelon form of their
+    covering-sum polynomials as (pivot bit, polynomial, combination) rows.
+    It depends on k2 alone, and k2 <= 12 under the capacity limit, so it is
+    computed once per size."""
+    reps = tuple(orbit_representatives(k2))
     pivots: list[tuple[int, int, int]] = []
     for i, rep in enumerate(reps):
         poly, combo = orbit_covering_poly(k2, rep), 1 << i
@@ -283,6 +324,19 @@ def decompose_orbit_sum(k: int, vectors: Iterable[BitVector]) -> tuple[BitVector
                 combo ^= pc
         if poly:
             pivots.append(((poly & -poly).bit_length() - 1, poly, combo))
+    return reps, tuple(pivots)
+
+
+def decompose_orbit_sum(k: int, vectors: Iterable[BitVector]) -> tuple[BitVector, ...]:
+    """Express sum over the given orbits of the exact-cover sum as an XOR of
+    covering-sum basis polynomials; returns the orbit representatives P of
+    the combination.  Solvability is guaranteed for every input orbit."""
+    k2 = 2 * k
+    reps, pivots = _covering_basis(k2)
+    target = 0
+    for v in vectors:
+        for m in _orbit_sum_masks(k2, v.bits):
+            target ^= 1 << m
     combo = 0
     for pb, pv, pc in pivots:
         if (target >> pb) & 1:
@@ -297,73 +351,41 @@ def decompose_orbit_sum(k: int, vectors: Iterable[BitVector]) -> tuple[BitVector
 # closed-form ANFs
 
 
-def closed_form_anf(family: str, spec: ConstructionSpec) -> AnfPolynomial:
-    family = normalize_family(family)
-    if family in _SET_FAMILY_OF:
-        if not isinstance(spec, GammaSpec) or spec.family != _SET_FAMILY_OF[family]:
-            raise InvalidSpecError(f"{family} needs a {_SET_FAMILY_OF[family]}-tagged GammaSpec")
-        k = spec.k
-        coeffs = 0
-        if family == "G4K":
-            base = _g0_anf(k)
-            for i in range(len(spec.gammas)):
-                g1, g2 = spec.gamma_halves(i)
-                factors = _s_beta_factors(k, g1, 0) + _s_beta_factors(k, g2, 2 * k)
-                for m in _expand_product(factors):
-                    coeffs ^= 1 << m
-        elif family == "G8K":
-            base = _g0_anf(2 * k)
-            for g in spec.gammas:
-                factors = _pair_factors(2 * k, 0) + _pair_factors(2 * k, 4 * k, g.bits)
-                for m in _expand_product(factors):
-                    coeffs ^= 1 << m
-        elif family == "H4K2":
-            base = _h0_anf(k)
-            for i in range(len(spec.gammas)):
-                g1, g2 = spec.gamma_halves(i)
-                factors = (_s_beta_factors(k, g1, 0)
-                           + _s_beta_factors(k, g2, 2 * k + 1)
-                           + [_e_factor(4 * k + 1, spec.e_sets[i])])
-                for m in _expand_product(factors):
-                    coeffs ^= 1 << m
-        else:  # H8K2
-            base = _h0_anf(2 * k)
-            for i, g in enumerate(spec.gammas):
-                factors = (_pair_factors(2 * k, 0)
-                           + _pair_factors(2 * k, 4 * k + 1, g.bits)
-                           + [_e_factor(8 * k + 1, spec.e_sets[i])])
-                for m in _expand_product(factors):
-                    coeffs ^= 1 << m
-        return base ^ AnfPolynomial(base.n, coeffs)
-
+def _cell_factors(spec: GammaSpec, i: int) -> list[list[int]]:
+    """ANF factors of the indicator of the i-th cell of an S1..S4 set: the
+    S1-shaped cells x'' = x' + gamma_1, y'' = y' + gamma_2 (S1, S3) or the
+    pair-repetition cells (S2, S4).  S3 and S4 put x_m between the x and y
+    blocks and restrict the last variable y_m to the cell's E set."""
     k = spec.k
-    base = _f0_anf(k)
-    coeffs = 0
-    if family == "F2RS":
-        p, _ = _rotation_p_and_gamma(family, spec)
-        for beta in p:
-            for g in orbit(beta).indices():
-                for m in _covering_sum_masks(2 * k, g):
-                    coeffs ^= 1 << m
+    x_m = 0 if spec.e_sets is None else 1
+    if spec.family in ("S1", "S3"):
+        g1, g2 = spec.gamma_halves(i)
+        factors = _s_beta_factors(k, g1, 0) + _s_beta_factors(k, g2, 2 * k + x_m)
+        last = 4 * k + 1
+    else:
+        factors = (_pair_factors(2 * k, 0)
+                   + _pair_factors(2 * k, 4 * k + x_m, spec.gammas[i].bits))
+        last = 8 * k + 1
+    if spec.e_sets is not None:
+        factors.append(_e_factor(last, spec.e_sets[i]))
+    return factors
+
+
+def closed_form_anf(family: str, spec: ConstructionSpec) -> AnfPolynomial:
+    fam = family_of(family)
+    params = _resolve(fam, spec)
+    k = params.k
+    masks: Iterable[int]
+    if not fam.rotation_symmetric:
+        masks = (m for i in range(len(params.gammas))
+                 for m in _expand_product(_cell_factors(params, i)))
+    elif fam.name == "F2RS":
+        masks = (m for beta in params.vectors for g in orbit(beta).indices()
+                 for m in _covering_sum_masks(2 * k, g))
     else:  # F2RS_SET / F2RS_ORBIT: the defining orbit-sum ANF
-        vectors = _rotation_vectors(family, spec)
-        for v in vectors:
-            for m in _orbit_sum_masks(2 * k, v.bits):
-                coeffs ^= 1 << m
-    return base ^ AnfPolynomial(base.n, coeffs)
-
-
-def _rotation_vectors(family: str, spec: ConstructionSpec) -> tuple[BitVector, ...]:
-    if not isinstance(spec, RotationSpec):
-        raise InvalidSpecError(f"{family} needs a RotationSpec")
-    vectors = spec.normalized_reps()
-    if family == "F2RS_ORBIT":
-        if len(vectors) != 1:
-            raise InvalidSpecError("single-orbit form takes exactly one vector")
-        if vectors[0].weight() < 2:
-            raise InvalidSpecError(
-                "single-orbit form needs wt(gamma) >= 2 (lower weights break flatness)")
-    return vectors
+        masks = (m for v in params.vectors for m in _orbit_sum_masks(2 * k, v.bits))
+    base = base_anf(fam.base, fam.base_param(k))
+    return base ^ AnfPolynomial.from_monomials(base.n, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +421,24 @@ def _f0_dual_quadratic_anf(k: int) -> AnfPolynomial:
     return AnfPolynomial.from_monomials(n, mons)
 
 
+def _build_S1_dual(spec: GammaSpec) -> VectorSet:
+    """S1 with every gamma = (gamma_1, gamma_2) replaced by
+    (gamma_2, gamma_1 + gamma_2 + 1_k)."""
+    k = spec.k
+    ones = (1 << k) - 1
+    transformed = tuple(
+        BitVector(2 * k, g2 | ((g1 ^ g2 ^ ones) << k))
+        for g1, g2 in (spec.gamma_halves(i) for i in range(len(spec.gammas)))
+    )
+    return build_S1(GammaSpec(k, "S1", transformed))
+
+
 def _build_S2_dual(spec: GammaSpec) -> VectorSet:
     k = spec.k
     a_members = pair_repetition_members(2 * k)
     idxs = []
     for g in spec.gammas:
-        sw = _swap_halves(g.bits, 2 * k)
+        sw = swap_halves(g.bits, 2 * k)
         for a in a_members:
             x = g.bits ^ a
             for b in a_members:
@@ -433,7 +467,7 @@ def _build_S4_dual(spec: GammaSpec) -> VectorSet:
     a_members = pair_repetition_members(2 * k)
     idxs = []
     for i, g in enumerate(spec.gammas):
-        sw = _swap_halves(g.bits, 2 * k)
+        sw = swap_halves(g.bits, 2 * k)
         for xm in spec.e_values(i):
             for a in a_members:
                 x = g.bits ^ (xm & 1) ^ a
@@ -458,15 +492,16 @@ def _even_odd_tables(k2: int) -> tuple[list[int], list[int]]:
     return ev, od
 
 
-def _build_T_dual(k: int, gamma_set: set[int]) -> VectorSet:
+def _build_T_dual(spec: GammaSpec) -> VectorSet:
     """Points whose derived pair (x_ev+x_od+y_ev+y_od+1_k, x_ev+y_ev) equals
     (gamma_ev, gamma_od) for some gamma in the orbit-closed set.
 
     The comparison splits gamma into its even- and odd-position bits; the
     concatenated-halves split is wrong here (the two only agree at k = 1)."""
+    k = spec.k
     k2 = 2 * k
     ev, od = _even_odd_tables(k2)
-    targets = {(ev[g], od[g]) for g in gamma_set}
+    targets = {(ev[g.bits], od[g.bits]) for g in spec.gammas}
     ones = (1 << k) - 1
     lowmask = (1 << k2) - 1
     idxs = []
@@ -479,39 +514,17 @@ def _build_T_dual(k: int, gamma_set: set[int]) -> VectorSet:
     return VectorSet.from_indices(4 * k, idxs)
 
 
-def closed_form_dual(family: str, spec: ConstructionSpec) -> BooleanFunction:
-    family = normalize_family(family)
-    if family in _SET_FAMILY_OF:
-        if not isinstance(spec, GammaSpec) or spec.family != _SET_FAMILY_OF[family]:
-            raise InvalidSpecError(f"{family} needs a {_SET_FAMILY_OF[family]}-tagged GammaSpec")
-        k = spec.k
-        if family == "G4K":
-            ones = (1 << k) - 1
-            transformed = tuple(
-                BitVector(2 * k, g2 | ((g1 ^ g2 ^ ones) << k))
-                for g1, g2 in (spec.gamma_halves(i) for i in range(len(spec.gammas)))
-            )
-            tilde = build_S1(GammaSpec(k, "S1", transformed))
-            return truth_table_from_anf(_g0_dual_anf(k)) ^ characteristic_function(tilde)
-        if family == "G8K":
-            return (truth_table_from_anf(_g0_dual_anf(2 * k))
-                    ^ characteristic_function(_build_S2_dual(spec)))
-        if family == "H4K2":
-            return (truth_table_from_anf(_h0_dual_anf(k))
-                    ^ characteristic_function(_build_S3_dual(spec)))
-        return (truth_table_from_anf(_h0_dual_anf(2 * k))
-                ^ characteristic_function(_build_S4_dual(spec)))
+_DUAL_BASES = {"g0": _g0_dual_anf, "h0": _h0_dual_anf, "f0": _f0_dual_quadratic_anf}
 
-    k = spec.k
-    if family == "F2RS":
-        _, gs = _rotation_p_and_gamma(family, spec)
-        gamma_idx = set(g.bits for g in gs.gammas)
-    else:
-        vectors = _rotation_vectors(family, spec)
-        p = decompose_orbit_sum(k, vectors)
-        gamma_idx = set(i for beta in p for i in orbit(beta).indices())
-    tilde = _build_T_dual(k, gamma_idx)
-    return truth_table_from_anf(_f0_dual_quadratic_anf(k)) ^ characteristic_function(tilde)
+_DUAL_SETS = {"S1": _build_S1_dual, "S2": _build_S2_dual, "S3": _build_S3_dual,
+              "S4": _build_S4_dual, "T": _build_T_dual}
+
+
+def closed_form_dual(family: str, spec: ConstructionSpec) -> BooleanFunction:
+    fam = family_of(family)
+    gs = _modifier_spec(fam, _resolve(fam, spec))
+    base = _DUAL_BASES[fam.base](fam.base_param(gs.k))
+    return truth_table_from_anf(base) ^ characteristic_function(_DUAL_SETS[gs.family](gs))
 
 
 # ---------------------------------------------------------------------------
@@ -520,24 +533,16 @@ def closed_form_dual(family: str, spec: ConstructionSpec) -> BooleanFunction:
 
 def predicts_max_degree(family: str, spec: ConstructionSpec) -> bool:
     """Whether the parameter parity condition for reaching the family's
-    maximum algebraic degree holds."""
-    family = normalize_family(family)
-    if family in ("G4K", "G8K"):
-        assert isinstance(spec, GammaSpec)
-        return len(spec.gammas) % 2 == 1
-    if family in ("H4K2", "H8K2"):
-        assert isinstance(spec, GammaSpec)
-        return spec.e_size_sum() % 2 == 1
-    if family == "F2RS":
-        p, _ = _rotation_p_and_gamma(family, spec)
-        return sum(len(orbit(beta)) for beta in p) % 2 == 1
-    if family == "F2RS_SET":
-        vectors = _rotation_vectors(family, spec)
-        p = decompose_orbit_sum(spec.k, vectors)
-        return sum(len(orbit(beta)) for beta in p) % 2 == 1
-    # single-orbit form: degree equals wt(gamma) exactly
-    vectors = _rotation_vectors(family, spec)
-    return vectors[0].weight() == 2 * spec.k
+    maximum algebraic degree holds: the modifier set has an odd number of
+    cells, each value of an E set counted.  The single-orbit form instead
+    has degree wt(gamma) exactly."""
+    fam = family_of(family)
+    params = _resolve(fam, spec)
+    if fam.name == "F2RS_ORBIT":
+        return params.vectors[0].weight() == fam.max_degree(params.k)
+    gs = _modifier_spec(fam, params)
+    cells = len(gs.gammas) if gs.e_sets is None else gs.e_size_sum()
+    return cells % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -566,56 +571,32 @@ def construct(family: str, spec: ConstructionSpec) -> ConstructedFunction:
     """Build the function, its closed-form ANF, its closed-form dual and the
     degree parity flag.  The truth table and the closed forms are assembled
     by independent routes so verification is meaningful."""
-    family = normalize_family(family)
+    fam = family_of(family)
     # reject over-capacity sizes before the closed-form expansion, whose cost
     # grows much faster than the truth table itself
-    check_capacity(family_n(family, spec.k))
-    if family in _SET_FAMILY_OF:
-        if not isinstance(spec, GammaSpec) or spec.family != _SET_FAMILY_OF[family]:
-            raise InvalidSpecError(f"{family} needs a {_SET_FAMILY_OF[family]}-tagged GammaSpec")
-        base = {"G4K": ("g0", spec.k), "G8K": ("g0", 2 * spec.k),
-                "H4K2": ("h0", spec.k), "H8K2": ("h0", 2 * spec.k)}[family]
-        f = base_function(*base) ^ characteristic_function(build_modifier_set(spec))
-        params: ConstructionSpec = spec
-    elif family == "F2RS":
-        p, gs = _rotation_p_and_gamma(family, spec)
-        f = base_function("f0", gs.k) ^ characteristic_function(build_T(gs))
-        params = RotationSpec(gs.k, p)
-    else:
-        # orbit-sum forms: build the truth table through the decomposed
-        # covering form so the defining ANF is checked against it
-        vectors = _rotation_vectors(family, spec)
-        p = decompose_orbit_sum(spec.k, vectors)
-        gamma_idx = sorted(set(i for beta in p for i in orbit(beta).indices()))
-        gs = GammaSpec(spec.k, "T",
-                       tuple(BitVector(2 * spec.k, i) for i in gamma_idx),
-                       rotation_closed=True)
-        f = base_function("f0", spec.k) ^ characteristic_function(build_T(gs))
-        params = RotationSpec(spec.k, vectors)
+    check_capacity(fam.n(spec.k))
+    params = _resolve(fam, spec)
+    base = base_function(fam.base, fam.base_param(params.k))
+    f = base ^ characteristic_function(build_modifier_set(_modifier_spec(fam, params)))
     return ConstructedFunction(
         function=f,
-        family=family,
+        family=fam.name,
         params=params,
-        closed_anf=closed_form_anf(family, params),
-        closed_dual=closed_form_dual(family, params),
-        predicts_max_degree=predicts_max_degree(family, params),
+        closed_anf=closed_form_anf(fam.name, params),
+        closed_dual=closed_form_dual(fam.name, params),
+        predicts_max_degree=predicts_max_degree(fam.name, params),
     )
 
 
 def modifier_set_of(cf: ConstructedFunction) -> VectorSet:
-    """The set whose indicator was added to the family's base function."""
-    if cf.family in _SET_FAMILY_OF:
-        return build_modifier_set(cf.params)  # type: ignore[arg-type]
-    base = base_function("f0", cf.params.k)
-    return (cf.function ^ base).support()
+    """The set whose indicator was added to the family's base function,
+    rebuilt from the parameters."""
+    return build_modifier_set(_modifier_spec(FAMILY_TABLE[cf.family], cf.params))
 
 
 def base_of(cf: ConstructedFunction) -> BooleanFunction:
-    name, param = {
-        "G4K": ("g0", cf.params.k), "G8K": ("g0", 2 * cf.params.k),
-        "H4K2": ("h0", cf.params.k), "H8K2": ("h0", 2 * cf.params.k),
-    }.get(cf.family, ("f0", cf.params.k))
-    return base_function(name, param)
+    fam = FAMILY_TABLE[cf.family]
+    return base_function(fam.base, fam.base_param(cf.k))
 
 
 # ---------------------------------------------------------------------------
@@ -624,37 +605,43 @@ def base_of(cf: ConstructedFunction) -> BooleanFunction:
 
 def params_to_dict(cf: ConstructedFunction) -> dict:
     spec = cf.params
-    if isinstance(spec, GammaSpec):
-        d: dict = {"k": spec.k, "gammas": [g.to_string() for g in spec.gammas]}
-        if spec.e_sets is not None:
-            d["esets"] = list(spec.e_sets)
-        return d
-    if cf.family == "F2RS":
-        return {"k": spec.k, "p": [v.to_string() for v in spec.vectors]}
-    if cf.family == "F2RS_SET":
-        return {"k": spec.k, "a_set": [v.to_string() for v in spec.vectors]}
-    return {"k": spec.k, "gamma": spec.vectors[0].to_string()}
+    key = FAMILY_TABLE[cf.family].params_key
+    vectors = spec.gammas if isinstance(spec, GammaSpec) else spec.vectors
+    strings = [v.to_string() for v in vectors]
+    d: dict = {"k": spec.k, key: strings[0] if key == "gamma" else strings}
+    if isinstance(spec, GammaSpec) and spec.e_sets is not None:
+        d["esets"] = list(spec.e_sets)
+    return d
+
+
+def _string_list(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InvalidSpecError(f"{what} must be a list of strings")
+    return value
 
 
 def spec_from_dict(family: str, d: dict) -> ConstructionSpec:
-    family = normalize_family(family)
+    """Parameters from a function file's params object (or the CLI flags
+    gathered into one); malformed entries raise InvalidSpecError."""
+    fam = family_of(family)
     try:
         k = int(d["k"])
     except KeyError as exc:
         raise InvalidSpecError("params need a k entry") from exc
-    if family in _SET_FAMILY_OF:
-        gammas = tuple(BitVector.from_string(s) for s in d.get("gammas", []))
-        esets = d.get("esets")
-        return GammaSpec(k, _SET_FAMILY_OF[family], gammas,
-                         tuple(esets) if esets is not None else None)
-    if family == "F2RS":
-        return RotationSpec(k, tuple(BitVector.from_string(s) for s in d.get("p", [])))
-    if family == "F2RS_SET":
-        return RotationSpec(k, tuple(BitVector.from_string(s) for s in d.get("a_set", [])))
-    gamma = d.get("gamma")
-    if not gamma:
-        raise InvalidSpecError("single-orbit form needs a gamma entry")
-    return RotationSpec(k, (BitVector.from_string(gamma),))
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"params k must be an integer: {exc}") from exc
+    raw = d.get(fam.params_key, [])
+    if fam.params_key == "gamma":
+        if not raw:
+            raise InvalidSpecError("single-orbit form needs a gamma entry")
+        raw = [raw]
+    vectors = tuple(BitVector.from_string(s) for s in _string_list(raw, fam.params_key))
+    if fam.rotation_symmetric:
+        return RotationSpec(k, vectors)
+    esets = d.get("esets")
+    if esets is not None:
+        esets = tuple(_string_list(esets, "esets"))
+    return GammaSpec(k, fam.set_tag, vectors, esets)
 
 
 def function_file_dict(cf: ConstructedFunction) -> dict:

@@ -41,10 +41,11 @@ def max_n() -> int:
 
 
 def set_max_n(limit: int) -> None:
-    """Override the capacity limit (default 24)."""
+    """Override the capacity limit, 1..24 (default 24).  Sizes above 24 are
+    refused: nothing larger has been measured to finish in bounded time."""
     global _max_n
-    if limit < 1:
-        raise ValueError("capacity limit must be positive")
+    if not 1 <= limit <= DEFAULT_MAX_N:
+        raise ValueError(f"capacity limit must be between 1 and {DEFAULT_MAX_N}")
     _max_n = limit
 
 
@@ -120,11 +121,6 @@ class BitVector:
     def ones(cls, n: int) -> "BitVector":
         return cls(n, (1 << n) - 1)
 
-    @classmethod
-    def unit(cls, n: int, eps: int) -> "BitVector":
-        """(eps, 0, ..., 0): eps in the first coordinate."""
-        return cls(n, eps & 1)
-
     def __getitem__(self, j: int) -> int:
         if not 0 <= j < self.n:
             raise IndexError(j)
@@ -142,35 +138,11 @@ class BitVector:
             raise DimensionError("vector dimensions differ")
         return (self.bits & other.bits).bit_count() & 1
 
-    def star(self, other: "BitVector") -> "BitVector":
-        """Coordinatewise product."""
-        if self.n != other.n:
-            raise DimensionError("vector dimensions differ")
-        return BitVector(self.n, self.bits & other.bits)
-
-    def covers(self, other: "BitVector") -> bool:
-        """True when self >= other coordinatewise."""
-        if self.n != other.n:
-            raise DimensionError("vector dimensions differ")
-        return (self.bits & other.bits) == other.bits
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def concat(self, other: "BitVector") -> "BitVector":
-        return BitVector(self.n + other.n, self.bits | (other.bits << self.n))
-
-    def sub(self, start: int, length: int) -> "BitVector":
-        """Coordinates start .. start+length-1 as a new vector."""
-        if start < 0 or length < 1 or start + length > self.n:
-            raise ValueError("slice out of range")
-        return BitVector(length, (self.bits >> start) & ((1 << length) - 1))
-
     def to_string(self) -> str:
         return "".join(str(self[j]) for j in range(self.n))
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple(self[j] for j in range(self.n))
 
     def __str__(self) -> str:
         return self.to_string()
@@ -203,17 +175,6 @@ class VectorSet:
             mask |= 1 << i
         return cls(n, mask)
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[BitVector]) -> "VectorSet":
-        vecs = list(vectors)
-        if not vecs:
-            raise ValueError("cannot infer dimension from an empty iterable")
-        n = vecs[0].n
-        for v in vecs:
-            if v.n != n:
-                raise DimensionError("mixed dimensions in vector set")
-        return cls.from_indices(n, (v.bits for v in vecs))
-
     def __contains__(self, item) -> bool:
         idx = item.bits if isinstance(item, BitVector) else int(item)
         return bool((self.mask >> idx) & 1)
@@ -238,11 +199,6 @@ class VectorSet:
         return VectorSet(self.n, self.mask | other.mask)
 
     __or__ = union
-
-    def intersection(self, other: "VectorSet") -> "VectorSet":
-        if self.n != other.n:
-            raise DimensionError("vector set dimensions differ")
-        return VectorSet(self.n, self.mask & other.mask)
 
     def complement(self) -> "VectorSet":
         return VectorSet(self.n, self.mask ^ ((1 << (1 << self.n)) - 1))
@@ -304,7 +260,9 @@ class BooleanFunction:
         return VectorSet(self.n, self.bits)
 
     def __xor__(self, other: "BooleanFunction") -> "BooleanFunction":
-        return xor_functions(self, other)
+        if self.n != other.n:
+            raise DimensionError("cannot xor functions over different dimensions")
+        return BooleanFunction(self.n, self.bits ^ other.bits)
 
     def to_hex(self) -> str:
         """Little-endian nibble string: hex digit j holds table bits 4j..4j+3."""
@@ -313,6 +271,8 @@ class BooleanFunction:
 
     @classmethod
     def from_hex(cls, n: int, s: str) -> "BooleanFunction":
+        # refuse the size before 1 << n is ever built
+        check_capacity(n)
         s = s.strip().lower()
         ndigits = max(1, ((1 << n) + 3) // 4)
         if len(s) != ndigits or any(c not in "0123456789abcdef" for c in s):
@@ -323,12 +283,6 @@ class BooleanFunction:
         if bits >= (1 << (1 << n)):
             raise ValueError("hex table has bits beyond 2^n entries")
         return cls(n, bits)
-
-
-def xor_functions(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
-    if f.n != g.n:
-        raise DimensionError("cannot xor functions over different dimensions")
-    return BooleanFunction(f.n, f.bits ^ g.bits)
 
 
 def characteristic_function(s: VectorSet) -> BooleanFunction:
@@ -381,7 +335,11 @@ class AnfPolynomial:
         return AnfPolynomial(self.n, self.coeffs ^ other.coeffs)
 
     def degree(self) -> int:
-        return _degree_of_mask(self.coeffs, self.n)
+        """Largest monomial weight; the zero polynomial has degree 0."""
+        if self.coeffs == 0:
+            return 0
+        size = 1 << self.n
+        return int(popcounts(size)[_unpack_bits(self.coeffs, size) == 1].max())
 
     def evaluate(self, x) -> int:
         idx = x.bits if isinstance(x, BitVector) else int(x)
@@ -445,31 +403,8 @@ def truth_table_from_anf(p: AnfPolynomial) -> BooleanFunction:
     return BooleanFunction(p.n, _mobius(p.coeffs, p.n))
 
 
-def _degree_of_mask(coeffs: int, n: int) -> int:
-    if coeffs == 0:
-        return 0
-    size = 1 << n
-    arr = _unpack_bits(coeffs, size)
-    return int(popcounts(size)[arr == 1].max())
-
-
-def algebraic_degree(f: BooleanFunction) -> int:
-    """Degree of the ANF; the zero function has degree 0."""
-    return _degree_of_mask(_mobius(f.bits, f.n), f.n)
-
-
 # ---------------------------------------------------------------------------
 # cyclic shifts and rotation symmetry
-
-
-def cyclic_shift(x: BitVector, l: int) -> BitVector:
-    """rho_n^l(x) = (x_l, ..., x_{n-1}, x_0, ..., x_{l-1})."""
-    n = x.n
-    l %= n
-    if l == 0:
-        return x
-    low = x.bits & ((1 << l) - 1)
-    return BitVector(n, (x.bits >> l) | (low << (n - l)))
 
 
 def cyclic_shift_action(f: BooleanFunction, l: int) -> BooleanFunction:
@@ -496,10 +431,3 @@ def rotation_symmetry_order(f: BooleanFunction) -> int:
         if cyclic_shift_action(f, l) == f:
             return l
     raise AssertionError("unreachable: l = n always fixes f")
-
-
-def is_k_rotation_symmetric(f: BooleanFunction, k: int) -> bool:
-    """Invariant under rho^k but under no smaller positive shift."""
-    if f.n % k != 0:
-        return False
-    return rotation_symmetry_order(f) == k

@@ -26,6 +26,7 @@ from .core import (
     NotBentError,
     anf_from_truth_table,
     characteristic_function,
+    check_capacity,
     popcounts,
     rotation_symmetry_order,
     truth_table_from_anf,
@@ -56,12 +57,13 @@ from .subspaces import (
     in_pair_repetition,
     orbit,
     orthogonal_complement,
+    swap_halves,
 )
 from .constructions import (
+    FAMILY_TABLE,
     ConstructedFunction,
     base_function,
     base_of,
-    family_max_degree,
     modifier_set_of,
 )
 from .reference import ReferenceCase
@@ -334,10 +336,6 @@ class _FragmentPrediction:
 _ZERO = GaussianInteger(0, 0)
 
 
-def _half_swap(bits: int, half: int) -> int:
-    return (bits >> half) | ((bits & ((1 << half) - 1)) << half)
-
-
 def _halved_branch(full: GaussianInteger, s: int) -> GaussianInteger:
     """Doubled value of (1 + i*(-1)^s)/2 * full."""
     return full + full * GaussianInteger(0, 1 - 2 * s)
@@ -372,7 +370,7 @@ def _predict_s2(spec: GammaSpec, point: int) -> _FragmentPrediction:
 
     w_matches = n_matches = 0
     for g in spec.gammas:
-        sw = _half_swap(g.bits, 2 * k)
+        sw = swap_halves(g.bits, 2 * k)
         if in_pair_repetition(u ^ g.bits, pairs) and in_pair_repetition(v ^ sw, pairs):
             w_matches += 1
         if (in_pair_antirepetition(u ^ g.bits, pairs)
@@ -440,7 +438,7 @@ def _predict_s4(spec: GammaSpec, point: int) -> _FragmentPrediction:
     w_matches = 0
     candidates = []
     for i, g in enumerate(spec.gammas):
-        sw = _half_swap(g.bits, 2 * k)
+        sw = swap_halves(g.bits, 2 * k)
         if (um in spec.e_values(i)
                 and in_pair_repetition(u ^ um ^ g.bits, pairs)
                 and in_pair_repetition(v ^ sw, pairs)):
@@ -460,13 +458,10 @@ def _predict_s4(spec: GammaSpec, point: int) -> _FragmentPrediction:
                                branch, len(candidates) <= 1)
 
 
-_PREDICTORS = {"S1": _predict_s1, "S2": _predict_s2,
-               "S3": _predict_s3, "S4": _predict_s4}
-
-_FRAGMENT_BASES = {"S1": ("g0", 1), "S2": ("g0", 2), "S3": ("h0", 1), "S4": ("h0", 2)}
-
-# largest admissible candidate count per point and family
-_NEGA_MATCH_BOUND = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
+# per modifier set: the closed-form predictor and the largest admissible
+# number of nega candidates at one point
+_LEMMAS = {"S1": (_predict_s1, 1), "S2": (_predict_s2, 1),
+           "S3": (_predict_s3, 2), "S4": (_predict_s4, 1)}
 
 
 def _sample_points(size: int, want: int = 64) -> range:
@@ -484,17 +479,17 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     number of contributing parameters, and (on a deterministic sample) the
     literal restricted sums against the masked butterfly route.
     """
-    if spec.family not in _PREDICTORS:
+    if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
-    base_name, t_mult = _FRAGMENT_BASES[spec.family]
-    t = t_mult * spec.k
-    f0 = base_function(base_name, t)
-    n = f0.n
-    size = 1 << n
+    predict, bound = _LEMMAS[spec.family]
+    fam = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family)
+    check_capacity(fam.n(spec.k))
+    t = fam.base_param(spec.k)
+    f0 = base_function(fam.base, t)
+    size = 1 << f0.n
     tset = build_modifier_set(spec)
-    predict = _PREDICTORS[spec.family]
-    base_walsh = walsh_g0_value if base_name == "g0" else walsh_h0_value
-    base_nega = nega_g0_value if base_name == "g0" else nega_h0_value
+    base_walsh = walsh_g0_value if fam.base == "g0" else walsh_h0_value
+    base_nega = nega_g0_value if fam.base == "g0" else nega_h0_value
 
     checks = _Checks()
     wf = walsh_transform(f0)
@@ -542,7 +537,6 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     checks.add("fragment-nega-closed-form", fragment_nega_check)
 
     def match_bounds_check():
-        bound = _NEGA_MATCH_BOUND[spec.family]
         w_max = n_max = 0
         for idx in range(size):
             p = preds[idx]
@@ -637,6 +631,8 @@ def _random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
 def check_table1(k: int = 1) -> VerificationReport:
     """Recheck the classification rows relating the bases, the modifier-set
     indicators and the quadratic symmetric function at parameter k."""
+    # the largest table below is the H8K2 base, 8k+2 variables
+    check_capacity(max(fam.n(k) for fam in FAMILY_TABLE.values()))
     checks = _Checks()
     n4 = 4 * k
     k2 = 2 * k
@@ -919,7 +915,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     def degree_check():
         d = anf.degree()
-        dmax = family_max_degree(cf.family, cf.k)
+        dmax = FAMILY_TABLE[cf.family].max_degree(cf.k)
         detail = f"degree {d}, family max {dmax}, parity flag {cf.predicts_max_degree}"
         if cf.family == "F2RS_ORBIT":
             want = cf.params.vectors[0].weight()
@@ -979,7 +975,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     checks.add("fragment-ratios-admissible", frame_check)
 
-    if cf.family in ("F2RS", "F2RS_SET", "F2RS_ORBIT"):
+    if FAMILY_TABLE[cf.family].rotation_symmetric:
         def rotation_check():
             order = rotation_symmetry_order(f)
             return order == 2, f"rotation order {order}", None

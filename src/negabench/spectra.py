@@ -79,15 +79,6 @@ def _fwht_inplace(a: np.ndarray) -> None:
         h *= 2
 
 
-def _exact_sum(v: np.ndarray) -> int:
-    """Sum of an int64 array as an exact Python int (chunked against overflow)."""
-    total = 0
-    step = 1 << 14
-    for i in range(0, v.shape[0], step):
-        total += int(v[i:i + step].sum())
-    return total
-
-
 def _exact_sum_sq(v: np.ndarray) -> int:
     total = 0
     step = 1 << 14
@@ -152,27 +143,36 @@ class NegaSpectrum:
         return int(bad[0]) if bad.size else None
 
 
+_RE_TWIST = np.array([1, 0, -1, 0], dtype=np.int64)
+_IM_TWIST = np.array([0, 1, 0, -1], dtype=np.int64)
+
+
+def _walsh_of_signs(n: int, signs: np.ndarray) -> WalshSpectrum:
+    """Butterfly a (-1)^f sign vector, in place, into a Walsh spectrum."""
+    _fwht_inplace(signs)
+    signs.setflags(write=False)
+    return WalshSpectrum(n, signs)
+
+
+def _nega_of_signs(n: int, signs: np.ndarray) -> NegaSpectrum:
+    """Twist a (-1)^f sign vector by i^wt(x) and butterfly both parts."""
+    w4 = popcounts(1 << n) % 4
+    re = signs * _RE_TWIST[w4]
+    im = signs * _IM_TWIST[w4]
+    for part in (re, im):
+        _fwht_inplace(part)
+        part.setflags(write=False)
+    return NegaSpectrum(n, re, im)
+
+
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     check_capacity(f.n)
-    a = f.sign_array()
-    _fwht_inplace(a)
-    a.setflags(write=False)
-    return WalshSpectrum(f.n, a)
+    return _walsh_of_signs(f.n, f.sign_array())
 
 
 def nega_transform(f: BooleanFunction) -> NegaSpectrum:
     check_capacity(f.n)
-    signs = f.sign_array()
-    w4 = popcounts(1 << f.n) % 4
-    re_mult = np.array([1, 0, -1, 0], dtype=np.int64)[w4]
-    im_mult = np.array([0, 1, 0, -1], dtype=np.int64)[w4]
-    re = signs * re_mult
-    im = signs * im_mult
-    _fwht_inplace(re)
-    _fwht_inplace(im)
-    re.setflags(write=False)
-    im.setflags(write=False)
-    return NegaSpectrum(f.n, re, im)
+    return _nega_of_signs(f.n, f.sign_array())
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +202,21 @@ def fragmentary_nega(f: BooleanFunction, t: VectorSet, u) -> GaussianInteger:
     return acc
 
 
-def fragmentary_walsh_spectrum(f: BooleanFunction, t: VectorSet) -> WalshSpectrum:
-    """All fragmentary Walsh values at once: butterfly on the T-masked signs."""
+def _masked_signs(f: BooleanFunction, t: VectorSet) -> np.ndarray:
+    """(-1)^f on t and 0 elsewhere."""
     if f.n != t.n:
         raise DimensionError("function and subset dimensions differ")
     mask = BooleanFunction(t.n, t.mask).value_array().astype(np.int64)
-    a = f.sign_array() * mask
-    _fwht_inplace(a)
-    a.setflags(write=False)
-    return WalshSpectrum(f.n, a)
+    return f.sign_array() * mask
+
+
+def fragmentary_walsh_spectrum(f: BooleanFunction, t: VectorSet) -> WalshSpectrum:
+    """All fragmentary Walsh values at once: butterfly on the T-masked signs."""
+    return _walsh_of_signs(f.n, _masked_signs(f, t))
 
 
 def fragmentary_nega_spectrum(f: BooleanFunction, t: VectorSet) -> NegaSpectrum:
-    if f.n != t.n:
-        raise DimensionError("function and subset dimensions differ")
-    mask = BooleanFunction(t.n, t.mask).value_array().astype(np.int64)
-    signs = f.sign_array() * mask
-    w4 = popcounts(1 << f.n) % 4
-    re = signs * np.array([1, 0, -1, 0], dtype=np.int64)[w4]
-    im = signs * np.array([0, 1, 0, -1], dtype=np.int64)[w4]
-    _fwht_inplace(re)
-    _fwht_inplace(im)
-    re.setflags(write=False)
-    im.setflags(write=False)
-    return NegaSpectrum(f.n, re, im)
+    return _nega_of_signs(f.n, _masked_signs(f, t))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +245,6 @@ def classify(f: BooleanFunction) -> Classification:
         return Classification(False, nega_ok, note="bent undefined for odd n; reported false")
     bent_ok = walsh_transform(f).flat_counterexample() is None
     return Classification(bent_ok, nega_ok)
-
-
-def is_bent(f: BooleanFunction) -> bool:
-    return classify(f).is_bent
-
-
-def is_negabent(f: BooleanFunction) -> bool:
-    return nega_transform(f).flat_counterexample() is None
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
@@ -329,17 +312,3 @@ def mm_dual(pi: Sequence, phi: BooleanFunction) -> BooleanFunction:
     # index = x | (y << m): row y, column x
     return BooleanFunction.from_values(2 * m, vals.reshape(-1).tolist())
 
-
-def is_weight_sum_invariant(pi: Sequence, m: Optional[int] = None) -> bool:
-    """wt(x + y) == wt(pi(x) + pi(y)) for all pairs x, y."""
-    if m is None:
-        m = (len(pi)).bit_length() - 1
-    imgs = _permutation_images(pi, m)
-    size = 1 << m
-    pops = popcounts(size)
-    arr = np.array(imgs, dtype=np.int64)
-    xs = np.arange(size, dtype=np.int64)
-    for x in range(size):
-        if not np.array_equal(pops[xs ^ x], pops[arr ^ imgs[x]]):
-            return False
-    return True

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     BitVector,
@@ -79,9 +79,6 @@ class LinearSubspace:
                     acc ^= b
             yield BitVector(self.n, acc)
 
-    def member_set(self) -> VectorSet:
-        return VectorSet.from_indices(self.n, (m.bits for m in self.members()))
-
 
 def orthogonal_complement(space: LinearSubspace) -> LinearSubspace:
     """All x with x . b = 0 for every basis vector b."""
@@ -114,35 +111,7 @@ def coset_representatives(space: LinearSubspace) -> list[BitVector]:
 
 
 # ---------------------------------------------------------------------------
-# repetition sets A_{2d}^r and B_{2d}^r
-
-
-class RepetitionSets(NamedTuple):
-    a: VectorSet
-    b: VectorSet
-
-
-def repetition_sets(d: int, r: int) -> RepetitionSets:
-    """r-fold concatenations of the length-2d blocks {0..0, 1..1} (A) and
-    {0..0 1..1, 1..1 0..0} (B); subsets of F_2^(2dr)."""
-    if d < 1 or r < 1:
-        raise ValueError("d and r must be positive")
-    n = 2 * d * r
-    check_capacity(n)
-    a_blocks = (0, (1 << (2 * d)) - 1)
-    b_blocks = (((1 << d) - 1) << d, (1 << d) - 1)
-    def assemble(blocks):
-        out = []
-        for picks in itertools.product(blocks, repeat=r):
-            acc = 0
-            for i, blk in enumerate(picks):
-                acc |= blk << (2 * d * i)
-            out.append(acc)
-        return out
-    return RepetitionSets(
-        VectorSet.from_indices(n, assemble(a_blocks)),
-        VectorSet.from_indices(n, assemble(b_blocks)),
-    )
+# pair repetition A_2^r and anti-repetition B_2^r
 
 
 def in_pair_repetition(bits: int, pairs: int) -> bool:
@@ -171,6 +140,11 @@ def pair_repetition_members(pairs: int) -> list[int]:
             acc |= blk << (2 * i)
         out.append(acc)
     return out
+
+
+def swap_halves(bits: int, half: int) -> int:
+    """Exchange the low and high `half`-bit halves of a 2*half-bit vector."""
+    return (bits >> half) | ((bits & ((1 << half) - 1)) << half)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -203,6 +204,54 @@ class TestExitCodes:
         f = tmp_path / "partial.json"
         f.write_text(json.dumps({"n": 4, "family": "G4K"}))
         assert run(capsys, "verify", "--in", str(f))[0] == 5
+
+    @pytest.mark.parametrize("field, value", [
+        ("tt_hex", 123),
+        ("params", {"k": None}),
+        ("params", {"k": 2, "gammas": [1]}),
+        ("params", {"k": 2, "gammas": ["0001"], "esets": 5}),
+    ])
+    def test_malformed_fields(self, capsys, tmp_path, field, value):
+        f = tmp_path / "f.json"
+        run(capsys, *GEN_ARGS, "--out", str(f))
+        data = json.loads(f.read_text())
+        data[field] = value
+        f.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", "--in", str(f))
+        assert code == 5
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("n", [30, 10 ** 8])
+    def test_over_capacity_file(self, capsys, tmp_path, n):
+        f = tmp_path / "f.json"
+        run(capsys, *GEN_ARGS, "--out", str(f))
+        data = json.loads(f.read_text())
+        data["n"] = n
+        f.write_text(json.dumps(data))
+        assert run(capsys, "verify", "--in", str(f))[0] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "G4K", "--k", "7", "--gamma", "0" * 14],
+        ["lemma-check", "--set", "S1", "--k", "7", "--gamma", "0" * 14],
+        ["table1", "--k", "7"],
+    ])
+    def test_capacity_refused_before_allocation(self, capsys, argv):
+        # a 28-variable table alone is 32 MiB; the refusal must come first
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 3
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("value", ["0", "25", "-3", "many"])
+    def test_max_n_range(self, capsys, value):
+        code, _, err = run(capsys, "--max-n", value, "orbits", "--n", "2")
+        assert code == 2
+        assert "--max-n" in err
 
     def test_max_n_flag(self, capsys):
         code, _, err = run(capsys, "--max-n", "6", "gen", "--family", "G4K",

@@ -18,6 +18,7 @@ from negabench.subspaces import (
 )
 from negabench.constructions import (
     FAMILIES,
+    FAMILY_TABLE,
     RotationSpec,
     base_anf,
     base_function,
@@ -26,8 +27,6 @@ from negabench.constructions import (
     closed_form_dual,
     construct,
     decompose_orbit_sum,
-    family_max_degree,
-    family_n,
     function_file_dict,
     modifier_set_of,
     normalize_family,
@@ -67,18 +66,18 @@ class TestBases:
 
 class TestFamilyTable:
     def test_variable_counts(self):
-        assert family_n("G4K", 2) == 8
-        assert family_n("G8K", 2) == 16
-        assert family_n("H4K2", 2) == 10
-        assert family_n("H8K2", 1) == 10
-        assert family_n("F2RS", 3) == 12
+        assert FAMILY_TABLE["G4K"].n(2) == 8
+        assert FAMILY_TABLE["G8K"].n(2) == 16
+        assert FAMILY_TABLE["H4K2"].n(2) == 10
+        assert FAMILY_TABLE["H8K2"].n(1) == 10
+        assert FAMILY_TABLE["F2RS"].n(3) == 12
 
     def test_max_degrees(self):
-        assert family_max_degree("G4K", 2) == 4
-        assert family_max_degree("G8K", 2) == 8
-        assert family_max_degree("H4K2", 2) == 5
-        assert family_max_degree("H8K2", 2) == 9
-        assert family_max_degree("F2RS_ORBIT", 2) == 4
+        assert FAMILY_TABLE["G4K"].max_degree(2) == 4
+        assert FAMILY_TABLE["G8K"].max_degree(2) == 8
+        assert FAMILY_TABLE["H4K2"].max_degree(2) == 5
+        assert FAMILY_TABLE["H8K2"].max_degree(2) == 9
+        assert FAMILY_TABLE["F2RS_ORBIT"].max_degree(2) == 4
 
     def test_normalize(self):
         assert normalize_family("g4k") == "G4K"

@@ -1,0 +1,58 @@
+"""Golden SHA-256 hashes of the deterministic CLI artifacts.
+
+One spec per family at n <= 12.  The `gen` record, the `dual` hex and the
+`anf` text must stay byte-identical across refactors; a changed hash means a
+changed output, not a changed test.
+"""
+
+import hashlib
+
+import pytest
+
+from negabench.cli import main
+
+SPECS = {
+    "G4K": ["--k", "3", "--gamma", "000101", "--gamma", "110010", "--gamma", "011110"],
+    "G8K": ["--k", "1", "--gamma", "1000", "--gamma", "0110"],
+    "H4K2": ["--k", "2", "--gamma", "1000", "--eset", "1", "--gamma", "0101",
+             "--eset", "B", "--gamma", "0011", "--eset", "0"],
+    "H8K2": ["--k", "1", "--gamma", "0000", "--eset", "B", "--gamma", "1000", "--eset", "1"],
+    "F2RS": ["--k", "3", "--p", "100000", "--p", "110100"],
+    "F2RS_SET": ["--k", "3", "--a-set", "110000", "--a-set", "101010"],
+    "F2RS_ORBIT": ["--k", "3", "--gamma", "111010"],
+}
+
+# (gen, dual, anf) per family
+GOLDEN = {
+    "G4K": ("3c26de09dace40ca8569a2bd3f3fb628075ae481d575622e1c7843e7ec1e0a59",
+            "1c1c455dd5abf62827c885a89b7be8db94239cd4c5e7aca25660fe8245235fd5",
+            "283d3d4c795caedc947526af1275298d79594ae792bface3fd2e22945c8e12c5"),
+    "G8K": ("3f9119dc39641860f638cc392e0fbfbceddc0965fa738e2a427fff8c3c1afcd7",
+            "0201cc616ed2e90e18432f374628239cfe3ad19feddf48704fcfbf52f8dbfc51",
+            "96b9be5ca599da7fb2043f55d4f43e71656dc2d2725874537e8cf6dadb8da848"),
+    "H4K2": ("6b4d7598caf12f93e656f42f59ffadd85b98e07edea8101e85268679e9a5b333",
+             "33fff66a6c0335fe7389f8f5e791d5e161cb02806b8c8a79b5e8a0c84de5df2a",
+             "484214f26a0a15c9d917225abab7ae70cd5dee9a964f4886fb73e5708429e5a1"),
+    "H8K2": ("a9ef4a0e5aaeb8569246f5a8a475300f030f60c47a4d687533395107bdde34e3",
+             "34a25fe2f6b9d5af29fdbb1a5f937cdfe9095450b46afb7fbe9300d9603d11cd",
+             "f8424db70ad4db716245af29333dcd1a5ca10975680c79c312acefd92decb6ae"),
+    "F2RS": ("ad0e0cc112e66ab4a280adda1cc4f973d3ff8e7b35924469eb11d019cc68b9fb",
+             "a618f01ad871d3620587a9d61f7323f92efaa5ddfc9cbf48e147b9669520554a",
+             "d1faf69d8845bd1b5449d1d7dd8a87f2f8efef6ebfd344b233fe120d3b4f0457"),
+    "F2RS_SET": ("c36a18221b5808f9d80dfe37720390cb9b1d14158794ff0311eb9ca357eae922",
+                 "a04f3d3b2eea52c07395dd131d79c8a9349922c628c1bf8644691a9123522e60",
+                 "46e32335a4d5e200db8af76e169ed04d201895aa7fb327afefbe03d18fe8c454"),
+    "F2RS_ORBIT": ("f21bf8e72900293219d3cccaea16c2a7448f4b8cdb0a35e2ec0042d80a27bed0",
+                   "d4b7c1896572ea90c6616ed0ce1a4dd52995b7ed066a48b98931369c65db9c16",
+                   "2c0362ed3c1bced74bff9c66bf18f0f3de77067d04256ee6bd5e381d5c4fbe67"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPECS))
+def test_artifact_hashes(family, tmp_path):
+    got = []
+    for cmd in ("gen", "dual", "anf"):
+        out = tmp_path / cmd
+        assert main([cmd, "--family", family, *SPECS[family], "--out", str(out)]) == 0
+        got.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(got) == GOLDEN[family]

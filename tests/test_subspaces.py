@@ -18,7 +18,6 @@ from negabench.subspaces import (
     orbit_representatives,
     orthogonal_complement,
     pair_repetition_members,
-    repetition_sets,
 )
 
 
@@ -52,16 +51,6 @@ class TestLinearSubspace:
 
 
 class TestRepetitionSets:
-    def test_single_pair(self):
-        rs = repetition_sets(1, 1)
-        assert sorted(rs.a.indices()) == [0, 3]
-        assert sorted(rs.b.indices()) == [1, 2]
-
-    def test_wider_blocks(self):
-        rs = repetition_sets(2, 1)
-        assert sorted(rs.a.indices()) == [0, 15]
-        assert sorted(rs.b.indices()) == [0b0011, 0b1100]
-
     def test_pair_predicates(self):
         assert in_pair_repetition(0b1111, 2)
         assert in_pair_repetition(0b0000, 2)
