@@ -206,7 +206,7 @@ def _covering_sum_masks(k2: int, gamma_bits: int) -> list[int]:
 def _orbit_sum_masks(k2: int, gamma_bits: int) -> list[int]:
     """sum over u * v = 0, u + v in O(gamma) of x^u y^v on 4k vars."""
     masks = []
-    for w in orbit(BitVector(k2, gamma_bits)).indices():
+    for w in orbit(BitVector(k2, gamma_bits)):
         u = w
         while True:
             masks.append(u | ((w ^ u) << k2))
@@ -291,7 +291,7 @@ def _modifier_spec(fam: Family, params: ConstructionSpec) -> GammaSpec:
         return params  # type: ignore[return-value]
     k = params.k
     reps = params.vectors if fam.name == "F2RS" else decompose_orbit_sum(k, params.vectors)
-    idx = sorted(set(i for v in reps for i in orbit(v).indices()))
+    idx = sorted(set(i for v in reps for i in orbit(v)))
     return GammaSpec(k, "T", tuple(BitVector(2 * k, i) for i in idx), rotation_closed=True)
 
 
@@ -301,11 +301,8 @@ def _modifier_spec(fam: Family, params: ConstructionSpec) -> GammaSpec:
 
 def orbit_covering_poly(k2: int, beta: BitVector) -> int:
     """Coefficient mask of sum over gamma in O(beta) of the covering sum."""
-    acc = 0
-    for g in orbit(beta).indices():
-        for m in _covering_sum_masks(k2, g):
-            acc ^= 1 << m
-    return acc
+    masks = (m for g in orbit(beta) for m in _covering_sum_masks(k2, g))
+    return AnfPolynomial.from_monomials(2 * k2, masks).coeffs
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,10 +330,8 @@ def decompose_orbit_sum(k: int, vectors: Iterable[BitVector]) -> tuple[BitVector
     the combination.  Solvability is guaranteed for every input orbit."""
     k2 = 2 * k
     reps, pivots = _covering_basis(k2)
-    target = 0
-    for v in vectors:
-        for m in _orbit_sum_masks(k2, v.bits):
-            target ^= 1 << m
+    masks = (m for v in vectors for m in _orbit_sum_masks(k2, v.bits))
+    target = AnfPolynomial.from_monomials(2 * k2, masks).coeffs
     combo = 0
     for pb, pv, pc in pivots:
         if (target >> pb) & 1:
@@ -380,7 +375,7 @@ def closed_form_anf(family: str, spec: ConstructionSpec) -> AnfPolynomial:
         masks = (m for i in range(len(params.gammas))
                  for m in _expand_product(_cell_factors(params, i)))
     elif fam.name == "F2RS":
-        masks = (m for beta in params.vectors for g in orbit(beta).indices()
+        masks = (m for beta in params.vectors for g in orbit(beta)
                  for m in _covering_sum_masks(2 * k, g))
     else:  # F2RS_SET / F2RS_ORBIT: the defining orbit-sum ANF
         masks = (m for v in params.vectors for m in _orbit_sum_masks(2 * k, v.bits))

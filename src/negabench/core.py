@@ -4,13 +4,18 @@ Index convention used everywhere in this package: the truth table entry at
 index i is the value of f at the point whose j-th coordinate is bit j of i
 (bit 0 = least significant), i.e. the first variable varies fastest.  A vector
 and its truth-table index are therefore interchangeable.
+
+Storage: every 2^n-entry table (truth table, vector set, ANF coefficients) is
+one Python int whose bit i holds entry i.  Only this module reads or writes
+that layout, and each conversion to or from it is one O(2^n) pass through
+numpy or a single C-level int call, never a Python loop over entries.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,6 +74,29 @@ def _unpack_bits(bits: int, size: int) -> np.ndarray:
 def _pack_bits(arr: np.ndarray) -> int:
     packed = np.packbits(arr.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
+
+
+def _set_bits(bits: int, size: int) -> list[int]:
+    """Positions of the set bits of a `size`-bit mask, ascending."""
+    return np.flatnonzero(_unpack_bits(bits, size)).tolist()
+
+
+def _index_array(n: int, indices: Iterable[int]) -> np.ndarray:
+    """Table positions as an int64 array, each checked to lie in 0..2^n-1
+    (numpy would silently wrap a negative index)."""
+    check_capacity(n)
+    idx = np.fromiter(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= 1 << n):
+        raise ValueError(f"index out of range for n={n}")
+    return idx
+
+
+def _check_table(n: int, bits: int, what: str) -> None:
+    """A 2^n-entry table is an int in 0..2^(2^n)-1; compared by bit length so
+    the 2^n-bit bound itself is never built."""
+    check_capacity(n)
+    if bits < 0 or bits.bit_length() > 1 << n:
+        raise ValueError(f"{what} out of range for dimension")
 
 
 def popcounts(size: int) -> np.ndarray:
@@ -156,9 +184,7 @@ class VectorSet:
     mask: int
 
     def __post_init__(self) -> None:
-        check_capacity(self.n)
-        if not 0 <= self.mask < (1 << (1 << self.n)):
-            raise ValueError("membership mask out of range")
+        _check_table(self.n, self.mask, "membership mask")
 
     @classmethod
     def empty(cls, n: int) -> "VectorSet":
@@ -170,10 +196,11 @@ class VectorSet:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "VectorSet":
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return cls(n, mask)
+        """The set of the given indices; a repeated index counts once."""
+        idx = _index_array(n, indices)
+        table = np.zeros(1 << n, dtype=np.uint8)
+        table[idx] = 1
+        return cls(n, _pack_bits(table))
 
     def __contains__(self, item) -> bool:
         idx = item.bits if isinstance(item, BitVector) else int(item)
@@ -182,16 +209,9 @@ class VectorSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def indices(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
-
-    def members(self) -> Iterator[BitVector]:
-        for i in self.indices():
-            yield BitVector(self.n, i)
+    def indices(self) -> list[int]:
+        """Member indices, ascending."""
+        return _set_bits(self.mask, 1 << self.n)
 
     def union(self, other: "VectorSet") -> "VectorSet":
         if self.n != other.n:
@@ -216,9 +236,7 @@ class BooleanFunction:
     bits: int
 
     def __post_init__(self) -> None:
-        check_capacity(self.n)
-        if not 0 <= self.bits < (1 << (1 << self.n)):
-            raise ValueError("truth table out of range for dimension")
+        _check_table(self.n, self.bits, "truth table")
 
     @classmethod
     def zero(cls, n: int) -> "BooleanFunction":
@@ -229,21 +247,16 @@ class BooleanFunction:
         return cls(n, ((1 << (1 << n)) - 1) if value & 1 else 0)
 
     @classmethod
-    def from_values(cls, n: int, values: Sequence[int]) -> "BooleanFunction":
+    def from_values(cls, n: int, values: Sequence[int] | np.ndarray) -> "BooleanFunction":
+        """Table from 2^n integer entries (a sequence or an array), each taken mod 2."""
         if len(values) != 1 << n:
             raise DimensionError("truth table length must be 2^n")
-        bits = 0
-        for i, v in enumerate(values):
-            if v & 1:
-                bits |= 1 << i
-        return cls(n, bits)
+        # a uint8 cast keeps each entry's parity and stays 1 byte an entry
+        return cls(n, _pack_bits(np.asarray(values).astype(np.uint8) & 1))
 
     def value(self, x) -> int:
         idx = x.bits if isinstance(x, BitVector) else int(x)
         return (self.bits >> idx) & 1
-
-    def values(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(1 << self.n)]
 
     def value_array(self) -> np.ndarray:
         """Truth table as a uint8 numpy array."""
@@ -267,7 +280,7 @@ class BooleanFunction:
     def to_hex(self) -> str:
         """Little-endian nibble string: hex digit j holds table bits 4j..4j+3."""
         ndigits = max(1, ((1 << self.n) + 3) // 4)
-        return "".join(f"{(self.bits >> (4 * j)) & 0xF:x}" for j in range(ndigits))
+        return format(self.bits, f"0{ndigits}x")[::-1]
 
     @classmethod
     def from_hex(cls, n: int, s: str) -> "BooleanFunction":
@@ -275,12 +288,11 @@ class BooleanFunction:
         check_capacity(n)
         s = s.strip().lower()
         ndigits = max(1, ((1 << n) + 3) // 4)
-        if len(s) != ndigits or any(c not in "0123456789abcdef" for c in s):
+        # int(s, 16) alone would also take '_', a sign and inner whitespace
+        if len(s) != ndigits or not re.fullmatch("[0-9a-f]*", s):
             raise ValueError(f"expected {ndigits} hex digits, got {s!r}")
-        bits = 0
-        for j, c in enumerate(s):
-            bits |= int(c, 16) << (4 * j)
-        if bits >= (1 << (1 << n)):
+        bits = int(s[::-1], 16)
+        if bits.bit_length() > 1 << n:
             raise ValueError("hex table has bits beyond 2^n entries")
         return cls(n, bits)
 
@@ -303,9 +315,7 @@ class AnfPolynomial:
     coeffs: int
 
     def __post_init__(self) -> None:
-        check_capacity(self.n)
-        if not 0 <= self.coeffs < (1 << (1 << self.n)):
-            raise ValueError("coefficient mask out of range for dimension")
+        _check_table(self.n, self.coeffs, "coefficient mask")
 
     @classmethod
     def zero(cls, n: int) -> "AnfPolynomial":
@@ -314,17 +324,14 @@ class AnfPolynomial:
     @classmethod
     def from_monomials(cls, n: int, monomials: Iterable[int]) -> "AnfPolynomial":
         """XOR-accumulate monomial masks (a mask appearing twice cancels)."""
-        coeffs = 0
-        for m in monomials:
-            coeffs ^= 1 << m
-        return cls(n, coeffs)
+        # xor into uint8, one byte an entry: a bincount would hold 8 (int64)
+        coeffs = np.zeros(1 << n, dtype=np.uint8)
+        np.bitwise_xor.at(coeffs, _index_array(n, monomials), 1)
+        return cls(n, _pack_bits(coeffs))
 
-    def monomials(self) -> Iterator[int]:
-        m = self.coeffs
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+    def monomials(self) -> list[int]:
+        """Masks of the monomials present, ascending."""
+        return _set_bits(self.coeffs, 1 << self.n)
 
     def term_count(self) -> int:
         return self.coeffs.bit_count()
@@ -359,28 +366,6 @@ class AnfPolynomial:
             else:
                 parts.append("*".join(f"x{j}" for j in range(self.n) if (u >> j) & 1))
         return "+".join(parts) if parts else "0"
-
-    @classmethod
-    def from_text(cls, n: int, text: str) -> "AnfPolynomial":
-        text = text.replace(" ", "").strip()
-        if text in ("", "0"):
-            return cls(n, 0)
-        coeffs = 0
-        for term in text.split("+"):
-            if term == "1":
-                coeffs ^= 1
-                continue
-            mask = 0
-            for factor in term.split("*"):
-                m = re.fullmatch(r"x(\d+)", factor)
-                if not m:
-                    raise ValueError(f"bad monomial factor {factor!r}")
-                j = int(m.group(1))
-                if j >= n:
-                    raise DimensionError(f"variable x{j} outside n={n}")
-                mask |= 1 << j
-            coeffs ^= 1 << mask
-        return cls(n, coeffs)
 
 
 def _mobius(bits: int, n: int) -> int:

@@ -18,6 +18,7 @@ from .core import (
     DimensionError,
     NotBentError,
     VectorSet,
+    characteristic_function,
     check_capacity,
     popcounts,
 )
@@ -206,8 +207,7 @@ def _masked_signs(f: BooleanFunction, t: VectorSet) -> np.ndarray:
     """(-1)^f on t and 0 elsewhere."""
     if f.n != t.n:
         raise DimensionError("function and subset dimensions differ")
-    mask = BooleanFunction(t.n, t.mask).value_array().astype(np.int64)
-    return f.sign_array() * mask
+    return f.sign_array() * characteristic_function(t).value_array()
 
 
 def fragmentary_walsh_spectrum(f: BooleanFunction, t: VectorSet) -> WalshSpectrum:
@@ -259,8 +259,7 @@ def dual(f: BooleanFunction) -> BooleanFunction:
             f"!= {1 << (f.n // 2)}"
         )
     target = 1 << (f.n // 2)
-    vals = (spec.values == -target).astype(np.uint8)
-    return BooleanFunction.from_values(f.n, vals.tolist())
+    return BooleanFunction.from_values(f.n, spec.values == -target)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,7 @@ def mm_function(pi: Sequence, phi: BooleanFunction) -> BooleanFunction:
     rows = np.empty((size, size), dtype=np.uint8)
     for y in range(size):
         rows[y] = par[xs & imgs[y]] ^ phi_vals[y]
-    return BooleanFunction.from_values(2 * m, rows.reshape(-1).tolist())
+    return BooleanFunction.from_values(2 * m, rows.reshape(-1))
 
 
 def mm_dual(pi: Sequence, phi: BooleanFunction) -> BooleanFunction:
@@ -310,5 +309,5 @@ def mm_dual(pi: Sequence, phi: BooleanFunction) -> BooleanFunction:
         w = inv[x]
         vals[:, x] = par[ys & w] ^ phi_vals[w]
     # index = x | (y << m): row y, column x
-    return BooleanFunction.from_values(2 * m, vals.reshape(-1).tolist())
+    return BooleanFunction.from_values(2 * m, vals.reshape(-1))
 

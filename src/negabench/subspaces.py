@@ -151,8 +151,9 @@ def swap_halves(bits: int, half: int) -> int:
 # cyclic orbits
 
 
-def orbit(x: BitVector) -> VectorSet:
-    """All cyclic coordinate shifts of x."""
+def orbit(x: BitVector) -> tuple[int, ...]:
+    """Indices of all cyclic coordinate shifts of x, ascending.  At most n
+    points, so they are kept as ints rather than as a 2^n-entry set."""
     n = x.n
     idxs = set()
     cur = x.bits
@@ -160,12 +161,12 @@ def orbit(x: BitVector) -> VectorSet:
         idxs.add(cur)
         low = cur & 1
         cur = (cur >> 1) | (low << (n - 1))
-    return VectorSet.from_indices(n, idxs)
+    return tuple(sorted(idxs))
 
 
 def orbit_representative(x: BitVector) -> BitVector:
     """The orbit member with minimal truth-table index."""
-    return BitVector(x.n, min(orbit(x).indices()))
+    return BitVector(x.n, orbit(x)[0])
 
 
 def orbit_representatives(n: int) -> list[BitVector]:
@@ -250,7 +251,7 @@ class GammaSpec:
                 raise InvalidSpecError("rotation_closed applies to the T family")
             idxs = set(g.bits for g in self.gammas)
             for g in self.gammas:
-                if not set(orbit(g).indices()) <= idxs:
+                if not set(orbit(g)) <= idxs:
                     raise InvalidSpecError(
                         f"gamma set not closed under cyclic shift (orbit of {g} leaks)")
 

@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Ten criteria, each asserted exactly (integer and structural equality, no
+Eleven criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -317,3 +317,15 @@ def test_criterion_10_scale():
         assert cf.n == 20
         cls = classify(cf.function)
         assert cls.is_bent_negabent
+
+
+def test_criterion_11_codec_linear_at_n20():
+    # every table conversion is one linear pass, so a round trip through the
+    # file format at n=20 costs milliseconds, not the minutes of a per-entry loop
+    rng = np.random.default_rng(20261018)
+    values = (rng.integers(0, 3, size=1 << 20) == 0).astype(np.uint8)
+    want = np.flatnonzero(values).tolist()
+    with criterion("criterion-11 table round trip at n=20 (density 1/3)", 3.0):
+        f = BooleanFunction.from_values(20, values)
+        g = BooleanFunction.from_hex(20, f.to_hex())
+        assert g.support().indices() == want

@@ -62,7 +62,7 @@ class TestVectorSet:
 class TestBooleanFunction:
     def test_values_and_weight(self):
         f = BooleanFunction(2, 0b0100)  # support {2}
-        assert f.values() == [0, 0, 1, 0]
+        assert f.value_array().tolist() == [0, 0, 1, 0]
         assert f.weight() == 1
         assert sorted(f.support().indices()) == [2]
 
@@ -84,7 +84,7 @@ class TestBooleanFunction:
     def test_characteristic_function(self):
         s = VectorSet.from_indices(2, [0, 3])
         chi = characteristic_function(s)
-        assert chi.values() == [1, 0, 0, 1]
+        assert chi.value_array().tolist() == [1, 0, 0, 1]
 
 
 class TestAnf:
@@ -92,7 +92,7 @@ class TestAnf:
         # f = x0*x1 + x1 has truth table [0, 0, 1, 0]
         anf = AnfPolynomial.from_monomials(2, [0b11, 0b10])
         f = truth_table_from_anf(anf)
-        assert f.values() == [0, 0, 1, 0]
+        assert f.value_array().tolist() == [0, 0, 1, 0]
         assert anf_from_truth_table(f) == anf
 
     def test_mobius_round_trip_exhaustive_small(self):
@@ -112,9 +112,7 @@ class TestAnf:
         anf = AnfPolynomial.from_monomials(3, [0, 0b101, 0b010])
         text = anf.to_text()
         assert text == "1+x1+x0*x2"
-        assert AnfPolynomial.from_text(3, text) == anf
         assert AnfPolynomial.zero(3).to_text() == "0"
-        assert AnfPolynomial.from_text(3, "0") == AnfPolynomial.zero(3)
 
     def test_from_monomials_xor_accumulates(self):
         assert AnfPolynomial.from_monomials(2, [3, 3]) == AnfPolynomial.zero(2)

@@ -2,7 +2,9 @@
 
 One spec per family at n <= 12.  The `gen` record, the `dual` hex and the
 `anf` text must stay byte-identical across refactors; a changed hash means a
-changed output, not a changed test.
+changed output, not a changed test.  The `orbits` listing at n=12 and the
+`spectrum --kind both` text of the G4K (n=12) and H4K2 (n=10) specs are
+pinned the same way.
 """
 
 import hashlib
@@ -56,3 +58,26 @@ def test_artifact_hashes(family, tmp_path):
         assert main([cmd, "--family", family, *SPECS[family], "--out", str(out)]) == 0
         got.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert tuple(got) == GOLDEN[family]
+
+
+SPECTRUM_GOLDEN = {
+    "G4K": "0275bd4b16691d0061080ea31d02e2078d77814da8ae754d55544f01bd451930",
+    "H4K2": "1cdfccd171c580b80f91cd6f4608fd8801cbb870eb01e756b93ef071c76b32ff",
+}
+
+
+def _hash_of(argv, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_orbits_hash(tmp_path):
+    assert _hash_of(["orbits", "--n", "12"], tmp_path) == (
+        "9ff51d1816b363f333af37cb3021aff91f087d8e091e5140fb864cf37ae9a273")
+
+
+@pytest.mark.parametrize("family", sorted(SPECTRUM_GOLDEN))
+def test_spectrum_hash(family, tmp_path):
+    argv = ["spectrum", "--family", family, *SPECS[family], "--kind", "both"]
+    assert _hash_of(argv, tmp_path) == SPECTRUM_GOLDEN[family]

@@ -66,8 +66,13 @@ class TestRepetitionSets:
 
 class TestOrbits:
     def test_orbit_contents(self):
-        assert sorted(orbit(BitVector(3, 1)).indices()) == [1, 2, 4]
-        assert sorted(orbit(BitVector(4, 0b0101)).indices()) == [5, 10]
+        assert sorted(orbit(BitVector(3, 1))) == [1, 2, 4]
+        assert sorted(orbit(BitVector(4, 0b0101))) == [5, 10]
+
+    def test_orbit_is_ints_at_capacity(self):
+        o = orbit(BitVector(24, 1))
+        assert isinstance(o, tuple) and len(o) == 24
+        assert list(o) == [1 << j for j in range(24)]
 
     def test_representative_is_minimal(self):
         assert orbit_representative(BitVector(4, 0b1000)).bits == 1
