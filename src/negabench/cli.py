@@ -235,19 +235,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     fn = _resolve_function(args)
-    pad = (fn.n + 3) // 4
-    lines = []
-    wf = walsh_transform(fn) if args.kind in ("walsh", "both") else None
-    nf = nega_transform(fn) if args.kind in ("nega", "both") else None
-    for u in range(1 << fn.n):
-        cols = [f"{u:0{pad}x}"]
-        if wf is not None:
-            cols.append(str(wf.value(u)))
-        if nf is not None:
-            cols.append(str(nf.re[u]))
-            cols.append(str(nf.im[u]))
-        lines.append("\t".join(cols))
-    _write_out("\n".join(lines) + "\n", args.out)
+    size = 1 << fn.n
+    hex_of = f"{{:0{(fn.n + 3) // 4}x}}".format
+    cols = []
+    if args.kind in ("walsh", "both"):
+        cols.append(walsh_transform(fn).values)
+    if args.kind in ("nega", "both"):
+        nf = nega_transform(fn)
+        cols += [nf.re, nf.im]
+    # whole columns, 2^14 lines at a time: one tolist() per column slice and
+    # one join over the zipped columns
+    blocks = []
+    for lo in range(0, size, 1 << 14):
+        hi = min(lo + (1 << 14), size)
+        values = [map(str, c[lo:hi].tolist()) for c in cols]
+        lines = zip(map(hex_of, range(lo, hi)), *values)
+        blocks.append("\n".join(map("\t".join, lines)))
+    _write_out("\n".join(blocks) + "\n", args.out)
     return EXIT_OK
 
 

@@ -32,6 +32,7 @@ from .subspaces import (
     GammaSpec,
     build_modifier_set,
     build_S1,
+    build_T,
     orbit,
     orbit_representative,
     orbit_representatives,
@@ -474,39 +475,24 @@ def _build_S4_dual(spec: GammaSpec) -> VectorSet:
     return VectorSet.from_indices(8 * k + 2, idxs)
 
 
-def _even_odd_tables(k2: int) -> tuple[list[int], list[int]]:
-    """For every 2k-bit value, its even-position and odd-position halves."""
-    ev = [0] * (1 << k2)
-    od = [0] * (1 << k2)
-    for v in range(1 << k2):
-        e = o = 0
-        for i in range(k2 // 2):
-            e |= ((v >> (2 * i)) & 1) << i
-            o |= ((v >> (2 * i + 1)) & 1) << i
-        ev[v], od[v] = e, o
-    return ev, od
-
-
 def _build_T_dual(spec: GammaSpec) -> VectorSet:
     """Points whose derived pair (x_ev+x_od+y_ev+y_od+1_k, x_ev+y_ev) equals
     (gamma_ev, gamma_od) for some gamma in the orbit-closed set.
 
-    The comparison splits gamma into its even- and odd-position bits; the
-    concatenated-halves split is wrong here (the two only agree at k = 1)."""
+    Both coordinates are linear in x + y, so each gamma contributes the graph
+    {(x, x + d)} with d_ev = gamma_od and d_od = gamma_ev + gamma_od + 1_k:
+    the T set of the d's.  The split of gamma is into its even- and
+    odd-position bits; the concatenated-halves split is wrong here (the two
+    only agree at k = 1)."""
     k = spec.k
-    k2 = 2 * k
-    ev, od = _even_odd_tables(k2)
-    targets = {(ev[g.bits], od[g.bits]) for g in spec.gammas}
-    ones = (1 << k) - 1
-    lowmask = (1 << k2) - 1
-    idxs = []
-    for z in range(1 << (4 * k)):
-        x, y = z & lowmask, z >> k2
-        w1 = ev[x] ^ od[x] ^ ev[y] ^ od[y] ^ ones
-        w2 = ev[x] ^ ev[y]
-        if (w1, w2) in targets:
-            idxs.append(z)
-    return VectorSet.from_indices(4 * k, idxs)
+    ds = []
+    for g in spec.gammas:
+        d = 0
+        for i in range(k):
+            g_ev, g_od = (g.bits >> (2 * i)) & 1, (g.bits >> (2 * i + 1)) & 1
+            d |= (g_od << (2 * i)) | ((g_ev ^ g_od ^ 1) << (2 * i + 1))
+        ds.append(BitVector(2 * k, d))
+    return build_T(GammaSpec(k, "T", tuple(ds)))
 
 
 _DUAL_BASES = {"g0": _g0_dual_anf, "h0": _h0_dual_anf, "f0": _f0_dual_quadratic_anf}

@@ -64,11 +64,14 @@ def check_capacity(n: int) -> None:
 # ---------------------------------------------------------------------------
 # bit packing helpers (numpy <-> python int bitmask)
 
+def _raw_bytes(bits: int, size: int) -> np.ndarray:
+    """Bitmask -> its little-endian bytes as a read-only uint8 array."""
+    return np.frombuffer(bits.to_bytes(max(1, (size + 7) // 8), "little"), dtype=np.uint8)
+
+
 def _unpack_bits(bits: int, size: int) -> np.ndarray:
     """Bitmask -> uint8 array of length `size` (entry i = bit i)."""
-    nbytes = max(1, (size + 7) // 8)
-    raw = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:size].copy()
+    return np.unpackbits(_raw_bytes(bits, size), count=size, bitorder="little")
 
 
 def _pack_bits(arr: np.ndarray) -> int:
@@ -77,15 +80,22 @@ def _pack_bits(arr: np.ndarray) -> int:
 
 
 def _set_bits(bits: int, size: int) -> list[int]:
-    """Positions of the set bits of a `size`-bit mask, ascending."""
-    return np.flatnonzero(_unpack_bits(bits, size)).tolist()
+    """Positions of the set bits of a `size`-bit mask, ascending.  Only the
+    nonzero bytes are unpacked, so a sparse mask costs one byte scan."""
+    raw = _raw_bytes(bits, size)
+    nz = np.flatnonzero(raw)
+    rows, cols = np.nonzero(np.unpackbits(raw[nz], bitorder="little").reshape(-1, 8))
+    return (nz[rows] * 8 + cols).tolist()
 
 
 def _index_array(n: int, indices: Iterable[int]) -> np.ndarray:
     """Table positions as an int64 array, each checked to lie in 0..2^n-1
     (numpy would silently wrap a negative index)."""
     check_capacity(n)
-    idx = np.fromiter(indices, dtype=np.int64)
+    if isinstance(indices, np.ndarray):
+        idx = indices.astype(np.int64)
+    else:
+        idx = np.fromiter(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= 1 << n):
         raise ValueError(f"index out of range for n={n}")
     return idx
@@ -99,13 +109,18 @@ def _check_table(n: int, bits: int, what: str) -> None:
         raise ValueError(f"{what} out of range for dimension")
 
 
-def popcounts(size: int) -> np.ndarray:
-    """Hamming weights of 0..size-1 as an int64 array."""
-    a = np.arange(size, dtype=np.uint32)
+def popcount(values: np.ndarray) -> np.ndarray:
+    """Hamming weight of each entry (each in 0..2^32-1) as an int64 array."""
+    a = np.asarray(values).astype(np.uint32)
     a = a - ((a >> 1) & np.uint32(0x55555555))
     a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
     a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
     return (((a * np.uint32(0x01010101)) >> 24) & np.uint32(0xFF)).astype(np.int64)
+
+
+def popcounts(size: int) -> np.ndarray:
+    """Hamming weights of 0..size-1 as an int64 array."""
+    return popcount(np.arange(size, dtype=np.uint32))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +276,12 @@ class BooleanFunction:
     def value_array(self) -> np.ndarray:
         """Truth table as a uint8 numpy array."""
         return _unpack_bits(self.bits, 1 << self.n)
+
+    def values_at(self, indices) -> np.ndarray:
+        """Entries at the given indices as an int64 0/1 array, read from the
+        table's bytes without unpacking the whole table."""
+        idx = _index_array(self.n, indices)
+        return (_raw_bytes(self.bits, 1 << self.n)[idx >> 3] >> (idx & 7)) & 1
 
     def sign_array(self) -> np.ndarray:
         """(-1)^f as an int64 numpy array."""

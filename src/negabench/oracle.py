@@ -41,7 +41,6 @@ from .spectra import (
     fragmentary_nega_spectrum,
     fragmentary_walsh,
     fragmentary_walsh_spectrum,
-    i_power,
     mm_function,
     nega_transform,
     walsh_transform,
@@ -266,196 +265,206 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet) -> FrameCoeffi
 
 
 # ---------------------------------------------------------------------------
-# closed-form base spectra
+# closed-form base spectra, at every point of an int64 index array
+#
+# Integer widths: each base closed form is 2^(n/2) times a unit (+-1, or a
+# power of i for the nega spectra), and a doubled predicted fragment value is
+# 0, 2N or (1 +- i)N, so no part exceeds 2^(n/2+2) in magnitude; with
+# n <= 24 that is 2^14, far inside int64.  `verify_fragmentary_lemma` asserts
+# the bound on every closed-form array it compares.
+
+_I_RE = np.array([1, 0, -1, 0], dtype=np.int64)
+_I_IM = np.array([0, 1, 0, -1], dtype=np.int64)
 
 
-def _parity(bits: int) -> int:
-    return bits.bit_count() & 1
+def _h0_split(x: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """(u, u_m, v, v_m) of each point (u, u_m, v, v_m) of F_2^(2m+2)."""
+    big_u, big_v = x & ((1 << (m + 1)) - 1), x >> (m + 1)
+    return big_u & ((1 << m) - 1), big_u >> m, big_v & ((1 << m) - 1), big_v >> m
 
 
-def walsh_g0_value(t: int, point: int) -> int:
+def _h0_turn(u: np.ndarray, v: np.ndarray, vm: np.ndarray, t: int) -> np.ndarray:
+    """u_0 + u_t + v_t + v_m: whether N_h0 is a quarter turn of 2N_g0."""
+    return (u ^ (u >> t) ^ (v >> t) ^ vm) & 1
+
+
+def _combine(nega: tuple[np.ndarray, np.ndarray], a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a*N + b*iN for N = (re, im) and integer multipliers a, b."""
+    re, im = nega
+    return a * re - b * im, a * im + b * re
+
+
+def walsh_g0_value(t: int, points) -> np.ndarray:
     """Closed form of the Walsh spectrum of the 4t-variable base g0."""
     m = 2 * t
-    u, v = point & ((1 << m) - 1), point >> m
-    up, upp = u & ((1 << t) - 1), u >> t
-    sign = -1 if _parity(up & upp) ^ _parity(u & v) else 1
-    return sign << m
+    x = np.asarray(points, dtype=np.int64)
+    u, v = x & ((1 << m) - 1), x >> m
+    par = popcounts(1 << m) & 1
+    # u & (u >> t) = u' & u''
+    return (1 - 2 * (par[u & (u >> t)] ^ par[u & v])) * (1 << m)
 
 
-def nega_g0_value(t: int, point: int) -> GaussianInteger:
-    """Closed form of the nega spectrum of the 4t-variable base g0."""
+def nega_g0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of the nega spectrum of the 4t-variable base g0, as (re, im)."""
     m = 2 * t
-    u, v = point & ((1 << m) - 1), point >> m
-    up, upp = u & ((1 << t) - 1), u >> t
-    vp, vpp = v & ((1 << t) - 1), v >> t
-    sign = -1 if _parity((up ^ vp) & (upp ^ vpp)) else 1
-    return i_power(t - u.bit_count()).scale(sign << m)
+    x = np.asarray(points, dtype=np.int64)
+    u = x & ((1 << m) - 1)
+    d = (x >> m) ^ u  # d & (d >> t) = (u' + v') & (u'' + v'')
+    pops = popcounts(1 << m)
+    scale = (1 - 2 * (pops[d & (d >> t)] & 1)) * (1 << m)
+    e = (t - pops[u]) % 4
+    return _I_RE[e] * scale, _I_IM[e] * scale
 
 
-def walsh_h0_value(t: int, point: int) -> int:
+def walsh_h0_value(t: int, points) -> np.ndarray:
     """Closed form of the Walsh spectrum of the (4t+2)-variable base h0."""
     m = 2 * t
-    big_u = point & ((1 << (m + 1)) - 1)
-    big_v = point >> (m + 1)
-    u, um = big_u & ((1 << m) - 1), big_u >> m
-    v = big_v & ((1 << m) - 1)
-    up, upp = u & ((1 << t) - 1), u >> t
-    exp = _parity(up & upp) ^ _parity(big_u & big_v) ^ (um & ((v ^ (u >> t)) & 1))
-    sign = -1 if exp else 1
-    return sign << (m + 1)
+    u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int64), m)
+    par = popcounts(1 << m) & 1
+    exp = par[u & (u >> t)] ^ par[u & v] ^ (um & vm) ^ (um & (v ^ (u >> t)) & 1)
+    return (1 - 2 * exp) * (1 << (m + 1))
 
 
-def nega_h0_value(t: int, point: int) -> GaussianInteger:
-    """Closed form of the nega spectrum of the (4t+2)-variable base h0."""
+def nega_h0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of the nega spectrum of the (4t+2)-variable base h0, as
+    (re, im) arrays: 2N_g0 where the turn bit is 0, else 2iN_g0, negated
+    where u_m = 1."""
     m = 2 * t
-    big_u = point & ((1 << (m + 1)) - 1)
-    big_v = point >> (m + 1)
-    u, um = big_u & ((1 << m) - 1), big_u >> m
-    v, vm = big_v & ((1 << m) - 1), big_v >> m
-    base = nega_g0_value(t, u | (v << m))
-    b = (u ^ (u >> t) ^ (v >> t) ^ vm) & 1  # u_0 + u_t + v_t + v_m
-    if b == 0:
-        return base.scale(2)
-    return (base * GaussianInteger(0, 1)).scale(-2 if um else 2)
+    u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int64), m)
+    turn = _h0_turn(u, v, vm, t)
+    return _combine(nega_g0_value(t, u | (v << m)), 2 - 2 * turn, turn * (2 - 4 * um))
 
 
 # ---------------------------------------------------------------------------
-# closed-form fragment spectra of the four modifier families
+# closed-form fragment spectra of the four modifier families, at every point
 
 
-@dataclass(frozen=True)
-class _FragmentPrediction:
-    walsh: int
-    walsh_matches: int
-    nega_doubled: GaussianInteger
-    nega_matches: int
-    nega_branch: str  # "zero", "half" or "full"
-    structure_ok: bool
+BRANCHES = ("zero", "half", "full")
+_HALF, _FULL = 1, 2
+# the doubled nega value is a*N + b*iN: a by branch, b = (-1)^s on the half branch
+_N_MULTIPLIER = np.array([0, 1, 2], dtype=np.int64)
 
 
-_ZERO = GaussianInteger(0, 0)
+@dataclass(frozen=True, eq=False)
+class _Prediction:
+    """Predicted fragment values and contribution counts, one entry a point.
+    The nega value is doubled so the half branch (1 + i(-1)^s)/2 * N stays
+    integral; `branch` indexes BRANCHES."""
+
+    walsh: np.ndarray
+    walsh_matches: np.ndarray
+    nega2_re: np.ndarray
+    nega2_im: np.ndarray
+    nega_matches: np.ndarray
+    branch: np.ndarray
+    structure_ok: np.ndarray
 
 
-def _halved_branch(full: GaussianInteger, s: int) -> GaussianInteger:
-    """Doubled value of (1 + i*(-1)^s)/2 * full."""
-    return full + full * GaussianInteger(0, 1 - 2 * s)
+def _prediction(walsh, walsh_matches, nega, nega_matches, branch, s=0,
+                structure_ok=True) -> _Prediction:
+    """Assemble a prediction from the full base values W and N: the fragment
+    Walsh value is W where some parameter contributes and 0 elsewhere."""
+    nega2 = _combine(nega, _N_MULTIPLIER[branch], (branch == _HALF) * (1 - 2 * s))
+    return _Prediction(np.where(walsh_matches > 0, walsh, 0), walsh_matches, *nega2,
+                       nega_matches, branch, np.broadcast_to(structure_ok, branch.shape))
 
 
-def _predict_s1(spec: GammaSpec, point: int) -> _FragmentPrediction:
+def _counter(x: np.ndarray) -> np.ndarray:
+    # a point has at most 2|Gamma| <= 2^13 contributions at n <= 24
+    return np.zeros(x.shape, dtype=np.int32)
+
+
+def _half_sums(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """u' + u'' and v' + v'' of each point (u', u'', v', v'') of F_2^(4k)."""
+    maskk = (1 << k) - 1
+    u, v = x & ((1 << 2 * k) - 1), x >> (2 * k)
+    return (u & maskk) ^ (u >> k), (v & maskk) ^ (v >> k)
+
+
+def _predict_s1(spec: GammaSpec, x: np.ndarray) -> _Prediction:
     k = spec.k
     maskk = (1 << k) - 1
-    u, v = point & ((1 << 2 * k) - 1), point >> (2 * k)
-    up, upp = u & maskk, u >> k
-    vp, vpp = v & maskk, v >> k
-    halves = [spec.gamma_halves(i) for i in range(len(spec.gammas))]
-
-    w_target = (up ^ upp ^ vp ^ vpp ^ maskk, up ^ upp)
-    w_matches = sum(1 for h in halves if h == w_target)
-    walsh = walsh_g0_value(k, point) if w_matches else 0
-
-    n_target = (vp ^ vpp, up ^ upp ^ vp ^ vpp ^ maskk)
-    n_matches = sum(1 for h in halves if h == n_target)
-    if n_matches:
-        nega2 = nega_g0_value(k, point).scale(2)
-        branch = "full"
-    else:
-        nega2, branch = _ZERO, "zero"
-    return _FragmentPrediction(walsh, w_matches, nega2, n_matches, branch, True)
+    walsh, nega = walsh_g0_value(k, x), nega_g0_value(k, x)
+    su, sv = _half_sums(x, k)
+    w_matches, n_matches = _counter(x), _counter(x)
+    for g1, g2 in (spec.gamma_halves(i) for i in range(len(spec.gammas))):
+        w_matches += (g1 == su ^ sv ^ maskk) & (g2 == su)
+        n_matches += (g1 == sv) & (g2 == su ^ sv ^ maskk)
+    return _prediction(walsh, w_matches, nega, n_matches,
+                       np.where(n_matches > 0, _FULL, 0))
 
 
-def _predict_s2(spec: GammaSpec, point: int) -> _FragmentPrediction:
+def _predict_s2(spec: GammaSpec, x: np.ndarray) -> _Prediction:
     k = spec.k
     pairs = 2 * k
-    u, v = point & ((1 << 4 * k) - 1), point >> (4 * k)
-
-    w_matches = n_matches = 0
+    walsh, nega = walsh_g0_value(2 * k, x), nega_g0_value(2 * k, x)
+    u, v = x & ((1 << 4 * k) - 1), x >> (4 * k)
+    w_matches, n_matches = _counter(x), _counter(x)
     for g in spec.gammas:
         sw = swap_halves(g.bits, 2 * k)
-        if in_pair_repetition(u ^ g.bits, pairs) and in_pair_repetition(v ^ sw, pairs):
-            w_matches += 1
-        if (in_pair_antirepetition(u ^ g.bits, pairs)
-                and in_pair_antirepetition(v ^ g.bits ^ sw, pairs)):
-            n_matches += 1
-    walsh = walsh_g0_value(2 * k, point) if w_matches else 0
-    if n_matches:
-        nega2 = nega_g0_value(2 * k, point).scale(2)
-        branch = "full"
-    else:
-        nega2, branch = _ZERO, "zero"
-    return _FragmentPrediction(walsh, w_matches, nega2, n_matches, branch, True)
+        w_matches += (in_pair_repetition(u ^ g.bits, pairs)
+                      & in_pair_repetition(v ^ sw, pairs))
+        n_matches += (in_pair_antirepetition(u ^ g.bits, pairs)
+                      & in_pair_antirepetition(v ^ g.bits ^ sw, pairs))
+    return _prediction(walsh, w_matches, nega, n_matches,
+                       np.where(n_matches > 0, _FULL, 0))
 
 
-def _predict_s3(spec: GammaSpec, point: int) -> _FragmentPrediction:
+def _predict_s3(spec: GammaSpec, x: np.ndarray) -> _Prediction:
     k = spec.k
-    m = 2 * k
     maskk = (1 << k) - 1
-    big_u = point & ((1 << (m + 1)) - 1)
-    big_v = point >> (m + 1)
-    u, um = big_u & ((1 << m) - 1), big_u >> m
-    v, vm = big_v & ((1 << m) - 1), big_v >> m
-    up, upp = u & maskk, u >> k
-    vp, vpp = v & maskk, v >> k
+    walsh, nega = walsh_h0_value(k, x), nega_h0_value(k, x)
+    u, um, v, vm = _h0_split(x, 2 * k)
+    turn = _h0_turn(u, v, vm, k) ^ um
+    su, sv = _half_sums(u | (v << (2 * k)), k)
+    del u, v, vm  # each is 2^n int64s, and only su, sv, um and turn are read below
+
     halves = [spec.gamma_halves(i) for i in range(len(spec.gammas))]
-
-    w_matches = 0
+    gamma_1 = np.array([g1 for g1, _ in halves], dtype=np.int64)
+    w_matches, count = _counter(x), _counter(x)
+    # gamma index and eps of the first nega candidate at each point
+    first_i = np.full(x.shape, -1, dtype=np.int32)
+    first_eps = np.full(x.shape, -1, dtype=np.int8)
+    pair_ok = np.zeros(x.shape, dtype=bool)
     for i, (g1, g2) in enumerate(halves):
-        if (g2 == up ^ upp ^ um and (g1 ^ g2) == vp ^ vpp ^ maskk
-                and um in spec.e_values(i)):
-            w_matches += 1
-    walsh = walsh_h0_value(k, point) if w_matches else 0
-
-    candidates = []
-    for i, (g1, g2) in enumerate(halves):
+        w_matches += ((g2 == su ^ um) & ((g1 ^ g2) == sv ^ maskk)
+                      & np.isin(um, spec.e_values(i)))
         for eps in spec.e_values(i):
-            if g1 == vp ^ vpp and (g1 ^ g2) == up ^ upp ^ maskk ^ eps:
-                candidates.append((i, eps))
-    structure_ok = len(candidates) <= 2
-    if len(candidates) == 0:
-        nega2, branch = _ZERO, "zero"
-    elif len(candidates) == 1:
-        _, eps = candidates[0]
-        s = (u ^ (u >> k) ^ (v >> k) ^ vm ^ um ^ eps) & 1
-        nega2, branch = _halved_branch(nega_h0_value(k, point), s), "half"
-    else:
-        # two contributions: distinct gammas sharing gamma_1, complementary eps
-        (i1, e1), (i2, e2) = candidates[:2]
-        structure_ok = (structure_ok and i1 != i2 and (e1 ^ e2) == 1
-                        and halves[i1][0] == halves[i2][0])
-        nega2, branch = nega_h0_value(k, point).scale(2), "full"
-    return _FragmentPrediction(walsh, w_matches, nega2, len(candidates),
-                               branch, structure_ok)
+            hit = (g1 == sv) & ((g1 ^ g2) == su ^ maskk ^ eps)
+            # a second contribution needs a distinct gamma sharing gamma_1
+            # and the complementary eps
+            second = hit & (count == 1)
+            pair_ok[second] = ((first_i[second] != i) & (first_eps[second] == 1 - eps)
+                               & (gamma_1[first_i[second]] == g1))
+            first = hit & (count == 0)
+            first_i[first], first_eps[first] = i, eps
+            count += hit
+    return _prediction(walsh, w_matches, nega, count, np.minimum(count, _FULL),
+                       (turn ^ first_eps) & 1, (count <= 1) | ((count == 2) & pair_ok))
 
 
-def _predict_s4(spec: GammaSpec, point: int) -> _FragmentPrediction:
+def _predict_s4(spec: GammaSpec, x: np.ndarray) -> _Prediction:
     k = spec.k
     pairs = 2 * k
-    m = 4 * k
-    big_u = point & ((1 << (m + 1)) - 1)
-    big_v = point >> (m + 1)
-    u, um = big_u & ((1 << m) - 1), big_u >> m
-    v, vm = big_v & ((1 << m) - 1), big_v >> m
+    walsh, nega = walsh_h0_value(2 * k, x), nega_h0_value(2 * k, x)
+    u, um, v, vm = _h0_split(x, 4 * k)
+    turn = _h0_turn(u, v, vm, 2 * k) ^ um
+    del vm
 
-    w_matches = 0
-    candidates = []
+    w_matches, count = _counter(x), _counter(x)
+    first_eps = np.full(x.shape, -1, dtype=np.int8)
     for i, g in enumerate(spec.gammas):
         sw = swap_halves(g.bits, 2 * k)
-        if (um in spec.e_values(i)
-                and in_pair_repetition(u ^ um ^ g.bits, pairs)
-                and in_pair_repetition(v ^ sw, pairs)):
-            w_matches += 1
+        w_matches += (np.isin(um, spec.e_values(i))
+                      & in_pair_repetition(u ^ um ^ g.bits, pairs)
+                      & in_pair_repetition(v ^ sw, pairs))
         for eps in spec.e_values(i):
-            if (in_pair_antirepetition(u ^ g.bits ^ eps, pairs)
-                    and in_pair_antirepetition(v ^ g.bits ^ sw, pairs)):
-                candidates.append((i, eps))
-    walsh = walsh_h0_value(2 * k, point) if w_matches else 0
-    if not candidates:
-        nega2, branch = _ZERO, "zero"
-    else:
-        _, eps = candidates[0]
-        s = (u ^ (u >> 2 * k) ^ (v >> 2 * k) ^ vm ^ um ^ eps) & 1
-        nega2, branch = _halved_branch(nega_h0_value(2 * k, point), s), "half"
-    return _FragmentPrediction(walsh, w_matches, nega2, len(candidates),
-                               branch, len(candidates) <= 1)
+            hit = (in_pair_antirepetition(u ^ g.bits ^ eps, pairs)
+                   & in_pair_antirepetition(v ^ g.bits ^ sw, pairs))
+            first_eps[hit & (count == 0)] = eps
+            count += hit
+    return _prediction(walsh, w_matches, nega, count, np.where(count > 0, _HALF, 0),
+                       (turn ^ first_eps) & 1, count <= 1)
 
 
 # per modifier set: the closed-form predictor and the largest admissible
@@ -471,13 +480,33 @@ def _sample_points(size: int, want: int = 64) -> range:
     return range(0, step * want, step)
 
 
+def _fmt(values) -> str:
+    """One Walsh value as an int, or one nega value (re, im) as a+bi."""
+    return str(int(values[0]) if len(values) == 1 else GaussianInteger(*map(int, values)))
+
+
+def _agreement(got: tuple, want: tuple, details: Callable[[], str],
+               label: str = "") -> tuple[bool, str, Optional[str]]:
+    """Whole-array equality of aligned (got, want) spectra; on a mismatch the
+    first differing point and both values are the counterexample."""
+    n = want[0].size.bit_length() - 1  # the arrays cover all 2^n points
+    assert all(int(np.abs(w).max()) <= 1 << (n // 2 + 2) for w in want)
+    if all(np.array_equal(g, w) for g, w in zip(got, want)):
+        return True, details(), None
+    i = int(np.flatnonzero(np.any([g != w for g, w in zip(got, want)], axis=0))[0])
+    return False, "", (f"point {i}: {label}{_fmt([g[i] for g in got])} != "
+                       f"{_fmt([w[i] for w in want])}")
+
+
 def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     """Compare the closed-form fragment spectra of one modifier set against
     exact masked transforms at every point.
 
     Also checks the closed-form base spectra, the per-point bound on the
     number of contributing parameters, and (on a deterministic sample) the
-    literal restricted sums against the masked butterfly route.
+    literal restricted sums against the masked butterfly route.  Each
+    closed-form check is one whole-array comparison over all 2^n points, and
+    the predictors read only the spec, never the set or a spectrum.
     """
     if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
@@ -487,66 +516,48 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     t = fam.base_param(spec.k)
     f0 = base_function(fam.base, t)
     size = 1 << f0.n
-    tset = build_modifier_set(spec)
-    base_walsh = walsh_g0_value if fam.base == "g0" else walsh_h0_value
-    base_nega = nega_g0_value if fam.base == "g0" else nega_h0_value
-
+    xs = np.arange(size, dtype=np.int64)
+    g0 = fam.base == "g0"
     checks = _Checks()
-    wf = walsh_transform(f0)
-    nf = nega_transform(f0)
-    wt = fragmentary_walsh_spectrum(f0, tset)
-    nt = fragmentary_nega_spectrum(f0, tset)
-    preds = [predict(spec, idx) for idx in range(size)]
 
-    def base_walsh_check():
-        for idx in range(size):
-            if wf.value(idx) != base_walsh(t, idx):
-                return False, "", f"point {idx}: {wf.value(idx)} != {base_walsh(t, idx)}"
-        return True, f"{size} points", None
-
-    checks.add("base-walsh-closed-form", base_walsh_check)
+    checks.add("base-walsh-closed-form", lambda: _agreement(
+        (walsh_transform(f0).values,),
+        ((walsh_g0_value if g0 else walsh_h0_value)(t, xs),),
+        lambda: f"{size} points"))
 
     def base_nega_check():
-        for idx in range(size):
-            if nf.value(idx) != base_nega(t, idx):
-                return False, "", f"point {idx}: {nf.value(idx)} != {base_nega(t, idx)}"
-        return True, f"{size} points", None
+        nf = nega_transform(f0)
+        return _agreement((nf.re, nf.im), (nega_g0_value if g0 else nega_h0_value)(t, xs),
+                          lambda: f"{size} points")
 
     checks.add("base-nega-closed-form", base_nega_check)
 
-    def fragment_walsh_check():
-        hits = 0
-        for idx in range(size):
-            if wt.value(idx) != preds[idx].walsh:
-                return False, "", f"point {idx}: {wt.value(idx)} != {preds[idx].walsh}"
-            hits += 1 if preds[idx].walsh_matches else 0
-        return True, f"{size} points, {hits} nonzero", None
+    tset = build_modifier_set(spec)
+    wt = fragmentary_walsh_spectrum(f0, tset)
+    nt = fragmentary_nega_spectrum(f0, tset)
+    pred = predict(spec, xs)
 
-    checks.add("fragment-walsh-closed-form", fragment_walsh_check)
+    checks.add("fragment-walsh-closed-form", lambda: _agreement(
+        (wt.values,), (pred.walsh,),
+        lambda: f"{size} points, {np.count_nonzero(pred.walsh_matches)} nonzero"))
 
-    def fragment_nega_check():
-        branches = {"zero": 0, "half": 0, "full": 0}
-        for idx in range(size):
-            got = nt.value(idx).scale(2)
-            if got != preds[idx].nega_doubled:
-                return False, "", f"point {idx}: 2N = {got} != {preds[idx].nega_doubled}"
-            branches[preds[idx].nega_branch] += 1
-        detail = " ".join(f"{k}={v}" for k, v in branches.items())
-        return True, f"{size} points, branches {detail}", None
+    def branch_counts() -> str:
+        counts = np.bincount(pred.branch, minlength=len(BRANCHES))
+        detail = " ".join(f"{b}={c}" for b, c in zip(BRANCHES, counts))
+        return f"{size} points, branches {detail}"
 
-    checks.add("fragment-nega-closed-form", fragment_nega_check)
+    checks.add("fragment-nega-closed-form", lambda: _agreement(
+        (2 * nt.re, 2 * nt.im), (pred.nega2_re, pred.nega2_im), branch_counts, "2N = "))
 
     def match_bounds_check():
-        w_max = n_max = 0
-        for idx in range(size):
-            p = preds[idx]
-            if p.walsh_matches > 1 or p.nega_matches > bound or not p.structure_ok:
-                return False, "", (
-                    f"point {idx}: walsh matches {p.walsh_matches}, "
-                    f"nega matches {p.nega_matches}, structure ok {p.structure_ok}")
-            w_max = max(w_max, p.walsh_matches)
-            n_max = max(n_max, p.nega_matches)
-        return True, f"max walsh matches {w_max}, max nega matches {n_max} (bound {bound})", None
+        w, n, ok = pred.walsh_matches, pred.nega_matches, pred.structure_ok
+        bad = np.flatnonzero((w > 1) | (n > bound) | ~ok)
+        if bad.size:
+            i = int(bad[0])
+            return False, "", (f"point {i}: walsh matches {w[i]}, nega matches {n[i]}, "
+                               f"structure ok {bool(ok[i])}")
+        return True, (f"max walsh matches {w.max()}, max nega matches {n.max()} "
+                      f"(bound {bound})"), None
 
     checks.add("contribution-bounds", match_bounds_check)
 

@@ -20,13 +20,14 @@ from .core import (
     VectorSet,
     characteristic_function,
     check_capacity,
+    popcount,
     popcounts,
 )
 
 
 @dataclass(frozen=True)
 class GaussianInteger:
-    """a + b*i with integer a, b."""
+    """a + b*i with integer a, b: one nega-spectrum value."""
 
     re: int
     im: int
@@ -34,37 +35,11 @@ class GaussianInteger:
     def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
         return GaussianInteger(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussianInteger":
-        return GaussianInteger(-self.re, -self.im)
-
-    def conj(self) -> "GaussianInteger":
-        return GaussianInteger(self.re, -self.im)
-
-    def scale(self, c: int) -> "GaussianInteger":
-        return GaussianInteger(c * self.re, c * self.im)
-
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
 
     def __str__(self) -> str:
         return f"{self.re}{self.im:+d}i"
-
-
-_I_POWERS = (GaussianInteger(1, 0), GaussianInteger(0, 1),
-             GaussianInteger(-1, 0), GaussianInteger(0, -1))
-
-
-def i_power(e: int) -> GaussianInteger:
-    return _I_POWERS[e % 4]
 
 
 def _fwht_inplace(a: np.ndarray) -> None:
@@ -180,27 +155,27 @@ def nega_transform(f: BooleanFunction) -> NegaSpectrum:
 # fragmentary transforms (sums restricted to a subset)
 
 
-def fragmentary_walsh(f: BooleanFunction, t: VectorSet, u) -> int:
-    """W_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x), by the literal sum."""
+def _restricted_signs(f: BooleanFunction, t: VectorSet, u) -> tuple[np.ndarray, np.ndarray]:
+    """The members x of t as an int64 array, and (-1)^(f(x) + u.x) at each."""
     if f.n != t.n:
         raise DimensionError("function and subset dimensions differ")
     ub = u.bits if isinstance(u, BitVector) else int(u)
-    acc = 0
-    for x in t.indices():
-        acc += -1 if (f.value(x) ^ ((x & ub).bit_count() & 1)) else 1
-    return acc
+    xs = np.array(t.indices(), dtype=np.int64)
+    exps = f.values_at(xs) ^ (popcount(xs & ub) & 1)
+    return xs, 1 - 2 * exps
+
+
+def fragmentary_walsh(f: BooleanFunction, t: VectorSet, u) -> int:
+    """W_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x), by the literal sum."""
+    return int(_restricted_signs(f, t, u)[1].sum())
 
 
 def fragmentary_nega(f: BooleanFunction, t: VectorSet, u) -> GaussianInteger:
     """N_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x) i^wt(x), literal sum."""
-    if f.n != t.n:
-        raise DimensionError("function and subset dimensions differ")
-    ub = u.bits if isinstance(u, BitVector) else int(u)
-    acc = GaussianInteger(0, 0)
-    for x in t.indices():
-        sign = -1 if (f.value(x) ^ ((x & ub).bit_count() & 1)) else 1
-        acc = acc + i_power(x.bit_count()).scale(sign)
-    return acc
+    xs, signs = _restricted_signs(f, t, u)
+    w4 = popcount(xs) % 4
+    return GaussianInteger(int(np.dot(signs, _RE_TWIST[w4])),
+                           int(np.dot(signs, _IM_TWIST[w4])))
 
 
 def _masked_signs(f: BooleanFunction, t: VectorSet) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Eleven criteria, each asserted exactly (integer and structural equality, no
+Twelve criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -245,7 +245,24 @@ def test_criterion_07_fragment_lemma_suite():
             multi.append(GammaSpec(1, "S4", tuple(reps[int(i)] for i in picks), es))
         assert len(multi) >= 10
 
-        for spec in specs + multi:
+        # k=2 (n = 8, 16, 10, 18): one single- and two multi-gamma specs per set
+        pairs4 = LinearSubspace.span(8, [0b11 << (2 * i) for i in range(4)])
+        pools = {"S1": [BitVector(4, b) for b in range(16)],
+                 "S2": coset_representatives(pairs4),
+                 "S3": [BitVector(4, b) for b in range(16)],
+                 "S4": coset_representatives(pairs4)}
+        rng = np.random.default_rng(78)
+        at_k2 = []
+        for family, pool in pools.items():
+            for size in (1, 2, 4):
+                picks = rng.choice(len(pool), size=size, replace=False)
+                es = None
+                if family in ("S3", "S4"):
+                    es = tuple(_E_SYMBOLS[int(i)] for i in rng.integers(0, 3, size=size))
+                at_k2.append(GammaSpec(2, family, tuple(pool[int(i)] for i in picks), es))
+        assert len(at_k2) == 12
+
+        for spec in specs + multi + at_k2:
             report = verify_fragmentary_lemma(spec)
             assert report.passed, (spec.family, report.failures())
             if spec.family == "S4":
@@ -329,3 +346,14 @@ def test_criterion_11_codec_linear_at_n20():
         f = BooleanFunction.from_values(20, values)
         g = BooleanFunction.from_hex(20, f.to_hex())
         assert g.support().indices() == want
+
+
+def test_criterion_12_lemma_at_n20():
+    # the fragment-lemma checks compare whole arrays, so all 2^20 points of
+    # an S1 set at k=5 are checked in seconds, not the minutes of a per-point loop
+    spec = GammaSpec(5, "S1", (BitVector.from_string("1101001110"),
+                               BitVector.from_string("0010110001")))
+    with criterion("criterion-12 fragment lemma at n=20", 6.0):
+        report = verify_fragmentary_lemma(spec)
+        assert report.passed, report.failures()
+        assert _check(report, "fragment-walsh-closed-form").details.startswith("1048576 points")

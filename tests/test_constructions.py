@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from negabench.core import (
@@ -5,6 +7,7 @@ from negabench.core import (
     BitVector,
     CapacityError,
     InvalidSpecError,
+    VectorSet,
     anf_from_truth_table,
     characteristic_function,
     rotation_symmetry_order,
@@ -20,6 +23,8 @@ from negabench.constructions import (
     FAMILIES,
     FAMILY_TABLE,
     RotationSpec,
+    _build_T_dual,
+    _modifier_spec,
     base_anf,
     base_function,
     base_of,
@@ -125,6 +130,44 @@ class TestClosedForms:
         cf = construct("H4K2", spec)
         rebuilt = base_of(cf) ^ characteristic_function(modifier_set_of(cf))
         assert rebuilt == cf.function
+
+
+def _loop_T_dual(spec):
+    """The earlier T-dual builder: a scan of all 2^(4k) points."""
+    k2 = 2 * spec.k
+    ev = [0] * (1 << k2)
+    od = [0] * (1 << k2)
+    for v in range(1 << k2):
+        e = o = 0
+        for i in range(spec.k):
+            e |= ((v >> (2 * i)) & 1) << i
+            o |= ((v >> (2 * i + 1)) & 1) << i
+        ev[v], od[v] = e, o
+    targets = {(ev[g.bits], od[g.bits]) for g in spec.gammas}
+    ones = (1 << spec.k) - 1
+    idxs = []
+    for z in range(1 << (2 * k2)):
+        x, y = z & ((1 << k2) - 1), z >> k2
+        if (ev[x] ^ od[x] ^ ev[y] ^ od[y] ^ ones, ev[x] ^ ev[y]) in targets:
+            idxs.append(z)
+    return VectorSet.from_indices(2 * k2, idxs)
+
+
+class TestRotationDualSet:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cells_match_point_scan(self, k):
+        reps = orbit_representatives(2 * k)
+        for picks in (reps[:1], reps[1:3], reps[-2:], reps[::2]):
+            spec = RotationSpec(k, tuple(picks))
+            gs = _modifier_spec(FAMILY_TABLE["F2RS"], spec)
+            assert _build_T_dual(gs) == _loop_T_dual(gs), [str(p) for p in picks]
+
+    def test_closed_dual_at_n24(self):
+        spec = RotationSpec(6, (BitVector(12, 0b000000000001), BitVector(12, 0b000001011011)))
+        t0 = time.perf_counter()
+        d = closed_form_dual("F2RS", spec)
+        assert time.perf_counter() - t0 < 2.0
+        assert d.n == 24
 
 
 class TestDegreeParity:

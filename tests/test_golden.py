@@ -4,14 +4,19 @@ One spec per family at n <= 12.  The `gen` record, the `dual` hex and the
 `anf` text must stay byte-identical across refactors; a changed hash means a
 changed output, not a changed test.  The `orbits` listing at n=12 and the
 `spectrum --kind both` text of the G4K (n=12) and H4K2 (n=10) specs are
-pinned the same way.
+pinned the same way, and so is the `verify_fragmentary_lemma` report (timings
+zeroed) of one multi-gamma spec per modifier set at k=1 and k=2.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from negabench.cli import main
+from negabench.core import BitVector
+from negabench.oracle import verify_fragmentary_lemma
+from negabench.subspaces import GammaSpec
 
 SPECS = {
     "G4K": ["--k", "3", "--gamma", "000101", "--gamma", "110010", "--gamma", "011110"],
@@ -81,3 +86,43 @@ def test_orbits_hash(tmp_path):
 def test_spectrum_hash(family, tmp_path):
     argv = ["spectrum", "--family", family, *SPECS[family], "--kind", "both"]
     assert _hash_of(argv, tmp_path) == SPECTRUM_GOLDEN[family]
+
+
+# One fragment-lemma spec per modifier set at k=1 and k=2: multi-gamma sets,
+# every E symbol, the two-gamma S3 pair sharing gamma_1 with E = ('0', '1'),
+# and S4 with E = 'B'.
+LEMMA_SPECS = {
+    "S1-k1": (1, "S1", ("10", "01"), None),
+    "S1-k2": (2, "S1", ("0110", "1011", "0001"), None),
+    "S2-k1": (1, "S2", ("1000", "0010"), None),
+    "S2-k2": (2, "S2", ("10000000", "00101000"), None),
+    "S3-k1": (1, "S3", ("00", "01"), ("0", "1")),
+    "S3-k2": (2, "S3", ("1000", "1010", "0111"), ("1", "0", "B")),
+    "S4-k1": (1, "S4", ("0000", "1000"), ("B", "B")),
+    "S4-k2": (2, "S4", ("00000000", "10000000"), ("B", "0")),
+}
+
+LEMMA_GOLDEN = {
+    "S1-k1": "51cc4a969b58a84e0f741391b9ac7b6a87bab7044e276c17a9eb5c9478cfcd90",
+    "S1-k2": "706164367d2863906caf70fbe233146e950998c338da4a403dfb0333338abba9",
+    "S2-k1": "cc9af42dce027734e3ba160e98d97eb614726b35bc7c546013d8fd46de0ab171",
+    "S2-k2": "45fef8714f4f58ddcb9b93cafef3859e6caaec5f102e31c0b5a1eed6ebfbc23c",
+    "S3-k1": "e8e2a660dc159fd1753702c69656d0cd9687747e03e5b3dcd05d331f230ba606",
+    "S3-k2": "e599e7c1473192c2b789506f1fe5080901735236743b1e83a9deb424bd95219c",
+    "S4-k1": "39f61e2dadcaf2e860159a01454918c5d0a2029f1f00b77ead7570796f6a7319",
+    "S4-k2": "cacd18c7f28eb95d39f435da762b64d9b544072b2afca0a78d557dc1a3905b9d",
+}
+
+
+def _lemma_report_hash(k, family, gammas, esets):
+    spec = GammaSpec(k, family, tuple(BitVector.from_string(g) for g in gammas), esets)
+    d = verify_fragmentary_lemma(spec).to_dict()
+    d["elapsed_ms"] = 0
+    for check in d["checks"]:
+        check["elapsed_ms"] = 0
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_SPECS))
+def test_lemma_report_hash(name):
+    assert _lemma_report_hash(*LEMMA_SPECS[name]) == LEMMA_GOLDEN[name]

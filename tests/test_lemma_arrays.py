@@ -1,0 +1,393 @@
+"""Whole-array fragment-lemma checks against per-point references.
+
+The reference functions below are the earlier scalar implementations: one
+point at a time on Python ints and Gaussian integers, with loop-based pair
+predicates.  The array closed forms and predictors must agree with them at
+every point.  The tamper tests shift one entry of one exact spectrum by
+2^(n/2) and require the matching check to fail naming that point and both
+values.
+"""
+
+import dataclasses
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from negabench import oracle
+from negabench.constructions import FAMILY_TABLE, base_function
+from negabench.core import BitVector
+from negabench.spectra import GaussianInteger
+from negabench.subspaces import (
+    GammaSpec,
+    build_modifier_set,
+    in_pair_antirepetition,
+    in_pair_repetition,
+    swap_halves,
+)
+
+
+# ---------------------------------------------------------------------------
+# per-point references
+
+
+@dataclass(frozen=True)
+class Gauss:
+    """The scalar Gaussian-integer arithmetic the references are written in."""
+
+    re: int
+    im: int
+
+    def __add__(self, other):
+        return Gauss(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        return Gauss(self.re * other.re - self.im * other.im,
+                     self.re * other.im + self.im * other.re)
+
+    def scale(self, c):
+        return Gauss(c * self.re, c * self.im)
+
+
+def i_power(e):
+    return (Gauss(1, 0), Gauss(0, 1), Gauss(-1, 0), Gauss(0, -1))[e % 4]
+
+
+def ref_in_pair_repetition(bits: int, pairs: int) -> bool:
+    for i in range(pairs):
+        if ((bits >> (2 * i)) & 3) in (1, 2):
+            return False
+    return True
+
+
+def ref_in_pair_antirepetition(bits: int, pairs: int) -> bool:
+    for i in range(pairs):
+        if ((bits >> (2 * i)) & 3) in (0, 3):
+            return False
+    return True
+
+
+def _parity(bits: int) -> int:
+    return bits.bit_count() & 1
+
+
+def ref_walsh_g0(t: int, point: int) -> int:
+    """Closed form of the Walsh spectrum of the 4t-variable base g0."""
+    m = 2 * t
+    u, v = point & ((1 << m) - 1), point >> m
+    up, upp = u & ((1 << t) - 1), u >> t
+    sign = -1 if _parity(up & upp) ^ _parity(u & v) else 1
+    return sign << m
+
+
+def ref_nega_g0(t: int, point: int) -> Gauss:
+    """Closed form of the nega spectrum of the 4t-variable base g0."""
+    m = 2 * t
+    u, v = point & ((1 << m) - 1), point >> m
+    up, upp = u & ((1 << t) - 1), u >> t
+    vp, vpp = v & ((1 << t) - 1), v >> t
+    sign = -1 if _parity((up ^ vp) & (upp ^ vpp)) else 1
+    return i_power(t - u.bit_count()).scale(sign << m)
+
+
+def ref_walsh_h0(t: int, point: int) -> int:
+    """Closed form of the Walsh spectrum of the (4t+2)-variable base h0."""
+    m = 2 * t
+    big_u = point & ((1 << (m + 1)) - 1)
+    big_v = point >> (m + 1)
+    u, um = big_u & ((1 << m) - 1), big_u >> m
+    v = big_v & ((1 << m) - 1)
+    up, upp = u & ((1 << t) - 1), u >> t
+    exp = _parity(up & upp) ^ _parity(big_u & big_v) ^ (um & ((v ^ (u >> t)) & 1))
+    sign = -1 if exp else 1
+    return sign << (m + 1)
+
+
+def ref_nega_h0(t: int, point: int) -> Gauss:
+    """Closed form of the nega spectrum of the (4t+2)-variable base h0."""
+    m = 2 * t
+    big_u = point & ((1 << (m + 1)) - 1)
+    big_v = point >> (m + 1)
+    u, um = big_u & ((1 << m) - 1), big_u >> m
+    v, vm = big_v & ((1 << m) - 1), big_v >> m
+    base = ref_nega_g0(t, u | (v << m))
+    b = (u ^ (u >> t) ^ (v >> t) ^ vm) & 1  # u_0 + u_t + v_t + v_m
+    if b == 0:
+        return base.scale(2)
+    return (base * Gauss(0, 1)).scale(-2 if um else 2)
+
+
+# ---------------------------------------------------------------------------
+# closed-form fragment spectra of the four modifier families
+
+
+@dataclass(frozen=True)
+class _FragmentPrediction:
+    walsh: int
+    walsh_matches: int
+    nega_doubled: Gauss
+    nega_matches: int
+    nega_branch: str  # "zero", "half" or "full"
+    structure_ok: bool
+
+
+_ZERO = Gauss(0, 0)
+
+
+def _halved_branch(full: Gauss, s: int) -> Gauss:
+    """Doubled value of (1 + i*(-1)^s)/2 * full."""
+    return full + full * Gauss(0, 1 - 2 * s)
+
+
+def ref_predict_s1(spec: GammaSpec, point: int) -> _FragmentPrediction:
+    k = spec.k
+    maskk = (1 << k) - 1
+    u, v = point & ((1 << 2 * k) - 1), point >> (2 * k)
+    up, upp = u & maskk, u >> k
+    vp, vpp = v & maskk, v >> k
+    halves = [spec.gamma_halves(i) for i in range(len(spec.gammas))]
+
+    w_target = (up ^ upp ^ vp ^ vpp ^ maskk, up ^ upp)
+    w_matches = sum(1 for h in halves if h == w_target)
+    walsh = ref_walsh_g0(k, point) if w_matches else 0
+
+    n_target = (vp ^ vpp, up ^ upp ^ vp ^ vpp ^ maskk)
+    n_matches = sum(1 for h in halves if h == n_target)
+    if n_matches:
+        nega2 = ref_nega_g0(k, point).scale(2)
+        branch = "full"
+    else:
+        nega2, branch = _ZERO, "zero"
+    return _FragmentPrediction(walsh, w_matches, nega2, n_matches, branch, True)
+
+
+def ref_predict_s2(spec: GammaSpec, point: int) -> _FragmentPrediction:
+    k = spec.k
+    pairs = 2 * k
+    u, v = point & ((1 << 4 * k) - 1), point >> (4 * k)
+
+    w_matches = n_matches = 0
+    for g in spec.gammas:
+        sw = swap_halves(g.bits, 2 * k)
+        if ref_in_pair_repetition(u ^ g.bits, pairs) and ref_in_pair_repetition(v ^ sw, pairs):
+            w_matches += 1
+        if (ref_in_pair_antirepetition(u ^ g.bits, pairs)
+                and ref_in_pair_antirepetition(v ^ g.bits ^ sw, pairs)):
+            n_matches += 1
+    walsh = ref_walsh_g0(2 * k, point) if w_matches else 0
+    if n_matches:
+        nega2 = ref_nega_g0(2 * k, point).scale(2)
+        branch = "full"
+    else:
+        nega2, branch = _ZERO, "zero"
+    return _FragmentPrediction(walsh, w_matches, nega2, n_matches, branch, True)
+
+
+def ref_predict_s3(spec: GammaSpec, point: int) -> _FragmentPrediction:
+    k = spec.k
+    m = 2 * k
+    maskk = (1 << k) - 1
+    big_u = point & ((1 << (m + 1)) - 1)
+    big_v = point >> (m + 1)
+    u, um = big_u & ((1 << m) - 1), big_u >> m
+    v, vm = big_v & ((1 << m) - 1), big_v >> m
+    up, upp = u & maskk, u >> k
+    vp, vpp = v & maskk, v >> k
+    halves = [spec.gamma_halves(i) for i in range(len(spec.gammas))]
+
+    w_matches = 0
+    for i, (g1, g2) in enumerate(halves):
+        if (g2 == up ^ upp ^ um and (g1 ^ g2) == vp ^ vpp ^ maskk
+                and um in spec.e_values(i)):
+            w_matches += 1
+    walsh = ref_walsh_h0(k, point) if w_matches else 0
+
+    candidates = []
+    for i, (g1, g2) in enumerate(halves):
+        for eps in spec.e_values(i):
+            if g1 == vp ^ vpp and (g1 ^ g2) == up ^ upp ^ maskk ^ eps:
+                candidates.append((i, eps))
+    structure_ok = len(candidates) <= 2
+    if len(candidates) == 0:
+        nega2, branch = _ZERO, "zero"
+    elif len(candidates) == 1:
+        _, eps = candidates[0]
+        s = (u ^ (u >> k) ^ (v >> k) ^ vm ^ um ^ eps) & 1
+        nega2, branch = _halved_branch(ref_nega_h0(k, point), s), "half"
+    else:
+        # two contributions: distinct gammas sharing gamma_1, complementary eps
+        (i1, e1), (i2, e2) = candidates[:2]
+        structure_ok = (structure_ok and i1 != i2 and (e1 ^ e2) == 1
+                        and halves[i1][0] == halves[i2][0])
+        nega2, branch = ref_nega_h0(k, point).scale(2), "full"
+    return _FragmentPrediction(walsh, w_matches, nega2, len(candidates),
+                               branch, structure_ok)
+
+
+def ref_predict_s4(spec: GammaSpec, point: int) -> _FragmentPrediction:
+    k = spec.k
+    pairs = 2 * k
+    m = 4 * k
+    big_u = point & ((1 << (m + 1)) - 1)
+    big_v = point >> (m + 1)
+    u, um = big_u & ((1 << m) - 1), big_u >> m
+    v, vm = big_v & ((1 << m) - 1), big_v >> m
+
+    w_matches = 0
+    candidates = []
+    for i, g in enumerate(spec.gammas):
+        sw = swap_halves(g.bits, 2 * k)
+        if (um in spec.e_values(i)
+                and ref_in_pair_repetition(u ^ um ^ g.bits, pairs)
+                and ref_in_pair_repetition(v ^ sw, pairs)):
+            w_matches += 1
+        for eps in spec.e_values(i):
+            if (ref_in_pair_antirepetition(u ^ g.bits ^ eps, pairs)
+                    and ref_in_pair_antirepetition(v ^ g.bits ^ sw, pairs)):
+                candidates.append((i, eps))
+    walsh = ref_walsh_h0(2 * k, point) if w_matches else 0
+    if not candidates:
+        nega2, branch = _ZERO, "zero"
+    else:
+        _, eps = candidates[0]
+        s = (u ^ (u >> 2 * k) ^ (v >> 2 * k) ^ vm ^ um ^ eps) & 1
+        nega2, branch = _halved_branch(ref_nega_h0(2 * k, point), s), "half"
+    return _FragmentPrediction(walsh, w_matches, nega2, len(candidates),
+                               branch, len(candidates) <= 1)
+
+
+# ---------------------------------------------------------------------------
+# arrays against the references at every point
+
+
+def _nega_pairs(values) -> tuple[list[int], list[int]]:
+    values = list(values)
+    return [z.re for z in values], [z.im for z in values]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_g0_closed_forms(t):
+    pts = range(1 << (4 * t))
+    xs = np.arange(1 << (4 * t), dtype=np.int64)
+    assert oracle.walsh_g0_value(t, xs).tolist() == [ref_walsh_g0(t, p) for p in pts]
+    re, im = oracle.nega_g0_value(t, xs)
+    assert (re.tolist(), im.tolist()) == _nega_pairs(ref_nega_g0(t, p) for p in pts)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_h0_closed_forms(t):
+    pts = range(1 << (4 * t + 2))
+    xs = np.arange(1 << (4 * t + 2), dtype=np.int64)
+    assert oracle.walsh_h0_value(t, xs).tolist() == [ref_walsh_h0(t, p) for p in pts]
+    re, im = oracle.nega_h0_value(t, xs)
+    assert (re.tolist(), im.tolist()) == _nega_pairs(ref_nega_h0(t, p) for p in pts)
+
+
+def _spec(k, family, gammas, esets=None):
+    return GammaSpec(k, family, tuple(BitVector.from_string(g) for g in gammas), esets)
+
+
+# multi-gamma specs of every set at k=1 and k=2, together using every E symbol
+PREDICTOR_SPECS = {
+    "S1-k1": _spec(1, "S1", ("00", "10", "11")),
+    "S1-k2": _spec(2, "S1", ("0110", "1011", "0001", "1111")),
+    "S2-k1": _spec(1, "S2", ("0000", "1000", "0010", "1010")),
+    "S2-k2": _spec(2, "S2", ("10000000", "00101000", "01000010")),
+    "S3-k1": _spec(1, "S3", ("00", "01", "11"), ("0", "1", "B")),
+    "S3-k1-pairs": _spec(1, "S3", ("00", "01", "10", "11"), ("B", "B", "0", "1")),
+    "S3-k2": _spec(2, "S3", ("1000", "1010", "0111", "0101"), ("1", "0", "B", "B")),
+    "S4-k1": _spec(1, "S4", ("0000", "1000", "0010"), ("B", "0", "1")),
+    "S4-k2": _spec(2, "S4", ("00000000", "10000000", "00100000"), ("B", "0", "1")),
+}
+
+_REFERENCE = {"S1": ref_predict_s1, "S2": ref_predict_s2,
+              "S3": ref_predict_s3, "S4": ref_predict_s4}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTOR_SPECS))
+def test_predictor_matches_reference(name):
+    spec = PREDICTOR_SPECS[name]
+    predict, _ = oracle._LEMMAS[spec.family]
+    n = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family).n(spec.k)
+    got = predict(spec, np.arange(1 << n, dtype=np.int64))
+    refs = [_REFERENCE[spec.family](spec, p) for p in range(1 << n)]
+    assert got.walsh.tolist() == [r.walsh for r in refs]
+    assert got.walsh_matches.tolist() == [r.walsh_matches for r in refs]
+    assert (got.nega2_re.tolist(), got.nega2_im.tolist()) == _nega_pairs(
+        r.nega_doubled for r in refs)
+    assert got.nega_matches.tolist() == [r.nega_matches for r in refs]
+    assert [oracle.BRANCHES[b] for b in got.branch] == [r.nega_branch for r in refs]
+    assert got.structure_ok.tolist() == [r.structure_ok for r in refs]
+    # the specs reach beyond the trivial branch
+    assert {r.nega_branch for r in refs} - {"zero"}
+
+
+def test_pair_predicates_on_ints_and_arrays():
+    for pairs in range(4):
+        xs = np.arange(1 << (2 * pairs + 2), dtype=np.int64)
+        rep = [ref_in_pair_repetition(int(b), pairs) for b in xs]
+        anti = [ref_in_pair_antirepetition(int(b), pairs) for b in xs]
+        assert in_pair_repetition(xs, pairs).tolist() == rep
+        assert in_pair_antirepetition(xs, pairs).tolist() == anti
+        assert [in_pair_repetition(int(b), pairs) for b in xs] == rep
+        assert [in_pair_antirepetition(int(b), pairs) for b in xs] == anti
+
+
+# ---------------------------------------------------------------------------
+# non-vacuity: a single wrong spectrum entry is caught and named
+
+
+TAMPER_SPEC = _spec(2, "S3", ("1000", "1010", "0111"), ("1", "0", "B"))  # n = 10
+TAMPER_POINT = 37  # off the 64-point literal-sum sample (every 16th point)
+DELTA = 1 << 5  # 2^(n/2)
+
+
+def _exact(name):
+    """The untampered spectrum that oracle.<name> returns for TAMPER_SPEC."""
+    f0 = base_function("h0", TAMPER_SPEC.k)
+    if name.startswith("fragmentary"):
+        return getattr(oracle, name)(f0, build_modifier_set(TAMPER_SPEC))
+    return getattr(oracle, name)(f0)
+
+
+def _shift_one(monkeypatch, name, field):
+    original = getattr(oracle, name)
+
+    def tampered(*args):
+        spec = original(*args)
+        values = getattr(spec, field).copy()
+        values[TAMPER_POINT] += DELTA
+        return dataclasses.replace(spec, **{field: values})
+
+    monkeypatch.setattr(oracle, name, tampered)
+
+
+def _failed_check(report, name):
+    failed = {c.name: c for c in report.failures()}
+    assert set(failed) == {name}
+    return failed[name]
+
+
+@pytest.mark.parametrize("name, check", [
+    ("walsh_transform", "base-walsh-closed-form"),
+    ("fragmentary_walsh_spectrum", "fragment-walsh-closed-form"),
+])
+def test_tampered_walsh_entry_is_named(monkeypatch, name, check):
+    want = int(_exact(name).values[TAMPER_POINT])
+    _shift_one(monkeypatch, name, "values")
+    failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), check)
+    assert failed.counterexample == f"point {TAMPER_POINT}: {want + DELTA} != {want}"
+
+
+@pytest.mark.parametrize("name, check, label, scale", [
+    ("nega_transform", "base-nega-closed-form", "", 1),
+    ("fragmentary_nega_spectrum", "fragment-nega-closed-form", "2N = ", 2),
+])
+def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale):
+    exact = _exact(name)
+    re, im = int(exact.re[TAMPER_POINT]), int(exact.im[TAMPER_POINT])
+    _shift_one(monkeypatch, name, "re")
+    failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), check)
+    got = GaussianInteger(scale * (re + DELTA), scale * im)
+    want = GaussianInteger(scale * re, scale * im)
+    assert failed.counterexample == f"point {TAMPER_POINT}: {label}{got} != {want}"

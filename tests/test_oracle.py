@@ -59,16 +59,18 @@ class TestClosedFormBaseSpectra:
         for t in (1, 2):
             f = base_function("g0", t)
             wf, nf = walsh_transform(f), nega_transform(f)
-            for u in range(1 << f.n):
-                assert wf.value(u) == walsh_g0_value(t, u)
-                assert nf.value(u) == nega_g0_value(t, u)
+            us = np.arange(1 << f.n)
+            assert np.array_equal(wf.values, walsh_g0_value(t, us))
+            re, im = nega_g0_value(t, us)
+            assert np.array_equal(nf.re, re) and np.array_equal(nf.im, im)
 
     def test_h0_everywhere(self):
         f = base_function("h0", 1)
         wf, nf = walsh_transform(f), nega_transform(f)
-        for u in range(1 << 6):
-            assert wf.value(u) == walsh_h0_value(1, u)
-            assert nf.value(u) == nega_h0_value(1, u)
+        us = np.arange(1 << 6)
+        assert np.array_equal(wf.values, walsh_h0_value(1, us))
+        re, im = nega_h0_value(1, us)
+        assert np.array_equal(nf.re, re) and np.array_equal(nf.im, im)
 
 
 class TestFrameCoefficients:
