@@ -11,8 +11,9 @@ rotation symmetry.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -122,13 +123,24 @@ class _Checks:
     def __init__(self) -> None:
         self.results: list[CheckResult] = []
         self._start = time.perf_counter()
+        self._spent_ms: dict[str, float] = {}
+
+    @contextmanager
+    def timing(self, name: str) -> Iterator[None]:
+        """Charge the enclosed work to check `name`, whose verdict `add` gives later."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._spent_ms[name] = (self._spent_ms.get(name, 0.0)
+                                    + (time.perf_counter() - t0) * 1000.0)
 
     def add(self, name: str, fn: Callable[[], tuple[bool, str, Optional[str]]]) -> None:
         t0 = time.perf_counter()
         passed, details, counterexample = fn()
         self.results.append(
             CheckResult(name, passed, details, counterexample,
-                        (time.perf_counter() - t0) * 1000.0))
+                        self._spent_ms.pop(name, 0.0) + (time.perf_counter() - t0) * 1000.0))
 
     def report(self, subject: str) -> VerificationReport:
         return VerificationReport(
@@ -141,32 +153,62 @@ class _Checks:
 
 
 _NAIVE_LIMIT = 14
+# bytes of packed rows of the linear functions held at once
+_NAIVE_BLOCK_BYTES = 1 << 15
 
 
 def naive_transforms(f: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
-    """Both spectra straight from their defining sums, one point at a time.
+    """Both spectra straight from their defining sums, as Hamming distances
+    from f to the linear functions u.x, taken per weight class mod 4.
 
-    Quadratic cost, so refused above n = 14; used to cross-check the
-    butterfly kernels on an algorithmically independent route.
+    With C_c = {x : wt(x) = c mod 4}, the class sum
+    A_c(u) = sum over x in C_c of (-1)^(f(x) + u.x) is |C_c| minus twice the
+    weight of (f + u.x) on C_c.  Then W_f(u) = A_0 + A_1 + A_2 + A_3, and
+    splitting i^wt(x) by class gives N_f(u) = (A_0 - A_2) + i(A_1 - A_3).
+    Each row u.x is built from its definition, parity(u & x), packed 64
+    points to a word, and many u are counted at once.  Quadratic cost, so
+    refused above n = 14; used to cross-check the butterfly kernels on an
+    algorithmically independent route.
     """
     if f.n > _NAIVE_LIMIT:
         raise CapacityError(f"naive transforms are limited to n <= {_NAIVE_LIMIT}")
     size = 1 << f.n
-    signs = f.sign_array()
-    pops = popcounts(size)
-    re_twist = signs * np.array([1, 0, -1, 0], dtype=np.int64)[pops % 4]
-    im_twist = signs * np.array([0, 1, 0, -1], dtype=np.int64)[pops % 4]
-    xs = np.arange(size, dtype=np.int64)
-    w = np.empty(size, dtype=np.int64)
-    re = np.empty(size, dtype=np.int64)
-    im = np.empty(size, dtype=np.int64)
-    for u in range(size):
-        dot_signs = 1 - 2 * (pops[xs & u] & 1)
-        w[u] = np.dot(signs, dot_signs)
-        re[u] = np.dot(re_twist, dot_signs)
-        im[u] = np.dot(im_twist, dot_signs)
-    for a in (w, re, im):
-        a.setflags(write=False)
+    # rows span at least one uint64 word; the padding points lie in no class
+    width = max(size, 64)
+    # point indices fit uint16 (n <= 14); each class count is at most
+    # |C_c| <= 2^n <= 2^14 and every sum below is int64
+    assert width <= 1 << 16
+    xs = np.arange(width, dtype=np.uint16)
+    pops = popcounts(width)
+    parity = (pops & 1).astype(np.uint8)
+
+    def packed(bits: np.ndarray) -> np.ndarray:
+        return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+    def linear_rows(us: np.ndarray) -> np.ndarray:
+        return packed(parity[us[:, None] & xs])
+
+    in_class = (pops % 4 == np.arange(4)[:, None]) & (xs < size)
+    classes = packed(in_class)
+    class_sizes = in_class.sum(axis=1)
+    table = np.zeros(width, dtype=np.uint8)
+    table[:size] = f.value_array()
+
+    # u.x is linear in u: the row of u_lo + u_hi is row(u_lo) + row(u_hi), so
+    # one block of low rows plus f is reused under every high part
+    rows = min(size, _NAIVE_BLOCK_BYTES // (width // 8))
+    block = linear_rows(np.arange(rows, dtype=np.uint16)) ^ packed(table)
+    weights = np.empty((size, 4), dtype=np.int64)
+    for hi in range(0, size, rows):
+        d = block ^ linear_rows(np.array([hi], dtype=np.uint16))
+        weights[hi:hi + rows] = np.bitwise_count(d[:, None, :] & classes).sum(
+            axis=2, dtype=np.int64)
+    a = class_sizes - 2 * weights
+    w = a.sum(axis=1)
+    re = a[:, 0] - a[:, 2]
+    im = a[:, 1] - a[:, 3]
+    for arr in (w, re, im):
+        arr.setflags(write=False)
     return WalshSpectrum(f.n, w), NegaSpectrum(f.n, re, im)
 
 
@@ -485,17 +527,49 @@ def _fmt(values) -> str:
     return str(int(values[0]) if len(values) == 1 else GaussianInteger(*map(int, values)))
 
 
-def _agreement(got: tuple, want: tuple, details: Callable[[], str],
-               label: str = "") -> tuple[bool, str, Optional[str]]:
-    """Whole-array equality of aligned (got, want) spectra; on a mismatch the
-    first differing point and both values are the counterexample."""
-    n = want[0].size.bit_length() - 1  # the arrays cover all 2^n points
-    assert all(int(np.abs(w).max()) <= 1 << (n // 2 + 2) for w in want)
+# points compared at once: every closed-form and predictor array is one block
+# long, so their memory stays bounded whatever n is; n <= 18 is one block
+_BLOCK = 1 << 18
+
+
+def _blocks(size: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Points 0..size-1 in consecutive blocks of at most _BLOCK, each as its
+    slice of a whole spectrum and its int64 index array."""
+    for start in range(0, size, _BLOCK):
+        stop = min(size, start + _BLOCK)
+        yield slice(start, stop), np.arange(start, stop, dtype=np.int64)
+
+
+def _first_difference(got: tuple, want: tuple) -> Optional[int]:
+    """First index where the aligned arrays of got and want differ, or None."""
     if all(np.array_equal(g, w) for g, w in zip(got, want)):
-        return True, details(), None
-    i = int(np.flatnonzero(np.any([g != w for g, w in zip(got, want)], axis=0))[0])
-    return False, "", (f"point {i}: {label}{_fmt([g[i] for g in got])} != "
-                       f"{_fmt([w[i] for w in want])}")
+        return None
+    return int(np.flatnonzero(np.any([g != w for g, w in zip(got, want)], axis=0))[0])
+
+
+class _Agreement:
+    """Equality of aligned (got, want) spectra at every point, fed block by
+    block; the first differing point and both values are the counterexample."""
+
+    def __init__(self, n: int, label: str = "") -> None:
+        self.bound = 1 << (n // 2 + 2)
+        self.label = label
+        self.counterexample: Optional[str] = None
+
+    def feed(self, block: slice, got: tuple, want: tuple) -> None:
+        assert all(int(np.abs(w).max()) <= self.bound for w in want)
+        if self.counterexample is not None:
+            return
+        i = _first_difference(got, want)
+        if i is not None:
+            self.counterexample = (f"point {block.start + i}: {self.label}"
+                                   f"{_fmt([g[i] for g in got])} != "
+                                   f"{_fmt([w[i] for w in want])}")
+
+    def result(self, details: Callable[[], str]) -> tuple[bool, str, Optional[str]]:
+        if self.counterexample is None:
+            return True, details(), None
+        return False, "", self.counterexample
 
 
 def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
@@ -504,9 +578,10 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
 
     Also checks the closed-form base spectra, the per-point bound on the
     number of contributing parameters, and (on a deterministic sample) the
-    literal restricted sums against the masked butterfly route.  Each
-    closed-form check is one whole-array comparison over all 2^n points, and
-    the predictors read only the spec, never the set or a spectrum.
+    literal restricted sums against the masked butterfly route.  The exact
+    spectra are whole arrays; the closed forms and predictions are computed
+    and compared over blocks of at most 2^18 points, and the predictors read
+    only the spec, never the set or a spectrum.
     """
     if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
@@ -516,50 +591,63 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     t = fam.base_param(spec.k)
     f0 = base_function(fam.base, t)
     size = 1 << f0.n
-    xs = np.arange(size, dtype=np.int64)
-    g0 = fam.base == "g0"
+    walsh_form, nega_form = ((walsh_g0_value, nega_g0_value) if fam.base == "g0"
+                             else (walsh_h0_value, nega_h0_value))
     checks = _Checks()
 
-    checks.add("base-walsh-closed-form", lambda: _agreement(
-        (walsh_transform(f0).values,),
-        ((walsh_g0_value if g0 else walsh_h0_value)(t, xs),),
-        lambda: f"{size} points"))
+    def base_check(got: tuple, closed_form: Callable[[np.ndarray], tuple]):
+        agree = _Agreement(f0.n)
+        for block, xs in _blocks(size):
+            agree.feed(block, tuple(g[block] for g in got), closed_form(xs))
+        return agree.result(lambda: f"{size} points")
+
+    checks.add("base-walsh-closed-form", lambda: base_check(
+        (walsh_transform(f0).values,), lambda xs: (walsh_form(t, xs),)))
 
     def base_nega_check():
         nf = nega_transform(f0)
-        return _agreement((nf.re, nf.im), (nega_g0_value if g0 else nega_h0_value)(t, xs),
-                          lambda: f"{size} points")
+        return base_check((nf.re, nf.im), lambda xs: nega_form(t, xs))
 
     checks.add("base-nega-closed-form", base_nega_check)
 
     tset = build_modifier_set(spec)
     wt = fragmentary_walsh_spectrum(f0, tset)
     nt = fragmentary_nega_spectrum(f0, tset)
-    pred = predict(spec, xs)
+    walsh_agree, nega_agree = _Agreement(f0.n), _Agreement(f0.n, "2N = ")
+    nonzero = 0
+    branches = np.zeros(len(BRANCHES), dtype=np.int64)
+    max_w = max_n = 0
+    over_bound: Optional[str] = None
+    for block, xs in _blocks(size):
+        pred = predict(spec, xs)
+        with checks.timing("fragment-walsh-closed-form"):
+            walsh_agree.feed(block, (wt.values[block],), (pred.walsh,))
+            nonzero += int(np.count_nonzero(pred.walsh_matches))
+        with checks.timing("fragment-nega-closed-form"):
+            nega_agree.feed(block, (2 * nt.re[block], 2 * nt.im[block]),
+                            (pred.nega2_re, pred.nega2_im))
+            branches += np.bincount(pred.branch, minlength=len(BRANCHES))
+        with checks.timing("contribution-bounds"):
+            w, m, ok = pred.walsh_matches, pred.nega_matches, pred.structure_ok
+            max_w, max_n = max(max_w, int(w.max())), max(max_n, int(m.max()))
+            bad = np.flatnonzero((w > 1) | (m > bound) | ~ok)
+            if bad.size and over_bound is None:
+                i = int(bad[0])
+                over_bound = (f"point {block.start + i}: walsh matches {w[i]}, "
+                              f"nega matches {m[i]}, structure ok {bool(ok[i])}")
+        del pred  # free this block's arrays before the next block's prediction
 
-    checks.add("fragment-walsh-closed-form", lambda: _agreement(
-        (wt.values,), (pred.walsh,),
-        lambda: f"{size} points, {np.count_nonzero(pred.walsh_matches)} nonzero"))
+    checks.add("fragment-walsh-closed-form", lambda: walsh_agree.result(
+        lambda: f"{size} points, {nonzero} nonzero"))
 
     def branch_counts() -> str:
-        counts = np.bincount(pred.branch, minlength=len(BRANCHES))
-        detail = " ".join(f"{b}={c}" for b, c in zip(BRANCHES, counts))
+        detail = " ".join(f"{b}={c}" for b, c in zip(BRANCHES, branches))
         return f"{size} points, branches {detail}"
 
-    checks.add("fragment-nega-closed-form", lambda: _agreement(
-        (2 * nt.re, 2 * nt.im), (pred.nega2_re, pred.nega2_im), branch_counts, "2N = "))
-
-    def match_bounds_check():
-        w, n, ok = pred.walsh_matches, pred.nega_matches, pred.structure_ok
-        bad = np.flatnonzero((w > 1) | (n > bound) | ~ok)
-        if bad.size:
-            i = int(bad[0])
-            return False, "", (f"point {i}: walsh matches {w[i]}, nega matches {n[i]}, "
-                               f"structure ok {bool(ok[i])}")
-        return True, (f"max walsh matches {w.max()}, max nega matches {n.max()} "
-                      f"(bound {bound})"), None
-
-    checks.add("contribution-bounds", match_bounds_check)
+    checks.add("fragment-nega-closed-form", lambda: nega_agree.result(branch_counts))
+    checks.add("contribution-bounds", lambda: (
+        (False, "", over_bound) if over_bound is not None else
+        (True, f"max walsh matches {max_w}, max nega matches {max_n} (bound {bound})", None)))
 
     def literal_sample_check():
         pts = _sample_points(size)
@@ -966,7 +1054,11 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
             back = dual(cf.closed_dual)
         except NotBentError as exc:
             return False, "", str(exc)
-        return back == f, "dual of dual returns the function", None
+        if back == f:
+            return True, "dual of dual returns the function", None
+        i = (back ^ f).support().indices()[0]
+        return False, "", (f"at {BitVector(n, i)}: dual of dual {back.value(i)} != "
+                           f"function {f.value(i)}")
 
     checks.add("dual-involution", involution_check)
 
@@ -996,9 +1088,14 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     if n <= _NAIVE_CROSSCHECK_LIMIT:
         def naive_check():
             nw, nn = naive_transforms(f)
-            ok = (np.array_equal(nw.values, wf.values)
-                  and np.array_equal(nn.re, nf.re) and np.array_equal(nn.im, nf.im))
-            return ok, "butterfly equals definitional sums", None
+            for kind, fast, naive in (("walsh", (wf.values,), (nw.values,)),
+                                      ("nega", (nf.re, nf.im), (nn.re, nn.im))):
+                i = _first_difference(fast, naive)
+                if i is not None:
+                    return False, "", (f"{kind} at {BitVector(n, i)}: butterfly "
+                                       f"{_fmt([a[i] for a in fast])} != definitional "
+                                       f"{_fmt([a[i] for a in naive])}")
+            return True, "butterfly equals definitional sums", None
 
         checks.add("butterfly-matches-naive", naive_check)
 

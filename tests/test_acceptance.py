@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Twelve criteria, each asserted exactly (integer and structural equality, no
+Thirteen criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -357,3 +357,16 @@ def test_criterion_12_lemma_at_n20():
         report = verify_fragmentary_lemma(spec)
         assert report.passed, report.failures()
         assert _check(report, "fragment-walsh-closed-form").details.startswith("1048576 points")
+
+
+def test_criterion_13_definitional_spectra_at_n14():
+    # the definitional sums count Hamming distances to many linear functions
+    # per packed pass, so both spectra at the naive limit take well under a
+    # second, not the seconds of a per-point loop
+    rng = np.random.default_rng(20261018)
+    f = BooleanFunction(14, int.from_bytes(rng.bytes((1 << 14) // 8), "little"))
+    wf, nf = walsh_transform(f), nega_transform(f)
+    with criterion("criterion-13 definitional spectra at n=14", 1.0):
+        nw, nn = naive_transforms(f)
+    assert np.array_equal(nw.values, wf.values)
+    assert np.array_equal(nn.re, nf.re) and np.array_equal(nn.im, nf.im)

@@ -5,10 +5,13 @@ point at a time on Python ints and Gaussian integers, with loop-based pair
 predicates.  The array closed forms and predictors must agree with them at
 every point.  The tamper tests shift one entry of one exact spectrum by
 2^(n/2) and require the matching check to fail naming that point and both
-values.
+values, also when the point lies in a later block of the blockwise checks;
+the block tests require the same reports whatever the block size, and an
+n=20 check to stay within a tracemalloc budget.
 """
 
 import dataclasses
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,3 +394,67 @@ def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale):
     got = GaussianInteger(scale * (re + DELTA), scale * im)
     want = GaussianInteger(scale * re, scale * im)
     assert failed.counterexample == f"point {TAMPER_POINT}: {label}{got} != {want}"
+
+
+# blocks of 16 points put the tampered point in the third block
+@pytest.mark.parametrize("test, args", [
+    (test_tampered_walsh_entry_is_named, ("walsh_transform", "base-walsh-closed-form")),
+    (test_tampered_walsh_entry_is_named,
+     ("fragmentary_walsh_spectrum", "fragment-walsh-closed-form")),
+    (test_tampered_nega_entry_is_named, ("nega_transform", "base-nega-closed-form", "", 1)),
+    (test_tampered_nega_entry_is_named,
+     ("fragmentary_nega_spectrum", "fragment-nega-closed-form", "2N = ", 2)),
+], ids=["base-walsh", "fragment-walsh", "base-nega", "fragment-nega"])
+def test_tampered_entry_is_named_across_blocks(monkeypatch, test, args):
+    monkeypatch.setattr(oracle, "_BLOCK", 16)
+    test(monkeypatch, *args)
+
+
+@pytest.mark.parametrize("block", [oracle._BLOCK, 16])
+def test_contribution_bound_breach_is_named(monkeypatch, block):
+    predict, bound = oracle._LEMMAS["S3"]
+    one = predict(TAMPER_SPEC, np.array([TAMPER_POINT], dtype=np.int64))
+    w, m = int(one.walsh_matches[0]), int(one.nega_matches[0])
+
+    def overcounted(spec, xs):
+        # two breaches, blocks apart when the blocks are small: the first is named
+        pred = predict(spec, xs)
+        extra = ((xs == TAMPER_POINT) | (xs == TAMPER_POINT + 100)) * (bound + 1)
+        return dataclasses.replace(pred, nega_matches=pred.nega_matches + extra)
+
+    monkeypatch.setitem(oracle._LEMMAS, "S3", (overcounted, bound))
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), "contribution-bounds")
+    assert failed.counterexample == (f"point {TAMPER_POINT}: walsh matches {w}, "
+                                     f"nega matches {m + bound + 1}, structure ok True")
+
+
+# ---------------------------------------------------------------------------
+# blocks: the reports do not depend on the block size, and memory is bounded
+
+
+def _verdicts(report):
+    return [(c.name, c.passed, c.details, c.counterexample) for c in report.checks]
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTOR_SPECS))
+def test_reports_do_not_depend_on_block_size(monkeypatch, name):
+    spec = PREDICTOR_SPECS[name]
+    whole = _verdicts(oracle.verify_fragmentary_lemma(spec))
+    n = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family).n(spec.k)
+    monkeypatch.setattr(oracle, "_BLOCK", 1 << (n - 3))  # eight blocks
+    assert _verdicts(oracle.verify_fragmentary_lemma(spec)) == whole
+
+
+def test_lemma_memory_is_bounded_at_n20():
+    # the criterion-12 spec: n = 20, four blocks of 2^18 points; the exact
+    # spectra are whole (48 MiB of int64) and everything else is per block
+    spec = _spec(5, "S1", ("1101001110", "0010110001"))
+    tracemalloc.start()
+    try:
+        report = oracle.verify_fragmentary_lemma(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.failures()
+    assert peak <= 96 << 20, f"peak {peak / 2**20:.1f} MiB"

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from negabench import oracle, spectra
 from negabench.core import (
     AnfPolynomial,
     BitVector,
@@ -10,6 +11,7 @@ from negabench.core import (
     CapacityError,
     InvalidSpecError,
     NotBentError,
+    popcounts,
     truth_table_from_anf,
 )
 from negabench.spectra import GaussianInteger, nega_transform, walsh_transform
@@ -39,7 +41,63 @@ def _random_function(n, seed):
     return BooleanFunction(n, int.from_bytes(rng.bytes(nbytes), "little") & ((1 << (1 << n)) - 1))
 
 
+def _reference_transforms(f):
+    """The per-point loop naive_transforms replaced: for each u, the dot
+    products of (-1)^f, twisted by i^wt(x), with the signs (-1)^(u.x)."""
+    size = 1 << f.n
+    signs = f.sign_array()
+    pops = popcounts(size)
+    re_twist = signs * np.array([1, 0, -1, 0], dtype=np.int64)[pops % 4]
+    im_twist = signs * np.array([0, 1, 0, -1], dtype=np.int64)[pops % 4]
+    xs = np.arange(size, dtype=np.int64)
+    w, re, im = (np.empty(size, dtype=np.int64) for _ in range(3))
+    for u in range(size):
+        dot_signs = 1 - 2 * (pops[xs & u] & 1)
+        w[u] = np.dot(signs, dot_signs)
+        re[u] = np.dot(re_twist, dot_signs)
+        im[u] = np.dot(im_twist, dot_signs)
+    return w, re, im
+
+
+def _reference_cases():
+    """Random, all-zero, all-one and linear tables at n = 1..10, plus bent g0."""
+    for n in range(1, 11):
+        size = 1 << n
+        yield _random_function(n, seed=100 + n)
+        yield BooleanFunction.zero(n)
+        yield BooleanFunction.constant(n, 1)
+        a = (0b1011011011 >> (10 - n)) | 1
+        yield BooleanFunction.from_values(n, popcounts(size)[np.arange(size) & a] & 1)
+    yield base_function("g0", 1)
+    yield base_function("g0", 2)
+
+
+def _assert_reference(f):
+    nw, nn = naive_transforms(f)
+    w, re, im = _reference_transforms(f)
+    assert nw.n == nn.n == f.n
+    assert np.array_equal(nw.values, w)
+    assert np.array_equal(nn.re, re) and np.array_equal(nn.im, im)
+    assert all(a.dtype == np.int64 for a in (nw.values, nn.re, nn.im))
+
+
 class TestNaiveTransforms:
+    def test_matches_per_point_reference(self):
+        for f in _reference_cases():
+            _assert_reference(f)
+
+    def test_reaches_no_butterfly_code(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("naive_transforms reached the butterfly")
+
+        for name in ("_fwht_inplace", "_walsh_of_signs", "_nega_of_signs",
+                     "walsh_transform", "nega_transform"):
+            monkeypatch.setattr(spectra, name, refuse)
+        for name in ("walsh_transform", "nega_transform"):
+            monkeypatch.setattr(oracle, name, refuse)
+        for n in (3, 8, 11):
+            _assert_reference(_random_function(n, seed=n))
+
     def test_agrees_with_butterfly(self):
         for n in (1, 2, 3, 5, 7):
             f = _random_function(n, seed=n)
@@ -200,6 +258,50 @@ class TestVerifyConstruction:
         rep = verify_construction(broken)
         degree = next(c for c in rep.checks if c.name == "degree-parity")
         assert not degree.passed
+
+    @pytest.mark.parametrize("name", ["walsh_transform", "nega_transform"])
+    def test_tampered_butterfly_is_named(self, monkeypatch, name):
+        # a half or quarter turn of one spectrum value keeps its magnitude and
+        # the Parseval sum, so only the definitional cross-check can see it
+        cf = construct("G4K", GammaSpec(2, "S1", (BitVector(4, 0b0110),)))
+        point, where = 201, BitVector(8, 201)
+        original = getattr(oracle, name)
+        exact = original(cf.function)
+
+        def turned(g):
+            spec = original(g)
+            if g != cf.function:
+                return spec
+            if name == "walsh_transform":
+                values = spec.values.copy()
+                values[point] *= -1
+                return dataclasses.replace(spec, values=values)
+            re, im = spec.re.copy(), spec.im.copy()
+            re[point], im[point] = -spec.im[point], spec.re[point]
+            return dataclasses.replace(spec, re=re, im=im)
+
+        monkeypatch.setattr(oracle, name, turned)
+        failed = {c.name: c for c in verify_construction(cf).failures()}
+        assert set(failed) == {"butterfly-matches-naive"}
+        if name == "walsh_transform":
+            w = int(exact.values[point])
+            want = f"walsh at {where}: butterfly {-w} != definitional {w}"
+        else:
+            re, im = int(exact.re[point]), int(exact.im[point])
+            want = (f"nega at {where}: butterfly {GaussianInteger(-im, re)} != "
+                    f"definitional {GaussianInteger(re, im)}")
+        assert failed["butterfly-matches-naive"].counterexample == want
+
+    def test_failed_involution_is_named(self):
+        cf = construct("G4K", GammaSpec(1, "S1", (BitVector(2, 1),)))
+        # the dual of g + 1 is dual(g) + 1, so the involution misses everywhere
+        broken = dataclasses.replace(
+            cf, closed_dual=cf.closed_dual ^ BooleanFunction.constant(4, 1))
+        rep = verify_construction(broken)
+        inv = next(c for c in rep.checks if c.name == "dual-involution")
+        v = cf.function.value(0)
+        assert not inv.passed
+        assert inv.counterexample == f"at 0000: dual of dual {1 - v} != function {v}"
 
     def test_report_serialization(self):
         rep = verify_construction(construct("G4K", GammaSpec(1, "S1", (BitVector(2, 0),))))
