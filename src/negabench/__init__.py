@@ -4,171 +4,30 @@ Builds the four modifier-set constructions and the 2-rotation-symmetric
 family, computes exact Walsh and nega spectra over the integers, and
 machine-verifies every closed form the constructions come with: ANFs,
 duals, degree parity conditions and the fragment spectrum formulas.
+
+The package root exports the names of the README's Library example plus
+`REFERENCE_CASES`; everything else is imported from its module
+(`negabench.core`, `.spectra`, `.subspaces`, `.constructions`, `.oracle`,
+`.reference`, `.cli`).
 """
 
-from .core import (
-    AnfPolynomial,
-    BitVector,
-    BooleanFunction,
-    CapacityError,
-    DEFAULT_MAX_N,
-    DimensionError,
-    InvalidSpecError,
-    NotBentError,
-    VectorSet,
-    anf_from_truth_table,
-    characteristic_function,
-    cyclic_shift_action,
-    max_n,
-    rotation_symmetry_order,
-    set_max_n,
-    truth_table_from_anf,
-)
-from .spectra import (
-    Classification,
-    GaussianInteger,
-    InvalidPermutationError,
-    NegaSpectrum,
-    WalshSpectrum,
-    classify,
-    dual,
-    fragmentary_nega,
-    fragmentary_nega_spectrum,
-    fragmentary_walsh,
-    fragmentary_walsh_spectrum,
-    mm_dual,
-    mm_function,
-    nega_transform,
-    walsh_transform,
-)
-from .subspaces import (
-    GammaSpec,
-    LinearSubspace,
-    SET_FAMILIES,
-    build_modifier_set,
-    coset_representatives,
-    orbit,
-    orbit_representative,
-    orbit_representatives,
-    orthogonal_complement,
-)
-from .constructions import (
-    ConstructedFunction,
-    FAMILIES,
-    FAMILY_TABLE,
-    Family,
-    RotationSpec,
-    base_anf,
-    base_function,
-    base_of,
-    closed_form_anf,
-    closed_form_dual,
-    construct,
-    decompose_orbit_sum,
-    family_of,
-    function_file_dict,
-    modifier_set_of,
-    normalize_family,
-    predicts_max_degree,
-    spec_from_dict,
-)
-from .oracle import (
-    CheckResult,
-    FrameCoefficients,
-    SU_CASES,
-    SuComparisonCase,
-    VerificationReport,
-    check_reference_case,
-    check_su_conditions,
-    check_table1,
-    extract_frame_coefficients,
-    naive_transforms,
-    nega_g0_value,
-    nega_h0_value,
-    verify_construction,
-    verify_fragmentary_lemma,
-    walsh_g0_value,
-    walsh_h0_value,
-)
-from .reference import REFERENCE_CASES, ReferenceCase
+from .core import BitVector
+from .spectra import classify, nega_transform, walsh_transform
+from .subspaces import GammaSpec
+from .constructions import RotationSpec, construct
+from .oracle import verify_construction
+from .reference import REFERENCE_CASES
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnfPolynomial",
     "BitVector",
-    "BooleanFunction",
-    "CapacityError",
-    "Classification",
-    "CheckResult",
-    "ConstructedFunction",
-    "DEFAULT_MAX_N",
-    "DimensionError",
-    "FAMILIES",
-    "FAMILY_TABLE",
-    "Family",
-    "FrameCoefficients",
     "GammaSpec",
-    "GaussianInteger",
-    "InvalidPermutationError",
-    "InvalidSpecError",
-    "LinearSubspace",
-    "NegaSpectrum",
-    "NotBentError",
     "REFERENCE_CASES",
-    "ReferenceCase",
     "RotationSpec",
-    "SET_FAMILIES",
-    "SU_CASES",
-    "SuComparisonCase",
-    "VectorSet",
-    "VerificationReport",
-    "WalshSpectrum",
-    "anf_from_truth_table",
-    "base_anf",
-    "base_function",
-    "base_of",
-    "build_modifier_set",
-    "characteristic_function",
-    "check_reference_case",
-    "check_su_conditions",
-    "check_table1",
     "classify",
-    "closed_form_anf",
-    "closed_form_dual",
     "construct",
-    "coset_representatives",
-    "cyclic_shift_action",
-    "decompose_orbit_sum",
-    "dual",
-    "extract_frame_coefficients",
-    "family_of",
-    "fragmentary_nega",
-    "fragmentary_nega_spectrum",
-    "fragmentary_walsh",
-    "fragmentary_walsh_spectrum",
-    "function_file_dict",
-    "max_n",
-    "mm_dual",
-    "mm_function",
-    "modifier_set_of",
-    "naive_transforms",
-    "nega_g0_value",
-    "nega_h0_value",
     "nega_transform",
-    "normalize_family",
-    "orbit",
-    "orbit_representative",
-    "orbit_representatives",
-    "orthogonal_complement",
-    "predicts_max_degree",
-    "rotation_symmetry_order",
-    "set_max_n",
-    "spec_from_dict",
-    "truth_table_from_anf",
     "verify_construction",
-    "verify_fragmentary_lemma",
-    "walsh_g0_value",
-    "walsh_h0_value",
     "walsh_transform",
 ]

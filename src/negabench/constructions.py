@@ -1,6 +1,12 @@
 """Bent-negabent constructions: base functions, modifier families, closed-form
 ANFs, closed-form duals and the maximum-degree parity conditions.
 
+A family's function is its base flipped on a modifier set, and its
+closed-form dual is the base's dual flipped on a second set.  Both sets are
+unions of cosets of one subspace (`subspaces.modifier_cells`, `_dual_cells`)
+built by `LinearSubspace.coset_union`; the closed-form ANF is expanded from
+factored cell indicators and shares no code with that builder.
+
 Variable layouts (fixed across the package):
 
 * 4t-variable base g0 and its families: x = vars 0..2t-1 (x' low half,
@@ -30,13 +36,12 @@ from .core import (
 )
 from .subspaces import (
     GammaSpec,
+    LinearSubspace,
     build_modifier_set,
-    build_S1,
-    build_T,
+    modifier_cells,
     orbit,
     orbit_representative,
     orbit_representatives,
-    pair_repetition_members,
     swap_halves,
 )
 
@@ -417,95 +422,52 @@ def _f0_dual_quadratic_anf(k: int) -> AnfPolynomial:
     return AnfPolynomial.from_monomials(n, mons)
 
 
-def _build_S1_dual(spec: GammaSpec) -> VectorSet:
-    """S1 with every gamma = (gamma_1, gamma_2) replaced by
-    (gamma_2, gamma_1 + gamma_2 + 1_k)."""
+def _dual_cells(spec: GammaSpec) -> tuple[int, list[int], list[int]]:
+    """The set on which the closed-form dual flips the base's dual, as
+    (n, basis, offsets) in the layout of `subspaces.modifier_cells`.
+
+    * S1: the S1 cells of (gamma_2, gamma_1 + gamma_2 + 1_k).
+    * S2: x in gamma + A_2^(2k), y in swap(gamma) + A_2^(2k), where swap
+      exchanges the halves of gamma.
+    * S3, S4: the S1 and S2 dual cells with x_m in E_gamma and y_m free, and
+      x moved by x_m e_0: the x_m (x_t + y_0) term of the h0 dual flips
+      bit 0 of x'' only, not all of x''.
+    * T: the T cells of d with d_ev = gamma_od and d_od = gamma_ev + gamma_od
+      + 1_k, split into even and odd positions, since both coordinates the
+      dual reads are linear in x + y.
+    """
+    n, basis, _ = modifier_cells(spec)
     k = spec.k
-    ones = (1 << k) - 1
-    transformed = tuple(
-        BitVector(2 * k, g2 | ((g1 ^ g2 ^ ones) << k))
-        for g1, g2 in (spec.gamma_halves(i) for i in range(len(spec.gammas)))
-    )
-    return build_S1(GammaSpec(k, "S1", transformed))
-
-
-def _build_S2_dual(spec: GammaSpec) -> VectorSet:
-    k = spec.k
-    a_members = pair_repetition_members(2 * k)
-    idxs = []
-    for g in spec.gammas:
-        sw = swap_halves(g.bits, 2 * k)
-        for a in a_members:
-            x = g.bits ^ a
-            for b in a_members:
-                idxs.append(x | ((sw ^ b) << (4 * k)))
-    return VectorSet.from_indices(8 * k, idxs)
-
-
-def _build_S3_dual(spec: GammaSpec) -> VectorSet:
-    k = spec.k
-    idxs = []
-    ones = (1 << k) - 1
-    for i in range(len(spec.gammas)):
-        g1, g2 = spec.gamma_halves(i)
-        for xm in spec.e_values(i):
-            for xp in range(1 << k):
-                xpart = xp | ((xp ^ (xm & 1) ^ g2) << k) | (xm << (2 * k))
-                for yp in range(1 << k):
-                    ypart = (yp | ((yp ^ ones ^ g1 ^ g2) << k)) << (2 * k + 1)
-                    for ym in (0, 1):
-                        idxs.append(xpart | ypart | (ym << (4 * k + 1)))
-    return VectorSet.from_indices(4 * k + 2, idxs)
-
-
-def _build_S4_dual(spec: GammaSpec) -> VectorSet:
-    k = spec.k
-    a_members = pair_repetition_members(2 * k)
-    idxs = []
+    if spec.family == "T":
+        ev = ((1 << (2 * k)) - 1) // 3  # the even positions 0, 2, ..., 2k-2
+        ds = [(g >> 1) & ev | ((g ^ (g >> 1) ^ ev) & ev) << 1
+              for g in (v.bits for v in spec.gammas)]
+        return n, basis, [d << (2 * k) for d in ds]
+    e = int(spec.e_sets is not None)
+    w = n // 2 - e  # width of x and of y
+    if e:  # y_m is free and x_m is restricted instead
+        basis = [b for b in basis if b != 1 << w] + [1 << (n - 1)]
+    offsets = []
     for i, g in enumerate(spec.gammas):
-        sw = swap_halves(g.bits, 2 * k)
-        for xm in spec.e_values(i):
-            for a in a_members:
-                x = g.bits ^ (xm & 1) ^ a
-                xpart = x | (xm << (4 * k))
-                for b in a_members:
-                    ypart = (sw ^ b) << (4 * k + 1)
-                    for ym in (0, 1):
-                        idxs.append(xpart | ypart | (ym << (8 * k + 1)))
-    return VectorSet.from_indices(8 * k + 2, idxs)
-
-
-def _build_T_dual(spec: GammaSpec) -> VectorSet:
-    """Points whose derived pair (x_ev+x_od+y_ev+y_od+1_k, x_ev+y_ev) equals
-    (gamma_ev, gamma_od) for some gamma in the orbit-closed set.
-
-    Both coordinates are linear in x + y, so each gamma contributes the graph
-    {(x, x + d)} with d_ev = gamma_od and d_od = gamma_ev + gamma_od + 1_k:
-    the T set of the d's.  The split of gamma is into its even- and
-    odd-position bits; the concatenated-halves split is wrong here (the two
-    only agree at k = 1)."""
-    k = spec.k
-    ds = []
-    for g in spec.gammas:
-        d = 0
-        for i in range(k):
-            g_ev, g_od = (g.bits >> (2 * i)) & 1, (g.bits >> (2 * i + 1)) & 1
-            d |= (g_od << (2 * i)) | ((g_ev ^ g_od ^ 1) << (2 * i + 1))
-        ds.append(BitVector(2 * k, d))
-    return build_T(GammaSpec(k, "T", tuple(ds)))
+        if spec.family in ("S2", "S4"):
+            x, y = g.bits, swap_halves(g.bits, 2 * k)
+        else:
+            g1, g2 = spec.gamma_halves(i)
+            x, y = g2, g1 ^ g2 ^ ((1 << k) - 1)
+        offsets += [x ^ xm | xm << w | y << (w + e) for xm in (spec.e_values(i) if e else (0,))]
+    return n, basis, offsets
 
 
 _DUAL_BASES = {"g0": _g0_dual_anf, "h0": _h0_dual_anf, "f0": _f0_dual_quadratic_anf}
-
-_DUAL_SETS = {"S1": _build_S1_dual, "S2": _build_S2_dual, "S3": _build_S3_dual,
-              "S4": _build_S4_dual, "T": _build_T_dual}
 
 
 def closed_form_dual(family: str, spec: ConstructionSpec) -> BooleanFunction:
     fam = family_of(family)
     gs = _modifier_spec(fam, _resolve(fam, spec))
     base = _DUAL_BASES[fam.base](fam.base_param(gs.k))
-    return truth_table_from_anf(base) ^ characteristic_function(_DUAL_SETS[gs.family](gs))
+    n, basis, offsets = _dual_cells(gs)
+    dual_set = LinearSubspace.span(n, basis).coset_union(offsets)
+    return truth_table_from_anf(base) ^ characteristic_function(dual_set)
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,7 @@ def _check_table(n: int, bits: int, what: str) -> None:
 
 def popcount(values: np.ndarray) -> np.ndarray:
     """Hamming weight of each entry (each in 0..2^32-1) as an int64 array."""
-    a = np.asarray(values).astype(np.uint32)
-    a = a - ((a >> 1) & np.uint32(0x55555555))
-    a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
-    a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
-    return (((a * np.uint32(0x01010101)) >> 24) & np.uint32(0xFF)).astype(np.int64)
+    return np.bitwise_count(np.asarray(values).astype(np.uint32, copy=False)).astype(np.int64)
 
 
 def popcounts(size: int) -> np.ndarray:
@@ -155,10 +151,6 @@ class BitVector:
         if not s or any(c not in "01" for c in s):
             raise ValueError(f"not a bit string: {s!r}")
         return cls.from_coords([int(c) for c in s])
-
-    @classmethod
-    def zero(cls, n: int) -> "BitVector":
-        return cls(n, 0)
 
     @classmethod
     def ones(cls, n: int) -> "BitVector":

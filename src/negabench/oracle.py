@@ -246,16 +246,6 @@ class FrameCoefficients:
         bad = np.nonzero(self.nega_branch < 0)[0]
         return int(bad[0]) if bad.size else None
 
-    def walsh_code(self, u) -> str:
-        idx = u.bits if isinstance(u, BitVector) else int(u)
-        b = int(self.walsh_branch[idx])
-        return str(b) if b >= 0 else "!"
-
-    def nega_code(self, u) -> str:
-        idx = u.bits if isinstance(u, BitVector) else int(u)
-        b = int(self.nega_branch[idx])
-        return NEGA_BRANCHES[b] if b >= 0 else "!"
-
     def walsh_counts(self) -> dict[str, int]:
         return {
             "0": int((self.walsh_branch == 0).sum()),

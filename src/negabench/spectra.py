@@ -266,23 +266,3 @@ def mm_function(pi: Sequence, phi: BooleanFunction) -> BooleanFunction:
     for y in range(size):
         rows[y] = par[xs & imgs[y]] ^ phi_vals[y]
     return BooleanFunction.from_values(2 * m, rows.reshape(-1))
-
-
-def mm_dual(pi: Sequence, phi: BooleanFunction) -> BooleanFunction:
-    """Dual of the MM bent function: (x, y) -> y . pi^{-1}(x) + phi(pi^{-1}(x))."""
-    m = phi.n
-    imgs = _permutation_images(pi, m)
-    inv = [0] * (1 << m)
-    for y, img in enumerate(imgs):
-        inv[img] = y
-    size = 1 << m
-    par = (popcounts(size) & 1).astype(np.uint8)
-    phi_vals = phi.value_array()
-    vals = np.empty((size, size), dtype=np.uint8)
-    ys = np.arange(size, dtype=np.int64)
-    for x in range(size):
-        w = inv[x]
-        vals[:, x] = par[ys & w] ^ phi_vals[w]
-    # index = x | (y << m): row y, column x
-    return BooleanFunction.from_values(2 * m, vals.reshape(-1))
-

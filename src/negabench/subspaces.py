@@ -1,12 +1,17 @@
-"""Linear subspaces of F_2^n, coset and orbit machinery, and the four
-modifier-set builders (S1, S2, S3, S4) plus the rotation-symmetric set T.
+"""Linear subspaces of F_2^n, coset and orbit machinery, and the modifier
+sets S1, S2, S3, S4 and the rotation-symmetric set T.
+
+Every modifier set is a union of cosets of one linear subspace:
+`modifier_cells` gives its basis and one offset per coset, and
+`LinearSubspace.coset_union` builds the set from them in one numpy pass.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .core import (
     BitVector,
@@ -71,13 +76,23 @@ class LinearSubspace:
         idx = x.bits if isinstance(x, BitVector) else int(x)
         return self.reduce(idx) == 0
 
-    def members(self) -> Iterator[BitVector]:
-        for picks in itertools.product((0, 1), repeat=self.dim):
-            acc = 0
-            for take, b in zip(picks, self.basis):
-                if take:
-                    acc ^= b
-            yield BitVector(self.n, acc)
+    def points(self) -> np.ndarray:
+        """Every member's index as an int64 array: starting from the origin,
+        the array is doubled by its translate by each basis vector."""
+        check_capacity(self.n)
+        pts = np.zeros(1, dtype=np.int64)
+        for b in self.basis:
+            pts = np.concatenate((pts, pts ^ b))
+        return pts
+
+    def members(self) -> list[BitVector]:
+        """Every member as a BitVector, in the order of `points`."""
+        return [BitVector(self.n, x) for x in self.points().tolist()]
+
+    def coset_union(self, offsets: Iterable[int]) -> VectorSet:
+        """The union of the cosets offset + self over the given offsets."""
+        offs = np.fromiter(offsets, dtype=np.int64)
+        return VectorSet.from_indices(self.n, (offs[:, None] ^ self.points()).ravel())
 
 
 def orthogonal_complement(space: LinearSubspace) -> LinearSubspace:
@@ -131,17 +146,6 @@ def in_pair_antirepetition(bits, pairs: int):
     Takes an int, or an int64 array elementwise."""
     low = _pair_low_bits(pairs)
     return ((bits ^ (bits >> 1)) & low) == low
-
-
-def pair_repetition_members(pairs: int) -> list[int]:
-    """All members of A_2^pairs as indices over 2*pairs coordinates."""
-    out = []
-    for picks in itertools.product((0, 3), repeat=pairs):
-        acc = 0
-        for i, blk in enumerate(picks):
-            acc |= blk << (2 * i)
-        out.append(acc)
-    return out
 
 
 def swap_halves(bits: int, half: int) -> int:
@@ -201,7 +205,7 @@ E_SYMBOLS = {"0": (0,), "1": (1,), "B": (0, 1)}
 class GammaSpec:
     """Parameters of one modifier set.
 
-    `family` names the builder (S1..S4 or T) and fixes the expected gamma
+    `family` names the set shape (S1..S4 or T) and fixes the expected gamma
     length: 2k for S1/S3/T, 4k for S2/S4.  `e_sets` aligns with `gammas` and
     is required exactly for S3/S4 ('0', '1' or 'B' = both).  `rotation_closed`
     asserts closure of the gamma set under cyclic shift (meaningful for T).
@@ -272,88 +276,48 @@ class GammaSpec:
         return g.bits & ((1 << half) - 1), g.bits >> half
 
 
-def _require_family(spec: GammaSpec, family: str) -> None:
-    if spec.family != family:
-        raise InvalidSpecError(f"spec is tagged {spec.family}, builder needs {family}")
+def _diagonal(half: int, offset: int) -> list[int]:
+    """Basis of z'' = z' on the 2*half coordinates from `offset` on, z' the
+    low half."""
+    return [(1 | 1 << half) << (offset + j) for j in range(half)]
 
 
-def build_S1(spec: GammaSpec) -> VectorSet:
-    """Union of the affine cells x'' = x' + gamma_1, y'' = y' + gamma_2
-    inside F_2^(4k); |S1| = |Gamma| * 4^k."""
-    _require_family(spec, "S1")
+def modifier_cells(spec: GammaSpec) -> tuple[int, list[int], list[int]]:
+    """The modifier set as (n, basis, offsets): the union over the offsets of
+    the cosets offset + span(basis).
+
+    * S1: x'' = x' + gamma_1, y'' = y' + gamma_2 inside F_2^(4k).
+    * S2: x in A_2^(2k), y in gamma + A_2^(2k) inside F_2^(8k).
+    * S3, S4: the S1 and S2 cells with x_m free between x and y, and y_m in
+      E_gamma after y.
+    * T: the graph {(x, x + gamma)} inside F_2^(4k).
+    """
     k = spec.k
-    idxs = []
-    for i in range(len(spec.gammas)):
-        g1, g2 = spec.gamma_halves(i)
-        for xp in range(1 << k):
-            xpart = xp | ((xp ^ g1) << k)
-            for yp in range(1 << k):
-                idxs.append(xpart | ((yp | ((yp ^ g2) << k)) << (2 * k)))
-    return VectorSet.from_indices(4 * k, idxs)
-
-
-def build_S2(spec: GammaSpec) -> VectorSet:
-    """Union of cells x in A_2^(2k), y in gamma + A_2^(2k) inside F_2^(8k);
-    |S2| = |Gamma| * 2^(4k)."""
-    _require_family(spec, "S2")
-    k = spec.k
-    a_members = pair_repetition_members(2 * k)
-    idxs = []
-    for g in spec.gammas:
-        for x in a_members:
-            for z in a_members:
-                idxs.append(x | ((g.bits ^ z) << (4 * k)))
-    return VectorSet.from_indices(8 * k, idxs)
-
-
-def build_S3(spec: GammaSpec) -> VectorSet:
-    """S1-style cells extended by x_m free and y_m restricted to E_gamma,
-    inside F_2^(4k+2)."""
-    _require_family(spec, "S3")
-    k = spec.k
-    idxs = []
-    for i in range(len(spec.gammas)):
-        g1, g2 = spec.gamma_halves(i)
-        for xp in range(1 << k):
-            for xm in (0, 1):
-                xpart = xp | ((xp ^ g1) << k) | (xm << (2 * k))
-                for yp in range(1 << k):
-                    ypart = (yp | ((yp ^ g2) << k)) << (2 * k + 1)
-                    for ym in spec.e_values(i):
-                        idxs.append(xpart | ypart | (ym << (4 * k + 1)))
-    return VectorSet.from_indices(4 * k + 2, idxs)
-
-
-def build_S4(spec: GammaSpec) -> VectorSet:
-    """S2-style cells extended by x_m free and y_m in E_gamma, inside
-    F_2^(8k+2)."""
-    _require_family(spec, "S4")
-    k = spec.k
-    a_members = pair_repetition_members(2 * k)
-    idxs = []
+    if spec.family == "T":
+        return 4 * k, _diagonal(2 * k, 0), [g.bits << (2 * k) for g in spec.gammas]
+    pairs = spec.family in ("S2", "S4")
+    w = 4 * k if pairs else 2 * k  # width of x and of y
+    e = int(spec.e_sets is not None)  # 1 when x_m and y_m are present
+    # A_2^(2k) is spanned by the pairs 11 at coordinates (2i, 2i+1)
+    x_basis = [3 << (2 * i) for i in range(2 * k)] if pairs else _diagonal(k, 0)
+    basis = x_basis + [1 << w] * e + [b << (w + e) for b in x_basis]
+    offsets = []
     for i, g in enumerate(spec.gammas):
-        for x in a_members:
-            for xm in (0, 1):
-                xpart = x | (xm << (4 * k))
-                for z in a_members:
-                    ypart = (g.bits ^ z) << (4 * k + 1)
-                    for ym in spec.e_values(i):
-                        idxs.append(xpart | ypart | (ym << (8 * k + 1)))
-    return VectorSet.from_indices(8 * k + 2, idxs)
-
-
-def build_T(spec: GammaSpec) -> VectorSet:
-    """Graph-type set {(x, x + gamma)} inside F_2^(4k); |T| = |Gamma| * 2^(2k)."""
-    _require_family(spec, "T")
-    k = spec.k
-    idxs = []
-    for g in spec.gammas:
-        for x in range(1 << (2 * k)):
-            idxs.append(x | ((x ^ g.bits) << (2 * k)))
-    return VectorSet.from_indices(4 * k, idxs)
+        # the cell's point with x'' = y'' = 0 (S1, S3) or with x = 0 (S2, S4)
+        x, y = (0, g.bits) if pairs else spec.gamma_halves(i)
+        offsets += [x | y << (w + e) | ym << (2 * w + 1)
+                    for ym in (spec.e_values(i) if e else (0,))]
+    return 2 * (w + e), basis, offsets
 
 
 def build_modifier_set(spec: GammaSpec) -> VectorSet:
-    builder = {"S1": build_S1, "S2": build_S2, "S3": build_S3,
-               "S4": build_S4, "T": build_T}[spec.family]
-    return builder(spec)
+    n, basis, offsets = modifier_cells(spec)
+    return LinearSubspace.span(n, basis).coset_union(offsets)
+
+
+def build_T(spec: GammaSpec) -> VectorSet:
+    """The graph-type set {(x, x + gamma)} of a T-tagged spec; the relation
+    table builds its T indicators through this name."""
+    if spec.family != "T":
+        raise InvalidSpecError(f"spec is tagged {spec.family}, build_T needs T")
+    return build_modifier_set(spec)

@@ -16,6 +16,7 @@ from negabench.core import (
 from negabench.spectra import classify, dual
 from negabench.subspaces import (
     GammaSpec,
+    LinearSubspace,
     orbit_representative,
     orbit_representatives,
 )
@@ -23,7 +24,7 @@ from negabench.constructions import (
     FAMILIES,
     FAMILY_TABLE,
     RotationSpec,
-    _build_T_dual,
+    _dual_cells,
     _modifier_spec,
     base_anf,
     base_function,
@@ -160,7 +161,9 @@ class TestRotationDualSet:
         for picks in (reps[:1], reps[1:3], reps[-2:], reps[::2]):
             spec = RotationSpec(k, tuple(picks))
             gs = _modifier_spec(FAMILY_TABLE["F2RS"], spec)
-            assert _build_T_dual(gs) == _loop_T_dual(gs), [str(p) for p in picks]
+            n, basis, offsets = _dual_cells(gs)
+            dual_set = LinearSubspace.span(n, basis).coset_union(offsets)
+            assert dual_set == _loop_T_dual(gs), [str(p) for p in picks]
 
     def test_closed_dual_at_n24(self):
         spec = RotationSpec(6, (BitVector(12, 0b000000000001), BitVector(12, 0b000001011011)))

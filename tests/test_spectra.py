@@ -19,7 +19,6 @@ from negabench.spectra import (
     fragmentary_nega_spectrum,
     fragmentary_walsh,
     fragmentary_walsh_spectrum,
-    mm_dual,
     mm_function,
     nega_transform,
     walsh_transform,
@@ -137,6 +136,19 @@ class TestFragmentary:
         f = BooleanFunction.zero(3)
         t = VectorSet.empty(3)
         assert all(fragmentary_walsh_spectrum(f, t).value(u) == 0 for u in range(8))
+
+
+def mm_dual(pi, phi):
+    """Reference dual of the MM bent function x . pi(y) + phi(y):
+    (x, y) -> y . pi^{-1}(x) + phi(pi^{-1}(x)), with x in the low block."""
+    m = phi.n
+    inv = {p: y for y, p in enumerate(pi)}
+    values = []
+    for idx in range(1 << (2 * m)):
+        x, y = idx & ((1 << m) - 1), idx >> m
+        w = inv[x]
+        values.append((bin(y & w).count("1") + phi.value(w)) & 1)
+    return BooleanFunction.from_values(2 * m, values)
 
 
 class TestMaioranaMcFarland:

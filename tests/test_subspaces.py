@@ -4,10 +4,6 @@ from negabench.core import BitVector, InvalidSpecError
 from negabench.subspaces import (
     GammaSpec,
     LinearSubspace,
-    build_S1,
-    build_S2,
-    build_S3,
-    build_S4,
     build_T,
     build_modifier_set,
     coset_representatives,
@@ -17,7 +13,6 @@ from negabench.subspaces import (
     orbit_representative,
     orbit_representatives,
     orthogonal_complement,
-    pair_repetition_members,
 )
 
 
@@ -57,11 +52,6 @@ class TestRepetitionSets:
         assert not in_pair_repetition(0b0111, 2)
         assert in_pair_antirepetition(0b0110, 2)
         assert not in_pair_antirepetition(0b0011, 2)
-
-    def test_members_enumeration(self):
-        members = pair_repetition_members(2)
-        assert sorted(members) == [0, 3, 12, 15]
-        assert all(in_pair_repetition(m, 2) for m in members)
 
 
 class TestOrbits:
@@ -133,7 +123,7 @@ class TestGammaSpecValidation:
 class TestBuilders:
     def test_s1_defining_equations(self):
         spec = GammaSpec(2, "S1", (BitVector.from_string("0001"), BitVector.from_string("1010")))
-        s = build_S1(spec)
+        s = build_modifier_set(spec)
         assert len(s) == 2 * 16  # |Gamma| * 4^k
         halves = [spec.gamma_halves(i) for i in range(2)]
         for z in range(1 << 8):
@@ -145,7 +135,7 @@ class TestBuilders:
 
     def test_s2_defining_membership(self):
         g = BitVector.from_string("1000")
-        s = build_S2(GammaSpec(1, "S2", (g,)))
+        s = build_modifier_set(GammaSpec(1, "S2", (g,)))
         assert len(s) == 16  # |A|^2 per gamma
         for z in range(1 << 8):
             u, v = z & 0xF, z >> 4
@@ -155,11 +145,11 @@ class TestBuilders:
     def test_s3_size(self):
         spec = GammaSpec(1, "S3", (BitVector(2, 1), BitVector(2, 2)), ("B", "1"))
         # per gamma: 2^k x' choices, free x_m, 2^k y' choices, |E| y_m choices
-        assert len(build_S3(spec)) == (2 * 2 * 2 * 2) + (2 * 2 * 2 * 1)
+        assert len(build_modifier_set(spec)) == (2 * 2 * 2 * 2) + (2 * 2 * 2 * 1)
 
     def test_s4_size(self):
         spec = GammaSpec(1, "S4", (BitVector(4, 0),), ("0",))
-        assert len(build_S4(spec)) == 4 * 4 * 2
+        assert len(build_modifier_set(spec)) == 4 * 4 * 2
 
     def test_t_defining_equations(self):
         gammas = (BitVector(2, 0b01), BitVector(2, 0b10))
@@ -167,7 +157,3 @@ class TestBuilders:
         for z in range(16):
             x, y = z & 3, z >> 2
             assert (BitVector(4, z) in s) == ((x ^ y) in (1, 2))
-
-    def test_dispatcher_matches_builders(self):
-        spec = GammaSpec(1, "S1", (BitVector(2, 3),))
-        assert sorted(build_modifier_set(spec).indices()) == sorted(build_S1(spec).indices())
