@@ -237,19 +237,18 @@ def _cmd_spectrum(args) -> int:
     fn = _resolve_function(args)
     size = 1 << fn.n
     hex_of = f"{{:0{(fn.n + 3) // 4}x}}".format
-    cols = []
+    spectra = []
     if args.kind in ("walsh", "both"):
-        cols.append(walsh_transform(fn).values)
+        spectra.append(walsh_transform(fn))
     if args.kind in ("nega", "both"):
-        nf = nega_transform(fn)
-        cols += [nf.re, nf.im]
-    # whole columns, 2^14 lines at a time: one tolist() per column slice and
-    # one join over the zipped columns
+        spectra.append(nega_transform(fn))
+    # 2^14 lines at a time: the columns of a block are read from each
+    # spectrum's parts, with one tolist() per column and one join over them
     blocks = []
     for lo in range(0, size, 1 << 14):
-        hi = min(lo + (1 << 14), size)
-        values = [map(str, c[lo:hi].tolist()) for c in cols]
-        lines = zip(map(hex_of, range(lo, hi)), *values)
+        block = slice(lo, min(lo + (1 << 14), size))
+        values = [map(str, c.tolist()) for s in spectra for c in s.parts(block)]
+        lines = zip(map(hex_of, range(block.start, block.stop)), *values)
         blocks.append("\n".join(map("\t".join, lines)))
     _write_out("\n".join(blocks) + "\n", args.out)
     return EXIT_OK

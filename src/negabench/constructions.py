@@ -288,11 +288,13 @@ def _resolve(fam: Family, spec: ConstructionSpec) -> ConstructionSpec:
     return RotationSpec(spec.k, vectors)
 
 
+@functools.lru_cache(maxsize=16)
 def _modifier_spec(fam: Family, params: ConstructionSpec) -> GammaSpec:
     """Parameters of the modifier set for canonical family parameters.  For
     T this is the orbit closure of the covering-form representatives; the
     orbit-sum forms get theirs by decomposition, so the truth table they
-    build is checked against their defining orbit-sum ANF."""
+    build is checked against their defining orbit-sum ANF.  Kept for the
+    last few parameters: a construction and its verification need it 4 times."""
     if not fam.rotation_symmetric:
         return params  # type: ignore[return-value]
     k = params.k

@@ -276,8 +276,11 @@ class BooleanFunction:
         return (_raw_bytes(self.bits, 1 << self.n)[idx >> 3] >> (idx & 7)) & 1
 
     def sign_array(self) -> np.ndarray:
-        """(-1)^f as an int64 numpy array."""
-        return (1 - 2 * self.value_array().astype(np.int64))
+        """(-1)^f as an int32 numpy array, the butterfly's input width."""
+        signs = self.value_array().astype(np.int32)
+        signs *= -2
+        signs += 1
+        return signs
 
     def weight(self) -> int:
         return self.bits.bit_count()

@@ -10,6 +10,7 @@ rotation symmetry.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .spectra import (
     NegaSpectrum,
     WalshSpectrum,
     classify,
-    dual,
+    dual_of_spectrum,
     fragmentary_nega,
     fragmentary_nega_spectrum,
     fragmentary_walsh,
@@ -157,7 +158,16 @@ _NAIVE_LIMIT = 14
 _NAIVE_BLOCK_BYTES = 1 << 15
 
 
-def naive_transforms(f: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
+@dataclass(frozen=True, eq=False)
+class DefinitionalNega:
+    """The nega spectrum as its two defining sums, int64 re and im arrays."""
+
+    n: int
+    re: np.ndarray
+    im: np.ndarray
+
+
+def naive_transforms(f: BooleanFunction) -> tuple[WalshSpectrum, DefinitionalNega]:
     """Both spectra straight from their defining sums, as Hamming distances
     from f to the linear functions u.x, taken per weight class mod 4.
 
@@ -168,7 +178,7 @@ def naive_transforms(f: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
     Each row u.x is built from its definition, parity(u & x), packed 64
     points to a word, and many u are counted at once.  Quadratic cost, so
     refused above n = 14; used to cross-check the butterfly kernels on an
-    algorithmically independent route.
+    algorithmically independent route: no butterfly and no sigma2 identity.
     """
     if f.n > _NAIVE_LIMIT:
         raise CapacityError(f"naive transforms are limited to n <= {_NAIVE_LIMIT}")
@@ -209,7 +219,7 @@ def naive_transforms(f: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
     im = a[:, 1] - a[:, 3]
     for arr in (w, re, im):
         arr.setflags(write=False)
-    return WalshSpectrum(f.n, w), NegaSpectrum(f.n, re, im)
+    return WalshSpectrum(f.n, w), DefinitionalNega(f.n, re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +270,14 @@ class FrameCoefficients:
         return out
 
 
+@functools.lru_cache(maxsize=8)
+def _base_spectra(f0: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
+    """Both spectra of a base function.  Every spec of one family and k has
+    the same base, so the spectra of the last eight bases are kept; one
+    entry is 2^(n+3) bytes, 128 MiB at n = 24."""
+    return walsh_transform(f0), nega_transform(f0)
+
+
 def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet) -> FrameCoefficients:
     """Branch codes of the fragment ratios of f0 over t, at every point.
 
@@ -269,10 +287,9 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet) -> FrameCoeffi
     """
     if f0.n != t.n:
         raise DimensionError("function and subset dimensions differ")
-    wf = walsh_transform(f0)
+    wf, nf = _base_spectra(f0)
     if f0.n % 2 or wf.flat_counterexample() is not None:
         raise NotBentError("fragment ratios need a bent base function")
-    nf = nega_transform(f0)
     if nf.flat_counterexample() is not None:
         raise NotBentError("fragment ratios need a negabent base function")
     size = 1 << f0.n
@@ -283,14 +300,16 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet) -> FrameCoeffi
     walsh[wt.values == wf.values] = 1
 
     nt = fragmentary_nega_spectrum(f0, t)
-    r0, i0 = nf.re, nf.im
-    r2, i2 = 2 * nt.re, 2 * nt.im
     nega = np.full(size, -1, dtype=np.int8)
-    nega[(nt.re == 0) & (nt.im == 0)] = 0
-    nega[(nt.re == r0) & (nt.im == i0)] = 1
-    # ratio (1-i)/2 turns N into i*N; ratio (1+i)/2 turns N into -i*N
-    nega[(r2 == r0 + i0) & (i2 == i0 - r0)] = 2
-    nega[(r2 == r0 - i0) & (i2 == r0 + i0)] = 3
+    for block in _blocks(size):
+        (r0, i0), (rt, it) = nf.parts(block), nt.parts(block)
+        r2, i2 = 2 * rt, 2 * it
+        codes = nega[block]
+        codes[(rt == 0) & (it == 0)] = 0
+        codes[(rt == r0) & (it == i0)] = 1
+        # ratio (1-i)/2 turns N into i*N; ratio (1+i)/2 turns N into -i*N
+        codes[(r2 == r0 + i0) & (i2 == i0 - r0)] = 2
+        codes[(r2 == r0 - i0) & (i2 == r0 + i0)] = 3
     walsh.setflags(write=False)
     nega.setflags(write=False)
     return FrameCoefficients(f0.n, walsh, nega)
@@ -522,12 +541,15 @@ def _fmt(values) -> str:
 _BLOCK = 1 << 18
 
 
-def _blocks(size: int) -> Iterator[tuple[slice, np.ndarray]]:
+def _blocks(size: int) -> Iterator[slice]:
     """Points 0..size-1 in consecutive blocks of at most _BLOCK, each as its
-    slice of a whole spectrum and its int64 index array."""
+    slice of a whole spectrum."""
     for start in range(0, size, _BLOCK):
-        stop = min(size, start + _BLOCK)
-        yield slice(start, stop), np.arange(start, stop, dtype=np.int64)
+        yield slice(start, min(size, start + _BLOCK))
+
+
+def _points(block: slice) -> np.ndarray:
+    return np.arange(block.start, block.stop, dtype=np.int64)
 
 
 def _first_difference(got: tuple, want: tuple) -> Optional[int]:
@@ -571,7 +593,8 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     literal restricted sums against the masked butterfly route.  The exact
     spectra are whole arrays; the closed forms and predictions are computed
     and compared over blocks of at most 2^18 points, and the predictors read
-    only the spec, never the set or a spectrum.
+    only the spec, never the set or a spectrum.  The nega parts are read
+    from the exact spectra one block at a time.
     """
     if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
@@ -585,20 +608,16 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
                              else (walsh_h0_value, nega_h0_value))
     checks = _Checks()
 
-    def base_check(got: tuple, closed_form: Callable[[np.ndarray], tuple]):
+    def base_check(got: Callable[[slice], tuple], closed_form: Callable[[np.ndarray], tuple]):
         agree = _Agreement(f0.n)
-        for block, xs in _blocks(size):
-            agree.feed(block, tuple(g[block] for g in got), closed_form(xs))
+        for block in _blocks(size):
+            agree.feed(block, got(block), closed_form(_points(block)))
         return agree.result(lambda: f"{size} points")
 
     checks.add("base-walsh-closed-form", lambda: base_check(
-        (walsh_transform(f0).values,), lambda xs: (walsh_form(t, xs),)))
-
-    def base_nega_check():
-        nf = nega_transform(f0)
-        return base_check((nf.re, nf.im), lambda xs: nega_form(t, xs))
-
-    checks.add("base-nega-closed-form", base_nega_check)
+        walsh_transform(f0).parts, lambda xs: (walsh_form(t, xs),)))
+    checks.add("base-nega-closed-form", lambda: base_check(
+        nega_transform(f0).parts, lambda xs: nega_form(t, xs)))
 
     tset = build_modifier_set(spec)
     wt = fragmentary_walsh_spectrum(f0, tset)
@@ -608,13 +627,13 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     branches = np.zeros(len(BRANCHES), dtype=np.int64)
     max_w = max_n = 0
     over_bound: Optional[str] = None
-    for block, xs in _blocks(size):
-        pred = predict(spec, xs)
+    for block in _blocks(size):
+        pred = predict(spec, _points(block))
         with checks.timing("fragment-walsh-closed-form"):
-            walsh_agree.feed(block, (wt.values[block],), (pred.walsh,))
+            walsh_agree.feed(block, wt.parts(block), (pred.walsh,))
             nonzero += int(np.count_nonzero(pred.walsh_matches))
         with checks.timing("fragment-nega-closed-form"):
-            nega_agree.feed(block, (2 * nt.re[block], 2 * nt.im[block]),
+            nega_agree.feed(block, tuple(2 * p for p in nt.parts(block)),
                             (pred.nega2_re, pred.nega2_im))
             branches += np.bincount(pred.branch, minlength=len(BRANCHES))
         with checks.timing("contribution-bounds"):
@@ -962,8 +981,10 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     the degree parity condition, the closed-form dual (pointwise, flatness
     and involution), admissibility of the fragment ratios over the modifier
     set, rotation symmetry for the rotation-symmetric families, and (when n
-    is small enough) agreement of both butterflies with the definitional
-    transforms.
+    is small enough) agreement of both butterfly spectra with the
+    definitional transforms.  Each spectrum is taken once: the dual is read
+    off W_f, the closed dual's W serves its flatness and its involution, and
+    the base's spectra come from `_base_spectra`.
     """
     checks = _Checks()
     f = cf.function
@@ -1022,7 +1043,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     def dual_check():
         try:
-            d = dual(f)
+            d = dual_of_spectrum(wf)
         except NotBentError as exc:
             return False, "", str(exc)
         if d == cf.closed_dual:
@@ -1033,15 +1054,19 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     checks.add("dual-matches-closed-form", dual_check)
 
+    # the closed dual's spectra, taken once for its flatness and its involution
+    with checks.timing("dual-bent-negabent"):
+        wd, nd = walsh_transform(cf.closed_dual), nega_transform(cf.closed_dual)
+
     def dual_flat_check():
-        cls = classify(cf.closed_dual)
-        return cls.is_bent_negabent, f"bent={cls.is_bent} negabent={cls.is_negabent}", None
+        bent, nega = wd.flat_counterexample() is None, nd.flat_counterexample() is None
+        return bent and nega, f"bent={bent} negabent={nega}", None
 
     checks.add("dual-bent-negabent", dual_flat_check)
 
     def involution_check():
         try:
-            back = dual(cf.closed_dual)
+            back = dual_of_spectrum(wd)
         except NotBentError as exc:
             return False, "", str(exc)
         if back == f:
@@ -1078,8 +1103,9 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     if n <= _NAIVE_CROSSCHECK_LIMIT:
         def naive_check():
             nw, nn = naive_transforms(f)
-            for kind, fast, naive in (("walsh", (wf.values,), (nw.values,)),
-                                      ("nega", (nf.re, nf.im), (nn.re, nn.im))):
+            whole = slice(None)
+            for kind, fast, naive in (("walsh", wf.parts(whole), (nw.values,)),
+                                      ("nega", nf.parts(whole), (nn.re, nn.im))):
                 i = _first_difference(fast, naive)
                 if i is not None:
                     return False, "", (f"{kind} at {BitVector(n, i)}: butterfly "

@@ -1,8 +1,20 @@
-"""Exact Walsh-Hadamard and nega-Hadamard spectra.
+"""Exact Walsh-Hadamard and nega-Hadamard spectra, with no floating point.
 
-All arithmetic is integer-exact: spectra are int64 arrays produced by
-butterfly kernels, flatness tests compare squared magnitudes against powers
-of two, and no floating point is ever involved.
+One int32 butterfly, `_fwht_inplace`, computes every spectrum.  The nega
+spectrum is the Walsh spectrum of g = f + sigma2, sigma2(x) = C(wt(x), 2)
+mod 2 (Parker & Pott 2007; Stanica et al., IEEE Trans. IT 58(6), 2012):
+since i^wt(x) = (-1)^sigma2(x) ((1 + i) + (1 - i)(-1)^wt(x)) / 2, with
+u' = u + (1, ..., 1), the index 2^n - 1 - u,
+
+    N_f(u) = ((W_g(u) + W_g(u')) + i (W_g(u) - W_g(u'))) / 2,
+
+term by term, so masked (fragmentary) sums obey it too.  `NegaSpectrum`
+stores W_g and derives re and im block by block; the literal restricted
+sum `fragmentary_nega` keeps the i^wt(x) twist and shares none of this.
+
+Integer widths: butterfly inputs are 0 or +-1 and each output sums at most
+2^n of them, so |W| <= 2^n <= 2^24 < 2^31 under the capacity limit.  A
+square reaches 2^48, so sums of squares and squared norms are int64.
 """
 
 from __future__ import annotations
@@ -42,24 +54,44 @@ class GaussianInteger:
         return f"{self.re}{self.im:+d}i"
 
 
+def _levels(a: np.ndarray, h: int, stop: int) -> None:
+    """Butterfly levels h, 2h, ... below stop, in place, two per pass."""
+    while 2 * h < stop:
+        x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
+        s0, s1, s2, s3 = x0 + x1, x0 - x1, x2 + x3, x2 - x3
+        np.add(s0, s2, out=x0)
+        np.add(s1, s3, out=x1)
+        np.subtract(s0, s2, out=x2)
+        np.subtract(s1, s3, out=x3)
+        h *= 4
+    if h < stop:  # one level left
+        x0, x1 = a.reshape(-1, 2, h).transpose(1, 0, 2)
+        lo = x0.copy()
+        x0 += x1
+        np.subtract(lo, x1, out=x1)
+
+
 def _fwht_inplace(a: np.ndarray) -> None:
-    """In-place Walsh-Hadamard butterfly: a[u] <- sum_x (-1)^(u.x) a[x]."""
+    """In-place Walsh-Hadamard butterfly on int32 entries in {-1, 0, 1}:
+    a[u] <- sum_x (-1)^(u.x) a[x]."""
     size = a.shape[0]
-    h = 1
-    while h < size:
-        view = a.reshape(-1, 2 * h)
-        lo = view[:, :h].copy()
-        view[:, :h] += view[:, h:]
-        view[:, h:] *= -1
-        view[:, h:] += lo
-        h *= 2
+    assert a.dtype == np.int32 and size <= 1 << 30  # |W| <= size fits int32
+    # the levels inside each block of 2^15 entries (128 KiB, which stays in a
+    # core's cache) run first, then the levels across blocks
+    block = min(size, 1 << 15)
+    for start in range(0, size, block):
+        _levels(a[start:start + block], 1, block)
+    _levels(a, block, size)
 
 
 def _exact_sum_sq(v: np.ndarray) -> int:
+    # |v| <= 2^24, so a square is at most 2^48 (it would wrap in int32) and a
+    # chunk of 2^14 squares sums below 2^62 in int64
     total = 0
     step = 1 << 14
     for i in range(0, v.shape[0], step):
-        chunk = v[i:i + step]
+        chunk = v[i:i + step].astype(np.int64)
+        assert int(np.abs(chunk).max()) <= 1 << 24
         total += int(np.dot(chunk, chunk))
     return total
 
@@ -70,6 +102,10 @@ class WalshSpectrum:
 
     n: int
     values: np.ndarray
+
+    def parts(self, block: slice) -> tuple[np.ndarray]:
+        """The values at the points of `block`, as a one-part tuple."""
+        return (self.values[block],)
 
     def value(self, u) -> int:
         idx = u.bits if isinstance(u, BitVector) else int(u)
@@ -90,33 +126,62 @@ class WalshSpectrum:
         return int(bad[0]) if bad.size else None
 
 
+# points whose re and im are derived at once: 2 MiB per int64 part
+_PART_BLOCK = 1 << 18
+
+
 @dataclass(frozen=True, eq=False)
 class NegaSpectrum:
-    """N_f(u) = sum_x (-1)^(f(x) + u.x) i^wt(x), split into re/im int64 arrays."""
+    """N_f(u) = sum_x (-1)^(f(x) + u.x) i^wt(x), stored as the int32 Walsh
+    spectrum `wg` of g = f + sigma2; re and im are derived from it."""
 
     n: int
-    re: np.ndarray
-    im: np.ndarray
+    wg: np.ndarray
+
+    def parts(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """int64 re and im of N at the points of `block` (a slice of step 1).
+
+        Each W_g value sums as many +-1 terms as the table (or the masked
+        set) has entries, so W_g(u) + W_g(u') is even and halves exactly."""
+        size = self.wg.shape[0]
+        start, stop, _ = block.indices(size)
+        re = self.wg[start:stop].astype(np.int64)
+        re += self.wg[size - stop:size - start][::-1]  # + W_g(u') at the same points
+        re >>= 1
+        return re, self.wg[start:stop] - re  # im = W_g(u) - re
+
+    @property
+    def re(self) -> np.ndarray:
+        return self.parts(slice(None))[0]
+
+    @property
+    def im(self) -> np.ndarray:
+        return self.parts(slice(None))[1]
 
     def value(self, u) -> GaussianInteger:
         idx = u.bits if isinstance(u, BitVector) else int(u)
-        return GaussianInteger(int(self.re[idx]), int(self.im[idx]))
+        re, im = self.parts(slice(idx, idx + 1))
+        return GaussianInteger(int(re[0]), int(im[0]))
 
     def norm_sq_value(self, u) -> int:
         return self.value(u).norm_sq()
 
     def parseval_sum(self) -> int:
-        return _exact_sum_sq(self.re) + _exact_sum_sq(self.im)
+        """sum_u |N(u)|^2, which is sum_u W_g(u)^2: over each pair {u, u'},
+        |N(u)|^2 + |N(u')|^2 = W_g(u)^2 + W_g(u')^2."""
+        return _exact_sum_sq(self.wg)
 
     def parseval_holds(self) -> bool:
         return self.parseval_sum() == 1 << (2 * self.n)
 
     def flat_counterexample(self) -> Optional[int]:
         """Index u with |N(u)|^2 != 2^n, or None when negabent-flat."""
-        target = np.int64(1) << self.n
-        norms = self.re * self.re + self.im * self.im
-        bad = np.nonzero(norms != target)[0]
-        return int(bad[0]) if bad.size else None
+        for start in range(0, self.wg.shape[0], _PART_BLOCK):
+            re, im = self.parts(slice(start, start + _PART_BLOCK))
+            bad = np.flatnonzero(re * re + im * im != 1 << self.n)
+            if bad.size:
+                return start + int(bad[0])
+        return None
 
 
 _RE_TWIST = np.array([1, 0, -1, 0], dtype=np.int64)
@@ -131,14 +196,14 @@ def _walsh_of_signs(n: int, signs: np.ndarray) -> WalshSpectrum:
 
 
 def _nega_of_signs(n: int, signs: np.ndarray) -> NegaSpectrum:
-    """Twist a (-1)^f sign vector by i^wt(x) and butterfly both parts."""
-    w4 = popcounts(1 << n) % 4
-    re = signs * _RE_TWIST[w4]
-    im = signs * _IM_TWIST[w4]
-    for part in (re, im):
-        _fwht_inplace(part)
-        part.setflags(write=False)
-    return NegaSpectrum(n, re, im)
+    """Turn a (-1)^f sign vector into (-1)^(f + sigma2), in place, and
+    butterfly it into W_g."""
+    # sigma2(x) = C(wt(x), 2) mod 2 is 1 exactly when wt(x) = 2 or 3 mod 4
+    wt2 = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) & 2
+    signs *= 1 - wt2.astype(np.int8)
+    _fwht_inplace(signs)
+    signs.setflags(write=False)
+    return NegaSpectrum(n, signs)
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
@@ -191,6 +256,7 @@ def fragmentary_walsh_spectrum(f: BooleanFunction, t: VectorSet) -> WalshSpectru
 
 
 def fragmentary_nega_spectrum(f: BooleanFunction, t: VectorSet) -> NegaSpectrum:
+    """All fragmentary nega values at once: the identity on the T-masked signs."""
     return _nega_of_signs(f.n, _masked_signs(f, t))
 
 
@@ -226,15 +292,19 @@ def dual(f: BooleanFunction) -> BooleanFunction:
     """The bent dual: 2^(n/2) (-1)^dual(x) = W_f(x)."""
     if f.n % 2:
         raise NotBentError("bent duals require an even number of variables")
-    spec = walsh_transform(f)
+    return dual_of_spectrum(walsh_transform(f))
+
+
+def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
+    """The bent dual read off an exact Walsh spectrum that is already at hand."""
     bad = spec.flat_counterexample()
     if bad is not None:
         raise NotBentError(
-            f"not bent: |W({BitVector(f.n, bad)})| = {abs(spec.value(bad))} "
-            f"!= {1 << (f.n // 2)}"
+            f"not bent: |W({BitVector(spec.n, bad)})| = {abs(spec.value(bad))} "
+            f"!= {1 << (spec.n // 2)}"
         )
-    target = 1 << (f.n // 2)
-    return BooleanFunction.from_values(f.n, spec.values == -target)
+    target = 1 << (spec.n // 2)
+    return BooleanFunction.from_values(spec.n, spec.values == -target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Acceptance gate.
 
-Fourteen criteria, each asserted exactly (integer and structural equality, no
+Fifteen criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
 
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -383,3 +384,22 @@ def test_criterion_14_modifier_set_at_n24():
     with criterion("criterion-14 S1 modifier set with 1024 gammas at n=24", 0.5):
         s = build_modifier_set(spec)
     assert s.n == 24 and len(s) == 1024 * 4 ** 6
+
+
+def test_criterion_15_full_verification_at_n24():
+    # one int32 butterfly per spectrum, the nega spectrum by the sigma2
+    # identity, and each spectrum taken once, so the whole check battery on
+    # a 24-variable construction fits seconds and well under a GiB
+    spec = GammaSpec(6, "S1", (BitVector.from_string("100110100101"),))
+    tracemalloc.start()
+    try:
+        with criterion("criterion-15 full verification at n=24 (G4K)", 15.0):
+            cf = construct("G4K", spec)
+            report = verify_construction(cf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cf.n == 24
+    assert report.passed, report.failures()
+    print(f"  tracemalloc peak {peak / 2**20:.0f} MiB")
+    assert peak <= 1 << 30, f"peak {peak / 2**20:.0f} MiB over 1 GiB"

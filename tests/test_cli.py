@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import negabench
 from negabench.cli import main
 from negabench.constructions import construct, spec_from_dict
 from negabench.core import BooleanFunction
@@ -260,3 +265,17 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv", [["orbits", "--n", "4"], ["--max-n", "25", "orbits", "--n", "2"]])
+    def test_python_dash_m_matches_main(self, capsys, argv):
+        # `python -m negabench` runs cli.main in a fresh interpreter and exits
+        # with its code, printing what main prints
+        src = str(Path(negabench.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "negabench", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out)

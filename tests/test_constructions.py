@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from negabench import constructions
 from negabench.core import (
     AnfPolynomial,
     BitVector,
@@ -40,6 +41,7 @@ from negabench.constructions import (
     predicts_max_degree,
     spec_from_dict,
 )
+from negabench.oracle import verify_construction
 
 
 class TestBases:
@@ -221,6 +223,24 @@ class TestOrbitDecomposition:
         vectors = (BitVector(4, 1), BitVector(4, 7))
         cf = construct("F2RS_SET", RotationSpec(2, vectors))
         assert anf_from_truth_table(cf.function) == cf.closed_anf
+
+    @pytest.mark.parametrize("family", ["F2RS_SET", "F2RS_ORBIT"])
+    def test_decomposed_once_per_construct_and_verify(self, monkeypatch, family):
+        # construct, closed_form_dual, predicts_max_degree and the verifier's
+        # modifier_set_of all need the modifier spec: it is derived once
+        calls = []
+
+        def counted(k, vectors):
+            calls.append(k)
+            return decompose_orbit_sum(k, vectors)
+
+        monkeypatch.setattr(constructions, "decompose_orbit_sum", counted)
+        _modifier_spec.cache_clear()
+        vectors = (BitVector(6, 0b000111),) if family == "F2RS_ORBIT" else (
+            BitVector(6, 0b000011), BitVector(6, 0b000111))
+        report = verify_construction(construct(family, RotationSpec(3, vectors)))
+        assert report.passed, report.failures()
+        assert calls == [3]
 
 
 class TestSpecValidation:

@@ -3,9 +3,11 @@
 The reference functions below are the earlier scalar implementations: one
 point at a time on Python ints and Gaussian integers, with loop-based pair
 predicates.  The array closed forms and predictors must agree with them at
-every point.  The tamper tests shift one entry of one exact spectrum by
-2^(n/2) and require the matching check to fail naming that point and both
-values, also when the point lies in a later block of the blockwise checks;
+every point.  The tamper tests shift one stored entry of one exact spectrum
+(a Walsh value by 2^(n/2), or the W_g value a nega spectrum is derived from
+by 2^(n/2+1), which moves re and im by 2^(n/2)) and require the matching
+check to fail naming the first moved point and both values, also when the
+point lies in a later block of the blockwise checks;
 the block tests require the same reports whatever the block size, and an
 n=20 check to stay within a tracemalloc budget.
 """
@@ -353,13 +355,13 @@ def _exact(name):
     return getattr(oracle, name)(f0)
 
 
-def _shift_one(monkeypatch, name, field):
+def _shift_one(monkeypatch, name, field, delta=DELTA):
     original = getattr(oracle, name)
 
     def tampered(*args):
         spec = original(*args)
         values = getattr(spec, field).copy()
-        values[TAMPER_POINT] += DELTA
+        values[TAMPER_POINT] += delta
         return dataclasses.replace(spec, **{field: values})
 
     monkeypatch.setattr(oracle, name, tampered)
@@ -389,9 +391,12 @@ def test_tampered_walsh_entry_is_named(monkeypatch, name, check):
 def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale):
     exact = _exact(name)
     re, im = int(exact.re[TAMPER_POINT]), int(exact.im[TAMPER_POINT])
-    _shift_one(monkeypatch, name, "re")
+    # N(u) = ((W_g(u) + W_g(u')) + i(W_g(u) - W_g(u'))) / 2, so the shifted
+    # W_g(u) moves both parts at u and both at u' = 2^n - 1 - u, which is later
+    assert TAMPER_POINT < (1 << exact.n) - 1 - TAMPER_POINT
+    _shift_one(monkeypatch, name, "wg", 2 * DELTA)
     failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), check)
-    got = GaussianInteger(scale * (re + DELTA), scale * im)
+    got = GaussianInteger(scale * (re + DELTA), scale * (im + DELTA))
     want = GaussianInteger(scale * re, scale * im)
     assert failed.counterexample == f"point {TAMPER_POINT}: {label}{got} != {want}"
 
@@ -448,7 +453,8 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name):
 
 def test_lemma_memory_is_bounded_at_n20():
     # the criterion-12 spec: n = 20, four blocks of 2^18 points; the exact
-    # spectra are whole (48 MiB of int64) and everything else is per block
+    # spectra are whole (two int32 arrays, 8 MiB) and everything else,
+    # the nega parts included, is per block
     spec = _spec(5, "S1", ("1101001110", "0010110001"))
     tracemalloc.start()
     try:

@@ -90,7 +90,7 @@ class TestNaiveTransforms:
         def refuse(*args, **kwargs):
             raise AssertionError("naive_transforms reached the butterfly")
 
-        for name in ("_fwht_inplace", "_walsh_of_signs", "_nega_of_signs",
+        for name in ("_levels", "_fwht_inplace", "_walsh_of_signs", "_nega_of_signs",
                      "walsh_transform", "nega_transform"):
             monkeypatch.setattr(spectra, name, refuse)
         for name in ("walsh_transform", "nega_transform"):
@@ -273,10 +273,13 @@ class TestVerifyConstruction:
 
     @pytest.mark.parametrize("name", ["walsh_transform", "nega_transform"])
     def test_tampered_butterfly_is_named(self, monkeypatch, name):
-        # a half or quarter turn of one spectrum value keeps its magnitude and
-        # the Parseval sum, so only the definitional cross-check can see it
+        # negating one stored value keeps every magnitude and the Parseval sum,
+        # so the flatness checks cannot see it.  The definitional cross-check
+        # does; a negated W_f also flips the dual read off that spectrum.  The
+        # nega spectrum stores W_g (g = f + sigma2), whose value at 201 gives
+        # N at 201 and at 255 - 201 = 54, so the first moved point is 54.
         cf = construct("G4K", GammaSpec(2, "S1", (BitVector(4, 0b0110),)))
-        point, where = 201, BitVector(8, 201)
+        point = 201
         original = getattr(oracle, name)
         exact = original(cf.function)
 
@@ -284,23 +287,28 @@ class TestVerifyConstruction:
             spec = original(g)
             if g != cf.function:
                 return spec
-            if name == "walsh_transform":
-                values = spec.values.copy()
-                values[point] *= -1
-                return dataclasses.replace(spec, values=values)
-            re, im = spec.re.copy(), spec.im.copy()
-            re[point], im[point] = -spec.im[point], spec.re[point]
-            return dataclasses.replace(spec, re=re, im=im)
+            field = "values" if name == "walsh_transform" else "wg"
+            values = getattr(spec, field).copy()
+            values[point] *= -1
+            return dataclasses.replace(spec, **{field: values})
 
         monkeypatch.setattr(oracle, name, turned)
         failed = {c.name: c for c in verify_construction(cf).failures()}
-        assert set(failed) == {"butterfly-matches-naive"}
         if name == "walsh_transform":
+            where = BitVector(8, point)
+            assert set(failed) == {"butterfly-matches-naive", "dual-matches-closed-form"}
+            assert (failed["dual-matches-closed-form"].counterexample
+                    == f"first differing point {where}")
             w = int(exact.values[point])
             want = f"walsh at {where}: butterfly {-w} != definitional {w}"
         else:
-            re, im = int(exact.re[point]), int(exact.im[point])
-            want = (f"nega at {where}: butterfly {GaussianInteger(-im, re)} != "
+            first = 255 - point
+            where = BitVector(8, first)
+            assert set(failed) == {"butterfly-matches-naive"}
+            re, im = int(exact.re[first]), int(exact.im[first])
+            assert re != im  # the turn below moves N at this point
+            # re = (a + b)/2 and im = (a - b)/2 with b = W_g(201) negated
+            want = (f"nega at {where}: butterfly {GaussianInteger(im, re)} != "
                     f"definitional {GaussianInteger(re, im)}")
         assert failed["butterfly-matches-naive"].counterexample == want
 
