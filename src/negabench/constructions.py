@@ -7,6 +7,11 @@ unions of cosets of one subspace (`subspaces.modifier_cells`, `_dual_cells`)
 built by `LinearSubspace.coset_union`; the closed-form ANF is expanded from
 factored cell indicators and shares no code with that builder.
 
+The rotation-symmetric modifiers depend on x and y only through z = x + y:
+an orbit sum is sum_{w in O(v)} z^w and a covering sum is [z = gamma], so
+`decompose_orbit_sum` turns orbit sums into covering sums with one
+2k-variable Moebius transform.
+
 Variable layouts (fixed across the package):
 
 * 4t-variable base g0 and its families: x = vars 0..2t-1 (x' low half,
@@ -41,7 +46,6 @@ from .subspaces import (
     modifier_cells,
     orbit,
     orbit_representative,
-    orbit_representatives,
     swap_halves,
 )
 
@@ -197,18 +201,6 @@ def _e_factor(var: int, symbol: str) -> list[int]:
     return [0]
 
 
-def _covering_sum_masks(k2: int, gamma_bits: int) -> list[int]:
-    """sum over u * v = 0, u + v >= gamma of x^u y^v on 4k vars (k2 = 2k),
-    equal to prod_j (x_j + y_j + gamma_j + 1)."""
-    factors = []
-    for j in range(k2):
-        terms = [1 << j, 1 << (k2 + j)]
-        if not (gamma_bits >> j) & 1:
-            terms.append(0)
-        factors.append(terms)
-    return _expand_product(factors)
-
-
 def _orbit_sum_masks(k2: int, gamma_bits: int) -> list[int]:
     """sum over u * v = 0, u + v in O(gamma) of x^u y^v on 4k vars."""
     masks = []
@@ -267,15 +259,6 @@ def _resolve(fam: Family, spec: ConstructionSpec) -> ConstructionSpec:
         if not isinstance(spec, GammaSpec) or spec.family != fam.set_tag:
             raise InvalidSpecError(f"{fam.name} needs a {fam.set_tag}-tagged GammaSpec")
         return spec
-    if fam.name == "F2RS" and isinstance(spec, GammaSpec):
-        if spec.family != "T":
-            raise InvalidSpecError("rotation-symmetric families take T-tagged specs")
-        if not spec.rotation_closed:
-            raise InvalidSpecError(
-                "rotation-symmetric construction needs an orbit-closed gamma set "
-                "(rotation_closed flag)")
-        reps = sorted(set(orbit_representative(g).bits for g in spec.gammas))
-        return RotationSpec(spec.k, tuple(BitVector(2 * spec.k, r) for r in reps))
     if not isinstance(spec, RotationSpec):
         raise InvalidSpecError(f"{fam.name} needs a RotationSpec")
     vectors = spec.normalized_reps()
@@ -304,50 +287,25 @@ def _modifier_spec(fam: Family, params: ConstructionSpec) -> GammaSpec:
 
 
 # ---------------------------------------------------------------------------
-# Lemma-backed decomposition of orbit sums over the covering-sum basis
-
-
-def orbit_covering_poly(k2: int, beta: BitVector) -> int:
-    """Coefficient mask of sum over gamma in O(beta) of the covering sum."""
-    masks = (m for g in orbit(beta) for m in _covering_sum_masks(k2, g))
-    return AnfPolynomial.from_monomials(2 * k2, masks).coeffs
-
-
-@functools.lru_cache(maxsize=None)
-def _covering_basis(k2: int) -> tuple[tuple[BitVector, ...], tuple[tuple[int, int, int], ...]]:
-    """The orbit representatives of length k2 and an echelon form of their
-    covering-sum polynomials as (pivot bit, polynomial, combination) rows.
-    It depends on k2 alone, and k2 <= 12 under the capacity limit, so it is
-    computed once per size."""
-    reps = tuple(orbit_representatives(k2))
-    pivots: list[tuple[int, int, int]] = []
-    for i, rep in enumerate(reps):
-        poly, combo = orbit_covering_poly(k2, rep), 1 << i
-        for pb, pv, pc in pivots:
-            if (poly >> pb) & 1:
-                poly ^= pv
-                combo ^= pc
-        if poly:
-            pivots.append(((poly & -poly).bit_length() - 1, poly, combo))
-    return reps, tuple(pivots)
+# orbit sums as covering sums
 
 
 def decompose_orbit_sum(k: int, vectors: Iterable[BitVector]) -> tuple[BitVector, ...]:
-    """Express sum over the given orbits of the exact-cover sum as an XOR of
-    covering-sum basis polynomials; returns the orbit representatives P of
-    the combination.  Solvability is guaranteed for every input orbit."""
+    """The orbit representatives P whose covering sums add up to the orbit
+    sums of the given vectors, ascending.
+
+    Both sums are functions of z = x + y alone: the orbit sums add up to
+    the 2k-variable function whose ANF is sum_v sum_{w in O(v)} z^w, and
+    the covering sum of gamma is the indicator [z = gamma].  So the
+    covering sums to take are those of the support of that function, one
+    Moebius transform away; the transform is a bijection, so P always
+    exists and is unique.  The support is rotation-closed and P keeps the
+    member of each orbit that is minimal."""
     k2 = 2 * k
-    reps, pivots = _covering_basis(k2)
-    masks = (m for v in vectors for m in _orbit_sum_masks(k2, v.bits))
-    target = AnfPolynomial.from_monomials(2 * k2, masks).coeffs
-    combo = 0
-    for pb, pv, pc in pivots:
-        if (target >> pb) & 1:
-            target ^= pv
-            combo ^= pc
-    if target:
-        raise InvalidSpecError("orbit sum is outside the covering-sum span")
-    return tuple(reps[i] for i in range(len(reps)) if (combo >> i) & 1)
+    anf = AnfPolynomial.from_monomials(k2, (w for v in vectors for w in orbit(v)))
+    support = truth_table_from_anf(anf).support().indices()
+    return tuple(BitVector(k2, g) for g in support
+                 if orbit_representative(BitVector(k2, g)).bits == g)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +342,7 @@ def closed_form_anf(family: str, spec: ConstructionSpec) -> AnfPolynomial:
                  for m in _expand_product(_cell_factors(params, i)))
     elif fam.name == "F2RS":
         masks = (m for beta in params.vectors for g in orbit(beta)
-                 for m in _covering_sum_masks(2 * k, g))
+                 for m in _expand_product(_s_beta_factors(2 * k, g, 0)))
     else:  # F2RS_SET / F2RS_ORBIT: the defining orbit-sum ANF
         masks = (m for v in params.vectors for m in _orbit_sum_masks(2 * k, v.bits))
     base = base_anf(fam.base, fam.base_param(k))

@@ -194,14 +194,6 @@ class VectorSet:
         _check_table(self.n, self.mask, "membership mask")
 
     @classmethod
-    def empty(cls, n: int) -> "VectorSet":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "VectorSet":
-        return cls(n, (1 << (1 << n)) - 1)
-
-    @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "VectorSet":
         """The set of the given indices; a repeated index counts once."""
         idx = _index_array(n, indices)
@@ -219,16 +211,6 @@ class VectorSet:
     def indices(self) -> list[int]:
         """Member indices, ascending."""
         return _set_bits(self.mask, 1 << self.n)
-
-    def union(self, other: "VectorSet") -> "VectorSet":
-        if self.n != other.n:
-            raise DimensionError("vector set dimensions differ")
-        return VectorSet(self.n, self.mask | other.mask)
-
-    __or__ = union
-
-    def complement(self) -> "VectorSet":
-        return VectorSet(self.n, self.mask ^ ((1 << (1 << self.n)) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +345,6 @@ class AnfPolynomial:
             return 0
         size = 1 << self.n
         return int(popcounts(size)[_unpack_bits(self.coeffs, size) == 1].max())
-
-    def evaluate(self, x) -> int:
-        idx = x.bits if isinstance(x, BitVector) else int(x)
-        acc = 0
-        for u in self.monomials():
-            if u & idx == u:
-                acc ^= 1
-        return acc
 
     def to_text(self) -> str:
         """Canonical text: monomials x<i> joined by '*', terms by '+',

@@ -34,7 +34,6 @@ from .core import (
     truth_table_from_anf,
 )
 from .spectra import (
-    GaussianInteger,
     NegaSpectrum,
     WalshSpectrum,
     classify,
@@ -533,7 +532,10 @@ def _sample_points(size: int, want: int = 64) -> range:
 
 def _fmt(values) -> str:
     """One Walsh value as an int, or one nega value (re, im) as a+bi."""
-    return str(int(values[0]) if len(values) == 1 else GaussianInteger(*map(int, values)))
+    if len(values) == 1:
+        return str(int(values[0]))
+    re, im = map(int, values)
+    return f"{re}{im:+d}i"
 
 
 # points compared at once: every closed-form and predictor array is one block
@@ -1010,7 +1012,8 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
         bad = nf.flat_counterexample()
         if bad is None:
             return True, f"|N|^2 = 2^{n} everywhere", None
-        return False, "", f"|N({BitVector(n, bad)})|^2 = {nf.norm_sq_value(bad)}"
+        re, im = nf.value(bad)
+        return False, "", f"|N({BitVector(n, bad)})|^2 = {re * re + im * im}"
 
     checks.add("negabent", negabent_check)
 

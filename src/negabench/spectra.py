@@ -37,23 +37,6 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class GaussianInteger:
-    """a + b*i with integer a, b: one nega-spectrum value."""
-
-    re: int
-    im: int
-
-    def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re + other.re, self.im + other.im)
-
-    def norm_sq(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def __str__(self) -> str:
-        return f"{self.re}{self.im:+d}i"
-
-
 def _levels(a: np.ndarray, h: int, stop: int) -> None:
     """Butterfly levels h, 2h, ... below stop, in place, two per pass."""
     while 2 * h < stop:
@@ -158,13 +141,11 @@ class NegaSpectrum:
     def im(self) -> np.ndarray:
         return self.parts(slice(None))[1]
 
-    def value(self, u) -> GaussianInteger:
+    def value(self, u) -> tuple[int, int]:
+        """N(u) as the int pair (re, im)."""
         idx = u.bits if isinstance(u, BitVector) else int(u)
         re, im = self.parts(slice(idx, idx + 1))
-        return GaussianInteger(int(re[0]), int(im[0]))
-
-    def norm_sq_value(self, u) -> int:
-        return self.value(u).norm_sq()
+        return int(re[0]), int(im[0])
 
     def parseval_sum(self) -> int:
         """sum_u |N(u)|^2, which is sum_u W_g(u)^2: over each pair {u, u'},
@@ -235,12 +216,12 @@ def fragmentary_walsh(f: BooleanFunction, t: VectorSet, u) -> int:
     return int(_restricted_signs(f, t, u)[1].sum())
 
 
-def fragmentary_nega(f: BooleanFunction, t: VectorSet, u) -> GaussianInteger:
-    """N_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x) i^wt(x), literal sum."""
+def fragmentary_nega(f: BooleanFunction, t: VectorSet, u) -> tuple[int, int]:
+    """N_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x) i^wt(x) as (re, im), by
+    the literal sum."""
     xs, signs = _restricted_signs(f, t, u)
     w4 = popcount(xs) % 4
-    return GaussianInteger(int(np.dot(signs, _RE_TWIST[w4])),
-                           int(np.dot(signs, _IM_TWIST[w4])))
+    return int(np.dot(signs, _RE_TWIST[w4])), int(np.dot(signs, _IM_TWIST[w4]))
 
 
 def _masked_signs(f: BooleanFunction, t: VectorSet) -> np.ndarray:

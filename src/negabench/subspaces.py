@@ -72,10 +72,6 @@ class LinearSubspace:
                 x ^= b
         return x
 
-    def contains(self, x) -> bool:
-        idx = x.bits if isinstance(x, BitVector) else int(x)
-        return self.reduce(idx) == 0
-
     def points(self) -> np.ndarray:
         """Every member's index as an int64 array: starting from the origin,
         the array is doubled by its translate by each basis vector."""

@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Fifteen criteria, each asserted exactly (integer and structural equality, no
+Sixteen criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -26,7 +26,12 @@ from negabench.subspaces import (
     coset_representatives,
     orbit_representatives,
 )
-from negabench.constructions import RotationSpec, construct
+from negabench.constructions import (
+    RotationSpec,
+    _modifier_spec,
+    construct,
+    decompose_orbit_sum,
+)
 from negabench.oracle import (
     SU_CASES,
     check_reference_case,
@@ -403,3 +408,29 @@ def test_criterion_15_full_verification_at_n24():
     assert report.passed, report.failures()
     print(f"  tracemalloc peak {peak / 2**20:.0f} MiB")
     assert peak <= 1 << 30, f"peak {peak / 2**20:.0f} MiB over 1 GiB"
+
+
+def test_criterion_16_orbit_sum_family_at_n24():
+    # the orbit-sum modifier set comes from one Moebius transform on the 2k
+    # bits of z = x + y, not from an elimination over 2^(4k)-bit polynomials
+    vectors = tuple(BitVector.from_string(s) for s in ("110000000000", "101000000000"))
+    _modifier_spec.cache_clear()
+    tracemalloc.start()
+    try:
+        with criterion("criterion-16 construct and verify F2RS_SET at n=24", 30.0):
+            with criterion("criterion-16 construct F2RS_SET at n=24", 5.0):
+                cf = construct("F2RS_SET", RotationSpec(6, vectors))
+            report = verify_construction(cf)
+        peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        decompose_orbit_sum(6, vectors)
+        decompose_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert cf.n == 24
+    assert report.passed, report.failures()
+    print(f"  construct and verify peak {peak / 2**20:.0f} MiB, "
+          f"decompose_orbit_sum peak {decompose_peak / 2**10:.0f} KiB")
+    assert peak <= 1 << 30, f"peak {peak / 2**20:.0f} MiB over 1 GiB"
+    assert decompose_peak <= 1 << 20, f"decomposition peak {decompose_peak} B over 1 MiB"

@@ -1,3 +1,5 @@
+import functools
+import random
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from negabench.spectra import classify, dual
 from negabench.subspaces import (
     GammaSpec,
     LinearSubspace,
+    orbit,
     orbit_representative,
     orbit_representatives,
 )
@@ -37,7 +40,6 @@ from negabench.constructions import (
     function_file_dict,
     modifier_set_of,
     normalize_family,
-    orbit_covering_poly,
     predicts_max_degree,
     spec_from_dict,
 )
@@ -206,18 +208,82 @@ class TestDegreeParity:
             "F2RS", RotationSpec(2, (BitVector(4, 5), BitVector(4, 15))))
 
 
+def _orbit_covering_poly(k2, beta):
+    """Coefficient mask of sum over gamma in O(beta) of the covering sum
+    prod_j (x_j + y_j + gamma_j + 1), expanded on 4k variables."""
+    masks = []
+    for g in orbit(beta):
+        terms = [0]
+        for j in range(k2):
+            factor = (1 << j, 1 << (k2 + j)) + (() if (g >> j) & 1 else (0,))
+            terms = [t | m for t in terms for m in factor]
+        masks += terms
+    return AnfPolynomial.from_monomials(2 * k2, masks).coeffs
+
+
+@functools.lru_cache(maxsize=None)
+def _covering_basis(k2):
+    """Every orbit representative of length k2 and an echelon form of their
+    covering-sum polynomials as (pivot bit, polynomial, combination) rows."""
+    reps = tuple(orbit_representatives(k2))
+    pivots = []
+    for i, rep in enumerate(reps):
+        poly, combo = _orbit_covering_poly(k2, rep), 1 << i
+        for pb, pv, pc in pivots:
+            if (poly >> pb) & 1:
+                poly ^= pv
+                combo ^= pc
+        if poly:
+            pivots.append(((poly & -poly).bit_length() - 1, poly, combo))
+    return reps, pivots
+
+
+def _eliminated_decomposition(k, vectors):
+    """Reference for `decompose_orbit_sum`: the orbit sums expanded on 4k
+    variables, sum over u * v = 0, u + v in O(gamma) of x^u y^v, reduced by
+    Gaussian elimination over the covering-sum polynomials."""
+    k2 = 2 * k
+    reps, pivots = _covering_basis(k2)
+    masks = []
+    for v in vectors:
+        for w in orbit(v):
+            u = w
+            while True:
+                masks.append(u | ((w ^ u) << k2))
+                if u == 0:
+                    break
+                u = (u - 1) & w
+    target = AnfPolynomial.from_monomials(2 * k2, masks).coeffs
+    combo = 0
+    for pb, pv, pc in pivots:
+        if (target >> pb) & 1:
+            target ^= pv
+            combo ^= pc
+    assert target == 0, "orbit sum outside the covering-sum span"
+    return tuple(reps[i] for i in range(len(reps)) if (combo >> i) & 1)
+
+
 class TestOrbitDecomposition:
     def test_all_orbits_decompose(self):
         for k in (1, 2, 3):
             for rep in orbit_representatives(2 * k):
                 p = decompose_orbit_sum(k, (rep,))
+                assert p == _eliminated_decomposition(k, (rep,)), str(rep)
                 assert all(v == orbit_representative(v) for v in p)
+                assert [v.bits for v in p] == sorted(v.bits for v in p)
                 # recombining the covering polynomials gives the orbit sum back
                 acc = 0
                 for beta in p:
-                    acc ^= orbit_covering_poly(2 * k, beta)
+                    acc ^= _orbit_covering_poly(2 * k, beta)
                 cf = construct("F2RS_SET", RotationSpec(k, (rep,)))
                 assert AnfPolynomial(4 * k, acc) ^ base_anf("f0", k) == cf.closed_anf
+
+    def test_seeded_sets_match_elimination_at_k4(self):
+        rng = random.Random(8)
+        reps = orbit_representatives(8)
+        for _ in range(30):
+            vectors = tuple(rng.sample(reps, rng.randint(2, 5)))
+            assert decompose_orbit_sum(4, vectors) == _eliminated_decomposition(4, vectors)
 
     def test_decomposition_feeds_construction(self):
         vectors = (BitVector(4, 1), BitVector(4, 7))

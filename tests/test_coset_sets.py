@@ -241,11 +241,13 @@ def test_closed_form_dual_flips_the_point_built_set(family):
     fam = FAMILY_TABLE[family]
     spec = next(s for s in SPECS if s.family == fam.set_tag and s.k == 1
                 and len(s.gammas) == 2)
+    params = spec
     if fam.rotation_symmetric:  # the orbit-closed gamma set of the vectors
-        spec = constructions._modifier_spec(fam, RotationSpec(1, spec.gammas[:1]))
+        params = RotationSpec(1, spec.gammas[:1])
+        spec = constructions._modifier_spec(fam, params)
     base = constructions._DUAL_BASES[fam.base](fam.base_param(spec.k))
     want = truth_table_from_anf(base) ^ characteristic_function(REFERENCE[fam.set_tag][1](spec))
-    assert constructions.closed_form_dual(family, spec) == want
+    assert constructions.closed_form_dual(family, params) == want
 
 
 def test_span_points_and_coset_union():

@@ -22,7 +22,6 @@ import pytest
 from negabench import oracle
 from negabench.constructions import FAMILY_TABLE, base_function
 from negabench.core import BitVector
-from negabench.spectra import GaussianInteger
 from negabench.subspaces import (
     GammaSpec,
     build_modifier_set,
@@ -396,8 +395,8 @@ def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale):
     assert TAMPER_POINT < (1 << exact.n) - 1 - TAMPER_POINT
     _shift_one(monkeypatch, name, "wg", 2 * DELTA)
     failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), check)
-    got = GaussianInteger(scale * (re + DELTA), scale * (im + DELTA))
-    want = GaussianInteger(scale * re, scale * im)
+    got = f"{scale * (re + DELTA)}{scale * (im + DELTA):+d}i"
+    want = f"{scale * re}{scale * im:+d}i"
     assert failed.counterexample == f"point {TAMPER_POINT}: {label}{got} != {want}"
 
 

@@ -14,7 +14,7 @@ from negabench.core import (
     popcounts,
     truth_table_from_anf,
 )
-from negabench.spectra import GaussianInteger, nega_transform, walsh_transform
+from negabench.spectra import nega_transform, walsh_transform
 from negabench.subspaces import GammaSpec, build_modifier_set
 from negabench.constructions import RotationSpec, base_function, construct
 from negabench.oracle import (
@@ -308,8 +308,7 @@ class TestVerifyConstruction:
             re, im = int(exact.re[first]), int(exact.im[first])
             assert re != im  # the turn below moves N at this point
             # re = (a + b)/2 and im = (a - b)/2 with b = W_g(201) negated
-            want = (f"nega at {where}: butterfly {GaussianInteger(im, re)} != "
-                    f"definitional {GaussianInteger(re, im)}")
+            want = f"nega at {where}: butterfly {im}{re:+d}i != definitional {re}{im:+d}i"
         assert failed["butterfly-matches-naive"].counterexample == want
 
     def test_failed_involution_is_named(self):
@@ -322,6 +321,27 @@ class TestVerifyConstruction:
         v = cf.function.value(0)
         assert not inv.passed
         assert inv.counterexample == f"at 0000: dual of dual {1 - v} != function {v}"
+
+    def test_failed_negabent_names_squared_norm(self, monkeypatch):
+        # W_g(3) + 8 moves re and im of N(3) by 4 each (and N(12), later)
+        cf = construct("G4K", GammaSpec(1, "S1", (BitVector(2, 1),)))
+        original = oracle.nega_transform
+        re, im = original(cf.function).value(3)
+
+        def shifted(g):
+            spec = original(g)
+            if g != cf.function:
+                return spec
+            wg = spec.wg.copy()
+            wg[3] += 8
+            return dataclasses.replace(spec, wg=wg)
+
+        monkeypatch.setattr(oracle, "nega_transform", shifted)
+        negabent = next(c for c in verify_construction(cf).checks if c.name == "negabent")
+        norm = (re + 4) ** 2 + (im + 4) ** 2
+        assert norm != 16
+        assert not negabent.passed
+        assert negabent.counterexample == f"|N(1100)|^2 = {norm}"
 
     def test_report_serialization(self):
         rep = verify_construction(construct("G4K", GammaSpec(1, "S1", (BitVector(2, 0),))))
