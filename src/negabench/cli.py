@@ -13,11 +13,14 @@ or malformed input file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .core import (
     BitVector,
@@ -27,8 +30,11 @@ from .core import (
     DimensionError,
     InvalidSpecError,
     NotBentError,
+    TEXT_BLOCK,
     anf_from_truth_table,
+    byte_table,
     set_max_n,
+    text_rows,
 )
 from .spectra import (
     InvalidPermutationError,
@@ -233,24 +239,49 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
+_HEX_DIGITS = byte_table("0123456789abcdef")
+_TAB, _NEWLINE = byte_table(["\t"]), byte_table(["\n"])
+
+
+def _spectrum_rows(n: int, start: int, columns: list[np.ndarray]) -> bytes:
+    """Lines start, start + 1, ... of the spectrum text: the point in hex,
+    zero-padded to (n + 3) // 4 digits, then each column's value in decimal.
+    Each distinct value of a column is formatted once; a flat spectrum
+    has two or three."""
+    u = np.arange(start, start + columns[0].shape[0])
+    fields = [(_HEX_DIGITS, (u >> 4 * d) & 15) for d in reversed(range((n + 3) // 4))]
+    for col in columns:
+        values, inverse = np.unique(col, return_inverse=True)
+        fields += [(_TAB, 0), (byte_table(map(str, values.tolist())), inverse)]
+    fields.append((_NEWLINE, 0))
+    return text_rows(fields, u.shape[0])
+
+
+@contextlib.contextmanager
+def _byte_sink(out: Optional[str]):
+    """A write function for ASCII bytes, into the file `out` (truncated
+    first) or to stdout."""
+    if out:
+        with open(out, "wb") as fh:
+            yield fh.write
+    else:
+        yield lambda data: sys.stdout.write(data.decode("ascii"))
+
+
 def _cmd_spectrum(args) -> int:
     fn = _resolve_function(args)
     size = 1 << fn.n
-    hex_of = f"{{:0{(fn.n + 3) // 4}x}}".format
     spectra = []
     if args.kind in ("walsh", "both"):
         spectra.append(walsh_transform(fn))
     if args.kind in ("nega", "both"):
         spectra.append(nega_transform(fn))
-    # 2^14 lines at a time: the columns of a block are read from each
-    # spectrum's parts, with one tolist() per column and one join over them
-    blocks = []
-    for lo in range(0, size, 1 << 14):
-        block = slice(lo, min(lo + (1 << 14), size))
-        values = [map(str, c.tolist()) for s in spectra for c in s.parts(block)]
-        lines = zip(map(hex_of, range(block.start, block.stop)), *values)
-        blocks.append("\n".join(map("\t".join, lines)))
-    _write_out("\n".join(blocks) + "\n", args.out)
+    # each block of lines is written as soon as it is made, so the text is
+    # never held whole
+    with _byte_sink(args.out) as write:
+        for lo in range(0, size, TEXT_BLOCK):
+            block = slice(lo, min(lo + TEXT_BLOCK, size))
+            write(_spectrum_rows(fn.n, lo, [c for s in spectra for c in s.parts(block)]))
     return EXIT_OK
 
 

@@ -201,17 +201,29 @@ def _e_factor(var: int, symbol: str) -> list[int]:
     return [0]
 
 
+def _z_power_masks(k2: int, w: int) -> list[int]:
+    """z^w for z = x + y on 2*k2 variables (x low, y high), expanded as
+    prod_{j in w} (x_j + y_j): the masks of x^u y^v over u * v = 0, u + v = w."""
+    return _expand_product([[1 << j, 1 << (k2 + j)] for j in range(k2) if (w >> j) & 1])
+
+
 def _orbit_sum_masks(k2: int, gamma_bits: int) -> list[int]:
     """sum over u * v = 0, u + v in O(gamma) of x^u y^v on 4k vars."""
-    masks = []
-    for w in orbit(BitVector(k2, gamma_bits)):
-        u = w
-        while True:
-            masks.append(u | ((w ^ u) << k2))
-            if u == 0:
-                break
-            u = (u - 1) & w
-    return masks
+    return [m for w in orbit(BitVector(k2, gamma_bits)) for m in _z_power_masks(k2, w)]
+
+
+def _covering_sum_masks(k2: int, gammas: Iterable[int]) -> Iterable[int]:
+    """The sum over gamma of the covering sums prod_j (x_j + y_j + gamma_j + 1)
+    on 2*k2 variables.  Each is [z = gamma] for z = x + y, which expands over
+    the k2 bits of z to the sum of z^w over the w covering gamma; the z^w
+    left after the sum over every gamma are then expanded in x and y.
+    Distinct w share no monomial, so at most 3^k2 masks are made, not the
+    5^k2 of expanding each covering sum in x and y."""
+    z_sum = AnfPolynomial.from_monomials(k2, (
+        w for g in gammas
+        for w in _expand_product([[1 << j] if (g >> j) & 1 else [1 << j, 0]
+                                  for j in range(k2)])))
+    return (m for w in z_sum.monomials() for m in _z_power_masks(k2, w))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +353,7 @@ def closed_form_anf(family: str, spec: ConstructionSpec) -> AnfPolynomial:
         masks = (m for i in range(len(params.gammas))
                  for m in _expand_product(_cell_factors(params, i)))
     elif fam.name == "F2RS":
-        masks = (m for beta in params.vectors for g in orbit(beta)
-                 for m in _expand_product(_s_beta_factors(2 * k, g, 0)))
+        masks = _covering_sum_masks(2 * k, (g for beta in params.vectors for g in orbit(beta)))
     else:  # F2RS_SET / F2RS_ORBIT: the defining orbit-sum ANF
         masks = (m for v in params.vectors for m in _orbit_sum_masks(2 * k, v.bits))
     base = base_anf(fam.base, fam.base_param(k))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -79,13 +80,14 @@ def _pack_bits(arr: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _set_bits(bits: int, size: int) -> list[int]:
-    """Positions of the set bits of a `size`-bit mask, ascending.  Only the
-    nonzero bytes are unpacked, so a sparse mask costs one byte scan."""
+def _set_bits(bits: int, size: int) -> np.ndarray:
+    """Positions of the set bits of a `size`-bit mask as an ascending int64
+    array.  Only the nonzero bytes are unpacked, so a sparse mask costs one
+    byte scan."""
     raw = _raw_bytes(bits, size)
     nz = np.flatnonzero(raw)
     rows, cols = np.nonzero(np.unpackbits(raw[nz], bitorder="little").reshape(-1, 8))
-    return (nz[rows] * 8 + cols).tolist()
+    return (nz[rows] * 8 + cols).astype(np.int64, copy=False)
 
 
 def _index_array(n: int, indices: Iterable[int]) -> np.ndarray:
@@ -93,7 +95,7 @@ def _index_array(n: int, indices: Iterable[int]) -> np.ndarray:
     (numpy would silently wrap a negative index)."""
     check_capacity(n)
     if isinstance(indices, np.ndarray):
-        idx = indices.astype(np.int64)
+        idx = indices.astype(np.int64, copy=False)
     else:
         idx = np.fromiter(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= 1 << n):
@@ -117,6 +119,32 @@ def popcount(values: np.ndarray) -> np.ndarray:
 def popcounts(size: int) -> np.ndarray:
     """Hamming weights of 0..size-1 as an int64 array."""
     return popcount(np.arange(size, dtype=np.uint32))
+
+
+# ---------------------------------------------------------------------------
+# ASCII text tables (the CLI's 2^n-line artifacts and the ANF text)
+
+# lines made per call of `text_rows`: about 6 MiB of cells at the widest
+TEXT_BLOCK = 1 << 16
+
+
+def byte_table(texts: Iterable[str]) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 table, zero-padded to the longest."""
+    arr = np.array([t.encode("ascii") for t in texts], dtype=np.bytes_)
+    return arr.view(np.uint8).reshape(arr.shape[0], -1)
+
+
+def text_rows(fields: Sequence[tuple[np.ndarray, np.ndarray | int]], rows: int) -> bytes:
+    """`rows` lines of ASCII text with no Python work per line.  Each field
+    is a `byte_table` and the table row each line takes (an array, or one
+    int for every line); a line is its fields in order, the zero padding
+    dropped, so no text may hold a NUL byte."""
+    cells = np.empty((rows, sum(table.shape[1] for table, _ in fields)), dtype=np.uint8)
+    col = 0
+    for table, index in fields:
+        cells[:, col:col + table.shape[1]] = table[index]
+        col += table.shape[1]
+    return cells[cells != 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +238,15 @@ class VectorSet:
 
     def indices(self) -> list[int]:
         """Member indices, ascending."""
-        return _set_bits(self.mask, 1 << self.n)
+        return _set_bits(self.mask, 1 << self.n).tolist()
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """Member indices as a read-only ascending int64 array, built on
+        first use and kept with the set."""
+        xs = _set_bits(self.mask, 1 << self.n)
+        xs.setflags(write=False)
+        return xs
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +365,7 @@ class AnfPolynomial:
 
     def monomials(self) -> list[int]:
         """Masks of the monomials present, ascending."""
-        return _set_bits(self.coeffs, 1 << self.n)
+        return _set_bits(self.coeffs, 1 << self.n).tolist()
 
     def term_count(self) -> int:
         return self.coeffs.bit_count()
@@ -349,13 +385,21 @@ class AnfPolynomial:
     def to_text(self) -> str:
         """Canonical text: monomials x<i> joined by '*', terms by '+',
         constant term '1', terms in ascending mask order; '0' if empty."""
-        parts = []
-        for u in self.monomials():
-            if u == 0:
-                parts.append("1")
-            else:
-                parts.append("*".join(f"x{j}" for j in range(self.n) if (u >> j) & 1))
-        return "+".join(parts) if parts else "0"
+        masks = _set_bits(self.coeffs, 1 << self.n)
+        if masks.size == 0:
+            return "0"
+        # variable j of a term is written '+x<j>' when it is the term's lowest
+        # variable and '*x<j>' otherwise; the constant term writes nothing
+        tables = [byte_table(["", f"*x{j}", f"+x{j}"]) for j in range(self.n)]
+        blocks = []
+        for lo in range(0, masks.size, TEXT_BLOCK):
+            m = masks[lo:lo + TEXT_BLOCK]
+            low = m & -m
+            blocks.append(text_rows(
+                [(tables[j], ((m >> j) & 1) + (low == 1 << j)) for j in range(self.n)],
+                m.size))
+        text = b"".join(blocks).decode("ascii")
+        return "1" + text if masks[0] == 0 else text[1:]
 
 
 def _mobius(bits: int, n: int) -> int:

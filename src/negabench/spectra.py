@@ -206,7 +206,7 @@ def _restricted_signs(f: BooleanFunction, t: VectorSet, u) -> tuple[np.ndarray, 
     if f.n != t.n:
         raise DimensionError("function and subset dimensions differ")
     ub = u.bits if isinstance(u, BitVector) else int(u)
-    xs = np.array(t.indices(), dtype=np.int64)
+    xs = t.members  # built once per set, whatever the number of sums
     exps = f.values_at(xs) ^ (popcount(xs & ub) & 1)
     return xs, 1 - 2 * exps
 

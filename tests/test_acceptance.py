@@ -1,10 +1,11 @@
 """Acceptance gate.
 
-Sixteen criteria, each asserted exactly (integer and structural equality, no
+Seventeen criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
 
+import hashlib
 import random
 import time
 import tracemalloc
@@ -41,6 +42,7 @@ from negabench.oracle import (
     verify_construction,
     verify_fragmentary_lemma,
 )
+from negabench.cli import main
 from negabench.reference import REFERENCE_CASES
 
 
@@ -434,3 +436,32 @@ def test_criterion_16_orbit_sum_family_at_n24():
           f"decompose_orbit_sum peak {decompose_peak / 2**10:.0f} KiB")
     assert peak <= 1 << 30, f"peak {peak / 2**20:.0f} MiB over 1 GiB"
     assert decompose_peak <= 1 << 20, f"decomposition peak {decompose_peak} B over 1 MiB"
+
+
+def test_criterion_17_spectrum_text_at_n24(tmp_path):
+    # spectrum lines are cut from per-block tables of each column's distinct
+    # values and written block by block, so the 2^24-line text of the
+    # criterion-15 construction takes seconds and is never held whole
+    out = tmp_path / "spectrum.tsv"
+    argv = ["spectrum", "--family", "G4K", "--k", "6", "--gamma", "100110100101",
+            "--kind", "both", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        with criterion("criterion-17 spectrum --kind both at n=24 (G4K)", 15.0):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    try:
+        digest = hashlib.sha256()
+        with open(out, "rb") as fh:
+            while chunk := fh.read(1 << 24):
+                digest.update(chunk)
+    finally:
+        out.unlink(missing_ok=True)  # 335,540,224 bytes
+    assert code == 0
+    # the text the per-line formatter printed before
+    assert digest.hexdigest() == (
+        "2ef99beeb9fd9efd64a4122141eb33ecf8f92eff669db3d0a983b19d13177045")
+    print(f"  tracemalloc peak {peak / 2**20:.0f} MiB")
+    assert peak <= 400 << 20, f"peak {peak / 2**20:.0f} MiB over 400 MiB"

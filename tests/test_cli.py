@@ -5,12 +5,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import negabench
 from negabench.cli import main
 from negabench.constructions import construct, spec_from_dict
 from negabench.core import BooleanFunction
+from negabench.spectra import nega_transform, walsh_transform
 
 
 def run(capsys, *argv):
@@ -138,6 +140,68 @@ class TestArtifactCommands:
         code, out, _ = run(capsys, "spectrum", "--in", str(f), "--kind", "walsh")
         assert code == 0
         assert len(out.strip().split("\n")) == 256
+
+
+def _reference_spectrum(fn, kind):
+    """Reference for `spectrum`: every line built by str, format and join."""
+    size = 1 << fn.n
+    hex_of = f"{{:0{(fn.n + 3) // 4}x}}".format
+    spectra = []
+    if kind in ("walsh", "both"):
+        spectra.append(walsh_transform(fn))
+    if kind in ("nega", "both"):
+        spectra.append(nega_transform(fn))
+    columns = [map(str, c.tolist()) for s in spectra for c in s.parts(slice(0, size))]
+    return "\n".join(map("\t".join, zip(map(hex_of, range(size)), *columns))) + "\n"
+
+
+def _first_difference(got, want):
+    """None, or the first line where two texts differ with both versions
+    (pytest's own diff of two texts of 2^17 lines would take minutes)."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, pair in enumerate(zip(got_lines, want_lines)):
+        if pair[0] != pair[1]:
+            return i, *pair
+    if len(got_lines) != len(want_lines):
+        return "line count", len(got_lines), len(want_lines)
+    return None
+
+
+def _record(tmp_path, fn):
+    """A function file holding `fn`; spectrum reads only n and tt_hex."""
+    f = tmp_path / f"random-{fn.n}.json"
+    f.write_text(json.dumps({"n": fn.n, "family": "G4K", "params": {}, "tt_hex": fn.to_hex(),
+                             "anf": "", "dual_tt_hex": "", "predicts_max_degree": False}))
+    return f
+
+
+class TestSpectrumText:
+    # random, so the spectra are not flat; n = 1, 5, 13, 16, 17 give hex
+    # widths 1, 2, 4, 4 (every digit used) and 5, and 2^17 lines cross a
+    # block of 2^16
+    @pytest.mark.parametrize("n", [1, 5, 13, 16, 17])
+    def test_random_function_matches_reference(self, capsys, tmp_path, n):
+        rng = np.random.default_rng(n)
+        fn = BooleanFunction.from_values(n, rng.integers(0, 2, 1 << n))
+        record = _record(tmp_path, fn)
+        for kind in ("walsh", "nega", "both"):
+            want = _reference_spectrum(fn, kind)
+            code, out, _ = run(capsys, "spectrum", "--in", str(record), "--kind", kind)
+            assert code == 0
+            assert _first_difference(out, want) is None, kind
+            dest = tmp_path / f"{kind}.tsv"
+            assert run(capsys, "spectrum", "--in", str(record), "--kind", kind,
+                       "--out", str(dest))[0] == 0
+            assert _first_difference(dest.read_bytes().decode("ascii"), want) is None, kind
+
+    def test_out_file_is_truncated(self, capsys, tmp_path):
+        dest = tmp_path / "spectrum.tsv"
+        dest.write_text("stale\n" * 10_000)
+        argv = ["spectrum", "--family", "G4K", "--k", "1", "--gamma", "01"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out) < dest.stat().st_size
+        assert run(capsys, *argv, "--out", str(dest))[0] == 0
+        assert dest.read_text() == out
 
 
 class TestSuiteCommands:

@@ -1,6 +1,7 @@
 import functools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -307,6 +308,52 @@ class TestOrbitDecomposition:
         report = verify_construction(construct(family, RotationSpec(3, vectors)))
         assert report.passed, report.failures()
         assert calls == [3]
+
+
+def _literal_f2rs_anf(k, reps):
+    """Reference for the F2RS closed ANF: the base plus each covering sum
+    expanded on all 4k variables, 3^zeros(gamma) * 2^ones(gamma) monomials."""
+    acc = 0
+    for beta in reps:
+        acc ^= _orbit_covering_poly(2 * k, beta)
+    return base_anf("f0", k) ^ AnfPolynomial(4 * k, acc)
+
+
+class TestF2rsClosedAnf:
+    def test_every_orbit_matches_literal_expansion(self):
+        for k in (1, 2, 3, 4):
+            for rep in orbit_representatives(2 * k):
+                got = closed_form_anf("F2RS", RotationSpec(k, (rep,)))
+                assert got == _literal_f2rs_anf(k, (rep,)), (k, str(rep))
+
+    def test_seeded_sets_match_literal_expansion(self):
+        rng = random.Random(9)
+        for k in (2, 3, 4):
+            reps = orbit_representatives(2 * k)
+            for _ in range(10):
+                vectors = tuple(rng.sample(reps, rng.randint(2, len(reps))))
+                got = closed_form_anf("F2RS", RotationSpec(k, vectors))
+                assert got == _literal_f2rs_anf(k, vectors), (k, [str(v) for v in vectors])
+            everything = tuple(reps)
+            assert closed_form_anf("F2RS", RotationSpec(k, everything)) == (
+                _literal_f2rs_anf(k, everything))
+
+    def test_every_orbit_at_n24_is_bounded(self):
+        # the covering sums over all of F_2^12 add up to 1: 3^12 masks on the
+        # 12 bits of z leave one, where the literal route would expand 5^12
+        # masks (about 2 GB of int64 indices) on 24 variables
+        reps = tuple(orbit_representatives(12))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            got = closed_form_anf("F2RS", RotationSpec(6, reps))
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == base_anf("f0", 6) ^ AnfPolynomial.from_monomials(24, [0])
+        assert elapsed <= 10.0, f"{elapsed:.2f} s"
+        assert peak <= 128 << 20, f"peak {peak / 2**20:.0f} MiB"
 
 
 class TestSpecValidation:

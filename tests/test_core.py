@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,6 +126,42 @@ class TestAnf:
         anf = AnfPolynomial.from_monomials(3, [0b011, 0b100, 0])
         f = truth_table_from_anf(anf)
         assert all(_evaluate(anf, x) == f.value(x) for x in range(8))
+
+
+def _reference_text(anf):
+    """Reference for `AnfPolynomial.to_text`: one join per monomial."""
+    parts = []
+    for u in anf.monomials():
+        if u == 0:
+            parts.append("1")
+        else:
+            parts.append("*".join(f"x{j}" for j in range(anf.n) if (u >> j) & 1))
+    return "+".join(parts) if parts else "0"
+
+
+class TestAnfText:
+    def test_random_polynomials_match_reference(self):
+        rng = np.random.default_rng(20261018)
+        for n in range(1, 15):
+            for density in (0.05, 0.5, 1.0):
+                masks = np.flatnonzero(rng.random(1 << n) < density)
+                for anf in (AnfPolynomial.from_monomials(n, masks),
+                            AnfPolynomial.from_monomials(n, [*masks, 0])):
+                    assert anf.to_text() == _reference_text(anf), (n, density)
+
+    def test_text_across_a_block_boundary(self):
+        # about 0.6 * 2^17 terms on 17 variables: more than one block of 2^16
+        masks = np.flatnonzero(np.random.default_rng(17).random(1 << 17) < 0.6)
+        assert masks.size > 1 << 16
+        anf = AnfPolynomial.from_monomials(17, masks)
+        assert anf.to_text() == _reference_text(anf)
+
+    def test_zero_constant_and_full_monomial_at_n24(self):
+        full = "*".join(f"x{j}" for j in range(24))
+        assert AnfPolynomial.zero(24).to_text() == "0"
+        assert AnfPolynomial.from_monomials(24, [0]).to_text() == "1"
+        assert AnfPolynomial.from_monomials(24, [(1 << 24) - 1]).to_text() == full
+        assert AnfPolynomial.from_monomials(24, [0, (1 << 24) - 1]).to_text() == "1+" + full
 
 
 class TestRotation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from negabench import core
 from negabench.core import (
     AnfPolynomial,
     BitVector,
@@ -22,6 +23,8 @@ from negabench.spectra import (
     nega_transform,
     walsh_transform,
 )
+from negabench.oracle import verify_fragmentary_lemma
+from negabench.subspaces import GammaSpec, build_modifier_set
 
 
 def _random_functions(n, count, seed):
@@ -119,6 +122,26 @@ class TestFragmentary:
             for u in range(32):
                 assert wt.value(u) == fragmentary_walsh(f, t, u)
                 assert nt.value(u) == fragmentary_nega(f, t, u)
+
+    def test_literal_sums_build_the_member_array_once(self, monkeypatch):
+        # literal-sum-agreement takes 128 literal sums over one modifier set;
+        # its member array is unpacked from the set's mask once, not per sum
+        spec = GammaSpec(2, "S1", (BitVector.from_string("0110"),
+                                   BitVector.from_string("1011")))
+        mask = build_modifier_set(spec).mask
+        builds = []
+        unpack = core._set_bits
+
+        def counted(bits, size):
+            if bits == mask:
+                builds.append(size)
+            return unpack(bits, size)
+
+        monkeypatch.setattr(core, "_set_bits", counted)
+        report = verify_fragmentary_lemma(spec)
+        assert report.passed, report.failures()
+        assert "literal-sum-agreement" in [c.name for c in report.checks]
+        assert builds == [1 << 8]
 
     def test_empty_fragment_is_zero(self):
         f = BooleanFunction.zero(3)
