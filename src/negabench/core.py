@@ -283,22 +283,22 @@ class BooleanFunction:
         idx = x.bits if isinstance(x, BitVector) else int(x)
         return (self.bits >> idx) & 1
 
+    @cached_property
+    def table_bytes(self) -> np.ndarray:
+        """The table's little-endian bytes (entry 8j + i is bit i of byte j)
+        as a read-only uint8 array, built on first use and kept with the
+        function, so its spectra and lookups pay one `to_bytes` in all."""
+        return _raw_bytes(self.bits, 1 << self.n)
+
     def value_array(self) -> np.ndarray:
         """Truth table as a uint8 numpy array."""
-        return _unpack_bits(self.bits, 1 << self.n)
+        return np.unpackbits(self.table_bytes, count=1 << self.n, bitorder="little")
 
     def values_at(self, indices) -> np.ndarray:
         """Entries at the given indices as an int64 0/1 array, read from the
         table's bytes without unpacking the whole table."""
         idx = _index_array(self.n, indices)
-        return (_raw_bytes(self.bits, 1 << self.n)[idx >> 3] >> (idx & 7)) & 1
-
-    def sign_array(self) -> np.ndarray:
-        """(-1)^f as an int32 numpy array, the butterfly's input width."""
-        signs = self.value_array().astype(np.int32)
-        signs *= -2
-        signs += 1
-        return signs
+        return (self.table_bytes[idx >> 3] >> (idx & 7)) & 1
 
     def weight(self) -> int:
         return self.bits.bit_count()

@@ -302,13 +302,14 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet) -> FrameCoeffi
     nega = np.full(size, -1, dtype=np.int8)
     for block in _blocks(size):
         (r0, i0), (rt, it) = nf.parts(block), nt.parts(block)
-        r2, i2 = 2 * rt, 2 * it
         codes = nega[block]
         codes[(rt == 0) & (it == 0)] = 0
         codes[(rt == r0) & (it == i0)] = 1
+        rt <<= 1  # 2 N_T from here on, doubled in place: parts are fresh arrays
+        it <<= 1
         # ratio (1-i)/2 turns N into i*N; ratio (1+i)/2 turns N into -i*N
-        codes[(r2 == r0 + i0) & (i2 == i0 - r0)] = 2
-        codes[(r2 == r0 - i0) & (i2 == r0 + i0)] = 3
+        codes[(rt == r0 + i0) & (it == i0 - r0)] = 2
+        codes[(rt == r0 - i0) & (it == r0 + i0)] = 3
     walsh.setflags(write=False)
     nega.setflags(write=False)
     return FrameCoefficients(f0.n, walsh, nega)

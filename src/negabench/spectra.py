@@ -12,13 +12,18 @@ term by term, so masked (fragmentary) sums obey it too.  `NegaSpectrum`
 stores W_g and derives re and im block by block; the literal restricted
 sum `fragmentary_nega` keeps the i^wt(x) twist and shares none of this.
 
-Integer widths: butterfly inputs are 0 or +-1 and each output sums at most
-2^n of them, so |W| <= 2^n <= 2^24 < 2^31 under the capacity limit.  A
-square reaches 2^48, so sums of squares and squared norms are int64.
+Every butterfly enters from the packed truth-table bytes (for g, XORed with
+sigma2's): an 8-point spectrum per byte, gathered from an 8 KiB table, does
+its three lowest levels, so each entry lies in [-8, 8] before the rest.
+
+Integer widths: each output sums at most 2^n terms of 0 or +-1, so |W| <=
+2^n <= 2^24 < 2^31 under the capacity limit.  A square reaches 2^48, so
+sums of squares and squared norms are int64.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,17 +59,57 @@ def _levels(a: np.ndarray, h: int, stop: int) -> None:
         np.subtract(lo, x1, out=x1)
 
 
-def _fwht_inplace(a: np.ndarray) -> None:
-    """In-place Walsh-Hadamard butterfly on int32 entries in {-1, 0, 1}:
-    a[u] <- sum_x (-1)^(u.x) a[x]."""
+def _fwht_inplace(a: np.ndarray, h: int) -> None:
+    """In-place Walsh-Hadamard butterfly from level h on, on int32 entries in
+    [-h, h] that the levels below h summed: a[u] <- sum_x (-1)^(u.x) a[x]."""
     size = a.shape[0]
     assert a.dtype == np.int32 and size <= 1 << 30  # |W| <= size fits int32
     # the levels inside each block of 2^15 entries (128 KiB, which stays in a
     # core's cache) run first, then the levels across blocks
     block = min(size, 1 << 15)
     for start in range(0, size, block):
-        _levels(a[start:start + block], 1, block)
+        _levels(a[start:start + block], h, block)
     _levels(a, block, size)
+
+
+# _Z8[p][u] = sum of (-1)^(u.x) over the set bits x of the byte p, and
+# _T8[p][u] = sum_{x<8} (-1)^(p_x + u.x) = _Z8[255][u] - 2 _Z8[p][u]
+_H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1).astype(np.int32)
+_Z8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little") @ _H8
+_T8 = _Z8[255] - 2 * _Z8
+
+
+@functools.lru_cache(maxsize=None)  # n <= 24: under 4 MiB for every n at once
+def _sigma2_bytes(n: int) -> np.ndarray:
+    """sigma2's packed truth table (one byte for n < 3).  sigma2(8j + x) is
+    bit 1 of wt(j) + wt(x), so byte j is one of four patterns, by wt(j) mod 4."""
+    patterns = np.array([sum(((w + x.bit_count()) >> 1 & 1) << x for x in range(8))
+                         for w in range(4)], dtype=np.uint8)
+    table = patterns[np.bitwise_count(np.arange(max(1, 1 << n >> 3), dtype=np.uint32)) & 3]
+    table.setflags(write=False)
+    return table
+
+
+def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> np.ndarray:
+    """sum_{x in t} (-1)^(p(x) + u.x) for every u as a read-only int32 array,
+    with p = f + sigma2 if `nega` else f, and t everywhere if None.  Per byte a
+    masked sum is _Z8[t] - 2 _Z8[t & p]; for n < 3 the mask keeps the 2^n live
+    bits, whose u.x read only u's n low bits: the first 2^n points are all."""
+    table = f.table_bytes ^ _sigma2_bytes(f.n) if nega else f.table_bytes
+    if t is None and f.n >= 3:
+        a = _T8[table]
+    else:
+        if t is not None and t.n != f.n:
+            raise DimensionError("function and subset dimensions differ")
+        mask = (np.uint8((1 << (1 << f.n)) - 1) if t is None
+                else characteristic_function(t).table_bytes)
+        a = _Z8[mask & table]
+        a *= -2
+        a += _Z8[mask]
+    a = a.reshape(-1)[:1 << f.n]
+    _fwht_inplace(a, 8)
+    a.setflags(write=False)
+    return a
 
 
 def _exact_sum_sq(v: np.ndarray) -> int:
@@ -104,8 +149,7 @@ class WalshSpectrum:
         """Index u with |W(u)| != 2^(n/2), or None when bent-flat (even n)."""
         if self.n % 2:
             return 0 if self.values.shape[0] else None
-        target = 1 << (self.n // 2)
-        bad = np.nonzero(np.abs(self.values) != target)[0]
+        bad = np.flatnonzero(np.abs(self.values) != 1 << (self.n // 2))
         return int(bad[0]) if bad.size else None
 
 
@@ -156,8 +200,18 @@ class NegaSpectrum:
         return self.parseval_sum() == 1 << (2 * self.n)
 
     def flat_counterexample(self) -> Optional[int]:
-        """Index u with |N(u)|^2 != 2^n, or None when negabent-flat."""
-        for start in range(0, self.wg.shape[0], _PART_BLOCK):
+        """Index u with |N(u)|^2 != 2^n, or None when negabent-flat.
+
+        |N(u)|^2 = (W_g(u)^2 + W_g(u')^2) / 2.  At even n, a^2 + b^2 = 2^(n+1)
+        forces |a| = |b| = 2^(n/2): odd squares are 1 mod 4, so while the sum
+        is a multiple of 4 both a and b are even and halve, down to a sum of
+        2.  So N is flat iff |W_g| = 2^(n/2) everywhere, and the first bad u
+        is the first bad index or the mirror u' of the last one."""
+        size = self.wg.shape[0]
+        if self.n % 2 == 0:
+            bad = np.flatnonzero(np.abs(self.wg) != 1 << (self.n // 2))
+            return min(int(bad[0]), size - 1 - int(bad[-1])) if bad.size else None
+        for start in range(0, size, _PART_BLOCK):
             re, im = self.parts(slice(start, start + _PART_BLOCK))
             bad = np.flatnonzero(re * re + im * im != 1 << self.n)
             if bad.size:
@@ -165,36 +219,14 @@ class NegaSpectrum:
         return None
 
 
-_RE_TWIST = np.array([1, 0, -1, 0], dtype=np.int64)
-_IM_TWIST = np.array([0, 1, 0, -1], dtype=np.int64)
-
-
-def _walsh_of_signs(n: int, signs: np.ndarray) -> WalshSpectrum:
-    """Butterfly a (-1)^f sign vector, in place, into a Walsh spectrum."""
-    _fwht_inplace(signs)
-    signs.setflags(write=False)
-    return WalshSpectrum(n, signs)
-
-
-def _nega_of_signs(n: int, signs: np.ndarray) -> NegaSpectrum:
-    """Turn a (-1)^f sign vector into (-1)^(f + sigma2), in place, and
-    butterfly it into W_g."""
-    # sigma2(x) = C(wt(x), 2) mod 2 is 1 exactly when wt(x) = 2 or 3 mod 4
-    wt2 = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) & 2
-    signs *= 1 - wt2.astype(np.int8)
-    _fwht_inplace(signs)
-    signs.setflags(write=False)
-    return NegaSpectrum(n, signs)
-
-
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     check_capacity(f.n)
-    return _walsh_of_signs(f.n, f.sign_array())
+    return WalshSpectrum(f.n, _spectrum(f, False))
 
 
 def nega_transform(f: BooleanFunction) -> NegaSpectrum:
     check_capacity(f.n)
-    return _nega_of_signs(f.n, f.sign_array())
+    return NegaSpectrum(f.n, _spectrum(f, True))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +248,10 @@ def fragmentary_walsh(f: BooleanFunction, t: VectorSet, u) -> int:
     return int(_restricted_signs(f, t, u)[1].sum())
 
 
+_RE_TWIST = np.array([1, 0, -1, 0], dtype=np.int64)
+_IM_TWIST = np.array([0, 1, 0, -1], dtype=np.int64)
+
+
 def fragmentary_nega(f: BooleanFunction, t: VectorSet, u) -> tuple[int, int]:
     """N_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x) i^wt(x) as (re, im), by
     the literal sum."""
@@ -224,21 +260,14 @@ def fragmentary_nega(f: BooleanFunction, t: VectorSet, u) -> tuple[int, int]:
     return int(np.dot(signs, _RE_TWIST[w4])), int(np.dot(signs, _IM_TWIST[w4]))
 
 
-def _masked_signs(f: BooleanFunction, t: VectorSet) -> np.ndarray:
-    """(-1)^f on t and 0 elsewhere."""
-    if f.n != t.n:
-        raise DimensionError("function and subset dimensions differ")
-    return f.sign_array() * characteristic_function(t).value_array()
-
-
 def fragmentary_walsh_spectrum(f: BooleanFunction, t: VectorSet) -> WalshSpectrum:
     """All fragmentary Walsh values at once: butterfly on the T-masked signs."""
-    return _walsh_of_signs(f.n, _masked_signs(f, t))
+    return WalshSpectrum(f.n, _spectrum(f, False, t))
 
 
 def fragmentary_nega_spectrum(f: BooleanFunction, t: VectorSet) -> NegaSpectrum:
     """All fragmentary nega values at once: the identity on the T-masked signs."""
-    return _nega_of_signs(f.n, _masked_signs(f, t))
+    return NegaSpectrum(f.n, _spectrum(f, True, t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Seventeen criteria, each asserted exactly (integer and structural equality, no
+Eighteen criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -303,7 +303,7 @@ def test_criterion_09_fast_equals_naive():
             im_twist = np.array([0, 1, 0, -1], dtype=np.int64)[pops % 4]
             for bits in range(1 << size):
                 f = BooleanFunction(n, bits)
-                signs = f.sign_array()
+                signs = 1 - 2 * f.value_array().astype(np.int64)
                 wf = walsh_transform(f)
                 nf = nega_transform(f)
                 assert np.array_equal(wf.values, sign_mat @ signs)
@@ -465,3 +465,28 @@ def test_criterion_17_spectrum_text_at_n24(tmp_path):
         "2ef99beeb9fd9efd64a4122141eb33ecf8f92eff669db3d0a983b19d13177045")
     print(f"  tracemalloc peak {peak / 2**20:.0f} MiB")
     assert peak <= 400 << 20, f"peak {peak / 2**20:.0f} MiB over 400 MiB"
+
+
+def test_criterion_18_relation_table_at_k2():
+    # every spectrum enters the butterfly from the packed truth-table bytes
+    # and negabent flatness is read off |W_g| in int32, so the relation table
+    # at k = 2 (48 S4 indicator functions at n = 18 among them) fits a second
+    with criterion("criterion-18 relation table at k=2", 1.0):
+        table = check_table1(2)
+    assert [(c.name, c.passed, c.details) for c in table.checks] == [
+        ("sigma2-bent-not-negabent", True, "bent=True negabent=False"),
+        ("g0-bent-negabent", True, "bent=True negabent=True"),
+        ("h0-bent-negabent", True, "bent=True negabent=True"),
+        ("f0-2rs-bent-negabent", True, "bent-negabent, rotation order 2"),
+        ("chi-s1-negabent-not-bent", True, "16 indicator functions"),
+        ("chi-s2-negabent-not-bent", True, "16 indicator functions"),
+        ("chi-s3-negabent-not-bent", True, "48 indicator functions"),
+        ("chi-s4-negabent-not-bent", True, "48 indicator functions"),
+        ("chi-t-rotation-symmetric-negabent-not-bent", True,
+         "2 indicator functions, rotation order 1"),
+        ("base-plus-indicator-bent-negabent", True,
+         "S1, S2, S3, S4 and T sums all bent-negabent"),
+        ("named-sigma2-sums", True,
+         "bent base -> negabent sum; negabent indicator -> bent sum"),
+        ("sigma2-exchange-sampled", True, "50 random functions"),
+    ]

@@ -78,7 +78,7 @@ def test_identity_matches_twisted_two_butterfly_route(n):
     rng = np.random.default_rng(800 + n)
     f = BooleanFunction(n, _random_bits(rng, n))
     t = VectorSet(n, _random_bits(rng, n))
-    signs = f.sign_array()
+    signs = 1 - 2 * f.value_array().astype(np.int64)
     mask = characteristic_function(t).value_array()
     for got, want in ((nega_transform(f), _reference_nega(n, signs)),
                       (fragmentary_nega_spectrum(f, t), _reference_nega(n, signs * mask))):

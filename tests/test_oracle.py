@@ -45,7 +45,7 @@ def _reference_transforms(f):
     """The per-point loop naive_transforms replaced: for each u, the dot
     products of (-1)^f, twisted by i^wt(x), with the signs (-1)^(u.x)."""
     size = 1 << f.n
-    signs = f.sign_array()
+    signs = 1 - 2 * f.value_array().astype(np.int64)
     pops = popcounts(size)
     re_twist = signs * np.array([1, 0, -1, 0], dtype=np.int64)[pops % 4]
     im_twist = signs * np.array([0, 1, 0, -1], dtype=np.int64)[pops % 4]
@@ -90,9 +90,14 @@ class TestNaiveTransforms:
         def refuse(*args, **kwargs):
             raise AssertionError("naive_transforms reached the butterfly")
 
-        for name in ("_levels", "_fwht_inplace", "_walsh_of_signs", "_nega_of_signs",
+        class RefusedTable:
+            __getitem__ = __array__ = __getattr__ = refuse
+
+        for name in ("_levels", "_fwht_inplace", "_spectrum", "_sigma2_bytes",
                      "walsh_transform", "nega_transform"):
             monkeypatch.setattr(spectra, name, refuse)
+        for name in ("_T8", "_Z8"):
+            monkeypatch.setattr(spectra, name, RefusedTable())
         for name in ("walsh_transform", "nega_transform"):
             monkeypatch.setattr(oracle, name, refuse)
         for n in (3, 8, 11):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negabench import core
+from negabench import core, oracle, spectra
+from negabench.constructions import base_function, construct
 from negabench.core import (
     AnfPolynomial,
     BitVector,
@@ -13,6 +14,7 @@ from negabench.core import (
 )
 from negabench.spectra import (
     InvalidPermutationError,
+    NegaSpectrum,
     classify,
     dual,
     fragmentary_nega,
@@ -23,7 +25,7 @@ from negabench.spectra import (
     nega_transform,
     walsh_transform,
 )
-from negabench.oracle import verify_fragmentary_lemma
+from negabench.oracle import verify_construction, verify_fragmentary_lemma
 from negabench.subspaces import GammaSpec, build_modifier_set
 
 
@@ -77,6 +79,100 @@ class TestNega:
         full = VectorSet.from_indices(n, range(1 << n))
         u = data.draw(st.integers(0, (1 << n) - 1))
         assert fragmentary_nega(f, full, u) == nf.value(u)
+
+
+class TestByteTables:
+    def test_tables_are_literal_eight_point_sums(self):
+        for p in range(256):
+            for u in range(8):
+                dots = [(1 - 2 * ((u & x).bit_count() & 1)) for x in range(8)]
+                bits = [(p >> x) & 1 for x in range(8)]
+                assert spectra._Z8[p, u] == sum(d for d, b in zip(dots, bits) if b)
+                assert spectra._T8[p, u] == sum(d * (1 - 2 * b) for d, b in zip(dots, bits))
+        assert spectra._T8.dtype == spectra._Z8.dtype == np.int32
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sigma2_bytes_pack_sigma2(self, n):
+        # sigma2(x) = C(wt(x), 2) mod 2; for n < 3 only the low 2^n bits count
+        want = [(x.bit_count() * (x.bit_count() - 1) // 2) & 1 for x in range(1 << n)]
+        table = spectra._sigma2_bytes(n)
+        got = np.unpackbits(table, count=1 << n, bitorder="little").tolist()
+        assert got == want
+        assert table.shape == (max(1, (1 << n) // 8),) and not table.flags.writeable
+
+
+
+def _reference_flat_counterexample(nf):
+    """The block loop the int32 route replaced: |N(u)|^2 from int64 re and im."""
+    for start in range(0, nf.wg.shape[0], 1 << 18):
+        re, im = nf.parts(slice(start, start + (1 << 18)))
+        bad = np.flatnonzero(re * re + im * im != 1 << nf.n)
+        if bad.size:
+            return start + int(bad[0])
+    return None
+
+
+def _reference_detail(nf):
+    """The failing `negabent` check's text at the reference counterexample."""
+    bad = _reference_flat_counterexample(nf)
+    re, im = nf.value(bad)
+    return f"|N({BitVector(nf.n, bad)})|^2 = {re * re + im * im}"
+
+
+def _negabent_functions(n):
+    """Flat nega spectra: the bent-negabent bases at their n, and affine
+    functions, which are negabent at every n."""
+    bases = {4: ("g0", 1), 6: ("h0", 1), 8: ("g0", 2), 10: ("h0", 2), 12: ("g0", 3)}
+    if n in bases:
+        yield base_function(*bases[n])
+    xs = np.arange(1 << n)
+    for a in (0, (1 << n) - 1, 0b101 & ((1 << n) - 1)):
+        yield BooleanFunction.from_values(n, np.bitwise_count(xs & a) & 1)
+
+
+def _tampered(nf, u):
+    wg = nf.wg.copy()
+    wg[u] += 2  # W_g stays even, so re and im still halve exactly
+    wg.setflags(write=False)
+    return NegaSpectrum(nf.n, wg)
+
+
+class TestNegaFlatness:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_random_functions_match_block_loop(self, n):
+        for f in _random_functions(n, 8, seed=300 + n):
+            nf = nega_transform(f)
+            assert nf.flat_counterexample() == _reference_flat_counterexample(nf)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_one_tampered_value_matches_block_loop(self, n):
+        size = 1 << n
+        rng = np.random.default_rng(400 + n)
+        for f in _negabent_functions(n):
+            nf = nega_transform(f)
+            assert nf.flat_counterexample() is None
+            assert _reference_flat_counterexample(nf) is None
+            for u in {0, 1, size // 2 - 1, size // 2, size - 1, *rng.integers(size, size=4)}:
+                for at in (int(u), size - 1 - int(u)):  # at u, then at u' instead
+                    bad = _tampered(nf, at)
+                    assert bad.flat_counterexample() == _reference_flat_counterexample(bad)
+                    assert bad.flat_counterexample() == min(at, size - 1 - at)
+
+    @pytest.mark.parametrize("family, k", [("G4K", 1), ("H4K2", 1), ("G4K", 2),
+                                           ("H4K2", 2), ("G4K", 3)])
+    def test_failing_negabent_check_text(self, monkeypatch, family, k):
+        e_sets = ("1",) if family == "H4K2" else None
+        tag = "S3" if e_sets else "S1"
+        cf = construct(family, GammaSpec(k, tag, (BitVector(2 * k, 1),), e_sets))
+        size = 1 << cf.n
+        real = oracle.nega_transform
+        for at in (3, size - 1 - 3, size // 2):
+            bad = _tampered(real(cf.function), at)
+            monkeypatch.setattr(oracle, "nega_transform",
+                                lambda f: bad if f is cf.function else real(f))
+            check = next(c for c in verify_construction(cf).checks if c.name == "negabent")
+            assert not check.passed
+            assert check.counterexample == _reference_detail(bad)
 
 
 class TestClassify:
