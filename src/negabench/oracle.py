@@ -256,17 +256,16 @@ class FrameCoefficients:
         return int(bad[0]) if bad.size else None
 
     def walsh_counts(self) -> dict[str, int]:
-        return {
-            "0": int((self.walsh_branch == 0).sum()),
-            "1": int((self.walsh_branch == 1).sum()),
-            "!": int((self.walsh_branch < 0).sum()),
-        }
+        return _branch_counts(self.walsh_branch, ("0", "1"))
 
     def nega_counts(self) -> dict[str, int]:
-        out = {code: int((self.nega_branch == i).sum())
-               for i, code in enumerate(NEGA_BRANCHES)}
-        out["!"] = int((self.nega_branch < 0).sum())
-        return out
+        return _branch_counts(self.nega_branch, NEGA_BRANCHES)
+
+
+def _branch_counts(branch: np.ndarray, codes: tuple[str, ...]) -> dict[str, int]:
+    out = {code: int((branch == i).sum()) for i, code in enumerate(codes)}
+    out["!"] = int((branch < 0).sum())
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -277,39 +276,40 @@ def _base_spectra(f0: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
     return walsh_transform(f0), nega_transform(f0)
 
 
-def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet) -> FrameCoefficients:
+def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional[tuple[
+        BooleanFunction, WalshSpectrum, NegaSpectrum]] = None) -> FrameCoefficients:
     """Branch codes of the fragment ratios of f0 over t, at every point.
 
-    Integer-exact: each branch is decided by comparing the doubled fragment
-    value against the full value, never by division.  Raises NotBentError
-    unless f0 is bent-negabent (the ratios need flat denominators).
+    Each branch is an equality of the int32 spectra of f0 and f1 = f0 + 1_t,
+    never a division: with a = W_g(u) and b = W_g(u') for g = f + sigma2,
+    N_f1 = N_f0, -N_f0, i N_f0 or -i N_f0 iff (a1, b1) = (a0, b0), (-a0,
+    -b0), (b0, -a0) or (-b0, a0).  `held`, a function and its two spectra,
+    serves as f1 when its table is f1's.  Raises NotBentError unless f0 is
+    bent-negabent (the ratios need flat denominators).
     """
     if f0.n != t.n:
         raise DimensionError("function and subset dimensions differ")
-    wf, nf = _base_spectra(f0)
-    if f0.n % 2 or wf.flat_counterexample() is not None:
+    w0, n0 = _base_spectra(f0)
+    if f0.n % 2 or w0.flat_counterexample() is not None:
         raise NotBentError("fragment ratios need a bent base function")
-    if nf.flat_counterexample() is not None:
+    if n0.flat_counterexample() is not None:
         raise NotBentError("fragment ratios need a negabent base function")
+    f1 = f0 ^ characteristic_function(t)
+    same = held is not None and held[0] == f1
+    w1, n1 = held[1:] if same else (walsh_transform(f1), nega_transform(f1))
     size = 1 << f0.n
-
-    wt = fragmentary_walsh_spectrum(f0, t)
     walsh = np.full(size, -1, dtype=np.int8)
-    walsh[wt.values == 0] = 0
-    walsh[wt.values == wf.values] = 1
-
-    nt = fragmentary_nega_spectrum(f0, t)
     nega = np.full(size, -1, dtype=np.int8)
+    # f0 is flat, so no value is 0 and at most one branch holds at a point
     for block in _blocks(size):
-        (r0, i0), (rt, it) = nf.parts(block), nt.parts(block)
-        codes = nega[block]
-        codes[(rt == 0) & (it == 0)] = 0
-        codes[(rt == r0) & (it == i0)] = 1
-        rt <<= 1  # 2 N_T from here on, doubled in place: parts are fresh arrays
-        it <<= 1
-        # ratio (1-i)/2 turns N into i*N; ratio (1+i)/2 turns N into -i*N
-        codes[(rt == r0 + i0) & (it == i0 - r0)] = 2
-        codes[(rt == r0 - i0) & (it == r0 + i0)] = 3
+        a0, a1 = w0.values[block], w1.values[block]
+        for code, a in enumerate((a0, -a0)):
+            walsh[block][a1 == a] = code
+        mirror = slice(size - block.stop, size - block.start)  # the points u', descending
+        a0, b0 = n0.wg[block], n0.wg[mirror][::-1]
+        a1, b1 = n1.wg[block], n1.wg[mirror][::-1]
+        for code, (a, b) in enumerate(((a0, b0), (-a0, -b0), (b0, -a0), (-b0, a0))):
+            nega[block][(a1 == a) & (b1 == b)] = code
     walsh.setflags(write=False)
     nega.setflags(write=False)
     return FrameCoefficients(f0.n, walsh, nega)
@@ -977,6 +977,11 @@ def check_su_conditions(case: SuComparisonCase) -> VerificationReport:
 _NAIVE_CROSSCHECK_LIMIT = 12
 
 
+def _lowest_bit(x: int) -> int:
+    """The first point of a nonempty packed table, without listing the rest."""
+    return (x & -x).bit_length() - 1
+
+
 def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     """Recheck every claim attached to a constructed function.
 
@@ -985,9 +990,10 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     and involution), admissibility of the fragment ratios over the modifier
     set, rotation symmetry for the rotation-symmetric families, and (when n
     is small enough) agreement of both butterfly spectra with the
-    definitional transforms.  Each spectrum is taken once: the dual is read
-    off W_f, the closed dual's W serves its flatness and its involution, and
-    the base's spectra come from `_base_spectra`.
+    definitional transforms.  Each spectrum is taken once, six butterfly
+    passes in all: the dual is read off W_f, the closed dual's W serves its
+    flatness and its involution, and the frame codes compare the base's
+    spectra with W_f and N_f, or with those of f0 + 1_T if f differs from it.
     """
     checks = _Checks()
     f = cf.function
@@ -1021,8 +1027,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     def anf_check():
         if anf == cf.closed_anf:
             return True, f"{anf.term_count()} terms, degree {anf.degree()}", None
-        diff = anf ^ cf.closed_anf
-        first = diff.monomials()[0]
+        first = _lowest_bit(anf.coeffs ^ cf.closed_anf.coeffs)
         return False, "", f"first differing monomial {AnfPolynomial(n, 1 << first).to_text()}"
 
     checks.add("anf-matches-closed-form", anf_check)
@@ -1052,8 +1057,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
             return False, "", str(exc)
         if d == cf.closed_dual:
             return True, "pointwise equal", None
-        diff = (d ^ cf.closed_dual).support()
-        first = diff.indices()[0]
+        first = _lowest_bit(d.bits ^ cf.closed_dual.bits)
         return False, "", f"first differing point {BitVector(n, first)}"
 
     checks.add("dual-matches-closed-form", dual_check)
@@ -1075,7 +1079,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
             return False, "", str(exc)
         if back == f:
             return True, "dual of dual returns the function", None
-        i = (back ^ f).support().indices()[0]
+        i = _lowest_bit(back.bits ^ f.bits)
         return False, "", (f"at {BitVector(n, i)}: dual of dual {back.value(i)} != "
                            f"function {f.value(i)}")
 
@@ -1083,7 +1087,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     def frame_check():
         try:
-            fc = extract_frame_coefficients(base_of(cf), modifier_set_of(cf))
+            fc = extract_frame_coefficients(base_of(cf), modifier_set_of(cf), (f, wf, nf))
         except NotBentError as exc:
             return False, "", str(exc)
         wdet = " ".join(f"{k}={v}" for k, v in fc.walsh_counts().items() if v)

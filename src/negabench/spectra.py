@@ -153,10 +153,6 @@ class WalshSpectrum:
         return int(bad[0]) if bad.size else None
 
 
-# points whose re and im are derived at once: 2 MiB per int64 part
-_PART_BLOCK = 1 << 18
-
-
 @dataclass(frozen=True, eq=False)
 class NegaSpectrum:
     """N_f(u) = sum_x (-1)^(f(x) + u.x) i^wt(x), stored as the int32 Walsh
@@ -202,21 +198,20 @@ class NegaSpectrum:
     def flat_counterexample(self) -> Optional[int]:
         """Index u with |N(u)|^2 != 2^n, or None when negabent-flat.
 
-        |N(u)|^2 = (W_g(u)^2 + W_g(u')^2) / 2.  At even n, a^2 + b^2 = 2^(n+1)
-        forces |a| = |b| = 2^(n/2): odd squares are 1 mod 4, so while the sum
-        is a multiple of 4 both a and b are even and halve, down to a sum of
-        2.  So N is flat iff |W_g| = 2^(n/2) everywhere, and the first bad u
-        is the first bad index or the mirror u' of the last one."""
+        |N(u)|^2 = (a^2 + b^2) / 2 with a = W_g(u), b = W_g(u').  Odd squares
+        are 1 mod 4, so while a^2 + b^2 = 2^(n+1) is a multiple of 4 both a
+        and b are even and halve, down to a sum of 2 at even n, which forces
+        |a| = |b| = 2^(n/2): the first bad u is the first bad index or the
+        mirror u' of the last one.  At odd n the sum of 1 forces {|a|, |b|} =
+        {2^((n+1)/2), 0}, a test symmetric in u and u' (in int32)."""
         size = self.wg.shape[0]
+        a = np.abs(self.wg)
         if self.n % 2 == 0:
-            bad = np.flatnonzero(np.abs(self.wg) != 1 << (self.n // 2))
+            bad = np.flatnonzero(a != 1 << (self.n // 2))
             return min(int(bad[0]), size - 1 - int(bad[-1])) if bad.size else None
-        for start in range(0, size, _PART_BLOCK):
-            re, im = self.parts(slice(start, start + _PART_BLOCK))
-            bad = np.flatnonzero(re * re + im * im != 1 << self.n)
-            if bad.size:
-                return start + int(bad[0])
-        return None
+        b = a[::-1]
+        bad = np.flatnonzero((a + b != 1 << (self.n + 1) // 2) | (np.minimum(a, b) != 0))
+        return int(bad[0]) if bad.size else None
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -11,12 +12,25 @@ from negabench.core import (
     CapacityError,
     InvalidSpecError,
     NotBentError,
+    VectorSet,
     popcounts,
     truth_table_from_anf,
 )
-from negabench.spectra import nega_transform, walsh_transform
+from negabench.spectra import (
+    fragmentary_nega_spectrum,
+    fragmentary_walsh_spectrum,
+    nega_transform,
+    walsh_transform,
+)
 from negabench.subspaces import GammaSpec, build_modifier_set
-from negabench.constructions import RotationSpec, base_function, construct
+from negabench.constructions import (
+    FAMILY_TABLE,
+    RotationSpec,
+    base_function,
+    base_of,
+    construct,
+    modifier_set_of,
+)
 from negabench.oracle import (
     SU_CASES,
     SuComparisonCase,
@@ -39,6 +53,10 @@ def _random_function(n, seed):
     rng = np.random.default_rng(seed)
     nbytes = max(1, (1 << n) // 8)
     return BooleanFunction(n, int.from_bytes(rng.bytes(nbytes), "little") & ((1 << (1 << n)) - 1))
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
 
 
 def _reference_transforms(f):
@@ -178,6 +196,148 @@ class TestFrameCoefficients:
         fc = extract_frame_coefficients(f0, VectorSet.from_indices(4, [0]))
         assert not fc.admissible
         assert fc.walsh_counterexample() is not None
+
+
+def _reference_frame_codes(f0, t):
+    """Branch codes by the masked route: the fragment spectra of f0 over t,
+    doubled in int64 and compared with the full spectra of f0."""
+    wf, nf = walsh_transform(f0), nega_transform(f0)
+    wt = fragmentary_walsh_spectrum(f0, t).values.astype(np.int64)
+    r0, i0 = nf.parts(slice(None))
+    rt, it = (2 * p for p in fragmentary_nega_spectrum(f0, t).parts(slice(None)))
+    walsh = np.full(1 << f0.n, -1, dtype=np.int8)
+    walsh[wt == 0] = 0
+    walsh[wt == wf.values] = 1
+    nega = np.full(1 << f0.n, -1, dtype=np.int8)
+    for code, (re, im) in enumerate(((0, 0), (2 * r0, 2 * i0),
+                                     (r0 + i0, i0 - r0), (r0 - i0, r0 + i0))):
+        nega[(rt == re) & (it == im)] = code
+    return walsh, nega
+
+
+def _frame_specs():
+    """Seeded specs of all seven families at n <= 14."""
+    rng = random.Random(20261018)
+
+    def vectors(length, count, pairs=False):
+        if pairs:  # distinct cosets of the pair-repetition subspace
+            labels = rng.sample(range(1 << (length // 2)), count)
+            return tuple(BitVector(length, sum(((c >> i & 1) << 2 * i)
+                                               ^ (3 << 2 * i) * rng.randrange(2)
+                                               for i in range(length // 2)))
+                         for c in labels)
+        return tuple(BitVector(length, v) for v in rng.sample(range(1 << length), count))
+
+    specs = []
+    for family, k in (("G4K", 1), ("G4K", 2), ("G4K", 3), ("G8K", 1),
+                      ("H4K2", 1), ("H4K2", 2), ("H4K2", 3), ("H8K2", 1)):
+        tag = FAMILY_TABLE[family].set_tag
+        pairs = tag in ("S2", "S4")
+        for count in (1, 2, 3):
+            gammas = vectors((4 if pairs else 2) * k, count, pairs)
+            esets = (tuple(rng.choice("01B") for _ in gammas)
+                     if tag in ("S3", "S4") else None)
+            specs.append((family, GammaSpec(k, tag, gammas, esets)))
+    for k in (2, 3):
+        reps = sorted({min(((v >> s) | (v << (2 * k - s))) & ((1 << 2 * k) - 1)
+                           for s in range(2 * k)) for v in range(1, 1 << 2 * k)})
+        for family in ("F2RS", "F2RS_SET"):
+            picks = rng.sample(reps, 2)
+            specs.append((family, RotationSpec(k, tuple(BitVector(2 * k, v) for v in picks))))
+        gamma = rng.choice([v for v in reps if v.bit_count() >= 2])
+        specs.append(("F2RS_ORBIT", RotationSpec(k, (BitVector(2 * k, gamma),))))
+    return specs
+
+
+class TestFrameCodesFromSpectra:
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK", 32)  # every n >= 6 crosses blocks
+
+    @pytest.mark.parametrize("family, spec", _frame_specs(),
+                             ids=lambda x: x if isinstance(x, str) else f"k{x.k}")
+    def test_construction_codes_match_masked_route(self, family, spec):
+        cf = construct(family, spec)
+        f0, t = base_of(cf), modifier_set_of(cf)
+        want_walsh, want_nega = _reference_frame_codes(f0, t)
+        held = (cf.function, walsh_transform(cf.function), nega_transform(cf.function))
+        for fc in (extract_frame_coefficients(f0, t),
+                   extract_frame_coefficients(f0, t, held)):
+            assert fc.admissible
+            assert np.array_equal(fc.walsh_branch, want_walsh)
+            assert np.array_equal(fc.nega_branch, want_nega)
+
+    @pytest.mark.parametrize("base, k", [("g0", 1), ("h0", 1), ("g0", 2), ("h0", 2)])
+    def test_random_subsets_match_masked_route(self, base, k):
+        f0 = base_function(base, k)
+        size = 1 << f0.n
+        rng = np.random.default_rng(500 + f0.n)
+        subsets = [VectorSet.from_indices(f0.n, [int(u)]) for u in rng.integers(size, size=3)]
+        for density in (0.1, 0.5, 0.9):
+            subsets.append(VectorSet.from_indices(f0.n, np.flatnonzero(rng.random(size) < density)))
+        for t in subsets:
+            want_walsh, want_nega = _reference_frame_codes(f0, t)
+            fc = extract_frame_coefficients(f0, t)
+            assert np.array_equal(fc.walsh_branch, want_walsh)
+            assert np.array_equal(fc.nega_branch, want_nega)
+        assert not extract_frame_coefficients(f0, subsets[0]).admissible
+
+
+def _tampered_functions(cf):
+    """The complement of a construction's function, and the function with
+    one point flipped."""
+    n = cf.function.n
+    point = BooleanFunction(n, 1 << ((1 << n) // 3))
+    return {"complement": cf.function ^ BooleanFunction.constant(n, 1),
+            "one-point": cf.function ^ point}
+
+
+_SEVEN = [("G4K", GammaSpec(2, "S1", (BitVector(4, 6), BitVector(4, 9)))),
+          ("G8K", GammaSpec(1, "S2", (BitVector(4, 0b0001), BitVector(4, 0b0100)))),
+          ("H4K2", GammaSpec(2, "S3", (BitVector(4, 3), BitVector(4, 12)), ("0", "B"))),
+          ("H8K2", GammaSpec(1, "S4", (BitVector(4, 0b0100),), ("1",))),
+          ("F2RS", RotationSpec(2, (BitVector(4, 1), BitVector(4, 3)))),
+          ("F2RS_SET", RotationSpec(2, (BitVector(4, 1), BitVector(4, 7)))),
+          ("F2RS_ORBIT", RotationSpec(2, (BitVector(4, 5),)))]
+
+
+class TestFrameCheckOfTamperedFunctions:
+    @pytest.mark.parametrize("family, spec", _SEVEN, ids=[f for f, _ in _SEVEN])
+    def test_verdict_and_detail_are_the_rebuilt_ones(self, family, spec):
+        cf = construct(family, spec)
+        good = _check(verify_construction(cf), "fragment-ratios-admissible")
+        assert good.passed and good.details
+        for how, bad in _tampered_functions(cf).items():
+            got = _check(verify_construction(dataclasses.replace(cf, function=bad)),
+                         "fragment-ratios-admissible")
+            assert (got.passed, got.details, got.counterexample) == (
+                good.passed, good.details, good.counterexample), how
+
+    def test_six_butterfly_passes_and_no_masked_route(self, monkeypatch):
+        cf = construct("H4K2", GammaSpec(2, "S3", (BitVector(4, 3), BitVector(4, 12)),
+                                         ("0", "B")))
+        calls = {"walsh_transform": 0, "nega_transform": 0}
+        for name in calls:
+            def counted(f, name=name, real=getattr(oracle, name)):
+                calls[name] += 1
+                return real(f)
+            monkeypatch.setattr(oracle, name, counted)
+
+        def refused(*args):
+            raise AssertionError("masked butterfly called")
+
+        for module in (oracle, spectra):
+            for name in ("fragmentary_walsh_spectrum", "fragmentary_nega_spectrum"):
+                monkeypatch.setattr(module, name, refused)
+        for function, want in ((cf.function, 3),
+                               (_tampered_functions(cf)["complement"], 4)):
+            oracle._base_spectra.cache_clear()
+            calls.update(dict.fromkeys(calls, 0))
+            report = verify_construction(dataclasses.replace(cf, function=function))
+            assert _check(report, "fragment-ratios-admissible").passed
+            assert calls == {"walsh_transform": want, "nega_transform": want}
+            if function is cf.function:
+                assert report.passed
 
 
 class TestFragmentaryLemma:
@@ -326,6 +486,38 @@ class TestVerifyConstruction:
         v = cf.function.value(0)
         assert not inv.passed
         assert inv.counterexample == f"at 0000: dual of dual {1 - v} != function {v}"
+
+    def test_first_points_are_read_without_listing_them(self, monkeypatch):
+        # a complement differs from the closed forms everywhere, a one-point
+        # flip at one point (and, in the ANF, at every monomial covering it)
+        cf = construct("G4K", GammaSpec(2, "S1", (BitVector(4, 6), BitVector(4, 9))))
+        n, f = cf.n, cf.function
+        p = (1 << n) // 3
+        flip = AnfPolynomial(n, 1 << p).to_text()
+        want = {
+            "complement": {
+                "anf-matches-closed-form": "first differing monomial 1",
+                "dual-matches-closed-form": f"first differing point {BitVector(n, 0)}",
+                "dual-involution": (f"at {BitVector(n, 0)}: dual of dual {f.value(0)} "
+                                    f"!= function {1 - f.value(0)}")},
+            "one-point": {
+                "anf-matches-closed-form": f"first differing monomial {flip}",
+                "dual-involution": (f"at {BitVector(n, p)}: dual of dual {f.value(p)} "
+                                    f"!= function {1 - f.value(p)}")},
+        }
+
+        def refused(self):
+            raise AssertionError("every differing point listed")
+
+        monkeypatch.setattr(VectorSet, "indices", refused)
+        monkeypatch.setattr(AnfPolynomial, "monomials", refused)
+        for how, bad in _tampered_functions(cf).items():
+            report = verify_construction(dataclasses.replace(cf, function=bad))
+            got = {c.name: c.counterexample for c in report.failures()
+                   if c.name in want["complement"]}
+            if how == "one-point":  # not bent, so the dual check names the flat failure
+                assert got.pop("dual-matches-closed-form").startswith("not bent: |W(")
+            assert got == want[how]
 
     def test_failed_negabent_names_squared_norm(self, monkeypatch):
         # W_g(3) + 8 moves re and im of N(3) by 4 each (and N(12), later)
