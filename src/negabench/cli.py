@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     except NotBentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except _InputFileError as exc:
+    except (_InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except (InvalidSpecError, InvalidPermutationError, DimensionError, ValueError) as exc:

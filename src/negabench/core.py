@@ -6,9 +6,11 @@ index i is the value of f at the point whose j-th coordinate is bit j of i
 and its truth-table index are therefore interchangeable.
 
 Storage: every 2^n-entry table (truth table, vector set, ANF coefficients) is
-one Python int whose bit i holds entry i.  Only this module reads or writes
-that layout, and each conversion to or from it is one O(2^n) pass through
-numpy or a single C-level int call, never a Python loop over entries.
+one Python int whose bit i holds entry i.  This module owns that layout; only
+`spectra._sigma2_bytes`, `spectra._spectrum`, `oracle._lowest_bit` and
+`oracle._random_function` also read or write it.  Each conversion to or from
+it is one O(2^n) pass through numpy or a single C-level int call, never a
+Python loop over entries.
 """
 
 from __future__ import annotations
@@ -70,13 +72,8 @@ def _raw_bytes(bits: int, size: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(max(1, (size + 7) // 8), "little"), dtype=np.uint8)
 
 
-def _unpack_bits(bits: int, size: int) -> np.ndarray:
-    """Bitmask -> uint8 array of length `size` (entry i = bit i)."""
-    return np.unpackbits(_raw_bytes(bits, size), count=size, bitorder="little")
-
-
 def _pack_bits(arr: np.ndarray) -> int:
-    packed = np.packbits(arr.astype(np.uint8), bitorder="little")
+    packed = np.packbits(arr.astype(np.uint8, copy=False), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
 
@@ -376,11 +373,12 @@ class AnfPolynomial:
         return AnfPolynomial(self.n, self.coeffs ^ other.coeffs)
 
     def degree(self) -> int:
-        """Largest monomial weight; the zero polynomial has degree 0."""
-        if self.coeffs == 0:
-            return 0
-        size = 1 << self.n
-        return int(popcounts(size)[_unpack_bits(self.coeffs, size) == 1].max())
+        """Largest monomial weight, 0 for the zero polynomial.  Mask 8j + i weighs wt(j) + wt(i),
+        and a byte has a set bit i of weight >= 1, 2, 3 iff it meets 0xFE, 0xE8, 0x80."""
+        raw = _raw_bytes(self.coeffs, 1 << self.n)
+        nz = np.flatnonzero(raw)
+        top = sum((raw[nz] & m) > 0 for m in (0xFE, 0xE8, 0x80))
+        return int((np.bitwise_count(nz) + top).max(initial=0))
 
     def to_text(self) -> str:
         """Canonical text: monomials x<i> joined by '*', terms by '+',
@@ -403,15 +401,16 @@ class AnfPolynomial:
 
 
 def _mobius(bits: int, n: int) -> int:
-    """Self-inverse binary Moebius butterfly on a 2^n bitmask."""
-    size = 1 << n
-    arr = _unpack_bits(bits, size)
-    h = 1
-    while h < size:
-        view = arr.reshape(-1, 2 * h)
-        view[:, h:] ^= view[:, :h]
-        h *= 2
-    return _pack_bits(arr)
+    """Self-inverse binary Moebius butterfly on a 2^n bitmask, run on its
+    packed bytes: shift and mask inside a byte, XORed byte blocks above it.
+    For n < 3 only n levels run, so the padding bits stay zero."""
+    a = _raw_bytes(bits, 1 << n).copy()
+    for h, low in ((1, 0x55), (2, 0x33), (4, 0x0F))[:n]:
+        a ^= (a & low) << h
+    for i in range(n - 3):
+        v = a.reshape(-1, 2, 1 << i)
+        v[:, 1] ^= v[:, 0]
+    return int.from_bytes(a.tobytes(), "little")
 
 
 def anf_from_truth_table(f: BooleanFunction) -> AnfPolynomial:
@@ -427,26 +426,22 @@ def truth_table_from_anf(p: AnfPolynomial) -> BooleanFunction:
 
 
 def cyclic_shift_action(f: BooleanFunction, l: int) -> BooleanFunction:
-    """The function x -> f(rho_n^l(x))."""
-    n = f.n
-    l %= n
+    """The function x -> f(rho_n^l(x)).  With x = hi * 2^l + lo,
+    rho^l(x) = lo * 2^(n-l) + hi: the transpose of f's table as 2^l rows."""
+    l %= f.n
     if l == 0:
         return f
-    size = 1 << n
-    xs = np.arange(size, dtype=np.int64)
-    lowmask = (1 << l) - 1
-    ys = (xs >> l) | ((xs & lowmask) << (n - l))
-    vals = f.value_array()[ys]
-    return BooleanFunction(n, _pack_bits(vals))
+    return BooleanFunction(f.n, _pack_bits(f.value_array().reshape(1 << l, -1).T))
 
 
 def rotation_symmetry_order(f: BooleanFunction) -> int:
     """Minimal l > 0 with f(rho^l(x)) = f(x) for all x.
 
-    The invariant shifts form a subgroup of Z_n, so the result divides n.
-    Constants (invariant under every shift) return 1.
+    The invariant shifts form a subgroup of Z_n, so the result divides n and
+    only the divisors of n are tried.  Constants (invariant under every
+    shift) return 1.
     """
     for l in range(1, f.n + 1):
-        if cyclic_shift_action(f, l) == f:
+        if f.n % l == 0 and cyclic_shift_action(f, l) == f:
             return l
     raise AssertionError("unreachable: l = n always fixes f")

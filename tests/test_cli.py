@@ -290,6 +290,21 @@ class TestExitCodes:
         assert code == 5
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        GEN_ARGS,
+        ["spectrum", "--family", "G4K", "--k", "1", "--gamma", "01"],
+        ["anf", "--family", "G4K", "--k", "1", "--gamma", "01"],
+        ["dual", "--family", "G4K", "--k", "1", "--gamma", "01"],
+        ["orbits", "--n", "4"],
+    ])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, argv, where):
+        out = tmp_path / "absent" / "x" if where == "missing" else tmp_path
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 5
+        assert err.startswith("error: ") and str(out) in err
+        assert stdout == ""
+
     @pytest.mark.parametrize("n", [30, 10 ** 8])
     def test_over_capacity_file(self, capsys, tmp_path, n):
         f = tmp_path / "f.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from negabench import core
 from negabench.core import (
     AnfPolynomial,
     BitVector,
@@ -12,6 +13,7 @@ from negabench.core import (
     characteristic_function,
     cyclic_shift_action,
     max_n,
+    popcounts,
     rotation_symmetry_order,
     set_max_n,
     truth_table_from_anf,
@@ -25,6 +27,47 @@ def _evaluate(anf, x):
         if u & x == u:
             acc ^= 1
     return acc
+
+
+def _ref_mobius(bits, n):
+    """Reference Moebius transform: one byte per entry, 2^n XORs a level."""
+    size = 1 << n
+    raw = np.frombuffer(bits.to_bytes(max(1, size // 8), "little"), dtype=np.uint8)
+    arr = np.unpackbits(raw, count=size, bitorder="little")
+    h = 1
+    while h < size:
+        view = arr.reshape(-1, 2 * h)
+        view[:, h:] ^= view[:, :h]
+        h *= 2
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def _ref_degree(anf):
+    """Reference degree: the largest weight among all 2^n masks whose
+    coefficient is set."""
+    if anf.coeffs == 0:
+        return 0
+    size = 1 << anf.n
+    raw = np.frombuffer(anf.coeffs.to_bytes(max(1, size // 8), "little"), dtype=np.uint8)
+    return int(popcounts(size)[np.unpackbits(raw, count=size, bitorder="little") == 1].max())
+
+
+def _ref_shift(f, l):
+    """Reference shift: gather the table at rho^l(x) for every index x."""
+    n = f.n
+    l %= n
+    xs = np.arange(1 << n, dtype=np.int64)
+    ys = (xs >> l) | ((xs & ((1 << l) - 1)) << (n - l))
+    return BooleanFunction.from_values(n, f.value_array()[ys])
+
+
+def _ref_rotation_order(f):
+    """Reference order: every l in 1..n, divisor of n or not."""
+    return next(l for l in range(1, f.n + 1) if _ref_shift(f, l) == f)
+
+
+def _random_table(rng, n):
+    return int.from_bytes(rng.bytes(max(1, (1 << n) // 8)), "little") & ((1 << (1 << n)) - 1)
 
 
 class TestBitVector:
@@ -122,6 +165,30 @@ class TestAnf:
         assert AnfPolynomial.from_monomials(3, [0]).degree() == 0
         assert AnfPolynomial.from_monomials(3, [0b1, 0b110]).degree() == 2
 
+    def test_mobius_matches_unpacked_reference(self):
+        # n = 1, 2 keep their tables inside one byte's low bits
+        rng = np.random.default_rng(1201)
+        for n in range(1, 15):
+            for _ in range(4):
+                f = BooleanFunction(n, _random_table(rng, n))
+                anf = anf_from_truth_table(f)
+                assert anf.coeffs == _ref_mobius(f.bits, n), n
+                assert truth_table_from_anf(anf) == f
+                p = AnfPolynomial(n, _random_table(rng, n))
+                assert truth_table_from_anf(p).bits == _ref_mobius(p.coeffs, n), n
+                assert anf_from_truth_table(truth_table_from_anf(p)) == p
+
+    def test_degree_matches_reference(self):
+        rng = np.random.default_rng(1202)
+        for n in range(1, 15):
+            size = 1 << n
+            cases = [AnfPolynomial.zero(n), AnfPolynomial(n, (1 << size) - 1),
+                     AnfPolynomial(n, _random_table(rng, n))]
+            for terms in (1, 3):
+                cases.append(AnfPolynomial.from_monomials(n, rng.integers(0, size, terms)))
+            for anf in cases:
+                assert anf.degree() == _ref_degree(anf), (n, anf.coeffs)
+
     def test_evaluate_matches_table(self):
         anf = AnfPolynomial.from_monomials(3, [0b011, 0b100, 0])
         f = truth_table_from_anf(anf)
@@ -180,6 +247,41 @@ class TestRotation:
     def test_is_k_rotation_symmetric(self):
         f = truth_table_from_anf(AnfPolynomial.from_monomials(4, [0b0011, 0b1100]))
         assert rotation_symmetry_order(f) == 2
+
+    def test_shift_matches_gather_reference(self):
+        rng = np.random.default_rng(1203)
+        for n in range(1, 15):
+            f = BooleanFunction(n, _random_table(rng, n))
+            for l in range(-1, n + 2):
+                assert cyclic_shift_action(f, l) == _ref_shift(f, l), (n, l)
+
+    def test_order_matches_brute_force(self):
+        rng = np.random.default_rng(1204)
+        for n in range(1, 11):
+            for d in range(1, n + 1):
+                if n % d:
+                    continue
+                # the XOR of a random table's shifts by multiples of d is
+                # invariant under rho^d
+                g = BooleanFunction(n, _random_table(rng, n))
+                f = BooleanFunction.zero(n)
+                for j in range(0, n, d):
+                    f ^= _ref_shift(g, j)
+                assert _ref_shift(f, d) == f
+                for h in (f, g):
+                    assert rotation_symmetry_order(h) == _ref_rotation_order(h), (n, d)
+
+    def test_order_tries_only_divisors(self, monkeypatch):
+        calls = []
+
+        def counting(f, l):
+            calls.append(l)
+            return cyclic_shift_action(f, l)
+
+        monkeypatch.setattr(core, "cyclic_shift_action", counting)
+        f = BooleanFunction(12, _random_table(np.random.default_rng(1205), 12))
+        assert rotation_symmetry_order(f) == 12
+        assert calls == [1, 2, 3, 4, 6, 12]
 
 
 class TestCapacity:
