@@ -33,6 +33,7 @@ from .core import (
     TEXT_BLOCK,
     anf_from_truth_table,
     byte_table,
+    max_n,
     set_max_n,
     text_rows,
 )
@@ -170,11 +171,19 @@ def _load_file(path: str) -> dict:
     return data
 
 
+def _field(data: dict, key: str, kind: type):
+    """data[key], which must be a JSON value of `kind`: no coercion, and a bool is no int."""
+    value = data[key]
+    if type(value) is not kind:
+        raise _InputFileError(f"field {key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _function_from_file(data: dict) -> BooleanFunction:
     if not isinstance(data["tt_hex"], str):
         raise _InputFileError("bad truth table: tt_hex must be a string")
     try:
-        return BooleanFunction.from_hex(int(data["n"]), data["tt_hex"])
+        return BooleanFunction.from_hex(_field(data, "n", int), data["tt_hex"])
     except (TypeError, ValueError) as exc:
         raise _InputFileError(f"bad truth table: {exc}") from exc
 
@@ -207,6 +216,7 @@ def _cmd_verify(args) -> int:
             spec = spec_from_dict(family, data["params"])
         except ValueError as exc:
             raise _InputFileError(f"{args.infile}: {exc}") from exc
+        flag = _field(data, "predicts_max_degree", bool)
         fn = _function_from_file(data)
         rebuilt = construct(family, spec)
         if fn.n != rebuilt.n:
@@ -226,7 +236,7 @@ def _cmd_verify(args) -> int:
             CheckResult("file-dual-field-matches-closed-form",
                         data["dual_tt_hex"] == cf.closed_dual.to_hex()),
             CheckResult("file-degree-flag-matches-parity",
-                        bool(data["predicts_max_degree"]) == cf.predicts_max_degree),
+                        flag == cf.predicts_max_degree),
         ]
         report = VerificationReport(
             subject=f"{report.subject} from {args.infile}",
@@ -424,6 +434,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # the cap holds for this call only; an in-process caller gets its own back
+    old_max_n = max_n()
     set_max_n(args.max_n)
     try:
         return args.handler(args)
@@ -439,6 +451,8 @@ def main(argv=None) -> int:
     except (InvalidSpecError, InvalidPermutationError, DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
+    finally:
+        set_max_n(old_max_n)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ ANFs, closed-form duals and the maximum-degree parity conditions.
 A family's function is its base flipped on a modifier set, and its
 closed-form dual is the base's dual flipped on a second set.  Both sets are
 unions of cosets of one subspace (`subspaces.modifier_cells`, `_dual_cells`)
-built by `LinearSubspace.coset_union`; the closed-form ANF is expanded from
-factored cell indicators and shares no code with that builder.
+built by `LinearSubspace.coset_union`.  The closed-form ANF shares no code
+with that builder: each cell is [Z = p] for a few disjoint variable sums
+Z_j, and `_covering_sum_masks` sums the cells over the d bits of Z before
+it expands them in the variables, so it makes at most 3^d masks.
 
 The rotation-symmetric modifiers depend on x and y only through z = x + y:
 an orbit sum is sum_{w in O(v)} z^w and a covering sum is [z = gamma], so
@@ -157,73 +159,38 @@ def base_function(name: str, param: int) -> BooleanFunction:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) product expansions (factors always use pairwise disjoint variables,
-# so the cross product introduces no duplicate monomials)
+# covering sums: every modifier cell is [Z = p] for a few linear forms Z_j,
+# each the sum of the variables in one of a set of disjoint masks
 
 
 def _expand_product(factors: Sequence[Sequence[int]]) -> list[int]:
+    """Monomial masks of a product of factors over pairwise disjoint
+    variables, so the cross product introduces no duplicate monomials."""
     masks = [0]
     for f in factors:
         masks = [m | t for m in masks for t in f]
     return masks
 
 
-def _s_beta_factors(k: int, beta_bits: int, offset: int) -> list[list[int]]:
-    """Indicator of x'' = x' + beta on a 2k-variable block at `offset`,
-    factored as prod_j (x'_j + x''_j + beta_j + 1)."""
-    factors = []
-    for j in range(k):
-        terms = [1 << (offset + j), 1 << (offset + k + j)]
-        if not (beta_bits >> j) & 1:
-            terms.append(0)
-        factors.append(terms)
-    return factors
+def _z_power_masks(groups: Sequence[int], w: int) -> list[int]:
+    """Z^w = prod_{j in w} Z_j, Z_j the sum of the variables in groups[j],
+    expanded: each monomial takes one variable of every group in w, so
+    distinct w share no monomial."""
+    return _expand_product([[1 << v for v in range(groups[j].bit_length()) if groups[j] >> v & 1]
+                            for j in range(len(groups)) if w >> j & 1])
 
 
-def _pair_factors(pairs: int, offset: int, gamma_bits: int = 0) -> list[list[int]]:
-    """Indicator of membership in gamma + A_2^pairs on a 2*pairs block,
-    factored as prod_i (z_{2i} + z_{2i+1} + gamma_{2i} + gamma_{2i+1} + 1)."""
-    factors = []
-    for i in range(pairs):
-        terms = [1 << (offset + 2 * i), 1 << (offset + 2 * i + 1)]
-        if (((gamma_bits >> (2 * i)) ^ (gamma_bits >> (2 * i + 1))) & 1) == 0:
-            terms.append(0)
-        factors.append(terms)
-    return factors
-
-
-def _e_factor(var: int, symbol: str) -> list[int]:
-    """Indicator of y_m in E as monomials over the single variable `var`."""
-    if symbol == "1":
-        return [1 << var]
-    if symbol == "0":
-        return [1 << var, 0]
-    return [0]
-
-
-def _z_power_masks(k2: int, w: int) -> list[int]:
-    """z^w for z = x + y on 2*k2 variables (x low, y high), expanded as
-    prod_{j in w} (x_j + y_j): the masks of x^u y^v over u * v = 0, u + v = w."""
-    return _expand_product([[1 << j, 1 << (k2 + j)] for j in range(k2) if (w >> j) & 1])
-
-
-def _orbit_sum_masks(k2: int, gamma_bits: int) -> list[int]:
-    """sum over u * v = 0, u + v in O(gamma) of x^u y^v on 4k vars."""
-    return [m for w in orbit(BitVector(k2, gamma_bits)) for m in _z_power_masks(k2, w)]
-
-
-def _covering_sum_masks(k2: int, gammas: Iterable[int]) -> Iterable[int]:
-    """The sum over gamma of the covering sums prod_j (x_j + y_j + gamma_j + 1)
-    on 2*k2 variables.  Each is [z = gamma] for z = x + y, which expands over
-    the k2 bits of z to the sum of z^w over the w covering gamma; the z^w
-    left after the sum over every gamma are then expanded in x and y.
-    Distinct w share no monomial, so at most 3^k2 masks are made, not the
-    5^k2 of expanding each covering sum in x and y."""
-    z_sum = AnfPolynomial.from_monomials(k2, (
-        w for g in gammas
-        for w in _expand_product([[1 << j] if (g >> j) & 1 else [1 << j, 0]
-                                  for j in range(k2)])))
-    return (m for w in z_sum.monomials() for m in _z_power_masks(k2, w))
+def _covering_sum_masks(groups: Sequence[int], points: Iterable[int]) -> Iterable[int]:
+    """The sum over the points p of [Z = p] = prod_j (Z_j + p_j + 1).  Each
+    indicator is the sum of Z^w over the w covering p, so the sum is taken
+    over the d = len(groups) bits of Z first, and only the Z^w left are
+    expanded in the variables: at most 3^d masks when no group has more
+    than two variables, however many points there are."""
+    d = len(groups)
+    z_sum: set[int] = set()
+    for p in points:
+        z_sum ^= set(_expand_product([[1 << j] if p >> j & 1 else [1 << j, 0] for j in range(d)]))
+    return (m for w in z_sum for m in _z_power_masks(groups, w))
 
 
 # ---------------------------------------------------------------------------
@@ -324,38 +291,44 @@ def decompose_orbit_sum(k: int, vectors: Iterable[BitVector]) -> tuple[BitVector
 # closed-form ANFs
 
 
-def _cell_factors(spec: GammaSpec, i: int) -> list[list[int]]:
-    """ANF factors of the indicator of the i-th cell of an S1..S4 set: the
-    S1-shaped cells x'' = x' + gamma_1, y'' = y' + gamma_2 (S1, S3) or the
-    pair-repetition cells (S2, S4).  S3 and S4 put x_m between the x and y
-    blocks and restrict the last variable y_m to the cell's E set."""
+def _cell_covering(spec: GammaSpec) -> tuple[list[int], list[int]]:
+    """The cells of an S1..S4 set as (groups, points), the cell of gamma
+    being [Z = p] over the points p of gamma.
+
+    * S1, S3: Z = (x' + x'', y' + y''), and p = gamma.
+    * S2, S4: Z = the 2k pair sums of x and the 2k of y, and p = (0, the
+      pair sums of gamma).
+    * S3, S4: x_m sits free between x and y, Z gains y_m, and gamma has
+      one point per value of its E set.
+    """
     k = spec.k
-    x_m = 0 if spec.e_sets is None else 1
-    if spec.family in ("S1", "S3"):
-        g1, g2 = spec.gamma_halves(i)
-        factors = _s_beta_factors(k, g1, 0) + _s_beta_factors(k, g2, 2 * k + x_m)
-        last = 4 * k + 1
-    else:
-        factors = (_pair_factors(2 * k, 0)
-                   + _pair_factors(2 * k, 4 * k + x_m, spec.gammas[i].bits))
-        last = 8 * k + 1
-    if spec.e_sets is not None:
-        factors.append(_e_factor(last, spec.e_sets[i]))
-    return factors
+    pairs = spec.family in ("S2", "S4")
+    w = 4 * k if pairs else 2 * k  # width of x and of y
+    e = int(spec.e_sets is not None)
+    half = [3 << (2 * i) for i in range(2 * k)] if pairs else [(1 | 1 << k) << j for j in range(k)]
+    groups = half + [g << (w + e) for g in half] + [1 << (2 * w + 1)] * e
+    points = []
+    for i, g in enumerate(spec.gammas):
+        b = g.bits  # S2, S4: bit j of the y half of p is b_2j + b_2j+1
+        p = (sum(((b >> 2 * j ^ b >> 2 * j + 1) & 1) << j for j in range(2 * k)) << 2 * k
+             if pairs else b)
+        points += [p | ym << (2 * len(half)) for ym in (spec.e_values(i) if e else (0,))]
+    return groups, points
 
 
 def closed_form_anf(family: str, spec: ConstructionSpec) -> AnfPolynomial:
+    """The base's ANF plus the modifier's: the covering sums of the cells,
+    or for F2RS_SET / F2RS_ORBIT the defining orbit sums of z = x + y."""
     fam = family_of(family)
     params = _resolve(fam, spec)
     k = params.k
-    masks: Iterable[int]
+    z = [(1 | 1 << (2 * k)) << j for j in range(2 * k)]  # z = x + y on 4k variables
     if not fam.rotation_symmetric:
-        masks = (m for i in range(len(params.gammas))
-                 for m in _expand_product(_cell_factors(params, i)))
+        masks = _covering_sum_masks(*_cell_covering(params))
     elif fam.name == "F2RS":
-        masks = _covering_sum_masks(2 * k, (g for beta in params.vectors for g in orbit(beta)))
-    else:  # F2RS_SET / F2RS_ORBIT: the defining orbit-sum ANF
-        masks = (m for v in params.vectors for m in _orbit_sum_masks(2 * k, v.bits))
+        masks = _covering_sum_masks(z, (g for beta in params.vectors for g in orbit(beta)))
+    else:
+        masks = (m for v in params.vectors for w in orbit(v) for m in _z_power_masks(z, w))
     base = base_anf(fam.base, fam.base_param(k))
     return base ^ AnfPolynomial.from_monomials(base.n, masks)
 
@@ -538,12 +511,11 @@ def spec_from_dict(family: str, d: dict) -> ConstructionSpec:
     """Parameters from a function file's params object (or the CLI flags
     gathered into one); malformed entries raise InvalidSpecError."""
     fam = family_of(family)
-    try:
-        k = int(d["k"])
-    except KeyError as exc:
-        raise InvalidSpecError("params need a k entry") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpecError(f"params k must be an integer: {exc}") from exc
+    if "k" not in d:
+        raise InvalidSpecError("params need a k entry")
+    k = d["k"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidSpecError(f"params k must be an integer, got {k!r}")
     raw = d.get(fam.params_key, [])
     if fam.params_key == "gamma":
         if not raw:

@@ -5,7 +5,7 @@ from negabench.core import max_n, set_max_n
 
 @pytest.fixture(autouse=True)
 def _restore_capacity_limit():
-    # some tests (and the CLI's --max-n flag) move the global cap
+    # some tests move the global cap; cli.main puts it back after each call
     old = max_n()
     yield
     set_max_n(old)

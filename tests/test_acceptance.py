@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Nineteen criteria, each asserted exactly (integer and structural equality, no
+Twenty criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -35,6 +35,7 @@ from negabench.constructions import (
     _modifier_spec,
     construct,
     decompose_orbit_sum,
+    params_to_dict,
 )
 from negabench.oracle import (
     SU_CASES,
@@ -515,3 +516,32 @@ def test_criterion_19_packed_passes_at_n24():
     with criterion("criterion-19b Moebius round trip of a random table at n=24", 1.0):
         back = truth_table_from_anf(anf_from_truth_table(f))
     assert back == f
+
+
+def test_criterion_20_covering_sums_at_n24(tmp_path):
+    # the closed ANF sums the cells' indicators [Z = p] over the 12 bits of Z
+    # before expanding them, so 2047 S1 cells make at most 3^12 masks, not
+    # 2^wt(gamma) * 3^(12 - wt(gamma)) for each cell expanded on its own
+    rng = random.Random(20)
+    gammas = tuple(BitVector(12, g) for g in rng.sample(range(1 << 12), 2047))
+    tracemalloc.start()
+    try:
+        with criterion("criterion-20 construct G4K with 2047 gammas at n=24", 8.0):
+            cf = construct("G4K", GammaSpec(6, "S1", gammas))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"  tracemalloc peak {peak / 2**20:.0f} MiB")
+    assert peak <= 256 << 20, f"peak {peak / 2**20:.0f} MiB over 256 MiB"
+    # an odd number of cells: the parity flag predicts the maximum degree
+    assert cf.predicts_max_degree
+    assert cf.closed_anf == anf_from_truth_table(cf.function)
+    assert cf.closed_anf.degree() == 12
+    out = tmp_path / "g4k.json"
+    argv = ["gen", "--family", "G4K", "--k", "6", "--out", str(out)]
+    for g in params_to_dict(cf)["gammas"]:
+        argv += ["--gamma", g]
+    assert main(argv) == 0
+    # the record the per-cell expansion wrote before
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3d269d480263f78d6cfc088f9e79e94f649fff4ad1ea9ab7d36d3412025dc385")

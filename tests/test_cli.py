@@ -11,7 +11,7 @@ import pytest
 import negabench
 from negabench.cli import main
 from negabench.constructions import construct, spec_from_dict
-from negabench.core import BooleanFunction
+from negabench.core import BooleanFunction, max_n
 from negabench.spectra import nega_transform, walsh_transform
 
 
@@ -290,6 +290,29 @@ class TestExitCodes:
         assert code == 5
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 8.0), ("n", 8.9), ("n", "8"), ("n", True),
+        ("k", 2.0), ("k", 1.7), ("k", "2"), ("k", True),
+        ("predicts_max_degree", "no"), ("predicts_max_degree", "false"),
+        ("predicts_max_degree", [0]), ("predicts_max_degree", 0),
+        ("predicts_max_degree", None),
+    ])
+    def test_fields_are_read_without_coercion(self, capsys, tmp_path, field, value):
+        # n and params.k are JSON integers and the flag a JSON bool; nothing
+        # is coerced, so "no" is not read as true nor 8.9 as 8
+        f = tmp_path / "f.json"
+        run(capsys, *GEN_ARGS, "--out", str(f))
+        data = json.loads(f.read_text())
+        (data["params"] if field == "k" else data)[field] = value
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--in", str(f))
+        assert (code, out) == (5, "")
+        assert err.startswith("error: ") and field in err
+        if field == "n":
+            for command in ("spectrum", "anf", "dual"):
+                code, _, err = run(capsys, command, "--in", str(f))
+                assert code == 5 and "field n" in err
+
     @pytest.mark.parametrize("argv", [
         GEN_ARGS,
         ["spectrum", "--family", "G4K", "--k", "1", "--gamma", "01"],
@@ -344,6 +367,19 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--max-n", "4", "orbits", "--n", "3"], 0),
+        (["--max-n", "6", *GEN_ARGS], 3),
+        (["--max-n", "4", "verify", "--in", "absent.json"], 5),
+    ])
+    def test_max_n_holds_for_one_call(self, capsys, tmp_path, monkeypatch, argv, want):
+        # --max-n caps its own call only: the caller's cap is back afterwards
+        monkeypatch.chdir(tmp_path)
+        before = max_n()
+        assert run(capsys, *argv)[0] == want
+        assert max_n() == before
+        assert construct("G4K", spec_from_dict("G4K", {"k": 2, "gammas": ["0001"]})).n == 8
 
 
 class TestModuleEntryPoint:
