@@ -77,14 +77,26 @@ def _pack_bits(arr: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+# nonzero 64-bit words of a mask unpacked at once by `_set_bits`
+_SET_BITS_CHUNK = 1 << 10
+
+
 def _set_bits(bits: int, size: int) -> np.ndarray:
     """Positions of the set bits of a `size`-bit mask as an ascending int64
-    array.  Only the nonzero bytes are unpacked, so a sparse mask costs one
-    byte scan."""
-    raw = _raw_bytes(bits, size)
-    nz = np.flatnonzero(raw)
-    rows, cols = np.nonzero(np.unpackbits(raw[nz], bitorder="little").reshape(-1, 8))
-    return (nz[rows] * 8 + cols).astype(np.int64, copy=False)
+    array.  The result is allocated from the popcount and filled from a
+    bounded chunk of the mask's nonzero words at a time, so a dense mask
+    costs about 8 bytes a set bit and a sparse one a scan of its words."""
+    words = np.frombuffer(bits.to_bytes(-(-size // 64) * 8, "little"), dtype="<u8")
+    nz = np.flatnonzero(words)
+    out = np.empty(bits.bit_count(), dtype=np.int64)
+    filled = 0
+    for start in range(0, nz.size, _SET_BITS_CHUNK):
+        at = nz[start:start + _SET_BITS_CHUNK]
+        rows, cols = np.nonzero(np.unpackbits(words[at].view(np.uint8),
+                                              bitorder="little").reshape(-1, 64))
+        out[filled:filled + rows.size] = at[rows] * 64 + cols
+        filled += rows.size
+    return out
 
 
 def _index_array(n: int, indices: Iterable[int]) -> np.ndarray:

@@ -53,8 +53,6 @@ from .subspaces import (
     build_T,
     build_modifier_set,
     coset_representatives,
-    in_pair_antirepetition,
-    in_pair_repetition,
     orbit,
     orthogonal_complement,
     swap_halves,
@@ -411,117 +409,85 @@ class _Prediction:
     structure_ok: np.ndarray
 
 
-def _prediction(walsh, walsh_matches, nega, nega_matches, branch, s=0,
-                structure_ok=True) -> _Prediction:
-    """Assemble a prediction from the full base values W and N: the fragment
-    Walsh value is W where some parameter contributes and 0 elsewhere."""
+def _predict(spec: GammaSpec, x: np.ndarray) -> _Prediction:
+    """The closed-form fragment spectra of an S1..S4 set at the points x,
+    read off the spec alone.
+
+    A parameter (gamma, eps) contributes at a point exactly when its key
+    equals the point's: the half sums (u' + u'', v' + v'') for S1/S3, the
+    pair sums of u and of v interleaved for S2/S4, and on the Walsh side of
+    S3/S4 also u_m, which is XORed into bit 0 of the u-sum.  No key is wider
+    than n/2 bits, so each point looks its candidates up in tables of at most
+    2^(n/2) entries built once from the spec: 2^n + |Gamma||E| work in all.
+    """
+    k = spec.k
+    pairs = spec.family in ("S2", "S4")
+    h0 = spec.e_sets is not None  # S3, S4: the base h0, with u_m and v_m
+    t = 2 * k if pairs else k  # the base parameter
+    w = 2 * t  # the width of u and of v
+    if h0:
+        walsh, nega = walsh_h0_value(t, x), nega_h0_value(t, x)
+        u, um, v, vm = _h0_split(x, w)
+        turn = _h0_turn(u, v, vm, t) ^ um
+        del vm
+    else:
+        walsh, nega = walsh_g0_value(t, x), nega_g0_value(t, x)
+        u, um, v = x & ((1 << w) - 1), 0, x >> w
+    if pairs:
+        low, shift = ((1 << w) - 1) // 3, 1  # the low bit of every pair of u
+
+        def sums(z):
+            return (z ^ (z >> 1)) & low
+    else:
+        low, shift = (1 << k) - 1, k
+
+        def sums(z):
+            return (z & low) ^ (z >> k)
+
+    nkey = sums(u) | (sums(v) << shift)
+    wkey = (nkey ^ um) | (um << w)
+    del u, v, um  # each is one block of int64s, and only the keys are read below
+
+    # the (gamma, eps) candidates in spec order, and their keys
+    cand = np.array([(i, e) for i in range(len(spec.gammas))
+                     for e in (spec.e_values(i) if h0 else (0,))], dtype=np.int64)
+    gi, eps = cand[:, 0], cand[:, 1]
+    g = np.array([gm.bits for gm in spec.gammas], dtype=np.int64)[gi]
+    if pairs:
+        a, b = sums(g), sums(swap_halves(g, w // 2))
+        wk, nk = a | (b << 1), (a ^ low ^ eps) | ((a ^ b ^ low) << 1)
+    else:
+        g1, g2 = g & low, g >> k
+        wk, nk = g2 | ((g1 ^ g2 ^ low) << k), (g1 ^ g2 ^ low ^ eps) | (g1 << k)
+    # a point has at most 2|Gamma| <= 2^13 candidates at n <= 24
+    w_count = np.bincount(wk | (eps << w), minlength=1 << (w + h0)).astype(np.int32)
+    n_count = np.bincount(nk, minlength=1 << w).astype(np.int32)
+    # per nega key: the eps of its first candidate, and (S3) whether its first
+    # two are distinct gammas sharing gamma_1 with complementary eps
+    order = np.argsort(nk, kind="stable")
+    sk = nk[order]
+    head = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+    first_eps = np.zeros(1 << w, dtype=np.int64)
+    first_eps[sk[head]] = eps[order[head]]
+    pair_ok = np.zeros(1 << w, dtype=bool)
+    if spec.family == "S3":
+        two = head[head + 1 < sk.size]
+        two = two[sk[two + 1] == sk[two]]
+        p, q = order[two], order[two + 1]
+        pair_ok[sk[two]] = (gi[p] != gi[q]) & (eps[p] != eps[q]) & (g1[p] == g1[q])
+
+    w_matches, count = w_count[wkey], n_count[nkey]
+    # one h0 candidate gives half of N and two (S3) all of it; one g0
+    # candidate gives all of N
+    branch = np.minimum(count if h0 else _FULL * count, _FULL)
+    s = (turn ^ first_eps[nkey]) & 1 if h0 else 0
     nega2 = _combine(nega, _N_MULTIPLIER[branch], (branch == _HALF) * (1 - 2 * s))
-    return _Prediction(np.where(walsh_matches > 0, walsh, 0), walsh_matches, *nega2,
-                       nega_matches, branch, np.broadcast_to(structure_ok, branch.shape))
+    return _Prediction(np.where(w_matches > 0, walsh, 0), w_matches, *nega2, count, branch,
+                       (count <= 1) | ((count == 2) & pair_ok[nkey]))
 
 
-def _counter(x: np.ndarray) -> np.ndarray:
-    # a point has at most 2|Gamma| <= 2^13 contributions at n <= 24
-    return np.zeros(x.shape, dtype=np.int32)
-
-
-def _half_sums(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """u' + u'' and v' + v'' of each point (u', u'', v', v'') of F_2^(4k)."""
-    maskk = (1 << k) - 1
-    u, v = x & ((1 << 2 * k) - 1), x >> (2 * k)
-    return (u & maskk) ^ (u >> k), (v & maskk) ^ (v >> k)
-
-
-def _predict_s1(spec: GammaSpec, x: np.ndarray) -> _Prediction:
-    k = spec.k
-    maskk = (1 << k) - 1
-    walsh, nega = walsh_g0_value(k, x), nega_g0_value(k, x)
-    su, sv = _half_sums(x, k)
-    w_matches, n_matches = _counter(x), _counter(x)
-    for g1, g2 in (spec.gamma_halves(i) for i in range(len(spec.gammas))):
-        w_matches += (g1 == su ^ sv ^ maskk) & (g2 == su)
-        n_matches += (g1 == sv) & (g2 == su ^ sv ^ maskk)
-    return _prediction(walsh, w_matches, nega, n_matches,
-                       np.where(n_matches > 0, _FULL, 0))
-
-
-def _predict_s2(spec: GammaSpec, x: np.ndarray) -> _Prediction:
-    k = spec.k
-    pairs = 2 * k
-    walsh, nega = walsh_g0_value(2 * k, x), nega_g0_value(2 * k, x)
-    u, v = x & ((1 << 4 * k) - 1), x >> (4 * k)
-    w_matches, n_matches = _counter(x), _counter(x)
-    for g in spec.gammas:
-        sw = swap_halves(g.bits, 2 * k)
-        w_matches += (in_pair_repetition(u ^ g.bits, pairs)
-                      & in_pair_repetition(v ^ sw, pairs))
-        n_matches += (in_pair_antirepetition(u ^ g.bits, pairs)
-                      & in_pair_antirepetition(v ^ g.bits ^ sw, pairs))
-    return _prediction(walsh, w_matches, nega, n_matches,
-                       np.where(n_matches > 0, _FULL, 0))
-
-
-def _predict_s3(spec: GammaSpec, x: np.ndarray) -> _Prediction:
-    k = spec.k
-    maskk = (1 << k) - 1
-    walsh, nega = walsh_h0_value(k, x), nega_h0_value(k, x)
-    u, um, v, vm = _h0_split(x, 2 * k)
-    turn = _h0_turn(u, v, vm, k) ^ um
-    su, sv = _half_sums(u | (v << (2 * k)), k)
-    del u, v, vm  # each is 2^n int64s, and only su, sv, um and turn are read below
-
-    halves = [spec.gamma_halves(i) for i in range(len(spec.gammas))]
-    gamma_1 = np.array([g1 for g1, _ in halves], dtype=np.int64)
-    w_matches, count = _counter(x), _counter(x)
-    # gamma index and eps of the first nega candidate at each point
-    first_i = np.full(x.shape, -1, dtype=np.int32)
-    first_eps = np.full(x.shape, -1, dtype=np.int8)
-    pair_ok = np.zeros(x.shape, dtype=bool)
-    for i, (g1, g2) in enumerate(halves):
-        w_matches += ((g2 == su ^ um) & ((g1 ^ g2) == sv ^ maskk)
-                      & np.isin(um, spec.e_values(i)))
-        for eps in spec.e_values(i):
-            hit = (g1 == sv) & ((g1 ^ g2) == su ^ maskk ^ eps)
-            # a second contribution needs a distinct gamma sharing gamma_1
-            # and the complementary eps
-            second = hit & (count == 1)
-            pair_ok[second] = ((first_i[second] != i) & (first_eps[second] == 1 - eps)
-                               & (gamma_1[first_i[second]] == g1))
-            first = hit & (count == 0)
-            first_i[first], first_eps[first] = i, eps
-            count += hit
-    return _prediction(walsh, w_matches, nega, count, np.minimum(count, _FULL),
-                       (turn ^ first_eps) & 1, (count <= 1) | ((count == 2) & pair_ok))
-
-
-def _predict_s4(spec: GammaSpec, x: np.ndarray) -> _Prediction:
-    k = spec.k
-    pairs = 2 * k
-    walsh, nega = walsh_h0_value(2 * k, x), nega_h0_value(2 * k, x)
-    u, um, v, vm = _h0_split(x, 4 * k)
-    turn = _h0_turn(u, v, vm, 2 * k) ^ um
-    del vm
-
-    w_matches, count = _counter(x), _counter(x)
-    first_eps = np.full(x.shape, -1, dtype=np.int8)
-    for i, g in enumerate(spec.gammas):
-        sw = swap_halves(g.bits, 2 * k)
-        w_matches += (np.isin(um, spec.e_values(i))
-                      & in_pair_repetition(u ^ um ^ g.bits, pairs)
-                      & in_pair_repetition(v ^ sw, pairs))
-        for eps in spec.e_values(i):
-            hit = (in_pair_antirepetition(u ^ g.bits ^ eps, pairs)
-                   & in_pair_antirepetition(v ^ g.bits ^ sw, pairs))
-            first_eps[hit & (count == 0)] = eps
-            count += hit
-    return _prediction(walsh, w_matches, nega, count, np.where(count > 0, _HALF, 0),
-                       (turn ^ first_eps) & 1, count <= 1)
-
-
-# per modifier set: the closed-form predictor and the largest admissible
-# number of nega candidates at one point
-_LEMMAS = {"S1": (_predict_s1, 1), "S2": (_predict_s2, 1),
-           "S3": (_predict_s3, 2), "S4": (_predict_s4, 1)}
+# per modifier set, the largest admissible number of nega candidates at one point
+_LEMMAS = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
 
 
 def _sample_points(size: int, want: int = 64) -> range:
@@ -595,13 +561,16 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     number of contributing parameters, and (on a deterministic sample) the
     literal restricted sums against the masked butterfly route.  The exact
     spectra are whole arrays; the closed forms and predictions are computed
-    and compared over blocks of at most 2^18 points, and the predictors read
-    only the spec, never the set or a spectrum.  The nega parts are read
-    from the exact spectra one block at a time.
+    and compared over blocks of at most 2^18 points.  `_predict` reads only
+    the spec, never the set or a spectrum: each point looks its (gamma, eps)
+    candidates up in key tables of at most 2^(n/2) entries built once from
+    the spec, so the predictions cost 2^n + |Gamma||E| whatever the number
+    of gammas.  The nega parts are read from the exact spectra one block at
+    a time.
     """
     if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
-    predict, bound = _LEMMAS[spec.family]
+    bound = _LEMMAS[spec.family]
     fam = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family)
     check_capacity(fam.n(spec.k))
     t = fam.base_param(spec.k)
@@ -631,7 +600,7 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     max_w = max_n = 0
     over_bound: Optional[str] = None
     for block in _blocks(size):
-        pred = predict(spec, _points(block))
+        pred = _predict(spec, _points(block))
         with checks.timing("fragment-walsh-closed-form"):
             walsh_agree.feed(block, wt.parts(block), (pred.walsh,))
             nonzero += int(np.count_nonzero(pred.walsh_matches))

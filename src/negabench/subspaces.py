@@ -122,26 +122,15 @@ def coset_representatives(space: LinearSubspace) -> list[BitVector]:
 
 
 # ---------------------------------------------------------------------------
-# pair repetition A_2^r and anti-repetition B_2^r
-
-
-def _pair_low_bits(pairs: int) -> int:
-    """0b0101...01 over 2*pairs coordinates: the low bit of every pair."""
-    return ((1 << (2 * pairs)) - 1) // 3
+# pair repetition A_2^r
 
 
 def in_pair_repetition(bits, pairs: int):
     """bits encodes a vector of 2*pairs coordinates; True iff every adjacent
     coordinate pair (2i, 2i+1) is 00 or 11, i.e. membership in A_2^pairs.
     Takes an int, or an int64 array elementwise."""
-    return ((bits ^ (bits >> 1)) & _pair_low_bits(pairs)) == 0
-
-
-def in_pair_antirepetition(bits, pairs: int):
-    """Membership in B_2^pairs: every pair (2i, 2i+1) is 01 or 10.
-    Takes an int, or an int64 array elementwise."""
-    low = _pair_low_bits(pairs)
-    return ((bits ^ (bits >> 1)) & low) == low
+    low = ((1 << (2 * pairs)) - 1) // 3  # 0b0101...01: the low bit of every pair
+    return ((bits ^ (bits >> 1)) & low) == 0
 
 
 def swap_halves(bits: int, half: int) -> int:

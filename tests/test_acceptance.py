@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Twenty criteria, each asserted exactly (integer and structural equality, no
+Twenty-one criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -545,3 +545,15 @@ def test_criterion_20_covering_sums_at_n24(tmp_path):
     # the record the per-cell expansion wrote before
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3d269d480263f78d6cfc088f9e79e94f649fff4ad1ea9ab7d36d3412025dc385")
+
+
+def test_criterion_21_lemma_with_every_gamma_at_n20():
+    # each point looks its (gamma, eps) candidates up in key tables of at
+    # most 2^(n/2) entries, so all 1,024 gammas of an S1 set at k=5 cost
+    # 2^n + |Gamma| work, not one pass over the 2^n points per gamma
+    spec = GammaSpec(5, "S1", tuple(BitVector(10, g) for g in range(1 << 10)))
+    with criterion("criterion-21 fragment lemma with 1024 gammas at n=20", 4.0):
+        report = verify_fragmentary_lemma(spec)
+    assert report.passed, report.failures()
+    assert _check(report, "contribution-bounds").details == (
+        "max walsh matches 1, max nega matches 1 (bound 1)")

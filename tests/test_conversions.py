@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from negabench import core
 from negabench.core import AnfPolynomial, BooleanFunction, VectorSet
 
 
@@ -81,6 +82,21 @@ def test_matches_loop_references(n):
         p = AnfPolynomial.from_monomials(n, idxs)
         assert p.coeffs == ref_from_monomials(idxs)
         assert p.monomials() == ref_set_bits(p.coeffs)
+
+
+@pytest.mark.parametrize("chunk", [1, core._SET_BITS_CHUNK])
+@pytest.mark.parametrize("n", range(1, 15))
+def test_set_bits_on_empty_sparse_dense_and_full_masks(monkeypatch, n, chunk):
+    # a chunk of one 64-bit word puts a chunk boundary after every nonzero word
+    monkeypatch.setattr(core, "_SET_BITS_CHUNK", chunk)
+    rng = random.Random(3000 + n)
+    size = 1 << n
+    sparse = sum(1 << i for i in rng.sample(range(size), max(1, size // 100)))
+    dense = (1 << size) - 1 - sum(1 << i for i in rng.sample(range(size), size // 8))
+    for mask in (0, sparse, dense, (1 << size) - 1):
+        got = core._set_bits(mask, size)
+        assert got.dtype == np.int64
+        assert got.tolist() == ref_set_bits(mask)
 
 
 def test_short_tables_fit_one_digit():

@@ -7,7 +7,6 @@ from negabench.subspaces import (
     build_T,
     build_modifier_set,
     coset_representatives,
-    in_pair_antirepetition,
     in_pair_repetition,
     orbit,
     orbit_representative,
@@ -48,8 +47,6 @@ class TestRepetitionSets:
         assert in_pair_repetition(0b1111, 2)
         assert in_pair_repetition(0b0000, 2)
         assert not in_pair_repetition(0b0111, 2)
-        assert in_pair_antirepetition(0b0110, 2)
-        assert not in_pair_antirepetition(0b0011, 2)
 
 
 class TestOrbits:
