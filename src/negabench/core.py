@@ -7,10 +7,10 @@ and its truth-table index are therefore interchangeable.
 
 Storage: every 2^n-entry table (truth table, vector set, ANF coefficients) is
 one Python int whose bit i holds entry i.  This module owns that layout; only
-`spectra._sigma2_bytes`, `spectra._spectrum`, `oracle._lowest_bit` and
-`oracle._random_function` also read or write it.  Each conversion to or from
-it is one O(2^n) pass through numpy or a single C-level int call, never a
-Python loop over entries.
+`spectra._sigma2_bytes`, `spectra._spectrum`, `spectra.definitional_sums`,
+`oracle._lowest_bit` and `oracle._random_function` also read or write it.
+Each conversion to or from it is one O(2^n) pass through numpy or a single
+C-level int call, never a Python loop over entries.
 """
 
 from __future__ import annotations
@@ -120,14 +120,9 @@ def _check_table(n: int, bits: int, what: str) -> None:
         raise ValueError(f"{what} out of range for dimension")
 
 
-def popcount(values: np.ndarray) -> np.ndarray:
-    """Hamming weight of each entry (each in 0..2^32-1) as an int64 array."""
-    return np.bitwise_count(np.asarray(values).astype(np.uint32, copy=False)).astype(np.int64)
-
-
 def popcounts(size: int) -> np.ndarray:
     """Hamming weights of 0..size-1 as an int64 array."""
-    return popcount(np.arange(size, dtype=np.uint32))
+    return np.bitwise_count(np.arange(size, dtype=np.uint32)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +215,11 @@ class BitVector:
         return self.to_string()
 
 
+def _index(x) -> int:
+    """The truth-table index of a BitVector or an int."""
+    return x.bits if isinstance(x, BitVector) else int(x)
+
+
 @dataclass(frozen=True)
 class VectorSet:
     """A subset of F_2^n stored as a membership bitmask over indices."""
@@ -239,8 +239,7 @@ class VectorSet:
         return cls(n, _pack_bits(table))
 
     def __contains__(self, item) -> bool:
-        idx = item.bits if isinstance(item, BitVector) else int(item)
-        return bool((self.mask >> idx) & 1)
+        return bool((self.mask >> _index(item)) & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -248,14 +247,6 @@ class VectorSet:
     def indices(self) -> list[int]:
         """Member indices, ascending."""
         return _set_bits(self.mask, 1 << self.n).tolist()
-
-    @cached_property
-    def members(self) -> np.ndarray:
-        """Member indices as a read-only ascending int64 array, built on
-        first use and kept with the set."""
-        xs = _set_bits(self.mask, 1 << self.n)
-        xs.setflags(write=False)
-        return xs
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +280,7 @@ class BooleanFunction:
         return cls(n, _pack_bits(np.asarray(values).astype(np.uint8) & 1))
 
     def value(self, x) -> int:
-        idx = x.bits if isinstance(x, BitVector) else int(x)
-        return (self.bits >> idx) & 1
+        return (self.bits >> _index(x)) & 1
 
     @cached_property
     def table_bytes(self) -> np.ndarray:
@@ -302,12 +292,6 @@ class BooleanFunction:
     def value_array(self) -> np.ndarray:
         """Truth table as a uint8 numpy array."""
         return np.unpackbits(self.table_bytes, count=1 << self.n, bitorder="little")
-
-    def values_at(self, indices) -> np.ndarray:
-        """Entries at the given indices as an int64 0/1 array, read from the
-        table's bytes without unpacking the whole table."""
-        idx = _index_array(self.n, indices)
-        return (self.table_bytes[idx >> 3] >> (idx & 7)) & 1
 
     def weight(self) -> int:
         return self.bits.bit_count()

@@ -37,10 +37,9 @@ from .spectra import (
     NegaSpectrum,
     WalshSpectrum,
     classify,
+    definitional_sums,
     dual_of_spectrum,
-    fragmentary_nega,
     fragmentary_nega_spectrum,
-    fragmentary_walsh,
     fragmentary_walsh_spectrum,
     mm_function,
     nega_transform,
@@ -151,8 +150,6 @@ class _Checks:
 
 
 _NAIVE_LIMIT = 14
-# bytes of packed rows of the linear functions held at once
-_NAIVE_BLOCK_BYTES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,55 +162,12 @@ class DefinitionalNega:
 
 
 def naive_transforms(f: BooleanFunction) -> tuple[WalshSpectrum, DefinitionalNega]:
-    """Both spectra straight from their defining sums, as Hamming distances
-    from f to the linear functions u.x, taken per weight class mod 4.
-
-    With C_c = {x : wt(x) = c mod 4}, the class sum
-    A_c(u) = sum over x in C_c of (-1)^(f(x) + u.x) is |C_c| minus twice the
-    weight of (f + u.x) on C_c.  Then W_f(u) = A_0 + A_1 + A_2 + A_3, and
-    splitting i^wt(x) by class gives N_f(u) = (A_0 - A_2) + i(A_1 - A_3).
-    Each row u.x is built from its definition, parity(u & x), packed 64
-    points to a word, and many u are counted at once.  Quadratic cost, so
-    refused above n = 14; used to cross-check the butterfly kernels on an
-    algorithmically independent route: no butterfly and no sigma2 identity.
-    """
+    """Both spectra at every point by `definitional_sums`: quadratic cost,
+    so refused above n = 14; the butterfly kernels are cross-checked on this
+    algorithmically independent route (no butterfly, no sigma2 identity)."""
     if f.n > _NAIVE_LIMIT:
         raise CapacityError(f"naive transforms are limited to n <= {_NAIVE_LIMIT}")
-    size = 1 << f.n
-    # rows span at least one uint64 word; the padding points lie in no class
-    width = max(size, 64)
-    # point indices fit uint16 (n <= 14); each class count is at most
-    # |C_c| <= 2^n <= 2^14 and every sum below is int64
-    assert width <= 1 << 16
-    xs = np.arange(width, dtype=np.uint16)
-    pops = popcounts(width)
-    parity = (pops & 1).astype(np.uint8)
-
-    def packed(bits: np.ndarray) -> np.ndarray:
-        return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-
-    def linear_rows(us: np.ndarray) -> np.ndarray:
-        return packed(parity[us[:, None] & xs])
-
-    in_class = (pops % 4 == np.arange(4)[:, None]) & (xs < size)
-    classes = packed(in_class)
-    class_sizes = in_class.sum(axis=1)
-    table = np.zeros(width, dtype=np.uint8)
-    table[:size] = f.value_array()
-
-    # u.x is linear in u: the row of u_lo + u_hi is row(u_lo) + row(u_hi), so
-    # one block of low rows plus f is reused under every high part
-    rows = min(size, _NAIVE_BLOCK_BYTES // (width // 8))
-    block = linear_rows(np.arange(rows, dtype=np.uint16)) ^ packed(table)
-    weights = np.empty((size, 4), dtype=np.int64)
-    for hi in range(0, size, rows):
-        d = block ^ linear_rows(np.array([hi], dtype=np.uint16))
-        weights[hi:hi + rows] = np.bitwise_count(d[:, None, :] & classes).sum(
-            axis=2, dtype=np.int64)
-    a = class_sizes - 2 * weights
-    w = a.sum(axis=1)
-    re = a[:, 0] - a[:, 2]
-    im = a[:, 1] - a[:, 3]
+    w, re, im = definitional_sums(f, np.arange(1 << f.n))
     for arr in (w, re, im):
         arr.setflags(write=False)
     return WalshSpectrum(f.n, w), DefinitionalNega(f.n, re, im)
@@ -559,7 +513,7 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
 
     Also checks the closed-form base spectra, the per-point bound on the
     number of contributing parameters, and (on a deterministic sample) the
-    literal restricted sums against the masked butterfly route.  The exact
+    definitional restricted sums against the masked butterfly route.  The exact
     spectra are whole arrays; the closed forms and predictions are computed
     and compared over blocks of at most 2^18 points.  `_predict` reads only
     the spec, never the set or a spectrum: each point looks its (gamma, eps)
@@ -632,11 +586,13 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
 
     def literal_sample_check():
         pts = _sample_points(size)
-        for idx in pts:
-            if fragmentary_walsh(f0, tset, idx) != wt.value(idx):
-                return False, "", f"walsh point {idx}"
-            if fragmentary_nega(f0, tset, idx) != nt.value(idx):
-                return False, "", f"nega point {idx}"
+        w, re, im = definitional_sums(f0, pts, tset)
+        for i, idx in enumerate(pts):
+            for kind, got, want in (("walsh", (int(w[i]),), (wt.value(idx),)),
+                                    ("nega", (int(re[i]), int(im[i])), nt.value(idx))):
+                if got != want:
+                    return False, "", (f"{kind} point {idx}: definitional {_fmt(got)} "
+                                       f"!= masked butterfly {_fmt(want)}")
         return True, f"{len(pts)} sampled points", None
 
     checks.add("literal-sum-agreement", literal_sample_check)
@@ -977,19 +933,14 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
         nf.parseval_holds(), f"sum of squared magnitudes = 2^{2 * n}", None))
 
     def bent_check():
-        bad = wf.flat_counterexample()
-        if bad is None:
-            return True, f"|W| = 2^{n // 2} everywhere", None
-        return False, "", f"|W({BitVector(n, bad)})| = {abs(wf.value(bad))}"
+        bad = wf.flat_failure()
+        return bad is None, "" if bad else f"|W| = 2^{n // 2} everywhere", bad
 
     checks.add("bent", bent_check)
 
     def negabent_check():
-        bad = nf.flat_counterexample()
-        if bad is None:
-            return True, f"|N|^2 = 2^{n} everywhere", None
-        re, im = nf.value(bad)
-        return False, "", f"|N({BitVector(n, bad)})|^2 = {re * re + im * im}"
+        bad = nf.flat_failure()
+        return bad is None, "" if bad else f"|N|^2 = 2^{n} everywhere", bad
 
     checks.add("negabent", negabent_check)
 
@@ -1036,8 +987,10 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
         wd, nd = walsh_transform(cf.closed_dual), nega_transform(cf.closed_dual)
 
     def dual_flat_check():
-        bent, nega = wd.flat_counterexample() is None, nd.flat_counterexample() is None
-        return bent and nega, f"bent={bent} negabent={nega}", None
+        bad_w, bad_n = wd.flat_failure(), nd.flat_failure()
+        return (bad_w is None and bad_n is None,
+                f"bent={bad_w is None} negabent={bad_n is None}",
+                "; ".join(b for b in (bad_w, bad_n) if b) or None)
 
     checks.add("dual-bent-negabent", dual_flat_check)
 

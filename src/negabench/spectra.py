@@ -9,8 +9,8 @@ u' = u + (1, ..., 1), the index 2^n - 1 - u,
     N_f(u) = ((W_g(u) + W_g(u')) + i (W_g(u) - W_g(u'))) / 2,
 
 term by term, so masked (fragmentary) sums obey it too.  `NegaSpectrum`
-stores W_g and derives re and im block by block; the literal restricted
-sum `fragmentary_nega` keeps the i^wt(x) twist and shares none of this.
+stores W_g and derives re and im block by block.  `definitional_sums`, the
+defining sums at chosen points per weight class mod 4, shares none of this.
 
 Every butterfly enters from the packed truth-table bytes (for g, XORed with
 sigma2's): an 8-point spectrum per byte, gathered from an 8 KiB table, does
@@ -35,9 +35,11 @@ from .core import (
     DimensionError,
     NotBentError,
     VectorSet,
+    _index,
+    _index_array,
+    _raw_bytes,
     characteristic_function,
     check_capacity,
-    popcount,
     popcounts,
 )
 
@@ -136,8 +138,7 @@ class WalshSpectrum:
         return (self.values[block],)
 
     def value(self, u) -> int:
-        idx = u.bits if isinstance(u, BitVector) else int(u)
-        return int(self.values[idx])
+        return int(self.values[_index(u)])
 
     def parseval_sum(self) -> int:
         return _exact_sum_sq(self.values)
@@ -151,6 +152,11 @@ class WalshSpectrum:
             return 0 if self.values.shape[0] else None
         bad = np.flatnonzero(np.abs(self.values) != 1 << (self.n // 2))
         return int(bad[0]) if bad.size else None
+
+    def flat_failure(self) -> Optional[str]:
+        """'|W(u)| = v' at the first u where W is not flat, or None."""
+        bad = self.flat_counterexample()
+        return None if bad is None else f"|W({BitVector(self.n, bad)})| = {abs(self.value(bad))}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +189,7 @@ class NegaSpectrum:
 
     def value(self, u) -> tuple[int, int]:
         """N(u) as the int pair (re, im)."""
-        idx = u.bits if isinstance(u, BitVector) else int(u)
+        idx = _index(u)
         re, im = self.parts(slice(idx, idx + 1))
         return int(re[0]), int(im[0])
 
@@ -213,6 +219,14 @@ class NegaSpectrum:
         bad = np.flatnonzero((a + b != 1 << (self.n + 1) // 2) | (np.minimum(a, b) != 0))
         return int(bad[0]) if bad.size else None
 
+    def flat_failure(self) -> Optional[str]:
+        """'|N(u)|^2 = v' at the first u where N is not flat, or None."""
+        bad = self.flat_counterexample()
+        if bad is None:
+            return None
+        re, im = self.value(bad)
+        return f"|N({BitVector(self.n, bad)})|^2 = {re * re + im * im}"
+
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     check_capacity(f.n)
@@ -228,31 +242,63 @@ def nega_transform(f: BooleanFunction) -> NegaSpectrum:
 # fragmentary transforms (sums restricted to a subset)
 
 
-def _restricted_signs(f: BooleanFunction, t: VectorSet, u) -> tuple[np.ndarray, np.ndarray]:
-    """The members x of t as an int64 array, and (-1)^(f(x) + u.x) at each."""
-    if f.n != t.n:
+# _ROW6[u] packs u.x over the x < 64 into one word, for each u < 64
+_ROW6 = np.packbits(np.bitwise_count(np.arange(64)[:, None] & np.arange(64)) & 1,
+                    axis=1, bitorder="little").view("<u8")[:, 0]
+# _CLASS_BYTES[c, w] holds the x < 8 with w + wt(x) = c mod 4: byte j of
+# the class C_c = {x : wt(x) = c mod 4} is _CLASS_BYTES[c, wt(j) mod 4]
+_CLASS_BYTES = np.array([[sum(1 << x for x in range(8) if (w + x.bit_count()) % 4 == c)
+                          for w in range(4)] for c in range(4)], dtype=np.uint8)
+# packed words of rows u.x compared at once by `definitional_sums`
+_SUM_WORDS = 1 << 13
+
+
+def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W_{f,T}(u) and N_{f,T}(u) at the points `us` (T everywhere if None)
+    straight from the defining sums, as int64 arrays (w, re, im).
+
+    On each class C_c = {x : wt(x) = c mod 4}, A_c(u) = |C_c & T| - 2 wt((f +
+    u.x) & C_c & T); then W = A_0 + A_1 + A_2 + A_3 and, splitting i^wt(x)
+    by class, N = (A_0 - A_2) + i(A_1 - A_3).  Every operand is packed 64
+    points to a word, each row u.x = parity(u & x) too, so a point costs
+    2^n / 16 word operations; no butterfly or sigma2 identity is reached.
+    """
+    us = _index_array(f.n, us)
+    if t is not None and t.n != f.n:
         raise DimensionError("function and subset dimensions differ")
-    ub = u.bits if isinstance(u, BitVector) else int(u)
-    xs = t.members  # built once per set, whatever the number of sums
-    exps = f.values_at(xs) ^ (popcount(xs & ub) & 1)
-    return xs, 1 - 2 * exps
+    # whole words; the padding points lie outside T (or the live 2^n points)
+    width = max(64, 1 << f.n)
+    live = (1 << (1 << f.n)) - 1 if t is None else t.mask
+    byte_classes = np.bitwise_count(np.arange(width >> 3, dtype=np.uint32)) & 3
+    masks = (np.take(_CLASS_BYTES, byte_classes, axis=1).view("<u8")
+             & _raw_bytes(live, width).view("<u8"))
+    # each class count is at most 2^n <= 2^24, so every sum below is int64
+    sizes = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
+    table = _raw_bytes(f.bits, width).view("<u8")
+    weights = np.empty((us.size, 4), dtype=np.int64)
+    step = max(1, _SUM_WORDS // table.size)
+    for start in range(0, us.size, step):
+        u = us[start:start + step, None]
+        # with x = 64 x_hi + x_lo, u.x = u_lo.x_lo + u_hi.x_hi: the one-word
+        # row of u_lo, tiled and flipped on each word x_hi where u_hi.x_hi = 1
+        flips = (np.bitwise_count((u >> 6) & np.arange(table.size)) & 1) * np.uint64(2**64 - 1)
+        diff = (table ^ _ROW6[u & 63] ^ flips)[:, None, :]
+        weights[start:start + step] = np.bitwise_count(diff & masks).sum(axis=2, dtype=np.int64)
+    a = sizes - 2 * weights
+    return a.sum(axis=1), a[:, 0] - a[:, 2], a[:, 1] - a[:, 3]
 
 
 def fragmentary_walsh(f: BooleanFunction, t: VectorSet, u) -> int:
-    """W_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x), by the literal sum."""
-    return int(_restricted_signs(f, t, u)[1].sum())
-
-
-_RE_TWIST = np.array([1, 0, -1, 0], dtype=np.int64)
-_IM_TWIST = np.array([0, 1, 0, -1], dtype=np.int64)
+    """W_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x), by the defining sum."""
+    return int(definitional_sums(f, [_index(u)], t)[0][0])
 
 
 def fragmentary_nega(f: BooleanFunction, t: VectorSet, u) -> tuple[int, int]:
     """N_{f,T}(u) = sum_{x in T} (-1)^(f(x) + u.x) i^wt(x) as (re, im), by
-    the literal sum."""
-    xs, signs = _restricted_signs(f, t, u)
-    w4 = popcount(xs) % 4
-    return int(np.dot(signs, _RE_TWIST[w4])), int(np.dot(signs, _IM_TWIST[w4]))
+    the defining sum."""
+    _, re, im = definitional_sums(f, [_index(u)], t)
+    return int(re[0]), int(im[0])
 
 
 def fragmentary_walsh_spectrum(f: BooleanFunction, t: VectorSet) -> WalshSpectrum:
@@ -302,12 +348,9 @@ def dual(f: BooleanFunction) -> BooleanFunction:
 
 def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
     """The bent dual read off an exact Walsh spectrum that is already at hand."""
-    bad = spec.flat_counterexample()
+    bad = spec.flat_failure()
     if bad is not None:
-        raise NotBentError(
-            f"not bent: |W({BitVector(spec.n, bad)})| = {abs(spec.value(bad))} "
-            f"!= {1 << (spec.n // 2)}"
-        )
+        raise NotBentError(f"not bent: {bad} != {1 << (spec.n // 2)}")
     target = 1 << (spec.n // 2)
     return BooleanFunction.from_values(spec.n, spec.values == -target)
 
@@ -317,7 +360,7 @@ def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
 
 
 def _permutation_images(pi: Sequence, m: int) -> list[int]:
-    imgs = [p.bits if isinstance(p, BitVector) else int(p) for p in pi]
+    imgs = [_index(p) for p in pi]
     if len(imgs) != 1 << m:
         raise DimensionError("permutation table length must be 2^m")
     if sorted(imgs) != list(range(1 << m)):

@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Twenty-one criteria, each asserted exactly (integer and structural equality, no
+Twenty-two criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -557,3 +557,14 @@ def test_criterion_21_lemma_with_every_gamma_at_n20():
     assert report.passed, report.failures()
     assert _check(report, "contribution-bounds").details == (
         "max walsh matches 1, max nega matches 1 (bound 1)")
+
+
+def test_criterion_22_lemma_with_every_gamma_at_n24():
+    # the literal sums at the 64 sampled points are popcounts of packed rows
+    # u.x per weight class, over the set's packed mask, so a set of all 2^24
+    # points costs 2^n / 16 word operations a point, not a sum over its members
+    spec = GammaSpec(6, "S1", tuple(BitVector(12, g) for g in range(1 << 12)))
+    with criterion("criterion-22 fragment lemma with 4096 gammas at n=24", 20.0):
+        report = verify_fragmentary_lemma(spec)
+    assert report.passed, report.failures()
+    assert _check(report, "literal-sum-agreement").details == "64 sampled points"

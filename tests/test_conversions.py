@@ -145,18 +145,11 @@ def test_range_check_without_building_the_bound():
 def test_values_at_and_array_indices(n):
     rng = random.Random(2000 + n)
     size = 1 << n
-    bits = rng.getrandbits(size)
     idxs = [rng.randrange(size) for _ in range(2 * size)]
-    want = [(bits >> i) & 1 for i in idxs]
-    f = BooleanFunction(n, bits)
-    assert f.values_at(idxs).tolist() == want
-    assert f.values_at(np.array(idxs)).tolist() == want
     assert VectorSet.from_indices(n, np.array(idxs, dtype=np.int32)).mask == ref_from_indices(idxs)
 
 
 @pytest.mark.parametrize("bad", [-1, 8])
 def test_values_at_out_of_range_raises(bad):
-    with pytest.raises(ValueError):
-        BooleanFunction.zero(3).values_at(np.array([0, bad]))
     with pytest.raises(ValueError):
         VectorSet.from_indices(3, np.array([0, bad]))

@@ -10,9 +10,11 @@ from negabench.core import (
     BitVector,
     BooleanFunction,
     CapacityError,
+    DimensionError,
     InvalidSpecError,
     NotBentError,
     VectorSet,
+    characteristic_function,
     popcounts,
     truth_table_from_anf,
 )
@@ -59,21 +61,25 @@ def _check(report, name):
     return next(c for c in report.checks if c.name == name)
 
 
-def _reference_transforms(f):
-    """The per-point loop naive_transforms replaced: for each u, the dot
-    products of (-1)^f, twisted by i^wt(x), with the signs (-1)^(u.x)."""
+def _reference_transforms(f, t=None, us=None):
+    """The per-point loop the definitional sums replaced: for each u (every
+    point if us is None), the dot products of (-1)^f on t (everywhere if
+    None), twisted by i^wt(x), with the signs (-1)^(u.x)."""
     size = 1 << f.n
     signs = 1 - 2 * f.value_array().astype(np.int64)
+    if t is not None:
+        signs *= characteristic_function(t).value_array()
     pops = popcounts(size)
     re_twist = signs * np.array([1, 0, -1, 0], dtype=np.int64)[pops % 4]
     im_twist = signs * np.array([0, 1, 0, -1], dtype=np.int64)[pops % 4]
     xs = np.arange(size, dtype=np.int64)
-    w, re, im = (np.empty(size, dtype=np.int64) for _ in range(3))
-    for u in range(size):
+    us = range(size) if us is None else us
+    w, re, im = (np.empty(len(us), dtype=np.int64) for _ in range(3))
+    for i, u in enumerate(us):
         dot_signs = 1 - 2 * (pops[xs & u] & 1)
-        w[u] = np.dot(signs, dot_signs)
-        re[u] = np.dot(re_twist, dot_signs)
-        im[u] = np.dot(im_twist, dot_signs)
+        w[i] = np.dot(signs, dot_signs)
+        re[i] = np.dot(re_twist, dot_signs)
+        im[i] = np.dot(im_twist, dot_signs)
     return w, re, im
 
 
@@ -99,6 +105,26 @@ def _assert_reference(f):
     assert all(a.dtype == np.int64 for a in (nw.values, nn.re, nn.im))
 
 
+def _random_set(n, seed):
+    return VectorSet(n, _random_function(n, seed).bits)
+
+
+def _assert_restricted(f, t, us):
+    got = spectra.definitional_sums(f, us, t)
+    want = _reference_transforms(f, t, us)
+    assert all(a.dtype == np.int64 and a.shape == (len(us),) for a in got)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _restricted_cases(n, seed):
+    """Seeded points (with a repeat) and sets: none, empty, everything, random."""
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    us = rng.integers(0, size, 12).tolist() + [size - 1, 0, size - 1]
+    sets = (None, VectorSet(n, 0), VectorSet(n, (1 << size) - 1), _random_set(n, seed + 1))
+    return [(_random_function(n, seed), t, us) for t in sets]
+
+
 class TestNaiveTransforms:
     def test_matches_per_point_reference(self):
         for f in _reference_cases():
@@ -106,7 +132,7 @@ class TestNaiveTransforms:
 
     def test_reaches_no_butterfly_code(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("naive_transforms reached the butterfly")
+            raise AssertionError("the definitional sums reached the butterfly")
 
         class RefusedTable:
             __getitem__ = __array__ = __getattr__ = refuse
@@ -120,6 +146,8 @@ class TestNaiveTransforms:
             monkeypatch.setattr(oracle, name, refuse)
         for n in (3, 8, 11):
             _assert_reference(_random_function(n, seed=n))
+            for f, t, us in _restricted_cases(n, seed=40 + n):
+                _assert_restricted(f, t, us)
 
     def test_agrees_with_butterfly(self):
         for n in (1, 2, 3, 5, 7):
@@ -133,6 +161,43 @@ class TestNaiveTransforms:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             naive_transforms(BooleanFunction.zero(15))
+
+
+class TestDefinitionalSums:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_per_point_reference(self, n):
+        for f, t, us in _restricted_cases(n, seed=700 + n):
+            _assert_restricted(f, t, us)
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_high_bits_flip_whole_words(self, n):
+        # the one-word row of u's low 6 bits is tiled over the words and
+        # flipped per word x_hi by u_hi.x_hi; here u_hi also has bits past 2^12
+        rng = np.random.default_rng(900 + n)
+        size = 1 << n
+        us = [size - 1, 1 << 12, (1 << 12) + 5] + rng.integers(0, size, 3).tolist()
+        f = _random_function(n, seed=910 + n)
+        for t in (None, _random_set(n, seed=920 + n)):
+            _assert_restricted(f, t, us)
+
+    def test_one_point_forms(self):
+        f, t = _random_function(6, seed=5), _random_set(6, seed=6)
+        w, re, im = _reference_transforms(f, t, [37])
+        assert spectra.fragmentary_walsh(f, t, BitVector(6, 37)) == w[0]
+        assert spectra.fragmentary_nega(f, t, 37) == (re[0], im[0])
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_rejects_points_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            spectra.definitional_sums(BooleanFunction.zero(3), [0, bad])
+        with pytest.raises(ValueError):
+            spectra.fragmentary_walsh(BooleanFunction.zero(3), VectorSet(3, 5), bad)
+
+    def test_rejects_a_set_of_another_dimension(self):
+        with pytest.raises(DimensionError):
+            spectra.definitional_sums(BooleanFunction.zero(3), [0], VectorSet(4, 5))
+        with pytest.raises(DimensionError):
+            spectra.fragmentary_nega(BooleanFunction.zero(4), VectorSet(3, 5), 0)
 
 
 class TestClosedFormBaseSpectra:
@@ -347,6 +412,32 @@ class TestFragmentaryLemma:
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 0),)))
         assert fragmentary_walsh(f0, t, 8) == 4
 
+    @pytest.mark.parametrize("kind", ["walsh", "nega"])
+    def test_literal_sum_disagreement_names_both_values(self, monkeypatch, kind):
+        # n = 4, so all 16 points are sampled; W_{f0,T}(8) = 4 above.  Moving
+        # the stored W_g(8) by 4 moves N at 8 and at 15 - 8 = 7 by 2 + 2i and
+        # 2 - 2i, and 7 is reached first
+        spec = GammaSpec(1, "S1", (BitVector(2, 0),))
+        name = f"fragmentary_{kind}_spectrum"
+        original = getattr(oracle, name)
+
+        def tampered(f, t):
+            exact = original(f, t)
+            field = "values" if kind == "walsh" else "wg"
+            values = getattr(exact, field).copy()
+            values[8] = 0 if kind == "walsh" else values[8] + 4
+            return dataclasses.replace(exact, **{field: values})
+
+        monkeypatch.setattr(oracle, name, tampered)
+        check = _check(verify_fragmentary_lemma(spec), "literal-sum-agreement")
+        assert not check.passed
+        if kind == "walsh":
+            assert check.counterexample == "walsh point 8: definitional 4 != masked butterfly 0"
+        else:
+            re, im = original(base_function("g0", 1), build_modifier_set(spec)).value(7)
+            assert check.counterexample == (f"nega point 7: definitional {re}{im:+d}i "
+                                            f"!= masked butterfly {re + 2}{im - 2:+d}i")
+
     def test_s1_all_single_gammas(self):
         for bits in range(4):
             rep = verify_fragmentary_lemma(GammaSpec(1, "S1", (BitVector(2, bits),)))
@@ -486,6 +577,18 @@ class TestVerifyConstruction:
         v = cf.function.value(0)
         assert not inv.passed
         assert inv.counterexample == f"at 0000: dual of dual {1 - v} != function {v}"
+
+    def test_failed_dual_flatness_is_named(self):
+        # flipping the closed dual at 0 moves every W and N value by 2
+        cf = construct("G4K", GammaSpec(1, "S1", (BitVector(2, 1),)))
+        bad = cf.closed_dual ^ BooleanFunction(cf.n, 1)
+        check = _check(verify_construction(dataclasses.replace(cf, closed_dual=bad)),
+                       "dual-bent-negabent")
+        w = walsh_transform(bad).value(0)
+        re, im = nega_transform(bad).value(0)
+        assert not check.passed
+        assert check.details == "bent=False negabent=False"
+        assert check.counterexample == f"|W(0000)| = {abs(w)}; |N(0000)|^2 = {re * re + im * im}"
 
     def test_first_points_are_read_without_listing_them(self, monkeypatch):
         # a complement differs from the closed forms everywhere, a one-point
