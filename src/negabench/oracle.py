@@ -29,7 +29,6 @@ from .core import (
     anf_from_truth_table,
     characteristic_function,
     check_capacity,
-    popcounts,
     rotation_symmetry_order,
     truth_table_from_anf,
 )
@@ -268,16 +267,20 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional
 
 
 # ---------------------------------------------------------------------------
-# closed-form base spectra, at every point of an int64 index array
+# closed-form base spectra, at every point of an int32 index array
 #
-# Integer widths: each base closed form is 2^(n/2) times a unit (+-1, or a
-# power of i for the nega spectra), and a doubled predicted fragment value is
-# 0, 2N or (1 +- i)N, so no part exceeds 2^(n/2+2) in magnitude; with
-# n <= 24 that is 2^14, far inside int64.  `verify_fragmentary_lemma` asserts
-# the bound on every closed-form array it compares.
+# Integer widths: a point is below 2^n <= 2^24 and every key, mask or shift
+# of it below that, and each base closed form is 2^(n/2) times a unit (+-1,
+# or a power of i for the nega spectra); a doubled predicted fragment value
+# is 0, 2N or (1 +- i)N, so no part exceeds 2^(n/2+2) <= 2^14 in magnitude.
+# Every array here is int32.  `_points` asserts the point bound, and
+# `verify_fragmentary_lemma` the value bound on every closed-form array it
+# compares.
 
-_I_RE = np.array([1, 0, -1, 0], dtype=np.int64)
-_I_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+_I_RE = np.array([1, 0, -1, 0], dtype=np.int32)
+_I_IM = np.array([0, 1, 0, -1], dtype=np.int32)
+# the popcount of every half u or v of a point: n/2 <= 12 bits
+_POPS = np.bitwise_count(np.arange(1 << 12, dtype=np.uint16)).astype(np.int32)
 
 
 def _h0_split(x: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
@@ -300,32 +303,29 @@ def _combine(nega: tuple[np.ndarray, np.ndarray], a, b) -> tuple[np.ndarray, np.
 def walsh_g0_value(t: int, points) -> np.ndarray:
     """Closed form of the Walsh spectrum of the 4t-variable base g0."""
     m = 2 * t
-    x = np.asarray(points, dtype=np.int64)
+    x = np.asarray(points, dtype=np.int32)
     u, v = x & ((1 << m) - 1), x >> m
-    par = popcounts(1 << m) & 1
     # u & (u >> t) = u' & u''
-    return (1 - 2 * (par[u & (u >> t)] ^ par[u & v])) * (1 << m)
+    return (1 - 2 * ((_POPS[u & (u >> t)] ^ _POPS[u & v]) & 1)) * (1 << m)
 
 
 def nega_g0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of the nega spectrum of the 4t-variable base g0, as (re, im)."""
     m = 2 * t
-    x = np.asarray(points, dtype=np.int64)
+    x = np.asarray(points, dtype=np.int32)
     u = x & ((1 << m) - 1)
     d = (x >> m) ^ u  # d & (d >> t) = (u' + v') & (u'' + v'')
-    pops = popcounts(1 << m)
-    scale = (1 - 2 * (pops[d & (d >> t)] & 1)) * (1 << m)
-    e = (t - pops[u]) % 4
+    scale = (1 - 2 * (_POPS[d & (d >> t)] & 1)) * (1 << m)
+    e = (t - _POPS[u]) & 3
     return _I_RE[e] * scale, _I_IM[e] * scale
 
 
 def walsh_h0_value(t: int, points) -> np.ndarray:
     """Closed form of the Walsh spectrum of the (4t+2)-variable base h0."""
     m = 2 * t
-    u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int64), m)
-    par = popcounts(1 << m) & 1
-    exp = par[u & (u >> t)] ^ par[u & v] ^ (um & vm) ^ (um & (v ^ (u >> t)) & 1)
-    return (1 - 2 * exp) * (1 << (m + 1))
+    u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int32), m)
+    exp = _POPS[u & (u >> t)] ^ _POPS[u & v] ^ (um & vm) ^ (um & (v ^ (u >> t)))
+    return (1 - 2 * (exp & 1)) * (1 << (m + 1))
 
 
 def nega_h0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +333,7 @@ def nega_h0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
     (re, im) arrays: 2N_g0 where the turn bit is 0, else 2iN_g0, negated
     where u_m = 1."""
     m = 2 * t
-    u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int64), m)
+    u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int32), m)
     turn = _h0_turn(u, v, vm, t)
     return _combine(nega_g0_value(t, u | (v << m)), 2 - 2 * turn, turn * (2 - 4 * um))
 
@@ -345,7 +345,7 @@ def nega_h0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
 BRANCHES = ("zero", "half", "full")
 _HALF, _FULL = 1, 2
 # the doubled nega value is a*N + b*iN: a by branch, b = (-1)^s on the half branch
-_N_MULTIPLIER = np.array([0, 1, 2], dtype=np.int64)
+_N_MULTIPLIER = np.array([0, 1, 2], dtype=np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,13 +400,13 @@ def _predict(spec: GammaSpec, x: np.ndarray) -> _Prediction:
 
     nkey = sums(u) | (sums(v) << shift)
     wkey = (nkey ^ um) | (um << w)
-    del u, v, um  # each is one block of int64s, and only the keys are read below
+    del u, v, um  # each is one block of int32s, and only the keys are read below
 
     # the (gamma, eps) candidates in spec order, and their keys
     cand = np.array([(i, e) for i in range(len(spec.gammas))
-                     for e in (spec.e_values(i) if h0 else (0,))], dtype=np.int64)
+                     for e in (spec.e_values(i) if h0 else (0,))], dtype=np.int32)
     gi, eps = cand[:, 0], cand[:, 1]
-    g = np.array([gm.bits for gm in spec.gammas], dtype=np.int64)[gi]
+    g = np.array([gm.bits for gm in spec.gammas], dtype=np.int32)[gi]
     if pairs:
         a, b = sums(g), sums(swap_halves(g, w // 2))
         wk, nk = a | (b << 1), (a ^ low ^ eps) | ((a ^ b ^ low) << 1)
@@ -421,7 +421,7 @@ def _predict(spec: GammaSpec, x: np.ndarray) -> _Prediction:
     order = np.argsort(nk, kind="stable")
     sk = nk[order]
     head = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    first_eps = np.zeros(1 << w, dtype=np.int64)
+    first_eps = np.zeros(1 << w, dtype=np.int32)
     first_eps[sk[head]] = eps[order[head]]
     pair_ok = np.zeros(1 << w, dtype=bool)
     if spec.family == "S3":
@@ -435,7 +435,8 @@ def _predict(spec: GammaSpec, x: np.ndarray) -> _Prediction:
     # candidate gives all of N
     branch = np.minimum(count if h0 else _FULL * count, _FULL)
     s = (turn ^ first_eps[nkey]) & 1 if h0 else 0
-    nega2 = _combine(nega, _N_MULTIPLIER[branch], (branch == _HALF) * (1 - 2 * s))
+    half = (branch == _HALF).astype(np.int32)
+    nega2 = _combine(nega, _N_MULTIPLIER[branch], half * (1 - 2 * s))
     return _Prediction(np.where(w_matches > 0, walsh, 0), w_matches, *nega2, count, branch,
                        (count <= 1) | ((count == 2) & pair_ok[nkey]))
 
@@ -472,7 +473,8 @@ def _blocks(size: int) -> Iterator[slice]:
 
 
 def _points(block: slice) -> np.ndarray:
-    return np.arange(block.start, block.stop, dtype=np.int64)
+    assert block.stop <= 1 << 24  # the closed forms' int32 widths hold below 2^24
+    return np.arange(block.start, block.stop, dtype=np.int32)
 
 
 def _first_difference(got: tuple, want: tuple) -> Optional[int]:

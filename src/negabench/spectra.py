@@ -179,14 +179,6 @@ class NegaSpectrum:
         re >>= 1
         return re, self.wg[start:stop] - re  # im = W_g(u) - re
 
-    @property
-    def re(self) -> np.ndarray:
-        return self.parts(slice(None))[0]
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.parts(slice(None))[1]
-
     def value(self, u) -> tuple[int, int]:
         """N(u) as the int pair (re, im)."""
         idx = _index(u)
@@ -330,12 +322,16 @@ def classify(f: BooleanFunction) -> Classification:
     """Exact bent / negabent flags.
 
     Bentness requires even n; for odd n the flag is False with a note rather
-    than an error.  Negabentness is defined for every n.
+    than an error.  Negabentness is defined for every n.  The weight is a
+    witness against bentness: W_f(0) = 2^n - 2 wt(f) by the defining sum, so
+    the Walsh butterfly runs only when |W_f(0)| = 2^(n/2), and it alone
+    decides every True flag.
     """
     nega_ok = nega_transform(f).flat_counterexample() is None
     if f.n % 2:
         return Classification(False, nega_ok, note="bent undefined for odd n; reported false")
-    bent_ok = walsh_transform(f).flat_counterexample() is None
+    bent_ok = (abs((1 << f.n) - 2 * f.weight()) == 1 << (f.n // 2)
+               and walsh_transform(f).flat_counterexample() is None)
     return Classification(bent_ok, nega_ok)
 
 

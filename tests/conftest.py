@@ -9,3 +9,9 @@ def _restore_capacity_limit():
     old = max_n()
     yield
     set_max_n(old)
+
+
+@pytest.fixture
+def nega_parts():
+    """(re, im) of a NegaSpectrum at every point, as int64 arrays."""
+    return lambda nf: nf.parts(slice(None))

@@ -295,7 +295,7 @@ def test_criterion_08_relation_table_and_comparison():
             print(f"  {case.name}: {witness.details}")
 
 
-def test_criterion_09_fast_equals_naive():
+def test_criterion_09_fast_equals_naive(nega_parts):
     with criterion("criterion-09 fast equals naive with Parseval", 30.0):
         # every function on up to 4 variables, against the definitional sums
         for n in (1, 2, 3, 4):
@@ -310,9 +310,10 @@ def test_criterion_09_fast_equals_naive():
                 signs = 1 - 2 * f.value_array().astype(np.int64)
                 wf = walsh_transform(f)
                 nf = nega_transform(f)
+                re, im = nega_parts(nf)
                 assert np.array_equal(wf.values, sign_mat @ signs)
-                assert np.array_equal(nf.re, sign_mat @ (signs * re_twist))
-                assert np.array_equal(nf.im, sign_mat @ (signs * im_twist))
+                assert np.array_equal(re, sign_mat @ (signs * re_twist))
+                assert np.array_equal(im, sign_mat @ (signs * im_twist))
                 assert wf.parseval_holds()
                 assert nf.parseval_holds()
 
@@ -324,9 +325,10 @@ def test_criterion_09_fast_equals_naive():
                 f = BooleanFunction(n, int.from_bytes(rng.bytes(nbytes), "little"))
                 nw, nn = naive_transforms(f)
                 wf, nf = walsh_transform(f), nega_transform(f)
+                re, im = nega_parts(nf)
                 assert np.array_equal(nw.values, wf.values)
-                assert np.array_equal(nn.re, nf.re)
-                assert np.array_equal(nn.im, nf.im)
+                assert np.array_equal(nn.re, re)
+                assert np.array_equal(nn.im, im)
                 assert wf.parseval_holds() and nf.parseval_holds()
 
 
@@ -373,7 +375,7 @@ def test_criterion_12_lemma_at_n20():
         assert _check(report, "fragment-walsh-closed-form").details.startswith("1048576 points")
 
 
-def test_criterion_13_definitional_spectra_at_n14():
+def test_criterion_13_definitional_spectra_at_n14(nega_parts):
     # the definitional sums count Hamming distances to many linear functions
     # per packed pass, so both spectra at the naive limit take well under a
     # second, not the seconds of a per-point loop
@@ -383,7 +385,8 @@ def test_criterion_13_definitional_spectra_at_n14():
     with criterion("criterion-13 definitional spectra at n=14", 1.0):
         nw, nn = naive_transforms(f)
     assert np.array_equal(nw.values, wf.values)
-    assert np.array_equal(nn.re, nf.re) and np.array_equal(nn.im, nf.im)
+    re, im = nega_parts(nf)
+    assert np.array_equal(nn.re, re) and np.array_equal(nn.im, im)
 
 
 def test_criterion_14_modifier_set_at_n24():
@@ -472,10 +475,12 @@ def test_criterion_17_spectrum_text_at_n24(tmp_path):
 
 
 def test_criterion_18_relation_table_at_k2():
-    # every spectrum enters the butterfly from the packed truth-table bytes
-    # and negabent flatness is read off |W_g| in int32, so the relation table
-    # at k = 2 (48 S4 indicator functions at n = 18 among them) fits a second
-    with criterion("criterion-18 relation table at k=2", 1.0):
+    # every spectrum enters the butterfly from the packed truth-table bytes,
+    # negabent flatness is read off |W_g| in int32, and the weight rules out
+    # bentness before any Walsh butterfly (223 of the 241 classifications
+    # skip it), so the relation table at k = 2 (48 S4 indicator functions at
+    # n = 18 among them) fits 0.6 s
+    with criterion("criterion-18 relation table at k=2", 0.6):
         table = check_table1(2)
     assert [(c.name, c.passed, c.details) for c in table.checks] == [
         ("sigma2-bent-not-negabent", True, "bent=True negabent=False"),

@@ -286,6 +286,21 @@ def test_h0_closed_forms(t):
     assert (re.tolist(), im.tolist()) == _nega_pairs(ref_nega_h0(t, p) for p in pts)
 
 
+@pytest.mark.parametrize("n, t, walsh_form, nega_form, walsh_ref, nega_ref", [
+    (24, 6, oracle.walsh_g0_value, oracle.nega_g0_value, ref_walsh_g0, ref_nega_g0),
+    (22, 5, oracle.walsh_h0_value, oracle.nega_h0_value, ref_walsh_h0, ref_nega_h0),
+], ids=["g0-n24", "h0-n22"])
+def test_int32_closed_forms_at_capacity(n, t, walsh_form, nega_form, walsh_ref, nega_ref):
+    # the top points of the largest g0 and h0 set every bit of an int32 point
+    size = 1 << n
+    xs = oracle._points(slice(size - 256, size))
+    pts = range(size - 256, size)
+    walsh, (re, im) = walsh_form(t, xs), nega_form(t, xs)
+    assert {a.dtype for a in (xs, walsh, re, im)} == {np.dtype(np.int32)}
+    assert walsh.tolist() == [walsh_ref(t, p) for p in pts]
+    assert (re.tolist(), im.tolist()) == _nega_pairs(nega_ref(t, p) for p in pts)
+
+
 def _spec(k, family, gammas, esets=None):
     return GammaSpec(k, family, tuple(BitVector.from_string(g) for g in gammas), esets)
 
@@ -389,9 +404,9 @@ def test_tampered_walsh_entry_is_named(monkeypatch, name, check):
     ("nega_transform", "base-nega-closed-form", "", 1),
     ("fragmentary_nega_spectrum", "fragment-nega-closed-form", "2N = ", 2),
 ])
-def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale):
+def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale, nega_parts):
     exact = _exact(name)
-    re, im = int(exact.re[TAMPER_POINT]), int(exact.im[TAMPER_POINT])
+    re, im = (int(part[TAMPER_POINT]) for part in nega_parts(exact))
     # N(u) = ((W_g(u) + W_g(u')) + i(W_g(u) - W_g(u'))) / 2, so the shifted
     # W_g(u) moves both parts at u and both at u' = 2^n - 1 - u, which is later
     assert TAMPER_POINT < (1 << exact.n) - 1 - TAMPER_POINT
@@ -411,9 +426,10 @@ def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale):
     (test_tampered_nega_entry_is_named,
      ("fragmentary_nega_spectrum", "fragment-nega-closed-form", "2N = ", 2)),
 ], ids=["base-walsh", "fragment-walsh", "base-nega", "fragment-nega"])
-def test_tampered_entry_is_named_across_blocks(monkeypatch, test, args):
+def test_tampered_entry_is_named_across_blocks(monkeypatch, nega_parts, test, args):
     monkeypatch.setattr(oracle, "_BLOCK", 16)
-    test(monkeypatch, *args)
+    fixtures = {"nega_parts": nega_parts} if test is test_tampered_nega_entry_is_named else {}
+    test(monkeypatch, *args, **fixtures)
 
 
 @pytest.mark.parametrize("block", [oracle._BLOCK, 16])

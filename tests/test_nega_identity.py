@@ -58,23 +58,24 @@ def _reference_nega(n, signs):
 
 
 @pytest.mark.parametrize("n", range(1, 15))
-def test_identity_matches_definitional_sums(n):
+def test_identity_matches_definitional_sums(n, nega_parts):
     rng = np.random.default_rng(700 + n)
     for f in _functions(n, rng):
         _, nn = naive_transforms(f)
         nf = nega_transform(f)
         assert nf.wg.dtype == np.int32
-        assert np.array_equal(nf.re, nn.re) and np.array_equal(nf.im, nn.im)
+        re, im = nega_parts(nf)
+        assert np.array_equal(re, nn.re) and np.array_equal(im, nn.im)
 
         t = VectorSet(n, _random_bits(rng, n))
         _, flipped = naive_transforms(f ^ characteristic_function(t))
-        nt = fragmentary_nega_spectrum(f, t)
-        assert np.array_equal(2 * nt.re, nn.re - flipped.re)
-        assert np.array_equal(2 * nt.im, nn.im - flipped.im)
+        re, im = nega_parts(fragmentary_nega_spectrum(f, t))
+        assert np.array_equal(2 * re, nn.re - flipped.re)
+        assert np.array_equal(2 * im, nn.im - flipped.im)
 
 
 @pytest.mark.parametrize("n", [16, 20])
-def test_identity_matches_twisted_two_butterfly_route(n):
+def test_identity_matches_twisted_two_butterfly_route(n, nega_parts):
     rng = np.random.default_rng(800 + n)
     f = BooleanFunction(n, _random_bits(rng, n))
     t = VectorSet(n, _random_bits(rng, n))
@@ -82,14 +83,15 @@ def test_identity_matches_twisted_two_butterfly_route(n):
     mask = characteristic_function(t).value_array()
     for got, want in ((nega_transform(f), _reference_nega(n, signs)),
                       (fragmentary_nega_spectrum(f, t), _reference_nega(n, signs * mask))):
-        assert np.array_equal(got.re, want[0]) and np.array_equal(got.im, want[1])
+        re, im = nega_parts(got)
+        assert np.array_equal(re, want[0]) and np.array_equal(im, want[1])
         assert got.parseval_sum() == int(np.dot(want[0], want[0]) + np.dot(want[1], want[1]))
 
 
-def test_blocks_of_parts_cover_the_whole_spectrum():
+def test_blocks_of_parts_cover_the_whole_spectrum(nega_parts):
     f = BooleanFunction(10, _random_bits(np.random.default_rng(5), 10))
     nf = nega_transform(f)
-    re, im = nf.re, nf.im
+    re, im = nega_parts(nf)
     for start in range(0, 1 << 10, 96):  # blocks that straddle the midpoint
         part_re, part_im = nf.parts(slice(start, start + 96))
         assert np.array_equal(part_re, re[start:start + 96])

@@ -149,14 +149,15 @@ class TestNaiveTransforms:
             for f, t, us in _restricted_cases(n, seed=40 + n):
                 _assert_restricted(f, t, us)
 
-    def test_agrees_with_butterfly(self):
+    def test_agrees_with_butterfly(self, nega_parts):
         for n in (1, 2, 3, 5, 7):
             f = _random_function(n, seed=n)
             nw, nn = naive_transforms(f)
             wf, nf = walsh_transform(f), nega_transform(f)
+            re, im = nega_parts(nf)
             assert np.array_equal(nw.values, wf.values)
-            assert np.array_equal(nn.re, nf.re)
-            assert np.array_equal(nn.im, nf.im)
+            assert np.array_equal(nn.re, re)
+            assert np.array_equal(nn.im, im)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -201,22 +202,24 @@ class TestDefinitionalSums:
 
 
 class TestClosedFormBaseSpectra:
-    def test_g0_everywhere(self):
+    def test_g0_everywhere(self, nega_parts):
         for t in (1, 2):
             f = base_function("g0", t)
             wf, nf = walsh_transform(f), nega_transform(f)
             us = np.arange(1 << f.n)
             assert np.array_equal(wf.values, walsh_g0_value(t, us))
             re, im = nega_g0_value(t, us)
-            assert np.array_equal(nf.re, re) and np.array_equal(nf.im, im)
+            nf_re, nf_im = nega_parts(nf)
+            assert np.array_equal(nf_re, re) and np.array_equal(nf_im, im)
 
-    def test_h0_everywhere(self):
+    def test_h0_everywhere(self, nega_parts):
         f = base_function("h0", 1)
         wf, nf = walsh_transform(f), nega_transform(f)
         us = np.arange(1 << 6)
         assert np.array_equal(wf.values, walsh_h0_value(1, us))
         re, im = nega_h0_value(1, us)
-        assert np.array_equal(nf.re, re) and np.array_equal(nf.im, im)
+        nf_re, nf_im = nega_parts(nf)
+        assert np.array_equal(nf_re, re) and np.array_equal(nf_im, im)
 
 
 def walsh_code(fc, u):
@@ -469,6 +472,20 @@ class TestTable:
         assert rep.passed, [c.name for c in rep.failures()]
         assert len(rep.checks) == 12
 
+    @pytest.mark.parametrize("k, walsh, nega", [(1, 44, 145), (2, 18, 241)])
+    def test_butterflies_per_table(self, monkeypatch, k, walsh, nega):
+        # every classification takes the nega butterfly; the Walsh one runs
+        # only at bent weight, which no modifier-set indicator has at k = 2
+        calls = {"walsh_transform": 0, "nega_transform": 0}
+        for name in calls:
+            def counted(f, original=getattr(spectra, name), name=name):
+                calls[name] += 1
+                return original(f)
+
+            monkeypatch.setattr(spectra, name, counted)
+        assert check_table1(k).passed
+        assert calls == {"walsh_transform": walsh, "nega_transform": nega}
+
 
 class TestSuComparison:
     def test_recorded_cases_pass(self):
@@ -528,7 +545,7 @@ class TestVerifyConstruction:
         assert not degree.passed
 
     @pytest.mark.parametrize("name", ["walsh_transform", "nega_transform"])
-    def test_tampered_butterfly_is_named(self, monkeypatch, name):
+    def test_tampered_butterfly_is_named(self, monkeypatch, nega_parts, name):
         # negating one stored value keeps every magnitude and the Parseval sum,
         # so the flatness checks cannot see it.  The definitional cross-check
         # does; a negated W_f also flips the dual read off that spectrum.  The
@@ -561,7 +578,7 @@ class TestVerifyConstruction:
             first = 255 - point
             where = BitVector(8, first)
             assert set(failed) == {"butterfly-matches-naive"}
-            re, im = int(exact.re[first]), int(exact.im[first])
+            re, im = (int(part[first]) for part in nega_parts(exact))
             assert re != im  # the turn below moves N at this point
             # re = (a + b)/2 and im = (a - b)/2 with b = W_g(201) negated
             want = f"nega at {where}: butterfly {im}{re:+d}i != definitional {re}{im:+d}i"

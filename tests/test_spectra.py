@@ -175,11 +175,55 @@ class TestNegaFlatness:
             assert check.counterexample == _reference_detail(bad)
 
 
+def _witness_functions():
+    """All 16 functions at n = 2; at n = 4..10 sigma2, g0, h0, f0, seeded
+    functions of bent weight (most not bent) and seeded ones of any weight."""
+    yield from (BooleanFunction(2, bits) for bits in range(16))
+    for name, params in (("sigma2", (4, 6, 8, 10)), ("g0", (1, 2)), ("h0", (1, 2)),
+                         ("f0", (1, 2))):
+        yield from (base_function(name, p) for p in params)
+    rng = np.random.default_rng(2026)
+    for n in (4, 6, 8, 10):
+        size = 1 << n
+        for weight in (size // 2 - (1 << (n // 2 - 1)), size // 2 + (1 << (n // 2 - 1))):
+            for _ in range(3):
+                values = np.zeros(size, dtype=np.uint8)
+                values[rng.choice(size, weight, replace=False)] = 1
+                yield BooleanFunction.from_values(n, values)
+        yield from _random_functions(n, 3, seed=n)
+
+
 class TestClassify:
     def test_bent_negabent_flags(self):
         f = truth_table_from_anf(AnfPolynomial.from_monomials(2, [0b11]))
         cls = classify(f)
         assert cls.is_bent and not cls.is_negabent
+
+    def test_weight_witness_agrees_with_definitional_flags(self, monkeypatch):
+        # W_f(0) = 2^n - 2 wt(f), so only a function of weight 2^(n-1) +-
+        # 2^(n/2-1) can be bent: the Walsh butterfly runs for those alone
+        walsh_calls = []
+
+        def counted(f):
+            walsh_calls.append(f)
+            return walsh_transform(f)
+
+        monkeypatch.setattr(spectra, "walsh_transform", counted)
+        kinds = {"bent": 0, "bent weight, not bent": 0, "other weight": 0, "negabent": 0}
+        for f in _witness_functions():
+            w, nn = oracle.naive_transforms(f)
+            want = (bool(np.all(np.abs(w.values) == 1 << (f.n // 2))),
+                    bool(np.all(nn.re * nn.re + nn.im * nn.im == 1 << f.n)))
+            cls = classify(f)
+            assert (cls.is_bent, cls.is_negabent) == want, f.to_hex()
+            bent_weight = abs((1 << f.n) - 2 * f.weight()) == 1 << (f.n // 2)
+            assert walsh_calls == ([f] if bent_weight else [])
+            walsh_calls.clear()
+            kinds["bent" if want[0] else
+                  "bent weight, not bent" if bent_weight else "other weight"] += 1
+            kinds["negabent"] += want[1]
+        # each route decides some verdicts
+        assert min(kinds.values()) >= 4, kinds
 
     def test_odd_n_note(self):
         cls = classify(BooleanFunction.zero(3))
