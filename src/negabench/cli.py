@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -361,6 +362,7 @@ def _max_n_arg(text: str) -> int:
     return value
 
 
+@functools.cache  # parsing keeps it as it was; an append copies its default list
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negabench",

@@ -1,6 +1,6 @@
 """Exact Walsh-Hadamard and nega-Hadamard spectra, with no floating point.
 
-One int32 butterfly, `_fwht_inplace`, computes every spectrum.  The nega
+One butterfly, `_spectrum`, computes every spectrum.  The nega
 spectrum is the Walsh spectrum of g = f + sigma2, sigma2(x) = C(wt(x), 2)
 mod 2 (Parker & Pott 2007; Stanica et al., IEEE Trans. IT 58(6), 2012):
 since i^wt(x) = (-1)^sigma2(x) ((1 + i) + (1 - i)(-1)^wt(x)) / 2, with
@@ -12,13 +12,13 @@ term by term, so masked (fragmentary) sums obey it too.  `NegaSpectrum`
 stores W_g and derives re and im block by block.  `definitional_sums`, the
 defining sums at chosen points per weight class mod 4, shares none of this.
 
-Every butterfly enters from the packed truth-table bytes (for g, XORed with
-sigma2's): an 8-point spectrum per byte, gathered from an 8 KiB table, does
-its three lowest levels, so each entry lies in [-8, 8] before the rest.
-
-Integer widths: each output sums at most 2^n terms of 0 or +-1, so |W| <=
-2^n <= 2^24 < 2^31 under the capacity limit.  A square reaches 2^48, so
-sums of squares and squared norms are int64.
+`_spectrum` runs in three stages, each as narrow as its values allow.
+Entry: per 64-bit word of the packed table (for g, XORed with sigma2's),
+popcounts against the 64 packed rows u.x do six levels at once, to [-64,
+64].  int16: the levels 64 .. 2^13, per chunk of 2^17 points in cache, to
+|v| <= 2^14 < 2^15.  int32: the rest, in place, to |W| <= 2^n <= 2^24 <
+2^31.  Memory: the output, half that in scratch and a few MiB of chunks,
+about 100 MiB at n = 24.  Squares reach 2^48, so their sums are int64.
 """
 
 from __future__ import annotations
@@ -38,47 +38,36 @@ from .core import (
     _index,
     _index_array,
     _raw_bytes,
-    characteristic_function,
     check_capacity,
     popcounts,
 )
 
 
-def _levels(a: np.ndarray, h: int, stop: int) -> None:
-    """Butterfly levels h, 2h, ... below stop, in place, two per pass."""
+def _levels(a: np.ndarray, h: int, stop: int, scratch: np.ndarray) -> None:
+    """Butterfly levels h, 2h, ... below stop, in place, two per pass via a half-size scratch."""
     while 2 * h < stop:
         x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
-        s0, s1, s2, s3 = x0 + x1, x0 - x1, x2 + x3, x2 - x3
-        np.add(s0, s2, out=x0)
-        np.add(s1, s3, out=x1)
-        np.subtract(s0, s2, out=x2)
-        np.subtract(s1, s3, out=x3)
+        s0, s1 = scratch.reshape(2, -1, h)
+        np.add(x0, x1, out=s0)
+        np.subtract(x0, x1, out=s1)
+        np.add(x2, x3, out=x0)
+        np.subtract(x2, x3, out=x1)
+        np.subtract(s0, x0, out=x2)
+        np.add(s0, x0, out=x0)
+        np.subtract(s1, x1, out=x3)
+        np.add(s1, x1, out=x1)
         h *= 4
     if h < stop:  # one level left
         x0, x1 = a.reshape(-1, 2, h).transpose(1, 0, 2)
-        lo = x0.copy()
+        np.subtract(x0, x1, out=scratch.reshape(-1, h))
         x0 += x1
-        np.subtract(lo, x1, out=x1)
+        x1[...] = scratch.reshape(-1, h)
 
 
-def _fwht_inplace(a: np.ndarray, h: int) -> None:
-    """In-place Walsh-Hadamard butterfly from level h on, on int32 entries in
-    [-h, h] that the levels below h summed: a[u] <- sum_x (-1)^(u.x) a[x]."""
-    size = a.shape[0]
-    assert a.dtype == np.int32 and size <= 1 << 30  # |W| <= size fits int32
-    # the levels inside each block of 2^15 entries (128 KiB, which stays in a
-    # core's cache) run first, then the levels across blocks
-    block = min(size, 1 << 15)
-    for start in range(0, size, block):
-        _levels(a[start:start + block], h, block)
-    _levels(a, block, size)
-
-
-# _Z8[p][u] = sum of (-1)^(u.x) over the set bits x of the byte p, and
-# _T8[p][u] = sum_{x<8} (-1)^(p_x + u.x) = _Z8[255][u] - 2 _Z8[p][u]
-_H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1).astype(np.int32)
-_Z8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little") @ _H8
-_T8 = _Z8[255] - 2 * _Z8
+# _ENTRY_ROWS[u] packs u.x, x < 64: (-1)^(u.x) is the Kronecker square of _H8
+_H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1).astype(np.int8)
+_ENTRY_ROWS = np.packbits(np.kron(_H8, _H8) < 0, axis=1, bitorder="little").view("<u8")[:, 0]
+_INT16_BLOCK = 1 << 14  # the int16 levels sum blocks of 2^14 points: |v| <= 2^14 < 2^15
 
 
 @functools.lru_cache(maxsize=None)  # n <= 24: under 4 MiB for every n at once
@@ -94,24 +83,33 @@ def _sigma2_bytes(n: int) -> np.ndarray:
 
 def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> np.ndarray:
     """sum_{x in t} (-1)^(p(x) + u.x) for every u as a read-only int32 array,
-    with p = f + sigma2 if `nega` else f, and t everywhere if None.  Per byte a
-    masked sum is _Z8[t] - 2 _Z8[t & p]; for n < 3 the mask keeps the 2^n live
-    bits, whose u.x read only u's n low bits: the first 2^n points are all."""
+    with p = f + sigma2 if `nega` else f, and t everywhere if None."""
+    if t is not None and t.n != f.n:
+        raise DimensionError("function and subset dimensions differ")
+    size = 1 << f.n
+    assert size <= 1 << 30 and _INT16_BLOCK < 1 << 15  # the widths argued below
     table = f.table_bytes ^ _sigma2_bytes(f.n) if nega else f.table_bytes
-    if t is None and f.n >= 3:
-        a = _T8[table]
-    else:
-        if t is not None and t.n != f.n:
-            raise DimensionError("function and subset dimensions differ")
-        mask = (np.uint8((1 << (1 << f.n)) - 1) if t is None
-                else characteristic_function(t).table_bytes)
-        a = _Z8[mask & table]
-        a *= -2
-        a += _Z8[mask]
-    a = a.reshape(-1)[:1 << f.n]
-    _fwht_inplace(a, 8)
-    a.setflags(write=False)
-    return a
+    words = (table if table.shape[0] >= 8 else np.resize(table, 8)).view("<u8")
+    # for n < 6 the mask keeps the 2^n live bits, whose u.x read only u's n low bits
+    masks = (np.broadcast_to(np.uint64((1 << min(size, 64)) - 1), words.shape) if t is None
+             else _raw_bytes(t.mask, max(64, size)).view("<u8"))
+    out = np.empty(size, dtype=np.int32)  # the one full-size buffer, taken first
+    step = min(words.shape[0], 1 << 11)  # words per chunk: 2^17 points, 256 KiB in int16
+    signs, counts = np.empty((step, 64), dtype=np.uint64), np.empty((step, 64), dtype=np.uint8)
+    block, scratch = np.empty(min(size, step << 6), np.int16), np.empty(step << 5, np.int16)
+    for start in range(0, words.shape[0], step):
+        m = masks[start:start + step, None]
+        np.bitwise_xor(words[start:start + step, None], _ENTRY_ROWS, out=signs)
+        # six levels: popcount(m) - 2 popcount((p ^ u.x) & m) in [-64, 64], exact in int8
+        np.bitwise_count(np.bitwise_and(signs, m, out=signs), out=counts)
+        counts += counts
+        np.subtract(np.bitwise_count(m), counts, out=counts)
+        block[:] = counts.ravel()[:block.shape[0]].view(np.int8)
+        _levels(block, 64, min(block.shape[0], _INT16_BLOCK), scratch)
+        out[start << 6:(start << 6) + block.shape[0]] = block
+    _levels(out, _INT16_BLOCK, size, np.empty(size // 2, dtype=np.int32))  # |W| <= 2^n
+    out.setflags(write=False)
+    return out
 
 
 def _exact_sum_sq(v: np.ndarray) -> int:

@@ -382,6 +382,30 @@ class TestExitCodes:
         assert construct("G4K", spec_from_dict("G4K", {"k": 2, "gammas": ["0001"]})).n == 8
 
 
+class TestParserReuse:
+    def test_calls_keep_their_own_lists_and_cap(self, capsys, tmp_path):
+        # one parser serves every call: the --gamma and --eset lists of one
+        # call do not leak into the next, and each call's --max-n is undone
+        paths = [tmp_path / f"{i}.json" for i in range(3)]
+        calls = [["--max-n", "10", "gen", "--family", "H4K2", "--k", "2",
+                  "--gamma", "0001", "--eset", "B"],
+                 ["--max-n", "12", "gen", "--family", "H4K2", "--k", "2",
+                  "--gamma", "0011", "--gamma", "1000", "--eset", "0", "--eset", "1"],
+                 ["gen", "--family", "G4K", "--k", "2", "--gamma", "0110"]]
+        before = max_n()
+        for argv, path in zip(calls, paths):
+            assert run(capsys, *argv, "--out", str(path))[0] == 0
+            assert max_n() == before
+        assert [json.loads(path.read_text())["params"] for path in paths] == [
+            {"esets": ["B"], "gammas": ["0001"], "k": 2},
+            {"esets": ["0", "1"], "gammas": ["0011", "1000"], "k": 2},
+            {"gammas": ["0110"], "k": 2},
+        ]
+        # and a call with no --gamma still finds an empty list
+        code, _, err = run(capsys, "gen", "--family", "G4K", "--k", "2")
+        assert code == 4 and "gamma set must be nonempty" in err
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("argv", [["orbits", "--n", "4"], ["--max-n", "25", "orbits", "--n", "2"]])
     def test_python_dash_m_matches_main(self, capsys, argv):

@@ -11,6 +11,10 @@ W_g(u'))) / 2 from it.  Here they are compared with:
   exactly the terms of T.
 * the earlier route, kept below as reference code: the i^wt(x) twist split
   into re and im, each run through its own int64 butterfly, at n = 16 and 20.
+
+The butterfly itself (`spectra._spectrum`: popcount entry, int16 and int32
+levels) is compared with the same int64 butterfly on the unpacked signs, at
+n = 1..20, masked and not, and where the int16 levels reach +-2^14.
 """
 
 import numpy as np
@@ -20,7 +24,7 @@ from negabench import spectra
 from negabench.constructions import base_function
 from negabench.core import BooleanFunction, VectorSet, characteristic_function, popcounts
 from negabench.oracle import naive_transforms
-from negabench.spectra import fragmentary_nega_spectrum, nega_transform
+from negabench.spectra import fragmentary_nega_spectrum, nega_transform, walsh_transform
 
 
 def _random_bits(rng, n):
@@ -35,25 +39,27 @@ def _functions(n, rng):
     yield BooleanFunction.from_values(n, 1 ^ (popcounts(1 << n)[np.arange(1 << n) & a] & 1))
 
 
+def _fwht(a):
+    """The int64 reference butterfly, one level at a time, in place."""
+    h = 1
+    while h < a.shape[0]:
+        view = a.reshape(-1, 2 * h)
+        lo = view[:, :h].copy()
+        view[:, :h] += view[:, h:]
+        view[:, h:] *= -1
+        view[:, h:] += lo
+        h *= 2
+
+
 def _reference_nega(n, signs):
     """The earlier route: twist the signs by i^wt(x), split re from im, and
     run each part through an int64 butterfly."""
-    def fwht(a):
-        h = 1
-        while h < a.shape[0]:
-            view = a.reshape(-1, 2 * h)
-            lo = view[:, :h].copy()
-            view[:, :h] += view[:, h:]
-            view[:, h:] *= -1
-            view[:, h:] += lo
-            h *= 2
-
     w4 = popcounts(1 << n) % 4
     signs = signs.astype(np.int64)
     re = signs * np.array([1, 0, -1, 0], dtype=np.int64)[w4]
     im = signs * np.array([0, 1, 0, -1], dtype=np.int64)[w4]
-    fwht(re)
-    fwht(im)
+    _fwht(re)
+    _fwht(im)
     return re, im
 
 
@@ -107,3 +113,37 @@ def test_exact_sum_sq_widens_int32():
     v = np.where(rng.integers(0, 2, (1 << 15) + 3) == 1, 1 << 24, -(1 << 24)).astype(np.int32)
     v[-1] = 3
     assert spectra._exact_sum_sq(v) == sum(int(x) ** 2 for x in v.tolist())
+
+
+def _assert_kernel(f, t=None):
+    """`_spectrum` against the int64 butterfly on (-1)^p(x) [x in t], with
+    p = f and p = f + sigma2."""
+    w = popcounts(1 << f.n).astype(np.int64)
+    mask = 1 if t is None else characteristic_function(t).value_array()
+    for nega, p in ((False, f.value_array()), (True, f.value_array() ^ (w * (w - 1) >> 1 & 1))):
+        want = (1 - 2 * p.astype(np.int64)) * mask
+        _fwht(want)
+        got = spectra._spectrum(f, nega, t)
+        assert got.dtype == np.int32 and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 18, 20])
+def test_kernel_matches_int64_butterfly(n):
+    # n = 18 and 20 span several entry chunks of 2^17 points
+    rng = np.random.default_rng(900 + n)
+    f = BooleanFunction(n, _random_bits(rng, n))
+    _assert_kernel(f)
+    _assert_kernel(f, VectorSet(n, _random_bits(rng, n)))
+
+
+@pytest.mark.parametrize("n", range(13, 18))
+def test_kernel_at_the_int16_edge(n):
+    # a constant function over the full mask sums 2^14 equal signs in each
+    # int16 block, the most the int16 levels hold before the int32 ones
+    full = VectorSet(n, (1 << (1 << n)) - 1)
+    for bits in (0, (1 << (1 << n)) - 1):
+        f = BooleanFunction(n, bits)
+        _assert_kernel(f)
+        _assert_kernel(f, full)
+        assert abs(int(walsh_transform(f).values[0])) == 1 << n

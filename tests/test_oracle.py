@@ -125,29 +125,43 @@ def _restricted_cases(n, seed):
     return [(_random_function(n, seed), t, us) for t in sets]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("one spectrum route reached the other's code")
+
+
+class _RefusedTable:
+    __getitem__ = __array__ = __getattr__ = _refuse
+
+
 class TestNaiveTransforms:
     def test_matches_per_point_reference(self):
         for f in _reference_cases():
             _assert_reference(f)
 
     def test_reaches_no_butterfly_code(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the definitional sums reached the butterfly")
-
-        class RefusedTable:
-            __getitem__ = __array__ = __getattr__ = refuse
-
-        for name in ("_levels", "_fwht_inplace", "_spectrum", "_sigma2_bytes",
+        for name in ("_levels", "_spectrum", "_sigma2_bytes",
                      "walsh_transform", "nega_transform"):
-            monkeypatch.setattr(spectra, name, refuse)
-        for name in ("_T8", "_Z8"):
-            monkeypatch.setattr(spectra, name, RefusedTable())
+            monkeypatch.setattr(spectra, name, _refuse)
+        monkeypatch.setattr(spectra, "_ENTRY_ROWS", _RefusedTable())
         for name in ("walsh_transform", "nega_transform"):
-            monkeypatch.setattr(oracle, name, refuse)
+            monkeypatch.setattr(oracle, name, _refuse)
         for n in (3, 8, 11):
             _assert_reference(_random_function(n, seed=n))
             for f, t, us in _restricted_cases(n, seed=40 + n):
                 _assert_restricted(f, t, us)
+
+    def test_butterfly_reaches_no_definitional_code(self, monkeypatch):
+        def all_spectra(f, t):
+            return (walsh_transform(f).values, nega_transform(f).wg,
+                    fragmentary_walsh_spectrum(f, t).values, fragmentary_nega_spectrum(f, t).wg)
+
+        cases = [(_random_function(n, seed=n), _random_set(n, seed=60 + n)) for n in (3, 8, 11)]
+        want = [all_spectra(f, t) for f, t in cases]
+        for name in ("_ROW6", "_CLASS_BYTES"):
+            monkeypatch.setattr(spectra, name, _RefusedTable())
+        monkeypatch.setattr(spectra, "definitional_sums", _refuse)
+        for (f, t), arrays in zip(cases, want):
+            assert all(np.array_equal(g, w) for g, w in zip(all_spectra(f, t), arrays))
 
     def test_agrees_with_butterfly(self, nega_parts):
         for n in (1, 2, 3, 5, 7):

@@ -82,14 +82,12 @@ class TestNega:
 
 
 class TestByteTables:
-    def test_tables_are_literal_eight_point_sums(self):
-        for p in range(256):
-            for u in range(8):
-                dots = [(1 - 2 * ((u & x).bit_count() & 1)) for x in range(8)]
-                bits = [(p >> x) & 1 for x in range(8)]
-                assert spectra._Z8[p, u] == sum(d for d, b in zip(dots, bits) if b)
-                assert spectra._T8[p, u] == sum(d * (1 - 2 * b) for d, b in zip(dots, bits))
-        assert spectra._T8.dtype == spectra._Z8.dtype == np.int32
+    def test_entry_rows_pack_dot_products(self):
+        # bit x of row u is u.x = parity(u & x), for all u, x < 64
+        rows = spectra._ENTRY_ROWS
+        assert rows.dtype == np.uint64 and rows.shape == (64,)
+        for u in range(64):
+            assert int(rows[u]) == sum(((u & x).bit_count() & 1) << x for x in range(64))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_sigma2_bytes_pack_sigma2(self, n):
