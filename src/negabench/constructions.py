@@ -256,7 +256,7 @@ def _modifier_spec(fam: Family, params: ConstructionSpec) -> GammaSpec:
     T this is the orbit closure of the covering-form representatives; the
     orbit-sum forms get theirs by decomposition, so the truth table they
     build is checked against their defining orbit-sum ANF.  Kept for the
-    last few parameters: a construction and its verification need it 4 times."""
+    last few parameters: a construction needs it 3 times."""
     if not fam.rotation_symmetric:
         return params  # type: ignore[return-value]
     k = params.k
@@ -438,12 +438,16 @@ def predicts_max_degree(family: str, spec: ConstructionSpec) -> bool:
 
 @dataclass(frozen=True)
 class ConstructedFunction:
+    """`function` = `base` + the indicator of `modifier_set`, with its closed forms."""
+
     function: BooleanFunction
     family: str
     params: ConstructionSpec
     closed_anf: AnfPolynomial
     closed_dual: BooleanFunction
     predicts_max_degree: bool
+    base: BooleanFunction
+    modifier_set: VectorSet
 
     @property
     def n(self) -> int:
@@ -464,26 +468,17 @@ def construct(family: str, spec: ConstructionSpec) -> ConstructedFunction:
     check_capacity(fam.n(spec.k))
     params = _resolve(fam, spec)
     base = base_function(fam.base, fam.base_param(params.k))
-    f = base ^ characteristic_function(build_modifier_set(_modifier_spec(fam, params)))
+    modifier_set = build_modifier_set(_modifier_spec(fam, params))
     return ConstructedFunction(
-        function=f,
+        function=base ^ characteristic_function(modifier_set),
         family=fam.name,
         params=params,
         closed_anf=closed_form_anf(fam.name, params),
         closed_dual=closed_form_dual(fam.name, params),
         predicts_max_degree=predicts_max_degree(fam.name, params),
+        base=base,
+        modifier_set=modifier_set,
     )
-
-
-def modifier_set_of(cf: ConstructedFunction) -> VectorSet:
-    """The set whose indicator was added to the family's base function,
-    rebuilt from the parameters."""
-    return build_modifier_set(_modifier_spec(FAMILY_TABLE[cf.family], cf.params))
-
-
-def base_of(cf: ConstructedFunction) -> BooleanFunction:
-    fam = FAMILY_TABLE[cf.family]
-    return base_function(fam.base, fam.base_param(cf.k))
 
 
 # ---------------------------------------------------------------------------

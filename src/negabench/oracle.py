@@ -59,8 +59,6 @@ from .constructions import (
     FAMILY_TABLE,
     ConstructedFunction,
     base_function,
-    base_of,
-    modifier_set_of,
 )
 from .reference import ReferenceCase
 
@@ -161,8 +159,8 @@ class DefinitionalNega:
 
 
 def naive_transforms(f: BooleanFunction) -> tuple[WalshSpectrum, DefinitionalNega]:
-    """Both spectra at every point by `definitional_sums`: quadratic cost,
-    so refused above n = 14; the butterfly kernels are cross-checked on this
+    """Both spectra at every point by `definitional_sums` (3 2^(2n-6) multiply-adds,
+    so refused above n = 14): the butterfly kernels' cross-check on an
     algorithmically independent route (no butterfly, no sigma2 identity)."""
     if f.n > _NAIVE_LIMIT:
         raise CapacityError(f"naive transforms are limited to n <= {_NAIVE_LIMIT}")
@@ -446,10 +444,8 @@ _LEMMAS = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
 
 
 def _sample_points(size: int, want: int = 64) -> range:
-    if size <= want:
-        return range(size)
-    step = size // want
-    return range(0, step * want, step)
+    """Every point of a power-of-two size up to `want`, or `want` evenly spaced."""
+    return range(0, size, max(1, size // want))
 
 
 def _fmt(values) -> str:
@@ -614,9 +610,7 @@ def check_reference_case(case: ReferenceCase) -> VerificationReport:
     anf = anf_from_truth_table(cf.function)
 
     def terms_check():
-        got = anf
-        if case.delta_over_base:
-            got = got ^ anf_from_truth_table(base_of(cf))
+        got = anf ^ anf_from_truth_table(cf.base) if case.delta_over_base else anf
         got_masks = frozenset(got.monomials())
         if got_masks == case.expected_terms:
             return True, f"{len(got_masks)} monomials", None
@@ -1011,16 +1005,15 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     def frame_check():
         try:
-            fc = extract_frame_coefficients(base_of(cf), modifier_set_of(cf), (f, wf, nf))
+            fc = extract_frame_coefficients(cf.base, cf.modifier_set, (f, wf, nf))
         except NotBentError as exc:
             return False, "", str(exc)
         wdet = " ".join(f"{k}={v}" for k, v in fc.walsh_counts().items() if v)
         ndet = " ".join(f"{k}={v}" for k, v in fc.nega_counts().items() if v)
         if fc.admissible:
             return True, f"walsh branches {wdet}; nega branches {ndet}", None
-        bad = fc.walsh_counterexample()
-        if bad is None:
-            bad = fc.nega_counterexample()
+        bad = next(b for b in (fc.walsh_counterexample(), fc.nega_counterexample())
+                   if b is not None)
         return False, "", f"inadmissible ratio at {BitVector(n, bad)}"
 
     checks.add("fragment-ratios-admissible", frame_check)

@@ -10,15 +10,17 @@ u' = u + (1, ..., 1), the index 2^n - 1 - u,
 
 term by term, so masked (fragmentary) sums obey it too.  `NegaSpectrum`
 stores W_g and derives re and im block by block.  `definitional_sums`, the
-defining sums at chosen points per weight class mod 4, shares none of this.
+defining sums at chosen points per weight class mod 4, per low 6 bits of u
+and then against the signs of the high bits, shares none of this.
 
 `_spectrum` runs in three stages, each as narrow as its values allow.
 Entry: per 64-bit word of the packed table (for g, XORed with sigma2's),
 popcounts against the 64 packed rows u.x do six levels at once, to [-64,
-64].  int16: the levels 64 .. 2^13, per chunk of 2^17 points in cache, to
-|v| <= 2^14 < 2^15.  int32: the rest, in place, to |W| <= 2^n <= 2^24 <
-2^31.  Memory: the output, half that in scratch and a few MiB of chunks,
-about 100 MiB at n = 24.  Squares reach 2^48, so their sums are int64.
+64]; for n <= 6 that one word is the whole transform.  int16: the levels
+64 .. 2^13, per chunk of 2^17 points in cache, to |v| <= 2^14 < 2^15.
+int32: the rest, in place, to |W| <= 2^n <= 2^24 < 2^31.  Memory: the
+output, half that in scratch and a few MiB of chunks, about 100 MiB at
+n = 24.  Squares reach 2^48, so their sums are int64.
 """
 
 from __future__ import annotations
@@ -89,14 +91,20 @@ def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> 
     size = 1 << f.n
     assert size <= 1 << 30 and _INT16_BLOCK < 1 << 15  # the widths argued below
     table = f.table_bytes ^ _sigma2_bytes(f.n) if nega else f.table_bytes
-    words = (table if table.shape[0] >= 8 else np.resize(table, 8)).view("<u8")
-    # for n < 6 the mask keeps the 2^n live bits, whose u.x read only u's n low bits
-    masks = (np.broadcast_to(np.uint64((1 << min(size, 64)) - 1), words.shape) if t is None
-             else _raw_bytes(t.mask, max(64, size)).view("<u8"))
+    if size <= 64:  # one word: the entry stage is the whole transform
+        # for n < 6 the mask keeps the 2^n live bits, whose u.x read only u's n low bits
+        live = (1 << size) - 1 if t is None else t.mask
+        signs = np.uint64(int.from_bytes(table, "little")) ^ _ENTRY_ROWS[:size]
+        out = live.bit_count() - 2 * np.bitwise_count(signs & live).astype(np.int32)
+        out.setflags(write=False)
+        return out
+    words = table.view("<u8")
+    masks = (np.broadcast_to(np.uint64(2**64 - 1), words.shape) if t is None
+             else _raw_bytes(t.mask, size).view("<u8"))
     out = np.empty(size, dtype=np.int32)  # the one full-size buffer, taken first
     step = min(words.shape[0], 1 << 11)  # words per chunk: 2^17 points, 256 KiB in int16
     signs, counts = np.empty((step, 64), dtype=np.uint64), np.empty((step, 64), dtype=np.uint8)
-    block, scratch = np.empty(min(size, step << 6), np.int16), np.empty(step << 5, np.int16)
+    block, scratch = np.empty(step << 6, np.int16), np.empty(step << 5, np.int16)
     for start in range(0, words.shape[0], step):
         m = masks[start:start + step, None]
         np.bitwise_xor(words[start:start + step, None], _ENTRY_ROWS, out=signs)
@@ -104,7 +112,7 @@ def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> 
         np.bitwise_count(np.bitwise_and(signs, m, out=signs), out=counts)
         counts += counts
         np.subtract(np.bitwise_count(m), counts, out=counts)
-        block[:] = counts.ravel()[:block.shape[0]].view(np.int8)
+        block[:] = counts.ravel().view(np.int8)
         _levels(block, 64, min(block.shape[0], _INT16_BLOCK), scratch)
         out[start << 6:(start << 6) + block.shape[0]] = block
     _levels(out, _INT16_BLOCK, size, np.empty(size // 2, dtype=np.int32))  # |W| <= 2^n
@@ -239,8 +247,9 @@ _ROW6 = np.packbits(np.bitwise_count(np.arange(64)[:, None] & np.arange(64)) & 1
 # the class C_c = {x : wt(x) = c mod 4} is _CLASS_BYTES[c, wt(j) mod 4]
 _CLASS_BYTES = np.array([[sum(1 << x for x in range(8) if (w + x.bit_count()) % 4 == c)
                           for w in range(4)] for c in range(4)], dtype=np.uint8)
-# packed words of rows u.x compared at once by `definitional_sums`
-_SUM_WORDS = 1 << 13
+# folds the class sums (A_0, A_1, A_2, A_3) into (W, re N, im N)
+_FOLD = np.array([[1, 1, 1, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int32)
+_SUM_ENTRIES = 1 << 18  # int32 class sums and signs (-1)^(u_hi.x_hi) per chunk: 1 MiB
 
 
 def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
@@ -250,33 +259,36 @@ def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
 
     On each class C_c = {x : wt(x) = c mod 4}, A_c(u) = |C_c & T| - 2 wt((f +
     u.x) & C_c & T); then W = A_0 + A_1 + A_2 + A_3 and, splitting i^wt(x)
-    by class, N = (A_0 - A_2) + i(A_1 - A_3).  Every operand is packed 64
-    points to a word, each row u.x = parity(u & x) too, so a point costs
-    2^n / 16 word operations; no butterfly or sigma2 identity is reached.
-    """
+    by class, N = (A_0 - A_2) + i(A_1 - A_3).  With x and u split at bit 6,
+    each packed word's class sums are popcounted once per distinct u_lo and
+    summed against (-1)^(u_hi.x_hi) once per distinct u_hi; no butterfly or
+    sigma2 identity is reached."""
     us = _index_array(f.n, us)
     if t is not None and t.n != f.n:
         raise DimensionError("function and subset dimensions differ")
     # whole words; the padding points lie outside T (or the live 2^n points)
     width = max(64, 1 << f.n)
+    assert width <= 1 << 30  # |b| <= 64 a word: every sum is at most 2^n < 2^31 in int32
     live = (1 << (1 << f.n)) - 1 if t is None else t.mask
     byte_classes = np.bitwise_count(np.arange(width >> 3, dtype=np.uint32)) & 3
     masks = (np.take(_CLASS_BYTES, byte_classes, axis=1).view("<u8")
              & _raw_bytes(live, width).view("<u8"))
-    # each class count is at most 2^n <= 2^24, so every sum below is int64
-    sizes = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
     table = _raw_bytes(f.bits, width).view("<u8")
-    weights = np.empty((us.size, 4), dtype=np.int64)
-    step = max(1, _SUM_WORDS // table.size)
-    for start in range(0, us.size, step):
-        u = us[start:start + step, None]
-        # with x = 64 x_hi + x_lo, u.x = u_lo.x_lo + u_hi.x_hi: the one-word
-        # row of u_lo, tiled and flipped on each word x_hi where u_hi.x_hi = 1
-        flips = (np.bitwise_count((u >> 6) & np.arange(table.size)) & 1) * np.uint64(2**64 - 1)
-        diff = (table ^ _ROW6[u & 63] ^ flips)[:, None, :]
-        weights[start:start + step] = np.bitwise_count(diff & masks).sum(axis=2, dtype=np.int64)
-    a = sizes - 2 * weights
-    return a.sum(axis=1), a[:, 0] - a[:, 2], a[:, 1] - a[:, 3]
+    u_lo, u_hi = us & 63, us >> 6  # lo, hi: their distinct values in order (no sort)
+    lo = np.flatnonzero(np.bincount(u_lo, minlength=64))
+    hi = np.flatnonzero(np.bincount(u_hi, minlength=table.size)).astype(np.uint32)
+    sums = np.zeros((3, lo.size, hi.size), dtype=np.int32)
+    step = max(1, _SUM_ENTRIES // max(hi.size, 4 * lo.size, 1))
+    for start in range(0, table.size, step):
+        m = masks[:, start:start + step]
+        # b[c, r, x_hi] = |m_c| - 2 popcount((f ^ row(lo[r])) & m_c), in [-64, 64]: exact in int8
+        counts = np.bitwise_count((table[start:start + step] ^ _ROW6[lo, None]) & m[:, None, :])
+        b = (np.bitwise_count(m)[:, None, :] - 2 * counts).view(np.int8)
+        folded = (_FOLD @ b.reshape(4, -1)).reshape(3, lo.size, m.shape[1])
+        x_hi = np.arange(start, start + m.shape[1], dtype=np.uint32)
+        signs = 1 - 2 * (np.bitwise_count(hi[:, None] & x_hi) & 1).astype(np.int32)
+        sums += np.einsum("krw,hw->krh", folded, signs)
+    return tuple(sums[:, np.searchsorted(lo, u_lo), np.searchsorted(hi, u_hi)].astype(np.int64))
 
 
 def fragmentary_walsh(f: BooleanFunction, t: VectorSet, u) -> int:

@@ -376,13 +376,14 @@ def test_criterion_12_lemma_at_n20():
 
 
 def test_criterion_13_definitional_spectra_at_n14(nega_parts):
-    # the definitional sums count Hamming distances to many linear functions
-    # per packed pass, so both spectra at the naive limit take well under a
-    # second, not the seconds of a per-point loop
+    # the definitional sums popcount each packed word once per distinct low
+    # part of u and sum the words against the signs of each high part, so
+    # both spectra at the naive limit take milliseconds, not the seconds of
+    # a per-point loop
     rng = np.random.default_rng(20261018)
     f = BooleanFunction(14, int.from_bytes(rng.bytes((1 << 14) // 8), "little"))
     wf, nf = walsh_transform(f), nega_transform(f)
-    with criterion("criterion-13 definitional spectra at n=14", 1.0):
+    with criterion("criterion-13 definitional spectra at n=14", 0.04):
         nw, nn = naive_transforms(f)
     assert np.array_equal(nw.values, wf.values)
     re, im = nega_parts(nf)
@@ -567,8 +568,9 @@ def test_criterion_21_lemma_with_every_gamma_at_n20():
 
 def test_criterion_22_lemma_with_every_gamma_at_n24():
     # the literal sums at the 64 sampled points are popcounts of packed rows
-    # u.x per weight class, over the set's packed mask, so a set of all 2^24
-    # points costs 2^n / 16 word operations a point, not a sum over its members
+    # u.x per weight class, over the set's packed mask, taken once for the
+    # sample's one low part of u, so a set of all 2^24 points costs 2^n / 16
+    # popcounts and 3 * 2^n multiply-adds, not a sum over its members
     spec = GammaSpec(6, "S1", tuple(BitVector(12, g) for g in range(1 << 12)))
     with criterion("criterion-22 fragment lemma with 4096 gammas at n=24", 20.0):
         report = verify_fragmentary_lemma(spec)
@@ -595,3 +597,19 @@ def test_criterion_23_nega_transform_at_n24():
     us = [0, 1, 12345, (1 << 24) - 1]
     _, re, im = definitional_sums(f, us)
     assert [nf.value(u) for u in us] == list(zip(re.tolist(), im.tolist()))
+
+
+def test_criterion_24_naive_cross_check_at_n12(nega_parts):
+    # butterfly-matches-naive runs on every report up to n = 12; the
+    # definitional sums popcount each packed word once per distinct low part
+    # of u and sum the 64 words against the signs of each high part, so 24
+    # tables at n = 12 take about a millisecond each, not the 4-6 ms of one
+    # popcount pass over the words per point
+    rng = np.random.default_rng(24)
+    fs = [BooleanFunction(12, int.from_bytes(rng.bytes(1 << 9), "little")) for _ in range(24)]
+    with criterion("criterion-24 naive transforms of 24 random tables at n=12", 0.09):
+        got = [naive_transforms(f) for f in fs]
+    for f, (nw, nn) in zip(fs, got):
+        assert np.array_equal(nw.values, walsh_transform(f).values)
+        re, im = nega_parts(nega_transform(f))
+        assert np.array_equal(nn.re, re) and np.array_equal(nn.im, im)

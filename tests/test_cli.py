@@ -11,7 +11,7 @@ import pytest
 import negabench
 from negabench.cli import main
 from negabench.constructions import construct, spec_from_dict
-from negabench.core import BooleanFunction, max_n
+from negabench.core import BitVector, BooleanFunction, max_n
 from negabench.spectra import nega_transform, walsh_transform
 
 
@@ -79,6 +79,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--in", str(f))
         assert code == 1
         assert "FAIL file-anf-field-matches-closed-form" in out
+
+    def test_one_flipped_point_is_named(self, capsys, tmp_path):
+        # the frame check reads the base and set rebuilt from the params, so
+        # it keeps their verdict; the involution check names the point
+        f = tmp_path / "f.json"
+        run(capsys, *GEN_ARGS, "--out", str(f))
+        data = json.loads(f.read_text())
+        x0 = 85
+        fn = BooleanFunction.from_hex(8, data["tt_hex"]) ^ BooleanFunction(8, 1 << x0)
+        data["tt_hex"] = fn.to_hex()
+        f.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "--in", str(f), "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["fragment-ratios-admissible"]["passed"]
+        assert checks["dual-involution"]["counterexample"].startswith(f"at {BitVector(8, x0)}: ")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "G4K", "--k", "1",

@@ -33,13 +33,11 @@ from negabench.constructions import (
     _modifier_spec,
     base_anf,
     base_function,
-    base_of,
     closed_form_anf,
     closed_form_dual,
     construct,
     decompose_orbit_sum,
     function_file_dict,
-    modifier_set_of,
     normalize_family,
     predicts_max_degree,
     spec_from_dict,
@@ -134,7 +132,7 @@ class TestClosedForms:
     def test_modifier_set_and_base_recover_function(self):
         spec = GammaSpec(1, "S3", (BitVector(2, 1),), ("1",))
         cf = construct("H4K2", spec)
-        rebuilt = base_of(cf) ^ characteristic_function(modifier_set_of(cf))
+        rebuilt = cf.base ^ characteristic_function(cf.modifier_set)
         assert rebuilt == cf.function
 
 
@@ -293,8 +291,9 @@ class TestOrbitDecomposition:
 
     @pytest.mark.parametrize("family", ["F2RS_SET", "F2RS_ORBIT"])
     def test_decomposed_once_per_construct_and_verify(self, monkeypatch, family):
-        # construct, closed_form_dual, predicts_max_degree and the verifier's
-        # modifier_set_of all need the modifier spec: it is derived once
+        # construct, closed_form_dual and predicts_max_degree all need the
+        # modifier spec, and the verifier reads the set construct built: it
+        # is derived once
         calls = []
 
         def counted(k, vectors):

@@ -29,9 +29,7 @@ from negabench.constructions import (
     FAMILY_TABLE,
     RotationSpec,
     base_function,
-    base_of,
     construct,
-    modifier_set_of,
 )
 from negabench.oracle import (
     SU_CASES,
@@ -145,7 +143,7 @@ class TestNaiveTransforms:
         monkeypatch.setattr(spectra, "_ENTRY_ROWS", _RefusedTable())
         for name in ("walsh_transform", "nega_transform"):
             monkeypatch.setattr(oracle, name, _refuse)
-        for n in (3, 8, 11):
+        for n in (3, 8, 11, 13):
             _assert_reference(_random_function(n, seed=n))
             for f, t, us in _restricted_cases(n, seed=40 + n):
                 _assert_restricted(f, t, us)
@@ -194,6 +192,32 @@ class TestDefinitionalSums:
         f = _random_function(n, seed=910 + n)
         for t in (None, _random_set(n, seed=920 + n)):
             _assert_restricted(f, t, us)
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_stride_sample_with_a_random_set(self, n):
+        # the literal-sum-agreement points: one low part, 64 high parts
+        us = list(oracle._sample_points(1 << n))
+        _assert_restricted(_random_function(n, seed=940 + n), _random_set(n, seed=950 + n), us)
+
+    def test_sums_at_the_width_edge(self):
+        # n = 24, so a sum reaches 2^24 in int32: on a constant table W(0) =
+        # +-2^24 and W(2^24 - 1) = 0, and N(u) = +-prod_j (1 + (-1)^u_j i),
+        # which is (1 + i)^24 = (2i)^12 = 2^12 at u = 0 and (1 - i)^24 =
+        # (-2i)^12 = 2^12 at u = 2^24 - 1
+        n, size = 24, 1 << 24
+        for value in (0, 1):
+            f = BooleanFunction.constant(n, value)
+            sign = 1 - 2 * value
+            for t in (None, VectorSet(n, (1 << size) - 1)):
+                w, re, im = spectra.definitional_sums(f, [0, size - 1], t)
+                assert w.tolist() == [sign * size, 0]
+                assert re.tolist() == [sign << 12, sign << 12] and im.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("n", [1, 7, 13])
+    def test_no_points(self, n):
+        for t in (None, _random_set(n, seed=n)):
+            got = spectra.definitional_sums(_random_function(n, seed=n), [], t)
+            assert [(a.dtype, a.shape) for a in got] == [(np.int64, (0,))] * 3
 
     def test_one_point_forms(self):
         f, t = _random_function(6, seed=5), _random_set(6, seed=6)
@@ -340,7 +364,7 @@ class TestFrameCodesFromSpectra:
                              ids=lambda x: x if isinstance(x, str) else f"k{x.k}")
     def test_construction_codes_match_masked_route(self, family, spec):
         cf = construct(family, spec)
-        f0, t = base_of(cf), modifier_set_of(cf)
+        f0, t = cf.base, cf.modifier_set
         want_walsh, want_nega = _reference_frame_codes(f0, t)
         held = (cf.function, walsh_transform(cf.function), nega_transform(cf.function))
         for fc in (extract_frame_coefficients(f0, t),
@@ -394,6 +418,27 @@ class TestFrameCheckOfTamperedFunctions:
                          "fragment-ratios-admissible")
             assert (got.passed, got.details, got.counterexample) == (
                 good.passed, good.details, good.counterexample), how
+
+    def test_the_kept_base_and_set_decide_the_frame_check(self):
+        # replacing the function, as verify --in does, keeps the base and set
+        # construct built: one flipped point of g is named by the involution
+        # check, while the frame check keeps the construction's verdict; a
+        # point toggled in the kept set instead moves every W_f1(u) to
+        # +-2^(n/2) +- 2, so the first inadmissible ratio is at u = 0
+        family, spec = _SEVEN[0]
+        cf = construct(family, spec)
+        n, x0 = cf.n, (1 << cf.n) // 3
+        g = cf.function ^ BooleanFunction(n, 1 << x0)
+        report = verify_construction(dataclasses.replace(cf, function=g))
+        assert not report.passed
+        assert _check(report, "dual-involution").counterexample.startswith(
+            f"at {BitVector(n, x0)}: ")
+        assert _check(report, "fragment-ratios-admissible").passed
+        moved = VectorSet(n, cf.modifier_set.mask ^ 1 << x0)
+        frame = _check(verify_construction(dataclasses.replace(cf, modifier_set=moved)),
+                       "fragment-ratios-admissible")
+        assert not frame.passed
+        assert frame.counterexample == f"inadmissible ratio at {BitVector(n, 0)}"
 
     def test_six_butterfly_passes_and_no_masked_route(self, monkeypatch):
         cf = construct("H4K2", GammaSpec(2, "S3", (BitVector(4, 3), BitVector(4, 12)),
