@@ -33,10 +33,8 @@ from .core import (
     NotBentError,
     TEXT_BLOCK,
     anf_from_truth_table,
-    byte_table,
     max_n,
     set_max_n,
-    text_rows,
 )
 from .spectra import (
     InvalidPermutationError,
@@ -250,28 +248,49 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
-_HEX_DIGITS = byte_table("0123456789abcdef")
-_TAB, _NEWLINE = byte_table(["\t"]), byte_table(["\n"])
+@functools.cache  # 256 KiB, built on first use so importing the CLI stays cheap
+def _low_hex_digits() -> np.ndarray:
+    """Row u is the four hex digits of u < 2^16, as a read-only uint8 table."""
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    table = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    table.setflags(write=False)
+    return table
 
 
-def _spectrum_rows(n: int, start: int, columns: list[np.ndarray]) -> bytes:
-    """Lines start, start + 1, ... of the spectrum text: the point in hex,
-    zero-padded to (n + 3) // 4 digits, then each column's value in decimal.
-    Each distinct value of a column is formatted once; a flat spectrum
-    has two or three."""
-    u = np.arange(start, start + columns[0].shape[0])
-    fields = [(_HEX_DIGITS, (u >> 4 * d) & 15) for d in reversed(range((n + 3) // 4))]
-    for col in columns:
-        values, inverse = np.unique(col, return_inverse=True)
-        fields += [(_TAB, 0), (byte_table(map(str, values.tolist())), inverse)]
-    fields.append((_NEWLINE, 0))
-    return text_rows(fields, u.shape[0])
+def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(col, return_inverse=True), by a table over a short span (no sort)."""
+    lo, hi = int(col.min()), int(col.max())
+    if hi - lo >= col.size:
+        return np.unique(col, return_inverse=True)
+    seen = np.zeros(hi - lo + 1, dtype=np.bool_)
+    seen[col - lo] = True
+    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[col - lo]
+
+
+def _spectrum_rows(n: int, start: int, columns: list[np.ndarray]) -> bytearray:
+    """Lines start, start + 1, ... of the spectrum text: u in hex, zero-padded to
+    (n + 3) // 4 digits, then each column's value in decimal.  A column's distinct
+    values are formatted once, then taken into the lines; their NUL padding is dropped."""
+    rows, digits = columns[0].shape[0], (n + 3) // 4
+    assert start & 0xFFFF == 0 and rows <= 1 << 16  # only the low four hex digits vary
+    high = f"{start:0{digits}x}"[:-4].encode()  # the digits above the low four, or b""
+    low = _low_hex_digits()[:rows, len(high) - digits:]
+    texts = [np.full(rows, high), low.view(f"S{low.shape[1]}")[:, 0]]  # b"": a NUL column
+    for i, col in enumerate(columns):
+        values, inverse = _distinct(col)
+        end = "\n" if i == len(columns) - 1 else ""
+        texts.append(np.array([f"\t{v}{end}".encode() for v in values.tolist()]).take(inverse))
+    line = np.dtype([(str(i), text.dtype) for i, text in enumerate(texts)])  # packed fields
+    lines = bytearray(rows * line.itemsize)
+    cells = np.frombuffer(lines, dtype=line)
+    for i, text in enumerate(texts):
+        cells[str(i)] = text
+    return lines.translate(None, b"\0")  # the zero padding dropped
 
 
 @contextlib.contextmanager
 def _byte_sink(out: Optional[str]):
-    """A write function for ASCII bytes, into the file `out` (truncated
-    first) or to stdout."""
+    """A write function for ASCII bytes, into the file `out` (truncated first) or to stdout."""
     if out:
         with open(out, "wb") as fh:
             yield fh.write
@@ -287,8 +306,7 @@ def _cmd_spectrum(args) -> int:
         spectra.append(walsh_transform(fn))
     if args.kind in ("nega", "both"):
         spectra.append(nega_transform(fn))
-    # each block of lines is written as soon as it is made, so the text is
-    # never held whole
+    # each block of lines is written as soon as it is made: the text is never held whole
     with _byte_sink(args.out) as write:
         for lo in range(0, size, TEXT_BLOCK):
             block = slice(lo, min(lo + TEXT_BLOCK, size))

@@ -125,30 +125,8 @@ def popcounts(size: int) -> np.ndarray:
     return np.bitwise_count(np.arange(size, dtype=np.uint32)).astype(np.int64)
 
 
-# ---------------------------------------------------------------------------
-# ASCII text tables (the CLI's 2^n-line artifacts and the ANF text)
-
-# lines made per call of `text_rows`: about 6 MiB of cells at the widest
+# spectrum lines, or ANF (term, variable) cells, formatted at a time: a few MiB
 TEXT_BLOCK = 1 << 16
-
-
-def byte_table(texts: Iterable[str]) -> np.ndarray:
-    """ASCII strings as the rows of a uint8 table, zero-padded to the longest."""
-    arr = np.array([t.encode("ascii") for t in texts], dtype=np.bytes_)
-    return arr.view(np.uint8).reshape(arr.shape[0], -1)
-
-
-def text_rows(fields: Sequence[tuple[np.ndarray, np.ndarray | int]], rows: int) -> bytes:
-    """`rows` lines of ASCII text with no Python work per line.  Each field
-    is a `byte_table` and the table row each line takes (an array, or one
-    int for every line); a line is its fields in order, the zero padding
-    dropped, so no text may hold a NUL byte."""
-    cells = np.empty((rows, sum(table.shape[1] for table, _ in fields)), dtype=np.uint8)
-    col = 0
-    for table, index in fields:
-        cells[:, col:col + table.shape[1]] = table[index]
-        col += table.shape[1]
-    return cells[cells != 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +360,22 @@ class AnfPolynomial:
         masks = _set_bits(self.coeffs, 1 << self.n)
         if masks.size == 0:
             return "0"
-        # variable j of a term is written '+x<j>' when it is the term's lowest
-        # variable and '*x<j>' otherwise; the constant term writes nothing
-        tables = [byte_table(["", f"*x{j}", f"+x{j}"]) for j in range(self.n)]
-        blocks = []
-        for lo in range(0, masks.size, TEXT_BLOCK):
-            m = masks[lo:lo + TEXT_BLOCK]
-            low = m & -m
-            blocks.append(text_rows(
-                [(tables[j], ((m >> j) & 1) + (low == 1 << j)) for j in range(self.n)],
-                m.size))
-        text = b"".join(blocks).decode("ascii")
-        return "1" + text if masks[0] == 0 else text[1:]
+        # token 2j + 1 is '*x<j>' and 2j + 2 is '+x<j>', the term's lowest variable;
+        # the constant term, the lowest mask, is '+1', and the first '+' is dropped
+        tokens = np.array([b""] + [f"{s}x{j}".encode() for j in range(self.n) for s in "*+"])
+        odd, step = np.arange(1, 2 * self.n, 2, dtype=np.uint8), TEXT_BLOCK // self.n
+
+        def blocks():  # a generator: join frees the blocks before the text is decoded
+            if masks[0] == 0:
+                yield b"+1"
+            for lo in range(0, masks.size, step):
+                m = masks[lo:lo + step]
+                bits, low = (np.unpackbits(a.astype("<u4").view(np.uint8).reshape(-1, 4), axis=1,
+                                           count=self.n, bitorder="little") for a in (m, m & -m))
+                code = bits * odd + low  # the set bits' tokens, term by term, zero-padded
+                yield tokens.take(code[bits != 0]).tobytes().translate(None, b"\0")
+
+        return str(memoryview(b"".join(blocks()))[1:], "ascii")
 
 
 def _mobius(bits: int, n: int) -> int:

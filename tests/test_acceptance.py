@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Twenty-three criteria, each asserted exactly (integer and structural equality, no
+Twenty-five criteria, each asserted exactly (integer and structural equality, no
 tolerances) inside a wall-clock budget, and each reported as a single
 pass/fail line (visible with -s; pytest -v shows the same verdict per test).
 """
@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from negabench.core import (
+    AnfPolynomial,
     BitVector,
     BooleanFunction,
     anf_from_truth_table,
@@ -613,3 +614,42 @@ def test_criterion_24_naive_cross_check_at_n12(nega_parts):
         assert np.array_equal(nw.values, walsh_transform(f).values)
         re, im = nega_parts(nega_transform(f))
         assert np.array_equal(nn.re, re) and np.array_equal(nn.im, im)
+
+
+def test_criterion_25_text_memory_at_n20(tmp_path):
+    # each spectrum column takes its distinct values' texts with one `take`
+    # into one bytes item a line, and the ANF text takes one token per
+    # (term, variable) cell, so a block's transient arrays stay small:
+    # spectrum --kind both at n = 20 holds the two spectra (8 MiB) plus a
+    # few MiB, and a dense ANF's text peaks at the joined bytes and the str
+    out = tmp_path / "spectrum.tsv"
+    argv = ["spectrum", "--family", "G4K", "--k", "5", "--gamma", "1111100000",
+            "--gamma", "0100001111", "--kind", "both", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        with criterion("criterion-25a spectrum --kind both at n=20 (G4K)", 1.0):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the text the per-field gather printed before
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a3f23079c15bff51a2ca26dd886ae4462041a096d84d3a94b8108f0d0871f5a1")
+    print(f"  tracemalloc peak {peak / 2**20:.1f} MiB")
+    assert peak <= 16 << 20, f"peak {peak / 2**20:.1f} MiB over 16 MiB"
+
+    rng = np.random.default_rng(25)
+    anf = AnfPolynomial(20, int.from_bytes(rng.bytes(1 << 17), "little"))
+    assert anf.term_count() == 524_018
+    tracemalloc.start()
+    try:
+        with criterion("criterion-25b ANF text of a random polynomial at n=20", 2.0):
+            text = anf.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "308dcad4947b87e25ef7244e9594ef324bc32eff3c34ba3dcfd70f787b544dd7")
+    print(f"  tracemalloc peak {peak / 2**20:.1f} MiB")
+    assert peak <= 57 << 20, f"peak {peak / 2**20:.1f} MiB over 57 MiB"

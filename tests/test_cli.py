@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import negabench
+from negabench import cli
 from negabench.cli import main
 from negabench.constructions import construct, spec_from_dict
 from negabench.core import BitVector, BooleanFunction, max_n
@@ -209,6 +210,37 @@ class TestSpectrumText:
             assert run(capsys, "spectrum", "--in", str(record), "--kind", kind,
                        "--out", str(dest))[0] == 0
             assert _first_difference(dest.read_bytes().decode("ascii"), want) is None, kind
+
+    # the widest rows: six hex digits in the last block at n = 24, and the
+    # widest values, -16777216 among them; a column holding +-2^24 spans more
+    # than its block, so its distinct values come from np.unique, the others
+    # from the table over their span
+    @pytest.mark.parametrize("n, start", [(24, (1 << 24) - (1 << 16)), (21, 0)])
+    def test_widest_rows_match_reference(self, n, start):
+        rng = np.random.default_rng(n)
+        wide = [1 << 24, -(1 << 24), 1 << 12, -(1 << 12), 0, 1, -1]
+        columns = [rng.choice(wide, 1 << 16).astype(np.int32), rng.choice(wide, 1 << 16),
+                   rng.choice(wide[2:], 1 << 16), rng.choice(wide[2:], 1 << 16).astype(np.int32)]
+        for col in columns:
+            got, want = cli._distinct(col), np.unique(col, return_inverse=True)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        hex_of = f"{{:0{(n + 3) // 4}x}}".format
+        want = "".join("\t".join([hex_of(start + i), *map(str, values)]) + "\n"
+                       for i, values in enumerate(zip(*(c.tolist() for c in columns))))
+        got = bytes(cli._spectrum_rows(n, start, columns)).decode("ascii")
+        assert _first_difference(got, want) is None
+        assert "-16777216" in got and got.startswith(hex_of(start))
+
+    def test_flat_spectrum_over_several_blocks(self, capsys, tmp_path):
+        # a bent-negabent record at n = 18: four blocks of flat columns
+        record = tmp_path / "h4k2.json"
+        argv = ["gen", "--family", "H4K2", "--k", "4", "--gamma", "11010010",
+                "--gamma", "10011010", "--eset", "1", "--eset", "B", "--out", str(record)]
+        assert run(capsys, *argv)[0] == 0
+        fn = BooleanFunction.from_hex(18, json.loads(record.read_text())["tt_hex"])
+        code, out, _ = run(capsys, "spectrum", "--in", str(record), "--kind", "both")
+        assert code == 0
+        assert _first_difference(out, _reference_spectrum(fn, "both")) is None
 
     def test_out_file_is_truncated(self, capsys, tmp_path):
         dest = tmp_path / "spectrum.tsv"
@@ -422,15 +454,26 @@ class TestParserReuse:
         assert code == 4 and "gamma set must be nonempty" in err
 
 
+def _package_env():
+    """The environment of a fresh interpreter that imports this negabench."""
+    src = str(Path(negabench.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 class TestModuleEntryPoint:
+    def test_import_builds_no_hex_table(self):
+        # the spectrum's hex digit table is built on first use, never at import
+        code = "import negabench.cli as c; print(c._low_hex_digits.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
     @pytest.mark.parametrize("argv", [["orbits", "--n", "4"], ["--max-n", "25", "orbits", "--n", "2"]])
     def test_python_dash_m_matches_main(self, capsys, argv):
         # `python -m negabench` runs cli.main in a fresh interpreter and exits
         # with its code, printing what main prints
-        src = str(Path(negabench.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-m", "negabench", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-m", "negabench", *argv], env=_package_env(),
                               capture_output=True, text=True, timeout=60)
         code, out, _ = run(capsys, *argv)
         assert (proc.returncode, proc.stdout) == (code, out)

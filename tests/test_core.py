@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negabench import core
+from negabench.constructions import construct, spec_from_dict
 from negabench.core import (
     AnfPolynomial,
     BitVector,
@@ -221,6 +222,14 @@ class TestAnfText:
         masks = np.flatnonzero(np.random.default_rng(17).random(1 << 17) < 0.6)
         assert masks.size > 1 << 16
         anf = AnfPolynomial.from_monomials(17, masks)
+        assert anf.to_text() == _reference_text(anf)
+
+    def test_closed_anf_over_several_blocks(self):
+        # a construction's closed ANF at n = 20: 12,495 terms, four blocks of
+        # (term, variable) cells
+        spec = spec_from_dict("G4K", {"k": 5, "gammas": ["1111100000", "0100001111"]})
+        anf = construct("G4K", spec).closed_anf
+        assert anf.term_count() == 12_495
         assert anf.to_text() == _reference_text(anf)
 
     def test_zero_constant_and_full_monomial_at_n24(self):
