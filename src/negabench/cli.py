@@ -143,15 +143,18 @@ def _spec_from_args(args) -> tuple[str, object]:
     if args.k is None:
         raise InvalidSpecError("--k is required without --in")
     key = fam.params_key
-    # --gamma fills both the gammas list and the single-orbit gamma
-    values = getattr(args, "gamma" if key == "gammas" else key)
-    if key == "gamma":
-        if len(values) != 1:
-            raise InvalidSpecError(f"{fam.name} takes exactly one --gamma")
-        values = values[0]
-    params = {"k": args.k, key: values}
-    if args.eset:
-        params["esets"] = args.eset
+    if key == "gamma" and len(args.gamma) != 1:
+        raise InvalidSpecError(f"{fam.name} takes exactly one --gamma")
+    params = {"k": args.k}
+    # a flag fills its params key (--gamma the gammas list or the single-orbit
+    # gamma), or its own name where the family reads no such key, which
+    # spec_from_dict then refuses by that name
+    for flag, fills, values in (("--gamma", "gamma" if key == "gamma" else "gammas", args.gamma),
+                                ("--p", "p", args.p), ("--a-set", "a_set", args.a_set),
+                                ("--eset", "esets", args.eset)):
+        if values or fills == key:
+            params[fills if fills in fam.param_keys else flag] = (
+                values[0] if fills == "gamma" else values)
     return fam.name, spec_from_dict(fam.name, params)
 
 
@@ -179,10 +182,8 @@ def _field(data: dict, key: str, kind: type):
 
 
 def _function_from_file(data: dict) -> BooleanFunction:
-    if not isinstance(data["tt_hex"], str):
-        raise _InputFileError("bad truth table: tt_hex must be a string")
     try:
-        return BooleanFunction.from_hex(_field(data, "n", int), data["tt_hex"])
+        return BooleanFunction.from_hex(_field(data, "n", int), _field(data, "tt_hex", str))
     except (TypeError, ValueError) as exc:
         raise _InputFileError(f"bad truth table: {exc}") from exc
 
@@ -216,6 +217,7 @@ def _cmd_verify(args) -> int:
         except ValueError as exc:
             raise _InputFileError(f"{args.infile}: {exc}") from exc
         flag = _field(data, "predicts_max_degree", bool)
+        anf, dual_hex = _field(data, "anf", str), _field(data, "dual_tt_hex", str)
         fn = _function_from_file(data)
         rebuilt = construct(family, spec)
         if fn.n != rebuilt.n:
@@ -231,9 +233,9 @@ def _cmd_verify(args) -> int:
         report = verify_construction(cf)
         extra = [
             CheckResult("file-anf-field-matches-closed-form",
-                        data["anf"] == cf.closed_anf.to_text()),
+                        anf == cf.closed_anf.to_text()),
             CheckResult("file-dual-field-matches-closed-form",
-                        data["dual_tt_hex"] == cf.closed_dual.to_hex()),
+                        dual_hex == cf.closed_dual.to_hex()),
             CheckResult("file-degree-flag-matches-parity",
                         flag == cf.predicts_max_degree),
         ]

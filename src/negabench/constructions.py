@@ -68,6 +68,11 @@ class Family:
     def rotation_symmetric(self) -> bool:
         return self.set_tag == "T"
 
+    @property
+    def param_keys(self) -> set[str]:
+        """The params keys the family reads (GammaSpec refuses E sets outside S3/S4)."""
+        return {"k", self.params_key} | (set() if self.rotation_symmetric else {"esets"})
+
     def base_param(self, k: int) -> int:
         return self.base_mult * k
 
@@ -506,6 +511,9 @@ def spec_from_dict(family: str, d: dict) -> ConstructionSpec:
     """Parameters from a function file's params object (or the CLI flags
     gathered into one); malformed entries raise InvalidSpecError."""
     fam = family_of(family)
+    unread = sorted(set(d) - fam.param_keys)
+    if unread:
+        raise InvalidSpecError(f"{fam.name} does not read {', '.join(unread)}")
     if "k" not in d:
         raise InvalidSpecError("params need a k entry")
     k = d["k"]
@@ -513,8 +521,8 @@ def spec_from_dict(family: str, d: dict) -> ConstructionSpec:
         raise InvalidSpecError(f"params k must be an integer, got {k!r}")
     raw = d.get(fam.params_key, [])
     if fam.params_key == "gamma":
-        if not raw:
-            raise InvalidSpecError("single-orbit form needs a gamma entry")
+        if not raw or not isinstance(raw, str):
+            raise InvalidSpecError("single-orbit gamma must be one bit string")
         raw = [raw]
     vectors = tuple(BitVector.from_string(s) for s in _string_list(raw, fam.params_key))
     if fam.rotation_symmetric:

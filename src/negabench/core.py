@@ -147,47 +147,22 @@ class BitVector:
             raise ValueError("bits out of range for dimension")
 
     @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "BitVector":
-        bits = 0
-        for j, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << j
-        return cls(len(coords), bits)
-
-    @classmethod
     def from_string(cls, s: str) -> "BitVector":
         """Parse '0110...' where character j is coordinate j."""
         s = s.strip()
         if not s or any(c not in "01" for c in s):
             raise ValueError(f"not a bit string: {s!r}")
-        return cls.from_coords([int(c) for c in s])
+        return cls(len(s), int(s[::-1], 2))
 
     @classmethod
     def ones(cls, n: int) -> "BitVector":
         return cls(n, (1 << n) - 1)
 
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.n:
-            raise IndexError(j)
-        return (self.bits >> j) & 1
-
-    def __add__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise DimensionError("vector dimensions differ")
-        return BitVector(self.n, self.bits ^ other.bits)
-
-    __xor__ = __add__
-
-    def dot(self, other: "BitVector") -> int:
-        if self.n != other.n:
-            raise DimensionError("vector dimensions differ")
-        return (self.bits & other.bits).bit_count() & 1
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
     def to_string(self) -> str:
-        return "".join(str(self[j]) for j in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1]
 
     def __str__(self) -> str:
         return self.to_string()
@@ -216,12 +191,6 @@ class VectorSet:
         table[idx] = 1
         return cls(n, _pack_bits(table))
 
-    def __contains__(self, item) -> bool:
-        return bool((self.mask >> _index(item)) & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
     def indices(self) -> list[int]:
         """Member indices, ascending."""
         return _set_bits(self.mask, 1 << self.n).tolist()
@@ -240,14 +209,6 @@ class BooleanFunction:
 
     def __post_init__(self) -> None:
         _check_table(self.n, self.bits, "truth table")
-
-    @classmethod
-    def zero(cls, n: int) -> "BooleanFunction":
-        return cls(n, 0)
-
-    @classmethod
-    def constant(cls, n: int, value: int) -> "BooleanFunction":
-        return cls(n, ((1 << (1 << n)) - 1) if value & 1 else 0)
 
     @classmethod
     def from_values(cls, n: int, values: Sequence[int] | np.ndarray) -> "BooleanFunction":
@@ -321,10 +282,6 @@ class AnfPolynomial:
 
     def __post_init__(self) -> None:
         _check_table(self.n, self.coeffs, "coefficient mask")
-
-    @classmethod
-    def zero(cls, n: int) -> "AnfPolynomial":
-        return cls(n, 0)
 
     @classmethod
     def from_monomials(cls, n: int, monomials: Iterable[int]) -> "AnfPolynomial":

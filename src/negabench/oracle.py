@@ -59,6 +59,7 @@ from .constructions import (
     FAMILY_TABLE,
     ConstructedFunction,
     base_function,
+    construct,
 )
 from .reference import ReferenceCase
 
@@ -149,25 +150,16 @@ class _Checks:
 _NAIVE_LIMIT = 14
 
 
-@dataclass(frozen=True, eq=False)
-class DefinitionalNega:
-    """The nega spectrum as its two defining sums, int64 re and im arrays."""
-
-    n: int
-    re: np.ndarray
-    im: np.ndarray
-
-
-def naive_transforms(f: BooleanFunction) -> tuple[WalshSpectrum, DefinitionalNega]:
-    """Both spectra at every point by `definitional_sums` (3 2^(2n-6) multiply-adds,
-    so refused above n = 14): the butterfly kernels' cross-check on an
-    algorithmically independent route (no butterfly, no sigma2 identity)."""
+def naive_transforms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only int64 (w, re, im) at every point by `definitional_sums` (3 2^(2n-6)
+    multiply-adds, so refused above n = 14): the butterfly kernels' cross-check on
+    an algorithmically independent route (no butterfly, no sigma2 identity)."""
     if f.n > _NAIVE_LIMIT:
         raise CapacityError(f"naive transforms are limited to n <= {_NAIVE_LIMIT}")
-    w, re, im = definitional_sums(f, np.arange(1 << f.n))
-    for arr in (w, re, im):
+    sums = definitional_sums(f, np.arange(1 << f.n))
+    for arr in sums:
         arr.setflags(write=False)
-    return WalshSpectrum(f.n, w), DefinitionalNega(f.n, re, im)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +435,6 @@ def _predict(spec: GammaSpec, x: np.ndarray) -> _Prediction:
 _LEMMAS = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
 
 
-def _sample_points(size: int, want: int = 64) -> range:
-    """Every point of a power-of-two size up to `want`, or `want` evenly spaced."""
-    return range(0, size, max(1, size // want))
-
-
 def _fmt(values) -> str:
     """One Walsh value as an int, or one nega value (re, im) as a+bi."""
     if len(values) == 1:
@@ -583,7 +570,7 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
         (True, f"max walsh matches {max_w}, max nega matches {max_n} (bound {bound})", None)))
 
     def literal_sample_check():
-        pts = _sample_points(size)
+        pts = range(0, size, max(1, size // 64))  # every point up to 64, else 64 evenly spaced
         w, re, im = definitional_sums(f0, pts, tset)
         for i, idx in enumerate(pts):
             for kind, got, want in (("walsh", (int(w[i]),), (wt.value(idx),)),
@@ -605,7 +592,7 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
 
 def check_reference_case(case: ReferenceCase) -> VerificationReport:
     """Rebuild a recorded construction and compare against its fixture."""
-    cf = case.build()
+    cf = construct(case.family, case.spec)
     checks = _Checks()
     anf = anf_from_truth_table(cf.function)
 
@@ -1027,10 +1014,10 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     if n <= _NAIVE_CROSSCHECK_LIMIT:
         def naive_check():
-            nw, nn = naive_transforms(f)
+            w, re, im = naive_transforms(f)
             whole = slice(None)
-            for kind, fast, naive in (("walsh", wf.parts(whole), (nw.values,)),
-                                      ("nega", nf.parts(whole), (nn.re, nn.im))):
+            for kind, fast, naive in (("walsh", wf.parts(whole), (w,)),
+                                      ("nega", nf.parts(whole), (re, im))):
                 i = _first_difference(fast, naive)
                 if i is not None:
                     return False, "", (f"{kind} at {BitVector(n, i)}: butterfly "

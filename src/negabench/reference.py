@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import ConstructedFunction, ConstructionSpec, RotationSpec, construct
+from .constructions import ConstructionSpec, RotationSpec
 from .core import BitVector
 from .subspaces import GammaSpec
 
@@ -47,9 +47,6 @@ class ReferenceCase:
     delta_over_base: bool  # expected_terms cover only the part added to the base
     expected_degree: int
     expected_rotation_order: Optional[int] = None
-
-    def build(self) -> ConstructedFunction:
-        return construct(self.family, self.spec)
 
 
 _CASE1_ANF = """

@@ -308,6 +308,51 @@ class TestExitCodes:
                            "--gamma", "111")
         assert code == 4
 
+    # one per family kind: gammas (with E sets for S3/S4), p, a_set, gamma
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family", "G4K", "--k", "1", "--gamma", "01", "--p", "01"], "--p"),
+        (["--family", "H4K2", "--k", "1", "--gamma", "10", "--eset", "B", "--a-set", "01"],
+         "--a-set"),
+        (["--family", "F2RS", "--k", "1", "--p", "01", "--eset", "B"], "--eset"),
+        (["--family", "F2RS_SET", "--k", "1", "--a-set", "01", "--gamma", "01"], "--gamma"),
+        (["--family", "F2RS_ORBIT", "--k", "2", "--gamma", "1111", "--a-set", "01"], "--a-set"),
+    ])
+    def test_unread_spec_flag_refused(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "f.json"
+        for command in (["gen", "--out", str(out)], ["verify"], ["spectrum"]):
+            code, printed, err = run(capsys, *command, *argv)
+            assert (code, printed) == (4, "")
+            assert err == f"error: {argv[1]} does not read {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (GEN_ARGS[1:], "p", ["01"]),
+        (["--family", "H8K2", "--k", "1", "--gamma", "0000", "--eset", "0"], "a_set", ["01"]),
+        (["--family", "F2RS", "--k", "1", "--p", "01"], "esets", ["B"]),
+        (["--family", "F2RS_SET", "--k", "1", "--a-set", "01"], "gammas", ["01"]),
+        (["--family", "F2RS_ORBIT", "--k", "2", "--gamma", "1111"], "gammas", ["1111"]),
+    ])
+    def test_unread_params_key_in_record(self, capsys, tmp_path, argv, key, value):
+        f = tmp_path / "f.json"
+        assert run(capsys, "gen", *argv, "--out", str(f))[0] == 0
+        data = json.loads(f.read_text())
+        data["params"][key] = value
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--in", str(f))
+        assert (code, out) == (5, "")
+        assert err.endswith(f"{data['family']} does not read {key}\n")
+
+    @pytest.mark.parametrize("gamma", [["1111"], 11, {"1111": 1}])
+    def test_single_orbit_gamma_is_one_string(self, capsys, tmp_path, gamma):
+        f = tmp_path / "f.json"
+        run(capsys, "gen", "--family", "F2RS_ORBIT", "--k", "2", "--gamma", "1111", "--out", str(f))
+        data = json.loads(f.read_text())
+        data["params"]["gamma"] = gamma
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--in", str(f))
+        assert (code, out) == (5, "")
+        assert err.endswith(" gamma must be one bit string\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "absent.json"))
         assert code == 5
@@ -344,6 +389,7 @@ class TestExitCodes:
         ("predicts_max_degree", "no"), ("predicts_max_degree", "false"),
         ("predicts_max_degree", [0]), ("predicts_max_degree", 0),
         ("predicts_max_degree", None),
+        ("anf", 3), ("anf", None), ("dual_tt_hex", None), ("dual_tt_hex", ["0"]),
     ])
     def test_fields_are_read_without_coercion(self, capsys, tmp_path, field, value):
         # n and params.k are JSON integers and the flag a JSON bool; nothing

@@ -67,17 +67,17 @@ def _reference_nega(n, signs):
 def test_identity_matches_definitional_sums(n, nega_parts):
     rng = np.random.default_rng(700 + n)
     for f in _functions(n, rng):
-        _, nn = naive_transforms(f)
+        _, naive_re, naive_im = naive_transforms(f)
         nf = nega_transform(f)
         assert nf.wg.dtype == np.int32
         re, im = nega_parts(nf)
-        assert np.array_equal(re, nn.re) and np.array_equal(im, nn.im)
+        assert np.array_equal(re, naive_re) and np.array_equal(im, naive_im)
 
         t = VectorSet(n, _random_bits(rng, n))
-        _, flipped = naive_transforms(f ^ characteristic_function(t))
+        _, flipped_re, flipped_im = naive_transforms(f ^ characteristic_function(t))
         re, im = nega_parts(fragmentary_nega_spectrum(f, t))
-        assert np.array_equal(2 * re, nn.re - flipped.re)
-        assert np.array_equal(2 * im, nn.im - flipped.im)
+        assert np.array_equal(2 * re, naive_re - flipped_re)
+        assert np.array_equal(2 * im, naive_im - flipped_im)
 
 
 @pytest.mark.parametrize("n", [16, 20])
