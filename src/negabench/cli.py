@@ -28,7 +28,6 @@ from .core import (
     BooleanFunction,
     CapacityError,
     DEFAULT_MAX_N,
-    DimensionError,
     InvalidSpecError,
     NotBentError,
     TEXT_BLOCK,
@@ -36,12 +35,7 @@ from .core import (
     max_n,
     set_max_n,
 )
-from .spectra import (
-    InvalidPermutationError,
-    dual,
-    nega_transform,
-    walsh_transform,
-)
+from .spectra import dual, nega_transform, walsh_transform
 from .subspaces import GammaSpec, orbit, orbit_representatives
 from .constructions import (
     construct,
@@ -158,7 +152,14 @@ def _spec_from_args(args) -> tuple[str, object]:
     return fam.name, spec_from_dict(fam.name, params)
 
 
-def _load_file(path: str) -> dict:
+def _load_record(args) -> dict:
+    """The --in record, which is the whole spec: a spec flag beside it is
+    refused before the file is read."""
+    flags = ("--family", "--k", "--gamma", "--eset", "--p", "--a-set")
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) not in (None, [])]
+    if given:
+        raise InvalidSpecError(f"--in is the whole spec; drop {', '.join(given)}")
+    path = args.infile
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -189,8 +190,8 @@ def _function_from_file(data: dict) -> BooleanFunction:
 
 
 def _resolve_function(args) -> BooleanFunction:
-    if getattr(args, "infile", None):
-        return _function_from_file(_load_file(args.infile))
+    if args.infile:
+        return _function_from_file(_load_record(args))
     family, spec = _spec_from_args(args)
     return construct(family, spec).function
 
@@ -208,7 +209,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.infile:
-        data = _load_file(args.infile)
+        data = _load_record(args)
         try:
             family = normalize_family(str(data["family"]))
             if not isinstance(data["params"], dict):
@@ -470,7 +471,7 @@ def main(argv=None) -> int:
     except (_InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except (InvalidSpecError, InvalidPermutationError, DimensionError, ValueError) as exc:
+    except ValueError as exc:  # InvalidSpecError, DimensionError, InvalidPermutationError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     finally:

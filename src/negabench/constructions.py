@@ -27,7 +27,6 @@ Variable layouts (fixed across the package):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -255,13 +254,11 @@ def _resolve(fam: Family, spec: ConstructionSpec) -> ConstructionSpec:
     return RotationSpec(spec.k, vectors)
 
 
-@functools.lru_cache(maxsize=16)
 def _modifier_spec(fam: Family, params: ConstructionSpec) -> GammaSpec:
     """Parameters of the modifier set for canonical family parameters.  For
     T this is the orbit closure of the covering-form representatives; the
     orbit-sum forms get theirs by decomposition, so the truth table they
-    build is checked against their defining orbit-sum ANF.  Kept for the
-    last few parameters: a construction needs it 3 times."""
+    build is checked against their defining orbit-sum ANF."""
     if not fam.rotation_symmetric:
         return params  # type: ignore[return-value]
     k = params.k
@@ -321,11 +318,10 @@ def _cell_covering(spec: GammaSpec) -> tuple[list[int], list[int]]:
     return groups, points
 
 
-def closed_form_anf(family: str, spec: ConstructionSpec) -> AnfPolynomial:
-    """The base's ANF plus the modifier's: the covering sums of the cells,
-    or for F2RS_SET / F2RS_ORBIT the defining orbit sums of z = x + y."""
-    fam = family_of(family)
-    params = _resolve(fam, spec)
+def closed_form_anf(fam: Family, params: ConstructionSpec) -> AnfPolynomial:
+    """The base's ANF plus the modifier's for resolved parameters: the
+    covering sums of the cells, or for F2RS_SET / F2RS_ORBIT the defining
+    orbit sums of z = x + y."""
     k = params.k
     z = [(1 | 1 << (2 * k)) << j for j in range(2 * k)]  # z = x + y on 4k variables
     if not fam.rotation_symmetric:
@@ -410,31 +406,12 @@ def _dual_cells(spec: GammaSpec) -> tuple[int, list[int], list[int]]:
 _DUAL_BASES = {"g0": _g0_dual_anf, "h0": _h0_dual_anf, "f0": _f0_dual_quadratic_anf}
 
 
-def closed_form_dual(family: str, spec: ConstructionSpec) -> BooleanFunction:
-    fam = family_of(family)
-    gs = _modifier_spec(fam, _resolve(fam, spec))
+def closed_form_dual(fam: Family, gs: GammaSpec) -> BooleanFunction:
+    """The base's dual flipped on the dual set of the modifier spec `gs`."""
     base = _DUAL_BASES[fam.base](fam.base_param(gs.k))
     n, basis, offsets = _dual_cells(gs)
     dual_set = LinearSubspace.span(n, basis).coset_union(offsets)
     return truth_table_from_anf(base) ^ characteristic_function(dual_set)
-
-
-# ---------------------------------------------------------------------------
-# degree parity conditions
-
-
-def predicts_max_degree(family: str, spec: ConstructionSpec) -> bool:
-    """Whether the parameter parity condition for reaching the family's
-    maximum algebraic degree holds: the modifier set has an odd number of
-    cells, each value of an E set counted.  The single-orbit form instead
-    has degree wt(gamma) exactly."""
-    fam = family_of(family)
-    params = _resolve(fam, spec)
-    if fam.name == "F2RS_ORBIT":
-        return params.vectors[0].weight() == fam.max_degree(params.k)
-    gs = _modifier_spec(fam, params)
-    cells = len(gs.gammas) if gs.e_sets is None else gs.e_size_sum()
-    return cells % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +442,33 @@ class ConstructedFunction:
 
 def construct(family: str, spec: ConstructionSpec) -> ConstructedFunction:
     """Build the function, its closed-form ANF, its closed-form dual and the
-    degree parity flag.  The truth table and the closed forms are assembled
-    by independent routes so verification is meaningful."""
+    degree parity flag from one resolution of the spec.  The truth table and
+    the closed forms are assembled by independent routes so verification is
+    meaningful.
+
+    The flag says whether the parameter parity condition for reaching the
+    family's maximum algebraic degree holds: the modifier set has an odd
+    number of cells, each value of an E set counted.  The single-orbit form
+    instead has degree wt(gamma) exactly."""
     fam = family_of(family)
     # reject over-capacity sizes before the closed-form expansion, whose cost
     # grows much faster than the truth table itself
     check_capacity(fam.n(spec.k))
     params = _resolve(fam, spec)
+    gs = _modifier_spec(fam, params)
+    if fam.name == "F2RS_ORBIT":
+        flag = params.vectors[0].weight() == fam.max_degree(params.k)
+    else:
+        flag = (len(gs.gammas) if gs.e_sets is None else gs.e_size_sum()) % 2 == 1
     base = base_function(fam.base, fam.base_param(params.k))
-    modifier_set = build_modifier_set(_modifier_spec(fam, params))
+    modifier_set = build_modifier_set(gs)
     return ConstructedFunction(
         function=base ^ characteristic_function(modifier_set),
         family=fam.name,
         params=params,
-        closed_anf=closed_form_anf(fam.name, params),
-        closed_dual=closed_form_dual(fam.name, params),
-        predicts_max_degree=predicts_max_degree(fam.name, params),
+        closed_anf=closed_form_anf(fam, params),
+        closed_dual=closed_form_dual(fam, gs),
+        predicts_max_degree=flag,
         base=base,
         modifier_set=modifier_set,
     )

@@ -174,16 +174,14 @@ class NegaSpectrum:
     wg: np.ndarray
 
     def parts(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """int64 re and im of N at the points of `block` (a slice of step 1).
+        """int64 re and im of N at the points of `block`, any slice.
 
         Each W_g value sums as many +-1 terms as the table (or the masked
         set) has entries, so W_g(u) + W_g(u') is even and halves exactly."""
-        size = self.wg.shape[0]
-        start, stop, _ = block.indices(size)
-        re = self.wg[start:stop].astype(np.int64)
-        re += self.wg[size - stop:size - start][::-1]  # + W_g(u') at the same points
+        re = self.wg[block].astype(np.int64)
+        re += self.wg[::-1][block]  # + W_g(u') at the same points: u' = 2^n - 1 - u
         re >>= 1
-        return re, self.wg[start:stop] - re  # im = W_g(u) - re
+        return re, self.wg[block] - re  # im = W_g(u) - re
 
     def value(self, u) -> tuple[int, int]:
         """N(u) as the int pair (re, im)."""

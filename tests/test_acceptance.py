@@ -33,7 +33,6 @@ from negabench.subspaces import (
 )
 from negabench.constructions import (
     RotationSpec,
-    _modifier_spec,
     construct,
     decompose_orbit_sum,
     params_to_dict,
@@ -422,7 +421,6 @@ def test_criterion_16_orbit_sum_family_at_n24():
     # the orbit-sum modifier set comes from one Moebius transform on the 2k
     # bits of z = x + y, not from an elimination over 2^(4k)-bit polynomials
     vectors = tuple(BitVector.from_string(s) for s in ("110000000000", "101000000000"))
-    _modifier_spec.cache_clear()
     tracemalloc.start()
     try:
         with criterion("criterion-16 construct and verify F2RS_SET at n=24", 30.0):

@@ -325,6 +325,20 @@ class TestExitCodes:
             assert err == f"error: {argv[1]} does not read {flag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "anf", "dual"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--family", "G4K"), ("--k", "1"), ("--gamma", "01"), ("--eset", "B"), ("--p", "01"),
+        ("--a-set", "01"),
+    ])
+    def test_spec_flag_beside_in_refused(self, capsys, tmp_path, command, flag, value):
+        # the record is the whole spec; the refusal comes before the file is read
+        f = tmp_path / "f.json"
+        assert run(capsys, *GEN_ARGS, "--out", str(f))[0] == 0
+        for path in (f, tmp_path / "absent.json"):
+            code, out, err = run(capsys, command, "--in", str(path), flag, value)
+            assert (code, out) == (4, "")
+            assert err == f"error: --in is the whole spec; drop {flag}\n"
+
     @pytest.mark.parametrize("argv, key, value", [
         (GEN_ARGS[1:], "p", ["01"]),
         (["--family", "H8K2", "--k", "1", "--gamma", "0000", "--eset", "0"], "a_set", ["01"]),

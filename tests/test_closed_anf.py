@@ -13,7 +13,7 @@ import pytest
 
 from negabench.core import AnfPolynomial, BitVector, anf_from_truth_table
 from negabench.subspaces import GammaSpec
-from negabench.constructions import base_anf, closed_form_anf, construct
+from negabench.constructions import FAMILY_TABLE, base_anf, closed_form_anf, construct
 
 FAMILY_OF_SET = {"S1": "G4K", "S2": "G8K", "S3": "H4K2", "S4": "H8K2"}
 
@@ -148,7 +148,7 @@ def test_specs_cover_the_cases():
 
 @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
 def test_closed_anf_matches_per_cell_expansion(spec):
-    assert closed_form_anf(FAMILY_OF_SET[spec.family], spec) == reference_anf(spec)
+    assert closed_form_anf(FAMILY_TABLE[FAMILY_OF_SET[spec.family]], spec) == reference_anf(spec)
 
 
 def test_reference_matches_the_truth_table():

@@ -39,7 +39,6 @@ from negabench.constructions import (
     decompose_orbit_sum,
     function_file_dict,
     normalize_family,
-    predicts_max_degree,
     spec_from_dict,
 )
 from negabench.oracle import verify_construction
@@ -101,7 +100,7 @@ class TestClosedForms:
         spec = GammaSpec(1, "S1", (BitVector(2, 0),))
         # (x0+x1+1)(x2+x3+1) over 4 variables
         want = AnfPolynomial.from_monomials(4, [5, 9, 6, 10, 1, 2, 4, 8, 0])
-        got = closed_form_anf("G4K", spec) ^ base_anf("g0", 1)
+        got = closed_form_anf(FAMILY_TABLE["G4K"], spec) ^ base_anf("g0", 1)
         assert got == want
 
     def test_closed_anf_equals_mobius_everywhere(self):
@@ -117,7 +116,7 @@ class TestClosedForms:
         for family, spec in cases:
             cf = construct(family, spec)
             assert anf_from_truth_table(cf.function) == cf.closed_anf, family
-            assert cf.closed_anf == closed_form_anf(family, spec), family
+            assert cf.closed_anf == closed_form_anf(FAMILY_TABLE[family], spec), family
 
     def test_closed_dual_matches_spectral_dual(self):
         cases = [
@@ -127,7 +126,9 @@ class TestClosedForms:
         ]
         for family, spec in cases:
             cf = construct(family, spec)
-            assert dual(cf.function) == cf.closed_dual == closed_form_dual(family, spec)
+            fam = FAMILY_TABLE[family]
+            assert dual(cf.function) == cf.closed_dual == closed_form_dual(
+                fam, _modifier_spec(fam, spec))
 
     def test_modifier_set_and_base_recover_function(self):
         spec = GammaSpec(1, "S3", (BitVector(2, 1),), ("1",))
@@ -170,8 +171,9 @@ class TestRotationDualSet:
 
     def test_closed_dual_at_n24(self):
         spec = RotationSpec(6, (BitVector(12, 0b000000000001), BitVector(12, 0b000001011011)))
+        fam = FAMILY_TABLE["F2RS"]
         t0 = time.perf_counter()
-        d = closed_form_dual("F2RS", spec)
+        d = closed_form_dual(fam, _modifier_spec(fam, spec))
         assert time.perf_counter() - t0 < 2.0
         assert d.n == 24
 
@@ -180,16 +182,16 @@ class TestDegreeParity:
     def test_g4k_flag_follows_gamma_count(self):
         odd = GammaSpec(2, "S1", (BitVector(4, 1),))
         even = GammaSpec(2, "S1", (BitVector(4, 1), BitVector(4, 2)))
-        assert predicts_max_degree("G4K", odd)
-        assert not predicts_max_degree("G4K", even)
+        assert construct("G4K", odd).predicts_max_degree
+        assert not construct("G4K", even).predicts_max_degree
         assert construct("G4K", odd).closed_anf.degree() == 4
         assert construct("G4K", even).closed_anf.degree() < 4
 
     def test_h4k2_flag_follows_e_size_sum(self):
         small = GammaSpec(1, "S3", (BitVector(2, 1),), ("1",))
         both = GammaSpec(1, "S3", (BitVector(2, 1),), ("B",))
-        assert predicts_max_degree("H4K2", small)
-        assert not predicts_max_degree("H4K2", both)
+        assert construct("H4K2", small).predicts_max_degree
+        assert not construct("H4K2", both).predicts_max_degree
         assert construct("H4K2", small).closed_anf.degree() == 3
 
     def test_orbit_degree_equals_weight(self):
@@ -201,10 +203,10 @@ class TestDegreeParity:
 
     def test_f2rs_flag_follows_orbit_size_sum(self):
         # |O(0101)| = 2 even, |O(1111)| = 1 odd on 4 bits
-        assert not predicts_max_degree("F2RS", RotationSpec(2, (BitVector(4, 5),)))
-        assert predicts_max_degree("F2RS", RotationSpec(2, (BitVector(4, 15),)))
-        assert predicts_max_degree(
-            "F2RS", RotationSpec(2, (BitVector(4, 5), BitVector(4, 15))))
+        assert not construct("F2RS", RotationSpec(2, (BitVector(4, 5),))).predicts_max_degree
+        assert construct("F2RS", RotationSpec(2, (BitVector(4, 15),))).predicts_max_degree
+        assert construct(
+            "F2RS", RotationSpec(2, (BitVector(4, 5), BitVector(4, 15)))).predicts_max_degree
 
 
 def _orbit_covering_poly(k2, beta):
@@ -291,9 +293,9 @@ class TestOrbitDecomposition:
 
     @pytest.mark.parametrize("family", ["F2RS_SET", "F2RS_ORBIT"])
     def test_decomposed_once_per_construct_and_verify(self, monkeypatch, family):
-        # construct, closed_form_dual and predicts_max_degree all need the
-        # modifier spec, and the verifier reads the set construct built: it
-        # is derived once
+        # construct derives the modifier spec once and hands it to the
+        # closed dual and the parity flag, and the verifier reads the set
+        # construct built
         calls = []
 
         def counted(k, vectors):
@@ -301,12 +303,29 @@ class TestOrbitDecomposition:
             return decompose_orbit_sum(k, vectors)
 
         monkeypatch.setattr(constructions, "decompose_orbit_sum", counted)
-        _modifier_spec.cache_clear()
         vectors = (BitVector(6, 0b000111),) if family == "F2RS_ORBIT" else (
             BitVector(6, 0b000011), BitVector(6, 0b000111))
         report = verify_construction(construct(family, RotationSpec(3, vectors)))
         assert report.passed, report.failures()
         assert calls == [3]
+
+    @pytest.mark.parametrize("family, spec", [
+        ("H4K2", GammaSpec(1, "S3", (BitVector(2, 1),), ("B",))),
+        ("F2RS_SET", RotationSpec(3, (BitVector(6, 0b000011), BitVector(6, 0b000111)))),
+    ])
+    def test_resolved_once_per_construct(self, monkeypatch, family, spec):
+        # the closed ANF, the closed dual and the parity flag take the
+        # parameters construct resolved
+        calls = []
+
+        def counted(fam, spec):
+            calls.append(fam.name)
+            return resolve(fam, spec)
+
+        resolve = constructions._resolve
+        monkeypatch.setattr(constructions, "_resolve", counted)
+        assert construct(family, spec).family == family
+        assert calls == [family]
 
 
 def _literal_f2rs_anf(k, reps):
@@ -318,11 +337,14 @@ def _literal_f2rs_anf(k, reps):
     return base_anf("f0", k) ^ AnfPolynomial(4 * k, acc)
 
 
+F2RS = FAMILY_TABLE["F2RS"]
+
+
 class TestF2rsClosedAnf:
     def test_every_orbit_matches_literal_expansion(self):
         for k in (1, 2, 3, 4):
             for rep in orbit_representatives(2 * k):
-                got = closed_form_anf("F2RS", RotationSpec(k, (rep,)))
+                got = closed_form_anf(F2RS, RotationSpec(k, (rep,)))
                 assert got == _literal_f2rs_anf(k, (rep,)), (k, str(rep))
 
     def test_seeded_sets_match_literal_expansion(self):
@@ -331,10 +353,10 @@ class TestF2rsClosedAnf:
             reps = orbit_representatives(2 * k)
             for _ in range(10):
                 vectors = tuple(rng.sample(reps, rng.randint(2, len(reps))))
-                got = closed_form_anf("F2RS", RotationSpec(k, vectors))
+                got = closed_form_anf(F2RS, RotationSpec(k, vectors))
                 assert got == _literal_f2rs_anf(k, vectors), (k, [str(v) for v in vectors])
             everything = tuple(reps)
-            assert closed_form_anf("F2RS", RotationSpec(k, everything)) == (
+            assert closed_form_anf(F2RS, RotationSpec(k, everything)) == (
                 _literal_f2rs_anf(k, everything))
 
     def test_every_orbit_at_n24_is_bounded(self):
@@ -345,7 +367,7 @@ class TestF2rsClosedAnf:
         tracemalloc.start()
         try:
             t0 = time.perf_counter()
-            got = closed_form_anf("F2RS", RotationSpec(6, reps))
+            got = closed_form_anf(F2RS, RotationSpec(6, reps))
             elapsed = time.perf_counter() - t0
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -241,13 +241,11 @@ def test_closed_form_dual_flips_the_point_built_set(family):
     fam = FAMILY_TABLE[family]
     spec = next(s for s in SPECS if s.family == fam.set_tag and s.k == 1
                 and len(s.gammas) == 2)
-    params = spec
     if fam.rotation_symmetric:  # the orbit-closed gamma set of the vectors
-        params = RotationSpec(1, spec.gammas[:1])
-        spec = constructions._modifier_spec(fam, params)
+        spec = constructions._modifier_spec(fam, RotationSpec(1, spec.gammas[:1]))
     base = constructions._DUAL_BASES[fam.base](fam.base_param(spec.k))
     want = truth_table_from_anf(base) ^ characteristic_function(REFERENCE[fam.set_tag][1](spec))
-    assert constructions.closed_form_dual(family, params) == want
+    assert constructions.closed_form_dual(fam, spec) == want
 
 
 def test_span_points_and_coset_union():
@@ -272,6 +270,6 @@ def test_anf_and_predictors_do_not_use_the_coset_union(monkeypatch):
         if spec.family == "T":
             continue
         fam = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family)
-        assert closed_form_anf(fam.name, spec).n == fam.n(spec.k)
+        assert closed_form_anf(fam, spec).n == fam.n(spec.k)
         xs = np.arange(1 << min(fam.n(spec.k), 12), dtype=np.int64)
         assert oracle._predict(spec, xs).walsh.shape == xs.shape

@@ -496,6 +496,44 @@ class TestFragmentaryLemma:
             assert check.counterexample == (f"nega point 7: definitional {re}{im:+d}i "
                                             f"!= masked butterfly {re + 2}{im - 2:+d}i")
 
+    def test_literal_sum_walsh_named_first_where_both_differ(self, monkeypatch):
+        # W moved at 7 and W_g at 8, so N differs at 7 and 8: point 7 differs
+        # on both sides and its walsh value is the one reported
+        spec = GammaSpec(1, "S1", (BitVector(2, 0),))
+        walsh, nega = oracle.fragmentary_walsh_spectrum, oracle.fragmentary_nega_spectrum
+
+        def moved(exact, field, at, by):
+            values = getattr(exact, field).copy()
+            values[at] += by
+            return dataclasses.replace(exact, **{field: values})
+
+        monkeypatch.setattr(oracle, "fragmentary_walsh_spectrum",
+                            lambda f, t: moved(walsh(f, t), "values", 7, 2))
+        monkeypatch.setattr(oracle, "fragmentary_nega_spectrum",
+                            lambda f, t: moved(nega(f, t), "wg", 8, 4))
+        check = _check(verify_fragmentary_lemma(spec), "literal-sum-agreement")
+        w = walsh(base_function("g0", 1), build_modifier_set(spec)).value(7)
+        assert check.counterexample == (f"walsh point 7: definitional {w} "
+                                        f"!= masked butterfly {w + 2}")
+
+    def test_literal_sum_strided_sample(self, monkeypatch):
+        # n = 8: 64 points with stride 4; W_g moved at 8 moves N at 8 and at
+        # 255 - 8 = 247, and only 8 is sampled
+        spec = GammaSpec(1, "S2", (BitVector(4, 1),))
+        nega = oracle.fragmentary_nega_spectrum
+
+        def tampered(f, t):
+            exact = nega(f, t)
+            values = exact.wg.copy()
+            values[8] += 4
+            return dataclasses.replace(exact, wg=values)
+
+        assert _check(verify_fragmentary_lemma(spec), "literal-sum-agreement").details == (
+            "64 sampled points")
+        monkeypatch.setattr(oracle, "fragmentary_nega_spectrum", tampered)
+        check = _check(verify_fragmentary_lemma(spec), "literal-sum-agreement")
+        assert check.counterexample.startswith("nega point 8: definitional ")
+
     def test_s1_all_single_gammas(self):
         for bits in range(4):
             rep = verify_fragmentary_lemma(GammaSpec(1, "S1", (BitVector(2, bits),)))

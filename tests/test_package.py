@@ -3,6 +3,7 @@ imports, plus REFERENCE_CASES, and every public function or method has a
 caller inside the package, so the surface cannot grow back unnoticed."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -25,6 +26,22 @@ def test_all_is_the_documented_surface():
     assert len(negabench.__all__) == len(want)
     for name in negabench.__all__:
         assert getattr(negabench, name) is not None
+
+
+def test_bench_span_targets_resolve():
+    # bench/spans.py wraps each (module, path) by name; read without importing it
+    spans = README.parent / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    targets = next(node.value for node in tree.body if isinstance(node, ast.AnnAssign)
+                   and node.target.id == "TARGETS")
+    pairs = ast.literal_eval(targets)
+    assert len(pairs) > 30
+    for module, path in pairs:
+        obj = importlib.import_module(f"negabench.{module}")
+        for attr in path.split("."):
+            assert hasattr(obj, attr), f"{module}.{path}"
+            obj = getattr(obj, attr)
+        assert callable(obj), f"{module}.{path}"
 
 
 def test_modules_resolve_as_attributes():

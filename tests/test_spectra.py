@@ -100,6 +100,16 @@ class TestByteTables:
 
 
 
+@pytest.mark.parametrize("block", [slice(None), slice(3, 100, 7), slice(0, 128, 32),
+                                   slice(None, None, -5), slice(120, 8, -9)])
+def test_nega_parts_at_any_slice(block):
+    # the mirror point u' = 2^n - 1 - u is read through the same slice
+    for f in _random_functions(7, 3, seed=17):
+        _, re, im = oracle.naive_transforms(f)
+        got = nega_transform(f).parts(block)
+        assert [a.tolist() for a in got] == [re[block].tolist(), im[block].tolist()]
+
+
 def _reference_flat_counterexample(nf):
     """The block loop the int32 route replaced: |N(u)|^2 from int64 re and im."""
     for start in range(0, nf.wg.shape[0], 1 << 18):
