@@ -269,8 +269,11 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional
 
 _I_RE = np.array([1, 0, -1, 0], dtype=np.int32)
 _I_IM = np.array([0, 1, 0, -1], dtype=np.int32)
-# the popcount of every half u or v of a point: n/2 <= 12 bits
-_POPS = np.bitwise_count(np.arange(1 << 12, dtype=np.uint16)).astype(np.int32)
+
+
+def _sign(z: np.ndarray, scale: int) -> np.ndarray:
+    """scale (-1)^wt(z) at each entry of z, as int32."""
+    return np.where(np.bitwise_count(z) & 1, np.int32(-scale), np.int32(scale))
 
 
 def _h0_split(x: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
@@ -295,8 +298,8 @@ def walsh_g0_value(t: int, points) -> np.ndarray:
     m = 2 * t
     x = np.asarray(points, dtype=np.int32)
     u, v = x & ((1 << m) - 1), x >> m
-    # u & (u >> t) = u' & u''
-    return (1 - 2 * ((_POPS[u & (u >> t)] ^ _POPS[u & v]) & 1)) * (1 << m)
+    # wt(u' & u'') + wt(u & v) mod 2, with u & (u >> t) = u' & u''
+    return _sign(u & ((u >> t) ^ v), 1 << m)
 
 
 def nega_g0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -305,8 +308,8 @@ def nega_g0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(points, dtype=np.int32)
     u = x & ((1 << m) - 1)
     d = (x >> m) ^ u  # d & (d >> t) = (u' + v') & (u'' + v'')
-    scale = (1 - 2 * (_POPS[d & (d >> t)] & 1)) * (1 << m)
-    e = (t - _POPS[u]) & 3
+    scale = _sign(d & (d >> t), 1 << m)
+    e = (t - np.bitwise_count(u)) & 3  # uint8: the wrap mod 256 keeps it mod 4
     return _I_RE[e] * scale, _I_IM[e] * scale
 
 
@@ -314,8 +317,8 @@ def walsh_h0_value(t: int, points) -> np.ndarray:
     """Closed form of the Walsh spectrum of the (4t+2)-variable base h0."""
     m = 2 * t
     u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int32), m)
-    exp = _POPS[u & (u >> t)] ^ _POPS[u & v] ^ (um & vm) ^ (um & (v ^ (u >> t)))
-    return (1 - 2 * (exp & 1)) * (1 << (m + 1))
+    # wt(u' & u'') + wt(u & v) + u_m v_m + u_m (v + u >> t)_0 mod 2
+    return _sign((u & ((u >> t) ^ v)) ^ (um & (vm ^ v ^ (u >> t))), 1 << (m + 1))
 
 
 def nega_h0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -353,30 +356,23 @@ class _Prediction:
     structure_ok: np.ndarray
 
 
-def _predict(spec: GammaSpec, x: np.ndarray) -> _Prediction:
-    """The closed-form fragment spectra of an S1..S4 set at the points x,
-    read off the spec alone.
+def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
+    """The closed-form fragment spectra of an S1..S4 set, read off the spec
+    alone, as a function of an array of points.
 
     A parameter (gamma, eps) contributes at a point exactly when its key
     equals the point's: the half sums (u' + u'', v' + v'') for S1/S3, the
     pair sums of u and of v interleaved for S2/S4, and on the Walsh side of
     S3/S4 also u_m, which is XORed into bit 0 of the u-sum.  No key is wider
     than n/2 bits, so each point looks its candidates up in tables of at most
-    2^(n/2) entries built once from the spec: 2^n + |Gamma||E| work in all.
+    2^(n/2) entries, built here once from the spec: 2^n + |Gamma||E| work in
+    all, however many blocks the points come in.
     """
     k = spec.k
     pairs = spec.family in ("S2", "S4")
     h0 = spec.e_sets is not None  # S3, S4: the base h0, with u_m and v_m
     t = 2 * k if pairs else k  # the base parameter
     w = 2 * t  # the width of u and of v
-    if h0:
-        walsh, nega = walsh_h0_value(t, x), nega_h0_value(t, x)
-        u, um, v, vm = _h0_split(x, w)
-        turn = _h0_turn(u, v, vm, t) ^ um
-        del vm
-    else:
-        walsh, nega = walsh_g0_value(t, x), nega_g0_value(t, x)
-        u, um, v = x & ((1 << w) - 1), 0, x >> w
     if pairs:
         low, shift = ((1 << w) - 1) // 3, 1  # the low bit of every pair of u
 
@@ -387,10 +383,6 @@ def _predict(spec: GammaSpec, x: np.ndarray) -> _Prediction:
 
         def sums(z):
             return (z & low) ^ (z >> k)
-
-    nkey = sums(u) | (sums(v) << shift)
-    wkey = (nkey ^ um) | (um << w)
-    del u, v, um  # each is one block of int32s, and only the keys are read below
 
     # the (gamma, eps) candidates in spec order, and their keys
     cand = np.array([(i, e) for i in range(len(spec.gammas))
@@ -420,15 +412,27 @@ def _predict(spec: GammaSpec, x: np.ndarray) -> _Prediction:
         p, q = order[two], order[two + 1]
         pair_ok[sk[two]] = (gi[p] != gi[q]) & (eps[p] != eps[q]) & (g1[p] == g1[q])
 
-    w_matches, count = w_count[wkey], n_count[nkey]
-    # one h0 candidate gives half of N and two (S3) all of it; one g0
-    # candidate gives all of N
-    branch = np.minimum(count if h0 else _FULL * count, _FULL)
-    s = (turn ^ first_eps[nkey]) & 1 if h0 else 0
-    half = (branch == _HALF).astype(np.int32)
-    nega2 = _combine(nega, _N_MULTIPLIER[branch], half * (1 - 2 * s))
-    return _Prediction(np.where(w_matches > 0, walsh, 0), w_matches, *nega2, count, branch,
-                       (count <= 1) | ((count == 2) & pair_ok[nkey]))
+    def predict(x: np.ndarray) -> _Prediction:
+        if h0:
+            walsh, nega = walsh_h0_value(t, x), nega_h0_value(t, x)
+            u, um, v, vm = _h0_split(x, w)
+            turn = _h0_turn(u, v, vm, t) ^ um
+        else:
+            walsh, nega = walsh_g0_value(t, x), nega_g0_value(t, x)
+            u, um, v = x & ((1 << w) - 1), 0, x >> w
+        nkey = sums(u) | (sums(v) << shift)
+        wkey = (nkey ^ um) | (um << w)
+        w_matches, count = w_count[wkey], n_count[nkey]
+        # one h0 candidate gives half of N and two (S3) all of it; one g0
+        # candidate gives all of N
+        branch = np.minimum(count if h0 else _FULL * count, _FULL)
+        s = (turn ^ first_eps[nkey]) & 1 if h0 else 0
+        half = (branch == _HALF).astype(np.int32)
+        nega2 = _combine(nega, _N_MULTIPLIER[branch], half * (1 - 2 * s))
+        return _Prediction(np.where(w_matches > 0, walsh, 0), w_matches, *nega2, count, branch,
+                           (count <= 1) | ((count == 2) & pair_ok[nkey]))
+
+    return predict
 
 
 # per modifier set, the largest admissible number of nega candidates at one point
@@ -444,8 +448,10 @@ def _fmt(values) -> str:
 
 
 # points compared at once: every closed-form and predictor array is one block
-# long, so their memory stays bounded whatever n is; n <= 18 is one block
-_BLOCK = 1 << 18
+# long, at most 128 KiB (the int64 nega parts), so each block reuses the heap
+# memory the last one freed instead of faulting in fresh pages; at 2^15 an
+# n = 18 lemma check takes ten times the page faults, and is slower
+_BLOCK = 1 << 14
 
 
 def _blocks(size: int) -> Iterator[slice]:
@@ -500,12 +506,12 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     number of contributing parameters, and (on a deterministic sample) the
     definitional restricted sums against the masked butterfly route.  The exact
     spectra are whole arrays; the closed forms and predictions are computed
-    and compared over blocks of at most 2^18 points.  `_predict` reads only
-    the spec, never the set or a spectrum: each point looks its (gamma, eps)
-    candidates up in key tables of at most 2^(n/2) entries built once from
-    the spec, so the predictions cost 2^n + |Gamma||E| whatever the number
-    of gammas.  The nega parts are read from the exact spectra one block at
-    a time.
+    and compared over blocks of at most 2^14 points (`_BLOCK`).  `_predictor`
+    reads only the spec, never the set or a spectrum: each point looks its
+    (gamma, eps) candidates up in key tables of at most 2^(n/2) entries built
+    once from the spec, so the predictions cost 2^n + |Gamma||E| whatever the
+    number of gammas.  The nega parts are read from the exact spectra one
+    block at a time.
     """
     if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
@@ -538,8 +544,9 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     branches = np.zeros(len(BRANCHES), dtype=np.int64)
     max_w = max_n = 0
     over_bound: Optional[str] = None
+    predict = _predictor(spec)
     for block in _blocks(size):
-        pred = _predict(spec, _points(block))
+        pred = predict(_points(block))
         with checks.timing("fragment-walsh-closed-form"):
             walsh_agree.feed(block, wt.parts(block), (pred.walsh,))
             nonzero += int(np.count_nonzero(pred.walsh_matches))

@@ -18,16 +18,19 @@ Entry: per 64-bit word of the packed table (for g, XORed with sigma2's),
 popcounts against the 64 packed rows u.x do six levels at once, to [-64,
 64]; for n <= 6 that one word is the whole transform.  int16: the levels
 64 .. 2^13, per chunk of 2^17 points in cache, to |v| <= 2^14 < 2^15.
-int32: the rest, in place, to |W| <= 2^n <= 2^24 < 2^31.  Memory: the
-output, half that in scratch and a few MiB of chunks, about 100 MiB at
+int32: the rest, in place, to |W| <= 2^n <= 2^24 < 2^31, in tiles that
+stay in cache with their 256 KiB of scratch.  Memory: the output, the
+packed table of g for a nega spectrum, and a 1.5 MiB per-thread workspace
+that every transform reuses for its chunks and scratch: about 66 MiB at
 n = 24.  Squares reach 2^48, so their sums are int64.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,30 +49,70 @@ from .core import (
 
 
 def _levels(a: np.ndarray, h: int, stop: int, scratch: np.ndarray) -> None:
-    """Butterfly levels h, 2h, ... below stop, in place, two per pass via a half-size scratch."""
-    while 2 * h < stop:
-        x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
-        s0, s1 = scratch.reshape(2, -1, h)
-        np.add(x0, x1, out=s0)
-        np.subtract(x0, x1, out=s1)
-        np.add(x2, x3, out=x0)
-        np.subtract(x2, x3, out=x1)
-        np.subtract(s0, x0, out=x2)
-        np.add(s0, x0, out=x0)
-        np.subtract(s1, x1, out=x3)
-        np.add(s1, x1, out=x1)
-        h *= 4
-    if h < stop:  # one level left
-        x0, x1 = a.reshape(-1, 2, h).transpose(1, 0, 2)
-        np.subtract(x0, x1, out=scratch.reshape(-1, h))
-        x0 += x1
-        x1[...] = scratch.reshape(-1, h)
+    """Butterfly levels h, 2h, ... below stop, in place, two per pass (the
+    last alone if one is left).  A pass works through a in tiles sized to
+    scratch, so a tile and its scratch stay in cache together; sizes are
+    powers of two, so every tile of a pass has one shape."""
+    while h < stop:
+        q = 4 if 2 * h < stop else 2  # points per group: two levels, or one
+        groups = a.reshape(-1, q, h)
+        cap = scratch.shape[0] * 2 // q  # entries of each quarter (half) per tile
+        rows, cols = min(groups.shape[0], max(1, cap // h)), min(h, cap)
+        s = scratch[:rows * cols * q // 2].reshape(q // 2, rows, cols)
+        for r in range(0, groups.shape[0], rows):
+            for c in range(0, h, cols):
+                x = groups[r:r + rows, :, c:c + cols].transpose(1, 0, 2)
+                if q == 4:
+                    x0, x1, x2, x3 = x
+                    s0, s1 = s
+                    np.add(x0, x1, out=s0)
+                    np.subtract(x0, x1, out=s1)
+                    np.add(x2, x3, out=x0)
+                    np.subtract(x2, x3, out=x1)
+                    np.subtract(s0, x0, out=x2)
+                    np.add(s0, x0, out=x0)
+                    np.subtract(s1, x1, out=x3)
+                    np.add(s1, x1, out=x1)
+                else:
+                    x0, x1 = x
+                    np.subtract(x0, x1, out=s[0])
+                    x0 += x1
+                    x1[...] = s[0]
+        h *= q
 
 
 # _ENTRY_ROWS[u] packs u.x, x < 64: (-1)^(u.x) is the Kronecker square of _H8
 _H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1).astype(np.int8)
 _ENTRY_ROWS = np.packbits(np.kron(_H8, _H8) < 0, axis=1, bitorder="little").view("<u8")[:, 0]
 _INT16_BLOCK = 1 << 14  # the int16 levels sum blocks of 2^14 points: |v| <= 2^14 < 2^15
+_ENTRY_WORDS = 1 << 11  # packed words per entry chunk: 2^17 points, 256 KiB in int16
+_INT32_TILE = 1 << 16  # int32 scratch per tile of the int32 levels: 256 KiB
+_SCAN_BLOCK = 1 << 14  # points per block of a flatness scan: 64 KiB temporaries in int32
+
+
+class _Workspace:
+    """One thread's butterfly buffers (1.5 MiB), made by its first transform
+    and reused by every later one: a chunk's entry signs and counts, the
+    chunk in int16 and its int16 scratch.  The int32 levels run after the
+    last chunk, so they take their scratch from the signs."""
+
+    def __init__(self) -> None:
+        self.signs = np.empty((_ENTRY_WORDS, 64), dtype=np.uint64)
+        self.counts = np.empty((_ENTRY_WORDS, 64), dtype=np.uint8)
+        self.block = np.empty(_ENTRY_WORDS << 6, dtype=np.int16)
+        self.scratch = np.empty(_ENTRY_WORDS << 5, dtype=np.int16)
+
+
+_THREAD = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """The calling thread's workspace; a transform never runs inside another."""
+    try:
+        return _THREAD.workspace
+    except AttributeError:
+        _THREAD.workspace = _Workspace()
+        return _THREAD.workspace
 
 
 @functools.lru_cache(maxsize=None)  # n <= 24: under 4 MiB for every n at once
@@ -101,10 +144,11 @@ def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> 
     words = table.view("<u8")
     masks = (np.broadcast_to(np.uint64(2**64 - 1), words.shape) if t is None
              else _raw_bytes(t.mask, size).view("<u8"))
-    out = np.empty(size, dtype=np.int32)  # the one full-size buffer, taken first
-    step = min(words.shape[0], 1 << 11)  # words per chunk: 2^17 points, 256 KiB in int16
-    signs, counts = np.empty((step, 64), dtype=np.uint64), np.empty((step, 64), dtype=np.uint8)
-    block, scratch = np.empty(step << 6, np.int16), np.empty(step << 5, np.int16)
+    out = np.empty(size, dtype=np.int32)  # the one full-size buffer
+    ws = _workspace()
+    step = min(words.shape[0], _ENTRY_WORDS)
+    signs, counts = ws.signs[:step], ws.counts[:step]
+    block, scratch = ws.block[:step << 6], ws.scratch[:step << 5]
     for start in range(0, words.shape[0], step):
         m = masks[start:start + step, None]
         np.bitwise_xor(words[start:start + step, None], _ENTRY_ROWS, out=signs)
@@ -115,7 +159,8 @@ def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> 
         block[:] = counts.ravel().view(np.int8)
         _levels(block, 64, min(block.shape[0], _INT16_BLOCK), scratch)
         out[start << 6:(start << 6) + block.shape[0]] = block
-    _levels(out, _INT16_BLOCK, size, np.empty(size // 2, dtype=np.int32))  # |W| <= 2^n
+    # |W| <= 2^n
+    _levels(out, _INT16_BLOCK, size, ws.signs.reshape(-1).view(np.int32)[:_INT32_TILE])
     out.setflags(write=False)
     return out
 
@@ -130,6 +175,16 @@ def _exact_sum_sq(v: np.ndarray) -> int:
         assert int(np.abs(chunk).max()) <= 1 << 24
         total += int(np.dot(chunk, chunk))
     return total
+
+
+def _first_flagged(size: int, flags: Callable[[slice], np.ndarray]) -> Optional[int]:
+    """The first index below size where flags (a bool array per block of
+    points) is True, or None; one block's temporaries at a time."""
+    for start in range(0, size, _SCAN_BLOCK):
+        bad = np.flatnonzero(flags(slice(start, min(size, start + _SCAN_BLOCK))))
+        if bad.size:
+            return start + int(bad[0])
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +211,8 @@ class WalshSpectrum:
         """Index u with |W(u)| != 2^(n/2), or None when bent-flat (even n)."""
         if self.n % 2:
             return 0 if self.values.shape[0] else None
-        bad = np.flatnonzero(np.abs(self.values) != 1 << (self.n // 2))
-        return int(bad[0]) if bad.size else None
+        return _first_flagged(self.values.shape[0],
+                              lambda block: np.abs(self.values[block]) != 1 << (self.n // 2))
 
     def flat_failure(self) -> Optional[str]:
         """'|W(u)| = v' at the first u where W is not flat, or None."""
@@ -203,17 +258,17 @@ class NegaSpectrum:
         |N(u)|^2 = (a^2 + b^2) / 2 with a = W_g(u), b = W_g(u').  Odd squares
         are 1 mod 4, so while a^2 + b^2 = 2^(n+1) is a multiple of 4 both a
         and b are even and halve, down to a sum of 2 at even n, which forces
-        |a| = |b| = 2^(n/2): the first bad u is the first bad index or the
-        mirror u' of the last one.  At odd n the sum of 1 forces {|a|, |b|} =
-        {2^((n+1)/2), 0}, a test symmetric in u and u' (in int32)."""
-        size = self.wg.shape[0]
-        a = np.abs(self.wg)
-        if self.n % 2 == 0:
-            bad = np.flatnonzero(a != 1 << (self.n // 2))
-            return min(int(bad[0]), size - 1 - int(bad[-1])) if bad.size else None
-        b = a[::-1]
-        bad = np.flatnonzero((a + b != 1 << (self.n + 1) // 2) | (np.minimum(a, b) != 0))
-        return int(bad[0]) if bad.size else None
+        |a| = |b| = 2^(n/2).  At odd n the sum of 1 forces {|a|, |b|} =
+        {2^((n+1)/2), 0}.  Either test is symmetric in u and u', so the first
+        bad u lies in the first half, and the half is read in blocks beside
+        its mirror (in int32)."""
+        def flags(block: slice) -> np.ndarray:
+            a, b = np.abs(self.wg[block]), np.abs(self.wg[::-1][block])
+            if self.n % 2 == 0:
+                return (a != 1 << (self.n // 2)) | (b != 1 << (self.n // 2))
+            return (a + b != 1 << (self.n + 1) // 2) | (np.minimum(a, b) != 0)
+
+        return _first_flagged(self.wg.shape[0] // 2, flags)
 
     def flat_failure(self) -> Optional[str]:
         """'|N(u)|^2 = v' at the first u where N is not flat, or None."""
@@ -250,6 +305,18 @@ _FOLD = np.array([[1, 1, 1, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int32)
 _SUM_ENTRIES = 1 << 18  # int32 class sums and signs (-1)^(u_hi.x_hi) per chunk: 1 MiB
 
 
+@functools.lru_cache(maxsize=None)  # n <= 24: under 16 MiB for every n at once
+def _class_masks(n: int) -> np.ndarray:
+    """The classes C_0 .. C_3 of the 2^n points packed in whole words, as a
+    read-only (4, words) uint64 array; padding points (n < 6) are in none."""
+    width = max(64, 1 << n)
+    byte_classes = np.bitwise_count(np.arange(width >> 3, dtype=np.uint32)) & 3
+    masks = (np.take(_CLASS_BYTES, byte_classes, axis=1).view("<u8")
+             & _raw_bytes((1 << (1 << n)) - 1, width).view("<u8"))
+    masks.setflags(write=False)
+    return masks
+
+
 def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """W_{f,T}(u) and N_{f,T}(u) at the points `us` (T everywhere if None)
@@ -267,10 +334,9 @@ def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
     # whole words; the padding points lie outside T (or the live 2^n points)
     width = max(64, 1 << f.n)
     assert width <= 1 << 30  # |b| <= 64 a word: every sum is at most 2^n < 2^31 in int32
-    live = (1 << (1 << f.n)) - 1 if t is None else t.mask
-    byte_classes = np.bitwise_count(np.arange(width >> 3, dtype=np.uint32)) & 3
-    masks = (np.take(_CLASS_BYTES, byte_classes, axis=1).view("<u8")
-             & _raw_bytes(live, width).view("<u8"))
+    masks = _class_masks(f.n)
+    if t is not None:
+        masks = masks & _raw_bytes(t.mask, width).view("<u8")
     table = _raw_bytes(f.bits, width).view("<u8")
     u_lo, u_hi = us & 63, us >> 6  # lo, hi: their distinct values in order (no sort)
     lo = np.flatnonzero(np.bincount(u_lo, minlength=64))

@@ -333,7 +333,7 @@ _REFERENCE = {"S1": ref_predict_s1, "S2": ref_predict_s2,
 def test_predictor_matches_reference(name):
     spec = PREDICTOR_SPECS[name]
     n = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family).n(spec.k)
-    got = oracle._predict(spec, np.arange(1 << n, dtype=np.int64))
+    got = oracle._predictor(spec)(np.arange(1 << n, dtype=np.int64))
     refs = [_REFERENCE[spec.family](spec, p) for p in range(1 << n)]
     assert got.walsh.tolist() == [r.walsh for r in refs]
     assert got.walsh_matches.tolist() == [r.walsh_matches for r in refs]
@@ -371,13 +371,13 @@ def _exact(name):
     return getattr(oracle, name)(f0)
 
 
-def _shift_one(monkeypatch, name, field, delta=DELTA):
+def _shift_one(monkeypatch, name, field, delta=DELTA, point=TAMPER_POINT):
     original = getattr(oracle, name)
 
     def tampered(*args):
         spec = original(*args)
         values = getattr(spec, field).copy()
-        values[TAMPER_POINT] += delta
+        values[point] += delta
         return dataclasses.replace(spec, **{field: values})
 
     monkeypatch.setattr(oracle, name, tampered)
@@ -432,19 +432,58 @@ def test_tampered_entry_is_named_across_blocks(monkeypatch, nega_parts, test, ar
     test(monkeypatch, *args, **fixtures)
 
 
+# S3 k=4: n = 18, sixteen blocks of 2^14 points.  The point lies in the
+# sixth block, off the literal-sum stride of 2^12, and so does its mirror
+LATE_SPEC = _spec(4, "S3", ("10110100",), ("B",))
+LATE_POINT = 5 * (1 << 14) + 37
+
+
+@pytest.mark.parametrize("name, field, check, label", [
+    ("walsh_transform", "values", "base-walsh-closed-form", ""),
+    ("fragmentary_walsh_spectrum", "values", "fragment-walsh-closed-form", ""),
+    ("nega_transform", "wg", "base-nega-closed-form", ""),
+    ("fragmentary_nega_spectrum", "wg", "fragment-nega-closed-form", "2N = "),
+])
+def test_tampered_entry_in_a_late_block(monkeypatch, name, field, check, label):
+    f0 = base_function("h0", LATE_SPEC.k)
+    args = (f0, build_modifier_set(LATE_SPEC)) if name.startswith("fragmentary") else (f0,)
+    exact = getattr(oracle, name)(*args)
+    delta = 1 << (exact.n // 2)
+    if field == "values":
+        w = int(exact.values[LATE_POINT])
+        got, want = f"{w + delta}", f"{w}"
+    else:  # W_g moved by 2 delta moves re and im of N by delta
+        scale = 2 if label else 1
+        re, im = exact.value(LATE_POINT)
+        got = f"{scale * (re + delta)}{scale * (im + delta):+d}i"
+        want = f"{scale * re}{scale * im:+d}i"
+    _shift_one(monkeypatch, name, field, delta * (1 if field == "values" else 2), LATE_POINT)
+    report = oracle.verify_fragmentary_lemma(LATE_SPEC)
+    failed = _failed_check(report, check)
+    assert failed.counterexample == f"point {LATE_POINT}: {label}{got} != {want}"
+    monkeypatch.setattr(oracle, "_BLOCK", 1 << 18)  # the whole of n = 18 in one block
+    whole = oracle.verify_fragmentary_lemma(LATE_SPEC)
+    assert (whole.subject, _verdicts(whole)) == (report.subject, _verdicts(report))
+
+
 @pytest.mark.parametrize("block", [oracle._BLOCK, 16])
 def test_contribution_bound_breach_is_named(monkeypatch, block):
-    predict, bound = oracle._predict, oracle._LEMMAS["S3"]
-    one = predict(TAMPER_SPEC, np.array([TAMPER_POINT], dtype=np.int64))
+    predictor, bound = oracle._predictor, oracle._LEMMAS["S3"]
+    one = predictor(TAMPER_SPEC)(np.array([TAMPER_POINT], dtype=np.int64))
     w, m = int(one.walsh_matches[0]), int(one.nega_matches[0])
 
-    def overcounted(spec, xs):
-        # two breaches, blocks apart when the blocks are small: the first is named
-        pred = predict(spec, xs)
-        extra = ((xs == TAMPER_POINT) | (xs == TAMPER_POINT + 100)) * (bound + 1)
-        return dataclasses.replace(pred, nega_matches=pred.nega_matches + extra)
+    def overcounted(spec):
+        predict = predictor(spec)
 
-    monkeypatch.setattr(oracle, "_predict", overcounted)
+        def counted(xs):
+            # two breaches, blocks apart when the blocks are small: the first is named
+            pred = predict(xs)
+            extra = ((xs == TAMPER_POINT) | (xs == TAMPER_POINT + 100)) * (bound + 1)
+            return dataclasses.replace(pred, nega_matches=pred.nega_matches + extra)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_predictor", overcounted)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), "contribution-bounds")
     assert failed.counterexample == (f"point {TAMPER_POINT}: walsh matches {w}, "

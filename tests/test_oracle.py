@@ -135,7 +135,7 @@ class TestNaiveTransforms:
             _assert_reference(f)
 
     def test_reaches_no_butterfly_code(self, monkeypatch):
-        for name in ("_levels", "_spectrum", "_sigma2_bytes",
+        for name in ("_levels", "_spectrum", "_sigma2_bytes", "_workspace",
                      "walsh_transform", "nega_transform"):
             monkeypatch.setattr(spectra, name, _refuse)
         monkeypatch.setattr(spectra, "_ENTRY_ROWS", _RefusedTable())

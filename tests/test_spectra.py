@@ -1,3 +1,8 @@
+import hashlib
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,13 +151,13 @@ def _tampered(nf, u):
 
 
 class TestNegaFlatness:
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", [*range(2, 13), 16])
     def test_random_functions_match_block_loop(self, n):
         for f in _random_functions(n, 8, seed=300 + n):
             nf = nega_transform(f)
             assert nf.flat_counterexample() == _reference_flat_counterexample(nf)
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", [*range(2, 13), 16])
     def test_one_tampered_value_matches_block_loop(self, n):
         size = 1 << n
         rng = np.random.default_rng(400 + n)
@@ -181,6 +186,85 @@ class TestNegaFlatness:
             check = next(c for c in verify_construction(cf).checks if c.name == "negabent")
             assert not check.passed
             assert check.counterexample == _reference_detail(bad)
+
+
+# SHA-256 of the int32 little-endian outputs in test_outputs_are_pinned,
+# recorded from the butterfly before it kept its buffers per thread
+KERNEL_DIGEST = "5343775e67b220e91e272b31a9caa31998ec84a08293a3ef79a07dbd875000c8"
+
+
+class TestButterflyKernel:
+    def test_outputs_are_pinned(self):
+        # Walsh and nega, unmasked and masked, of a seeded random table and of
+        # the all-0 and all-1 tables: one word, one chunk, and many chunks
+        digest = hashlib.sha256()
+        for n in (*range(1, 21), 22):
+            size = 1 << n
+            rng = np.random.default_rng(n)
+
+            def draw():
+                return int.from_bytes(rng.bytes(max(1, size >> 3)), "little") & ((1 << size) - 1)
+
+            t = VectorSet(n, draw())
+            for bits in (draw(), 0, (1 << size) - 1):
+                f = BooleanFunction(n, bits)
+                for nega in (False, True):
+                    for mask in (None, t):
+                        digest.update(spectra._spectrum(f, nega, mask).astype("<i4").tobytes())
+        assert digest.hexdigest() == KERNEL_DIGEST
+
+    def test_threads_keep_their_own_buffers(self):
+        # more threads than cores, switching often: a transform equals its
+        # serial result only if no other thread writes into its buffers
+        fs = _random_functions(18, 4, seed=500)
+        t = VectorSet(18, _random_functions(18, 1, seed=501)[0].bits)
+        want = [(spectra._spectrum(f, True), spectra._spectrum(f, False, t)) for f in fs]
+        wrong = []
+
+        def run(i):
+            for _ in range(4):
+                got = (spectra._spectrum(fs[i], True), spectra._spectrum(fs[i], False, t))
+                if not all(np.array_equal(g, w) for g, w in zip(got, want[i])):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(fs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_only_the_output_is_allocated(self):
+        # h0 at n = 18 is bent and negabent, so each flatness scan reads every block
+        f = base_function("h0", 4)
+        flat = (walsh_transform(f), nega_transform(f))  # warm-up: workspace, tables
+        tracemalloc.start()
+        try:
+            nega_transform(f)
+            transform_peak = tracemalloc.get_traced_memory()[1]
+            scan_peaks = []
+            for spec in flat:
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                assert spec.flat_counterexample() is None
+                scan_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert transform_peak <= (1 << 20) + (256 << 10), transform_peak
+        assert max(scan_peaks) <= 256 << 10, scan_peaks
+
+    def test_bent_scan_names_a_point_in_a_late_block(self):
+        wf = walsh_transform(base_function("g0", 4))  # n = 16: four blocks
+        for at in (3 * (1 << 14) + 5, (1 << 16) - 1):
+            values = wf.values.copy()
+            values[at] += 2
+            assert spectra.WalshSpectrum(16, values).flat_counterexample() == at
 
 
 def _witness_functions():
