@@ -214,13 +214,12 @@ def _cmd_verify(args) -> int:
             family = normalize_family(str(data["family"]))
             if not isinstance(data["params"], dict):
                 raise InvalidSpecError("params must be an object")
-            spec = spec_from_dict(family, data["params"])
+            rebuilt = construct(family, spec_from_dict(family, data["params"]))
         except ValueError as exc:
             raise _InputFileError(f"{args.infile}: {exc}") from exc
         flag = _field(data, "predicts_max_degree", bool)
         anf, dual_hex = _field(data, "anf", str), _field(data, "dual_tt_hex", str)
         fn = _function_from_file(data)
-        rebuilt = construct(family, spec)
         if fn.n != rebuilt.n:
             report = VerificationReport(
                 subject=f"{family} from {args.infile}",

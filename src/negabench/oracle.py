@@ -169,46 +169,6 @@ def naive_transforms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.nda
 NEGA_BRANCHES = ("0", "1", "i", "-i")
 
 
-@dataclass(frozen=True, eq=False)
-class FrameCoefficients:
-    """Per-point branch codes of the fragment ratios of a flat function.
-
-    Flipping a bent-negabent f0 on a set T turns each spectrum value into
-    (1 - 2c) times the original, where c is the fragment-to-full ratio at
-    that point.  Flatness survives exactly when |1 - 2c| = 1: Walsh branch
-    '0' or '1', nega branch '0', '1', 'i' (ratio (1-i)/2) or '-i' (ratio
-    (1+i)/2).  -1 marks a point whose ratio is outside the branch table.
-    """
-
-    n: int
-    walsh_branch: np.ndarray
-    nega_branch: np.ndarray
-
-    @property
-    def admissible(self) -> bool:
-        return self.walsh_counterexample() is None and self.nega_counterexample() is None
-
-    def walsh_counterexample(self) -> Optional[int]:
-        bad = np.nonzero(self.walsh_branch < 0)[0]
-        return int(bad[0]) if bad.size else None
-
-    def nega_counterexample(self) -> Optional[int]:
-        bad = np.nonzero(self.nega_branch < 0)[0]
-        return int(bad[0]) if bad.size else None
-
-    def walsh_counts(self) -> dict[str, int]:
-        return _branch_counts(self.walsh_branch, ("0", "1"))
-
-    def nega_counts(self) -> dict[str, int]:
-        return _branch_counts(self.nega_branch, NEGA_BRANCHES)
-
-
-def _branch_counts(branch: np.ndarray, codes: tuple[str, ...]) -> dict[str, int]:
-    out = {code: int((branch == i).sum()) for i, code in enumerate(codes)}
-    out["!"] = int((branch < 0).sum())
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def _base_spectra(f0: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
     """Both spectra of a base function.  Every spec of one family and k has
@@ -218,8 +178,15 @@ def _base_spectra(f0: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
 
 
 def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional[tuple[
-        BooleanFunction, WalshSpectrum, NegaSpectrum]] = None) -> FrameCoefficients:
-    """Branch codes of the fragment ratios of f0 over t, at every point.
+        BooleanFunction, WalshSpectrum, NegaSpectrum]] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Branch codes of the fragment ratios of f0 over t at every point, as
+    read-only int8 (walsh, nega) arrays.
+
+    Flipping a bent-negabent f0 on t turns each spectrum value into (1 - 2c)
+    times the original, where c is the fragment-to-full ratio at that point.
+    Flatness survives exactly when |1 - 2c| = 1: Walsh code 0 or 1 (ratio 0
+    or 1), nega code 0, 1, 2 or 3 (ratio 0, 1, (1-i)/2 or (1+i)/2, named by
+    NEGA_BRANCHES).  -1 marks a point whose ratio is outside that table.
 
     Each branch is an equality of the int32 spectra of f0 and f1 = f0 + 1_t,
     never a division: with a = W_g(u) and b = W_g(u') for g = f + sigma2,
@@ -253,7 +220,7 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional
             nega[block][(a1 == a) & (b1 == b)] = code
     walsh.setflags(write=False)
     nega.setflags(write=False)
-    return FrameCoefficients(f0.n, walsh, nega)
+    return walsh, nega
 
 
 # ---------------------------------------------------------------------------
@@ -276,59 +243,48 @@ def _sign(z: np.ndarray, scale: int) -> np.ndarray:
     return np.where(np.bitwise_count(z) & 1, np.int32(-scale), np.int32(scale))
 
 
-def _h0_split(x: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """(u, u_m, v, v_m) of each point (u, u_m, v, v_m) of F_2^(2m+2)."""
-    big_u, big_v = x & ((1 << (m + 1)) - 1), x >> (m + 1)
-    return big_u & ((1 << m) - 1), big_u >> m, big_v & ((1 << m) - 1), big_v >> m
-
-
-def _h0_turn(u: np.ndarray, v: np.ndarray, vm: np.ndarray, t: int) -> np.ndarray:
-    """u_0 + u_t + v_t + v_m: whether N_h0 is a quarter turn of 2N_g0."""
-    return (u ^ (u >> t) ^ (v >> t) ^ vm) & 1
-
-
 def _combine(nega: tuple[np.ndarray, np.ndarray], a, b) -> tuple[np.ndarray, np.ndarray]:
     """a*N + b*iN for N = (re, im) and integer multipliers a, b."""
     re, im = nega
     return a * re - b * im, a * im + b * re
 
 
-def walsh_g0_value(t: int, points) -> np.ndarray:
-    """Closed form of the Walsh spectrum of the 4t-variable base g0."""
-    m = 2 * t
-    x = np.asarray(points, dtype=np.int32)
-    u, v = x & ((1 << m) - 1), x >> m
-    # wt(u' & u'') + wt(u & v) mod 2, with u & (u >> t) = u' & u''
-    return _sign(u & ((u >> t) ^ v), 1 << m)
-
-
-def nega_g0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form of the nega spectrum of the 4t-variable base g0, as (re, im)."""
-    m = 2 * t
-    x = np.asarray(points, dtype=np.int32)
-    u = x & ((1 << m) - 1)
-    d = (x >> m) ^ u  # d & (d >> t) = (u' + v') & (u'' + v'')
-    scale = _sign(d & (d >> t), 1 << m)
+def _nega_g0(t: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of the nega spectrum of the 4t-variable base g0 at the points (u, v)."""
+    d = v ^ u  # d & (d >> t) = (u' + v') & (u'' + v'')
+    scale = _sign(d & (d >> t), 1 << (2 * t))
     e = (t - np.bitwise_count(u)) & 3  # uint8: the wrap mod 256 keeps it mod 4
     return _I_RE[e] * scale, _I_IM[e] * scale
 
 
-def walsh_h0_value(t: int, points) -> np.ndarray:
-    """Closed form of the Walsh spectrum of the (4t+2)-variable base h0."""
+def g0_closed_forms(t: int, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of the spectra of the 4t-variable base g0 at each point,
+    as (W, re N, im N)."""
     m = 2 * t
-    u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int32), m)
+    x = np.asarray(points, dtype=np.int32)
+    u, v = x & ((1 << m) - 1), x >> m
+    # wt(u' & u'') + wt(u & v) mod 2, with u & (u >> t) = u' & u''
+    return (_sign(u & ((u >> t) ^ v), 1 << m), *_nega_g0(t, u, v))
+
+
+def _h0_coordinates(t: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u, u_m, v, v_m, turn) of each point (u, u_m, v, v_m) of F_2^(4t+2),
+    where turn = u_0 + u_t + v_t + v_m says whether N_h0 is a quarter turn
+    of 2N_g0 at (u, v)."""
+    m = 2 * t
+    big_u, big_v = x & ((1 << (m + 1)) - 1), x >> (m + 1)
+    u, v, vm = big_u & ((1 << m) - 1), big_v & ((1 << m) - 1), big_v >> m
+    return u, big_u >> m, v, vm, (u ^ (u >> t) ^ (v >> t) ^ vm) & 1
+
+
+def h0_closed_forms(t: int, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of the spectra of the (4t+2)-variable base h0 at each
+    point, as (W, re N, im N): N is 2N_g0 where the turn bit is 0, else
+    2iN_g0, negated where u_m = 1."""
+    u, um, v, vm, turn = _h0_coordinates(t, np.asarray(points, dtype=np.int32))
     # wt(u' & u'') + wt(u & v) + u_m v_m + u_m (v + u >> t)_0 mod 2
-    return _sign((u & ((u >> t) ^ v)) ^ (um & (vm ^ v ^ (u >> t))), 1 << (m + 1))
-
-
-def nega_h0_value(t: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form of the nega spectrum of the (4t+2)-variable base h0, as
-    (re, im) arrays: 2N_g0 where the turn bit is 0, else 2iN_g0, negated
-    where u_m = 1."""
-    m = 2 * t
-    u, um, v, vm = _h0_split(np.asarray(points, dtype=np.int32), m)
-    turn = _h0_turn(u, v, vm, t)
-    return _combine(nega_g0_value(t, u | (v << m)), 2 - 2 * turn, turn * (2 - 4 * um))
+    walsh = _sign((u & ((u >> t) ^ v)) ^ (um & (vm ^ v ^ (u >> t))), 2 << (2 * t))
+    return (walsh, *_combine(_nega_g0(t, u, v), 2 - 2 * turn, turn * (2 - 4 * um)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +368,14 @@ def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
         p, q = order[two], order[two + 1]
         pair_ok[sk[two]] = (gi[p] != gi[q]) & (eps[p] != eps[q]) & (g1[p] == g1[q])
 
+    closed_forms = h0_closed_forms if h0 else g0_closed_forms
+
     def predict(x: np.ndarray) -> _Prediction:
+        walsh, *nega = closed_forms(t, x)
         if h0:
-            walsh, nega = walsh_h0_value(t, x), nega_h0_value(t, x)
-            u, um, v, vm = _h0_split(x, w)
-            turn = _h0_turn(u, v, vm, t) ^ um
+            u, um, v, _, turn = _h0_coordinates(t, x)
+            turn ^= um
         else:
-            walsh, nega = walsh_g0_value(t, x), nega_g0_value(t, x)
             u, um, v = x & ((1 << w) - 1), 0, x >> w
         nkey = sums(u) | (sums(v) << shift)
         wkey = (nkey ^ um) | (um << w)
@@ -504,14 +461,15 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
 
     Also checks the closed-form base spectra, the per-point bound on the
     number of contributing parameters, and (on a deterministic sample) the
-    definitional restricted sums against the masked butterfly route.  The exact
-    spectra are whole arrays; the closed forms and predictions are computed
-    and compared over blocks of at most 2^14 points (`_BLOCK`).  `_predictor`
-    reads only the spec, never the set or a spectrum: each point looks its
-    (gamma, eps) candidates up in key tables of at most 2^(n/2) entries built
-    once from the spec, so the predictions cost 2^n + |Gamma||E| whatever the
-    number of gammas.  The nega parts are read from the exact spectra one
-    block at a time.
+    definitional restricted sums against the masked butterfly route.  Two
+    passes run over blocks of at most 2^14 points (`_BLOCK`), each holding
+    two whole exact spectra: the base pass compares W_f0 and N_f0 with the
+    base's closed forms, and frees both before the fragment pass compares
+    the masked spectra with the predictions.  Each pass evaluates the base's
+    closed forms once per block.  `_predictor` reads only the spec, never
+    the set or a spectrum: each point looks its (gamma, eps) candidates up in
+    key tables of at most 2^(n/2) entries built once from the spec, so the
+    predictions cost 2^n + |Gamma||E| whatever the number of gammas.
     """
     if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
@@ -521,20 +479,24 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     t = fam.base_param(spec.k)
     f0 = base_function(fam.base, t)
     size = 1 << f0.n
-    walsh_form, nega_form = ((walsh_g0_value, nega_g0_value) if fam.base == "g0"
-                             else (walsh_h0_value, nega_h0_value))
     checks = _Checks()
 
-    def base_check(got: Callable[[slice], tuple], closed_form: Callable[[np.ndarray], tuple]):
-        agree = _Agreement(f0.n)
-        for block in _blocks(size):
-            agree.feed(block, got(block), closed_form(_points(block)))
-        return agree.result(lambda: f"{size} points")
-
-    checks.add("base-walsh-closed-form", lambda: base_check(
-        walsh_transform(f0).parts, lambda xs: (walsh_form(t, xs),)))
-    checks.add("base-nega-closed-form", lambda: base_check(
-        nega_transform(f0).parts, lambda xs: nega_form(t, xs)))
+    # the base pass: W_f0 and N_f0, freed before the masked two are taken
+    closed_forms = g0_closed_forms if fam.base == "g0" else h0_closed_forms
+    base_walsh, base_nega = _Agreement(f0.n), _Agreement(f0.n)
+    with checks.timing("base-walsh-closed-form"):
+        w0 = walsh_transform(f0)
+    with checks.timing("base-nega-closed-form"):
+        n0 = nega_transform(f0)
+    for block in _blocks(size):
+        walsh, *nega = closed_forms(t, _points(block))
+        with checks.timing("base-walsh-closed-form"):
+            base_walsh.feed(block, w0.parts(block), (walsh,))
+        with checks.timing("base-nega-closed-form"):
+            base_nega.feed(block, n0.parts(block), nega)
+    del w0, n0, walsh, nega
+    checks.add("base-walsh-closed-form", lambda: base_walsh.result(lambda: f"{size} points"))
+    checks.add("base-nega-closed-form", lambda: base_nega.result(lambda: f"{size} points"))
 
     tset = build_modifier_set(spec)
     wt = fragmentary_walsh_spectrum(f0, tset)
@@ -999,16 +961,17 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     def frame_check():
         try:
-            fc = extract_frame_coefficients(cf.base, cf.modifier_set, (f, wf, nf))
+            codes = extract_frame_coefficients(cf.base, cf.modifier_set, (f, wf, nf))
         except NotBentError as exc:
             return False, "", str(exc)
-        wdet = " ".join(f"{k}={v}" for k, v in fc.walsh_counts().items() if v)
-        ndet = " ".join(f"{k}={v}" for k, v in fc.nega_counts().items() if v)
-        if fc.admissible:
-            return True, f"walsh branches {wdet}; nega branches {ndet}", None
-        bad = next(b for b in (fc.walsh_counterexample(), fc.nega_counterexample())
-                   if b is not None)
-        return False, "", f"inadmissible ratio at {BitVector(n, bad)}"
+        details = []
+        for kind, names, code in zip(("walsh", "nega"), (("0", "1"), NEGA_BRANCHES), codes):
+            bad = np.flatnonzero(code < 0)
+            if bad.size:  # the first Walsh failure, else the first nega one
+                return False, "", f"inadmissible ratio at {BitVector(n, int(bad[0]))}"
+            counts = [(b, np.count_nonzero(code == i)) for i, b in enumerate(names)]
+            details.append(f"{kind} branches " + " ".join(f"{b}={c}" for b, c in counts if c))
+        return True, "; ".join(details), None
 
     checks.add("fragment-ratios-admissible", frame_check)
 

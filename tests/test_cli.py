@@ -367,6 +367,27 @@ class TestExitCodes:
         assert (code, out) == (5, "")
         assert err.endswith(" gamma must be one bit string\n")
 
+    @pytest.mark.parametrize("family, k, key, good, bad, message", [
+        ("F2RS_SET", "2", "a_set", ["1000"], ["1100", "0110"],
+         "two vectors lie in the same cyclic orbit"),
+        ("F2RS_ORBIT", "1", "gamma", ["11"], ["10"],
+         "single-orbit form needs wt(gamma) >= 2 (lower weights break flatness)"),
+    ])
+    def test_rotation_params_refused_in_record(self, capsys, tmp_path, family, k, key, good,
+                                               bad, message):
+        # construct refuses these params: in a record they exit 5 with its
+        # path, and as flags to gen they exit 4
+        flag = "--" + key.replace("_", "-")
+        f = tmp_path / "f.json"
+        argv = ["gen", "--family", family, "--k", k]
+        assert run(capsys, *argv, *(a for g in good for a in (flag, g)), "--out", str(f))[0] == 0
+        data = json.loads(f.read_text())
+        data["params"][key] = bad if key == "a_set" else bad[0]
+        f.write_text(json.dumps(data))
+        assert run(capsys, "verify", "--in", str(f)) == (5, "", f"error: {f}: {message}\n")
+        assert run(capsys, *argv, *(a for g in bad for a in (flag, g))) == (
+            4, "", f"error: {message}\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "absent.json"))
         assert code == 5

@@ -38,13 +38,11 @@ from negabench.oracle import (
     check_su_conditions,
     check_table1,
     extract_frame_coefficients,
+    g0_closed_forms,
+    h0_closed_forms,
     naive_transforms,
-    nega_g0_value,
-    nega_h0_value,
     verify_construction,
     verify_fragmentary_lemma,
-    walsh_g0_value,
-    walsh_h0_value,
 )
 from negabench.reference import REFERENCE_CASES
 
@@ -241,8 +239,8 @@ class TestClosedFormBaseSpectra:
             f = base_function("g0", t)
             wf, nf = walsh_transform(f), nega_transform(f)
             us = np.arange(1 << f.n)
-            assert np.array_equal(wf.values, walsh_g0_value(t, us))
-            re, im = nega_g0_value(t, us)
+            w, re, im = g0_closed_forms(t, us)
+            assert np.array_equal(wf.values, w)
             nf_re, nf_im = nega_parts(nf)
             assert np.array_equal(nf_re, re) and np.array_equal(nf_im, im)
 
@@ -250,39 +248,46 @@ class TestClosedFormBaseSpectra:
         f = base_function("h0", 1)
         wf, nf = walsh_transform(f), nega_transform(f)
         us = np.arange(1 << 6)
-        assert np.array_equal(wf.values, walsh_h0_value(1, us))
-        re, im = nega_h0_value(1, us)
+        w, re, im = h0_closed_forms(1, us)
+        assert np.array_equal(wf.values, w)
         nf_re, nf_im = nega_parts(nf)
         assert np.array_equal(nf_re, re) and np.array_equal(nf_im, im)
 
 
-def walsh_code(fc, u):
+def walsh_code(codes, u):
     """Reference text code of the Walsh branch at u: '0', '1' or '!'."""
-    b = int(fc.walsh_branch[u.bits if isinstance(u, BitVector) else u])
+    b = int(codes[0][u.bits if isinstance(u, BitVector) else u])
     return str(b) if b >= 0 else "!"
 
 
-def nega_code(fc, u):
+def nega_code(codes, u):
     """Reference text code of the nega branch at u: '0', '1', 'i', '-i' or '!'."""
-    b = int(fc.nega_branch[u.bits if isinstance(u, BitVector) else u])
+    b = int(codes[1][u.bits if isinstance(u, BitVector) else u])
     return oracle.NEGA_BRANCHES[b] if b >= 0 else "!"
+
+
+def admissible(codes):
+    """No point's ratio is outside the branch table: no code < 0."""
+    return all(not (code < 0).any() for code in codes)
 
 
 class TestFrameCoefficients:
     def test_single_gamma_counts(self):
         f0 = base_function("g0", 1)
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 1),)))
-        fc = extract_frame_coefficients(f0, t)
-        assert fc.admissible
-        assert fc.walsh_counts()["!"] == 0
-        assert sum(fc.nega_counts()[c] for c in ("0", "1", "i", "-i")) == 16
+        walsh, nega = codes = extract_frame_coefficients(f0, t)
+        assert admissible(codes)
+        assert np.count_nonzero(walsh < 0) == 0
+        assert np.count_nonzero((nega >= 0) & (nega < len(oracle.NEGA_BRANCHES))) == 16
+        assert not walsh.flags.writeable and not nega.flags.writeable
+        assert walsh.dtype == nega.dtype == np.int8
 
     def test_codes_are_strings(self):
         f0 = base_function("g0", 1)
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 0),)))
-        fc = extract_frame_coefficients(f0, t)
-        assert walsh_code(fc, 0) in ("0", "1")
-        assert nega_code(fc, BitVector(4, 3)) in ("0", "1", "i", "-i")
+        codes = extract_frame_coefficients(f0, t)
+        assert walsh_code(codes, 0) in ("0", "1")
+        assert nega_code(codes, BitVector(4, 3)) in ("0", "1", "i", "-i")
 
     def test_requires_bent_negabent_base(self):
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 0),)))
@@ -295,9 +300,9 @@ class TestFrameCoefficients:
     def test_generic_subset_can_be_inadmissible(self):
         from negabench.core import VectorSet
         f0 = base_function("g0", 1)
-        fc = extract_frame_coefficients(f0, VectorSet.from_indices(4, [0]))
-        assert not fc.admissible
-        assert fc.walsh_counterexample() is not None
+        codes = extract_frame_coefficients(f0, VectorSet.from_indices(4, [0]))
+        assert not admissible(codes)
+        assert (codes[0] < 0).any()
 
 
 def _reference_frame_codes(f0, t):
@@ -363,11 +368,11 @@ class TestFrameCodesFromSpectra:
         f0, t = cf.base, cf.modifier_set
         want_walsh, want_nega = _reference_frame_codes(f0, t)
         held = (cf.function, walsh_transform(cf.function), nega_transform(cf.function))
-        for fc in (extract_frame_coefficients(f0, t),
-                   extract_frame_coefficients(f0, t, held)):
-            assert fc.admissible
-            assert np.array_equal(fc.walsh_branch, want_walsh)
-            assert np.array_equal(fc.nega_branch, want_nega)
+        for walsh, nega in (extract_frame_coefficients(f0, t),
+                            extract_frame_coefficients(f0, t, held)):
+            assert admissible((walsh, nega))
+            assert np.array_equal(walsh, want_walsh)
+            assert np.array_equal(nega, want_nega)
 
     @pytest.mark.parametrize("base, k", [("g0", 1), ("h0", 1), ("g0", 2), ("h0", 2)])
     def test_random_subsets_match_masked_route(self, base, k):
@@ -379,10 +384,10 @@ class TestFrameCodesFromSpectra:
             subsets.append(VectorSet.from_indices(f0.n, np.flatnonzero(rng.random(size) < density)))
         for t in subsets:
             want_walsh, want_nega = _reference_frame_codes(f0, t)
-            fc = extract_frame_coefficients(f0, t)
-            assert np.array_equal(fc.walsh_branch, want_walsh)
-            assert np.array_equal(fc.nega_branch, want_nega)
-        assert not extract_frame_coefficients(f0, subsets[0]).admissible
+            walsh, nega = extract_frame_coefficients(f0, t)
+            assert np.array_equal(walsh, want_walsh)
+            assert np.array_equal(nega, want_nega)
+        assert not admissible(extract_frame_coefficients(f0, subsets[0]))
 
 
 def _tampered_functions(cf):
