@@ -1,0 +1,25 @@
+#!/usr/bin/env bash
+# Runs the installed `negabench` console script through each subcommand and
+# checks the exit codes of the refused inputs; it writes rec.json and
+# orbit.json to the working directory.  Both CI jobs run it after
+# `pip install -e ".[test]"`: bash .github/console-script.sh
+set -euo pipefail
+
+negabench repro-examples
+negabench table1 --k 2
+negabench lemma-check --set S3 --k 4 --gamma 10110100 --eset B
+negabench lemma-check --set S2 --k 1 --gamma 0000 --gamma 1000
+negabench verify --family G4K --k 3 --gamma 000111 --gamma 101010
+negabench spectrum --family H4K2 --k 1 --gamma 10 --eset 0 --kind both
+negabench anf --family G4K --k 3 --gamma 000111 --gamma 101010
+# n = 20: the Moebius transform on 64-bit words at scale
+negabench anf --family G4K --k 5 --gamma 1101001110 --gamma 0010110001 > /dev/null
+negabench gen --family H4K2 --k 1 --gamma 10 --eset B --out rec.json
+negabench verify --in rec.json
+negabench dual --in rec.json
+negabench spectrum --in rec.json --kind both
+rc=0; negabench verify --in rec.json --k 1 || rc=$?; test "$rc" -eq 4
+rc=0; negabench dual --in rec.json --family G8K --gamma 1 || rc=$?; test "$rc" -eq 4
+negabench gen --family F2RS_ORBIT --k 1 --gamma 11 --out orbit.json
+sed -i 's/"gamma":"11"/"gamma":"10"/' orbit.json
+rc=0; negabench verify --in orbit.json || rc=$?; test "$rc" -eq 5

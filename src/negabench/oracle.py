@@ -254,34 +254,35 @@ def _nega_g0(t: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     d = v ^ u  # d & (d >> t) = (u' + v') & (u'' + v'')
     scale = _sign(d & (d >> t), 1 << (2 * t))
     e = (t - np.bitwise_count(u)) & 3  # uint8: the wrap mod 256 keeps it mod 4
-    return _I_RE[e] * scale, _I_IM[e] * scale
+    return _I_RE.take(e) * scale, _I_IM.take(e) * scale
 
 
-def g0_closed_forms(t: int, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms of the spectra of the 4t-variable base g0 at each point,
-    as (W, re N, im N)."""
-    m = 2 * t
+def split_points(t: int, h0: bool, points) -> tuple[np.ndarray, ...]:
+    """Each point as its base's closed forms take it: (u, v) of F_2^(4t) for
+    g0, (u, u_m, v, v_m, turn) of F_2^(4t+2) for h0, where turn = u_0 + u_t
+    + v_t + v_m says whether N_h0 is a quarter turn of 2N_g0 at (u, v)."""
     x = np.asarray(points, dtype=np.int32)
-    u, v = x & ((1 << m) - 1), x >> m
-    # wt(u' & u'') + wt(u & v) mod 2, with u & (u >> t) = u' & u''
-    return (_sign(u & ((u >> t) ^ v), 1 << m), *_nega_g0(t, u, v))
-
-
-def _h0_coordinates(t: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(u, u_m, v, v_m, turn) of each point (u, u_m, v, v_m) of F_2^(4t+2),
-    where turn = u_0 + u_t + v_t + v_m says whether N_h0 is a quarter turn
-    of 2N_g0 at (u, v)."""
     m = 2 * t
+    if not h0:
+        return x & ((1 << m) - 1), x >> m
     big_u, big_v = x & ((1 << (m + 1)) - 1), x >> (m + 1)
     u, v, vm = big_u & ((1 << m) - 1), big_v & ((1 << m) - 1), big_v >> m
     return u, big_u >> m, v, vm, (u ^ (u >> t) ^ (v >> t) ^ vm) & 1
 
 
-def h0_closed_forms(t: int, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms of the spectra of the (4t+2)-variable base h0 at each
-    point, as (W, re N, im N): N is 2N_g0 where the turn bit is 0, else
-    2iN_g0, negated where u_m = 1."""
-    u, um, v, vm, turn = _h0_coordinates(t, np.asarray(points, dtype=np.int32))
+def g0_closed_forms(t: int, u: np.ndarray,
+                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of the spectra of the 4t-variable base g0 at the points
+    (u, v) of `split_points`, as (W, re N, im N)."""
+    # wt(u' & u'') + wt(u & v) mod 2, with u & (u >> t) = u' & u''
+    return (_sign(u & ((u >> t) ^ v), 1 << (2 * t)), *_nega_g0(t, u, v))
+
+
+def h0_closed_forms(t: int, u: np.ndarray, um: np.ndarray, v: np.ndarray, vm: np.ndarray,
+                    turn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of the spectra of the (4t+2)-variable base h0 at the
+    points of `split_points`, as (W, re N, im N): N is 2N_g0 where the turn
+    bit is 0, else 2iN_g0, negated where u_m = 1."""
     # wt(u' & u'') + wt(u & v) + u_m v_m + u_m (v + u >> t)_0 mod 2
     walsh = _sign((u & ((u >> t) ^ v)) ^ (um & (vm ^ v ^ (u >> t))), 2 << (2 * t))
     return (walsh, *_combine(_nega_g0(t, u, v), 2 - 2 * turn, turn * (2 - 4 * um)))
@@ -371,23 +372,25 @@ def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
     closed_forms = h0_closed_forms if h0 else g0_closed_forms
 
     def predict(x: np.ndarray) -> _Prediction:
-        walsh, *nega = closed_forms(t, x)
+        # the point split once, for both the closed forms and the keys
+        split = split_points(t, h0, x)
+        walsh, *nega = closed_forms(t, *split)
         if h0:
-            u, um, v, _, turn = _h0_coordinates(t, x)
+            u, um, v, _, turn = split
             turn ^= um
         else:
-            u, um, v = x & ((1 << w) - 1), 0, x >> w
+            (u, v), um = split, 0
         nkey = sums(u) | (sums(v) << shift)
         wkey = (nkey ^ um) | (um << w)
-        w_matches, count = w_count[wkey], n_count[nkey]
+        w_matches, count = w_count.take(wkey), n_count.take(nkey)
         # one h0 candidate gives half of N and two (S3) all of it; one g0
         # candidate gives all of N
         branch = np.minimum(count if h0 else _FULL * count, _FULL)
-        s = (turn ^ first_eps[nkey]) & 1 if h0 else 0
+        s = (turn ^ first_eps.take(nkey)) & 1 if h0 else 0
         half = (branch == _HALF).astype(np.int32)
-        nega2 = _combine(nega, _N_MULTIPLIER[branch], half * (1 - 2 * s))
+        nega2 = _combine(nega, _N_MULTIPLIER.take(branch), half * (1 - 2 * s))
         return _Prediction(np.where(w_matches > 0, walsh, 0), w_matches, *nega2, count, branch,
-                           (count <= 1) | ((count == 2) & pair_ok[nkey]))
+                           (count <= 1) | ((count == 2) & pair_ok.take(nkey)))
 
     return predict
 
@@ -482,14 +485,15 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     checks = _Checks()
 
     # the base pass: W_f0 and N_f0, freed before the masked two are taken
-    closed_forms = g0_closed_forms if fam.base == "g0" else h0_closed_forms
+    h0 = fam.base == "h0"
+    closed_forms = h0_closed_forms if h0 else g0_closed_forms
     base_walsh, base_nega = _Agreement(f0.n), _Agreement(f0.n)
     with checks.timing("base-walsh-closed-form"):
         w0 = walsh_transform(f0)
     with checks.timing("base-nega-closed-form"):
         n0 = nega_transform(f0)
     for block in _blocks(size):
-        walsh, *nega = closed_forms(t, _points(block))
+        walsh, *nega = closed_forms(t, *split_points(t, h0, _points(block)))
         with checks.timing("base-walsh-closed-form"):
             base_walsh.feed(block, w0.parts(block), (walsh,))
         with checks.timing("base-nega-closed-form"):

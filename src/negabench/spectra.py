@@ -16,13 +16,16 @@ and then against the signs of the high bits, shares none of this.
 `_spectrum` runs in three stages, each as narrow as its values allow.
 Entry: per 64-bit word of the packed table (for g, XORed with sigma2's),
 popcounts against the 64 packed rows u.x do six levels at once, to [-64,
-64]; for n <= 6 that one word is the whole transform.  int16: the levels
-64 .. 2^13, per chunk of 2^17 points in cache, to |v| <= 2^14 < 2^15.
-int32: the rest, in place, to |W| <= 2^n <= 2^24 < 2^31, in tiles that
-stay in cache with their 256 KiB of scratch.  Memory: the output, the
-packed table of g for a nega spectrum, and a 1.5 MiB per-thread workspace
-that every transform reuses for its chunks and scratch: about 66 MiB at
-n = 24.  Squares reach 2^48, so their sums are int64.
+64] (with no restriction set, no mask AND and no popcount of it); for
+n <= 6 that one word is the whole transform.  int16 (`_pease`): the levels
+64 .. 2^13, per chunk of 2^17 points in cache, as constant-geometry
+passes between two ping-pong buffers, so no ufunc writes over its own
+input, to |v| <= 2^14 < 2^15.  int32 (`_levels`): the rest, in place, to
+|W| <= 2^n <= 2^24 < 2^31, in tiles that stay in cache with their 256 KiB
+of scratch.  Memory: the output, the packed table of g for a nega
+spectrum, and a 1.125 MiB per-thread workspace that every transform reuses
+for its chunks, ping-pong buffers and scratch: about 66 MiB at n = 24.
+Squares reach 2^48, so their sums are int64.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ from .core import (
 
 def _levels(a: np.ndarray, h: int, stop: int, scratch: np.ndarray) -> None:
     """Butterfly levels h, 2h, ... below stop, in place, two per pass (the
-    last alone if one is left).  A pass works through a in tiles sized to
-    scratch, so a tile and its scratch stay in cache together; sizes are
-    powers of two, so every tile of a pass has one shape."""
+    last alone if one is left): the int32 stage, levels 2^14 and up, whose
+    scratch is a view of the workspace's signs.  A pass works through a in
+    tiles sized to scratch, so a tile and its scratch stay in cache
+    together; sizes are powers of two, so every tile of a pass has one
+    shape."""
     while h < stop:
         q = 4 if 2 * h < stop else 2  # points per group: two levels, or one
         groups = a.reshape(-1, q, h)
@@ -81,6 +86,38 @@ def _levels(a: np.ndarray, h: int, stop: int, scratch: np.ndarray) -> None:
         h *= q
 
 
+def _pease(x: np.ndarray, y: np.ndarray, sums: np.ndarray, block: int) -> np.ndarray:
+    """Butterfly levels 64 .. block/2 of every `block`-point block of x, in
+    constant geometry (Pease 1968); returns whichever of x and y holds them.
+
+    Within a block, a pass transforms the top one or two bits of the index
+    of the 64-point rows and moves them to its bottom, so after the last pass
+    every bit is transformed once and back in place.  A pass reads the
+    contiguous halves or quarters of each block and writes the other buffer,
+    so no ufunc's output overlaps its input; `sums` holds a radix-4 pass's
+    four partial sums."""
+    levels = (block >> 6).bit_length() - 1
+    for q in [2] * (levels % 2) + [4] * (levels // 2):
+        rows = block // q >> 6  # 64-point rows per half or quarter
+        parts = x.reshape(-1, q, rows, 64).transpose(1, 0, 2, 3)
+        outs = y.reshape(-1, rows, q, 64).transpose(2, 0, 1, 3)
+        if q == 2:
+            np.add(*parts, out=outs[0])
+            np.subtract(*parts, out=outs[1])
+        else:
+            s0, s1, s2, s3 = sums.reshape(4, *parts.shape[1:])
+            np.add(parts[0], parts[1], out=s0)
+            np.subtract(parts[0], parts[1], out=s1)
+            np.add(parts[2], parts[3], out=s2)
+            np.subtract(parts[2], parts[3], out=s3)
+            np.add(s0, s2, out=outs[0])
+            np.add(s1, s3, out=outs[1])
+            np.subtract(s0, s2, out=outs[2])
+            np.subtract(s1, s3, out=outs[3])
+        x, y = y, x
+    return x
+
+
 # _ENTRY_ROWS[u] packs u.x, x < 64: (-1)^(u.x) is the Kronecker square of _H8
 _H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1).astype(np.int8)
 _ENTRY_ROWS = np.packbits(np.kron(_H8, _H8) < 0, axis=1, bitorder="little").view("<u8")[:, 0]
@@ -91,16 +128,16 @@ _SCAN_BLOCK = 1 << 14  # points per block of a flatness scan: 64 KiB temporaries
 
 
 class _Workspace:
-    """One thread's butterfly buffers (1.5 MiB), made by its first transform
-    and reused by every later one: a chunk's entry signs and counts, the
-    chunk in int16 and its int16 scratch.  The int32 levels run after the
-    last chunk, so they take their scratch from the signs."""
+    """One thread's butterfly buffers (1.125 MiB), made by its first
+    transform and reused by every later one: a chunk's entry signs and
+    counts.  Once a chunk's counts are taken its signs are free, so their
+    first 768 KiB, viewed as int16, hold the chunk's ping-pong pair and the
+    sums of a constant-geometry pass; the int32 levels run after the last
+    chunk and take their scratch from the signs too."""
 
     def __init__(self) -> None:
         self.signs = np.empty((_ENTRY_WORDS, 64), dtype=np.uint64)
         self.counts = np.empty((_ENTRY_WORDS, 64), dtype=np.uint8)
-        self.block = np.empty(_ENTRY_WORDS << 6, dtype=np.int16)
-        self.scratch = np.empty(_ENTRY_WORDS << 5, dtype=np.int16)
 
 
 _THREAD = threading.local()
@@ -142,23 +179,27 @@ def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> 
         out.setflags(write=False)
         return out
     words = table.view("<u8")
-    masks = (np.broadcast_to(np.uint64(2**64 - 1), words.shape) if t is None
-             else _raw_bytes(t.mask, size).view("<u8"))
+    masks = None if t is None else _raw_bytes(t.mask, size).view("<u8")
     out = np.empty(size, dtype=np.int32)  # the one full-size buffer
     ws = _workspace()
     step = min(words.shape[0], _ENTRY_WORDS)
     signs, counts = ws.signs[:step], ws.counts[:step]
-    block, scratch = ws.block[:step << 6], ws.scratch[:step << 5]
+    # free once a chunk's counts are taken: the ping-pong pair and a pass's sums
+    x, y, sums = ws.signs.reshape(-1).view(np.int16)[:3 * (step << 6)].reshape(3, -1)
+    block = min(step << 6, _INT16_BLOCK)
     for start in range(0, words.shape[0], step):
-        m = masks[start:start + step, None]
         np.bitwise_xor(words[start:start + step, None], _ENTRY_ROWS, out=signs)
         # six levels: popcount(m) - 2 popcount((p ^ u.x) & m) in [-64, 64], exact in int8
-        np.bitwise_count(np.bitwise_and(signs, m, out=signs), out=counts)
+        live = np.uint8(64)  # popcount(m) with T everywhere, which needs no AND
+        if masks is not None:
+            m = masks[start:start + step, None]
+            np.bitwise_and(signs, m, out=signs)
+            live = np.bitwise_count(m)
+        np.bitwise_count(signs, out=counts)
         counts += counts
-        np.subtract(np.bitwise_count(m), counts, out=counts)
-        block[:] = counts.ravel().view(np.int8)
-        _levels(block, 64, min(block.shape[0], _INT16_BLOCK), scratch)
-        out[start << 6:(start << 6) + block.shape[0]] = block
+        np.subtract(live, counts, out=counts)
+        x[:] = counts.reshape(-1).view(np.int8)
+        out[start << 6:(start + step) << 6] = _pease(x, y, sums, block)
     # |W| <= 2^n
     _levels(out, _INT16_BLOCK, size, ws.signs.reshape(-1).view(np.int32)[:_INT32_TILE])
     out.setflags(write=False)

@@ -176,6 +176,25 @@ class TestAnf:
                 assert truth_table_from_anf(p).bits == _ref_mobius(p.coeffs, n), n
                 assert anf_from_truth_table(truth_table_from_anf(p)) == p
 
+    @pytest.mark.parametrize("n", range(15, 21))
+    def test_mobius_matches_unpacked_reference_beyond_n14(self, n):
+        rng = np.random.default_rng(1500 + n)
+        f = BooleanFunction(n, _random_table(rng, n))
+        anf = anf_from_truth_table(f)
+        assert anf.coeffs == _ref_mobius(f.bits, n)
+        assert truth_table_from_anf(anf) == f
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 7, 11])
+    def test_mobius_at_the_word_edges(self, n):
+        # n < 6 pads one word, n = 6 fills it and n > 6 adds block levels:
+        # single points at the byte and word edges and the top, the all-ones
+        # table and a seeded one each equal the reference
+        size = 1 << n
+        rng = np.random.default_rng(1100 + n)
+        points = {i % size for i in (0, 7, 8, 31, 32, 63, 64, size - 64, size - 1)}
+        for bits in [1 << i for i in sorted(points)] + [(1 << size) - 1, _random_table(rng, n)]:
+            assert core._mobius(bits, n) == _ref_mobius(bits, n), (n, bits.bit_length())
+
     def test_degree_matches_reference(self):
         rng = np.random.default_rng(1202)
         for n in range(1, 15):

@@ -272,7 +272,7 @@ def _nega_pairs(values) -> tuple[list[int], list[int]]:
 def test_g0_closed_forms(t):
     pts = range(1 << (4 * t))
     xs = np.arange(1 << (4 * t), dtype=np.int64)
-    walsh, re, im = oracle.g0_closed_forms(t, xs)
+    walsh, re, im = oracle.g0_closed_forms(t, *oracle.split_points(t, False, xs))
     assert walsh.tolist() == [ref_walsh_g0(t, p) for p in pts]
     assert (re.tolist(), im.tolist()) == _nega_pairs(ref_nega_g0(t, p) for p in pts)
 
@@ -281,21 +281,21 @@ def test_g0_closed_forms(t):
 def test_h0_closed_forms(t):
     pts = range(1 << (4 * t + 2))
     xs = np.arange(1 << (4 * t + 2), dtype=np.int64)
-    walsh, re, im = oracle.h0_closed_forms(t, xs)
+    walsh, re, im = oracle.h0_closed_forms(t, *oracle.split_points(t, True, xs))
     assert walsh.tolist() == [ref_walsh_h0(t, p) for p in pts]
     assert (re.tolist(), im.tolist()) == _nega_pairs(ref_nega_h0(t, p) for p in pts)
 
 
-@pytest.mark.parametrize("n, t, closed_forms, walsh_ref, nega_ref", [
-    (24, 6, oracle.g0_closed_forms, ref_walsh_g0, ref_nega_g0),
-    (22, 5, oracle.h0_closed_forms, ref_walsh_h0, ref_nega_h0),
+@pytest.mark.parametrize("n, t, h0, closed_forms, walsh_ref, nega_ref", [
+    (24, 6, False, oracle.g0_closed_forms, ref_walsh_g0, ref_nega_g0),
+    (22, 5, True, oracle.h0_closed_forms, ref_walsh_h0, ref_nega_h0),
 ], ids=["g0-n24", "h0-n22"])
-def test_int32_closed_forms_at_capacity(n, t, closed_forms, walsh_ref, nega_ref):
+def test_int32_closed_forms_at_capacity(n, t, h0, closed_forms, walsh_ref, nega_ref):
     # the top points of the largest g0 and h0 set every bit of an int32 point
     size = 1 << n
     xs = oracle._points(slice(size - 256, size))
     pts = range(size - 256, size)
-    walsh, re, im = closed_forms(t, xs)
+    walsh, re, im = closed_forms(t, *oracle.split_points(t, h0, xs))
     assert {a.dtype for a in (xs, walsh, re, im)} == {np.dtype(np.int32)}
     assert walsh.tolist() == [walsh_ref(t, p) for p in pts]
     assert (re.tolist(), im.tolist()) == _nega_pairs(nega_ref(t, p) for p in pts)
@@ -517,9 +517,9 @@ def test_closed_forms_run_once_a_block_in_each_pass(monkeypatch, name):
                     else (oracle.h0_closed_forms, "g0_closed_forms"))
     calls = []
 
-    def counted(t, points):
-        calls.append(len(points))
-        return used(t, points)
+    def counted(t, u, *coordinates):
+        calls.append(len(u))
+        return used(t, u, *coordinates)
 
     monkeypatch.setattr(oracle, used.__name__, counted)
     monkeypatch.setattr(oracle, unused, None)

@@ -41,6 +41,7 @@ from negabench.oracle import (
     g0_closed_forms,
     h0_closed_forms,
     naive_transforms,
+    split_points,
     verify_construction,
     verify_fragmentary_lemma,
 )
@@ -239,7 +240,7 @@ class TestClosedFormBaseSpectra:
             f = base_function("g0", t)
             wf, nf = walsh_transform(f), nega_transform(f)
             us = np.arange(1 << f.n)
-            w, re, im = g0_closed_forms(t, us)
+            w, re, im = g0_closed_forms(t, *split_points(t, False, us))
             assert np.array_equal(wf.values, w)
             nf_re, nf_im = nega_parts(nf)
             assert np.array_equal(nf_re, re) and np.array_equal(nf_im, im)
@@ -248,7 +249,7 @@ class TestClosedFormBaseSpectra:
         f = base_function("h0", 1)
         wf, nf = walsh_transform(f), nega_transform(f)
         us = np.arange(1 << 6)
-        w, re, im = h0_closed_forms(1, us)
+        w, re, im = h0_closed_forms(1, *split_points(1, True, us))
         assert np.array_equal(wf.values, w)
         nf_re, nf_im = nega_parts(nf)
         assert np.array_equal(nf_re, re) and np.array_equal(nf_im, im)

@@ -213,6 +213,27 @@ class TestButterflyKernel:
                         digest.update(spectra._spectrum(f, nega, mask).astype("<i4").tobytes())
         assert digest.hexdigest() == KERNEL_DIGEST
 
+    @pytest.mark.parametrize("n", [*range(1, 21), 22])
+    def test_unmasked_entry_equals_the_full_mask(self, n):
+        # with T absent the entry stage skips the mask AND and takes
+        # popcount(m) = 64, so it must equal the masked path with T everywhere
+        size = 1 << n
+        everywhere = VectorSet(n, (1 << size) - 1)
+        rng = np.random.default_rng(2400 + n)
+        seeded = int.from_bytes(rng.bytes(max(1, size >> 3)), "little") & ((1 << size) - 1)
+        for bits in (seeded, 0, (1 << size) - 1):
+            f = BooleanFunction(n, bits)
+            for nega in (False, True):
+                assert np.array_equal(spectra._spectrum(f, nega),
+                                      spectra._spectrum(f, nega, everywhere)), (n, bits == 0, nega)
+
+    def test_workspace_is_one_and_an_eighth_mib(self):
+        # 1 MiB of entry signs and 128 KiB of counts; the int16 ping-pong pair,
+        # a pass's sums and the int32 scratch are views of the signs, so the
+        # constant-geometry passes add no buffer
+        ws = spectra._workspace()
+        assert sum(a.nbytes for a in vars(ws).values()) == (1 << 20) + (1 << 17)
+
     def test_threads_keep_their_own_buffers(self):
         # more threads than cores, switching often: a transform equals its
         # serial result only if no other thread writes into its buffers
