@@ -338,14 +338,16 @@ class AnfPolynomial:
 def _mobius(bits: int, n: int) -> int:
     """Self-inverse binary Moebius butterfly on a 2^n bitmask, run on its
     packed 64-bit words: six levels (h = 1 .. 32) by shift and mask inside
-    a word, then XORed word blocks, 8x fewer elements than bytes.  For
-    n < 6 the table is padded to one word and only n levels run, so the
-    padding bits stay zero."""
+    a word, in one reused temporary, then XORed word blocks, 8x fewer
+    elements than bytes.  For n < 6 the table is padded to one word and
+    only n levels run, so the padding bits stay zero."""
     a = np.frombuffer(bits.to_bytes(max(8, (1 << n) >> 3), "little"), dtype="<u8").copy()
+    t = np.empty_like(a)
     lows = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
             0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
     for i, low in enumerate(lows[:n]):
-        a ^= (a & np.uint64(low)) << (1 << i)
+        a ^= np.left_shift(np.bitwise_and(a, np.uint64(low), out=t), np.uint64(1 << i), out=t)
+    del t  # freed before the result's bytes are made
     for i in range(n - 6):
         v = a.reshape(-1, 2, 1 << i)
         v[:, 1] ^= v[:, 0]

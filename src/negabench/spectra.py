@@ -188,7 +188,8 @@ def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> 
     x, y, sums = ws.signs.reshape(-1).view(np.int16)[:3 * (step << 6)].reshape(3, -1)
     block = min(step << 6, _INT16_BLOCK)
     for start in range(0, words.shape[0], step):
-        np.bitwise_xor(words[start:start + step, None], _ENTRY_ROWS, out=signs)
+        signs[:] = _ENTRY_ROWS  # then one broadcast operand: one iterator buffer, not two
+        signs ^= words[start:start + step, None]
         # six levels: popcount(m) - 2 popcount((p ^ u.x) & m) in [-64, 64], exact in int8
         live = np.uint8(64)  # popcount(m) with T everywhere, which needs no AND
         if masks is not None:
@@ -235,6 +236,9 @@ class WalshSpectrum:
     n: int
     values: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.values.setflags(write=False)  # the flatness verdict is kept with them
+
     def parts(self, block: slice) -> tuple[np.ndarray]:
         """The values at the points of `block`, as a one-part tuple."""
         return (self.values[block],)
@@ -250,6 +254,10 @@ class WalshSpectrum:
 
     def flat_counterexample(self) -> Optional[int]:
         """Index u with |W(u)| != 2^(n/2), or None when bent-flat (even n)."""
+        return self._flat
+
+    @functools.cached_property  # the scan, once per spectrum
+    def _flat(self) -> Optional[int]:
         if self.n % 2:
             return 0 if self.values.shape[0] else None
         return _first_flagged(self.values.shape[0],
@@ -268,6 +276,9 @@ class NegaSpectrum:
 
     n: int
     wg: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.wg.setflags(write=False)  # the flatness verdict is kept with it
 
     def parts(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """int64 re and im of N at the points of `block`, any slice.
@@ -294,9 +305,12 @@ class NegaSpectrum:
         return self.parseval_sum() == 1 << (2 * self.n)
 
     def flat_counterexample(self) -> Optional[int]:
-        """Index u with |N(u)|^2 != 2^n, or None when negabent-flat.
+        """Index u with |N(u)|^2 != 2^n, or None when negabent-flat."""
+        return self._flat
 
-        |N(u)|^2 = (a^2 + b^2) / 2 with a = W_g(u), b = W_g(u').  Odd squares
+    @functools.cached_property  # the scan, once per spectrum
+    def _flat(self) -> Optional[int]:
+        """|N(u)|^2 = (a^2 + b^2) / 2 with a = W_g(u), b = W_g(u').  Odd squares
         are 1 mod 4, so while a^2 + b^2 = 2^(n+1) is a multiple of 4 both a
         and b are even and halve, down to a sum of 2 at even n, which forces
         |a| = |b| = 2^(n/2).  At odd n the sum of 1 forces {|a|, |b|} =

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from negabench import constructions
+from negabench import constructions, core
 from negabench.core import (
     AnfPolynomial,
     BitVector,
@@ -70,6 +70,28 @@ class TestBases:
     def test_unknown_base(self):
         with pytest.raises(InvalidSpecError):
             base_anf("g9", 1)
+
+    @pytest.mark.parametrize("family, specs", [
+        ("G4K", [GammaSpec(2, "S1", (BitVector(4, g),)) for g in (1, 6)]),
+        ("H8K2", [GammaSpec(1, "S4", (BitVector(4, g),), ("B",)) for g in (1, 2)]),
+        ("F2RS", [RotationSpec(2, (BitVector(4, g),)) for g in (1, 3)]),
+    ])
+    def test_second_construct_builds_no_base(self, monkeypatch, family, specs):
+        # the base table and the dual base are built once per (base, param),
+        # so a second spec of one family and k runs no Moebius transform
+        first = construct(family, specs[0])
+        calls = []
+
+        def counted(bits, n):
+            calls.append(n)
+            return mobius(bits, n)
+
+        mobius = core._mobius
+        monkeypatch.setattr(core, "_mobius", counted)
+        second = construct(family, specs[1])
+        assert calls == []
+        assert second.base is first.base
+        assert verify_construction(second).passed
 
 
 class TestFamilyTable:

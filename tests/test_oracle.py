@@ -468,6 +468,23 @@ class TestFrameCheckOfTamperedFunctions:
             if function is cf.function:
                 assert report.passed
 
+    def test_four_flatness_scans_with_a_warm_base(self, monkeypatch):
+        # W_f, N_f and the closed dual's W and N are scanned once each; the
+        # dual and the involution reuse their verdicts, and the base spectra
+        # kept from the first report keep theirs
+        cf = construct("H4K2", GammaSpec(2, "S3", (BitVector(4, 3),), ("B",)))
+        assert verify_construction(cf).passed
+        scans = []
+
+        def counted(size, flags):
+            scans.append(size)
+            return first_flagged(size, flags)
+
+        first_flagged = spectra._first_flagged
+        monkeypatch.setattr(spectra, "_first_flagged", counted)
+        assert verify_construction(cf).passed
+        assert len(scans) == 4
+
 
 class TestFragmentaryLemma:
     def test_known_fragment_value(self):

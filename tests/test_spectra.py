@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -277,7 +278,9 @@ class TestButterflyKernel:
                 scan_peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
-        assert transform_peak <= (1 << 20) + (256 << 10), transform_peak
+        # nega reads 98 KiB above its 1 MiB output, most of it the entry
+        # XOR's one 64 KiB iterator buffer
+        assert transform_peak <= (1 << 20) + (192 << 10), transform_peak
         assert max(scan_peaks) <= 256 << 10, scan_peaks
 
     def test_bent_scan_names_a_point_in_a_late_block(self):
@@ -286,6 +289,20 @@ class TestButterflyKernel:
             values = wf.values.copy()
             values[at] += 2
             assert spectra.WalshSpectrum(16, values).flat_counterexample() == at
+
+    def test_replaced_values_get_their_own_verdict(self):
+        # the verdict is kept with the spectrum, so its array is made
+        # read-only, and a copy put in by dataclasses.replace is scanned anew
+        f = base_function("g0", 2)
+        for spec, field in ((walsh_transform(f), "values"), (nega_transform(f), "wg")):
+            assert spec.flat_counterexample() is None
+            values = getattr(spec, field).copy()
+            values[5] += 2
+            bad = dataclasses.replace(spec, **{field: values})
+            assert bad.flat_counterexample() == 5
+            assert spec.flat_counterexample() is None
+            with pytest.raises(ValueError):
+                values[5] -= 2
 
 
 def _witness_functions():
