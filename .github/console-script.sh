@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the installed `negabench` console script through each subcommand and
-# checks the exit codes of the refused inputs; it writes rec.json and
-# orbit.json to the working directory.  Both CI jobs run it after
+# checks the exit codes of the refused inputs; it writes rec.json,
+# orbit.json, nested.json, flipped.json and flipped-report.json to the
+# working directory.  Both CI jobs run it after
 # `pip install -e ".[test]"`: bash .github/console-script.sh
 set -euo pipefail
 
@@ -23,3 +24,18 @@ rc=0; negabench dual --in rec.json --family G8K --gamma 1 || rc=$?; test "$rc" -
 negabench gen --family F2RS_ORBIT --k 1 --gamma 11 --out orbit.json
 sed -i 's/"gamma":"11"/"gamma":"10"/' orbit.json
 rc=0; negabench verify --in orbit.json || rc=$?; test "$rc" -eq 5
+# a record nested 100,000 arrays deep is a malformed file, not a traceback
+python3 -c 'print("[" * 100000)' > nested.json
+rc=0; negabench verify --in nested.json || rc=$?; test "$rc" -eq 5
+# one flipped tt_hex digit fails verify, and every failing check names a counterexample
+python3 -c '
+import json
+rec = json.load(open("rec.json"))
+rec["tt_hex"] = ("1" if rec["tt_hex"][0] != "1" else "2") + rec["tt_hex"][1:]
+json.dump(rec, open("flipped.json", "w"))'
+rc=0; negabench verify --in flipped.json --format json > flipped-report.json || rc=$?
+test "$rc" -eq 1
+python3 -c '
+import json, sys
+failed = [c for c in json.load(open("flipped-report.json"))["checks"] if not c["passed"]]
+sys.exit(not failed or not all(c.get("counterexample") for c in failed))'

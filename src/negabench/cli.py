@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -81,12 +82,9 @@ def emit_report(report: VerificationReport, fmt: str) -> str:
         return _json_line(report.to_dict())
     lines = [f"{report.subject}: {'PASS' if report.passed else 'FAIL'} "
              f"({report.elapsed_ms:.1f} ms)"]
-    for c in report.checks:
-        mark = "ok  " if c.passed else "FAIL"
-        line = f"  {mark} {c.name}: {c.details}" if c.details else f"  {mark} {c.name}"
-        if c.counterexample is not None:
-            line += f" [{c.counterexample}]"
-        lines.append(line)
+    for c in report.checks:  # a pass carries details, a failure its counterexample
+        tail = f": {c.details}" if c.details else "" if c.passed else f" [{c.counterexample}]"
+        lines.append(f"  {'ok  ' if c.passed else 'FAIL'} {c.name}{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -164,7 +162,7 @@ def _load_record(args) -> dict:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise _InputFileError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _InputFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _InputFileError(f"{path}: expected a JSON object")
@@ -207,6 +205,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _text_difference(key: str, text: str, closed: str) -> Optional[str]:
+    """None when a record's text field equals the closed form's text, else
+    the first character where they differ ('' past an end)."""
+    if text == closed:
+        return None
+    i = len(os.path.commonprefix((text, closed)))
+    return f"at {key}[{i}]: file {text[i:i + 1]!r} != closed form {closed[i:i + 1]!r}"
+
+
 def _cmd_verify(args) -> int:
     if args.infile:
         data = _load_record(args)
@@ -223,21 +230,22 @@ def _cmd_verify(args) -> int:
         if fn.n != rebuilt.n:
             report = VerificationReport(
                 subject=f"{family} from {args.infile}",
-                checks=(CheckResult(
-                    "file-n-matches-family", False, "",
-                    f"file says n={fn.n}, family gives n={rebuilt.n}"),),
+                checks=(CheckResult("file-n-matches-family",
+                                    counterexample=f"file n {fn.n} != {rebuilt.n}"),),
                 elapsed_ms=0.0)
             _write_out(emit_report(report, args.format), None)
             return EXIT_FAILED
         cf = dataclasses.replace(rebuilt, function=fn)
         report = verify_construction(cf)
+        flag_bad = (None if flag == cf.predicts_max_degree
+                    else f"parity flag {flag} != {cf.predicts_max_degree}")
         extra = [
             CheckResult("file-anf-field-matches-closed-form",
-                        anf == cf.closed_anf.to_text()),
+                        counterexample=_text_difference("anf", anf, cf.closed_anf.to_text())),
             CheckResult("file-dual-field-matches-closed-form",
-                        dual_hex == cf.closed_dual.to_hex()),
-            CheckResult("file-degree-flag-matches-parity",
-                        flag == cf.predicts_max_degree),
+                        counterexample=_text_difference(
+                            "dual_tt_hex", dual_hex, cf.closed_dual.to_hex())),
+            CheckResult("file-degree-flag-matches-parity", counterexample=flag_bad),
         ]
         report = VerificationReport(
             subject=f"{report.subject} from {args.infile}",
@@ -365,8 +373,7 @@ def _cmd_repro_examples(args) -> int:
         for rep in reports:
             lines.append(f"{'PASS' if rep.passed else 'FAIL'} {rep.subject}")
             for c in rep.failures():
-                detail = c.counterexample or c.details
-                lines.append(f"  FAIL {c.name}: {detail}")
+                lines.append(f"  FAIL {c.name}: {c.counterexample}")
         _write_out("\n".join(lines) + "\n", None)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
 

@@ -8,7 +8,7 @@ and its truth-table index are therefore interchangeable.
 Storage: every 2^n-entry table (truth table, vector set, ANF coefficients) is
 one Python int whose bit i holds entry i.  This module owns that layout; only
 `spectra._sigma2_bytes`, `spectra._spectrum`, `spectra.definitional_sums`,
-`oracle._lowest_bit` and `oracle._random_function` also read or write it.
+`oracle._table_difference` and `oracle.check_table1` also read or write it.
 Each conversion to or from it is one O(2^n) pass through numpy or a single
 C-level int call, never a Python loop over entries.
 """
@@ -272,6 +272,10 @@ def characteristic_function(s: VectorSet) -> BooleanFunction:
 # ANF
 
 
+_TOP_BIT = np.array([max((i for i in range(8) if b >> i & 1), key=int.bit_count, default=0)
+                     for b in range(256)], dtype=np.uint8)
+
+
 @dataclass(frozen=True)
 class AnfPolynomial:
     """Algebraic normal form: bit at position u = coefficient of the monomial
@@ -303,13 +307,21 @@ class AnfPolynomial:
             raise DimensionError("polynomial dimensions differ")
         return AnfPolynomial(self.n, self.coeffs ^ other.coeffs)
 
-    def degree(self) -> int:
-        """Largest monomial weight, 0 for the zero polynomial.  Mask 8j + i weighs wt(j) + wt(i),
-        and a byte has a set bit i of weight >= 1, 2, 3 iff it meets 0xFE, 0xE8, 0x80."""
+    def top_term(self) -> int:
+        """Mask of the lowest monomial of largest weight, 0 for the zero
+        polynomial.  Mask 8j + i weighs wt(j) + wt(i), and _TOP_BIT[b] is the
+        lowest i of largest weight among the set bits of byte b."""
         raw = _raw_bytes(self.coeffs, 1 << self.n)
         nz = np.flatnonzero(raw)
-        top = sum((raw[nz] & m) > 0 for m in (0xFE, 0xE8, 0x80))
-        return int((np.bitwise_count(nz) + top).max(initial=0))
+        if nz.size == 0:
+            return 0
+        low = _TOP_BIT.take(raw[nz])
+        j = int(np.argmax(np.bitwise_count(nz) + np.bitwise_count(low)))
+        return 8 * int(nz[j]) + int(low[j])
+
+    def degree(self) -> int:
+        """Largest monomial weight, 0 for the zero polynomial."""
+        return self.top_term().bit_count()
 
     def to_text(self) -> str:
         """Canonical text: monomials x<i> joined by '*', terms by '+',

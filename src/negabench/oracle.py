@@ -14,7 +14,7 @@ import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -29,12 +29,15 @@ from .core import (
     anf_from_truth_table,
     characteristic_function,
     check_capacity,
+    cyclic_shift_action,
     rotation_symmetry_order,
     truth_table_from_anf,
 )
 from .spectra import (
+    Classification,
     NegaSpectrum,
     WalshSpectrum,
+    _blocks,
     classify,
     definitional_sums,
     dual_of_spectrum,
@@ -70,13 +73,17 @@ from .reference import ReferenceCase
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named verification step."""
+    """Outcome of one named verification step: it passes exactly when it
+    names no counterexample, and only a pass carries details."""
 
     name: str
-    passed: bool
     details: str = ""
     counterexample: Optional[str] = None
     elapsed_ms: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -130,17 +137,95 @@ class _Checks:
             self._spent_ms[name] = (self._spent_ms.get(name, 0.0)
                                     + (time.perf_counter() - t0) * 1000.0)
 
-    def add(self, name: str, fn: Callable[[], tuple[bool, str, Optional[str]]]) -> None:
+    def add(self, name: str, check: Callable[[], Optional[str]],
+            details: Callable[[], str]) -> None:
+        """Run check `name`: `check()` gives its counterexample, None on a
+        pass, and `details()` runs only on a pass."""
         t0 = time.perf_counter()
-        passed, details, counterexample = fn()
+        counterexample = check()
+        text = details() if counterexample is None else ""
         self.results.append(
-            CheckResult(name, passed, details, counterexample,
+            CheckResult(name, text, counterexample,
                         self._spent_ms.pop(name, 0.0) + (time.perf_counter() - t0) * 1000.0))
 
     def report(self, subject: str) -> VerificationReport:
         return VerificationReport(
             subject, tuple(self.results),
             (time.perf_counter() - self._start) * 1000.0)
+
+
+# Counterexamples read 'at <point|monomial>: <label> <v> != <label> <v>'
+# where one point or monomial differs, and '<label> <v> != <v>' for a
+# scalar; a point is its bit string, a monomial its ANF text.
+
+
+def _first(counterexamples: Iterable[Optional[str]]) -> Optional[str]:
+    """The first counterexample of a lazy run of checks, or None."""
+    return next(filter(None, counterexamples), None)
+
+
+def _unequal(label: str, got, want) -> Optional[str]:
+    """The counterexample of a scalar check, or None when got == want."""
+    return None if got == want else f"{label} {got} != {want}"
+
+
+def _flags(subject: str, cls: Classification, bent: bool = True,
+           negabent: bool = True) -> Optional[str]:
+    """None when classify gave the flags (bent, negabent), else both pairs."""
+    return _unequal(f"{subject}:", f"bent={cls.is_bent} negabent={cls.is_negabent}",
+                    f"bent={bent} negabent={negabent}")
+
+
+def _table_difference(n: int, got: int, want: int, got_label: str, want_label: str,
+                      monomials: bool = False) -> Optional[str]:
+    """The lowest entry where two packed 2^n-entry tables differ, with both
+    bits, or None; the other differences are never listed."""
+    diff = got ^ want
+    if not diff:
+        return None
+    i = (diff & -diff).bit_length() - 1
+    where = AnfPolynomial(n, 1 << i).to_text() if monomials else BitVector(n, i)
+    return f"at {where}: {got_label} {got >> i & 1} != {want_label} {want >> i & 1}"
+
+
+def _fmt(values) -> str:
+    """One Walsh value as an int, or one nega value (re, im) as a+bi."""
+    if len(values) == 1:
+        return str(int(values[0]))
+    re, im = map(int, values)
+    return f"{re}{im:+d}i"
+
+
+class _Agreement:
+    """Equality of aligned (got, want) spectra at every point, fed block by
+    block (any slice of the 2^n points, strided too); the first differing
+    point and both values are the counterexample.  `bounded` asserts the
+    int32 width of every wanted part: at most 2^(n/2+2) in magnitude."""
+
+    def __init__(self, n: int, got_label: str, want_label: str, bounded: bool = False) -> None:
+        self.n = n
+        self.labels = got_label, want_label
+        self.bound = 1 << (n // 2 + 2) if bounded else None
+        self.counterexample: Optional[str] = None
+
+    def feed(self, block: slice, got: tuple, want: tuple) -> Optional[str]:
+        """Compare the points of `block`; gives the counterexample so far."""
+        assert self.bound is None or all(int(np.abs(w).max()) <= self.bound for w in want)
+        if self.counterexample is None and not all(
+                np.array_equal(g, w) for g, w in zip(got, want)):
+            i = int(np.flatnonzero(np.any([g != w for g, w in zip(got, want)], axis=0))[0])
+            point = BitVector(self.n, range(1 << self.n)[block][i])
+            self.counterexample = (f"at {point}: {self.labels[0]} {_fmt([g[i] for g in got])} "
+                                   f"!= {self.labels[1]} {_fmt([w[i] for w in want])}")
+        return self.counterexample
+
+
+def _spectra_difference(n: int, block: slice, got: tuple, want: tuple, got_label: str,
+                        want_label: str) -> Optional[str]:
+    """The first point of `block` where aligned (W, re N, im N) triples
+    differ, a W difference before an N one, or None."""
+    return _first(_Agreement(n, f"{got_label} {kind}", f"{want_label} {kind}").feed(
+        block, got[parts], want[parts]) for kind, parts in (("W", slice(1)), ("N", slice(1, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +286,9 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional
         raise DimensionError("function and subset dimensions differ")
     w0, n0 = _base_spectra(f0)
     if f0.n % 2 or w0.flat_counterexample() is not None:
-        raise NotBentError("fragment ratios need a bent base function")
+        raise NotBentError(f"fragment ratios need a bent base: {w0.flat_failure()}")
     if n0.flat_counterexample() is not None:
-        raise NotBentError("fragment ratios need a negabent base function")
+        raise NotBentError(f"fragment ratios need a negabent base: {n0.flat_failure()}")
     f1 = f0 ^ characteristic_function(t)
     same = held is not None and held[0] == f1
     w1, n1 = held[1:] if same else (walsh_transform(f1), nega_transform(f1))
@@ -401,63 +486,9 @@ def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
 _LEMMAS = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
 
 
-def _fmt(values) -> str:
-    """One Walsh value as an int, or one nega value (re, im) as a+bi."""
-    if len(values) == 1:
-        return str(int(values[0]))
-    re, im = map(int, values)
-    return f"{re}{im:+d}i"
-
-
-# points compared at once: every closed-form and predictor array is one block
-# long, at most 128 KiB (the int64 nega parts), so each block reuses the heap
-# memory the last one freed instead of faulting in fresh pages; at 2^15 an
-# n = 18 lemma check takes ten times the page faults, and is slower
-_BLOCK = 1 << 14
-
-
-def _blocks(size: int) -> Iterator[slice]:
-    """Points 0..size-1 in consecutive blocks of at most _BLOCK, each as its
-    slice of a whole spectrum."""
-    for start in range(0, size, _BLOCK):
-        yield slice(start, min(size, start + _BLOCK))
-
-
 def _points(block: slice) -> np.ndarray:
     assert block.stop <= 1 << 24  # the closed forms' int32 widths hold below 2^24
     return np.arange(block.start, block.stop, dtype=np.int32)
-
-
-def _first_difference(got: tuple, want: tuple) -> Optional[int]:
-    """First index where the aligned arrays of got and want differ, or None."""
-    if all(np.array_equal(g, w) for g, w in zip(got, want)):
-        return None
-    return int(np.flatnonzero(np.any([g != w for g, w in zip(got, want)], axis=0))[0])
-
-
-class _Agreement:
-    """Equality of aligned (got, want) spectra at every point, fed block by
-    block; the first differing point and both values are the counterexample."""
-
-    def __init__(self, n: int, label: str = "") -> None:
-        self.bound = 1 << (n // 2 + 2)
-        self.label = label
-        self.counterexample: Optional[str] = None
-
-    def feed(self, block: slice, got: tuple, want: tuple) -> None:
-        assert all(int(np.abs(w).max()) <= self.bound for w in want)
-        if self.counterexample is not None:
-            return
-        i = _first_difference(got, want)
-        if i is not None:
-            self.counterexample = (f"point {block.start + i}: {self.label}"
-                                   f"{_fmt([g[i] for g in got])} != "
-                                   f"{_fmt([w[i] for w in want])}")
-
-    def result(self, details: Callable[[], str]) -> tuple[bool, str, Optional[str]]:
-        if self.counterexample is None:
-            return True, details(), None
-        return False, "", self.counterexample
 
 
 def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
@@ -467,7 +498,7 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     Also checks the closed-form base spectra, the per-point bound on the
     number of contributing parameters, and (on a deterministic sample) the
     definitional restricted sums against the masked butterfly route.  Two
-    passes run over blocks of at most 2^14 points (`_BLOCK`), each holding
+    passes run over blocks of at most 2^14 points (`spectra._BLOCK`), each holding
     two whole exact spectra: the base pass compares W_f0 and N_f0 with the
     base's closed forms, and frees both before the fragment pass compares
     the masked spectra with the predictions.  Each pass evaluates the base's
@@ -489,7 +520,8 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     # the base pass: W_f0 and N_f0, freed before the masked two are taken
     h0 = fam.base == "h0"
     closed_forms = h0_closed_forms if h0 else g0_closed_forms
-    base_walsh, base_nega = _Agreement(f0.n), _Agreement(f0.n)
+    base_walsh = _Agreement(f0.n, "W_f0", "closed form", bounded=True)
+    base_nega = _Agreement(f0.n, "N_f0", "closed form", bounded=True)
     with checks.timing("base-walsh-closed-form"):
         w0 = walsh_transform(f0)
     with checks.timing("base-nega-closed-form"):
@@ -501,13 +533,16 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
         with checks.timing("base-nega-closed-form"):
             base_nega.feed(block, n0.parts(block), nega)
     del w0, n0, walsh, nega
-    checks.add("base-walsh-closed-form", lambda: base_walsh.result(lambda: f"{size} points"))
-    checks.add("base-nega-closed-form", lambda: base_nega.result(lambda: f"{size} points"))
+    checks.add("base-walsh-closed-form", lambda: base_walsh.counterexample,
+               lambda: f"{size} points")
+    checks.add("base-nega-closed-form", lambda: base_nega.counterexample,
+               lambda: f"{size} points")
 
     tset = build_modifier_set(spec)
     wt = fragmentary_walsh_spectrum(f0, tset)
     nt = fragmentary_nega_spectrum(f0, tset)
-    walsh_agree, nega_agree = _Agreement(f0.n), _Agreement(f0.n, "2N = ")
+    walsh_agree = _Agreement(f0.n, "W_f0,T", "closed form", bounded=True)
+    nega_agree = _Agreement(f0.n, "2N_f0,T", "closed form", bounded=True)
     nonzero = 0
     branches = np.zeros(len(BRANCHES), dtype=np.int64)
     max_w = max_n = 0
@@ -528,34 +563,26 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
             bad = np.flatnonzero((w > 1) | (m > bound) | ~ok)
             if bad.size and over_bound is None:
                 i = int(bad[0])
-                over_bound = (f"point {block.start + i}: walsh matches {w[i]}, "
-                              f"nega matches {m[i]}, structure ok {bool(ok[i])}")
+                over_bound = f"at {BitVector(f0.n, block.start + i)}: " + (
+                    f"walsh matches {w[i]} != at most 1" if w[i] > 1 else
+                    f"nega matches {m[i]} != at most {bound}" if m[i] > bound else
+                    "admissible structure False != True")
         del pred  # free this block's arrays before the next block's prediction
 
-    checks.add("fragment-walsh-closed-form", lambda: walsh_agree.result(
-        lambda: f"{size} points, {nonzero} nonzero"))
+    checks.add("fragment-walsh-closed-form", lambda: walsh_agree.counterexample,
+               lambda: f"{size} points, {nonzero} nonzero")
+    checks.add("fragment-nega-closed-form", lambda: nega_agree.counterexample, lambda: (
+        f"{size} points, branches " + " ".join(f"{b}={c}" for b, c in zip(BRANCHES, branches))))
+    checks.add("contribution-bounds", lambda: over_bound, lambda: (
+        f"max walsh matches {max_w}, max nega matches {max_n} (bound {bound})"))
 
-    def branch_counts() -> str:
-        detail = " ".join(f"{b}={c}" for b, c in zip(BRANCHES, branches))
-        return f"{size} points, branches {detail}"
+    # every point up to 64, else 64 evenly spaced
+    sample = slice(0, size, max(1, size // 64))
 
-    checks.add("fragment-nega-closed-form", lambda: nega_agree.result(branch_counts))
-    checks.add("contribution-bounds", lambda: (
-        (False, "", over_bound) if over_bound is not None else
-        (True, f"max walsh matches {max_w}, max nega matches {max_n} (bound {bound})", None)))
-
-    def literal_sample_check():
-        sample = slice(0, size, max(1, size // 64))  # every point up to 64, else 64 evenly spaced
-        pts = range(size)[sample]
-        got, want = definitional_sums(f0, pts, tset), wt.parts(sample) + nt.parts(sample)
-        i = _first_difference(got, want)
-        if i is None:
-            return True, f"{len(pts)} sampled points", None
-        kind, cols = ("walsh", slice(0, 1)) if got[0][i] != want[0][i] else ("nega", slice(1, 3))
-        return False, "", (f"{kind} point {pts[i]}: definitional {_fmt([a[i] for a in got[cols]])} "
-                           f"!= masked butterfly {_fmt([a[i] for a in want[cols]])}")
-
-    checks.add("literal-sum-agreement", literal_sample_check)
+    checks.add("literal-sum-agreement", lambda: _spectra_difference(
+        f0.n, sample, definitional_sums(f0, range(size)[sample], tset),
+        wt.parts(sample) + nt.parts(sample), "definitional", "masked butterfly"),
+        lambda: f"{len(range(size)[sample])} sampled points")
 
     subject = f"{spec.family} fragment lemma k={spec.k} |Gamma|={len(spec.gammas)}"
     return checks.report(subject)
@@ -569,57 +596,27 @@ def check_reference_case(case: ReferenceCase) -> VerificationReport:
     """Rebuild a recorded construction and compare against its fixture."""
     cf = construct(case.family, case.spec)
     checks = _Checks()
-    anf = anf_from_truth_table(cf.function)
-
-    def terms_check():
-        got = anf ^ anf_from_truth_table(cf.base) if case.delta_over_base else anf
-        got_masks = frozenset(got.monomials())
-        if got_masks == case.expected_terms:
-            return True, f"{len(got_masks)} monomials", None
-        missing = sorted(case.expected_terms - got_masks)
-        extra = sorted(got_masks - case.expected_terms)
-        def fmt(masks):
-            return ", ".join(AnfPolynomial(cf.n, 1 << m).to_text() for m in masks[:4])
-        return False, "", (
-            f"{len(missing)} missing ({fmt(missing)}), {len(extra)} extra ({fmt(extra)})")
-
-    checks.add("anf-terms-match", terms_check)
-
-    checks.add("closed-anf-agrees", lambda: (
-        cf.closed_anf == anf, f"{anf.term_count()} terms", None))
-
-    def degree_check():
-        d = anf.degree()
-        return d == case.expected_degree, f"degree {d}", (
-            None if d == case.expected_degree else f"expected {case.expected_degree}")
-
-    checks.add("degree", degree_check)
-
-    def flat_check():
-        cls = classify(cf.function)
-        return cls.is_bent_negabent, "bent and negabent", (
-            None if cls.is_bent_negabent else f"bent={cls.is_bent} negabent={cls.is_negabent}")
-
-    checks.add("bent-negabent", flat_check)
-
+    n, anf = cf.n, anf_from_truth_table(cf.function)
+    got = anf ^ anf_from_truth_table(cf.base) if case.delta_over_base else anf
+    checks.add("anf-terms-match", lambda: _table_difference(
+        n, got.coeffs, AnfPolynomial.from_monomials(n, case.expected_terms).coeffs,
+        "ANF", "recorded", monomials=True), lambda: f"{got.term_count()} monomials")
+    checks.add("closed-anf-agrees", lambda: _table_difference(
+        n, cf.closed_anf.coeffs, anf.coeffs, "closed ANF", "ANF", monomials=True),
+        lambda: f"{anf.term_count()} terms")
+    checks.add("degree", lambda: _unequal("degree", anf.degree(), case.expected_degree),
+               lambda: f"degree {case.expected_degree}")
+    checks.add("bent-negabent", lambda: None if (cls := classify(cf.function)).is_bent_negabent
+               else _flags(case.name, cls), lambda: "bent and negabent")
     if case.expected_rotation_order is not None:
-        def rotation_check():
-            order = rotation_symmetry_order(cf.function)
-            return (order == case.expected_rotation_order,
-                    f"rotation order {order}", None)
-
-        checks.add("rotation-order", rotation_check)
-
+        checks.add("rotation-order", lambda: _unequal(
+            "rotation order", rotation_symmetry_order(cf.function), case.expected_rotation_order),
+            lambda: f"rotation order {case.expected_rotation_order}")
     return checks.report(case.name)
 
 
 # ---------------------------------------------------------------------------
 # relation table between bent and negabent behaviour
-
-
-def _random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
-    nbytes = max(1, (1 << n) // 8)
-    return BooleanFunction(n, int.from_bytes(rng.bytes(nbytes), "little"))
 
 
 def check_table1(k: int = 1) -> VerificationReport:
@@ -635,107 +632,88 @@ def check_table1(k: int = 1) -> VerificationReport:
     h0 = base_function("h0", k)
     f0 = base_function("f0", k)
 
-    def named_flat(f: BooleanFunction, want_bent: bool, want_nega: bool):
-        cls = classify(f)
-        ok = cls.is_bent == want_bent and cls.is_negabent == want_nega
-        return ok, f"bent={cls.is_bent} negabent={cls.is_negabent}", None
+    def named_flat(name: str, subject: str, f: BooleanFunction, bent: bool,
+                   negabent: bool) -> None:
+        checks.add(name, lambda: _flags(subject, classify(f), bent, negabent),
+                   lambda: f"bent={bent} negabent={negabent}")
 
-    checks.add("sigma2-bent-not-negabent", lambda: named_flat(sigma4, True, False))
-    checks.add("g0-bent-negabent", lambda: named_flat(g0, True, True))
-    checks.add("h0-bent-negabent", lambda: named_flat(h0, True, True))
+    named_flat("sigma2-bent-not-negabent", "sigma2", sigma4, True, False)
+    named_flat("g0-bent-negabent", "g0", g0, True, True)
+    named_flat("h0-bent-negabent", "h0", h0, True, True)
+    checks.add("f0-2rs-bent-negabent", lambda: _flags("f0", classify(f0)) or _unequal(
+        "f0 rotation order", rotation_symmetry_order(f0), 2),
+        lambda: "bent-negabent, rotation order 2")
 
-    def f0_check():
-        cls = classify(f0)
-        order = rotation_symmetry_order(f0)
-        ok = cls.is_bent_negabent and order == 2
-        return ok, f"bent-negabent, rotation order {order}", None
-
-    checks.add("f0-2rs-bent-negabent", f0_check)
-
-    def sweep_chis(specs):
-        count = 0
-        for spec in specs:
-            chi = characteristic_function(build_modifier_set(spec))
-            cls = classify(chi)
-            if cls.is_bent or not cls.is_negabent:
-                return False, "", (
-                    f"{spec.family} gammas {[str(g) for g in spec.gammas]}: "
-                    f"bent={cls.is_bent} negabent={cls.is_negabent}")
-            count += 1
-        return True, f"{count} indicator functions", None
+    def sweep_chis(name: str, specs) -> None:
+        checks.add(name, lambda: _first(
+            _flags(f"{spec.family} gammas {[str(g) for g in spec.gammas]}",
+                   classify(characteristic_function(build_modifier_set(spec))), False)
+            for spec in specs), lambda: f"{len(specs)} indicator functions")
 
     s1_specs = [GammaSpec(k, "S1", (BitVector(k2, g),)) for g in range(1 << k2)]
-    checks.add("chi-s1-negabent-not-bent", lambda: sweep_chis(s1_specs))
+    sweep_chis("chi-s1-negabent-not-bent", s1_specs)
 
     pair_basis = [(1 << (2 * i)) | (1 << (2 * i + 1)) for i in range(k2)]
     reps = coset_representatives(LinearSubspace.span(4 * k, pair_basis))
     s2_specs = [GammaSpec(k, "S2", (r,)) for r in reps]
-    checks.add("chi-s2-negabent-not-bent", lambda: sweep_chis(s2_specs))
+    sweep_chis("chi-s2-negabent-not-bent", s2_specs)
 
     s3_specs = [GammaSpec(k, "S3", (BitVector(k2, g),), (e,))
                 for g in range(1 << k2) for e in ("0", "1", "B")]
-    checks.add("chi-s3-negabent-not-bent", lambda: sweep_chis(s3_specs))
+    sweep_chis("chi-s3-negabent-not-bent", s3_specs)
 
     s4_specs = [GammaSpec(k, "S4", (r,), (e,)) for r in reps for e in ("0", "1", "B")]
-    checks.add("chi-s4-negabent-not-bent", lambda: sweep_chis(s4_specs))
+    sweep_chis("chi-s4-negabent-not-bent", s4_specs)
 
     unit_orbit = tuple(BitVector(k2, i) for i in orbit(BitVector(k2, 1)))
     t_specs = [GammaSpec(k, "T", unit_orbit, rotation_closed=True),
                GammaSpec(k, "T", (BitVector.ones(k2),), rotation_closed=True)]
 
-    def chi_t_check():
-        for spec in t_specs:
-            chi = characteristic_function(build_T(spec))
-            cls = classify(chi)
-            order = rotation_symmetry_order(chi)
-            if cls.is_bent or not cls.is_negabent or order != 1:
-                return False, "", (
-                    f"gammas {[str(g) for g in spec.gammas]}: bent={cls.is_bent} "
-                    f"negabent={cls.is_negabent} rotation order {order}")
-        return True, f"{len(t_specs)} indicator functions, rotation order 1", None
+    def chi_t_row(spec: GammaSpec) -> Optional[str]:
+        chi = characteristic_function(build_T(spec))
+        subject = f"T gammas {[str(g) for g in spec.gammas]}"
+        return _flags(subject, classify(chi), False) or _unequal(
+            f"{subject} rotation order", rotation_symmetry_order(chi), 1)
 
-    checks.add("chi-t-rotation-symmetric-negabent-not-bent", chi_t_check)
+    checks.add("chi-t-rotation-symmetric-negabent-not-bent",
+               lambda: _first(map(chi_t_row, t_specs)),
+               lambda: f"{len(t_specs)} indicator functions, rotation order 1")
 
-    def sums_check():
+    def sums_check() -> Optional[str]:
         cases = [
             (g0, s1_specs[1]),
             (base_function("g0", k2), s2_specs[0]),
             (h0, s3_specs[2]),
             (base_function("h0", k2), s4_specs[1]),
         ]
-        for base, spec in cases:
-            f = base ^ characteristic_function(build_modifier_set(spec))
-            if not classify(f).is_bent_negabent:
-                return False, "", f"base + {spec.family} indicator is not bent-negabent"
+        sums = (_flags(f"base + {spec.family} indicator",
+                       classify(base ^ characteristic_function(build_modifier_set(spec))))
+                for base, spec in cases)
         ft = f0 ^ characteristic_function(build_T(t_specs[0]))
-        if not classify(ft).is_bent_negabent or rotation_symmetry_order(ft) != 2:
-            return False, "", "f0 + T indicator lost flatness or 2-rotation symmetry"
-        return True, "S1, S2, S3, S4 and T sums all bent-negabent", None
+        return _first(sums) or _flags("f0 + T indicator", classify(ft)) or _unequal(
+            "f0 + T indicator rotation order", rotation_symmetry_order(ft), 2)
 
-    checks.add("base-plus-indicator-bent-negabent", sums_check)
+    checks.add("base-plus-indicator-bent-negabent", sums_check,
+               lambda: "S1, S2, S3, S4 and T sums all bent-negabent")
 
-    def named_exchange_check():
+    def named_exchange_check() -> Optional[str]:
         # adding the quadratic symmetric function swaps the two flatness kinds
-        if not classify(g0 ^ sigma4).is_negabent:
-            return False, "", "g0 + sigma2 is not negabent"
         chi = characteristic_function(build_modifier_set(s1_specs[1]))
-        if not classify(chi ^ sigma4).is_bent:
-            return False, "", "S1 indicator + sigma2 is not bent"
-        return True, "bent base -> negabent sum; negabent indicator -> bent sum", None
+        return (_unequal("g0 + sigma2 negabent", classify(g0 ^ sigma4).is_negabent, True)
+                or _unequal("S1 indicator + sigma2 bent", classify(chi ^ sigma4).is_bent, True))
 
-    checks.add("named-sigma2-sums", named_exchange_check)
+    checks.add("named-sigma2-sums", named_exchange_check,
+               lambda: "bent base -> negabent sum; negabent indicator -> bent sum")
 
-    def sampled_exchange_check():
-        rng = np.random.default_rng(20260814)
-        for _ in range(50):
-            f = _random_function(rng, n4)
-            cls = classify(f)
-            shifted = classify(f ^ sigma4)
-            if cls.is_negabent != shifted.is_bent or cls.is_bent != shifted.is_negabent:
-                return False, "", f"table {f.to_hex()}"
-        return True, "50 random functions", None
+    def exchanged(f: BooleanFunction) -> Optional[str]:
+        cls = classify(f)
+        return _flags(f"table {f.to_hex()} + sigma2", classify(f ^ sigma4),
+                      cls.is_negabent, cls.is_bent)
 
-    checks.add("sigma2-exchange-sampled", sampled_exchange_check)
+    rng = np.random.default_rng(20260814)
+    checks.add("sigma2-exchange-sampled", lambda: _first(
+        exchanged(BooleanFunction(n4, int.from_bytes(rng.bytes(1 << n4 >> 3), "little")))
+        for _ in range(50)), lambda: "50 random functions")
 
     return checks.report(f"relation table k={k}")
 
@@ -807,48 +785,38 @@ def check_su_conditions(case: SuComparisonCase) -> VerificationReport:
     recorded witness coset."""
     checks = _Checks()
 
-    def shape_check():
+    def shape_check() -> Optional[str]:
         built = mm_function(case.pi, case.phi)
         want = base_function(case.base_name, case.base_t)
-        return built == want, f"{case.base_name} on {want.n} variables", None
+        return _unequal("variables", built.n, want.n) or _table_difference(
+            want.n, built.bits, want.bits, "MM shape", case.base_name)
 
-    checks.add("mm-shape-matches-base", shape_check)
+    checks.add("mm-shape-matches-base", shape_check,
+               lambda: f"{case.base_name} on {2 * case.phi.n} variables")
+    size = 1 << case.m
 
-    def linear_check():
-        size = 1 << case.m
-        if sorted(case.pi) != list(range(size)):
-            return False, "", "image table is not a permutation"
-        if case.pi[0] != 0:
-            return False, "", "pi(0) != 0"
-        for a in range(size):
-            for b in range(size):
-                if case.pi[a ^ b] != case.pi[a] ^ case.pi[b]:
-                    return False, "", f"pi({a}^{b}) != pi({a})^pi({b})"
-        return True, f"additive on all {size * size} pairs", None
-
-    checks.add("pi-linear-permutation", linear_check)
+    # a = b = 0 asks pi(0) = 0
+    checks.add("pi-linear-permutation", lambda: _unequal(
+        "image table is a permutation", sorted(case.pi) == list(range(size)), True) or _first(
+        f"at ({a},{b}): pi(a^b) {case.pi[a ^ b]} != pi(a)^pi(b) {case.pi[a] ^ case.pi[b]}"
+        for a in range(size) for b in range(size) if case.pi[a ^ b] != case.pi[a] ^ case.pi[b]),
+        lambda: f"additive on all {size * size} pairs")
 
     space = LinearSubspace.span(case.m, case.l_basis)
     perp = orthogonal_complement(space)
     perp_members = sorted(v.bits for v in perp.members())
 
-    def fixes_check():
-        image = sorted(case.pi[x] for x in perp_members)
-        ok = image == perp_members
-        return ok, f"dim L = {space.dim}, dim L-perp = {perp.dim}", None
+    checks.add("pi-fixes-dual-subspace", lambda: _first(
+        _unequal(f"rank {i} of sorted pi(L-perp)", a, b)
+        for i, (a, b) in enumerate(zip(sorted(case.pi[x] for x in perp_members), perp_members))),
+        lambda: f"dim L = {space.dim}, dim L-perp = {perp.dim}")
 
-    checks.add("pi-fixes-dual-subspace", fixes_check)
-
-    def coset_check():
-        coset = tuple(sorted(case.alpha ^ x for x in perp_members))
-        if coset != case.expected_coset:
-            return False, "", f"coset {coset} != recorded {case.expected_coset}"
-        values = sorted({case.phi.value(x) for x in coset})
-        detail = (f"coset {{{', '.join(str(i) for i in coset)}}} "
-                  f"phi values {values}")
-        return values == [0, 1], detail, None
-
-    checks.add("coset-constancy-fails", coset_check)
+    coset = tuple(sorted(case.alpha ^ x for x in perp_members))
+    values = sorted({case.phi.value(x) for x in coset})
+    checks.add("coset-constancy-fails", lambda: _unequal(
+        "coset", str(coset).replace(" ", ""), str(case.expected_coset).replace(" ", ""))
+        or _unequal("distinct phi values on the coset", len(values), 2), lambda: (
+        f"coset {{{', '.join(str(i) for i in coset)}}} phi values {values}"))
 
     return checks.report(case.name)
 
@@ -858,11 +826,6 @@ def check_su_conditions(case: SuComparisonCase) -> VerificationReport:
 
 
 _NAIVE_CROSSCHECK_LIMIT = 12
-
-
-def _lowest_bit(x: int) -> int:
-    """The first point of a nonempty packed table, without listing the rest."""
-    return (x & -x).bit_length() - 1
 
 
 def verify_construction(cf: ConstructedFunction) -> VerificationReport:
@@ -886,121 +849,103 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     anf = anf_from_truth_table(f)
     degree = anf.degree()
 
-    checks.add("walsh-parseval", lambda: (
-        wf.parseval_holds(), f"sum of squares = 2^{2 * n}", None))
-    checks.add("nega-parseval", lambda: (
-        nf.parseval_holds(), f"sum of squared magnitudes = 2^{2 * n}", None))
+    checks.add("walsh-parseval", lambda: _unequal(
+        "sum of squares", wf.parseval_sum(), 1 << (2 * n)),
+        lambda: f"sum of squares = 2^{2 * n}")
+    checks.add("nega-parseval", lambda: _unequal(
+        "sum of squared magnitudes", nf.parseval_sum(), 1 << (2 * n)),
+        lambda: f"sum of squared magnitudes = 2^{2 * n}")
+    checks.add("bent", wf.flat_failure, lambda: f"|W| = 2^{n // 2} everywhere")
+    checks.add("negabent", nf.flat_failure, lambda: f"|N|^2 = 2^{n} everywhere")
+    checks.add("anf-matches-closed-form", lambda: _table_difference(
+        n, anf.coeffs, cf.closed_anf.coeffs, "ANF", "closed ANF", monomials=True),
+        lambda: f"{anf.term_count()} terms, degree {degree}")
 
-    def bent_check():
-        bad = wf.flat_failure()
-        return bad is None, "" if bad else f"|W| = 2^{n // 2} everywhere", bad
+    dmax = FAMILY_TABLE[cf.family].max_degree(cf.k)
+    orbit_weight = cf.params.vectors[0].weight() if cf.family == "F2RS_ORBIT" else None
 
-    checks.add("bent", bent_check)
-
-    def negabent_check():
-        bad = nf.flat_failure()
-        return bad is None, "" if bad else f"|N|^2 = 2^{n} everywhere", bad
-
-    checks.add("negabent", negabent_check)
-
-    def anf_check():
-        if anf == cf.closed_anf:
-            return True, f"{anf.term_count()} terms, degree {degree}", None
-        first = _lowest_bit(anf.coeffs ^ cf.closed_anf.coeffs)
-        return False, "", f"first differing monomial {AnfPolynomial(n, 1 << first).to_text()}"
-
-    checks.add("anf-matches-closed-form", anf_check)
-
-    def degree_check():
-        dmax = FAMILY_TABLE[cf.family].max_degree(cf.k)
-        detail = f"degree {degree}, family max {dmax}, parity flag {cf.predicts_max_degree}"
-        if cf.family == "F2RS_ORBIT":
-            want = cf.params.vectors[0].weight()
-            ok = degree == want and cf.predicts_max_degree == (want == dmax)
-            return ok, f"{detail}, orbit weight {want}", None
-        if cf.predicts_max_degree:
-            return degree == dmax, detail, None
+    def degree_check() -> Optional[str]:
         # when the family maximum is 2 the base is already quadratic, so the
         # parity condition cannot push the degree below it
-        if dmax <= 2:
-            return degree <= dmax, detail, None
-        return degree < dmax, detail, None
+        ok, want = ((degree == orbit_weight, f"orbit weight {orbit_weight}") if orbit_weight else
+                    (degree == dmax, f"flag predicts {dmax}") if cf.predicts_max_degree else
+                    (degree <= dmax, f"flag predicts <={dmax}") if dmax <= 2 else
+                    (degree < dmax, f"flag predicts <{dmax}"))
+        if not ok:
+            top = AnfPolynomial(n, 1 << anf.top_term()).to_text()
+            return f"at {top}: degree {degree} != {want}"
+        return orbit_weight and _unequal("parity flag", cf.predicts_max_degree,
+                                         orbit_weight == dmax)
 
-    checks.add("degree-parity", degree_check)
+    checks.add("degree-parity", degree_check, lambda: (
+        f"degree {degree}, family max {dmax}, parity flag {cf.predicts_max_degree}"
+        + ("" if orbit_weight is None else f", orbit weight {orbit_weight}")))
 
-    def dual_check():
+    def dual_difference(spectrum: WalshSpectrum, want: BooleanFunction, got_label: str,
+                        want_label: str) -> Optional[str]:
         try:
-            d = dual_of_spectrum(wf)
+            got = dual_of_spectrum(spectrum)
         except NotBentError as exc:
-            return False, "", str(exc)
-        if d == cf.closed_dual:
-            return True, "pointwise equal", None
-        first = _lowest_bit(d.bits ^ cf.closed_dual.bits)
-        return False, "", f"first differing point {BitVector(n, first)}"
+            return str(exc)
+        return _table_difference(n, got.bits, want.bits, got_label, want_label)
 
-    checks.add("dual-matches-closed-form", dual_check)
+    checks.add("dual-matches-closed-form", lambda: dual_difference(
+        wf, cf.closed_dual, "dual", "closed dual"), lambda: "pointwise equal")
 
     # the closed dual's spectra, taken once for its flatness and its involution
     with checks.timing("dual-bent-negabent"):
         wd, nd = walsh_transform(cf.closed_dual), nega_transform(cf.closed_dual)
+    checks.add("dual-bent-negabent", lambda: "; ".join(
+        b for b in (wd.flat_failure(), nd.flat_failure()) if b) or None,
+        lambda: "bent=True negabent=True")
 
-    def dual_flat_check():
-        bad_w, bad_n = wd.flat_failure(), nd.flat_failure()
-        return (bad_w is None and bad_n is None,
-                f"bent={bad_w is None} negabent={bad_n is None}",
-                "; ".join(b for b in (bad_w, bad_n) if b) or None)
+    checks.add("dual-involution", lambda: dual_difference(wd, f, "dual of dual", "function"),
+               lambda: "dual of dual returns the function")
 
-    checks.add("dual-bent-negabent", dual_flat_check)
+    frame = functools.cache(
+        lambda: extract_frame_coefficients(cf.base, cf.modifier_set, (f, wf, nf)))
 
-    def involution_check():
+    def frame_check() -> Optional[str]:
         try:
-            back = dual_of_spectrum(wd)
+            walsh, nega = frame()
         except NotBentError as exc:
-            return False, "", str(exc)
-        if back == f:
-            return True, "dual of dual returns the function", None
-        i = _lowest_bit(back.bits ^ f.bits)
-        return False, "", (f"at {BitVector(n, i)}: dual of dual {back.value(i)} != "
-                           f"function {f.value(i)}")
+            return str(exc)
+        bad_walsh, bad_nega = np.flatnonzero(walsh < 0), np.flatnonzero(nega < 0)
+        if not (bad_walsh.size or bad_nega.size):
+            return None
+        # the spectra the codes compared: the base's, and those of f1 = f0 + 1_T
+        f1 = cf.base ^ characteristic_function(cf.modifier_set)
+        w0, n0 = _base_spectra(cf.base)
+        w1, n1 = (wf, nf) if f1 == f else (walsh_transform(f1), nega_transform(f1))
+        if bad_walsh.size:  # the first Walsh failure, else the first nega one
+            u = int(bad_walsh[0])
+            return f"at {BitVector(n, u)}: W_f1 {w1.value(u)} != +-W_f0 {abs(w0.value(u))}"
+        u = int(bad_nega[0])
+        mirror = (1 << n) - 1 - u
+        return (f"at {BitVector(n, u)}: (W_g1,W_g1') ({n1.wg[u]},{n1.wg[mirror]}) != "
+                f"a quarter turn of (W_g0,W_g0') ({n0.wg[u]},{n0.wg[mirror]})")
 
-    checks.add("dual-involution", involution_check)
+    def frame_details() -> str:
+        return "; ".join(
+            f"{kind} branches " + " ".join(f"{b}={c}" for b, c in (
+                (b, np.count_nonzero(code == i)) for i, b in enumerate(names)) if c)
+            for kind, names, code in zip(("walsh", "nega"), (("0", "1"), NEGA_BRANCHES), frame()))
 
-    def frame_check():
-        try:
-            codes = extract_frame_coefficients(cf.base, cf.modifier_set, (f, wf, nf))
-        except NotBentError as exc:
-            return False, "", str(exc)
-        details = []
-        for kind, names, code in zip(("walsh", "nega"), (("0", "1"), NEGA_BRANCHES), codes):
-            bad = np.flatnonzero(code < 0)
-            if bad.size:  # the first Walsh failure, else the first nega one
-                return False, "", f"inadmissible ratio at {BitVector(n, int(bad[0]))}"
-            counts = [(b, np.count_nonzero(code == i)) for i, b in enumerate(names)]
-            details.append(f"{kind} branches " + " ".join(f"{b}={c}" for b, c in counts if c))
-        return True, "; ".join(details), None
-
-    checks.add("fragment-ratios-admissible", frame_check)
+    checks.add("fragment-ratios-admissible", frame_check, frame_details)
 
     if FAMILY_TABLE[cf.family].rotation_symmetric:
-        def rotation_check():
-            order = rotation_symmetry_order(f)
-            return order == 2, f"rotation order {order}", None
+        def rotation_check() -> Optional[str]:
+            # the order is 2 exactly when rho^2 fixes f and rho does not
+            return _table_difference(n, cyclic_shift_action(f, 2).bits, f.bits,
+                                     "f(rho^2 x)", "f(x)") or (
+                _unequal("rotation order", 1, 2) if cyclic_shift_action(f, 1) == f else None)
 
-        checks.add("rotation-symmetry-order", rotation_check)
+        checks.add("rotation-symmetry-order", rotation_check, lambda: "rotation order 2")
 
     if n <= _NAIVE_CROSSCHECK_LIMIT:
-        def naive_check():
-            w, re, im = naive_transforms(f)
-            whole = slice(None)
-            for kind, fast, naive in (("walsh", wf.parts(whole), (w,)),
-                                      ("nega", nf.parts(whole), (re, im))):
-                i = _first_difference(fast, naive)
-                if i is not None:
-                    return False, "", (f"{kind} at {BitVector(n, i)}: butterfly "
-                                       f"{_fmt([a[i] for a in fast])} != definitional "
-                                       f"{_fmt([a[i] for a in naive])}")
-            return True, "butterfly equals definitional sums", None
-
-        checks.add("butterfly-matches-naive", naive_check)
+        whole = slice(None)
+        checks.add("butterfly-matches-naive", lambda: _spectra_difference(
+            n, whole, wf.parts(whole) + nf.parts(whole), naive_transforms(f),
+            "butterfly", "definitional"), lambda: "butterfly equals definitional sums")
 
     return checks.report(f"{cf.family} k={cf.k} n={n}")

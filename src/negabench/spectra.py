@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -124,7 +124,19 @@ _ENTRY_ROWS = np.packbits(np.kron(_H8, _H8) < 0, axis=1, bitorder="little").view
 _INT16_BLOCK = 1 << 14  # the int16 levels sum blocks of 2^14 points: |v| <= 2^14 < 2^15
 _ENTRY_WORDS = 1 << 11  # packed words per entry chunk: 2^17 points, 256 KiB in int16
 _INT32_TILE = 1 << 16  # int32 scratch per tile of the int32 levels: 256 KiB
-_SCAN_BLOCK = 1 << 14  # points per block of a flatness scan: 64 KiB temporaries in int32
+# points per block of every pass over a whole spectrum (flatness scans,
+# Parseval sums, frame codes and the lemma checks): each block's
+# temporaries, at most 128 KiB (int64 nega parts), reuse the heap memory the
+# last block freed instead of faulting in fresh pages; at 2^15 an n = 18
+# lemma check takes ten times the page faults, and is slower
+_BLOCK = 1 << 14
+
+
+def _blocks(size: int) -> Iterator[slice]:
+    """Points 0..size-1 in consecutive blocks of at most _BLOCK, each as its
+    slice of a whole spectrum."""
+    for start in range(0, size, _BLOCK):
+        yield slice(start, min(size, start + _BLOCK))
 
 
 class _Workspace:
@@ -209,12 +221,11 @@ def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> 
 
 def _exact_sum_sq(v: np.ndarray) -> int:
     # |v| <= 2^24, so a square is at most 2^48 (it would wrap in int32) and a
-    # chunk of 2^14 squares sums below 2^62 in int64
+    # block of 2^14 squares sums below 2^62 in int64
     total = 0
-    step = 1 << 14
-    for i in range(0, v.shape[0], step):
-        chunk = v[i:i + step].astype(np.int64)
-        assert int(np.abs(chunk).max()) <= 1 << 24
+    for block in _blocks(v.shape[0]):
+        chunk = v[block].astype(np.int64)
+        assert int(np.abs(chunk).max()) ** 2 * chunk.shape[0] < 1 << 63
         total += int(np.dot(chunk, chunk))
     return total
 
@@ -222,10 +233,10 @@ def _exact_sum_sq(v: np.ndarray) -> int:
 def _first_flagged(size: int, flags: Callable[[slice], np.ndarray]) -> Optional[int]:
     """The first index below size where flags (a bool array per block of
     points) is True, or None; one block's temporaries at a time."""
-    for start in range(0, size, _SCAN_BLOCK):
-        bad = np.flatnonzero(flags(slice(start, min(size, start + _SCAN_BLOCK))))
+    for block in _blocks(size):
+        bad = np.flatnonzero(flags(block))
         if bad.size:
-            return start + int(bad[0])
+            return block.start + int(bad[0])
     return None
 
 
@@ -249,9 +260,6 @@ class WalshSpectrum:
     def parseval_sum(self) -> int:
         return _exact_sum_sq(self.values)
 
-    def parseval_holds(self) -> bool:
-        return self.parseval_sum() == 1 << (2 * self.n)
-
     def flat_counterexample(self) -> Optional[int]:
         """Index u with |W(u)| != 2^(n/2), or None when bent-flat (even n)."""
         return self._flat
@@ -264,9 +272,10 @@ class WalshSpectrum:
                               lambda block: np.abs(self.values[block]) != 1 << (self.n // 2))
 
     def flat_failure(self) -> Optional[str]:
-        """'|W(u)| = v' at the first u where W is not flat, or None."""
+        """'at u: |W| v != flat |W| 2^(n/2)' at the first u where W is not flat, or None."""
         bad = self.flat_counterexample()
-        return None if bad is None else f"|W({BitVector(self.n, bad)})| = {abs(self.value(bad))}"
+        return None if bad is None else (f"at {BitVector(self.n, bad)}: |W| {abs(self.value(bad))} "
+                                         f"!= flat |W| {1 << (self.n // 2)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,9 +310,6 @@ class NegaSpectrum:
         |N(u)|^2 + |N(u')|^2 = W_g(u)^2 + W_g(u')^2."""
         return _exact_sum_sq(self.wg)
 
-    def parseval_holds(self) -> bool:
-        return self.parseval_sum() == 1 << (2 * self.n)
-
     def flat_counterexample(self) -> Optional[int]:
         """Index u with |N(u)|^2 != 2^n, or None when negabent-flat."""
         return self._flat
@@ -326,12 +332,12 @@ class NegaSpectrum:
         return _first_flagged(self.wg.shape[0] // 2, flags)
 
     def flat_failure(self) -> Optional[str]:
-        """'|N(u)|^2 = v' at the first u where N is not flat, or None."""
+        """'at u: |N|^2 v != flat |N|^2 2^n' at the first u where N is not flat, or None."""
         bad = self.flat_counterexample()
         if bad is None:
             return None
         re, im = self.value(bad)
-        return f"|N({BitVector(self.n, bad)})|^2 = {re * re + im * im}"
+        return f"at {BitVector(self.n, bad)}: |N|^2 {re * re + im * im} != flat |N|^2 {1 << self.n}"
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
@@ -475,7 +481,7 @@ def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
     """The bent dual read off an exact Walsh spectrum that is already at hand."""
     bad = spec.flat_failure()
     if bad is not None:
-        raise NotBentError(f"not bent: {bad} != {1 << (spec.n // 2)}")
+        raise NotBentError(f"not bent: {bad}")
     target = 1 << (spec.n // 2)
     return BooleanFunction.from_values(spec.n, spec.values == -target)
 

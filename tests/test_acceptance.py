@@ -314,8 +314,7 @@ def test_criterion_09_fast_equals_naive(nega_parts):
                 assert np.array_equal(wf.values, sign_mat @ signs)
                 assert np.array_equal(re, sign_mat @ (signs * re_twist))
                 assert np.array_equal(im, sign_mat @ (signs * im_twist))
-                assert wf.parseval_holds()
-                assert nf.parseval_holds()
+                assert wf.parseval_sum() == nf.parseval_sum() == 1 << (2 * n)
 
         # random functions on 5..10 variables against the reference oracle
         rng = np.random.default_rng(20260814)
@@ -327,7 +326,7 @@ def test_criterion_09_fast_equals_naive(nega_parts):
                 wf, nf = walsh_transform(f), nega_transform(f)
                 assert np.array_equal(w, wf.values)
                 assert all(np.array_equal(a, b) for a, b in zip((re, im), nega_parts(nf)))
-                assert wf.parseval_holds() and nf.parseval_holds()
+                assert wf.parseval_sum() == nf.parseval_sum() == 1 << (2 * n)
 
 
 def test_criterion_10_scale():
@@ -592,7 +591,7 @@ def test_criterion_23_nega_transform_at_n24():
         tracemalloc.stop()
     print(f"  tracemalloc peak {peak / 2**20:.0f} MiB")
     assert peak <= 80 << 20, f"peak {peak / 2**20:.0f} MiB over 80 MiB"
-    assert nf.parseval_holds()
+    assert nf.parseval_sum() == 1 << 48
     us = [0, 1, 12345, (1 << 24) - 1]
     _, re, im = definitional_sums(f, us)
     assert [nf.value(u) for u in us] == list(zip(re.tolist(), im.tolist()))

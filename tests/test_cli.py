@@ -69,7 +69,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--in", str(f))
         assert code == 1
         assert "FAIL bent" in out
-        assert "|W(" in out  # counterexample point printed
+        assert ": |W| " in out  # counterexample point printed
 
     def test_tampered_anf_field_detected(self, capsys, tmp_path):
         f = tmp_path / "f.json"
@@ -396,6 +396,15 @@ class TestExitCodes:
         f = tmp_path / "broken.json"
         f.write_text("{not json")
         assert run(capsys, "verify", "--in", str(f))[0] == 5
+
+    @pytest.mark.parametrize("command", ["verify", "dual", "spectrum"])
+    def test_deeply_nested_json(self, capsys, tmp_path, command):
+        # the parser's RecursionError is a malformed file, not a traceback
+        f = tmp_path / "nested.json"
+        f.write_text("[" * 100_000)
+        code, out, err = run(capsys, command, "--in", str(f))
+        assert (code, out) == (5, "")
+        assert err.startswith(f"error: {f} is not valid JSON: ")
 
     def test_missing_keys(self, capsys, tmp_path):
         f = tmp_path / "partial.json"

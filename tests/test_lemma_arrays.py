@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from negabench import oracle
+from negabench import oracle, spectra
 from negabench.constructions import FAMILY_TABLE, base_function
 from negabench.core import BitVector
 from negabench.subspaces import (
@@ -383,6 +383,11 @@ def _shift_one(monkeypatch, name, field, delta=DELTA, point=TAMPER_POINT):
     monkeypatch.setattr(oracle, name, tampered)
 
 
+# the label of the tampered spectrum in each closed-form check's counterexample
+LABELS = {"base-walsh-closed-form": "W_f0", "fragment-walsh-closed-form": "W_f0,T",
+          "base-nega-closed-form": "N_f0", "fragment-nega-closed-form": "2N_f0,T"}
+
+
 def _failed_check(report, name):
     failed = {c.name: c for c in report.failures()}
     assert set(failed) == {name}
@@ -397,14 +402,15 @@ def test_tampered_walsh_entry_is_named(monkeypatch, name, check):
     want = int(_exact(name).values[TAMPER_POINT])
     _shift_one(monkeypatch, name, "values")
     failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), check)
-    assert failed.counterexample == f"point {TAMPER_POINT}: {want + DELTA} != {want}"
+    assert failed.counterexample == (f"at {BitVector(10, TAMPER_POINT)}: {LABELS[check]} "
+                                     f"{want + DELTA} != closed form {want}")
 
 
-@pytest.mark.parametrize("name, check, label, scale", [
-    ("nega_transform", "base-nega-closed-form", "", 1),
-    ("fragmentary_nega_spectrum", "fragment-nega-closed-form", "2N = ", 2),
+@pytest.mark.parametrize("name, check, scale", [
+    ("nega_transform", "base-nega-closed-form", 1),
+    ("fragmentary_nega_spectrum", "fragment-nega-closed-form", 2),
 ])
-def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale, nega_parts):
+def test_tampered_nega_entry_is_named(monkeypatch, name, check, scale, nega_parts):
     exact = _exact(name)
     re, im = (int(part[TAMPER_POINT]) for part in nega_parts(exact))
     # N(u) = ((W_g(u) + W_g(u')) + i(W_g(u) - W_g(u'))) / 2, so the shifted
@@ -414,7 +420,8 @@ def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale, ne
     failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), check)
     got = f"{scale * (re + DELTA)}{scale * (im + DELTA):+d}i"
     want = f"{scale * re}{scale * im:+d}i"
-    assert failed.counterexample == f"point {TAMPER_POINT}: {label}{got} != {want}"
+    assert failed.counterexample == (f"at {BitVector(10, TAMPER_POINT)}: {LABELS[check]} {got} "
+                                     f"!= closed form {want}")
 
 
 # blocks of 16 points put the tampered point in the third block
@@ -422,12 +429,12 @@ def test_tampered_nega_entry_is_named(monkeypatch, name, check, label, scale, ne
     (test_tampered_walsh_entry_is_named, ("walsh_transform", "base-walsh-closed-form")),
     (test_tampered_walsh_entry_is_named,
      ("fragmentary_walsh_spectrum", "fragment-walsh-closed-form")),
-    (test_tampered_nega_entry_is_named, ("nega_transform", "base-nega-closed-form", "", 1)),
+    (test_tampered_nega_entry_is_named, ("nega_transform", "base-nega-closed-form", 1)),
     (test_tampered_nega_entry_is_named,
-     ("fragmentary_nega_spectrum", "fragment-nega-closed-form", "2N = ", 2)),
+     ("fragmentary_nega_spectrum", "fragment-nega-closed-form", 2)),
 ], ids=["base-walsh", "fragment-walsh", "base-nega", "fragment-nega"])
 def test_tampered_entry_is_named_across_blocks(monkeypatch, nega_parts, test, args):
-    monkeypatch.setattr(oracle, "_BLOCK", 16)
+    monkeypatch.setattr(spectra, "_BLOCK", 16)
     fixtures = {"nega_parts": nega_parts} if test is test_tampered_nega_entry_is_named else {}
     test(monkeypatch, *args, **fixtures)
 
@@ -438,13 +445,13 @@ LATE_SPEC = _spec(4, "S3", ("10110100",), ("B",))
 LATE_POINT = 5 * (1 << 14) + 37
 
 
-@pytest.mark.parametrize("name, field, check, label", [
-    ("walsh_transform", "values", "base-walsh-closed-form", ""),
-    ("fragmentary_walsh_spectrum", "values", "fragment-walsh-closed-form", ""),
-    ("nega_transform", "wg", "base-nega-closed-form", ""),
-    ("fragmentary_nega_spectrum", "wg", "fragment-nega-closed-form", "2N = "),
+@pytest.mark.parametrize("name, field, check", [
+    ("walsh_transform", "values", "base-walsh-closed-form"),
+    ("fragmentary_walsh_spectrum", "values", "fragment-walsh-closed-form"),
+    ("nega_transform", "wg", "base-nega-closed-form"),
+    ("fragmentary_nega_spectrum", "wg", "fragment-nega-closed-form"),
 ])
-def test_tampered_entry_in_a_late_block(monkeypatch, name, field, check, label):
+def test_tampered_entry_in_a_late_block(monkeypatch, name, field, check):
     f0 = base_function("h0", LATE_SPEC.k)
     args = (f0, build_modifier_set(LATE_SPEC)) if name.startswith("fragmentary") else (f0,)
     exact = getattr(oracle, name)(*args)
@@ -453,20 +460,21 @@ def test_tampered_entry_in_a_late_block(monkeypatch, name, field, check, label):
         w = int(exact.values[LATE_POINT])
         got, want = f"{w + delta}", f"{w}"
     else:  # W_g moved by 2 delta moves re and im of N by delta
-        scale = 2 if label else 1
+        scale = 2 if check.startswith("fragment") else 1
         re, im = exact.value(LATE_POINT)
         got = f"{scale * (re + delta)}{scale * (im + delta):+d}i"
         want = f"{scale * re}{scale * im:+d}i"
     _shift_one(monkeypatch, name, field, delta * (1 if field == "values" else 2), LATE_POINT)
     report = oracle.verify_fragmentary_lemma(LATE_SPEC)
     failed = _failed_check(report, check)
-    assert failed.counterexample == f"point {LATE_POINT}: {label}{got} != {want}"
-    monkeypatch.setattr(oracle, "_BLOCK", 1 << 18)  # the whole of n = 18 in one block
+    assert failed.counterexample == (f"at {BitVector(18, LATE_POINT)}: {LABELS[check]} {got} "
+                                     f"!= closed form {want}")
+    monkeypatch.setattr(spectra, "_BLOCK", 1 << 18)  # the whole of n = 18 in one block
     whole = oracle.verify_fragmentary_lemma(LATE_SPEC)
     assert (whole.subject, _verdicts(whole)) == (report.subject, _verdicts(report))
 
 
-@pytest.mark.parametrize("block", [oracle._BLOCK, 16])
+@pytest.mark.parametrize("block", [spectra._BLOCK, 16])
 def test_contribution_bound_breach_is_named(monkeypatch, block):
     predictor, bound = oracle._predictor, oracle._LEMMAS["S3"]
     one = predictor(TAMPER_SPEC)(np.array([TAMPER_POINT], dtype=np.int64))
@@ -484,10 +492,11 @@ def test_contribution_bound_breach_is_named(monkeypatch, block):
         return counted
 
     monkeypatch.setattr(oracle, "_predictor", overcounted)
-    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(spectra, "_BLOCK", block)
     failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), "contribution-bounds")
-    assert failed.counterexample == (f"point {TAMPER_POINT}: walsh matches {w}, "
-                                     f"nega matches {m + bound + 1}, structure ok True")
+    assert w <= 1
+    assert failed.counterexample == (f"at {BitVector(10, TAMPER_POINT)}: "
+                                     f"nega matches {m + bound + 1} != at most {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +512,7 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name):
     spec = PREDICTOR_SPECS[name]
     whole = _verdicts(oracle.verify_fragmentary_lemma(spec))
     n = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family).n(spec.k)
-    monkeypatch.setattr(oracle, "_BLOCK", 1 << (n - 3))  # eight blocks
+    monkeypatch.setattr(spectra, "_BLOCK", 1 << (n - 3))  # eight blocks
     assert _verdicts(oracle.verify_fragmentary_lemma(spec)) == whole
 
 
@@ -523,7 +532,7 @@ def test_closed_forms_run_once_a_block_in_each_pass(monkeypatch, name):
 
     monkeypatch.setattr(oracle, used.__name__, counted)
     monkeypatch.setattr(oracle, unused, None)
-    monkeypatch.setattr(oracle, "_BLOCK", 16)
+    monkeypatch.setattr(spectra, "_BLOCK", 16)
     report = oracle.verify_fragmentary_lemma(spec)
     assert report.passed, report.failures()
     blocks = (1 << fam.n(spec.k)) // 16

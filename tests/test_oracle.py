@@ -360,7 +360,7 @@ def _frame_specs():
 class TestFrameCodesFromSpectra:
     @pytest.fixture(autouse=True)
     def _small_blocks(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_BLOCK", 32)  # every n >= 6 crosses blocks
+        monkeypatch.setattr(spectra, "_BLOCK", 32)  # every n >= 6 crosses blocks
 
     @pytest.mark.parametrize("family, spec", _frame_specs(),
                              ids=lambda x: x if isinstance(x, str) else f"k{x.k}")
@@ -440,7 +440,10 @@ class TestFrameCheckOfTamperedFunctions:
         frame = _check(verify_construction(dataclasses.replace(cf, modifier_set=moved)),
                        "fragment-ratios-admissible")
         assert not frame.passed
-        assert frame.counterexample == f"inadmissible ratio at {BitVector(n, 0)}"
+        w1 = walsh_transform(cf.base ^ characteristic_function(moved)).value(0)
+        assert abs(w1) != 1 << (n // 2)
+        assert frame.counterexample == (f"at {BitVector(n, 0)}: W_f1 {w1} "
+                                        f"!= +-W_f0 {1 << (n // 2)}")
 
     def test_six_butterfly_passes_and_no_masked_route(self, monkeypatch):
         cf = construct("H4K2", GammaSpec(2, "S3", (BitVector(4, 3), BitVector(4, 12)),
@@ -513,11 +516,11 @@ class TestFragmentaryLemma:
         check = _check(verify_fragmentary_lemma(spec), "literal-sum-agreement")
         assert not check.passed
         if kind == "walsh":
-            assert check.counterexample == "walsh point 8: definitional 4 != masked butterfly 0"
+            assert check.counterexample == "at 0001: definitional W 4 != masked butterfly W 0"
         else:
             re, im = original(base_function("g0", 1), build_modifier_set(spec)).value(7)
-            assert check.counterexample == (f"nega point 7: definitional {re}{im:+d}i "
-                                            f"!= masked butterfly {re + 2}{im - 2:+d}i")
+            assert check.counterexample == (f"at 1110: definitional N {re}{im:+d}i "
+                                            f"!= masked butterfly N {re + 2}{im - 2:+d}i")
 
     def test_literal_sum_walsh_named_first_where_both_differ(self, monkeypatch):
         # W moved at 7 and W_g at 8, so N differs at 7 and 8: point 7 differs
@@ -536,8 +539,8 @@ class TestFragmentaryLemma:
                             lambda f, t: moved(nega(f, t), "wg", 8, 4))
         check = _check(verify_fragmentary_lemma(spec), "literal-sum-agreement")
         w = walsh(base_function("g0", 1), build_modifier_set(spec)).value(7)
-        assert check.counterexample == (f"walsh point 7: definitional {w} "
-                                        f"!= masked butterfly {w + 2}")
+        assert check.counterexample == (f"at 1110: definitional W {w} "
+                                        f"!= masked butterfly W {w + 2}")
 
     def test_literal_sum_strided_sample(self, monkeypatch):
         # n = 8: 64 points with stride 4; W_g moved at 8 moves N at 8 and at
@@ -555,7 +558,7 @@ class TestFragmentaryLemma:
             "64 sampled points")
         monkeypatch.setattr(oracle, "fragmentary_nega_spectrum", tampered)
         check = _check(verify_fragmentary_lemma(spec), "literal-sum-agreement")
-        assert check.counterexample.startswith("nega point 8: definitional ")
+        assert check.counterexample.startswith(f"at {BitVector(8, 8)}: definitional N ")
 
     def test_s1_all_single_gammas(self):
         for bits in range(4):
@@ -686,10 +689,11 @@ class TestVerifyConstruction:
         if name == "walsh_transform":
             where = BitVector(8, point)
             assert set(failed) == {"butterfly-matches-naive", "dual-matches-closed-form"}
+            d = cf.closed_dual.value(point)
             assert (failed["dual-matches-closed-form"].counterexample
-                    == f"first differing point {where}")
+                    == f"at {where}: dual {1 - d} != closed dual {d}")
             w = int(exact.values[point])
-            want = f"walsh at {where}: butterfly {-w} != definitional {w}"
+            want = f"at {where}: butterfly W {-w} != definitional W {w}"
         else:
             first = 255 - point
             where = BitVector(8, first)
@@ -697,7 +701,7 @@ class TestVerifyConstruction:
             re, im = (int(part[first]) for part in nega_parts(exact))
             assert re != im  # the turn below moves N at this point
             # re = (a + b)/2 and im = (a - b)/2 with b = W_g(201) negated
-            want = f"nega at {where}: butterfly {im}{re:+d}i != definitional {re}{im:+d}i"
+            want = f"at {where}: butterfly N {im}{re:+d}i != definitional N {re}{im:+d}i"
         assert failed["butterfly-matches-naive"].counterexample == want
 
     def test_failed_involution_is_named(self):
@@ -720,8 +724,9 @@ class TestVerifyConstruction:
         w = walsh_transform(bad).value(0)
         re, im = nega_transform(bad).value(0)
         assert not check.passed
-        assert check.details == "bent=False negabent=False"
-        assert check.counterexample == f"|W(0000)| = {abs(w)}; |N(0000)|^2 = {re * re + im * im}"
+        assert check.details == ""
+        assert check.counterexample == (f"at 0000: |W| {abs(w)} != flat |W| 4; "
+                                        f"at 0000: |N|^2 {re * re + im * im} != flat |N|^2 16")
 
     def test_first_points_are_read_without_listing_them(self, monkeypatch):
         # a complement differs from the closed forms everywhere, a one-point
@@ -730,14 +735,17 @@ class TestVerifyConstruction:
         n, f = cf.n, cf.function
         p = (1 << n) // 3
         flip = AnfPolynomial(n, 1 << p).to_text()
+        c0, cp = cf.closed_anf.coeffs & 1, cf.closed_anf.coeffs >> p & 1
+        d0 = cf.closed_dual.value(0)
         want = {
             "complement": {
-                "anf-matches-closed-form": "first differing monomial 1",
-                "dual-matches-closed-form": f"first differing point {BitVector(n, 0)}",
+                "anf-matches-closed-form": f"at 1: ANF {1 - c0} != closed ANF {c0}",
+                "dual-matches-closed-form": (f"at {BitVector(n, 0)}: dual {1 - d0} "
+                                             f"!= closed dual {d0}"),
                 "dual-involution": (f"at {BitVector(n, 0)}: dual of dual {f.value(0)} "
                                     f"!= function {1 - f.value(0)}")},
             "one-point": {
-                "anf-matches-closed-form": f"first differing monomial {flip}",
+                "anf-matches-closed-form": f"at {flip}: ANF {1 - cp} != closed ANF {cp}",
                 "dual-involution": (f"at {BitVector(n, p)}: dual of dual {f.value(p)} "
                                     f"!= function {1 - f.value(p)}")},
         }
@@ -752,7 +760,7 @@ class TestVerifyConstruction:
             got = {c.name: c.counterexample for c in report.failures()
                    if c.name in want["complement"]}
             if how == "one-point":  # not bent, so the dual check names the flat failure
-                assert got.pop("dual-matches-closed-form").startswith("not bent: |W(")
+                assert got.pop("dual-matches-closed-form").startswith("not bent: at ")
             assert got == want[how]
 
     def test_failed_negabent_names_squared_norm(self, monkeypatch):
@@ -774,7 +782,7 @@ class TestVerifyConstruction:
         norm = (re + 4) ** 2 + (im + 4) ** 2
         assert norm != 16
         assert not negabent.passed
-        assert negabent.counterexample == f"|N(1100)|^2 = {norm}"
+        assert negabent.counterexample == f"at 1100: |N|^2 {norm} != flat |N|^2 16"
 
     def test_report_serialization(self):
         rep = verify_construction(construct("G4K", GammaSpec(1, "S1", (BitVector(2, 0),))))
