@@ -8,6 +8,8 @@ set -euo pipefail
 
 negabench repro-examples
 negabench table1 --k 2
+negabench su-check
+negabench orbits --n 8 > /dev/null
 negabench lemma-check --set S3 --k 4 --gamma 10110100 --eset B
 negabench lemma-check --set S2 --k 1 --gamma 0000 --gamma 1000
 negabench verify --family G4K --k 3 --gamma 000111 --gamma 101010

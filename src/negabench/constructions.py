@@ -270,7 +270,7 @@ def _modifier_spec(fam: Family, params: ConstructionSpec) -> GammaSpec:
     k = params.k
     reps = params.vectors if fam.name == "F2RS" else decompose_orbit_sum(k, params.vectors)
     idx = sorted(set(i for v in reps for i in orbit(v)))
-    return GammaSpec(k, "T", tuple(BitVector(2 * k, i) for i in idx), rotation_closed=True)
+    return GammaSpec(k, "T", tuple(BitVector(2 * k, i) for i in idx))
 
 
 # ---------------------------------------------------------------------------

@@ -295,10 +295,6 @@ class AnfPolynomial:
         np.bitwise_xor.at(coeffs, _index_array(n, monomials), 1)
         return cls(n, _pack_bits(coeffs))
 
-    def monomials(self) -> list[int]:
-        """Masks of the monomials present, ascending."""
-        return _set_bits(self.coeffs, 1 << self.n).tolist()
-
     def term_count(self) -> int:
         return self.coeffs.bit_count()
 

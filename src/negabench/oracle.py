@@ -285,9 +285,9 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional
     if f0.n != t.n:
         raise DimensionError("function and subset dimensions differ")
     w0, n0 = _base_spectra(f0)
-    if f0.n % 2 or w0.flat_counterexample() is not None:
+    if f0.n % 2 or w0.flat_counterexample is not None:
         raise NotBentError(f"fragment ratios need a bent base: {w0.flat_failure()}")
-    if n0.flat_counterexample() is not None:
+    if n0.flat_counterexample is not None:
         raise NotBentError(f"fragment ratios need a negabent base: {n0.flat_failure()}")
     f1 = f0 ^ characteristic_function(t)
     same = held is not None and held[0] == f1
@@ -666,8 +666,7 @@ def check_table1(k: int = 1) -> VerificationReport:
     sweep_chis("chi-s4-negabent-not-bent", s4_specs)
 
     unit_orbit = tuple(BitVector(k2, i) for i in orbit(BitVector(k2, 1)))
-    t_specs = [GammaSpec(k, "T", unit_orbit, rotation_closed=True),
-               GammaSpec(k, "T", (BitVector.ones(k2),), rotation_closed=True)]
+    t_specs = [GammaSpec(k, "T", unit_orbit), GammaSpec(k, "T", (BitVector.ones(k2),))]
 
     def chi_t_row(spec: GammaSpec) -> Optional[str]:
         chi = characteristic_function(build_T(spec))
@@ -782,31 +781,35 @@ SU_CASES: tuple[SuComparisonCase, ...] = _su_cases()
 def check_su_conditions(case: SuComparisonCase) -> VerificationReport:
     """Check that the case's base has the stated shape, that the linearity
     condition on pi holds, and that coset constancy of phi fails at the
-    recorded witness coset."""
+    recorded witness coset.  Every check that reads pi first names it when
+    it is no permutation of F_2^m."""
     checks = _Checks()
 
+    def permutation(m: int) -> Optional[str]:
+        return _unequal("image table is a permutation",
+                        sorted(case.pi) == list(range(1 << m)), True)
+
     def shape_check() -> Optional[str]:
-        built = mm_function(case.pi, case.phi)
         want = base_function(case.base_name, case.base_t)
-        return _unequal("variables", built.n, want.n) or _table_difference(
-            want.n, built.bits, want.bits, "MM shape", case.base_name)
+        return (_unequal("variables", 2 * case.phi.n, want.n) or permutation(case.phi.n)
+                or _table_difference(want.n, mm_function(case.pi, case.phi).bits, want.bits,
+                                     "MM shape", case.base_name))
 
     checks.add("mm-shape-matches-base", shape_check,
                lambda: f"{case.base_name} on {2 * case.phi.n} variables")
     size = 1 << case.m
 
     # a = b = 0 asks pi(0) = 0
-    checks.add("pi-linear-permutation", lambda: _unequal(
-        "image table is a permutation", sorted(case.pi) == list(range(size)), True) or _first(
+    checks.add("pi-linear-permutation", lambda: permutation(case.m) or _first(
         f"at ({a},{b}): pi(a^b) {case.pi[a ^ b]} != pi(a)^pi(b) {case.pi[a] ^ case.pi[b]}"
         for a in range(size) for b in range(size) if case.pi[a ^ b] != case.pi[a] ^ case.pi[b]),
         lambda: f"additive on all {size * size} pairs")
 
     space = LinearSubspace.span(case.m, case.l_basis)
     perp = orthogonal_complement(space)
-    perp_members = sorted(v.bits for v in perp.members())
+    perp_members = sorted(perp.points().tolist())
 
-    checks.add("pi-fixes-dual-subspace", lambda: _first(
+    checks.add("pi-fixes-dual-subspace", lambda: permutation(case.m) or _first(
         _unequal(f"rank {i} of sorted pi(L-perp)", a, b)
         for i, (a, b) in enumerate(zip(sorted(case.pi[x] for x in perp_members), perp_members))),
         lambda: f"dim L = {space.dim}, dim L-perp = {perp.dim}")
@@ -837,7 +840,8 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     set, rotation symmetry for the rotation-symmetric families, and (when n
     is small enough) agreement of both butterfly spectra with the
     definitional transforms.  Each spectrum is taken once, six butterfly
-    passes in all: the dual is read off W_f, the closed dual's W serves its
+    passes in all, eight when f's table differs from the rebuilt
+    construction: the dual is read off W_f, the closed dual's W serves its
     flatness and its involution, and the frame codes compare the base's
     spectra with W_f and N_f, or with those of f0 + 1_T if f differs from it.
     """

@@ -260,12 +260,9 @@ class WalshSpectrum:
     def parseval_sum(self) -> int:
         return _exact_sum_sq(self.values)
 
+    @functools.cached_property  # the scan, once per spectrum
     def flat_counterexample(self) -> Optional[int]:
         """Index u with |W(u)| != 2^(n/2), or None when bent-flat (even n)."""
-        return self._flat
-
-    @functools.cached_property  # the scan, once per spectrum
-    def _flat(self) -> Optional[int]:
         if self.n % 2:
             return 0 if self.values.shape[0] else None
         return _first_flagged(self.values.shape[0],
@@ -273,7 +270,7 @@ class WalshSpectrum:
 
     def flat_failure(self) -> Optional[str]:
         """'at u: |W| v != flat |W| 2^(n/2)' at the first u where W is not flat, or None."""
-        bad = self.flat_counterexample()
+        bad = self.flat_counterexample
         return None if bad is None else (f"at {BitVector(self.n, bad)}: |W| {abs(self.value(bad))} "
                                          f"!= flat |W| {1 << (self.n // 2)}")
 
@@ -310,13 +307,11 @@ class NegaSpectrum:
         |N(u)|^2 + |N(u')|^2 = W_g(u)^2 + W_g(u')^2."""
         return _exact_sum_sq(self.wg)
 
-    def flat_counterexample(self) -> Optional[int]:
-        """Index u with |N(u)|^2 != 2^n, or None when negabent-flat."""
-        return self._flat
-
     @functools.cached_property  # the scan, once per spectrum
-    def _flat(self) -> Optional[int]:
-        """|N(u)|^2 = (a^2 + b^2) / 2 with a = W_g(u), b = W_g(u').  Odd squares
+    def flat_counterexample(self) -> Optional[int]:
+        """Index u with |N(u)|^2 != 2^n, or None when negabent-flat.
+
+        |N(u)|^2 = (a^2 + b^2) / 2 with a = W_g(u), b = W_g(u').  Odd squares
         are 1 mod 4, so while a^2 + b^2 = 2^(n+1) is a multiple of 4 both a
         and b are even and halve, down to a sum of 2 at even n, which forces
         |a| = |b| = 2^(n/2).  At odd n the sum of 1 forces {|a|, |b|} =
@@ -333,7 +328,7 @@ class NegaSpectrum:
 
     def flat_failure(self) -> Optional[str]:
         """'at u: |N|^2 v != flat |N|^2 2^n' at the first u where N is not flat, or None."""
-        bad = self.flat_counterexample()
+        bad = self.flat_counterexample
         if bad is None:
             return None
         re, im = self.value(bad)
@@ -446,7 +441,6 @@ def fragmentary_nega_spectrum(f: BooleanFunction, t: VectorSet) -> NegaSpectrum:
 class Classification:
     is_bent: bool
     is_negabent: bool
-    note: Optional[str] = None
 
     @property
     def is_bent_negabent(self) -> bool:
@@ -456,17 +450,17 @@ class Classification:
 def classify(f: BooleanFunction) -> Classification:
     """Exact bent / negabent flags.
 
-    Bentness requires even n; for odd n the flag is False with a note rather
-    than an error.  Negabentness is defined for every n.  The weight is a
+    Bentness requires even n; for odd n the flag is False rather than an
+    error.  Negabentness is defined for every n.  The weight is a
     witness against bentness: W_f(0) = 2^n - 2 wt(f) by the defining sum, so
     the Walsh butterfly runs only when |W_f(0)| = 2^(n/2), and it alone
     decides every True flag.
     """
-    nega_ok = nega_transform(f).flat_counterexample() is None
+    nega_ok = nega_transform(f).flat_counterexample is None
     if f.n % 2:
-        return Classification(False, nega_ok, note="bent undefined for odd n; reported false")
+        return Classification(False, nega_ok)
     bent_ok = (abs((1 << f.n) - 2 * f.weight()) == 1 << (f.n // 2)
-               and walsh_transform(f).flat_counterexample() is None)
+               and walsh_transform(f).flat_counterexample is None)
     return Classification(bent_ok, nega_ok)
 
 
@@ -506,12 +500,10 @@ class InvalidPermutationError(ValueError):
 def mm_function(pi: Sequence, phi: BooleanFunction) -> BooleanFunction:
     """f(x, y) = x . pi(y) + phi(y) on 2m variables (x = low block)."""
     m = phi.n
-    imgs = _permutation_images(pi, m)
+    imgs = np.array(_permutation_images(pi, m), dtype=np.int64)
     size = 1 << m
     xs = np.arange(size, dtype=np.int64)
     par = (popcounts(size) & 1).astype(np.uint8)
-    phi_vals = phi.value_array()
-    rows = np.empty((size, size), dtype=np.uint8)
-    for y in range(size):
-        rows[y] = par[xs & imgs[y]] ^ phi_vals[y]
+    # row y is x . pi(y) + phi(y) over every x
+    rows = par[xs & imgs[:, None]] ^ phi.value_array()[:, None]
     return BooleanFunction.from_values(2 * m, rows.reshape(-1))

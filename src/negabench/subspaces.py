@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     BitVector,
-    DimensionError,
     InvalidSpecError,
     VectorSet,
     check_capacity,
@@ -50,16 +49,8 @@ class LinearSubspace:
     basis: tuple[int, ...]
 
     @classmethod
-    def span(cls, n: int, vectors: Iterable) -> "LinearSubspace":
-        ints = []
-        for v in vectors:
-            if isinstance(v, BitVector):
-                if v.n != n:
-                    raise DimensionError("spanning vector dimension mismatch")
-                ints.append(v.bits)
-            else:
-                ints.append(int(v))
-        return cls(n, _rref(ints))
+    def span(cls, n: int, vectors: Iterable[int]) -> "LinearSubspace":
+        return cls(n, _rref(vectors))
 
     @property
     def dim(self) -> int:
@@ -80,10 +71,6 @@ class LinearSubspace:
         for b in self.basis:
             pts = np.concatenate((pts, pts ^ b))
         return pts
-
-    def members(self) -> list[BitVector]:
-        """Every member as a BitVector, in the order of `points`."""
-        return [BitVector(self.n, x) for x in self.points().tolist()]
 
     def coset_union(self, offsets: Iterable[int]) -> VectorSet:
         """The union of the cosets offset + self over the given offsets."""
@@ -192,15 +179,13 @@ class GammaSpec:
 
     `family` names the set shape (S1..S4 or T) and fixes the expected gamma
     length: 2k for S1/S3/T, 4k for S2/S4.  `e_sets` aligns with `gammas` and
-    is required exactly for S3/S4 ('0', '1' or 'B' = both).  `rotation_closed`
-    asserts closure of the gamma set under cyclic shift (meaningful for T).
+    is required exactly for S3/S4 ('0', '1' or 'B' = both).
     """
 
     k: int
     family: str
     gammas: tuple[BitVector, ...]
     e_sets: Optional[tuple[str, ...]] = None
-    rotation_closed: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -237,14 +222,6 @@ class GammaSpec:
                             f"gammas {self.gammas[i]} and {self.gammas[j]} lie in the "
                             "same coset of the pair-repetition subspace"
                         )
-        if self.rotation_closed:
-            if self.family != "T":
-                raise InvalidSpecError("rotation_closed applies to the T family")
-            idxs = set(g.bits for g in self.gammas)
-            for g in self.gammas:
-                if not set(orbit(g)) <= idxs:
-                    raise InvalidSpecError(
-                        f"gamma set not closed under cyclic shift (orbit of {g} leaks)")
 
     def e_values(self, i: int) -> tuple[int, ...]:
         assert self.e_sets is not None

@@ -50,7 +50,7 @@ class TestBases:
 
     def test_h0_anf(self):
         # x.y + x_m*y_m + x0*y_m + y'*y'' with blocks x(0..1), x_m(2), y(3..4), y_m(5)
-        assert sorted(base_anf("h0", 1).monomials()) == [9, 18, 24, 33, 36]
+        assert base_anf("h0", 1).coeffs == sum(1 << u for u in (9, 18, 24, 33, 36))
 
     def test_f0_anf(self):
         assert base_anf("f0", 1).to_text() == "x0*x1+x1*x3+x2*x3"
@@ -180,6 +180,19 @@ def _loop_T_dual(spec):
     return VectorSet.from_indices(2 * k2, idxs)
 
 
+# the rotation-family inputs this module constructs, as (family, k, vectors)
+ROTATION_INPUTS = [
+    ("F2RS", 1, (0b01,)), ("F2RS", 1, (0b11,)), ("F2RS", 2, (1,)), ("F2RS", 2, (3,)),
+    ("F2RS", 2, (5,)), ("F2RS", 2, (15,)), ("F2RS", 2, (0, 5)), ("F2RS", 2, (1, 3)),
+    ("F2RS", 2, (1, 5)), ("F2RS", 2, (1, 15)), ("F2RS", 2, (5, 15)),
+    ("F2RS", 6, (0b000000000001, 0b000001011011)),
+    ("F2RS_SET", 1, (0b01,)), ("F2RS_SET", 2, (3,)), ("F2RS_SET", 2, (1, 7)),
+    ("F2RS_SET", 2, (3, 5)), ("F2RS_SET", 3, (0b000011, 0b000111)),
+    ("F2RS_ORBIT", 1, (0b11,)), ("F2RS_ORBIT", 2, (3,)), ("F2RS_ORBIT", 2, (5,)),
+    ("F2RS_ORBIT", 2, (7,)), ("F2RS_ORBIT", 2, (15,)), ("F2RS_ORBIT", 3, (0b000111,)),
+]
+
+
 class TestRotationDualSet:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cells_match_point_scan(self, k):
@@ -198,6 +211,17 @@ class TestRotationDualSet:
         d = closed_form_dual(fam, _modifier_spec(fam, spec))
         assert time.perf_counter() - t0 < 2.0
         assert d.n == 24
+
+    def test_modifier_specs_are_rotation_closed(self):
+        # the T set is a union of whole orbits, which its closed dual and its
+        # rotation order 1 rest on
+        for family, k, bits in ROTATION_INPUTS:
+            spec = RotationSpec(k, tuple(BitVector(2 * k, b) for b in bits))
+            gs = _modifier_spec(FAMILY_TABLE[family], spec)
+            idxs = {g.bits for g in gs.gammas}
+            assert gs.family == "T" and len(idxs) == len(gs.gammas)
+            for g in gs.gammas:
+                assert set(orbit(g)) <= idxs, (family, k, bits, str(g))
 
 
 class TestDegreeParity:

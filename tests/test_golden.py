@@ -2,9 +2,9 @@
 
 One spec per family at n <= 12.  The `gen` record, the `dual` hex and the
 `anf` text must stay byte-identical across refactors; a changed hash means a
-changed output, not a changed test.  The `orbits` listing at n=12 and the
-`spectrum --kind both` text of the G4K (n=12) and H4K2 (n=10) specs are
-pinned the same way, and so is the `verify_fragmentary_lemma` report (timings
+changed output, not a changed test.  The `orbits` listings at n=12 and
+n=20 and the `spectrum --kind both` text of the G4K (n=12) and H4K2 (n=10)
+specs are pinned the same way, and so is the `verify_fragmentary_lemma` report (timings
 zeroed) of one multi-gamma spec per modifier set at k=1 and k=2.
 """
 
@@ -77,9 +77,15 @@ def _hash_of(argv, tmp_path):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def test_orbits_hash(tmp_path):
-    assert _hash_of(["orbits", "--n", "12"], tmp_path) == (
-        "9ff51d1816b363f333af37cb3021aff91f087d8e091e5140fb864cf37ae9a273")
+ORBITS_GOLDEN = {
+    12: "9ff51d1816b363f333af37cb3021aff91f087d8e091e5140fb864cf37ae9a273",
+    20: "8a0f8a90fe009e8a187fb998c2e2bc9676b3fb3b77840565b6ad25a45ec1fe31",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORBITS_GOLDEN))
+def test_orbits_hash(n, tmp_path):
+    assert _hash_of(["orbits", "--n", str(n)], tmp_path) == ORBITS_GOLDEN[n]
 
 
 @pytest.mark.parametrize("family", sorted(SPECTRUM_GOLDEN))

@@ -580,7 +580,7 @@ class TestFragmentaryLemma:
         assert "(bound 1)" in bounds.details
 
     def test_t_sets_have_no_lemma(self):
-        spec = GammaSpec(1, "T", (BitVector(2, 3),), rotation_closed=True)
+        spec = GammaSpec(1, "T", (BitVector(2, 3),))
         with pytest.raises(InvalidSpecError):
             verify_fragmentary_lemma(spec)
 
@@ -626,6 +626,14 @@ class TestSuComparison:
         rep = check_su_conditions(broken)
         linear = next(c for c in rep.checks if c.name == "pi-linear-permutation")
         assert not linear.passed
+
+    @pytest.mark.parametrize("pi", [(0, 0) + SU_CASES[0].pi[2:], SU_CASES[0].pi[:-1]],
+                             ids=["not-bijective", "short"])
+    def test_malformed_pi_is_named_by_every_check_that_reads_it(self, pi):
+        rep = check_su_conditions(dataclasses.replace(SU_CASES[0], pi=pi))
+        assert {c.name: c.counterexample for c in rep.failures()} == dict.fromkeys(
+            ("mm-shape-matches-base", "pi-linear-permutation", "pi-fixes-dual-subspace"),
+            "image table is a permutation False != True")
 
 
 class TestVerifyConstruction:
@@ -753,8 +761,14 @@ class TestVerifyConstruction:
         def refused(self):
             raise AssertionError("every differing point listed")
 
+        text = AnfPolynomial.to_text
+
+        def one_term(self):
+            assert self.term_count() == 1, "every differing monomial listed"
+            return text(self)
+
         monkeypatch.setattr(VectorSet, "indices", refused)
-        monkeypatch.setattr(AnfPolynomial, "monomials", refused)
+        monkeypatch.setattr(AnfPolynomial, "to_text", one_term)
         for how, bad in _tampered_functions(cf).items():
             report = verify_construction(dataclasses.replace(cf, function=bad))
             got = {c.name: c.counterexample for c in report.failures()

@@ -19,6 +19,7 @@ from negabench.core import (
     truth_table_from_anf,
 )
 from negabench.spectra import (
+    Classification,
     InvalidPermutationError,
     NegaSpectrum,
     classify,
@@ -52,12 +53,12 @@ class TestWalsh:
         f = truth_table_from_anf(AnfPolynomial.from_monomials(2, [0b11]))
         wf = walsh_transform(f)
         assert list(wf.values) == [2, 2, 2, -2]
-        assert wf.flat_counterexample() is None
+        assert wf.flat_counterexample is None
         assert dual(f) == f
 
     def test_odd_n_never_flat(self):
         f = BooleanFunction(3, 0)
-        assert walsh_transform(f).flat_counterexample() is not None
+        assert walsh_transform(f).flat_counterexample is not None
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), data=st.data())
@@ -156,7 +157,7 @@ class TestNegaFlatness:
     def test_random_functions_match_block_loop(self, n):
         for f in _random_functions(n, 8, seed=300 + n):
             nf = nega_transform(f)
-            assert nf.flat_counterexample() == _reference_flat_counterexample(nf)
+            assert nf.flat_counterexample == _reference_flat_counterexample(nf)
 
     @pytest.mark.parametrize("n", [*range(2, 13), 16])
     def test_one_tampered_value_matches_block_loop(self, n):
@@ -164,13 +165,13 @@ class TestNegaFlatness:
         rng = np.random.default_rng(400 + n)
         for f in _negabent_functions(n):
             nf = nega_transform(f)
-            assert nf.flat_counterexample() is None
+            assert nf.flat_counterexample is None
             assert _reference_flat_counterexample(nf) is None
             for u in {0, 1, size // 2 - 1, size // 2, size - 1, *rng.integers(size, size=4)}:
                 for at in (int(u), size - 1 - int(u)):  # at u, then at u' instead
                     bad = _tampered(nf, at)
-                    assert bad.flat_counterexample() == _reference_flat_counterexample(bad)
-                    assert bad.flat_counterexample() == min(at, size - 1 - at)
+                    assert bad.flat_counterexample == _reference_flat_counterexample(bad)
+                    assert bad.flat_counterexample == min(at, size - 1 - at)
 
     @pytest.mark.parametrize("family, k", [("G4K", 1), ("H4K2", 1), ("G4K", 2),
                                            ("H4K2", 2), ("G4K", 3)])
@@ -274,7 +275,7 @@ class TestButterflyKernel:
             for spec in flat:
                 tracemalloc.reset_peak()
                 held = tracemalloc.get_traced_memory()[0]
-                assert spec.flat_counterexample() is None
+                assert spec.flat_counterexample is None
                 scan_peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
@@ -288,19 +289,19 @@ class TestButterflyKernel:
         for at in (3 * (1 << 14) + 5, (1 << 16) - 1):
             values = wf.values.copy()
             values[at] += 2
-            assert spectra.WalshSpectrum(16, values).flat_counterexample() == at
+            assert spectra.WalshSpectrum(16, values).flat_counterexample == at
 
     def test_replaced_values_get_their_own_verdict(self):
         # the verdict is kept with the spectrum, so its array is made
         # read-only, and a copy put in by dataclasses.replace is scanned anew
         f = base_function("g0", 2)
         for spec, field in ((walsh_transform(f), "values"), (nega_transform(f), "wg")):
-            assert spec.flat_counterexample() is None
+            assert spec.flat_counterexample is None
             values = getattr(spec, field).copy()
             values[5] += 2
             bad = dataclasses.replace(spec, **{field: values})
-            assert bad.flat_counterexample() == 5
-            assert spec.flat_counterexample() is None
+            assert bad.flat_counterexample == 5
+            assert spec.flat_counterexample is None
             with pytest.raises(ValueError):
                 values[5] -= 2
 
@@ -355,10 +356,9 @@ class TestClassify:
         # each route decides some verdicts
         assert min(kinds.values()) >= 4, kinds
 
-    def test_odd_n_note(self):
-        cls = classify(BooleanFunction(3, 0))
-        assert not cls.is_bent
-        assert "odd" in cls.note
+    def test_odd_n_is_never_bent(self):
+        # bentness needs even n; the constant function is negabent at every n
+        assert classify(BooleanFunction(3, 0)) == Classification(False, True)
 
     def test_dual_requires_bent(self):
         with pytest.raises(NotBentError):

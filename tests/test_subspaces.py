@@ -19,8 +19,7 @@ class TestLinearSubspace:
     def test_span_and_membership(self):
         s = LinearSubspace.span(4, [0b0101, 0b1010])
         assert s.dim == 2
-        members = sorted(v.bits for v in s.members())
-        assert members == [0, 5, 10, 15]
+        assert sorted(s.points().tolist()) == [0, 5, 10, 15]
 
     def test_dependent_generators_collapse(self):
         s = LinearSubspace.span(3, [0b011, 0b101, 0b110])
@@ -30,7 +29,7 @@ class TestLinearSubspace:
         s = LinearSubspace.span(4, [0b0101, 0b1010])
         perp = orthogonal_complement(s)
         assert perp.dim == 2
-        assert sorted(v.bits for v in perp.members()) == [0, 5, 10, 15]
+        assert sorted(perp.points().tolist()) == [0, 5, 10, 15]
 
     def test_complement_dims_add_up(self):
         s = LinearSubspace.span(5, [0b00111])
@@ -99,12 +98,6 @@ class TestGammaSpecValidation:
         with pytest.raises(InvalidSpecError):
             GammaSpec(1, "S2", (BitVector(4, 0b0000), BitVector(4, 0b0011)))
 
-    def test_rotation_closure_checked(self):
-        with pytest.raises(InvalidSpecError):
-            GammaSpec(2, "T", (BitVector(4, 1),), rotation_closed=True)
-        GammaSpec(2, "T", tuple(BitVector(4, b) for b in (1, 2, 4, 8)),
-                  rotation_closed=True)
-
     def test_gamma_halves(self):
         spec = GammaSpec(2, "S1", (BitVector.from_string("0111"),))
         g1, g2 = spec.gamma_halves(0)
@@ -148,7 +141,7 @@ class TestBuilders:
 
     def test_t_defining_equations(self):
         gammas = (BitVector(2, 0b01), BitVector(2, 0b10))
-        s = build_T(GammaSpec(1, "T", gammas, rotation_closed=True))
+        s = build_T(GammaSpec(1, "T", gammas))
         for z in range(16):
             x, y = z & 3, z >> 2
             assert bool(s.mask >> z & 1) == ((x ^ y) in (1, 2))
