@@ -23,6 +23,9 @@ negabench dual --in rec.json
 negabench spectrum --in rec.json --kind both
 rc=0; negabench verify --in rec.json --k 1 || rc=$?; test "$rc" -eq 4
 rc=0; negabench dual --in rec.json --family G8K --gamma 1 || rc=$?; test "$rc" -eq 4
+# a spec beyond --max-n is refused up front, and an unknown flag is a usage error
+rc=0; negabench --max-n 8 gen --family G4K --k 3 --gamma 000111 || rc=$?; test "$rc" -eq 3
+rc=0; negabench gen --bogus || rc=$?; test "$rc" -eq 2
 negabench gen --family F2RS_ORBIT --k 1 --gamma 11 --out orbit.json
 sed -i 's/"gamma":"11"/"gamma":"10"/' orbit.json
 rc=0; negabench verify --in orbit.json || rc=$?; test "$rc" -eq 5

@@ -53,9 +53,7 @@ from .subspaces import (
     VectorSet,
     build_T,
     build_modifier_set,
-    coset_representatives,
     orbit,
-    orthogonal_complement,
     swap_halves,
 )
 from .constructions import (
@@ -653,8 +651,9 @@ def check_table1(k: int = 1) -> VerificationReport:
     s1_specs = [GammaSpec(k, "S1", (BitVector(k2, g),)) for g in range(1 << k2)]
     sweep_chis("chi-s1-negabent-not-bent", s1_specs)
 
-    pair_basis = [(1 << (2 * i)) | (1 << (2 * i + 1)) for i in range(k2)]
-    reps = coset_representatives(LinearSubspace.span(4 * k, pair_basis))
+    # the least member of each coset of A_2^(2k): every pair 00 or 10, no odd bit
+    odd = 2 * ((1 << n4) - 1) // 3
+    reps = [BitVector(n4, x) for x in range(1 << n4) if not x & odd]
     s2_specs = [GammaSpec(k, "S2", (r,)) for r in reps]
     sweep_chis("chi-s2-negabent-not-bent", s2_specs)
 
@@ -730,7 +729,6 @@ class SuComparisonCase:
     name: str
     base_name: str
     base_t: int
-    m: int
     pi: tuple[int, ...]
     phi: BooleanFunction
     l_basis: tuple[int, ...]
@@ -746,28 +744,28 @@ def _su_cases() -> tuple[SuComparisonCase, ...]:
     return (
         SuComparisonCase(
             name="g0-diagonal-subspace",
-            base_name="g0", base_t=2, m=4,
+            base_name="g0", base_t=2,
             pi=ident4, phi=phi4,
             l_basis=(0b0101, 0b1010), alpha=1,
             expected_coset=(1, 4, 11, 14),
         ),
         SuComparisonCase(
             name="g0-pair-repetition-subspace",
-            base_name="g0", base_t=2, m=4,
+            base_name="g0", base_t=2,
             pi=ident4, phi=phi4,
             l_basis=(0b0011, 0b1100), alpha=1,
             expected_coset=(1, 2, 13, 14),
         ),
         SuComparisonCase(
             name="h0-diagonal-subspace",
-            base_name="h0", base_t=2, m=5,
+            base_name="h0", base_t=2,
             pi=fold5, phi=phi5,
             l_basis=(0b00101, 0b01010, 0b10000), alpha=1,
             expected_coset=(1, 4, 11, 14),
         ),
         SuComparisonCase(
             name="h0-pair-repetition-subspace",
-            base_name="h0", base_t=2, m=5,
+            base_name="h0", base_t=2,
             pi=fold5, phi=phi5,
             l_basis=(0b00011, 0b01100, 0b10000), alpha=1,
             expected_coset=(1, 2, 13, 14),
@@ -784,35 +782,36 @@ def check_su_conditions(case: SuComparisonCase) -> VerificationReport:
     recorded witness coset.  Every check that reads pi first names it when
     it is no permutation of F_2^m."""
     checks = _Checks()
+    m = case.phi.n  # phi and pi live on F_2^m
+    size = 1 << m
 
-    def permutation(m: int) -> Optional[str]:
-        return _unequal("image table is a permutation",
-                        sorted(case.pi) == list(range(1 << m)), True)
+    def permutation() -> Optional[str]:
+        return _unequal("image table is a permutation", sorted(case.pi) == list(range(size)), True)
 
     def shape_check() -> Optional[str]:
         want = base_function(case.base_name, case.base_t)
-        return (_unequal("variables", 2 * case.phi.n, want.n) or permutation(case.phi.n)
+        return (_unequal("variables", 2 * m, want.n) or permutation()
                 or _table_difference(want.n, mm_function(case.pi, case.phi).bits, want.bits,
                                      "MM shape", case.base_name))
 
     checks.add("mm-shape-matches-base", shape_check,
-               lambda: f"{case.base_name} on {2 * case.phi.n} variables")
-    size = 1 << case.m
+               lambda: f"{case.base_name} on {2 * m} variables")
 
     # a = b = 0 asks pi(0) = 0
-    checks.add("pi-linear-permutation", lambda: permutation(case.m) or _first(
+    checks.add("pi-linear-permutation", lambda: permutation() or _first(
         f"at ({a},{b}): pi(a^b) {case.pi[a ^ b]} != pi(a)^pi(b) {case.pi[a] ^ case.pi[b]}"
         for a in range(size) for b in range(size) if case.pi[a ^ b] != case.pi[a] ^ case.pi[b]),
         lambda: f"additive on all {size * size} pairs")
 
-    space = LinearSubspace.span(case.m, case.l_basis)
-    perp = orthogonal_complement(space)
-    perp_members = sorted(perp.points().tolist())
+    # L-perp by definition: every x whose dot product with each generator of L is 0
+    perp_members = [x for x in range(size) if not any((x & b).bit_count() & 1
+                                                      for b in case.l_basis)]
 
-    checks.add("pi-fixes-dual-subspace", lambda: permutation(case.m) or _first(
+    checks.add("pi-fixes-dual-subspace", lambda: permutation() or _first(
         _unequal(f"rank {i} of sorted pi(L-perp)", a, b)
         for i, (a, b) in enumerate(zip(sorted(case.pi[x] for x in perp_members), perp_members))),
-        lambda: f"dim L = {space.dim}, dim L-perp = {perp.dim}")
+        lambda: f"dim L = {LinearSubspace.span(m, case.l_basis).dim}, "
+                f"dim L-perp = {len(perp_members).bit_length() - 1}")
 
     coset = tuple(sorted(case.alpha ^ x for x in perp_members))
     values = sorted({case.phi.value(x) for x in coset})
@@ -906,8 +905,13 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     checks.add("dual-involution", lambda: dual_difference(wd, f, "dual of dual", "function"),
                lambda: "dual of dual returns the function")
 
+    # f1 = f0 + 1_T and its spectra, taken once for the codes and for the
+    # counterexample; W_f and N_f serve when f is f1
+    with checks.timing("fragment-ratios-admissible"):
+        f1 = cf.base ^ characteristic_function(cf.modifier_set)
+        w1, n1 = (wf, nf) if f1 == f else (walsh_transform(f1), nega_transform(f1))
     frame = functools.cache(
-        lambda: extract_frame_coefficients(cf.base, cf.modifier_set, (f, wf, nf)))
+        lambda: extract_frame_coefficients(cf.base, cf.modifier_set, (f1, w1, n1)))
 
     def frame_check() -> Optional[str]:
         try:
@@ -917,10 +921,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
         bad_walsh, bad_nega = np.flatnonzero(walsh < 0), np.flatnonzero(nega < 0)
         if not (bad_walsh.size or bad_nega.size):
             return None
-        # the spectra the codes compared: the base's, and those of f1 = f0 + 1_T
-        f1 = cf.base ^ characteristic_function(cf.modifier_set)
-        w0, n0 = _base_spectra(cf.base)
-        w1, n1 = (wf, nf) if f1 == f else (walsh_transform(f1), nega_transform(f1))
+        w0, n0 = _base_spectra(cf.base)  # the spectra the codes compared with f1's
         if bad_walsh.size:  # the first Walsh failure, else the first nega one
             u = int(bad_walsh[0])
             return f"at {BitVector(n, u)}: W_f1 {w1.value(u)} != +-W_f0 {abs(w0.value(u))}"

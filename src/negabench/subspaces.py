@@ -56,13 +56,6 @@ class LinearSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, x: int) -> int:
-        """Canonical coset label of x (pivot bits cleared)."""
-        for b in self.basis:
-            if x & (b & -b):
-                x ^= b
-        return x
-
     def points(self) -> np.ndarray:
         """Every member's index as an int64 array: starting from the origin,
         the array is doubled by its translate by each basis vector."""
@@ -76,36 +69,6 @@ class LinearSubspace:
         """The union of the cosets offset + self over the given offsets."""
         offs = np.fromiter(offsets, dtype=np.int64)
         return VectorSet.from_indices(self.n, (offs[:, None] ^ self.points()).ravel())
-
-
-def orthogonal_complement(space: LinearSubspace) -> LinearSubspace:
-    """All x with x . b = 0 for every basis vector b."""
-    n, rows = space.n, space.basis
-    pivots = [(b & -b).bit_length() - 1 for b in rows]
-    pivot_set = set(pivots)
-    kernel = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = 1 << j
-        for p, row in zip(pivots, rows):
-            if (row >> j) & 1:
-                v |= 1 << p
-        kernel.append(v)
-    return LinearSubspace(n, _rref(kernel))
-
-
-def coset_representatives(space: LinearSubspace) -> list[BitVector]:
-    """Minimal-index representative of each coset of the subspace."""
-    check_capacity(space.n)
-    seen: set[int] = set()
-    reps: list[BitVector] = []
-    for x in range(1 << space.n):
-        label = space.reduce(x)
-        if label not in seen:
-            seen.add(label)
-            reps.append(BitVector(space.n, x))
-    return reps
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,7 @@ from negabench.core import (
 from negabench.spectra import classify, definitional_sums, nega_transform, walsh_transform
 from negabench.subspaces import (
     GammaSpec,
-    LinearSubspace,
     build_modifier_set,
-    coset_representatives,
     orbit_representatives,
 )
 from negabench.constructions import (
@@ -96,7 +94,7 @@ def _sweep_reports():
     for combo in sorted(chosen):
         specs.append(("G4K", GammaSpec(2, "S1", tuple(BitVector(4, b) for b in combo))))
 
-    reps = coset_representatives(LinearSubspace.span(4, [0b0011, 0b1100]))
+    reps = [BitVector(4, x) for x in range(16) if not x & 0b1010]  # least of each A_2^2 coset
     for size in range(1, 5):
         for combo in combinations(reps, size):
             specs.append(("G8K", GammaSpec(1, "S2", combo)))
@@ -224,7 +222,7 @@ def test_criterion_06_degree_parity():
 
 def test_criterion_07_fragment_lemma_suite():
     with criterion("criterion-07 fragment lemma suite", 30.0):
-        reps = coset_representatives(LinearSubspace.span(4, [0b0011, 0b1100]))
+        reps = [BitVector(4, x) for x in range(16) if not x & 0b1010]  # least of each A_2^2 coset
         specs = []
         for b in range(4):
             specs.append(GammaSpec(1, "S1", (BitVector(2, b),)))
@@ -260,11 +258,11 @@ def test_criterion_07_fragment_lemma_suite():
         assert len(multi) >= 10
 
         # k=2 (n = 8, 16, 10, 18): one single- and two multi-gamma specs per set
-        pairs4 = LinearSubspace.span(8, [0b11 << (2 * i) for i in range(4)])
+        pair_reps = [BitVector(8, x) for x in range(256) if not x & 0b10101010]
         pools = {"S1": [BitVector(4, b) for b in range(16)],
-                 "S2": coset_representatives(pairs4),
+                 "S2": pair_reps,
                  "S3": [BitVector(4, b) for b in range(16)],
-                 "S4": coset_representatives(pairs4)}
+                 "S4": pair_reps}
         rng = np.random.default_rng(78)
         at_k2 = []
         for family, pool in pools.items():

@@ -22,8 +22,9 @@ from negabench.core import (
 
 
 def _monomials(anf):
-    """Reference: the monomial masks present, ascending, one bit at a time."""
-    return [u for u in range(1 << anf.n) if anf.coeffs >> u & 1]
+    """Reference: the monomial masks present, ascending, read off the binary
+    digits of `coeffs`, lowest first."""
+    return [u for u, digit in enumerate(reversed(bin(anf.coeffs)[2:])) if digit == "1"]
 
 
 def _evaluate(anf, x):

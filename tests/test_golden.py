@@ -4,10 +4,13 @@ One spec per family at n <= 12.  The `gen` record, the `dual` hex and the
 `anf` text must stay byte-identical across refactors; a changed hash means a
 changed output, not a changed test.  The `orbits` listings at n=12 and
 n=20 and the `spectrum --kind both` text of the G4K (n=12) and H4K2 (n=10)
-specs are pinned the same way, and so is the `verify_fragmentary_lemma` report (timings
-zeroed) of one multi-gamma spec per modifier set at k=1 and k=2.
+specs are pinned the same way, and so are these reports with their timings
+zeroed: `verify_fragmentary_lemma` on one multi-gamma spec per modifier set at
+k=1 and k=2, `check_table1` at k=1 and k=2, and `check_su_conditions` on each
+of the `SU_CASES`.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -15,7 +18,12 @@ import pytest
 
 from negabench.cli import main
 from negabench.core import BitVector
-from negabench.oracle import verify_fragmentary_lemma
+from negabench.oracle import (
+    SU_CASES,
+    check_su_conditions,
+    check_table1,
+    verify_fragmentary_lemma,
+)
 from negabench.subspaces import GammaSpec
 
 SPECS = {
@@ -120,9 +128,8 @@ LEMMA_GOLDEN = {
 }
 
 
-def _lemma_report_hash(k, family, gammas, esets):
-    spec = GammaSpec(k, family, tuple(BitVector.from_string(g) for g in gammas), esets)
-    d = verify_fragmentary_lemma(spec).to_dict()
+def _report_hash(report):
+    d = report.to_dict()
     d["elapsed_ms"] = 0
     for check in d["checks"]:
         check["elapsed_ms"] = 0
@@ -131,4 +138,40 @@ def _lemma_report_hash(k, family, gammas, esets):
 
 @pytest.mark.parametrize("name", sorted(LEMMA_SPECS))
 def test_lemma_report_hash(name):
-    assert _lemma_report_hash(*LEMMA_SPECS[name]) == LEMMA_GOLDEN[name]
+    k, family, gammas, esets = LEMMA_SPECS[name]
+    spec = GammaSpec(k, family, tuple(BitVector.from_string(g) for g in gammas), esets)
+    assert _report_hash(verify_fragmentary_lemma(spec)) == LEMMA_GOLDEN[name]
+
+
+TABLE1_GOLDEN = {
+    1: "4c13ae727edbfea50d19717bc82010c6ea49e2350b9582add75cdfbdc75650e7",
+    2: "c6480b2b4351c25ed01bd03251e5fd06beba0d882a8c888009988deba305df22",
+}
+
+
+@pytest.mark.parametrize("k", sorted(TABLE1_GOLDEN))
+def test_table1_report_hash(k):
+    assert _report_hash(check_table1(k)) == TABLE1_GOLDEN[k]
+
+
+SU_GOLDEN = {
+    "g0-diagonal-subspace":
+        "403053cd4730c411af31bfbf3ed5e325c366b9154e5f0cd6ce666c684ae33fb8",
+    "g0-pair-repetition-subspace":
+        "667866b966dc228d7bdb755cc96136357bc90ff79e4d98594c4c4b4d303309b8",
+    "h0-diagonal-subspace":
+        "33b9d33456ea9eb309b6c6e09e47a3608f6b16513fbb8339b95d3234e5dfc156",
+    "h0-pair-repetition-subspace":
+        "825d24c04b22b44ff2a5024a6098aab87f1089bd5c92421450eedcaa0166d460",
+}
+
+
+@pytest.mark.parametrize("case", SU_CASES, ids=lambda case: case.name)
+def test_su_report_hash(case):
+    assert _report_hash(check_su_conditions(case)) == SU_GOLDEN[case.name]
+
+
+def test_su_case_has_no_separate_dimension():
+    # F_2^m is the domain of phi; a second field could name another one
+    with pytest.raises(TypeError):
+        dataclasses.replace(SU_CASES[0], m=5)

@@ -445,6 +445,22 @@ class TestFrameCheckOfTamperedFunctions:
         assert frame.counterexample == (f"at {BitVector(n, 0)}: W_f1 {w1} "
                                         f"!= +-W_f0 {1 << (n // 2)}")
 
+    def test_a_failing_frame_check_takes_f1_spectra_once(self, monkeypatch):
+        # a point toggled in the kept set makes f1 differ from f: W and N of
+        # f, of the closed dual and of f1, and the base's two unless kept
+        cf = construct(*_SEVEN[0])
+        moved = dataclasses.replace(
+            cf, modifier_set=VectorSet(cf.n, cf.modifier_set.mask ^ 1 << 85))
+        calls = []
+        real = spectra._spectrum
+        monkeypatch.setattr(spectra, "_spectrum", lambda *args: calls.append(args) or real(*args))
+        oracle._base_spectra.cache_clear()
+        for want in (8, 6):  # a cold base, then the base kept from the first report
+            calls.clear()
+            frame = _check(verify_construction(moved), "fragment-ratios-admissible")
+            assert frame.counterexample.startswith("at ")
+            assert len(calls) == want
+
     def test_six_butterfly_passes_and_no_masked_route(self, monkeypatch):
         cf = construct("H4K2", GammaSpec(2, "S3", (BitVector(4, 3), BitVector(4, 12)),
                                          ("0", "B")))

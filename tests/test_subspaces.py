@@ -6,12 +6,10 @@ from negabench.subspaces import (
     LinearSubspace,
     build_T,
     build_modifier_set,
-    coset_representatives,
     in_pair_repetition,
     orbit,
     orbit_representative,
     orbit_representatives,
-    orthogonal_complement,
 )
 
 
@@ -24,21 +22,6 @@ class TestLinearSubspace:
     def test_dependent_generators_collapse(self):
         s = LinearSubspace.span(3, [0b011, 0b101, 0b110])
         assert s.dim == 2
-
-    def test_orthogonal_complement(self):
-        s = LinearSubspace.span(4, [0b0101, 0b1010])
-        perp = orthogonal_complement(s)
-        assert perp.dim == 2
-        assert sorted(perp.points().tolist()) == [0, 5, 10, 15]
-
-    def test_complement_dims_add_up(self):
-        s = LinearSubspace.span(5, [0b00111])
-        assert orthogonal_complement(s).dim == 4
-
-    def test_coset_representatives(self):
-        s = LinearSubspace.span(4, [0b0011, 0b1100])
-        reps = [r.bits for r in coset_representatives(s)]
-        assert reps == [0, 1, 4, 5]  # minimal index in each coset
 
 
 class TestRepetitionSets:
