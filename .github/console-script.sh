@@ -26,6 +26,7 @@ rc=0; negabench dual --in rec.json --family G8K --gamma 1 || rc=$?; test "$rc" -
 # a spec beyond --max-n is refused up front, and an unknown flag is a usage error
 rc=0; negabench --max-n 8 gen --family G4K --k 3 --gamma 000111 || rc=$?; test "$rc" -eq 3
 rc=0; negabench gen --bogus || rc=$?; test "$rc" -eq 2
+rc=0; negabench lemma-check --set S2 --k 1 --gamma 0000 --gamma 0011 || rc=$?; test "$rc" -eq 4
 negabench gen --family F2RS_ORBIT --k 1 --gamma 11 --out orbit.json
 sed -i 's/"gamma":"11"/"gamma":"10"/' orbit.json
 rc=0; negabench verify --in orbit.json || rc=$?; test "$rc" -eq 5

@@ -477,7 +477,7 @@ def main(argv=None) -> int:
     except (_InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except ValueError as exc:  # InvalidSpecError, DimensionError, InvalidPermutationError
+    except ValueError as exc:  # InvalidSpecError, DimensionError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     finally:

@@ -4,7 +4,7 @@ ANFs, closed-form duals and the maximum-degree parity conditions.
 A family's function is its base flipped on a modifier set, and its
 closed-form dual is the base's dual flipped on a second set.  Both sets are
 unions of cosets of one subspace (`subspaces.modifier_cells`, `_dual_cells`)
-built by `LinearSubspace.coset_union`.  The closed-form ANF shares no code
+built by `coset_union`.  The closed-form ANF shares no code
 with that builder: each cell is [Z = p] for a few disjoint variable sums
 Z_j, and `_covering_sum_masks` sums the cells over the d bits of Z before
 it expands them in the variables, so it makes at most 3^d masks.
@@ -43,11 +43,10 @@ from .core import (
 )
 from .subspaces import (
     GammaSpec,
-    LinearSubspace,
     build_modifier_set,
+    coset_union,
     modifier_cells,
     orbit,
-    orbit_representative,
     swap_halves,
 )
 
@@ -232,7 +231,7 @@ class RotationSpec:
     def normalized_reps(self) -> tuple[BitVector, ...]:
         """Canonical orbit representatives, sorted; rejects two vectors from
         the same cyclic orbit."""
-        reps = sorted(set(orbit_representative(v).bits for v in self.vectors))
+        reps = sorted(set(orbit(v)[0] for v in self.vectors))
         if len(reps) != len(self.vectors):
             raise InvalidSpecError("two vectors lie in the same cyclic orbit")
         return tuple(BitVector(2 * self.k, r) for r in reps)
@@ -292,7 +291,7 @@ def decompose_orbit_sum(k: int, vectors: Iterable[BitVector]) -> tuple[BitVector
     anf = AnfPolynomial.from_monomials(k2, (w for v in vectors for w in orbit(v)))
     support = truth_table_from_anf(anf).support().indices()
     return tuple(BitVector(k2, g) for g in support
-                 if orbit_representative(BitVector(k2, g)).bits == g)
+                 if orbit(BitVector(k2, g))[0] == g)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +418,7 @@ def _dual_base(name: str, param: int) -> BooleanFunction:
 
 def closed_form_dual(fam: Family, gs: GammaSpec) -> BooleanFunction:
     """The base's dual flipped on the dual set of the modifier spec `gs`."""
-    n, basis, offsets = _dual_cells(gs)
-    dual_set = LinearSubspace.span(n, basis).coset_union(offsets)
+    dual_set = coset_union(*_dual_cells(gs))
     return _dual_base(fam.base, fam.base_param(gs.k)) ^ characteristic_function(dual_set)
 
 

@@ -484,23 +484,12 @@ def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
 # Maiorana-McFarland shapes
 
 
-def _permutation_images(pi: Sequence, m: int) -> list[int]:
-    imgs = [_index(p) for p in pi]
-    if len(imgs) != 1 << m:
-        raise DimensionError("permutation table length must be 2^m")
-    if sorted(imgs) != list(range(1 << m)):
-        raise InvalidPermutationError("image table is not a bijection of F_2^m")
-    return imgs
-
-
-class InvalidPermutationError(ValueError):
-    """The supplied image table is not a permutation."""
-
-
 def mm_function(pi: Sequence, phi: BooleanFunction) -> BooleanFunction:
-    """f(x, y) = x . pi(y) + phi(y) on 2m variables (x = low block)."""
+    """f(x, y) = x . pi(y) + phi(y) on 2m variables (x = low block).  pi is
+    the table of the 2^m images as ints; the caller checks that it is a
+    permutation of F_2^m."""
     m = phi.n
-    imgs = np.array(_permutation_images(pi, m), dtype=np.int64)
+    imgs = np.array(pi, dtype=np.int64)
     size = 1 << m
     xs = np.arange(size, dtype=np.int64)
     par = (popcounts(size) & 1).astype(np.uint8)

@@ -1,9 +1,9 @@
-"""Linear subspaces of F_2^n, coset and orbit machinery, and the modifier
-sets S1, S2, S3, S4 and the rotation-symmetric set T.
+"""Coset and orbit machinery, and the modifier sets S1, S2, S3, S4 and the
+rotation-symmetric set T.
 
 Every modifier set is a union of cosets of one linear subspace:
 `modifier_cells` gives its basis and one offset per coset, and
-`LinearSubspace.coset_union` builds the set from them in one numpy pass.
+`coset_union` builds the set from them in one numpy pass.
 """
 
 from __future__ import annotations
@@ -22,65 +22,20 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra on int-encoded vectors
+# coset unions
 
 
-def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced basis with distinct pivot bits (pivot = lowest set bit)."""
-    basis: list[int] = []
-    for v in vectors:
-        v = int(v)
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
-        if v:
-            pv = v & -v
-            basis = [b ^ v if b & pv else b for b in basis]
-            basis.append(v)
-    basis.sort(key=lambda b: b & -b)
-    return tuple(basis)
-
-
-@dataclass(frozen=True)
-class LinearSubspace:
-    """A subspace of F_2^n held as a reduced row-echelon basis."""
-
-    n: int
-    basis: tuple[int, ...]
-
-    @classmethod
-    def span(cls, n: int, vectors: Iterable[int]) -> "LinearSubspace":
-        return cls(n, _rref(vectors))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def points(self) -> np.ndarray:
-        """Every member's index as an int64 array: starting from the origin,
-        the array is doubled by its translate by each basis vector."""
-        check_capacity(self.n)
-        pts = np.zeros(1, dtype=np.int64)
-        for b in self.basis:
-            pts = np.concatenate((pts, pts ^ b))
-        return pts
-
-    def coset_union(self, offsets: Iterable[int]) -> VectorSet:
-        """The union of the cosets offset + self over the given offsets."""
-        offs = np.fromiter(offsets, dtype=np.int64)
-        return VectorSet.from_indices(self.n, (offs[:, None] ^ self.points()).ravel())
-
-
-# ---------------------------------------------------------------------------
-# pair repetition A_2^r
-
-
-def in_pair_repetition(bits, pairs: int):
-    """bits encodes a vector of 2*pairs coordinates; True iff every adjacent
-    coordinate pair (2i, 2i+1) is 00 or 11, i.e. membership in A_2^pairs.
-    Takes an int, or an int64 array elementwise."""
-    low = ((1 << (2 * pairs)) - 1) // 3  # 0b0101...01: the low bit of every pair
-    return ((bits ^ (bits >> 1)) & low) == 0
+def coset_union(n: int, basis: Iterable[int], offsets: Iterable[int]) -> VectorSet:
+    """The union over the offsets of the cosets offset + span(basis) in F_2^n.
+    Starting from the origin, the span is doubled by its translate under each
+    basis vector; a dependent vector only repeats points, which
+    `VectorSet.from_indices` counts once."""
+    check_capacity(n)
+    pts = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        pts = np.concatenate((pts, pts ^ b))
+    offs = np.fromiter(offsets, dtype=np.int64)
+    return VectorSet.from_indices(n, (offs[:, None] ^ pts).ravel())
 
 
 def swap_halves(bits: int, half: int) -> int:
@@ -103,11 +58,6 @@ def orbit(x: BitVector) -> tuple[int, ...]:
         low = cur & 1
         cur = (cur >> 1) | (low << (n - 1))
     return tuple(sorted(idxs))
-
-
-def orbit_representative(x: BitVector) -> BitVector:
-    """The orbit member with minimal truth-table index."""
-    return BitVector(x.n, orbit(x)[0])
 
 
 def orbit_representatives(n: int) -> list[BitVector]:
@@ -176,15 +126,16 @@ class GammaSpec:
         elif self.e_sets is not None:
             raise InvalidSpecError(f"{self.family} takes no E sets")
         if self.family in ("S2", "S4"):
-            pairs = 2 * self.k
-            gs = [g.bits for g in self.gammas]
-            for i in range(len(gs)):
-                for j in range(i + 1, len(gs)):
-                    if in_pair_repetition(gs[i] ^ gs[j], pairs):
-                        raise InvalidSpecError(
-                            f"gammas {self.gammas[i]} and {self.gammas[j]} lie in the "
-                            "same coset of the pair-repetition subspace"
-                        )
+            # two gammas share a coset of A_2^(2k) iff their pair sums agree
+            low = ((1 << (4 * self.k)) - 1) // 3  # the low bit of every pair
+            cosets: dict[int, list[BitVector]] = {}
+            for g in self.gammas:
+                cosets.setdefault((g.bits ^ g.bits >> 1) & low, []).append(g)
+            clash = next((c for c in cosets.values() if len(c) > 1), None)
+            if clash:
+                raise InvalidSpecError(
+                    f"gammas {clash[0]} and {clash[1]} lie in the same coset of "
+                    "the pair-repetition subspace")
 
     def e_values(self, i: int) -> tuple[int, ...]:
         assert self.e_sets is not None
@@ -236,8 +187,7 @@ def modifier_cells(spec: GammaSpec) -> tuple[int, list[int], list[int]]:
 
 
 def build_modifier_set(spec: GammaSpec) -> VectorSet:
-    n, basis, offsets = modifier_cells(spec)
-    return LinearSubspace.span(n, basis).coset_union(offsets)
+    return coset_union(*modifier_cells(spec))
 
 
 def build_T(spec: GammaSpec) -> VectorSet:

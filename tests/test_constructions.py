@@ -20,9 +20,8 @@ from negabench.core import (
 from negabench.spectra import classify, dual
 from negabench.subspaces import (
     GammaSpec,
-    LinearSubspace,
+    coset_union,
     orbit,
-    orbit_representative,
     orbit_representatives,
 )
 from negabench.constructions import (
@@ -200,8 +199,7 @@ class TestRotationDualSet:
         for picks in (reps[:1], reps[1:3], reps[-2:], reps[::2]):
             spec = RotationSpec(k, tuple(picks))
             gs = _modifier_spec(FAMILY_TABLE["F2RS"], spec)
-            n, basis, offsets = _dual_cells(gs)
-            dual_set = LinearSubspace.span(n, basis).coset_union(offsets)
+            dual_set = coset_union(*_dual_cells(gs))
             assert dual_set == _loop_T_dual(gs), [str(p) for p in picks]
 
     def test_closed_dual_at_n24(self):
@@ -316,7 +314,7 @@ class TestOrbitDecomposition:
             for rep in orbit_representatives(2 * k):
                 p = decompose_orbit_sum(k, (rep,))
                 assert p == _eliminated_decomposition(k, (rep,)), str(rep)
-                assert all(v == orbit_representative(v) for v in p)
+                assert all(v.bits == orbit(v)[0] for v in p)
                 assert [v.bits for v in p] == sorted(v.bits for v in p)
                 # recombining the covering polynomials gives the orbit sum back
                 acc = 0

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from negabench import constructions, oracle
+from negabench import constructions, oracle, subspaces
 from negabench.core import (
     BitVector,
     InvalidSpecError,
@@ -17,9 +17,10 @@ from negabench.core import (
 )
 from negabench.subspaces import (
     GammaSpec,
-    LinearSubspace,
     build_T,
     build_modifier_set,
+    coset_union,
+    modifier_cells,
     swap_halves,
 )
 from negabench.constructions import (
@@ -232,8 +233,7 @@ def test_build_t_takes_only_t_specs():
 
 @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
 def test_dual_set_matches_point_builder(spec):
-    n, basis, offsets = _dual_cells(spec)
-    assert LinearSubspace.span(n, basis).coset_union(offsets) == REFERENCE[spec.family][1](spec)
+    assert coset_union(*_dual_cells(spec)) == REFERENCE[spec.family][1](spec)
 
 
 @pytest.mark.parametrize("family", ["G4K", "G8K", "H4K2", "H8K2", "F2RS"])
@@ -249,10 +249,17 @@ def test_closed_form_dual_flips_the_point_built_set(family):
 
 
 def test_span_points_and_coset_union():
-    s = LinearSubspace.span(4, [0b0101, 0b1010])
-    assert sorted(s.points().tolist()) == [0, 5, 10, 15]
-    assert s.coset_union([1, 4]).indices() == [1, 4, 11, 14]
-    assert LinearSubspace.span(6, []).coset_union([0, 7, 7]).mask.bit_count() == 2
+    assert coset_union(4, [0b0101, 0b1010], [0]).indices() == [0, 5, 10, 15]
+    assert coset_union(4, [0b0101, 0b1010], [1, 4]).indices() == [1, 4, 11, 14]
+    assert coset_union(6, [], [0, 7, 7]).mask.bit_count() == 2
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+def test_cells_are_independent_and_disjoint(spec):
+    # |union| = |offsets| * 2^|basis| holds exactly when every basis is
+    # independent and no two cells meet; the parity flag reads this count
+    for n, basis, offsets in (modifier_cells(spec), _dual_cells(spec)):
+        assert coset_union(n, basis, offsets).mask.bit_count() == len(offsets) << len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +267,11 @@ def test_span_points_and_coset_union():
 
 
 def test_anf_and_predictors_do_not_use_the_coset_union(monkeypatch):
-    def refuse(self, offsets):
+    def refuse(n, basis, offsets):
         raise AssertionError("coset union called")
 
-    monkeypatch.setattr(LinearSubspace, "coset_union", refuse)
+    monkeypatch.setattr(subspaces, "coset_union", refuse)
+    monkeypatch.setattr(constructions, "coset_union", refuse)
     with pytest.raises(AssertionError, match="coset union called"):
         build_modifier_set(SPECS[0])
     for spec in SPECS:

@@ -25,7 +25,6 @@ from negabench.core import BitVector
 from negabench.subspaces import (
     GammaSpec,
     build_modifier_set,
-    in_pair_repetition,
     swap_halves,
 )
 
@@ -344,14 +343,6 @@ def test_predictor_matches_reference(name):
     assert got.structure_ok.tolist() == [r.structure_ok for r in refs]
     # the specs reach beyond the trivial branch
     assert {r.nega_branch for r in refs} - {"zero"}
-
-
-def test_pair_predicates_on_ints_and_arrays():
-    for pairs in range(4):
-        xs = np.arange(1 << (2 * pairs + 2), dtype=np.int64)
-        rep = [ref_in_pair_repetition(int(b), pairs) for b in xs]
-        assert in_pair_repetition(xs, pairs).tolist() == rep
-        assert [in_pair_repetition(int(b), pairs) for b in xs] == rep
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from negabench.core import (
 )
 from negabench.spectra import (
     Classification,
-    InvalidPermutationError,
     NegaSpectrum,
     classify,
     dual,
@@ -447,7 +446,3 @@ class TestMaioranaMcFarland:
         phi = BooleanFunction(2, 0b0110)
         f = mm_function(pi, phi)
         assert dual(f) == mm_dual(pi, phi)
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(InvalidPermutationError):
-            mm_function((0, 0, 1, 3), BooleanFunction(2, 0))

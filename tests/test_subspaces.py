@@ -3,32 +3,28 @@ import pytest
 from negabench.core import BitVector, InvalidSpecError
 from negabench.subspaces import (
     GammaSpec,
-    LinearSubspace,
     build_T,
     build_modifier_set,
-    in_pair_repetition,
+    coset_union,
     orbit,
-    orbit_representative,
     orbit_representatives,
 )
 
 
+def in_pair_repetition(bits, pairs):
+    """Membership in A_2^pairs: every coordinate pair (2i, 2i+1) is 00 or 11."""
+    return all((bits >> (2 * i) & 3) in (0, 3) for i in range(pairs))
+
+
 class TestLinearSubspace:
     def test_span_and_membership(self):
-        s = LinearSubspace.span(4, [0b0101, 0b1010])
-        assert s.dim == 2
-        assert sorted(s.points().tolist()) == [0, 5, 10, 15]
+        s = coset_union(4, [0b0101, 0b1010], [0])
+        assert s.mask.bit_count() == 4
+        assert s.indices() == [0, 5, 10, 15]
 
     def test_dependent_generators_collapse(self):
-        s = LinearSubspace.span(3, [0b011, 0b101, 0b110])
-        assert s.dim == 2
-
-
-class TestRepetitionSets:
-    def test_pair_predicates(self):
-        assert in_pair_repetition(0b1111, 2)
-        assert in_pair_repetition(0b0000, 2)
-        assert not in_pair_repetition(0b0111, 2)
+        s = coset_union(3, [0b011, 0b101, 0b110], [0])
+        assert s.indices() == [0, 3, 5, 6]
 
 
 class TestOrbits:
@@ -42,7 +38,7 @@ class TestOrbits:
         assert list(o) == [1 << j for j in range(24)]
 
     def test_representative_is_minimal(self):
-        assert orbit_representative(BitVector(4, 0b1000)).bits == 1
+        assert orbit(BitVector(4, 0b1000))[0] == 1
 
     def test_representatives_n3(self):
         assert [r.bits for r in orbit_representatives(3)] == [0, 1, 3, 7]
@@ -80,6 +76,15 @@ class TestGammaSpecValidation:
         # 0000 and 1100 differ by a pair-repetition element
         with pytest.raises(InvalidSpecError):
             GammaSpec(1, "S2", (BitVector(4, 0b0000), BitVector(4, 0b0011)))
+
+    @pytest.mark.parametrize("family, e_sets", [("S2", None), ("S4", ("0", "1", "B"))])
+    def test_same_coset_names_the_clashing_pair(self, family, e_sets):
+        # only the 2nd and 3rd gamma differ by a member of A_2^2 (pairs 00 or 11)
+        gammas = tuple(BitVector.from_string(s) for s in ("0001", "0100", "1000"))
+        with pytest.raises(InvalidSpecError) as err:
+            GammaSpec(1, family, gammas, e_sets)
+        assert str(err.value) == (f"gammas {gammas[1]} and {gammas[2]} lie in the same "
+                                  "coset of the pair-repetition subspace")
 
     def test_gamma_halves(self):
         spec = GammaSpec(2, "S1", (BitVector.from_string("0111"),))
