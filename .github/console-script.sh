@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the installed `negabench` console script through each subcommand and
 # checks the exit codes of the refused inputs; it writes rec.json,
-# orbit.json, nested.json, flipped.json and flipped-report.json to the
-# working directory.  Both CI jobs run it after
+# rec24.json, orbit.json, nested.json, flipped.json and flipped-report.json
+# to the working directory.  Both CI jobs run it after
 # `pip install -e ".[test]"`: bash .github/console-script.sh
 set -euo pipefail
 
@@ -21,6 +21,10 @@ negabench gen --family H4K2 --k 1 --gamma 10 --eset B --out rec.json
 negabench verify --in rec.json
 negabench dual --in rec.json
 negabench spectrum --in rec.json --kind both
+# n = 24, the advertised capacity, each command in a fresh process: the base's
+# spectra come from the GF(2) rule there too
+negabench gen --family G4K --k 6 --gamma 000111000111 --gamma 101010101010 --out rec24.json
+negabench verify --in rec24.json > /dev/null
 rc=0; negabench verify --in rec.json --k 1 || rc=$?; test "$rc" -eq 4
 rc=0; negabench dual --in rec.json --family G8K --gamma 1 || rc=$?; test "$rc" -eq 4
 # a spec beyond --max-n is refused up front, and an unknown flag is a usage error

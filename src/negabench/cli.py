@@ -37,7 +37,7 @@ from .core import (
     set_max_n,
 )
 from .spectra import dual, nega_transform, walsh_transform
-from .subspaces import GammaSpec, orbit, orbit_representatives
+from .subspaces import GammaSpec, orbit_representatives
 from .constructions import (
     construct,
     family_of,
@@ -337,9 +337,15 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    lines = [f"{rep.to_string()}\t{len(orbit(rep))}"
-             for rep in orbit_representatives(args.n)]
-    _write_out("\n".join(lines) + "\n", args.out)
+    reps, lengths = orbit_representatives(args.n)
+    tails = np.array([f"\t{l}\n".encode() for l in range(args.n + 1)])  # NUL-padded
+    tails = tails.view(np.uint8).reshape(args.n + 1, -1)
+    with _byte_sink(args.out) as write:
+        for at in range(0, reps.size, TEXT_BLOCK):  # a line: the coordinates, then a tail
+            rows = reps[at:at + TEXT_BLOCK, None].astype("<u4").view(np.uint8)
+            bits = np.unpackbits(rows, axis=1, count=args.n, bitorder="little") + ord("0")
+            lines = np.hstack((bits, tails[lengths[at:at + TEXT_BLOCK]]))
+            write(lines.tobytes().translate(None, b"\0"))
     return EXIT_OK
 
 

@@ -45,6 +45,7 @@ from .spectra import (
     fragmentary_walsh_spectrum,
     mm_function,
     nega_transform,
+    quadratic_duals,
     walsh_transform,
 )
 from .subspaces import (
@@ -251,14 +252,15 @@ def naive_transforms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.nda
 NEGA_BRANCHES = ("0", "1", "i", "-i")
 
 
-# a sweep-small pass cycles through 8 bases (8 misses, 274 hits), so fewer
-# entries rebuild one every pass; an entry is 2^(n+3) bytes, and two bases have
-# n = 24, one 22 and two 20, so 8 entries hold at most 307 MiB
-@functools.lru_cache(maxsize=8)
-def _base_spectra(f0: BooleanFunction) -> tuple[WalshSpectrum, NegaSpectrum]:
-    """Both spectra of a base function, with their flatness verdicts once
-    scanned.  Every spec of one family and k has the same base."""
-    return walsh_transform(f0), nega_transform(f0)
+# W_f0 and W_g0 as packed bent duals; a sweep meets each base many times
+_base_spectra = functools.lru_cache(maxsize=8)(quadratic_duals)
+
+# frame codes by index, three bits a point (the base's sign bit, f1's [v = 2^(n/2)]
+# and [v = -2^(n/2)]): the branch that takes the base's units to f1's, else -1
+_UNITS = [(1 - 2 * (x & 1), (0, 1, -1, 0)[x >> 1]) for x in range(8)]
+_WALSH_CODES = np.array([{a: 0, -a: 1}.get(a1, -1) for a, a1 in _UNITS], dtype=np.int8)
+_NEGA_CODES = np.array([{(a, b): 0, (-a, -b): 1, (b, -a): 2, (-b, a): 3}.get((a1, b1), -1)
+                        for b, b1 in _UNITS for a, a1 in _UNITS], dtype=np.int8)
 
 
 def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional[tuple[
@@ -272,36 +274,33 @@ def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional
     or 1), nega code 0, 1, 2 or 3 (ratio 0, 1, (1-i)/2 or (1+i)/2, named by
     NEGA_BRANCHES).  -1 marks a point whose ratio is outside that table.
 
-    Each branch is an equality of the int32 spectra of f0 and f1 = f0 + 1_t,
-    never a division: with a = W_g(u) and b = W_g(u') for g = f + sigma2,
-    N_f1 = N_f0, -N_f0, i N_f0 or -i N_f0 iff (a1, b1) = (a0, b0), (-a0,
-    -b0), (b0, -a0) or (-b0, a0).  `held`, a function and its two spectra,
-    serves as f1 when its table is f1's.  Raises NotBentError unless f0 is
-    bent-negabent (the ratios need flat denominators).
+    Each branch is an equality of the int32 spectra of f1 = f0 + 1_t with
+    the base's +-2^(n/2) (`_base_spectra`, by table lookup on their signs):
+    with a = W_g(u) and b = W_g(u') for g = f + sigma2, N_f1 = N_f0, -N_f0,
+    i N_f0 or -i N_f0 iff (a1, b1) = (a0, b0), (-a0, -b0), (b0, -a0) or (-b0,
+    a0).  `held`, a function and its two spectra, serves as f1 when its table
+    is f1's.  Raises NotBentError unless f0 is quadratic bent-negabent.
     """
     if f0.n != t.n:
         raise DimensionError("function and subset dimensions differ")
-    w0, n0 = _base_spectra(f0)
-    if f0.n % 2 or w0.flat_counterexample is not None:
-        raise NotBentError(f"fragment ratios need a bent base: {w0.flat_failure()}")
-    if n0.flat_counterexample is not None:
-        raise NotBentError(f"fragment ratios need a negabent base: {n0.flat_failure()}")
+    dual_w, dual_g = _base_spectra(f0)
     f1 = f0 ^ characteristic_function(t)
     same = held is not None and held[0] == f1
     w1, n1 = held[1:] if same else (walsh_transform(f1), nega_transform(f1))
-    size = 1 << f0.n
-    walsh = np.full(size, -1, dtype=np.int8)
-    nega = np.full(size, -1, dtype=np.int8)
-    # f0 is flat, so no value is 0 and at most one branch holds at a point
+    size, flat = 1 << f0.n, 1 << f0.n // 2
+    walsh, nega = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int8)
+
+    def code(dual: np.ndarray, values: np.ndarray, block: slice) -> np.ndarray:
+        # a block starts at a multiple of 8, so its sign bits start a byte
+        bits = np.unpackbits(dual[block.start >> 3:], count=values.shape[0], bitorder="little")
+        bits |= (values == flat).view(np.uint8) << 1 | (values == -flat).view(np.uint8) << 2
+        return bits
+
     for block in _blocks(size):
-        a0, a1 = w0.values[block], w1.values[block]
-        for code, a in enumerate((a0, -a0)):
-            walsh[block][a1 == a] = code
         mirror = slice(size - block.stop, size - block.start)  # the points u', descending
-        a0, b0 = n0.wg[block], n0.wg[mirror][::-1]
-        a1, b1 = n1.wg[block], n1.wg[mirror][::-1]
-        for code, (a, b) in enumerate(((a0, b0), (-a0, -b0), (b0, -a0), (-b0, a0))):
-            nega[block][(a1 == a) & (b1 == b)] = code
+        walsh[block] = _WALSH_CODES.take(code(dual_w, w1.values[block], block))
+        nega[block] = _NEGA_CODES.take(code(dual_g, n1.wg[block], block)
+                                       | code(dual_g, n1.wg[mirror], mirror)[::-1] << 3)
     walsh.setflags(write=False)
     nega.setflags(write=False)
     return walsh, nega
@@ -837,11 +836,11 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     and involution), admissibility of the fragment ratios over the modifier
     set, rotation symmetry for the rotation-symmetric families, and (when n
     is small enough) agreement of both butterfly spectra with the
-    definitional transforms.  Each spectrum is taken once, six butterfly
-    passes in all, eight when f's table differs from the rebuilt
-    construction: the dual is read off W_f, the closed dual's W serves its
-    flatness and its involution, and the frame codes compare the base's
-    spectra with W_f and N_f, or with those of f0 + 1_T if f differs from it.
+    definitional transforms.  Each spectrum is taken once, four butterfly
+    passes in all, six when f's table differs from the rebuilt construction,
+    none on the base: the dual is read off W_f, the closed dual's W serves
+    its flatness and its involution, and the frame codes compare the base's
+    (GF(2) rule) with W_f and N_f, or with those of f0 + 1_T if f is not it.
     """
     checks = _Checks()
     f = cf.function
@@ -915,19 +914,20 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     def frame_check() -> Optional[str]:
         try:
             walsh, nega = frame()
-        except NotBentError as exc:
-            return str(exc)
+        except NotBentError as exc:  # 'not <property>: <counterexample>' of the base
+            kind, _, where = str(exc).partition(": ")
+            return f"fragment ratios need a {kind.removeprefix('not ')} base: {where}"
         bad_walsh, bad_nega = np.flatnonzero(walsh < 0), np.flatnonzero(nega < 0)
         if not (bad_walsh.size or bad_nega.size):
             return None
-        w0, n0 = _base_spectra(cf.base)  # the spectra the codes compared with f1's
         if bad_walsh.size:  # the first Walsh failure, else the first nega one
-            u = int(bad_walsh[0])
-            return f"at {BitVector(n, u)}: W_f1 {w1.value(u)} != +-W_f0 {abs(w0.value(u))}"
-        u = int(bad_nega[0])
+            u = int(bad_walsh[0])  # the codes were taken, so |W_f0| = |W_g0| = 2^(n/2)
+            return f"at {BitVector(n, u)}: W_f1 {w1.value(u)} != +-W_f0 {1 << n // 2}"
+        u, dual_g = int(bad_nega[0]), _base_spectra(cf.base)[1]
         mirror = (1 << n) - 1 - u
+        a0, b0 = ((1 - 2 * (int(dual_g[v >> 3]) >> (v & 7) & 1)) << n // 2 for v in (u, mirror))
         return (f"at {BitVector(n, u)}: (W_g1,W_g1') ({n1.wg[u]},{n1.wg[mirror]}) != "
-                f"a quarter turn of (W_g0,W_g0') ({n0.wg[u]},{n0.wg[mirror]})")
+                f"a quarter turn of (W_g0,W_g0') ({a0},{b0})")
 
     def frame_details() -> str:
         return "; ".join(

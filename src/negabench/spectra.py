@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (
+    AnfPolynomial,
     BitVector,
     BooleanFunction,
     DimensionError,
@@ -46,8 +47,11 @@ from .core import (
     _index,
     _index_array,
     _raw_bytes,
+    _set_bits,
+    anf_from_truth_table,
     check_capacity,
     popcounts,
+    truth_table_from_anf,
 )
 
 
@@ -271,8 +275,7 @@ class WalshSpectrum:
     def flat_failure(self) -> Optional[str]:
         """'at u: |W| v != flat |W| 2^(n/2)' at the first u where W is not flat, or None."""
         bad = self.flat_counterexample
-        return None if bad is None else (f"at {BitVector(self.n, bad)}: |W| {abs(self.value(bad))} "
-                                         f"!= flat |W| {1 << (self.n // 2)}")
+        return None if bad is None else _walsh_unflat(self.n, bad, self.value(bad))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,10 +332,15 @@ class NegaSpectrum:
     def flat_failure(self) -> Optional[str]:
         """'at u: |N|^2 v != flat |N|^2 2^n' at the first u where N is not flat, or None."""
         bad = self.flat_counterexample
-        if bad is None:
-            return None
-        re, im = self.value(bad)
-        return f"at {BitVector(self.n, bad)}: |N|^2 {re * re + im * im} != flat |N|^2 {1 << self.n}"
+        return None if bad is None else _nega_unflat(self.n, bad, *self.value(bad))
+
+
+def _walsh_unflat(n: int, u: int, w: int) -> str:
+    return f"at {BitVector(n, u)}: |W| {abs(w)} != flat |W| {1 << (n // 2)}"
+
+
+def _nega_unflat(n: int, u: int, re: int, im: int) -> str:
+    return f"at {BitVector(n, u)}: |N|^2 {re * re + im * im} != flat |N|^2 {1 << n}"
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
@@ -478,6 +486,51 @@ def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
         raise NotBentError(f"not bent: {bad}")
     target = 1 << (spec.n // 2)
     return BooleanFunction.from_values(spec.n, spec.values == -target)
+
+
+def _bent_dual(rows: list[int], q: Callable[[int], int], negative: bool) -> Optional[np.ndarray]:
+    """The packed bent dual (read-only uint8) of a quadratic q, read as q(v),
+    with W_q(0) < 0 if `negative` and these rows of B = U + U^T; None if q is
+    not bent.  With M = B^-1 (Gauss-Jordan), W_q(u) = W_q(0) (-1)^(q(Mu) +
+    q(0)) (Carlet 2021): M's pairs x_i x_j, linear terms q(M e_i) + q(0)."""
+    n = len(rows)
+    m = [r | 1 << (n + i) for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next((k for k in range(c, n) if m[k] >> c & 1), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        m = [r ^ m[c] if i != c and r >> c & 1 else r for i, r in enumerate(m)]
+    m = [r >> n for r in m]
+    masks = [1 << i | 1 << j for i in range(n) for j in range(i + 1, n) if m[i] >> j & 1]
+    masks += [1 << i for i in range(n) if q(m[i]) != q(0)] + [0] * negative
+    return _raw_bytes(truth_table_from_anf(AnfPolynomial.from_monomials(n, masks)).bits, 1 << n)
+
+
+def quadratic_duals(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The packed bent duals of a quadratic bent-negabent f and of g = f +
+    sigma2, with no butterfly: W_f(u) = 2^(n/2) (-1)^(bit u of the first),
+    W_g(u) likewise.  Else NotBentError: 'not quadratic: at <top monomial>',
+    or 'not bent' / 'not negabent' at u = 0 from weights, since a quadratic
+    that is not bent has |W| = 0 or 2^(n-r), r < n/2, at every point."""
+    n, anf = f.n, anf_from_truth_table(f)
+    top = anf.top_term()
+    if top.bit_count() > 2:
+        raise NotBentError(f"not quadratic: at {AnfPolynomial(n, 1 << top).to_text()}: "
+                           f"degree {top.bit_count()} != quadratic <=2")
+    pairs = [m for m in _set_bits(anf.coeffs, 1 << n).tolist() if m.bit_count() == 2]
+    rows = [sum(m ^ 1 << i for m in pairs if m >> i & 1) for i in range(n)]
+    table = f.table_bytes.tobytes()  # f(v) as a Python int, with no 2^n-bit shift
+    w, re, im = (int(v[0]) for v in definitional_sums(f, [0]))  # W_f(0) and N_f(0)
+    dual_f = _bent_dual(rows, lambda v: table[v >> 3] >> (v & 7) & 1, w < 0)
+    # g adds every x_i x_j, so sigma2(v) = bit 1 of wt(v), and W_g(0) = re N_f(0) + im N_f(0)
+    dual_g = None if dual_f is None else _bent_dual(
+        [r ^ ((1 << n) - 1) ^ 1 << i for i, r in enumerate(rows)],
+        lambda v: (table[v >> 3] >> (v & 7) ^ v.bit_count() >> 1) & 1, re + im < 0)
+    if dual_g is None:
+        raise NotBentError(f"not bent: {_walsh_unflat(n, 0, w)}" if dual_f is None
+                           else f"not negabent: {_nega_unflat(n, 0, re, im)}")
+    return dual_f, dual_g
 
 
 # ---------------------------------------------------------------------------

@@ -60,21 +60,23 @@ def orbit(x: BitVector) -> tuple[int, ...]:
     return tuple(sorted(idxs))
 
 
-def orbit_representatives(n: int) -> list[BitVector]:
-    """Minimal-index representative of every cyclic orbit of F_2^n."""
+def orbit_representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least member of every cyclic orbit of F_2^n, ascending, and its
+    orbit's length, as uint32 arrays, from 2^16 points at a time: x is least
+    when every rotation of it is >= x, and the length is the least l
+    dividing n with rho^l x = x (the shifts fixing x are a subgroup of Z_n)."""
     check_capacity(n)
-    reps = []
-    for x in range(1 << n):
-        cur, is_min = x, True
-        for _ in range(n - 1):
-            low = cur & 1
-            cur = (cur >> 1) | (low << (n - 1))
-            if cur < x:
-                is_min = False
-                break
-        if is_min:
-            reps.append(BitVector(n, x))
-    return reps
+    parts = []
+    for start in range(0, 1 << n, 1 << 16):
+        x = np.arange(start, min(1 << n, start + (1 << 16)), dtype=np.uint32)
+        cur, least, length = x, np.ones(x.shape, dtype=bool), np.full(x.shape, n, dtype=np.uint32)
+        for l in range(1, n):
+            cur = cur >> 1 | (cur & 1) << (n - 1)
+            least &= cur >= x
+            if n % l == 0:
+                length[(cur == x) & (length == n)] = l
+        parts.append((x[least], length[least]))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 # ---------------------------------------------------------------------------

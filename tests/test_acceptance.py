@@ -48,6 +48,11 @@ from negabench.cli import main
 from negabench.reference import REFERENCE_CASES
 
 
+def _reps(n):
+    """The orbit representatives of F_2^n as BitVectors."""
+    return [BitVector(n, int(r)) for r in orbit_representatives(n)[0]]
+
+
 @contextmanager
 def criterion(name: str, budget_s: float):
     t0 = time.perf_counter()
@@ -120,7 +125,7 @@ def _sweep_reports():
             1, "S4", tuple(reps[int(i)] for i in picks), es)))
 
     for k in (1, 2):
-        rr = orbit_representatives(2 * k)
+        rr = _reps(2 * k)
         for size in range(1, len(rr) + 1):
             for combo in combinations(rr, size):
                 specs.append(("F2RS", RotationSpec(k, combo)))

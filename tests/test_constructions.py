@@ -43,6 +43,11 @@ from negabench.constructions import (
 from negabench.oracle import verify_construction
 
 
+def _reps(n):
+    """The orbit representatives of F_2^n as BitVectors."""
+    return [BitVector(n, int(r)) for r in orbit_representatives(n)[0]]
+
+
 class TestBases:
     def test_g0_anf(self):
         assert base_anf("g0", 1).to_text() == "x0*x2+x1*x3+x2*x3"
@@ -195,7 +200,7 @@ ROTATION_INPUTS = [
 class TestRotationDualSet:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cells_match_point_scan(self, k):
-        reps = orbit_representatives(2 * k)
+        reps = _reps(2 * k)
         for picks in (reps[:1], reps[1:3], reps[-2:], reps[::2]):
             spec = RotationSpec(k, tuple(picks))
             gs = _modifier_spec(FAMILY_TABLE["F2RS"], spec)
@@ -270,7 +275,7 @@ def _orbit_covering_poly(k2, beta):
 def _covering_basis(k2):
     """Every orbit representative of length k2 and an echelon form of their
     covering-sum polynomials as (pivot bit, polynomial, combination) rows."""
-    reps = tuple(orbit_representatives(k2))
+    reps = tuple(_reps(k2))
     pivots = []
     for i, rep in enumerate(reps):
         poly, combo = _orbit_covering_poly(k2, rep), 1 << i
@@ -311,7 +316,7 @@ def _eliminated_decomposition(k, vectors):
 class TestOrbitDecomposition:
     def test_all_orbits_decompose(self):
         for k in (1, 2, 3):
-            for rep in orbit_representatives(2 * k):
+            for rep in _reps(2 * k):
                 p = decompose_orbit_sum(k, (rep,))
                 assert p == _eliminated_decomposition(k, (rep,)), str(rep)
                 assert all(v.bits == orbit(v)[0] for v in p)
@@ -325,7 +330,7 @@ class TestOrbitDecomposition:
 
     def test_seeded_sets_match_elimination_at_k4(self):
         rng = random.Random(8)
-        reps = orbit_representatives(8)
+        reps = _reps(8)
         for _ in range(30):
             vectors = tuple(rng.sample(reps, rng.randint(2, 5)))
             assert decompose_orbit_sum(4, vectors) == _eliminated_decomposition(4, vectors)
@@ -387,14 +392,14 @@ F2RS = FAMILY_TABLE["F2RS"]
 class TestF2rsClosedAnf:
     def test_every_orbit_matches_literal_expansion(self):
         for k in (1, 2, 3, 4):
-            for rep in orbit_representatives(2 * k):
+            for rep in _reps(2 * k):
                 got = closed_form_anf(F2RS, RotationSpec(k, (rep,)))
                 assert got == _literal_f2rs_anf(k, (rep,)), (k, str(rep))
 
     def test_seeded_sets_match_literal_expansion(self):
         rng = random.Random(9)
         for k in (2, 3, 4):
-            reps = orbit_representatives(2 * k)
+            reps = _reps(2 * k)
             for _ in range(10):
                 vectors = tuple(rng.sample(reps, rng.randint(2, len(reps))))
                 got = closed_form_anf(F2RS, RotationSpec(k, vectors))
@@ -407,7 +412,7 @@ class TestF2rsClosedAnf:
         # the covering sums over all of F_2^12 add up to 1: 3^12 masks on the
         # 12 bits of z leave one, where the literal route would expand 5^12
         # masks (about 2 GB of int64 indices) on 24 variables
-        reps = tuple(orbit_representatives(12))
+        reps = tuple(_reps(12))
         tracemalloc.start()
         try:
             t0 = time.perf_counter()

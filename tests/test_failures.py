@@ -314,10 +314,16 @@ def test_frame_check_names_both_nega_pairs():
 
 
 def test_frame_check_names_the_point_where_the_base_is_not_flat():
-    # the kept base is f0 itself, so a non-flat base fails the frame check
+    # the kept base is f0 itself, so a base of degree 8 fails the frame check
+    # at its top monomial, and a quadratic one that is not bent at u = 0
     check = next(c for c in _verify(G4K, base=_flip(G4K.base, 0)).failures())
     assert check.name == "fragment-ratios-admissible"
-    assert POINT.fullmatch(check.counterexample.removeprefix("fragment ratios need a bent base: "))
+    assert check.counterexample == ("fragment ratios need a quadratic base: "
+                                    "at x0*x1*x2*x3*x4*x5*x6*x7: degree 8 != quadratic <=2")
+    assert POINT.fullmatch(check.counterexample.removeprefix("fragment ratios need a quadratic base: "))
+    check = next(c for c in _verify(G4K, base=BooleanFunction(8, 0)).failures()
+                 if c.name == "fragment-ratios-admissible")
+    assert check.counterexample == "fragment ratios need a bent base: at 00000000: |W| 256 != flat |W| 16"
 
 
 def test_rotation_order_one_is_named():

@@ -447,7 +447,7 @@ class TestFrameCheckOfTamperedFunctions:
 
     def test_a_failing_frame_check_takes_f1_spectra_once(self, monkeypatch):
         # a point toggled in the kept set makes f1 differ from f: W and N of
-        # f, of the closed dual and of f1, and the base's two unless kept
+        # f, of the closed dual and of f1, and none of the base, cold or kept
         cf = construct(*_SEVEN[0])
         moved = dataclasses.replace(
             cf, modifier_set=VectorSet(cf.n, cf.modifier_set.mask ^ 1 << 85))
@@ -455,11 +455,29 @@ class TestFrameCheckOfTamperedFunctions:
         real = spectra._spectrum
         monkeypatch.setattr(spectra, "_spectrum", lambda *args: calls.append(args) or real(*args))
         oracle._base_spectra.cache_clear()
-        for want in (8, 6):  # a cold base, then the base kept from the first report
+        f1 = cf.base ^ characteristic_function(moved.modifier_set)
+        want = [(g, nega) for g in (cf.function, cf.closed_dual, f1) for nega in (False, True)]
+        for _ in range(2):  # a cold base, then the base kept from the first report
             calls.clear()
             frame = _check(verify_construction(moved), "fragment-ratios-admissible")
             assert frame.counterexample.startswith("at ")
-            assert len(calls) == want
+            assert calls == want
+
+    @pytest.mark.parametrize("family, spec", _SEVEN, ids=[f for f, _ in _SEVEN])
+    def test_no_butterfly_runs_on_the_base(self, monkeypatch, family, spec):
+        cf = construct(family, spec)
+        sigma2 = base_function("sigma2", cf.n)
+        real = spectra._spectrum
+
+        def refusing(f, *args):
+            assert f not in (cf.base, cf.base ^ sigma2), "butterfly on the base"
+            return real(f, *args)
+
+        monkeypatch.setattr(spectra, "_spectrum", refusing)
+        oracle._base_spectra.cache_clear()
+        for function in (cf.function, *_tampered_functions(cf).values()):
+            report = verify_construction(dataclasses.replace(cf, function=function))
+            assert _check(report, "fragment-ratios-admissible").passed
 
     def test_six_butterfly_passes_and_no_masked_route(self, monkeypatch):
         cf = construct("H4K2", GammaSpec(2, "S3", (BitVector(4, 3), BitVector(4, 12)),
@@ -477,8 +495,8 @@ class TestFrameCheckOfTamperedFunctions:
         for module in (oracle, spectra):
             for name in ("fragmentary_walsh_spectrum", "fragmentary_nega_spectrum"):
                 monkeypatch.setattr(module, name, refused)
-        for function, want in ((cf.function, 3),
-                               (_tampered_functions(cf)["complement"], 4)):
+        for function, want in ((cf.function, 2),
+                               (_tampered_functions(cf)["complement"], 3)):
             oracle._base_spectra.cache_clear()
             calls.update(dict.fromkeys(calls, 0))
             report = verify_construction(dataclasses.replace(cf, function=function))

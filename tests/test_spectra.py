@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import sys
 import threading
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negabench import core, oracle, spectra
-from negabench.constructions import base_function, construct
+from negabench.constructions import _dual_base, base_function, construct
 from negabench.core import (
     AnfPolynomial,
     BitVector,
@@ -29,6 +30,7 @@ from negabench.spectra import (
     fragmentary_walsh_spectrum,
     mm_function,
     nega_transform,
+    quadratic_duals,
     walsh_transform,
 )
 from negabench.oracle import verify_construction, verify_fragmentary_lemma
@@ -413,6 +415,83 @@ class TestFragmentary:
         f = BooleanFunction(3, 0)
         t = VectorSet.from_indices(3, [])
         assert all(fragmentary_walsh_spectrum(f, t).value(u) == 0 for u in range(8))
+
+
+def _rule_values(dual, n, us=None):
+    """+-2^(n/2) from a packed bent dual, at the points us (every point if None)."""
+    us = np.arange(1 << n) if us is None else us
+    return (1 - 2 * (dual[us >> 3].astype(np.int64) >> (us & 7) & 1)) << n // 2
+
+
+# every base of every family up to n = 24: g0 and f0 have 4t variables, h0 4t + 2
+_RULE_BASES = ([("g0", t) for t in range(1, 7)] + [("h0", t) for t in range(1, 6)]
+               + [("f0", k) for k in range(1, 7)])
+
+
+class TestQuadraticRule:
+    """The GF(2) rule's spectra against routes that share none of its code:
+    the closed-form duals, the butterfly and the definitional sums."""
+
+    @pytest.mark.parametrize("name, param", _RULE_BASES)
+    def test_bent_dual_is_the_closed_form_dual(self, name, param):
+        dual_f, _ = quadratic_duals(base_function(name, param))
+        assert np.array_equal(dual_f, _dual_base(name, param).table_bytes)
+
+    @pytest.mark.parametrize("name, param", [(name, p) for name, p in _RULE_BASES
+                                             if 4 * p + 2 * (name == "h0") <= 16])
+    def test_equals_the_butterfly_up_to_n16(self, name, param):
+        f = base_function(name, param)
+        dual_f, dual_g = quadratic_duals(f)
+        assert np.array_equal(_rule_values(dual_f, f.n), walsh_transform(f).values)
+        assert np.array_equal(_rule_values(dual_g, f.n), nega_transform(f).wg)
+
+    @pytest.mark.parametrize("name, param", [("g0", 5), ("f0", 5), ("g0", 6), ("f0", 6)])
+    def test_equals_the_definitional_sums_at_n20_and_n24(self, name, param):
+        f = base_function(name, param)
+        us = np.random.default_rng(f.n).integers(1 << f.n, size=16)
+        dual_f, dual_g = quadratic_duals(f)
+        w, re, im = spectra.definitional_sums(f, us)
+        # W_g(u) = re N(u) + im N(u) by the sigma2 identity
+        assert np.array_equal(_rule_values(dual_f, f.n, us), w)
+        assert np.array_equal(_rule_values(dual_g, f.n, us), re + im)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+    def test_random_quadratics_match_the_butterfly(self, n):
+        # linear terms, a constant and non-bent forms, which no base has
+        rng = np.random.default_rng(70 + n)
+        pairs = [1 << i | 1 << j for i in range(n) for j in range(i + 1, n)]
+        seen = set()
+        for _ in range(60):
+            masks = [m for m in pairs + [1 << i for i in range(n)] + [0] if rng.random() < 0.5]
+            f = truth_table_from_anf(AnfPolynomial.from_monomials(n, masks))
+            wf, nf = walsh_transform(f), nega_transform(f)
+            failure = (f"not bent: {wf.flat_failure()}" if wf.flat_failure() else
+                       f"not negabent: {nf.flat_failure()}" if nf.flat_failure() else None)
+            seen.add(failure.split(":")[0] if failure else "bent-negabent")
+            if failure:
+                with pytest.raises(NotBentError, match=f"^{re.escape(failure)}$"):
+                    quadratic_duals(f)
+                continue
+            dual_f, dual_g = quadratic_duals(f)
+            assert np.array_equal(_rule_values(dual_f, n), wf.values)
+            assert np.array_equal(_rule_values(dual_g, n), nf.wg)
+        # odd n is never bent, and at n = 2 f + sigma2 is affine when f is bent
+        assert seen == ({"not bent"} if n % 2 else {"not bent", "not negabent"}
+                        | ({"bent-negabent"} if n > 2 else set()))
+
+    @pytest.mark.parametrize("f, want", [
+        (BooleanFunction(4, 0), lambda f: f"not bent: {walsh_transform(f).flat_failure()}"),
+        (base_function("sigma2", 4),
+         lambda f: f"not negabent: {nega_transform(f).flat_failure()}"),
+        (base_function("g0", 2) ^ BooleanFunction(8, 1 << 85),
+         lambda f: "not quadratic: at x0*x1*x2*x3*x4*x5*x6*x7: degree 8 != quadratic <=2"),
+    ])
+    def test_failures_name_the_butterflys_first_counterexample(self, f, want):
+        # a quadratic that is not bent is non-flat everywhere, so u = 0 is the
+        # butterfly's first counterexample too
+        with pytest.raises(NotBentError) as exc:
+            quadratic_duals(f)
+        assert str(exc.value) == want(f)
 
 
 def mm_dual(pi, phi):

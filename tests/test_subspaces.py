@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from negabench.core import BitVector, InvalidSpecError
@@ -41,14 +42,33 @@ class TestOrbits:
         assert orbit(BitVector(4, 0b1000))[0] == 1
 
     def test_representatives_n3(self):
-        assert [r.bits for r in orbit_representatives(3)] == [0, 1, 3, 7]
+        assert orbit_representatives(3)[0].tolist() == [0, 1, 3, 7]
 
     def test_representatives_n4(self):
-        assert [r.bits for r in orbit_representatives(4)] == [0, 1, 3, 5, 7, 15]
+        assert orbit_representatives(4)[0].tolist() == [0, 1, 3, 5, 7, 15]
 
     def test_orbit_sizes_partition_space(self):
-        total = sum(len(orbit(r)) for r in orbit_representatives(4))
-        assert total == 16
+        reps, lengths = orbit_representatives(4)
+        assert lengths.tolist() == [len(orbit(BitVector(4, int(r)))) for r in reps]
+        assert lengths.sum() == 16
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_representatives_and_lengths_by_definition(self, n):
+        # the least member of each orbit and its size, by the per-vector orbit
+        orbits = {orbit(BitVector(n, x)) for x in range(1 << n)}
+        reps, lengths = orbit_representatives(n)
+        assert reps.tolist() == sorted(o[0] for o in orbits)
+        assert lengths.tolist() == [len(o) for o in sorted(orbits)]
+
+    def test_blocks_join_at_n17(self):
+        # two blocks of 2^16 points; 17 is prime, so (2^17 - 2) / 17 orbits
+        # of length 17 and the two fixed points
+        reps, lengths = orbit_representatives(17)
+        assert reps.size == 7712 and lengths.sum() == 1 << 17
+        assert np.all(np.diff(reps.astype(np.int64)) > 0)
+        sample = reps[::97]
+        assert [len(orbit(BitVector(17, int(r)))) for r in sample] == lengths[::97].tolist()
+        assert all(orbit(BitVector(17, int(r)))[0] == r for r in sample)
 
 
 class TestGammaSpecValidation:
