@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs each benchmark workload once at the pinned seed, without timing
 # (--seconds 0), and fails unless its last line reports "correct": true, so
-# the seed-1 output pins in bench/pins.json are checked on every push.  Both
-# CI jobs run it: bash .github/bench-smoke.sh
+# the seed-1 output pins in bench/pins.json are checked on every push.  Every
+# CI matrix job runs it: bash .github/bench-smoke.sh
 set -euo pipefail
 
 for workload in roundtrip-large sweep-small claims-suite; do

@@ -2,7 +2,7 @@
 # Runs the installed `negabench` console script through each subcommand and
 # checks the exit codes of the refused inputs; it writes rec.json,
 # rec24.json, orbit.json, nested.json, flipped.json and flipped-report.json
-# to the working directory.  Both CI jobs run it after
+# to the working directory.  Every CI matrix job runs it after
 # `pip install -e ".[test]"`: bash .github/console-script.sh
 set -euo pipefail
 

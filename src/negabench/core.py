@@ -6,9 +6,12 @@ index i is the value of f at the point whose j-th coordinate is bit j of i
 and its truth-table index are therefore interchangeable.
 
 Storage: every 2^n-entry table (truth table, vector set, ANF coefficients) is
-one Python int whose bit i holds entry i.  This module owns that layout; only
-`spectra._sigma2_bytes`, `spectra._spectrum`, `spectra.definitional_sums`,
-`oracle._table_difference` and `oracle.check_table1` also read or write it.
+one Python int whose bit i holds entry i.  This module owns that layout.  Only
+`spectra` (`_sigma2_bytes`, `_spectrum`, `_class_masks`, `definitional_sums`,
+and `quadratic_duals` with the packed duals of `_bent_dual`) and `oracle`
+(`_table_difference`, `check_table1`, and `extract_frame_coefficients` and
+`verify_construction`'s frame check, which decode those duals' sign bytes)
+also read or write it.
 Each conversion to or from it is one O(2^n) pass through numpy or a single
 C-level int call, never a Python loop over entries.
 """
@@ -290,10 +293,10 @@ class AnfPolynomial:
     @classmethod
     def from_monomials(cls, n: int, monomials: Iterable[int]) -> "AnfPolynomial":
         """XOR-accumulate monomial masks (a mask appearing twice cancels)."""
-        # xor into uint8, one byte an entry: a bincount would hold 8 (int64)
-        coeffs = np.zeros(1 << n, dtype=np.uint8)
-        np.bitwise_xor.at(coeffs, _index_array(n, monomials), 1)
-        return cls(n, _pack_bits(coeffs))
+        idx = _index_array(n, monomials)  # each bit XORed into the packed 2^(n-3) bytes
+        packed = np.zeros(max(1, (1 << n) >> 3), dtype=np.uint8)
+        np.bitwise_xor.at(packed, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
+        return cls(n, int.from_bytes(packed.tobytes(), "little"))
 
     def term_count(self) -> int:
         return self.coeffs.bit_count()

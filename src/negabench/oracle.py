@@ -602,8 +602,8 @@ def check_reference_case(case: ReferenceCase) -> VerificationReport:
         lambda: f"{anf.term_count()} terms")
     checks.add("degree", lambda: _unequal("degree", anf.degree(), case.expected_degree),
                lambda: f"degree {case.expected_degree}")
-    checks.add("bent-negabent", lambda: None if (cls := classify(cf.function)).is_bent_negabent
-               else _flags(case.name, cls), lambda: "bent and negabent")
+    checks.add("bent-negabent", lambda: _flags(case.name, classify(cf.function)),
+               lambda: "bent and negabent")
     if case.expected_rotation_order is not None:
         checks.add("rotation-order", lambda: _unequal(
             "rotation order", rotation_symmetry_order(cf.function), case.expected_rotation_order),
@@ -628,68 +628,56 @@ def check_table1(k: int = 1) -> VerificationReport:
     h0 = base_function("h0", k)
     f0 = base_function("f0", k)
 
-    def named_flat(name: str, subject: str, f: BooleanFunction, bent: bool,
-                   negabent: bool) -> None:
-        checks.add(name, lambda: _flags(subject, classify(f), bent, negabent),
-                   lambda: f"bent={bent} negabent={negabent}")
+    def row(subject: str, f: BooleanFunction, bent: bool = True, negabent: bool = True,
+            order: Optional[int] = None) -> Optional[str]:
+        """classify's flags on f, then its rotation order when one is asked."""
+        return _flags(subject, classify(f), bent, negabent) or (order and _unequal(
+            f"{subject} rotation order", rotation_symmetry_order(f), order))
 
-    named_flat("sigma2-bent-not-negabent", "sigma2", sigma4, True, False)
-    named_flat("g0-bent-negabent", "g0", g0, True, True)
-    named_flat("h0-bent-negabent", "h0", h0, True, True)
-    checks.add("f0-2rs-bent-negabent", lambda: _flags("f0", classify(f0)) or _unequal(
-        "f0 rotation order", rotation_symmetry_order(f0), 2),
-        lambda: "bent-negabent, rotation order 2")
+    checks.add("sigma2-bent-not-negabent", lambda: row("sigma2", sigma4, negabent=False),
+               lambda: "bent=True negabent=False")
+    checks.add("g0-bent-negabent", lambda: row("g0", g0), lambda: "bent=True negabent=True")
+    checks.add("h0-bent-negabent", lambda: row("h0", h0), lambda: "bent=True negabent=True")
+    checks.add("f0-2rs-bent-negabent", lambda: row("f0", f0, order=2),
+               lambda: "bent-negabent, rotation order 2")
 
-    def sweep_chis(name: str, specs) -> None:
-        checks.add(name, lambda: _first(
-            _flags(f"{spec.family} gammas {[str(g) for g in spec.gammas]}",
-                   classify(characteristic_function(build_modifier_set(spec))), False)
-            for spec in specs), lambda: f"{len(specs)} indicator functions")
+    def sweep(name: str, specs: list[GammaSpec], build=build_modifier_set,
+              order: Optional[int] = None) -> None:
+        """One row a spec: its indicator is negabent, not bent, and of rotation order `order`."""
+        checks.add(name, lambda: _first(row(
+            f"{spec.family} gammas {[str(g) for g in spec.gammas]}",
+            characteristic_function(build(spec)), False, order=order) for spec in specs),
+            lambda: f"{len(specs)} indicator functions"
+            + ("" if order is None else f", rotation order {order}"))
 
     s1_specs = [GammaSpec(k, "S1", (BitVector(k2, g),)) for g in range(1 << k2)]
-    sweep_chis("chi-s1-negabent-not-bent", s1_specs)
+    sweep("chi-s1-negabent-not-bent", s1_specs)
 
     # the least member of each coset of A_2^(2k): every pair 00 or 10, no odd bit
     odd = 2 * ((1 << n4) - 1) // 3
     reps = [BitVector(n4, x) for x in range(1 << n4) if not x & odd]
     s2_specs = [GammaSpec(k, "S2", (r,)) for r in reps]
-    sweep_chis("chi-s2-negabent-not-bent", s2_specs)
+    sweep("chi-s2-negabent-not-bent", s2_specs)
 
     s3_specs = [GammaSpec(k, "S3", (BitVector(k2, g),), (e,))
                 for g in range(1 << k2) for e in ("0", "1", "B")]
-    sweep_chis("chi-s3-negabent-not-bent", s3_specs)
+    sweep("chi-s3-negabent-not-bent", s3_specs)
 
     s4_specs = [GammaSpec(k, "S4", (r,), (e,)) for r in reps for e in ("0", "1", "B")]
-    sweep_chis("chi-s4-negabent-not-bent", s4_specs)
+    sweep("chi-s4-negabent-not-bent", s4_specs)
 
     unit_orbit = tuple(BitVector(k2, i) for i in orbit(BitVector(k2, 1)))
     t_specs = [GammaSpec(k, "T", unit_orbit), GammaSpec(k, "T", (BitVector.ones(k2),))]
+    sweep("chi-t-rotation-symmetric-negabent-not-bent", t_specs, build_T, order=1)
 
-    def chi_t_row(spec: GammaSpec) -> Optional[str]:
-        chi = characteristic_function(build_T(spec))
-        subject = f"T gammas {[str(g) for g in spec.gammas]}"
-        return _flags(subject, classify(chi), False) or _unequal(
-            f"{subject} rotation order", rotation_symmetry_order(chi), 1)
+    def sums() -> Iterator[Optional[str]]:
+        for base, spec in ((g0, s1_specs[1]), (base_function("g0", k2), s2_specs[0]),
+                           (h0, s3_specs[2]), (base_function("h0", k2), s4_specs[1])):
+            yield row(f"base + {spec.family} indicator",
+                      base ^ characteristic_function(build_modifier_set(spec)))
+        yield row("f0 + T indicator", f0 ^ characteristic_function(build_T(t_specs[0])), order=2)
 
-    checks.add("chi-t-rotation-symmetric-negabent-not-bent",
-               lambda: _first(map(chi_t_row, t_specs)),
-               lambda: f"{len(t_specs)} indicator functions, rotation order 1")
-
-    def sums_check() -> Optional[str]:
-        cases = [
-            (g0, s1_specs[1]),
-            (base_function("g0", k2), s2_specs[0]),
-            (h0, s3_specs[2]),
-            (base_function("h0", k2), s4_specs[1]),
-        ]
-        sums = (_flags(f"base + {spec.family} indicator",
-                       classify(base ^ characteristic_function(build_modifier_set(spec))))
-                for base, spec in cases)
-        ft = f0 ^ characteristic_function(build_T(t_specs[0]))
-        return _first(sums) or _flags("f0 + T indicator", classify(ft)) or _unequal(
-            "f0 + T indicator rotation order", rotation_symmetry_order(ft), 2)
-
-    checks.add("base-plus-indicator-bent-negabent", sums_check,
+    checks.add("base-plus-indicator-bent-negabent", lambda: _first(sums()),
                lambda: "S1, S2, S3, S4 and T sums all bent-negabent")
 
     def named_exchange_check() -> Optional[str]:
@@ -703,8 +691,7 @@ def check_table1(k: int = 1) -> VerificationReport:
 
     def exchanged(f: BooleanFunction) -> Optional[str]:
         cls = classify(f)
-        return _flags(f"table {f.to_hex()} + sigma2", classify(f ^ sigma4),
-                      cls.is_negabent, cls.is_bent)
+        return row(f"table {f.to_hex()} + sigma2", f ^ sigma4, cls.is_negabent, cls.is_bent)
 
     rng = np.random.default_rng(20260814)
     checks.add("sigma2-exchange-sampled", lambda: _first(
@@ -734,44 +721,40 @@ class SuComparisonCase:
     expected_coset: tuple[int, ...]
 
 
-def _su_cases() -> tuple[SuComparisonCase, ...]:
-    phi4 = truth_table_from_anf(AnfPolynomial.from_monomials(4, [0b0101, 0b1010]))
-    phi5 = truth_table_from_anf(AnfPolynomial.from_monomials(5, [0b0101, 0b1010]))
-    ident4 = tuple(range(16))
-    fold5 = tuple(idx ^ ((idx >> 4) & 1) for idx in range(32))
-    return (
-        SuComparisonCase(
-            name="g0-diagonal-subspace",
-            base_name="g0", base_t=2,
-            pi=ident4, phi=phi4,
-            l_basis=(0b0101, 0b1010), alpha=1,
-            expected_coset=(1, 4, 11, 14),
-        ),
-        SuComparisonCase(
-            name="g0-pair-repetition-subspace",
-            base_name="g0", base_t=2,
-            pi=ident4, phi=phi4,
-            l_basis=(0b0011, 0b1100), alpha=1,
-            expected_coset=(1, 2, 13, 14),
-        ),
-        SuComparisonCase(
-            name="h0-diagonal-subspace",
-            base_name="h0", base_t=2,
-            pi=fold5, phi=phi5,
-            l_basis=(0b00101, 0b01010, 0b10000), alpha=1,
-            expected_coset=(1, 4, 11, 14),
-        ),
-        SuComparisonCase(
-            name="h0-pair-repetition-subspace",
-            base_name="h0", base_t=2,
-            pi=fold5, phi=phi5,
-            l_basis=(0b00011, 0b01100, 0b10000), alpha=1,
-            expected_coset=(1, 2, 13, 14),
-        ),
-    )
+_PHI4, _PHI5 = (truth_table_from_anf(AnfPolynomial.from_monomials(m, [0b0101, 0b1010]))
+                for m in (4, 5))
+_FOLD5 = tuple(idx ^ ((idx >> 4) & 1) for idx in range(32))
 
-
-SU_CASES: tuple[SuComparisonCase, ...] = _su_cases()
+SU_CASES: tuple[SuComparisonCase, ...] = (
+    SuComparisonCase(
+        name="g0-diagonal-subspace",
+        base_name="g0", base_t=2,
+        pi=tuple(range(16)), phi=_PHI4,
+        l_basis=(0b0101, 0b1010), alpha=1,
+        expected_coset=(1, 4, 11, 14),
+    ),
+    SuComparisonCase(
+        name="g0-pair-repetition-subspace",
+        base_name="g0", base_t=2,
+        pi=tuple(range(16)), phi=_PHI4,
+        l_basis=(0b0011, 0b1100), alpha=1,
+        expected_coset=(1, 2, 13, 14),
+    ),
+    SuComparisonCase(
+        name="h0-diagonal-subspace",
+        base_name="h0", base_t=2,
+        pi=_FOLD5, phi=_PHI5,
+        l_basis=(0b00101, 0b01010, 0b10000), alpha=1,
+        expected_coset=(1, 4, 11, 14),
+    ),
+    SuComparisonCase(
+        name="h0-pair-repetition-subspace",
+        base_name="h0", base_t=2,
+        pi=_FOLD5, phi=_PHI5,
+        l_basis=(0b00011, 0b01100, 0b10000), alpha=1,
+        expected_coset=(1, 2, 13, 14),
+    ),
+)
 
 
 def check_su_conditions(case: SuComparisonCase) -> VerificationReport:

@@ -143,29 +143,21 @@ def _blocks(size: int) -> Iterator[slice]:
         yield slice(start, min(size, start + _BLOCK))
 
 
-class _Workspace:
-    """One thread's butterfly buffers (1.125 MiB), made by its first
-    transform and reused by every later one: a chunk's entry signs and
-    counts.  Once a chunk's counts are taken its signs are free, so their
-    first 768 KiB, viewed as int16, hold the chunk's ping-pong pair and the
-    sums of a constant-geometry pass; the int32 levels run after the last
-    chunk and take their scratch from the signs too."""
-
-    def __init__(self) -> None:
-        self.signs = np.empty((_ENTRY_WORDS, 64), dtype=np.uint64)
-        self.counts = np.empty((_ENTRY_WORDS, 64), dtype=np.uint8)
-
-
 _THREAD = threading.local()
 
 
-def _workspace() -> _Workspace:
-    """The calling thread's workspace; a transform never runs inside another."""
-    try:
-        return _THREAD.workspace
-    except AttributeError:
-        _THREAD.workspace = _Workspace()
-        return _THREAD.workspace
+def _workspace() -> threading.local:
+    """The calling thread's butterfly buffers (1.125 MiB), made by its first
+    transform and reused by every later one: a chunk's entry `signs` and
+    `counts`.  Once a chunk's counts are taken its signs are free, so their
+    first 768 KiB, viewed as int16, hold the chunk's ping-pong pair and the
+    sums of a constant-geometry pass; the int32 levels run after the last
+    chunk and take their scratch from the signs too.  A transform never
+    runs inside another."""
+    if not hasattr(_THREAD, "signs"):
+        _THREAD.signs = np.empty((_ENTRY_WORDS, 64), dtype=np.uint64)
+        _THREAD.counts = np.empty((_ENTRY_WORDS, 64), dtype=np.uint8)
+    return _THREAD
 
 
 @functools.lru_cache(maxsize=None)  # n <= 24: under 4 MiB for every n at once
@@ -449,10 +441,6 @@ def fragmentary_nega_spectrum(f: BooleanFunction, t: VectorSet) -> NegaSpectrum:
 class Classification:
     is_bent: bool
     is_negabent: bool
-
-    @property
-    def is_bent_negabent(self) -> bool:
-        return self.is_bent and self.is_negabent
 
 
 def classify(f: BooleanFunction) -> Classification:

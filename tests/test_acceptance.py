@@ -349,7 +349,7 @@ def test_criterion_10_scale():
         cf = construct("G4K", GammaSpec(5, "S1", (BitVector(10, 0b0110100101),)))
         assert cf.n == 20
         cls = classify(cf.function)
-        assert cls.is_bent_negabent
+        assert cls.is_bent and cls.is_negabent
 
 
 def test_criterion_11_codec_linear_at_n20():

@@ -496,7 +496,7 @@ class TestConstructedProperties:
         for family, spec in cases:
             cf = construct(family, spec)
             cls = classify(cf.function)
-            assert cls.is_bent_negabent, family
+            assert cls.is_bent and cls.is_negabent, family
 
     def test_rotation_families_have_order_two(self):
         cf = construct("F2RS", RotationSpec(2, (BitVector(4, 1), BitVector(4, 5))))

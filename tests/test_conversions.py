@@ -7,6 +7,7 @@ repeated indices, out-of-range indices, stray characters in hex input).
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,30 @@ def test_repeats_merge_or_cancel():
     assert AnfPolynomial.from_monomials(3, [6, 6, 2, 2]).coeffs == 0
     assert VectorSet.from_indices(3, []).mask == 0
     assert AnfPolynomial.from_monomials(3, iter(())).coeffs == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 20])
+def test_from_monomials_matches_loop_on_repeated_masks(n):
+    # each mask one to three times beside a neighbour in its byte, shuffled,
+    # so bits of one packed byte meet, cancel in pairs and survive in threes
+    rng = random.Random(4000 + n)
+    masks = []
+    for m in (rng.randrange(1 << n) for _ in range(min(1 << n, 200))):
+        masks += [m] * rng.randint(1, 3) + [m ^ 1 << rng.randrange(min(n, 3))]
+    rng.shuffle(masks)
+    assert AnfPolynomial.from_monomials(n, masks).coeffs == ref_from_monomials(masks)
+
+
+def test_from_monomials_stays_packed_at_n24():
+    # 2^21 packed bytes and their int, never one byte an entry (16 MiB at n = 24)
+    tracemalloc.start()
+    try:
+        p = AnfPolynomial.from_monomials(24, [3, 12, 48])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.coeffs == 1 << 3 | 1 << 12 | 1 << 48
+    assert peak < 6 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("bad", [-1, 8])

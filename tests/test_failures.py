@@ -333,6 +333,18 @@ def test_rotation_order_one_is_named():
     assert check.counterexample == "rotation order 1 != 2"
 
 
+def test_table1_rotation_rows_name_the_order(monkeypatch):
+    # every classify flag holds, so only the three rows that ask an order fail
+    monkeypatch.setattr(oracle, "rotation_symmetry_order", lambda f: 3)
+    report = oracle.check_table1(1)
+    assert [(c.name, c.counterexample) for c in report.failures()] == [
+        ("f0-2rs-bent-negabent", "f0 rotation order 3 != 2"),
+        ("chi-t-rotation-symmetric-negabent-not-bent",
+         "T gammas ['10', '01'] rotation order 3 != 1"),
+        ("base-plus-indicator-bent-negabent", "f0 + T indicator rotation order 3 != 2"),
+    ]
+
+
 def test_degree_parity_names_a_top_monomial_without_listing(monkeypatch):
     text = AnfPolynomial.to_text
 

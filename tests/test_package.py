@@ -55,25 +55,25 @@ def test_modules_resolve_as_attributes():
 TRACED_ONLY = {"fragmentary_walsh", "fragmentary_nega"}
 
 
-def _names_used(node, outside, params=frozenset()):
-    """Names read as a Name or an Attribute under node, outside the bodies of
-    functions named `outside`.  A Name that is a parameter of a function it
-    appears in reads that parameter, so it is not counted."""
+def _uses(node, enclosing=frozenset(), params=frozenset()):
+    """(name, names of the functions around it) for each name read as a Name
+    or an Attribute under node, in one walk.  A Name that is a parameter of a
+    function it appears in reads that parameter, so it is not yielded."""
     inner, body = params, ()
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        if getattr(node, "name", None) == outside:
-            return
+        # the whole def is inside the function: its decorators and defaults too
+        enclosing = enclosing | {getattr(node, "name", None)}
         a = node.args
         inner = params | {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
                                            a.vararg, a.kwarg) if p}
         body = node.body if isinstance(node.body, list) else [node.body]
     if isinstance(node, ast.Name) and node.id not in params:
-        yield node.id
+        yield node.id, enclosing
     elif isinstance(node, ast.Attribute):
-        yield node.attr
+        yield node.attr, enclosing
     for child in ast.iter_child_nodes(node):
         # defaults, annotations and decorators are read outside the parameters' scope
-        yield from _names_used(child, outside, inner if any(child is b for b in body) else params)
+        yield from _uses(child, enclosing, inner if any(child is b for b in body) else params)
 
 
 def test_every_public_function_has_a_caller_in_the_package():
@@ -82,6 +82,7 @@ def test_every_public_function_has_a_caller_in_the_package():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and not node.name.startswith("_")}
     assert len(public) > 50
-    uncalled = {name for name in public
-                if not any(name in _names_used(tree, name) for tree in trees)}
+    # a use inside a function of the same name (itself, or a namesake) is no caller
+    called = {name for tree in trees for name, enclosing in _uses(tree) if name not in enclosing}
+    uncalled = public - called
     assert uncalled <= TRACED_ONLY, sorted(uncalled - TRACED_ONLY)
