@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the installed `negabench` console script through each subcommand and
 # checks the exit codes of the refused inputs; it writes rec.json,
-# rec24.json, orbit.json, nested.json, flipped.json and flipped-report.json
-# to the working directory.  Every CI matrix job runs it after
+# rec22.json, rec24.json, orbit.json, nested.json, flipped.json and
+# flipped-report.json to the working directory.  Every CI matrix job runs it after
 # `pip install -e ".[test]"`: bash .github/console-script.sh
 set -euo pipefail
 
@@ -25,6 +25,9 @@ negabench spectrum --in rec.json --kind both
 # spectra come from the GF(2) rule there too
 negabench gen --family G4K --k 6 --gamma 000111000111 --gamma 101010101010 --out rec24.json
 negabench verify --in rec24.json > /dev/null
+# n = 22 on the h0 base: its GF(2) rule duals, and the frame codes unpacked from them
+negabench gen --family H4K2 --k 5 --gamma 1101001110 --eset B --gamma 0010110001 --eset 0 --out rec22.json
+negabench verify --in rec22.json > /dev/null
 rc=0; negabench verify --in rec.json --k 1 || rc=$?; test "$rc" -eq 4
 rc=0; negabench dual --in rec.json --family G8K --gamma 1 || rc=$?; test "$rc" -eq 4
 # a spec beyond --max-n is refused up front, and an unknown flag is a usage error

@@ -7,10 +7,8 @@ and its truth-table index are therefore interchangeable.
 
 Storage: every 2^n-entry table (truth table, vector set, ANF coefficients) is
 one Python int whose bit i holds entry i.  This module owns that layout.  Only
-`spectra` (`_sigma2_bytes`, `_spectrum`, `_class_masks`, `definitional_sums`,
-and `quadratic_duals` with the packed duals of `_bent_dual`) and `oracle`
-(`_table_difference`, `check_table1`, and `extract_frame_coefficients` and
-`verify_construction`'s frame check, which decode those duals' sign bytes)
+`spectra` (`_sigma2_bytes`, `_spectrum`, `_class_masks`, `definitional_sums`
+and `quadratic_duals`) and `oracle` (`_table_difference` and `check_table1`)
 also read or write it.
 Each conversion to or from it is one O(2^n) pass through numpy or a single
 C-level int call, never a Python loop over entries.
@@ -231,9 +229,15 @@ class BooleanFunction:
         function, so its spectra and lookups pay one `to_bytes` in all."""
         return _raw_bytes(self.bits, 1 << self.n)
 
-    def value_array(self) -> np.ndarray:
-        """Truth table as a uint8 numpy array."""
-        return np.unpackbits(self.table_bytes, count=1 << self.n, bitorder="little")
+    def value_array(self, block: slice = slice(None)) -> np.ndarray:
+        """Truth table as a uint8 array, or its entries in one unit-step `block` of points."""
+        start, stop, step = block.indices(1 << self.n)
+        if step != 1:
+            raise ValueError("value_array reads a unit-step block")
+        skip = start & 7
+        bits = np.unpackbits(self.table_bytes[start >> 3:], count=skip + max(0, stop - start),
+                             bitorder="little")
+        return bits[skip:]
 
     def weight(self) -> int:
         return self.bits.bit_count()

@@ -50,7 +50,6 @@ from .spectra import (
 )
 from .subspaces import (
     GammaSpec,
-    VectorSet,
     build_T,
     build_modifier_set,
     orbit,
@@ -252,7 +251,7 @@ def naive_transforms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.nda
 NEGA_BRANCHES = ("0", "1", "i", "-i")
 
 
-# W_f0 and W_g0 as packed bent duals; a sweep meets each base many times
+# W_f0 and W_g0 as bent duals; a sweep meets each base many times
 _base_spectra = functools.lru_cache(maxsize=8)(quadratic_duals)
 
 # frame codes by index, three bits a point (the base's sign bit, f1's [v = 2^(n/2)]
@@ -263,36 +262,31 @@ _NEGA_CODES = np.array([{(a, b): 0, (-a, -b): 1, (b, -a): 2, (-b, a): 3}.get((a1
                         for b, b1 in _UNITS for a, a1 in _UNITS], dtype=np.int8)
 
 
-def extract_frame_coefficients(f0: BooleanFunction, t: VectorSet, held: Optional[tuple[
-        BooleanFunction, WalshSpectrum, NegaSpectrum]] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Branch codes of the fragment ratios of f0 over t at every point, as
-    read-only int8 (walsh, nega) arrays.
+def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaSpectrum
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Branch codes of the fragment ratios of f0 over T at every point, as
+    read-only int8 (walsh, nega) arrays, from f1 = f0 + 1_T's spectra w1, n1.
 
-    Flipping a bent-negabent f0 on t turns each spectrum value into (1 - 2c)
+    Flipping a bent-negabent f0 on T turns each spectrum value into (1 - 2c)
     times the original, where c is the fragment-to-full ratio at that point.
     Flatness survives exactly when |1 - 2c| = 1: Walsh code 0 or 1 (ratio 0
     or 1), nega code 0, 1, 2 or 3 (ratio 0, 1, (1-i)/2 or (1+i)/2, named by
     NEGA_BRANCHES).  -1 marks a point whose ratio is outside that table.
 
-    Each branch is an equality of the int32 spectra of f1 = f0 + 1_t with
-    the base's +-2^(n/2) (`_base_spectra`, by table lookup on their signs):
-    with a = W_g(u) and b = W_g(u') for g = f + sigma2, N_f1 = N_f0, -N_f0,
-    i N_f0 or -i N_f0 iff (a1, b1) = (a0, b0), (-a0, -b0), (b0, -a0) or (-b0,
-    a0).  `held`, a function and its two spectra, serves as f1 when its table
-    is f1's.  Raises NotBentError unless f0 is quadratic bent-negabent.
+    Each branch is an equality of f1's int32 spectra with the base's
+    +-2^(n/2) (`_base_spectra`, by lookup on their bent duals): with a =
+    W_g(u) and b = W_g(u') for g = f + sigma2, N_f1 = N_f0, -N_f0, i N_f0 or
+    -i N_f0 iff (a1, b1) = (a0, b0), (-a0, -b0), (b0, -a0) or (-b0, a0).
+    Raises NotBentError unless f0 is quadratic bent-negabent.
     """
-    if f0.n != t.n:
-        raise DimensionError("function and subset dimensions differ")
+    if not f0.n == w1.n == n1.n:
+        raise DimensionError("function and spectra dimensions differ")
     dual_w, dual_g = _base_spectra(f0)
-    f1 = f0 ^ characteristic_function(t)
-    same = held is not None and held[0] == f1
-    w1, n1 = held[1:] if same else (walsh_transform(f1), nega_transform(f1))
     size, flat = 1 << f0.n, 1 << f0.n // 2
     walsh, nega = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int8)
 
-    def code(dual: np.ndarray, values: np.ndarray, block: slice) -> np.ndarray:
-        # a block starts at a multiple of 8, so its sign bits start a byte
-        bits = np.unpackbits(dual[block.start >> 3:], count=values.shape[0], bitorder="little")
+    def code(dual: BooleanFunction, values: np.ndarray, block: slice) -> np.ndarray:
+        bits = dual.value_array(block)
         bits |= (values == flat).view(np.uint8) << 1 | (values == -flat).view(np.uint8) << 2
         return bits
 
@@ -891,8 +885,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     with checks.timing("fragment-ratios-admissible"):
         f1 = cf.base ^ characteristic_function(cf.modifier_set)
         w1, n1 = (wf, nf) if f1 == f else (walsh_transform(f1), nega_transform(f1))
-    frame = functools.cache(
-        lambda: extract_frame_coefficients(cf.base, cf.modifier_set, (f1, w1, n1)))
+    frame = functools.cache(lambda: extract_frame_coefficients(cf.base, w1, n1))
 
     def frame_check() -> Optional[str]:
         try:
@@ -908,7 +901,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
             return f"at {BitVector(n, u)}: W_f1 {w1.value(u)} != +-W_f0 {1 << n // 2}"
         u, dual_g = int(bad_nega[0]), _base_spectra(cf.base)[1]
         mirror = (1 << n) - 1 - u
-        a0, b0 = ((1 - 2 * (int(dual_g[v >> 3]) >> (v & 7) & 1)) << n // 2 for v in (u, mirror))
+        a0, b0 = ((1 - 2 * dual_g.value(v)) << n // 2 for v in (u, mirror))
         return (f"at {BitVector(n, u)}: (W_g1,W_g1') ({n1.wg[u]},{n1.wg[mirror]}) != "
                 f"a quarter turn of (W_g0,W_g0') ({a0},{b0})")
 

@@ -476,11 +476,12 @@ def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
     return BooleanFunction.from_values(spec.n, spec.values == -target)
 
 
-def _bent_dual(rows: list[int], q: Callable[[int], int], negative: bool) -> Optional[np.ndarray]:
-    """The packed bent dual (read-only uint8) of a quadratic q, read as q(v),
-    with W_q(0) < 0 if `negative` and these rows of B = U + U^T; None if q is
-    not bent.  With M = B^-1 (Gauss-Jordan), W_q(u) = W_q(0) (-1)^(q(Mu) +
-    q(0)) (Carlet 2021): M's pairs x_i x_j, linear terms q(M e_i) + q(0)."""
+def _bent_dual(rows: list[int], q: Callable[[int], int], negative: bool
+               ) -> Optional[BooleanFunction]:
+    """The bent dual of a quadratic q, read as q(v), with W_q(0) < 0 if
+    `negative` and these rows of B = U + U^T; None if q is not bent.  With
+    M = B^-1 (Gauss-Jordan), W_q(u) = W_q(0) (-1)^(q(Mu) + q(0)) (Carlet
+    2021): M's pairs x_i x_j, linear terms q(M e_i) + q(0)."""
     n = len(rows)
     m = [r | 1 << (n + i) for i, r in enumerate(rows)]
     for c in range(n):
@@ -492,13 +493,13 @@ def _bent_dual(rows: list[int], q: Callable[[int], int], negative: bool) -> Opti
     m = [r >> n for r in m]
     masks = [1 << i | 1 << j for i in range(n) for j in range(i + 1, n) if m[i] >> j & 1]
     masks += [1 << i for i in range(n) if q(m[i]) != q(0)] + [0] * negative
-    return _raw_bytes(truth_table_from_anf(AnfPolynomial.from_monomials(n, masks)).bits, 1 << n)
+    return truth_table_from_anf(AnfPolynomial.from_monomials(n, masks))
 
 
-def quadratic_duals(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
-    """The packed bent duals of a quadratic bent-negabent f and of g = f +
-    sigma2, with no butterfly: W_f(u) = 2^(n/2) (-1)^(bit u of the first),
-    W_g(u) likewise.  Else NotBentError: 'not quadratic: at <top monomial>',
+def quadratic_duals(f: BooleanFunction) -> tuple[BooleanFunction, BooleanFunction]:
+    """The bent duals of a quadratic bent-negabent f and of g = f + sigma2,
+    with no butterfly: W_f(u) = 2^(n/2) (-1)^(first dual at u), W_g(u)
+    likewise.  Else NotBentError: 'not quadratic: at <top monomial>',
     or 'not bent' / 'not negabent' at u = 0 from weights, since a quadratic
     that is not bent has |W| = 0 or 2^(n-r), r < n/2, at every point."""
     n, anf = f.n, anf_from_truth_table(f)

@@ -308,15 +308,18 @@ def test_criterion_09_fast_equals_naive(nega_parts):
             sign_mat = 1 - 2 * (pops[xs[:, None] & xs[None, :]] & 1)
             re_twist = np.array([1, 0, -1, 0], dtype=np.int64)[pops % 4]
             im_twist = np.array([0, 1, 0, -1], dtype=np.int64)[pops % 4]
+            # the reference side of every table at once: row `bits` holds (-1)^f(x)
+            signs = 1 - 2 * (np.arange(1 << size)[:, None] >> xs & 1)
+            want_w, want_re, want_im = ((signs * twist) @ sign_mat.T
+                                        for twist in (1, re_twist, im_twist))
             for bits in range(1 << size):
                 f = BooleanFunction(n, bits)
-                signs = 1 - 2 * f.value_array().astype(np.int64)
                 wf = walsh_transform(f)
                 nf = nega_transform(f)
                 re, im = nega_parts(nf)
-                assert np.array_equal(wf.values, sign_mat @ signs)
-                assert np.array_equal(re, sign_mat @ (signs * re_twist))
-                assert np.array_equal(im, sign_mat @ (signs * im_twist))
+                assert np.array_equal(wf.values, want_w[bits])
+                assert np.array_equal(re, want_re[bits])
+                assert np.array_equal(im, want_im[bits])
                 assert wf.parseval_sum() == nf.parseval_sum() == 1 << (2 * n)
 
         # random functions on 5..10 variables against the reference oracle

@@ -133,6 +133,30 @@ class TestBooleanFunction:
         chi = characteristic_function(s)
         assert chi.value_array().tolist() == [1, 0, 0, 1]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_value_array_block_is_a_slice_of_the_table(self, n):
+        size = 1 << n
+        ends = [None, *range(-size - 1, size + 2)]
+        for bits in (0x5A3C & ((1 << size) - 1), (1 << size) - 1):
+            f = BooleanFunction(n, bits)
+            whole = f.value_array()
+            for start in ends:
+                for stop in ends:
+                    block = slice(start, stop)
+                    assert f.value_array(block).tolist() == whole[block].tolist()
+        with pytest.raises(ValueError):
+            f.value_array(slice(None, None, 2))
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_value_array_unaligned_and_partial_blocks(self, n):
+        size = 1 << n
+        f = BooleanFunction(n, int.from_bytes(np.random.default_rng(n).bytes(size >> 3), "little"))
+        whole = f.value_array()
+        for block in (slice(3, 77), slice(5, 5), slice(size, size), slice(9, 8),
+                      slice(size - 5, None), slice(size - 13, size - 2), slice(1, size - 1),
+                      slice(8, 16), slice(size // 2 + 1, size // 2 + 2)):
+            assert np.array_equal(f.value_array(block), whole[block])
+
 
 class TestAnf:
     def test_known_polynomial(self):

@@ -272,11 +272,17 @@ def admissible(codes):
     return all(not (code < 0).any() for code in codes)
 
 
+def _codes(f0, t):
+    """Frame codes of f0 over t, from the spectra of f1 = f0 + 1_t."""
+    f1 = f0 ^ characteristic_function(t)
+    return extract_frame_coefficients(f0, walsh_transform(f1), nega_transform(f1))
+
+
 class TestFrameCoefficients:
     def test_single_gamma_counts(self):
         f0 = base_function("g0", 1)
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 1),)))
-        walsh, nega = codes = extract_frame_coefficients(f0, t)
+        walsh, nega = codes = _codes(f0, t)
         assert admissible(codes)
         assert np.count_nonzero(walsh < 0) == 0
         assert np.count_nonzero((nega >= 0) & (nega < len(oracle.NEGA_BRANCHES))) == 16
@@ -286,22 +292,43 @@ class TestFrameCoefficients:
     def test_codes_are_strings(self):
         f0 = base_function("g0", 1)
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 0),)))
-        codes = extract_frame_coefficients(f0, t)
+        codes = _codes(f0, t)
         assert walsh_code(codes, 0) in ("0", "1")
         assert nega_code(codes, BitVector(4, 3)) in ("0", "1", "i", "-i")
 
     def test_requires_bent_negabent_base(self):
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 0),)))
         with pytest.raises(NotBentError):
-            extract_frame_coefficients(BooleanFunction(4, 0), t)
+            _codes(BooleanFunction(4, 0), t)
         # sigma2 is bent but not negabent
         with pytest.raises(NotBentError):
-            extract_frame_coefficients(base_function("sigma2", 4), t)
+            _codes(base_function("sigma2", 4), t)
+
+    def test_refuses_spectra_of_another_dimension(self):
+        f0, other = base_function("g0", 1), base_function("g0", 2)
+        for w1, n1 in ((walsh_transform(other), nega_transform(f0)),
+                       (walsh_transform(f0), nega_transform(other))):
+            with pytest.raises(DimensionError):
+                extract_frame_coefficients(f0, w1, n1)
+
+    def test_runs_no_butterfly(self, monkeypatch):
+        cf = construct("H4K2", GammaSpec(2, "S3", (BitVector(4, 3), BitVector(4, 12)), ("0", "B")))
+        want = _codes(cf.base, cf.modifier_set)
+        w1, n1 = walsh_transform(cf.function), nega_transform(cf.function)
+
+        def refused(*args):
+            raise AssertionError("butterfly called")
+
+        monkeypatch.setattr(spectra, "_spectrum", refused)
+        oracle._base_spectra.cache_clear()
+        got = extract_frame_coefficients(cf.base, w1, n1)
+        assert admissible(got)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_generic_subset_can_be_inadmissible(self):
         from negabench.core import VectorSet
         f0 = base_function("g0", 1)
-        codes = extract_frame_coefficients(f0, VectorSet.from_indices(4, [0]))
+        codes = _codes(f0, VectorSet.from_indices(4, [0]))
         assert not admissible(codes)
         assert (codes[0] < 0).any()
 
@@ -368,12 +395,10 @@ class TestFrameCodesFromSpectra:
         cf = construct(family, spec)
         f0, t = cf.base, cf.modifier_set
         want_walsh, want_nega = _reference_frame_codes(f0, t)
-        held = (cf.function, walsh_transform(cf.function), nega_transform(cf.function))
-        for walsh, nega in (extract_frame_coefficients(f0, t),
-                            extract_frame_coefficients(f0, t, held)):
-            assert admissible((walsh, nega))
-            assert np.array_equal(walsh, want_walsh)
-            assert np.array_equal(nega, want_nega)
+        walsh, nega = _codes(f0, t)
+        assert admissible((walsh, nega))
+        assert np.array_equal(walsh, want_walsh)
+        assert np.array_equal(nega, want_nega)
 
     @pytest.mark.parametrize("base, k", [("g0", 1), ("h0", 1), ("g0", 2), ("h0", 2)])
     def test_random_subsets_match_masked_route(self, base, k):
@@ -385,10 +410,10 @@ class TestFrameCodesFromSpectra:
             subsets.append(VectorSet.from_indices(f0.n, np.flatnonzero(rng.random(size) < density)))
         for t in subsets:
             want_walsh, want_nega = _reference_frame_codes(f0, t)
-            walsh, nega = extract_frame_coefficients(f0, t)
+            walsh, nega = _codes(f0, t)
             assert np.array_equal(walsh, want_walsh)
             assert np.array_equal(nega, want_nega)
-        assert not admissible(extract_frame_coefficients(f0, subsets[0]))
+        assert not admissible(_codes(f0, subsets[0]))
 
 
 def _tampered_functions(cf):
