@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Runs the installed `negabench` console script through each subcommand and
 # checks the exit codes of the refused inputs; it writes rec.json,
-# rec22.json, rec24.json, orbit.json, nested.json, flipped.json and
-# flipped-report.json to the working directory.  Every CI matrix job runs it after
-# `pip install -e ".[test]"`: bash .github/console-script.sh
+# rec22.json, rec22-report.json, rec24.json, orbit.json, nested.json and, for
+# rec.json and rec22.json, a flipped record and its report (flipped.json,
+# flipped-report.json, flipped22.json, flipped22-report.json) to the working
+# directory.  Every CI matrix job runs it after `pip install -e ".[test]"`:
+# bash .github/console-script.sh
 set -euo pipefail
 
 negabench repro-examples
@@ -25,9 +27,9 @@ negabench spectrum --in rec.json --kind both
 # spectra come from the GF(2) rule there too
 negabench gen --family G4K --k 6 --gamma 000111000111 --gamma 101010101010 --out rec24.json
 negabench verify --in rec24.json > /dev/null
-# n = 22 on the h0 base: its GF(2) rule duals, and the frame codes unpacked from them
+# n = 22 on the h0 base: its GF(2) rule duals, and the frame branch counts read from them
 negabench gen --family H4K2 --k 5 --gamma 1101001110 --eset B --gamma 0010110001 --eset 0 --out rec22.json
-negabench verify --in rec22.json > /dev/null
+negabench verify --in rec22.json --format json > rec22-report.json
 rc=0; negabench verify --in rec.json --k 1 || rc=$?; test "$rc" -eq 4
 rc=0; negabench dual --in rec.json --family G8K --gamma 1 || rc=$?; test "$rc" -eq 4
 # a spec beyond --max-n is refused up front, and an unknown flag is a usage error
@@ -41,14 +43,29 @@ rc=0; negabench verify --in orbit.json || rc=$?; test "$rc" -eq 5
 python3 -c 'print("[" * 100000)' > nested.json
 rc=0; negabench verify --in nested.json || rc=$?; test "$rc" -eq 5
 # one flipped tt_hex digit fails verify, and every failing check names a counterexample
-python3 -c '
-import json
-rec = json.load(open("rec.json"))
-rec["tt_hex"] = ("1" if rec["tt_hex"][0] != "1" else "2") + rec["tt_hex"][1:]
-json.dump(rec, open("flipped.json", "w"))'
-rc=0; negabench verify --in flipped.json --format json > flipped-report.json || rc=$?
-test "$rc" -eq 1
-python3 -c '
+flip_and_verify() {  # record, flipped record, its report
+  python3 - "$1" "$2" <<'PY'
 import json, sys
-failed = [c for c in json.load(open("flipped-report.json"))["checks"] if not c["passed"]]
-sys.exit(not failed or not all(c.get("counterexample") for c in failed))'
+rec = json.load(open(sys.argv[1]))
+rec["tt_hex"] = ("1" if rec["tt_hex"][0] != "1" else "2") + rec["tt_hex"][1:]
+json.dump(rec, open(sys.argv[2], "w"))
+PY
+  rc=0; negabench verify --in "$2" --format json > "$3" || rc=$?
+  test "$rc" -eq 1
+  python3 - "$3" <<'PY'
+import json, sys
+failed = [c for c in json.load(open(sys.argv[1]))["checks"] if not c["passed"]]
+sys.exit(not failed or not all(c.get("counterexample") for c in failed))
+PY
+}
+flip_and_verify rec.json flipped.json flipped-report.json
+# at n = 22 f differs from the rebuilt f1 = f0 + 1_T, so the frame check takes
+# f1's spectra (six butterflies in all) and passes with the unflipped details
+flip_and_verify rec22.json flipped22.json flipped22-report.json
+python3 - <<'PY'
+import json, sys
+good, bad = (next(c for c in json.load(open(path))["checks"]
+                  if c["name"] == "fragment-ratios-admissible")
+             for path in ("rec22-report.json", "flipped22-report.json"))
+sys.exit(not (good["passed"] and bad["passed"] and bad["details"] == good["details"]))
+PY

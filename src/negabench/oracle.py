@@ -254,50 +254,46 @@ NEGA_BRANCHES = ("0", "1", "i", "-i")
 # W_f0 and W_g0 as bent duals; a sweep meets each base many times
 _base_spectra = functools.lru_cache(maxsize=8)(quadratic_duals)
 
-# frame codes by index, three bits a point (the base's sign bit, f1's [v = 2^(n/2)]
-# and [v = -2^(n/2)]): the branch that takes the base's units to f1's, else -1
-_UNITS = [(1 - 2 * (x & 1), (0, 1, -1, 0)[x >> 1]) for x in range(8)]
-_WALSH_CODES = np.array([{a: 0, -a: 1}.get(a1, -1) for a, a1 in _UNITS], dtype=np.int8)
-_NEGA_CODES = np.array([{(a, b): 0, (-a, -b): 1, (b, -a): 2, (-b, a): 3}.get((a1, b1), -1)
-                        for b, b1 in _UNITS for a, a1 in _UNITS], dtype=np.int8)
+# the nega branch by the sign bits [W_g0(u) < 0] + 2 [W_g0(u') < 0] + 4 [W_g1(u) < 0]
+# + 8 [W_g1(u') < 0]: the sign units (a1, b1) are (a0, b0), (-a0, -b0), (b0, -a0) or
+# (-b0, a0), which for units a0, b0 are all four sign pairs
+_NEGA_BRANCH = np.array([[(a, b), (-a, -b), (b, -a), (-b, a)].index((a1, b1))
+                         for b1 in (1, -1) for a1 in (1, -1) for b in (1, -1) for a in (1, -1)])
 
 
 def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaSpectrum
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Branch codes of the fragment ratios of f0 over T at every point, as
-    read-only int8 (walsh, nega) arrays, from f1 = f0 + 1_T's spectra w1, n1.
+    """How many points take each branch of the fragment ratios of f0 over T,
+    as int64 (walsh, nega) counts in ("0", "1") and NEGA_BRANCHES order, from
+    f1 = f0 + 1_T's spectra w1, n1.
 
     Flipping a bent-negabent f0 on T turns each spectrum value into (1 - 2c)
     times the original, where c is the fragment-to-full ratio at that point.
-    Flatness survives exactly when |1 - 2c| = 1: Walsh code 0 or 1 (ratio 0
-    or 1), nega code 0, 1, 2 or 3 (ratio 0, 1, (1-i)/2 or (1+i)/2, named by
-    NEGA_BRANCHES).  -1 marks a point whose ratio is outside that table.
-
-    Each branch is an equality of f1's int32 spectra with the base's
-    +-2^(n/2) (`_base_spectra`, by lookup on their bent duals): with a =
-    W_g(u) and b = W_g(u') for g = f + sigma2, N_f1 = N_f0, -N_f0, i N_f0 or
-    -i N_f0 iff (a1, b1) = (a0, b0), (-a0, -b0), (b0, -a0) or (-b0, a0).
-    Raises NotBentError unless f0 is quadratic bent-negabent.
+    Flatness survives exactly when |1 - 2c| = 1: Walsh ratio 0 or 1, nega
+    ratio 0, 1, (1-i)/2 or (1+i)/2.  The GF(2) rule (`_base_spectra`)
+    certifies every base value +-2^(n/2), so every ratio is admissible
+    exactly when f1 is bent and negabent, and its branch is then a matter of
+    signs: Walsh branch 1 where W_f1 = -W_f0, and with a = W_g(u) and b =
+    W_g(u') for g = f + sigma2, N_f1 = N_f0, -N_f0, i N_f0 or -i N_f0 iff
+    (a1, b1) = (a0, b0), (-a0, -b0), (b0, -a0) or (-b0, a0).
+    Raises NotBentError unless f0 is quadratic bent-negabent and f1 is bent
+    and negabent, naming the first point that is not flat.
     """
     if not f0.n == w1.n == n1.n:
         raise DimensionError("function and spectra dimensions differ")
     dual_w, dual_g = _base_spectra(f0)
-    size, flat = 1 << f0.n, 1 << f0.n // 2
-    walsh, nega = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int8)
-
-    def code(dual: BooleanFunction, values: np.ndarray, block: slice) -> np.ndarray:
-        bits = dual.value_array(block)
-        bits |= (values == flat).view(np.uint8) << 1 | (values == -flat).view(np.uint8) << 2
-        return bits
-
+    if failure := w1.flat_failure() or n1.flat_failure():
+        raise NotBentError(f"f1 = f0 + 1_T not flat: {failure}")
+    size = 1 << f0.n
+    flips, nega = 0, np.zeros(4, dtype=np.int64)
     for block in _blocks(size):
         mirror = slice(size - block.stop, size - block.start)  # the points u', descending
-        walsh[block] = _WALSH_CODES.take(code(dual_w, w1.values[block], block))
-        nega[block] = _NEGA_CODES.take(code(dual_g, n1.wg[block], block)
-                                       | code(dual_g, n1.wg[mirror], mirror)[::-1] << 3)
-    walsh.setflags(write=False)
-    nega.setflags(write=False)
-    return walsh, nega
+        flips += np.count_nonzero(dual_w.value_array(block) != (w1.values[block] < 0))
+        signs = (dual_g.value_array(block) | dual_g.value_array(mirror)[::-1] << 1
+                 | (n1.wg[block] < 0).view(np.uint8) << 2
+                 | (n1.wg[mirror] < 0).view(np.uint8)[::-1] << 3)
+        nega += np.bincount(_NEGA_BRANCH.take(signs), minlength=4)
+    return np.array([size - flips, flips], dtype=np.int64), nega
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +812,10 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     definitional transforms.  Each spectrum is taken once, four butterfly
     passes in all, six when f's table differs from the rebuilt construction,
     none on the base: the dual is read off W_f, the closed dual's W serves
-    its flatness and its involution, and the frame codes compare the base's
-    (GF(2) rule) with W_f and N_f, or with those of f0 + 1_T if f is not it.
+    its flatness and its involution, and the frame check's verdict is the
+    flatness of W_f and N_f, or of those of f0 + 1_T if f is not it, over a
+    base the GF(2) rule certifies flat; its frame branch counts compare their
+    sign bits with the base's.
     """
     checks = _Checks()
     f = cf.function
@@ -880,26 +878,24 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     checks.add("dual-involution", lambda: dual_difference(wd, f, "dual of dual", "function"),
                lambda: "dual of dual returns the function")
 
-    # f1 = f0 + 1_T and its spectra, taken once for the codes and for the
-    # counterexample; W_f and N_f serve when f is f1
+    # f1 = f0 + 1_T and its spectra, taken once for the verdict and the
+    # branch counts; W_f and N_f serve when f is f1
     with checks.timing("fragment-ratios-admissible"):
         f1 = cf.base ^ characteristic_function(cf.modifier_set)
         w1, n1 = (wf, nf) if f1 == f else (walsh_transform(f1), nega_transform(f1))
-    frame = functools.cache(lambda: extract_frame_coefficients(cf.base, w1, n1))
 
     def frame_check() -> Optional[str]:
         try:
-            walsh, nega = frame()
+            dual_g = _base_spectra(cf.base)[1]
         except NotBentError as exc:  # 'not <property>: <counterexample>' of the base
             kind, _, where = str(exc).partition(": ")
             return f"fragment ratios need a {kind.removeprefix('not ')} base: {where}"
-        bad_walsh, bad_nega = np.flatnonzero(walsh < 0), np.flatnonzero(nega < 0)
-        if not (bad_walsh.size or bad_nega.size):
-            return None
-        if bad_walsh.size:  # the first Walsh failure, else the first nega one
-            u = int(bad_walsh[0])  # the codes were taken, so |W_f0| = |W_g0| = 2^(n/2)
+        # |W_f0| = |W_g0| = 2^(n/2), so a ratio is admissible exactly where f1 is
+        # flat: the first Walsh failure, else the first nega one
+        if (u := w1.flat_counterexample) is not None:
             return f"at {BitVector(n, u)}: W_f1 {w1.value(u)} != +-W_f0 {1 << n // 2}"
-        u, dual_g = int(bad_nega[0]), _base_spectra(cf.base)[1]
+        if (u := n1.flat_counterexample) is None:
+            return None
         mirror = (1 << n) - 1 - u
         a0, b0 = ((1 - 2 * dual_g.value(v)) << n // 2 for v in (u, mirror))
         return (f"at {BitVector(n, u)}: (W_g1,W_g1') ({n1.wg[u]},{n1.wg[mirror]}) != "
@@ -907,9 +903,9 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
 
     def frame_details() -> str:
         return "; ".join(
-            f"{kind} branches " + " ".join(f"{b}={c}" for b, c in (
-                (b, np.count_nonzero(code == i)) for i, b in enumerate(names)) if c)
-            for kind, names, code in zip(("walsh", "nega"), (("0", "1"), NEGA_BRANCHES), frame()))
+            f"{kind} branches " + " ".join(f"{b}={c}" for b, c in zip(names, counts) if c)
+            for kind, names, counts in zip(("walsh", "nega"), (("0", "1"), NEGA_BRANCHES),
+                                           extract_frame_coefficients(cf.base, w1, n1)))
 
     checks.add("fragment-ratios-admissible", frame_check, frame_details)
 

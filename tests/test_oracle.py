@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from negabench.core import (
     truth_table_from_anf,
 )
 from negabench.spectra import (
+    classify,
     fragmentary_nega_spectrum,
     fragmentary_walsh_spectrum,
+    mm_function,
     nega_transform,
     walsh_transform,
 )
@@ -272,37 +275,61 @@ def admissible(codes):
     return all(not (code < 0).any() for code in codes)
 
 
-def _codes(f0, t):
-    """Frame codes of f0 over t, from the spectra of f1 = f0 + 1_t."""
+def _counts(f0, t):
+    """Frame branch counts of f0 over t, from the spectra of f1 = f0 + 1_t."""
     f1 = f0 ^ characteristic_function(t)
     return extract_frame_coefficients(f0, walsh_transform(f1), nega_transform(f1))
+
+
+def _code_counts(codes):
+    """The branch counts of per-point codes, in ("0", "1") and NEGA_BRANCHES order."""
+    return tuple(np.bincount(code, minlength=m) for code, m in zip(codes, (2, 4)))
+
+
+def _sign_codes(f0, t):
+    """Per-point branches read off sign bits: Walsh 1 where W_f1 and W_f0
+    differ in sign, nega `_NEGA_BRANCH` at the signs of W_g0 and W_g1 at u
+    and u', and -1 wherever f1 = f0 + 1_t is not flat (there, at u or u')."""
+    f1 = f0 ^ characteristic_function(t)
+    flat = 1 << f0.n // 2
+    w0, w1 = walsh_transform(f0).values, walsh_transform(f1).values
+    g0, g1 = nega_transform(f0).wg < 0, nega_transform(f1).wg
+    walsh = np.where(np.abs(w1) == flat, (w0 < 0) ^ (w1 < 0), -1)
+    signs = g0 | g0[::-1] << 1 | (g1 < 0) << 2 | (g1[::-1] < 0) << 3
+    nega = np.where((np.abs(g1) == flat) & (np.abs(g1[::-1]) == flat),
+                    oracle._NEGA_BRANCH[signs], -1)
+    return walsh, nega
 
 
 class TestFrameCoefficients:
     def test_single_gamma_counts(self):
         f0 = base_function("g0", 1)
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 1),)))
-        walsh, nega = codes = _codes(f0, t)
+        walsh, nega = _counts(f0, t)
+        assert walsh.dtype == nega.dtype == np.int64
+        assert walsh.shape == (2,) and nega.shape == (4,)
+        assert walsh.sum() == nega.sum() == 16
+        codes = _reference_frame_codes(f0, t)
         assert admissible(codes)
-        assert np.count_nonzero(walsh < 0) == 0
-        assert np.count_nonzero((nega >= 0) & (nega < len(oracle.NEGA_BRANCHES))) == 16
-        assert not walsh.flags.writeable and not nega.flags.writeable
-        assert walsh.dtype == nega.dtype == np.int8
+        assert all(np.array_equal(a, b) for a, b in zip((walsh, nega), _code_counts(codes)))
 
     def test_codes_are_strings(self):
         f0 = base_function("g0", 1)
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 0),)))
-        codes = _codes(f0, t)
+        codes = _reference_frame_codes(f0, t)
+        walsh, nega = _counts(f0, t)
         assert walsh_code(codes, 0) in ("0", "1")
+        assert walsh[int(walsh_code(codes, 0))] >= 1
         assert nega_code(codes, BitVector(4, 3)) in ("0", "1", "i", "-i")
+        assert nega[oracle.NEGA_BRANCHES.index(nega_code(codes, BitVector(4, 3)))] >= 1
 
     def test_requires_bent_negabent_base(self):
         t = build_modifier_set(GammaSpec(1, "S1", (BitVector(2, 0),)))
         with pytest.raises(NotBentError):
-            _codes(BooleanFunction(4, 0), t)
+            _counts(BooleanFunction(4, 0), t)
         # sigma2 is bent but not negabent
         with pytest.raises(NotBentError):
-            _codes(base_function("sigma2", 4), t)
+            _counts(base_function("sigma2", 4), t)
 
     def test_refuses_spectra_of_another_dimension(self):
         f0, other = base_function("g0", 1), base_function("g0", 2)
@@ -313,7 +340,7 @@ class TestFrameCoefficients:
 
     def test_runs_no_butterfly(self, monkeypatch):
         cf = construct("H4K2", GammaSpec(2, "S3", (BitVector(4, 3), BitVector(4, 12)), ("0", "B")))
-        want = _codes(cf.base, cf.modifier_set)
+        want = _code_counts(_reference_frame_codes(cf.base, cf.modifier_set))
         w1, n1 = walsh_transform(cf.function), nega_transform(cf.function)
 
         def refused(*args):
@@ -322,15 +349,38 @@ class TestFrameCoefficients:
         monkeypatch.setattr(spectra, "_spectrum", refused)
         oracle._base_spectra.cache_clear()
         got = extract_frame_coefficients(cf.base, w1, n1)
-        assert admissible(got)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_generic_subset_can_be_inadmissible(self):
-        from negabench.core import VectorSet
         f0 = base_function("g0", 1)
-        codes = _codes(f0, VectorSet.from_indices(4, [0]))
+        t = VectorSet.from_indices(4, [0])
+        codes = _reference_frame_codes(f0, t)
         assert not admissible(codes)
         assert (codes[0] < 0).any()
+        u = int(np.flatnonzero(codes[0] < 0)[0])
+        with pytest.raises(NotBentError, match=f"not flat: at {BitVector(4, u)}: [|]W[|] "):
+            _counts(f0, t)
+
+    @pytest.mark.parametrize("family, spec", [
+        ("G4K", GammaSpec(5, "S1", (BitVector(10, 0b1101001110), BitVector(10, 0b0010110001)))),
+        ("H4K2", GammaSpec(5, "S3", (BitVector(10, 0b1101001110), BitVector(10, 0b0010110001)),
+                           ("B", "0")))], ids=["n20", "n22"])
+    def test_counts_allocate_no_full_size_array(self, family, spec):
+        # a 2^n int8 array alone would be 1 MiB at n = 20; with the base warm
+        # (its duals and their packed bytes kept), f1's flatness scans and the
+        # counts take one block at a time
+        cf = construct(family, spec)
+        w1, n1 = walsh_transform(cf.function), nega_transform(cf.function)
+        for dual in oracle._base_spectra(cf.base):
+            dual.table_bytes
+        tracemalloc.start()
+        try:
+            walsh, nega = extract_frame_coefficients(cf.base, w1, n1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walsh.sum() == nega.sum() == 1 << cf.n
+        assert peak < 1 << 20, peak
 
 
 def _reference_frame_codes(f0, t):
@@ -348,6 +398,11 @@ def _reference_frame_codes(f0, t):
                                      (r0 + i0, i0 - r0), (r0 - i0, r0 + i0))):
         nega[(rt == re) & (it == im)] = code
     return walsh, nega
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(spectra, "_BLOCK", 32)  # every n >= 6 crosses blocks
 
 
 def _frame_specs():
@@ -384,36 +439,42 @@ def _frame_specs():
     return specs
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestFrameCodesFromSpectra:
-    @pytest.fixture(autouse=True)
-    def _small_blocks(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_BLOCK", 32)  # every n >= 6 crosses blocks
-
     @pytest.mark.parametrize("family, spec", _frame_specs(),
                              ids=lambda x: x if isinstance(x, str) else f"k{x.k}")
     def test_construction_codes_match_masked_route(self, family, spec):
         cf = construct(family, spec)
         f0, t = cf.base, cf.modifier_set
-        want_walsh, want_nega = _reference_frame_codes(f0, t)
-        walsh, nega = _codes(f0, t)
-        assert admissible((walsh, nega))
+        want_walsh, want_nega = codes = _reference_frame_codes(f0, t)
+        walsh, nega = _sign_codes(f0, t)
+        assert admissible(codes)
         assert np.array_equal(walsh, want_walsh)
         assert np.array_equal(nega, want_nega)
+        assert all(np.array_equal(a, b) for a, b in zip(_counts(f0, t), _code_counts(codes)))
 
     @pytest.mark.parametrize("base, k", [("g0", 1), ("h0", 1), ("g0", 2), ("h0", 2)])
     def test_random_subsets_match_masked_route(self, base, k):
         f0 = base_function(base, k)
-        size = 1 << f0.n
-        rng = np.random.default_rng(500 + f0.n)
-        subsets = [VectorSet.from_indices(f0.n, [int(u)]) for u in rng.integers(size, size=3)]
-        for density in (0.1, 0.5, 0.9):
-            subsets.append(VectorSet.from_indices(f0.n, np.flatnonzero(rng.random(size) < density)))
-        for t in subsets:
-            want_walsh, want_nega = _reference_frame_codes(f0, t)
-            walsh, nega = _codes(f0, t)
+        for t in _random_subsets(f0):
+            want_walsh, want_nega = codes = _reference_frame_codes(f0, t)
+            walsh, nega = _sign_codes(f0, t)
             assert np.array_equal(walsh, want_walsh)
             assert np.array_equal(nega, want_nega)
-        assert not admissible(_codes(f0, subsets[0]))
+            if admissible(codes):
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(_counts(f0, t), _code_counts(codes)))
+        assert not admissible(_reference_frame_codes(f0, _random_subsets(f0)[0]))
+
+
+def _random_subsets(f0):
+    """Three single points and sets of density 0.1, 0.5 and 0.9, seeded by n."""
+    size = 1 << f0.n
+    rng = np.random.default_rng(500 + f0.n)
+    subsets = [VectorSet.from_indices(f0.n, [int(u)]) for u in rng.integers(size, size=3)]
+    for density in (0.1, 0.5, 0.9):
+        subsets.append(VectorSet.from_indices(f0.n, np.flatnonzero(rng.random(size) < density)))
+    return subsets
 
 
 def _tampered_functions(cf):
@@ -546,6 +607,64 @@ class TestFrameCheckOfTamperedFunctions:
         monkeypatch.setattr(spectra, "_first_flagged", counted)
         assert verify_construction(cf).passed
         assert len(scans) == 4
+
+
+def _assert_frame_verdict_is_flatness(cf, t):
+    """The reference codes over t are all admissible exactly when f1 = f0 +
+    1_t is bent and negabent.  Where they are not, the frame check on the
+    moved set names the reference's first inadmissible point, Walsh before
+    nega, and the counts are refused at that point."""
+    f0, n = cf.base, cf.n
+    codes = _reference_frame_codes(f0, t)
+    f1 = f0 ^ characteristic_function(t)
+    flags = classify(f1)
+    frame = _check(verify_construction(dataclasses.replace(cf, modifier_set=t)),
+                   "fragment-ratios-admissible")
+    assert admissible(codes) == (flags.is_bent and flags.is_negabent)
+    assert frame.passed == admissible(codes)
+    if frame.passed:
+        return
+    bad_walsh, bad_nega = (np.flatnonzero(code < 0) for code in codes)
+    if bad_walsh.size:
+        u = int(bad_walsh[0])
+        want = f"at {BitVector(n, u)}: W_f1 {walsh_transform(f1).value(u)} != +-W_f0 {1 << n // 2}"
+    else:
+        u = int(bad_nega[0])
+        mirror = (1 << n) - 1 - u
+        g0, g1 = nega_transform(f0).wg, nega_transform(f1).wg
+        want = (f"at {BitVector(n, u)}: (W_g1,W_g1') ({g1[u]},{g1[mirror]}) != "
+                f"a quarter turn of (W_g0,W_g0') ({g0[u]},{g0[mirror]})")
+    assert frame.counterexample == want
+    with pytest.raises(NotBentError, match=f"not flat: at {BitVector(n, u)}: "):
+        _counts(f0, t)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestFrameVerdictIsFlatness:
+    @pytest.mark.parametrize("base, k", [("g0", 1), ("h0", 1), ("g0", 2), ("h0", 2)])
+    def test_random_subsets(self, base, k):
+        gamma = (BitVector(2 * k, 1),)
+        cf = construct(*(("G4K", GammaSpec(k, "S1", gamma)) if base == "g0" else
+                         ("H4K2", GammaSpec(k, "S3", gamma, ("0",)))))
+        assert cf.base == base_function(base, k)
+        for t in _random_subsets(cf.base) + _moved_sets(cf):
+            _assert_frame_verdict_is_flatness(cf, t)
+
+    @pytest.mark.parametrize("family, spec", _SEVEN, ids=[f for f, _ in _SEVEN])
+    def test_moved_sets(self, family, spec):
+        cf = construct(family, spec)
+        for t in _moved_sets(cf):
+            _assert_frame_verdict_is_flatness(cf, t)
+
+
+def _moved_sets(cf):
+    """The kept modifier set, with one point toggled, and the sets that make
+    f1 sigma2 or a Maiorana-McFarland x.pi(y): bent and not negabent, so
+    the frame check names a nega point."""
+    n, m = cf.n, cf.n // 2
+    mm = mm_function(random.Random(n).sample(range(1 << m), 1 << m), BooleanFunction(m, 0))
+    return [cf.modifier_set, VectorSet(n, cf.modifier_set.mask ^ 1 << (1 << n) // 3),
+            (cf.base ^ base_function("sigma2", n)).support(), (cf.base ^ mm).support()]
 
 
 class TestFragmentaryLemma:
