@@ -14,6 +14,10 @@ negabench su-check
 negabench orbits --n 8 > /dev/null
 negabench lemma-check --set S3 --k 4 --gamma 10110100 --eset B
 negabench lemma-check --set S2 --k 1 --gamma 0000 --gamma 1000
+# n = 24 on g0: the lemma's base checks read the GF(2) rule's duals block by block
+negabench lemma-check --set S1 --k 6 --gamma 000111000111 --gamma 101010101010
+# n = 22 on h0: the base nega check reads the rule's W_g0 at every u and its mirror u'
+negabench lemma-check --set S3 --k 5 --gamma 1101001110 --eset B
 negabench verify --family G4K --k 3 --gamma 000111 --gamma 101010
 negabench spectrum --family H4K2 --k 1 --gamma 10 --eset 0 --kind both
 negabench anf --family G4K --k 3 --gamma 000111 --gamma 101010

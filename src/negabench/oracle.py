@@ -2,10 +2,10 @@
 
 Everything a construction claims is rechecked here by a second route:
 definitional (quadratic-time) reference transforms against the butterfly
-kernels, closed-form spectrum formulas against exact spectra at every point,
+kernels, closed-form spectrum formulas against exact spectra at every point
+(a base's from the GF(2) rule, a fragment's from the masked butterfly),
 fragment-to-full spectrum ratios against the admissible branch table, and
-whole-construction reports covering ANF, flatness, degree parity, duals and
-rotation symmetry.
+whole-construction reports on ANF, flatness, degree parity, duals and rotation symmetry.
 """
 
 from __future__ import annotations
@@ -384,6 +384,8 @@ class _Prediction:
     nega_matches: np.ndarray
     branch: np.ndarray
     structure_ok: np.ndarray
+    base_walsh: np.ndarray  # the base's closed forms the predictions scale
+    base_nega: tuple[np.ndarray, np.ndarray]
 
 
 def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
@@ -463,7 +465,7 @@ def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
         half = (branch == _HALF).astype(np.int32)
         nega2 = _combine(nega, _N_MULTIPLIER.take(branch), half * (1 - 2 * s))
         return _Prediction(np.where(w_matches > 0, walsh, 0), w_matches, *nega2, count, branch,
-                           (count <= 1) | ((count == 2) & pair_ok.take(nkey)))
+                           (count <= 1) | ((count == 2) & pair_ok.take(nkey)), walsh, tuple(nega))
 
     return predict
 
@@ -481,52 +483,38 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     """Compare the closed-form fragment spectra of one modifier set against
     exact masked transforms at every point.
 
-    Also checks the closed-form base spectra, the per-point bound on the
+    Also checks the closed-form base spectra against the GF(2) rule's exact
+    W_f0 and W_g0 (`_base_spectra`, no butterfly), the per-point bound on the
     number of contributing parameters, and (on a deterministic sample) the
-    definitional restricted sums against the masked butterfly route.  Two
-    passes run over blocks of at most 2^14 points (`spectra._BLOCK`), each holding
-    two whole exact spectra: the base pass compares W_f0 and N_f0 with the
-    base's closed forms, and frees both before the fragment pass compares
-    the masked spectra with the predictions.  Each pass evaluates the base's
-    closed forms once per block.  `_predictor` reads only the spec, never
-    the set or a spectrum: each point looks its (gamma, eps) candidates up in
-    key tables of at most 2^(n/2) entries built once from the spec, so the
-    predictions cost 2^n + |Gamma||E| whatever the number of gammas.
+    definitional restricted sums against the masked butterfly route.  One
+    pass runs over blocks of at most 2^14 points (`spectra._BLOCK`), holding
+    the two whole masked spectra; per block, `predict` evaluates the base's
+    closed forms once, for the base checks and the predictions alike.
+    `_predictor` reads only the spec, never the set or a spectrum: each point
+    looks its (gamma, eps) candidates up in key tables of at most 2^(n/2)
+    entries built once from the spec, so the predictions cost 2^n + |Gamma||E|
+    whatever the number of gammas.
     """
     if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
     bound = _LEMMAS[spec.family]
     fam = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family)
     check_capacity(fam.n(spec.k))
-    t = fam.base_param(spec.k)
-    f0 = base_function(fam.base, t)
-    size = 1 << f0.n
+    f0 = base_function(fam.base, fam.base_param(spec.k))
+    size, scale = 1 << f0.n, 1 << (f0.n // 2)
     checks = _Checks()
+    # the rule gives both duals at once: its call is charged to both base checks
+    with checks.timing("base-walsh-closed-form"), checks.timing("base-nega-closed-form"):
+        dual_w, dual_g = _base_spectra(f0)
 
-    # the base pass: W_f0 and N_f0, freed before the masked two are taken
-    h0 = fam.base == "h0"
-    closed_forms = h0_closed_forms if h0 else g0_closed_forms
-    base_walsh = _Agreement(f0.n, "W_f0", "closed form", bounded=True)
-    base_nega = _Agreement(f0.n, "N_f0", "closed form", bounded=True)
-    with checks.timing("base-walsh-closed-form"):
-        w0 = walsh_transform(f0)
-    with checks.timing("base-nega-closed-form"):
-        n0 = nega_transform(f0)
-    for block in _blocks(size):
-        walsh, *nega = closed_forms(t, *split_points(t, h0, _points(block)))
-        with checks.timing("base-walsh-closed-form"):
-            base_walsh.feed(block, w0.parts(block), (walsh,))
-        with checks.timing("base-nega-closed-form"):
-            base_nega.feed(block, n0.parts(block), nega)
-    del w0, n0, walsh, nega
-    checks.add("base-walsh-closed-form", lambda: base_walsh.counterexample,
-               lambda: f"{size} points")
-    checks.add("base-nega-closed-form", lambda: base_nega.counterexample,
-               lambda: f"{size} points")
+    def exact(dual: BooleanFunction, block: slice) -> np.ndarray:  # 2^(n/2) (-1)^dual, int32
+        return scale * (1 - 2 * dual.value_array(block).astype(np.int32))
 
     tset = build_modifier_set(spec)
     wt = fragmentary_walsh_spectrum(f0, tset)
     nt = fragmentary_nega_spectrum(f0, tset)
+    base_walsh = _Agreement(f0.n, "W_f0", "closed form", bounded=True)
+    base_nega = _Agreement(f0.n, "N_f0", "closed form", bounded=True)
     walsh_agree = _Agreement(f0.n, "W_f0,T", "closed form", bounded=True)
     nega_agree = _Agreement(f0.n, "2N_f0,T", "closed form", bounded=True)
     nonzero = 0
@@ -536,6 +524,12 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     predict = _predictor(spec)
     for block in _blocks(size):
         pred = predict(_points(block))
+        with checks.timing("base-walsh-closed-form"):
+            base_walsh.feed(block, (exact(dual_w, block),), (pred.base_walsh,))
+        with checks.timing("base-nega-closed-form"):  # re N = (a + b)/2, im N = a - re
+            a = exact(dual_g, block)  # W_g0(u), and b = W_g0(u') for u' = 2^n - 1 - u
+            re = (a + exact(dual_g, slice(size - block.stop, size - block.start))[::-1]) >> 1
+            base_nega.feed(block, (re, a - re), pred.base_nega)
         with checks.timing("fragment-walsh-closed-form"):
             walsh_agree.feed(block, wt.parts(block), (pred.walsh,))
             nonzero += int(np.count_nonzero(pred.walsh_matches))
@@ -555,6 +549,10 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
                     "admissible structure False != True")
         del pred  # free this block's arrays before the next block's prediction
 
+    checks.add("base-walsh-closed-form", lambda: base_walsh.counterexample,
+               lambda: f"{size} points")
+    checks.add("base-nega-closed-form", lambda: base_nega.counterexample,
+               lambda: f"{size} points")
     checks.add("fragment-walsh-closed-form", lambda: walsh_agree.counterexample,
                lambda: f"{size} points, {nonzero} nonzero")
     checks.add("fragment-nega-closed-form", lambda: nega_agree.counterexample, lambda: (

@@ -128,11 +128,11 @@ _ENTRY_ROWS = np.packbits(np.kron(_H8, _H8) < 0, axis=1, bitorder="little").view
 _INT16_BLOCK = 1 << 14  # the int16 levels sum blocks of 2^14 points: |v| <= 2^14 < 2^15
 _ENTRY_WORDS = 1 << 11  # packed words per entry chunk: 2^17 points, 256 KiB in int16
 _INT32_TILE = 1 << 16  # int32 scratch per tile of the int32 levels: 256 KiB
-# points per block of every pass over a whole spectrum (flatness scans,
-# Parseval sums, frame branch counts and the lemma checks): each block's
-# temporaries, at most 128 KiB (int64 nega parts), reuse the heap memory the
-# last block freed instead of faulting in fresh pages; at 2^15 an n = 18
-# lemma check takes ten times the page faults, and is slower
+# points per block of every pass over a whole spectrum (flatness scans, Parseval sums,
+# frame branch counts, the dual's packed sign bits and the lemma pass; a multiple of 8,
+# so a block packs into whole bytes): each block's temporaries, at most 128 KiB (int64
+# nega parts), reuse the heap memory the last block freed instead of faulting in fresh
+# pages; at 2^15 an n = 18 lemma check takes ten times the page faults, and is slower
 _BLOCK = 1 << 14
 
 
@@ -468,12 +468,13 @@ def dual(f: BooleanFunction) -> BooleanFunction:
 
 
 def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
-    """The bent dual read off an exact Walsh spectrum that is already at hand."""
-    bad = spec.flat_failure()
-    if bad is not None:
+    """The bent dual read off an exact Walsh spectrum that is already at hand:
+    once W is flat, the dual is 1 exactly where W < 0, packed a block at a time."""
+    if (bad := spec.flat_failure()) is not None:
         raise NotBentError(f"not bent: {bad}")
-    target = 1 << (spec.n // 2)
-    return BooleanFunction.from_values(spec.n, spec.values == -target)
+    packed = b"".join(np.packbits(spec.values[block] < 0, bitorder="little").tobytes()
+                      for block in _blocks(spec.values.shape[0]))
+    return BooleanFunction(spec.n, int.from_bytes(packed, "little"))
 
 
 def _bent_dual(rows: list[int], q: Callable[[int], int], negative: bool

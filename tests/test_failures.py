@@ -86,8 +86,22 @@ def _verify_moved(monkeypatch, name, field, delta):
 
 
 def _lemma(monkeypatch, name, field, delta):
-    # the base and the masked spectra are all taken of the base h0
+    # the masked spectra are taken of the base h0
     _shifted(monkeypatch, name, field, base_function("h0", 2), delta, POINT_37)
+    return oracle.verify_fragmentary_lemma(LEMMA)
+
+
+def _lemma_flipped_dual(monkeypatch, which):
+    """The lemma report with bit POINT_37 of the GF(2) rule's dual_w (which = 0)
+    or dual_g (1) of the base flipped: W_f0 or W_g0 negated there."""
+    rule = oracle._base_spectra
+
+    def flipped(f):
+        duals = list(rule(f))
+        duals[which] = _flip(duals[which], POINT_37)
+        return tuple(duals)
+
+    monkeypatch.setattr(oracle, "_base_spectra", flipped)
     return oracle.verify_fragmentary_lemma(LEMMA)
 
 
@@ -201,10 +215,8 @@ CASES = {
         mp, "walsh_transform", "values", -2 * oracle.walsh_transform(G4K.function).value(3)),
         POINT, False),
     # lemma-check
-    "base-walsh-closed-form": (lambda mp, tp, cs: _lemma(mp, "walsh_transform", "values", 32),
-                               POINT, True),
-    "base-nega-closed-form": (lambda mp, tp, cs: _lemma(mp, "nega_transform", "wg", 64),
-                              POINT, True),
+    "base-walsh-closed-form": (lambda mp, tp, cs: _lemma_flipped_dual(mp, 0), POINT, True),
+    "base-nega-closed-form": (lambda mp, tp, cs: _lemma_flipped_dual(mp, 1), POINT, True),
     "fragment-walsh-closed-form": (lambda mp, tp, cs: _lemma(
         mp, "fragmentary_walsh_spectrum", "values", 32), POINT, True),
     "fragment-nega-closed-form": (lambda mp, tp, cs: _lemma(

@@ -24,6 +24,7 @@ from negabench.spectra import (
     NegaSpectrum,
     classify,
     dual,
+    dual_of_spectrum,
     fragmentary_nega,
     fragmentary_nega_spectrum,
     fragmentary_walsh,
@@ -369,6 +370,40 @@ class TestClassify:
         f = truth_table_from_anf(AnfPolynomial.from_monomials(4, [0b0011, 0b1100, 0b0001]))
         assert classify(f).is_bent
         assert dual(dual(f)) == f
+
+
+def _bent_functions(n, seed):
+    """sigma2 and a random Maiorana-McFarland function x . pi(y) + phi(y) on n variables."""
+    rng = np.random.default_rng(seed)
+    m = n // 2
+    phi = BooleanFunction.from_values(m, rng.integers(0, 2, 1 << m))
+    return base_function("sigma2", n), mm_function(rng.permutation(1 << m).tolist(), phi)
+
+
+class TestDualOfSpectrum:
+    """The dual of a flat spectrum is its sign bits, packed a block at a time."""
+
+    @pytest.mark.parametrize("block", [spectra._BLOCK, 16])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 20])
+    def test_sign_bits_are_the_dual(self, monkeypatch, n, block):
+        monkeypatch.setattr(spectra, "_BLOCK", block)
+        for f in _bent_functions(n, seed=n):
+            w = walsh_transform(f)
+            want = BooleanFunction.from_values(n, w.values == -(1 << n // 2))
+            assert dual_of_spectrum(w) == want
+            assert dual_of_spectrum(walsh_transform(want)) == f
+
+    def test_no_full_size_temporary_at_n20(self):
+        # a whole-array compare and its uint8 copies would take 3 MiB; the
+        # blocks, their packed bytes and the dual's int take under 1 MiB
+        w = walsh_transform(_bent_functions(20, seed=20)[1])
+        tracemalloc.start()
+        try:
+            dual_of_spectrum(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestFragmentary:
