@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Runs the installed `negabench` console script through each subcommand and
 # checks the exit codes of the refused inputs; it writes rec.json,
-# rec22.json, rec22-report.json, rec24.json, orbit.json, nested.json and, for
-# rec.json and rec22.json, a flipped record and its report (flipped.json,
-# flipped-report.json, flipped22.json, flipped22-report.json) to the working
-# directory.  Every CI matrix job runs it after `pip install -e ".[test]"`:
-# bash .github/console-script.sh
+# rec22.json, rec22-report.json, rec24.json, rec24rs.json, orbit.json,
+# nested.json and, for rec.json and rec22.json, a flipped record and its
+# report (flipped.json, flipped-report.json, flipped22.json,
+# flipped22-report.json) to the working directory.  Every CI matrix job runs
+# it after `pip install -e ".[test]"`: bash .github/console-script.sh
 set -euo pipefail
 
 negabench repro-examples
@@ -31,6 +31,9 @@ negabench spectrum --in rec.json --kind both
 # spectra come from the GF(2) rule there too
 negabench gen --family G4K --k 6 --gamma 000111000111 --gamma 101010101010 --out rec24.json
 negabench verify --in rec24.json > /dev/null
+# n = 24 on f0: the rule's duals signed by their own weights, and the rotation check
+negabench gen --family F2RS --k 6 --p 110100111010 --out rec24rs.json
+negabench verify --in rec24rs.json > /dev/null
 # n = 22 on the h0 base: its GF(2) rule duals, and the frame branch counts read from them
 negabench gen --family H4K2 --k 5 --gamma 1101001110 --eset B --gamma 0010110001 --eset 0 --out rec22.json
 negabench verify --in rec22.json --format json > rec22-report.json

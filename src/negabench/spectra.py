@@ -352,25 +352,13 @@ def nega_transform(f: BooleanFunction) -> NegaSpectrum:
 # _ROW6[u] packs u.x over the x < 64 into one word, for each u < 64
 _ROW6 = np.packbits(np.bitwise_count(np.arange(64)[:, None] & np.arange(64)) & 1,
                     axis=1, bitorder="little").view("<u8")[:, 0]
-# _CLASS_BYTES[c, w] holds the x < 8 with w + wt(x) = c mod 4: byte j of
-# the class C_c = {x : wt(x) = c mod 4} is _CLASS_BYTES[c, wt(j) mod 4]
-_CLASS_BYTES = np.array([[sum(1 << x for x in range(8) if (w + x.bit_count()) % 4 == c)
-                          for w in range(4)] for c in range(4)], dtype=np.uint8)
+# _CLASS_WORDS[c, w] packs the x < 64 with w + wt(x) = c mod 4: word j of
+# the class C_c = {x : wt(x) = c mod 4} is _CLASS_WORDS[c, wt(j) mod 4]
+_CLASS_WORDS = np.array([[sum(1 << x for x in range(64) if (w + x.bit_count()) % 4 == c)
+                          for w in range(4)] for c in range(4)], dtype=np.uint64)
 # folds the class sums (A_0, A_1, A_2, A_3) into (W, re N, im N)
 _FOLD = np.array([[1, 1, 1, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int32)
 _SUM_ENTRIES = 1 << 18  # int32 class sums and signs (-1)^(u_hi.x_hi) per chunk: 1 MiB
-
-
-@functools.lru_cache(maxsize=None)  # n <= 24: under 16 MiB for every n at once
-def _class_masks(n: int) -> np.ndarray:
-    """The classes C_0 .. C_3 of the 2^n points packed in whole words, as a
-    read-only (4, words) uint64 array; padding points (n < 6) are in none."""
-    width = max(64, 1 << n)
-    byte_classes = np.bitwise_count(np.arange(width >> 3, dtype=np.uint32)) & 3
-    masks = (np.take(_CLASS_BYTES, byte_classes, axis=1).view("<u8")
-             & _raw_bytes((1 << (1 << n)) - 1, width).view("<u8"))
-    masks.setflags(write=False)
-    return masks
 
 
 def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
@@ -382,17 +370,18 @@ def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
     u.x) & C_c & T); then W = A_0 + A_1 + A_2 + A_3 and, splitting i^wt(x)
     by class, N = (A_0 - A_2) + i(A_1 - A_3).  With x and u split at bit 6,
     each packed word's class sums are popcounted once per distinct u_lo and
-    summed against (-1)^(u_hi.x_hi) once per distinct u_hi; no butterfly or
-    sigma2 identity is reached."""
+    summed against (-1)^(u_hi.x_hi) once per distinct u_hi.  The class words
+    are built, and ANDed with T, a chunk at a time, and nothing is cached; no
+    butterfly or sigma2 identity is reached."""
     us = _index_array(f.n, us)
     if t is not None and t.n != f.n:
         raise DimensionError("function and subset dimensions differ")
-    # whole words; the padding points lie outside T (or the live 2^n points)
+    # whole words; the padding points (n < 6) lie in no class
     width = max(64, 1 << f.n)
     assert width <= 1 << 30  # |b| <= 64 a word: every sum is at most 2^n < 2^31 in int32
-    masks = _class_masks(f.n)
-    if t is not None:
-        masks = masks & _raw_bytes(t.mask, width).view("<u8")
+    if t is None and f.n < 6:
+        t = VectorSet(f.n, (1 << (1 << f.n)) - 1)
+    live = None if t is None else _raw_bytes(t.mask, width).view("<u8")
     table = _raw_bytes(f.bits, width).view("<u8")
     u_lo, u_hi = us & 63, us >> 6  # lo, hi: their distinct values in order (no sort)
     lo = np.flatnonzero(np.bincount(u_lo, minlength=64))
@@ -400,12 +389,15 @@ def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
     sums = np.zeros((3, lo.size, hi.size), dtype=np.int32)
     step = max(1, _SUM_ENTRIES // max(hi.size, 4 * lo.size, 1))
     for start in range(0, table.size, step):
-        m = masks[:, start:start + step]
+        stop = min(table.size, start + step)
+        x_hi = np.arange(start, stop, dtype=np.uint32)
+        m = np.take(_CLASS_WORDS, np.bitwise_count(x_hi) & 3, axis=1)  # (4, words): the classes
+        if live is not None:
+            m &= live[start:stop]
         # b[c, r, x_hi] = |m_c| - 2 popcount((f ^ row(lo[r])) & m_c), in [-64, 64]: exact in int8
-        counts = np.bitwise_count((table[start:start + step] ^ _ROW6[lo, None]) & m[:, None, :])
+        counts = np.bitwise_count((table[start:stop] ^ _ROW6[lo, None]) & m[:, None, :])
         b = (np.bitwise_count(m)[:, None, :] - 2 * counts).view(np.int8)
-        folded = (_FOLD @ b.reshape(4, -1)).reshape(3, lo.size, m.shape[1])
-        x_hi = np.arange(start, start + m.shape[1], dtype=np.uint32)
+        folded = (_FOLD @ b.reshape(4, -1)).reshape(3, lo.size, stop - start)
         signs = 1 - 2 * (np.bitwise_count(hi[:, None] & x_hi) & 1).astype(np.int32)
         sums += np.einsum("krw,hw->krh", folded, signs)
     return tuple(sums[:, np.searchsorted(lo, u_lo), np.searchsorted(hi, u_hi)].astype(np.int64))
@@ -477,12 +469,13 @@ def dual_of_spectrum(spec: WalshSpectrum) -> BooleanFunction:
     return BooleanFunction(spec.n, int.from_bytes(packed, "little"))
 
 
-def _bent_dual(rows: list[int], q: Callable[[int], int], negative: bool
-               ) -> Optional[BooleanFunction]:
-    """The bent dual of a quadratic q, read as q(v), with W_q(0) < 0 if
-    `negative` and these rows of B = U + U^T; None if q is not bent.  With
-    M = B^-1 (Gauss-Jordan), W_q(u) = W_q(0) (-1)^(q(Mu) + q(0)) (Carlet
-    2021): M's pairs x_i x_j, linear terms q(M e_i) + q(0)."""
+def _bent_dual(rows: list[int], q: Callable[[int], int]) -> Optional[BooleanFunction]:
+    """The bent dual of a quadratic q, read as q(v), with these rows of B =
+    U + U^T; None if q is not bent.  With M = B^-1 (Gauss-Jordan), W_q(u) =
+    W_q(0) (-1)^(q(Mu) + q(0)) (Carlet 2021): M's pairs x_i x_j, linear terms
+    q(M e_i) + q(0).  The constant term is the sign of W_q(0), read from the
+    inverse transform at x = 0: sum_u (-1)^dual(u) = 2^(n/2) (-1)^q(0), so it
+    is q(0) + [2 wt(d) > 2^n] for the dual d without it."""
     n = len(rows)
     m = [r | 1 << (n + i) for i, r in enumerate(rows)]
     for c in range(n):
@@ -493,16 +486,21 @@ def _bent_dual(rows: list[int], q: Callable[[int], int], negative: bool
         m = [r ^ m[c] if i != c and r >> c & 1 else r for i, r in enumerate(m)]
     m = [r >> n for r in m]
     masks = [1 << i | 1 << j for i in range(n) for j in range(i + 1, n) if m[i] >> j & 1]
-    masks += [1 << i for i in range(n) if q(m[i]) != q(0)] + [0] * negative
-    return truth_table_from_anf(AnfPolynomial.from_monomials(n, masks))
+    masks += [1 << i for i in range(n) if q(m[i]) != q(0)]
+    d = truth_table_from_anf(AnfPolynomial.from_monomials(n, masks))
+    # B is nonsingular, so q is bent and d's weight is not 2^(n-1)
+    if q(0) ^ (2 * d.weight() > 1 << n):
+        d = BooleanFunction(n, d.bits ^ ((1 << (1 << n)) - 1))
+    return d
 
 
 def quadratic_duals(f: BooleanFunction) -> tuple[BooleanFunction, BooleanFunction]:
     """The bent duals of a quadratic bent-negabent f and of g = f + sigma2,
-    with no butterfly: W_f(u) = 2^(n/2) (-1)^(first dual at u), W_g(u)
-    likewise.  Else NotBentError: 'not quadratic: at <top monomial>',
-    or 'not bent' / 'not negabent' at u = 0 from weights, since a quadratic
-    that is not bent has |W| = 0 or 2^(n-r), r < n/2, at every point."""
+    with no butterfly and no defining sum: W_f(u) = 2^(n/2) (-1)^(first dual
+    at u), W_g(u) likewise.  Else NotBentError: 'not quadratic: at <top
+    monomial>', or 'not bent' / 'not negabent' at u = 0, from the defining
+    sums there, since a quadratic that is not bent has |W| = 0 or 2^(n-r),
+    r < n/2, at every point."""
     n, anf = f.n, anf_from_truth_table(f)
     top = anf.top_term()
     if top.bit_count() > 2:
@@ -511,13 +509,13 @@ def quadratic_duals(f: BooleanFunction) -> tuple[BooleanFunction, BooleanFunctio
     pairs = [m for m in _set_bits(anf.coeffs, 1 << n).tolist() if m.bit_count() == 2]
     rows = [sum(m ^ 1 << i for m in pairs if m >> i & 1) for i in range(n)]
     table = f.table_bytes.tobytes()  # f(v) as a Python int, with no 2^n-bit shift
-    w, re, im = (int(v[0]) for v in definitional_sums(f, [0]))  # W_f(0) and N_f(0)
-    dual_f = _bent_dual(rows, lambda v: table[v >> 3] >> (v & 7) & 1, w < 0)
-    # g adds every x_i x_j, so sigma2(v) = bit 1 of wt(v), and W_g(0) = re N_f(0) + im N_f(0)
+    dual_f = _bent_dual(rows, lambda v: table[v >> 3] >> (v & 7) & 1)
+    # g adds every x_i x_j, so sigma2(v) = bit 1 of wt(v)
     dual_g = None if dual_f is None else _bent_dual(
         [r ^ ((1 << n) - 1) ^ 1 << i for i, r in enumerate(rows)],
-        lambda v: (table[v >> 3] >> (v & 7) ^ v.bit_count() >> 1) & 1, re + im < 0)
+        lambda v: (table[v >> 3] >> (v & 7) ^ v.bit_count() >> 1) & 1)
     if dual_g is None:
+        w, re, im = (int(v[0]) for v in definitional_sums(f, [0]))  # W_f(0) and N_f(0)
         raise NotBentError(f"not bent: {_walsh_unflat(n, 0, w)}" if dual_f is None
                            else f"not negabent: {_nega_unflat(n, 0, re, im)}")
     return dual_f, dual_g

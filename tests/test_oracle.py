@@ -155,7 +155,7 @@ class TestNaiveTransforms:
 
         cases = [(_random_function(n, seed=n), _random_set(n, seed=60 + n)) for n in (3, 8, 11)]
         want = [all_spectra(f, t) for f, t in cases]
-        for name in ("_ROW6", "_CLASS_BYTES"):
+        for name in ("_ROW6", "_CLASS_WORDS"):
             monkeypatch.setattr(spectra, name, _RefusedTable())
         monkeypatch.setattr(spectra, "definitional_sums", _refuse)
         for (f, t), arrays in zip(cases, want):

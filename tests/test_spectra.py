@@ -407,6 +407,21 @@ class TestDualOfSpectrum:
 
 
 class TestFragmentary:
+    def test_definitional_sums_stay_per_chunk_at_n24(self):
+        # literal-sum-agreement at capacity: an S1 set, 64 evenly spaced
+        # points.  The table, the set's words and a chunk's class words take
+        # 7.3 MiB at the peak; a whole class-mask table (8 MiB) crosses 9 MiB
+        spec = GammaSpec(6, "S1", (BitVector.from_string("000111000111"),
+                                   BitVector.from_string("101010101010")))
+        f, t = base_function("g0", 6), build_modifier_set(spec)
+        tracemalloc.start()
+        try:
+            spectra.definitional_sums(f, range(0, 1 << 24, 1 << 18), t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 << 20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_fragment_plus_complement_is_full(self):
         f = truth_table_from_anf(AnfPolynomial.from_monomials(4, [0b0011, 0b1100]))
         t = VectorSet.from_indices(4, [0, 1, 5, 9, 12])
@@ -489,6 +504,25 @@ class TestQuadraticRule:
         # W_g(u) = re N(u) + im N(u) by the sigma2 identity
         assert np.array_equal(_rule_values(dual_f, f.n, us), w)
         assert np.array_equal(_rule_values(dual_g, f.n, us), re + im)
+
+    @pytest.mark.parametrize("name, param", _RULE_BASES)
+    def test_reaches_no_definitional_or_butterfly_code(self, monkeypatch, name, param):
+        # the duals' signs come from their own weights: on its success path
+        # the rule shares no code with the routes that pin it
+        f = base_function(name, param)
+        want = quadratic_duals(f)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rule reached a spectrum route's code")
+
+        class Refused:
+            __getitem__ = __array__ = __getattr__ = refuse
+
+        for table in ("definitional_sums", "_spectrum", "_levels", "_sigma2_bytes"):
+            monkeypatch.setattr(spectra, table, refuse)
+        for table in ("_ROW6", "_CLASS_WORDS", "_ENTRY_ROWS"):
+            monkeypatch.setattr(spectra, table, Refused())
+        assert quadratic_duals(f) == want
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
     def test_random_quadratics_match_the_butterfly(self, n):
