@@ -181,15 +181,16 @@ def _expand_product(factors: Sequence[Sequence[int]]) -> list[int]:
     return masks
 
 
-def _z_power_masks(groups: Sequence[int], w: int) -> list[int]:
-    """Z^w = prod_{j in w} Z_j, Z_j the sum of the variables in groups[j],
-    expanded: each monomial takes one variable of every group in w, so
-    distinct w share no monomial."""
-    return _expand_product([[1 << v for v in range(groups[j].bit_length()) if groups[j] >> v & 1]
-                            for j in range(len(groups)) if w >> j & 1])
+def _z_power_masks(groups: Sequence[int], ws: Iterable[int]) -> list[int]:
+    """Z^w = prod_{j in w} Z_j for each w of ws, Z_j the sum of the variables
+    in groups[j], expanded: each monomial takes one variable of every group in
+    w, so distinct w share no monomial."""
+    variables = [[1 << v for v in range(g.bit_length()) if g >> v & 1] for g in groups]
+    return [m for w in ws
+            for m in _expand_product([f for j, f in enumerate(variables) if w >> j & 1])]
 
 
-def _covering_sum_masks(groups: Sequence[int], points: Iterable[int]) -> Iterable[int]:
+def _covering_sum_masks(groups: Sequence[int], points: Iterable[int]) -> list[int]:
     """The sum over the points p of [Z = p] = prod_j (Z_j + p_j + 1).  Each
     indicator is the sum of Z^w over the w covering p, so the sum is taken
     over the d = len(groups) bits of Z first, and only the Z^w left are
@@ -199,7 +200,7 @@ def _covering_sum_masks(groups: Sequence[int], points: Iterable[int]) -> Iterabl
     z_sum: set[int] = set()
     for p in points:
         z_sum ^= set(_expand_product([[1 << j] if p >> j & 1 else [1 << j, 0] for j in range(d)]))
-    return (m for w in z_sum for m in _z_power_masks(groups, w))
+    return _z_power_masks(groups, z_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +335,7 @@ def closed_form_anf(fam: Family, params: ConstructionSpec) -> AnfPolynomial:
     elif fam.name == "F2RS":
         masks = _covering_sum_masks(z, (g for beta in params.vectors for g in orbit(beta)))
     else:
-        masks = (m for v in params.vectors for w in orbit(v) for m in _z_power_masks(z, w))
+        masks = _z_power_masks(z, (w for v in params.vectors for w in orbit(v)))
     base = base_anf(fam.base, fam.base_param(k))
     return base ^ AnfPolynomial.from_monomials(base.n, masks)
 

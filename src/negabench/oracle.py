@@ -254,11 +254,8 @@ NEGA_BRANCHES = ("0", "1", "i", "-i")
 # W_f0 and W_g0 as bent duals; a sweep meets each base many times
 _base_spectra = functools.lru_cache(maxsize=8)(quadratic_duals)
 
-# the nega branch by the sign bits [W_g0(u) < 0] + 2 [W_g0(u') < 0] + 4 [W_g1(u) < 0]
-# + 8 [W_g1(u') < 0]: the sign units (a1, b1) are (a0, b0), (-a0, -b0), (b0, -a0) or
-# (-b0, a0), which for units a0, b0 are all four sign pairs
-_NEGA_BRANCH = np.array([[(a, b), (-a, -b), (b, -a), (-b, a)].index((a1, b1))
-                         for b1 in (1, -1) for a1 in (1, -1) for b in (1, -1) for a in (1, -1)])
+# each byte with its bits reversed: a packed table read backwards so holds u' = 2^n - 1 - u at u
+_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaSpectrum
@@ -275,7 +272,9 @@ def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaS
     exactly when f1 is bent and negabent, and its branch is then a matter of
     signs: Walsh branch 1 where W_f1 = -W_f0, and with a = W_g(u) and b =
     W_g(u') for g = f + sigma2, N_f1 = N_f0, -N_f0, i N_f0 or -i N_f0 iff
-    (a1, b1) = (a0, b0), (-a0, -b0), (b0, -a0) or (-b0, a0).
+    (a1, b1) = (a0, b0), (-a0, -b0), (b0, -a0) or (-b0, a0).  On packed sign
+    bits (1 where negative), with x = a0^a1, y = b0^b1, z = b0^a1 and v =
+    a0^b1, these are ~(x|y), x&y, v&~z and z&~v: each count is a popcount.
     Raises NotBentError unless f0 is quadratic bent-negabent and f1 is bent
     and negabent, naming the first point that is not flat.
     """
@@ -284,16 +283,19 @@ def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaS
     dual_w, dual_g = _base_spectra(f0)
     if failure := w1.flat_failure() or n1.flat_failure():
         raise NotBentError(f"f1 = f0 + 1_T not flat: {failure}")
-    size = 1 << f0.n
-    flips, nega = 0, np.zeros(4, dtype=np.int64)
+    size = 1 << f0.n  # n >= 4 for a bent-negabent base: every block is whole bytes
+    counts = np.zeros(5, dtype=np.int64)  # Walsh flips, then the four nega branches
     for block in _blocks(size):
-        mirror = slice(size - block.stop, size - block.start)  # the points u', descending
-        flips += np.count_nonzero(dual_w.value_array(block) != (w1.values[block] < 0))
-        signs = (dual_g.value_array(block) | dual_g.value_array(mirror)[::-1] << 1
-                 | (n1.wg[block] < 0).view(np.uint8) << 2
-                 | (n1.wg[mirror] < 0).view(np.uint8)[::-1] << 3)
-        nega += np.bincount(_NEGA_BRANCH.take(signs), minlength=4)
-    return np.array([size - flips, flips], dtype=np.int64), nega
+        at = slice(block.start >> 3, block.stop >> 3)
+        a0, b0 = dual_g.table_bytes[at], _REVERSED.take(dual_g.table_bytes[::-1][at])
+        a1 = np.packbits(n1.wg[block] < 0, bitorder="little")
+        # the points u', packed big-endian and read backwards, line up with u
+        b1 = np.packbits(n1.wg[size - block.stop:size - block.start] < 0, bitorder="big")[::-1]
+        x, y, z, v = a0 ^ a1, b0 ^ b1, b0 ^ a1, a0 ^ b1
+        flips = dual_w.table_bytes[at] ^ np.packbits(w1.values[block] < 0, bitorder="little")
+        counts += np.bitwise_count(np.stack((flips, ~(x | y), x & y, v & ~z, z & ~v))).sum(
+            axis=1, dtype=np.int64)
+    return np.array([size - counts[0], counts[0]], dtype=np.int64), counts[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +814,10 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     none on the base: the dual is read off W_f, the closed dual's W serves
     its flatness and its involution, and the frame check's verdict is the
     flatness of W_f and N_f, or of those of f0 + 1_T if f is not it, over a
-    base the GF(2) rule certifies flat; its frame branch counts compare their
-    sign bits with the base's.
+    base the GF(2) rule certifies flat; its frame branch counts popcount their
+    packed sign bits against the base's.  W_f and N_f, then f1's, are read and
+    dropped before the closed dual's are taken: one pair of 2^n spectra is
+    live at a time, and each verdict keeps its place in the report.
     """
     checks = _Checks()
     f = cf.function
@@ -866,21 +870,13 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
     checks.add("dual-matches-closed-form", lambda: dual_difference(
         wf, cf.closed_dual, "dual", "closed dual"), lambda: "pointwise equal")
 
-    # the closed dual's spectra, taken once for its flatness and its involution
-    with checks.timing("dual-bent-negabent"):
-        wd, nd = walsh_transform(cf.closed_dual), nega_transform(cf.closed_dual)
-    checks.add("dual-bent-negabent", lambda: "; ".join(
-        b for b in (wd.flat_failure(), nd.flat_failure()) if b) or None,
-        lambda: "bent=True negabent=True")
-
-    checks.add("dual-involution", lambda: dual_difference(wd, f, "dual of dual", "function"),
-               lambda: "dual of dual returns the function")
-
-    # f1 = f0 + 1_T and its spectra, taken once for the verdict and the
-    # branch counts; W_f and N_f serve when f is f1
-    with checks.timing("fragment-ratios-admissible"):
-        f1 = cf.base ^ characteristic_function(cf.modifier_set)
-        w1, n1 = (wf, nf) if f1 == f else (walsh_transform(f1), nega_transform(f1))
+    # the last readers of W_f and N_f, then of f1's, run before the closed dual's
+    # spectra are taken (one pair live at a time); each verdict is added below
+    if n <= _NAIVE_CROSSCHECK_LIMIT:
+        with checks.timing("butterfly-matches-naive"):
+            whole = slice(None)
+            naive = _spectra_difference(n, whole, wf.parts(whole) + nf.parts(whole),
+                                        naive_transforms(f), "butterfly", "definitional")
 
     def frame_check() -> Optional[str]:
         try:
@@ -899,13 +895,31 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
         return (f"at {BitVector(n, u)}: (W_g1,W_g1') ({n1.wg[u]},{n1.wg[mirror]}) != "
                 f"a quarter turn of (W_g0,W_g0') ({a0},{b0})")
 
-    def frame_details() -> str:
-        return "; ".join(
+    # f1 = f0 + 1_T's spectra: W_f and N_f when f is f1, else its own once f's are dropped
+    with checks.timing("fragment-ratios-admissible"):
+        f1 = cf.base ^ characteristic_function(cf.modifier_set)
+        w1, n1 = (wf, nf) if f1 == f else (None, None)
+        del wf, nf
+        if w1 is None:
+            w1, n1 = walsh_transform(f1), nega_transform(f1)
+        frame = frame_check()
+        details = "" if frame else "; ".join(
             f"{kind} branches " + " ".join(f"{b}={c}" for b, c in zip(names, counts) if c)
             for kind, names, counts in zip(("walsh", "nega"), (("0", "1"), NEGA_BRANCHES),
                                            extract_frame_coefficients(cf.base, w1, n1)))
+        del w1, n1
 
-    checks.add("fragment-ratios-admissible", frame_check, frame_details)
+    # the closed dual's spectra, taken once for its flatness and its involution
+    with checks.timing("dual-bent-negabent"):
+        wd, nd = walsh_transform(cf.closed_dual), nega_transform(cf.closed_dual)
+    checks.add("dual-bent-negabent", lambda: "; ".join(
+        b for b in (wd.flat_failure(), nd.flat_failure()) if b) or None,
+        lambda: "bent=True negabent=True")
+
+    checks.add("dual-involution", lambda: dual_difference(wd, f, "dual of dual", "function"),
+               lambda: "dual of dual returns the function")
+    del wd, nd  # before the rotation check's 2^n-entry temporaries
+    checks.add("fragment-ratios-admissible", lambda: frame, lambda: details)
 
     if FAMILY_TABLE[cf.family].rotation_symmetric:
         def rotation_check() -> Optional[str]:
@@ -917,9 +931,7 @@ def verify_construction(cf: ConstructedFunction) -> VerificationReport:
         checks.add("rotation-symmetry-order", rotation_check, lambda: "rotation order 2")
 
     if n <= _NAIVE_CROSSCHECK_LIMIT:
-        whole = slice(None)
-        checks.add("butterfly-matches-naive", lambda: _spectra_difference(
-            n, whole, wf.parts(whole) + nf.parts(whole), naive_transforms(f),
-            "butterfly", "definitional"), lambda: "butterfly equals definitional sums")
+        checks.add("butterfly-matches-naive", lambda: naive,
+                   lambda: "butterfly equals definitional sums")
 
     return checks.report(f"{cf.family} k={cf.k} n={n}")

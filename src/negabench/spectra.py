@@ -398,7 +398,11 @@ def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
         counts = np.bitwise_count((table[start:stop] ^ _ROW6[lo, None]) & m[:, None, :])
         b = (np.bitwise_count(m)[:, None, :] - 2 * counts).view(np.int8)
         folded = (_FOLD @ b.reshape(4, -1)).reshape(3, lo.size, stop - start)
-        signs = 1 - 2 * (np.bitwise_count(hi[:, None] & x_hi) & 1).astype(np.int32)
+        # (-1)^(u_hi.x_hi), built in place in one buffer (u_hi, x_hi < 2^18: no sign bit)
+        signs = (hi[:, None] & x_hi).view(np.int32)
+        np.bitwise_and(np.bitwise_count(signs, out=signs), 1, out=signs)
+        signs *= -2
+        signs += 1
         sums += np.einsum("krw,hw->krh", folded, signs)
     return tuple(sums[:, np.searchsorted(lo, u_lo), np.searchsorted(hi, u_hi)].astype(np.int64))
 

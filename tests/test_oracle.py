@@ -286,6 +286,13 @@ def _code_counts(codes):
     return tuple(np.bincount(code, minlength=m) for code, m in zip(codes, (2, 4)))
 
 
+# the per-point nega branch by the sign bits [W_g0(u) < 0] + 2 [W_g0(u') < 0] + 4 [W_g1(u) < 0]
+# + 8 [W_g1(u') < 0]: the sign units (a1, b1) are (a0, b0), (-a0, -b0), (b0, -a0) or
+# (-b0, a0), which for units a0, b0 are all four sign pairs
+_NEGA_BRANCH = np.array([[(a, b), (-a, -b), (b, -a), (-b, a)].index((a1, b1))
+                         for b1 in (1, -1) for a1 in (1, -1) for b in (1, -1) for a in (1, -1)])
+
+
 def _sign_codes(f0, t):
     """Per-point branches read off sign bits: Walsh 1 where W_f1 and W_f0
     differ in sign, nega `_NEGA_BRANCH` at the signs of W_g0 and W_g1 at u
@@ -297,7 +304,7 @@ def _sign_codes(f0, t):
     walsh = np.where(np.abs(w1) == flat, (w0 < 0) ^ (w1 < 0), -1)
     signs = g0 | g0[::-1] << 1 | (g1 < 0) << 2 | (g1[::-1] < 0) << 3
     nega = np.where((np.abs(g1) == flat) & (np.abs(g1[::-1]) == flat),
-                    oracle._NEGA_BRANCH[signs], -1)
+                    _NEGA_BRANCH[signs], -1)
     return walsh, nega
 
 
@@ -381,6 +388,28 @@ class TestFrameCoefficients:
             tracemalloc.stop()
         assert walsh.sum() == nega.sum() == 1 << cf.n
         assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("family, spec", [
+        ("H4K2", GammaSpec(4, "S3", (BitVector(8, 0b10110100), BitVector(8, 0b01001110)),
+                           ("B", "0"))),
+        ("G4K", GammaSpec(5, "S1", (BitVector(10, 0b1101001110), BitVector(10, 0b0010110001))))],
+        ids=["n18", "n20"])
+    def test_packed_counts_match_masked_route_across_blocks(self, family, spec):
+        # 16 and 64 blocks of 2^14 points, each beside its mirror block: the
+        # popcounts of the packed sign planes give the masked route's branch
+        # counts, for the rebuilt function and for a tampered table, whose
+        # report takes f1's own spectra
+        cf = construct(family, spec)
+        walsh, nega = _code_counts(_reference_frame_codes(cf.base, cf.modifier_set))
+        assert family == "G4K" or nega[2] and nega[3]  # the i and -i branches
+        got = _counts(cf.base, cf.modifier_set)
+        assert all(np.array_equal(a, b) for a, b in zip(got, (walsh, nega)))
+        want = "; ".join(f"{kind} branches " + " ".join(
+            f"{b}={c}" for b, c in zip(names, counts) if c) for kind, names, counts in (
+            ("walsh", ("0", "1"), walsh), ("nega", oracle.NEGA_BRANCHES, nega)))
+        for function in (cf.function, _tampered_functions(cf)["one-point"]):
+            report = verify_construction(dataclasses.replace(cf, function=function))
+            assert _check(report, "fragment-ratios-admissible").details == want
 
 
 def _reference_frame_codes(f0, t):
@@ -533,7 +562,8 @@ class TestFrameCheckOfTamperedFunctions:
 
     def test_a_failing_frame_check_takes_f1_spectra_once(self, monkeypatch):
         # a point toggled in the kept set makes f1 differ from f: W and N of
-        # f, of the closed dual and of f1, and none of the base, cold or kept
+        # f, of f1 and of the closed dual, in that order, so one pair is live
+        # at a time, and none of the base, cold or kept
         cf = construct(*_SEVEN[0])
         moved = dataclasses.replace(
             cf, modifier_set=VectorSet(cf.n, cf.modifier_set.mask ^ 1 << 85))
@@ -542,7 +572,7 @@ class TestFrameCheckOfTamperedFunctions:
         monkeypatch.setattr(spectra, "_spectrum", lambda *args: calls.append(args) or real(*args))
         oracle._base_spectra.cache_clear()
         f1 = cf.base ^ characteristic_function(moved.modifier_set)
-        want = [(g, nega) for g in (cf.function, cf.closed_dual, f1) for nega in (False, True)]
+        want = [(g, nega) for g in (cf.function, f1, cf.closed_dual) for nega in (False, True)]
         for _ in range(2):  # a cold base, then the base kept from the first report
             calls.clear()
             frame = _check(verify_construction(moved), "fragment-ratios-admissible")
