@@ -4,10 +4,11 @@ ANFs, closed-form duals and the maximum-degree parity conditions.
 A family's function is its base flipped on a modifier set, and its
 closed-form dual is the base's dual flipped on a second set.  Both sets are
 unions of cosets of one subspace (`subspaces.modifier_cells`, `_dual_cells`)
-built by `coset_union`.  The closed-form ANF shares no code
-with that builder: each cell is [Z = p] for a few disjoint variable sums
-Z_j, and `_covering_sum_masks` sums the cells over the d bits of Z before
-it expands them in the variables, so it makes at most 3^d masks.
+built by `coset_union`.  The closed-form ANF shares no code with that
+builder: each cell is [Z = p] for a few disjoint variable sums Z_j, and
+`_covering_sum_masks` sums the cells over the d bits of Z before it expands
+them in the variables (at most 3^d masks) from tables built once per half of
+the groups, which (family, k) fixes: 2^h entries, at most 3^h ints, h <= 6 at n <= 24.
 
 The rotation-symmetric modifiers depend on x and y only through z = x + y:
 an orbit sum is sum_{w in O(v)} z^w and a covering sum is [z = gamma], so
@@ -172,35 +173,42 @@ def base_function(name: str, param: int) -> BooleanFunction:
 # each the sum of the variables in one of a set of disjoint masks
 
 
-def _expand_product(factors: Sequence[Sequence[int]]) -> list[int]:
-    """Monomial masks of a product of factors over pairwise disjoint
-    variables, so the cross product introduces no duplicate monomials."""
-    masks = [0]
-    for f in factors:
-        masks = [m | t for m in masks for t in f]
-    return masks
+@cache
+def _z_powers(groups: tuple[int, ...]) -> list[list[int]]:
+    """The monomials of Z^w = prod_{j in w} Z_j, Z_j the sum of groups[j], for every w."""
+    table = [[0]]
+    for g in groups:
+        table += [[m | 1 << v for m in ms for v in range(g.bit_length()) if g >> v & 1]
+                  for ms in table]
+    return table
+
+
+@cache
+def _covers(width: int, stride: int) -> list[int]:
+    """For every p < 2^width, the int with bit w * stride set for each w covering p."""
+    return [sum(1 << w * stride for w in range(1 << width) if w & p == p)
+            for p in range(1 << width)]
 
 
 def _z_power_masks(groups: Sequence[int], ws: Iterable[int]) -> list[int]:
-    """Z^w = prod_{j in w} Z_j for each w of ws, Z_j the sum of the variables
-    in groups[j], expanded: each monomial takes one variable of every group in
-    w, so distinct w share no monomial."""
-    variables = [[1 << v for v in range(g.bit_length()) if g >> v & 1] for g in groups]
-    return [m for w in ws
-            for m in _expand_product([f for j, f in enumerate(variables) if w >> j & 1])]
+    """The monomials of Z^w for each w of ws, each the product of its halves'."""
+    h = len(groups) // 2
+    lo, hi = _z_powers(tuple(groups[:h])), _z_powers(tuple(groups[h:]))
+    return [a | b for w in ws for a in lo[w & (1 << h) - 1] for b in hi[w >> h]]
 
 
 def _covering_sum_masks(groups: Sequence[int], points: Iterable[int]) -> list[int]:
-    """The sum over the points p of [Z = p] = prod_j (Z_j + p_j + 1).  Each
-    indicator is the sum of Z^w over the w covering p, so the sum is taken
-    over the d = len(groups) bits of Z first, and only the Z^w left are
-    expanded in the variables: at most 3^d masks when no group has more
-    than two variables, however many points there are."""
-    d = len(groups)
-    z_sum: set[int] = set()
+    """The sum over the points p of [Z = p] = prod_j (Z_j + p_j + 1), taken
+    over the d = len(groups) bits of Z first, as an int with bit w set for each
+    Z^w left: each indicator is the sum of the Z^w over the w covering p, the
+    carry-free product of its halves' covers.  Only the Z^w left are expanded in
+    the variables: at most 3^d masks, two variables a group, however many points."""
+    h = len(groups) // 2
+    lo, hi = _covers(h, 1), _covers(len(groups) - h, 1 << h)
+    z_sum = 0
     for p in points:
-        z_sum ^= set(_expand_product([[1 << j] if p >> j & 1 else [1 << j, 0] for j in range(d)]))
-    return _z_power_masks(groups, z_sum)
+        z_sum ^= lo[p & (1 << h) - 1] * hi[p >> h]
+    return _z_power_masks(groups, (w for w, b in enumerate(bin(z_sum)[:1:-1]) if b == "1"))
 
 
 # ---------------------------------------------------------------------------

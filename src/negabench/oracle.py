@@ -274,7 +274,8 @@ def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaS
     W_g(u') for g = f + sigma2, N_f1 = N_f0, -N_f0, i N_f0 or -i N_f0 iff
     (a1, b1) = (a0, b0), (-a0, -b0), (b0, -a0) or (-b0, a0).  On packed sign
     bits (1 where negative), with x = a0^a1, y = b0^b1, z = b0^a1 and v =
-    a0^b1, these are ~(x|y), x&y, v&~z and z&~v: each count is a popcount.
+    a0^b1, these are ~(x|y), x&y, v&~z and z&~v, and as x^y = z^v, each
+    point takes one: the popcounts of x&y, x|y and v&(x^y) give all four.
     Raises NotBentError unless f0 is quadratic bent-negabent and f1 is bent
     and negabent, naming the first point that is not flat.
     """
@@ -284,18 +285,19 @@ def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaS
     if failure := w1.flat_failure() or n1.flat_failure():
         raise NotBentError(f"f1 = f0 + 1_T not flat: {failure}")
     size = 1 << f0.n  # n >= 4 for a bent-negabent base: every block is whole bytes
-    counts = np.zeros(5, dtype=np.int64)  # Walsh flips, then the four nega branches
+    table = dual_g.table_bytes
+    counts = [0, 0, 0, 0]  # the popcounts of w0^w1, x&y, x|y and v&(x^y)
     for block in _blocks(size):
         at = slice(block.start >> 3, block.stop >> 3)
-        a0, b0 = dual_g.table_bytes[at], _REVERSED.take(dual_g.table_bytes[::-1][at])
-        a1 = np.packbits(n1.wg[block] < 0, bitorder="little")
-        # the points u', packed big-endian and read backwards, line up with u
-        b1 = np.packbits(n1.wg[size - block.stop:size - block.start] < 0, bitorder="big")[::-1]
-        x, y, z, v = a0 ^ a1, b0 ^ b1, b0 ^ a1, a0 ^ b1
-        flips = dual_w.table_bytes[at] ^ np.packbits(w1.values[block] < 0, bitorder="little")
-        counts += np.bitwise_count(np.stack((flips, ~(x | y), x & y, v & ~z, z & ~v))).sum(
-            axis=1, dtype=np.int64)
-    return np.array([size - counts[0], counts[0]], dtype=np.int64), counts[1:]
+        signs = np.packbits(np.array((w1.values[block], n1.wg[block], n1.wg[::-1][block])) < 0,
+                            axis=1, bitorder="little")  # W_f1, a1, b1
+        w0, a0, b0, w, a1, b1 = (int.from_bytes(row.tobytes(), "little") for row in (
+            dual_w.table_bytes[at], table[at], _REVERSED.take(table[::-1][at]), *signs))
+        x, y, v = a0 ^ a1, b0 ^ b1, a0 ^ b1
+        counts = [c + p.bit_count() for c, p in zip(counts, (w0 ^ w, x & y, x | y, v & (x ^ y)))]
+    flips, both, either, quarter = counts
+    return (np.array([size - flips, flips], dtype=np.int64),
+            np.array([size - either, both, quarter, either - both - quarter], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The S1..S4 closed ANFs against a literal per-cell expansion.
+"""The S1..S4 and F2RS closed ANFs against a literal per-cell expansion.
 
 `closed_form_anf` sums the cells' indicators [Z = p] over the bits of Z
 before it expands them in the variables.  The reference below expands each
@@ -12,8 +12,14 @@ import random
 import pytest
 
 from negabench.core import AnfPolynomial, BitVector, anf_from_truth_table
-from negabench.subspaces import GammaSpec
-from negabench.constructions import FAMILY_TABLE, base_anf, closed_form_anf, construct
+from negabench.subspaces import GammaSpec, orbit
+from negabench.constructions import (
+    FAMILY_TABLE,
+    RotationSpec,
+    base_anf,
+    closed_form_anf,
+    construct,
+)
 
 FAMILY_OF_SET = {"S1": "G4K", "S2": "G8K", "S3": "H4K2", "S4": "H8K2"}
 
@@ -126,7 +132,18 @@ def _seeded_specs():
     return specs
 
 
-SPECS = _seeded_specs()
+def _wide_pair_specs():
+    """S2 and S4 at k = 2 (n = 16, 18): 8 and 9 groups of Z, so their halves
+    hold 4 groups of x, and 4 of y with y_m for S4."""
+    rng = random.Random(20261020)
+    specs = []
+    for tag in ("S2", "S4"):
+        for count in (1, 3, 7, 16):
+            specs.append(_spec(rng, tag, 2, _random_gammas(rng, tag, 2, count)))
+    return specs
+
+
+SPECS = _seeded_specs() + _wide_pair_specs()
 
 
 def _spec_id(spec):
@@ -144,6 +161,7 @@ def test_specs_cover_the_cases():
     for tag in ("S1", "S2", "S3", "S4"):
         assert any(spec.family == tag and len(spec.gammas) == 1 << (2 * spec.k)
                    for spec in SPECS)
+    assert {spec.k for spec in SPECS if spec.family in ("S2", "S4")} == {1, 2}
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
@@ -159,3 +177,50 @@ def test_reference_matches_the_truth_table():
         cf = construct(FAMILY_OF_SET[tag], spec)
         assert reference_anf(spec) == anf_from_truth_table(cf.function)
 
+
+# ---------------------------------------------------------------------------
+# F2RS: the covering sum of gamma is [x + y = gamma], one cell per member of
+# each representative's cyclic orbit
+
+
+def _orbit_reps(k2):
+    """The least member of every cyclic orbit of F_2^k2, by definition."""
+    return sorted({orbit(BitVector(k2, v))[0] for v in range(1 << k2)})
+
+
+def reference_f2rs_anf(k, reps):
+    k2 = 2 * k
+    masks = [m for beta in reps for g in orbit(BitVector(k2, beta))
+             for m in _expand_product([[1 << j, 1 << (k2 + j)] + ([] if g >> j & 1 else [0])
+                                       for j in range(k2)])]
+    return base_anf("f0", k) ^ AnfPolynomial.from_monomials(2 * k2, masks)
+
+
+def _f2rs_specs():
+    """Every representative alone, seeded subsets and all nonzero ones, k <= 3."""
+    rng = random.Random(20261021)
+    specs = []
+    for k in (1, 2, 3):
+        reps = _orbit_reps(2 * k)
+        specs += [(k, (r,)) for r in reps]
+        specs += [(k, tuple(sorted(rng.sample(reps, rng.randint(2, len(reps))))))
+                  for _ in range(4)]
+        specs.append((k, tuple(reps[1:])))
+    return list(dict.fromkeys(specs))
+
+
+@pytest.mark.parametrize("k, reps", _f2rs_specs(),
+                         ids=lambda v: f"k{v}" if isinstance(v, int) else "-".join(map(str, v)))
+def test_f2rs_closed_anf_matches_per_cell_expansion(k, reps):
+    spec = RotationSpec(k, tuple(BitVector(2 * k, r) for r in reps))
+    assert closed_form_anf(FAMILY_TABLE["F2RS"], spec) == reference_f2rs_anf(k, reps)
+
+
+def test_f2rs_every_nonzero_rep_at_n24():
+    # 351 representatives, 4,095 cells: the closed ANF against the Moebius
+    # transform of the truth table
+    reps = _orbit_reps(12)[1:]
+    assert len(reps) == 351
+    cf = construct("F2RS", RotationSpec(6, tuple(BitVector(12, r) for r in reps)))
+    assert cf.closed_anf.term_count() == 531434
+    assert cf.closed_anf == anf_from_truth_table(cf.function)

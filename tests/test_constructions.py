@@ -97,6 +97,28 @@ class TestBases:
         assert second.base is first.base
         assert verify_construction(second).passed
 
+    @pytest.mark.parametrize("family, specs", [
+        ("G4K", [GammaSpec(2, "S1", (BitVector(4, g),)) for g in (1, 6)]),
+        ("G8K", [GammaSpec(1, "S2", (BitVector(4, g),)) for g in (0, 3)]),
+        ("H4K2", [GammaSpec(2, "S3", (BitVector(4, g),), ("0",)) for g in (1, 6)]),
+        ("H8K2", [GammaSpec(1, "S4", (BitVector(4, g),), ("B",)) for g in (1, 2)]),
+        ("F2RS", [RotationSpec(2, (BitVector(4, g),)) for g in (1, 3)]),
+        ("F2RS_SET", [RotationSpec(2, (BitVector(4, g),)) for g in (3, 5)]),
+    ])
+    def test_second_construct_builds_no_table(self, family, specs):
+        # the covering-sum tables depend only on the groups of Z, which the
+        # family and k fix, so a second spec finds every table in its cache
+        tables = (constructions._z_powers, constructions._covers)
+        for table in tables:
+            table.cache_clear()
+        tables += (constructions.base_anf, constructions.base_function,
+                   constructions._dual_base)
+        construct(family, specs[0])
+        assert constructions._z_powers.cache_info().misses > 0
+        misses = [table.cache_info().misses for table in tables]
+        construct(family, specs[1])
+        assert [table.cache_info().misses for table in tables] == misses
+
 
 class TestFamilyTable:
     def test_variable_counts(self):
