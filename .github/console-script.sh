@@ -2,10 +2,10 @@
 # Runs the installed `negabench` console script through each subcommand and
 # checks the exit codes of the refused inputs; it writes rec.json,
 # rec22.json, rec22-report.json, rec24.json, rec24rs.json, rec24all.json,
-# orbit.json, nested.json and, for rec.json and rec22.json, a flipped record
-# and its report (flipped.json, flipped-report.json, flipped22.json,
-# flipped22-report.json) to the working directory.  Every CI matrix job runs
-# it after `pip install -e ".[test]"`: bash .github/console-script.sh
+# rec24g4k.json, orbit.json, nested.json and, for rec.json and rec22.json, a
+# flipped record and its report (flipped.json, flipped-report.json,
+# flipped22.json, flipped22-report.json) to the working directory.  Every CI
+# matrix job runs it after `pip install -e ".[test]"`: bash .github/console-script.sh
 set -euo pipefail
 
 negabench repro-examples
@@ -45,26 +45,33 @@ PY
 # n = 24 on f0: the rule's duals signed by their own weights, and the rotation check
 negabench gen --family F2RS --k 6 --p 110100111010 --out rec24rs.json
 negabench verify --in rec24rs.json > /dev/null
-# n = 24 on f0 with all 351 nonzero orbit representatives: 4,095 cells, whose closed
-# ANF of 531,434 terms is read from the covering-sum tables.  gen and verify --in each
-# run cold in a fresh process.  On a 2-core x86 Linux host gen's max RSS read 194 MiB,
-# so it fails above 256 MiB; verify --in read 235 MiB there and only prints its
-# figure until a CI runner's own figure sets its margin
+# n = 24 at capacity, gen and verify --in each cold in a fresh process:
+# * F2RS with all 351 nonzero orbit representatives: 4,095 cells, whose closed
+#   ANF of 531,434 terms is expanded from the Z-power tables;
+# * G4K with all 4,096 gammas: the largest Z-level point set, which leaves only
+#   Z^0, and the largest coset union, 2^24 listed points.
+# On a 2-core x86 Linux host gen's max RSS read 193-194 MiB for both, so it
+# fails above 256 MiB; verify --in read 235 and 216 MiB there and only prints
+# its figure until a CI runner's own figure sets its margin
 python3 - <<'PY'
 import os, subprocess, sys, time
 reps = sorted({min((v >> i | v << 12 - i) & 4095 for i in range(12)) for v in range(1, 4096)})
 assert len(reps) == 351
-gen = ["negabench", "gen", "--family", "F2RS", "--k", "6", "--out", "rec24all.json"]
-for r in reps:
-    gen += ["--p", format(r, "012b")]
-for argv, bound in ((gen, 256), (["negabench", "verify", "--in", "rec24all.json"], None)):
-    t0 = time.perf_counter()
-    _, status, usage = os.wait4(subprocess.Popen(argv, stdout=subprocess.DEVNULL).pid, 0)
-    rss = usage.ru_maxrss / 1024  # Linux: KiB
-    print(f"{argv[1]} F2RS k=6, 351 reps: {time.perf_counter() - t0:.2f} s, "
-          f"max RSS {rss:.0f} MiB" + (f" (bound {bound} MiB)" if bound else ""))
-    if os.waitstatus_to_exitcode(status) or (bound and rss > bound):
-        sys.exit(1)
+records = (("F2RS k=6, 351 reps", "rec24all.json",
+            ["--family", "F2RS", "--k", "6"] + [a for r in reps for a in ("--p", format(r, "012b"))]),
+           ("G4K k=6, 4,096 gammas", "rec24g4k.json",
+            ["--family", "G4K", "--k", "6"]
+            + [a for g in range(4096) for a in ("--gamma", format(g, "012b"))]))
+for label, path, spec in records:
+    for argv, bound in ((["negabench", "gen", *spec, "--out", path], 256),
+                        (["negabench", "verify", "--in", path], None)):
+        t0 = time.perf_counter()
+        _, status, usage = os.wait4(subprocess.Popen(argv, stdout=subprocess.DEVNULL).pid, 0)
+        rss = usage.ru_maxrss / 1024  # Linux: KiB
+        print(f"{argv[1]} {label}: {time.perf_counter() - t0:.2f} s, "
+              f"max RSS {rss:.0f} MiB" + (f" (bound {bound} MiB)" if bound else ""))
+        if os.waitstatus_to_exitcode(status) or (bound and rss > bound):
+            sys.exit(1)
 PY
 # n = 22 on the h0 base: its GF(2) rule duals, and the frame branch counts read from them
 negabench gen --family H4K2 --k 5 --gamma 1101001110 --eset B --gamma 0010110001 --eset 0 --out rec22.json

@@ -6,9 +6,9 @@ closed-form dual is the base's dual flipped on a second set.  Both sets are
 unions of cosets of one subspace (`subspaces.modifier_cells`, `_dual_cells`)
 built by `coset_union`.  The closed-form ANF shares no code with that
 builder: each cell is [Z = p] for a few disjoint variable sums Z_j, and
-`_covering_sum_masks` sums the cells over the d bits of Z before it expands
-them in the variables (at most 3^d masks) from tables built once per half of
-the groups, which (family, k) fixes: 2^h entries, at most 3^h ints, h <= 6 at n <= 24.
+`_covering_sum_masks` sums the cells over the d bits of Z with one subset-sum
+transform, then expands the Z^w left in the variables (at most 3^d masks) from
+Z-power tables cached per half of the groups (3^6 masks at most at n <= 24).
 
 The rotation-symmetric modifiers depend on x and y only through z = x + y:
 an orbit sum is sum_{w in O(v)} z^w and a covering sum is [z = gamma], so
@@ -183,13 +183,6 @@ def _z_powers(groups: tuple[int, ...]) -> list[list[int]]:
     return table
 
 
-@cache
-def _covers(width: int, stride: int) -> list[int]:
-    """For every p < 2^width, the int with bit w * stride set for each w covering p."""
-    return [sum(1 << w * stride for w in range(1 << width) if w & p == p)
-            for p in range(1 << width)]
-
-
 def _z_power_masks(groups: Sequence[int], ws: Iterable[int]) -> list[int]:
     """The monomials of Z^w for each w of ws, each the product of its halves'."""
     h = len(groups) // 2
@@ -198,16 +191,18 @@ def _z_power_masks(groups: Sequence[int], ws: Iterable[int]) -> list[int]:
 
 
 def _covering_sum_masks(groups: Sequence[int], points: Iterable[int]) -> list[int]:
-    """The sum over the points p of [Z = p] = prod_j (Z_j + p_j + 1), taken
-    over the d = len(groups) bits of Z first, as an int with bit w set for each
-    Z^w left: each indicator is the sum of the Z^w over the w covering p, the
-    carry-free product of its halves' covers.  Only the Z^w left are expanded in
-    the variables: at most 3^d masks, two variables a group, however many points."""
-    h = len(groups) // 2
-    lo, hi = _covers(h, 1), _covers(len(groups) - h, 1 << h)
-    z_sum = 0
+    """The sum over the points p of [Z = p] = prod_j (Z_j + p_j + 1), the sum of the
+    Z^w over the w covering p: the subset-sum transform of the points' indicator over
+    the d = len(groups) bits of Z.  Only the Z^w left are expanded: at most 3^d masks."""
+    s = 1 << len(groups)
+    z_sum, m = 0, (1 << s) - 1
     for p in points:
-        z_sum ^= lo[p & (1 << h) - 1] * hi[p >> h]
+        z_sum ^= 1 << p
+    # written out, not core's Moebius: the closed ANF is the reference that one is checked against
+    for _ in groups:  # s = 2^i for i = d-1, ..., 0; below bit 2^d, m keeps the w with bit i clear
+        s >>= 1
+        m ^= m << s
+        z_sum ^= (z_sum & m) << s
     return _z_power_masks(groups, (w for w, b in enumerate(bin(z_sum)[:1:-1]) if b == "1"))
 
 

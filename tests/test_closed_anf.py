@@ -4,7 +4,9 @@
 before it expands them in the variables.  The reference below expands each
 cell's factored indicator on its own, one product of disjoint variable sums
 per cell, and XORs the monomials; it takes nothing from `constructions` but
-the base ANFs.
+the base ANFs.  The Z-level sum is also pinned on its own: against the literal
+superset lists of its points, and against `decompose_orbit_sum`, whose table
+side runs the Moebius transform of `core`.
 """
 
 import random
@@ -16,9 +18,12 @@ from negabench.subspaces import GammaSpec, orbit
 from negabench.constructions import (
     FAMILY_TABLE,
     RotationSpec,
+    _covering_sum_masks,
+    _z_power_masks,
     base_anf,
     closed_form_anf,
     construct,
+    decompose_orbit_sum,
 )
 
 FAMILY_OF_SET = {"S1": "G4K", "S2": "G8K", "S3": "H4K2", "S4": "H8K2"}
@@ -224,3 +229,49 @@ def test_f2rs_every_nonzero_rep_at_n24():
     cf = construct("F2RS", RotationSpec(6, tuple(BitVector(12, r) for r in reps)))
     assert cf.closed_anf.term_count() == 531434
     assert cf.closed_anf == anf_from_truth_table(cf.function)
+
+
+# ---------------------------------------------------------------------------
+# the Z-level sum: [Z = p] is the sum of the Z^w over the w covering p
+
+
+def _literal_z_sum(d, points):
+    ws = set()
+    for p in points:
+        ws ^= {w for w in range(1 << d) if w & p == p}
+    return sorted(ws)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_z_sum_matches_the_literal_superset_lists(d):
+    rng = random.Random(d)
+    groups = [(1 | 2 * (j & 1)) << 2 * j for j in range(d)]  # one or two variables a group
+    cases = [[rng.randrange(1 << d)]]
+    cases += [rng.sample(range(1 << d), rng.randint(2, min(12, 1 << d))) for _ in range(4)]
+    cases.append(cases[-1] + cases[-1][:1])  # a repeated point cancels
+    if d <= 8:
+        cases.append(list(range(1 << d)))
+    for points in cases:
+        assert (_covering_sum_masks(groups, points)
+                == _z_power_masks(groups, _literal_z_sum(d, points))), points
+    # the cells of all 2^d points cover everything: only Z^0 is left
+    assert _covering_sum_masks(groups, range(1 << d)) == [0]
+
+
+def _seeded_a_sets():
+    rng = random.Random(20261022)
+    sets = []
+    for k in (1, 2, 3):
+        reps = _orbit_reps(2 * k)
+        sets += [(k, tuple(sorted(rng.sample(reps, rng.randint(1, len(reps))))))
+                 for _ in range(20)]
+    return list(dict.fromkeys(sets))
+
+
+def test_z_sum_of_the_decomposed_orbits_is_the_orbit_sum():
+    # one variable a group, so each Z^w is the monomial w itself
+    for k, a_set in _seeded_a_sets():
+        vectors = [BitVector(2 * k, a) for a in a_set]
+        points = [g for p in decompose_orbit_sum(k, vectors) for g in orbit(p)]
+        want = sorted(w for v in vectors for w in orbit(v))
+        assert _covering_sum_masks([1 << j for j in range(2 * k)], points) == want, (k, a_set)

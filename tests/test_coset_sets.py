@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from negabench import constructions, oracle, subspaces
+from negabench import constructions, core, oracle, subspaces
 from negabench.core import (
     BitVector,
     InvalidSpecError,
@@ -281,3 +281,44 @@ def test_anf_and_predictors_do_not_use_the_coset_union(monkeypatch):
         assert closed_form_anf(fam, spec).n == fam.n(spec.k)
         xs = np.arange(1 << min(fam.n(spec.k), 12), dtype=np.int64)
         assert oracle._predictor(spec)(xs).walsh.shape == xs.shape
+
+
+def _closed_anf_cases():
+    """Canonical parameters of every family at k <= 2."""
+    cases = [(next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family), spec)
+             for spec in SPECS if spec.family != "T" and spec.k <= 2]
+    rng = random.Random(20261022)
+    for k in (1, 2):
+        reps = sorted({subspaces.orbit(BitVector(2 * k, v))[0] for v in range(1 << 2 * k)})
+        specs = [("F2RS_ORBIT", (r,)) for r in reps if r.bit_count() >= 2]
+        specs += [(name, tuple(rng.sample(reps, count)))
+                  for name in ("F2RS", "F2RS_SET") for count in (1, 2, len(reps))]
+        for name, vectors in specs:
+            fam = FAMILY_TABLE[name]
+            spec = RotationSpec(k, tuple(BitVector(2 * k, v) for v in vectors))
+            cases.append((fam, constructions._resolve(fam, spec)))
+    return cases
+
+
+def test_closed_anf_uses_no_table_route_for_any_family(monkeypatch):
+    # the closed ANF reaches neither the cells, their coset union nor the
+    # Moebius transform that it is checked against, for all seven families
+    cases = _closed_anf_cases()
+    assert {fam.name for fam, _ in cases} == set(FAMILY_TABLE)
+    want = [closed_form_anf(fam, params) for fam, params in cases]
+
+    def refuse(*args):
+        raise AssertionError("table route called")
+
+    for module, name in ((core, "_mobius"), (subspaces, "coset_union"),
+                         (subspaces, "modifier_cells"), (constructions, "coset_union"),
+                         (constructions, "modifier_cells")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="table route called"):
+        build_modifier_set(SPECS[0])
+    with pytest.raises(AssertionError, match="table route called"):
+        core.anf_from_truth_table(characteristic_function(VectorSet.from_indices(4, [1])))
+    # nothing cached before the refusal may stand in for a route it refuses
+    constructions.base_anf.cache_clear()
+    constructions._z_powers.cache_clear()
+    assert [closed_form_anf(fam, params) for fam, params in cases] == want
