@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Runs the installed `negabench` console script through each subcommand and
-# checks the exit codes of the refused inputs; it writes rec.json,
+# checks the exit codes of the refused inputs; it writes rec.json, spec.txt,
 # rec22.json, rec22-report.json, rec24.json, rec24rs.json, rec24all.json,
 # rec24g4k.json, orbit.json, nested.json and, for rec.json and rec22.json, a
 # flipped record and its report (flipped.json, flipped-report.json,
-# flipped22.json, flipped22-report.json) to the working directory.  Every CI
+# flipped22.json, flipped22-report.json) to the working directory, and fails
+# if a refused command leaves refused.json there.  Every CI
 # matrix job runs it after `pip install -e ".[test]"`: bash .github/console-script.sh
 set -euo pipefail
 
@@ -27,6 +28,9 @@ negabench gen --family H4K2 --k 1 --gamma 10 --eset B --out rec.json
 negabench verify --in rec.json
 negabench dual --in rec.json
 negabench spectrum --in rec.json --kind both
+# --out receives exactly the bytes stdout does
+negabench spectrum --in rec.json --kind both --out spec.txt
+negabench spectrum --in rec.json --kind both | cmp - spec.txt
 # n = 24, the advertised capacity, each command in a fresh process: the base's
 # spectra come from the GF(2) rule there too
 negabench gen --family G4K --k 6 --gamma 000111000111 --gamma 101010101010 --out rec24.json
@@ -78,8 +82,11 @@ negabench gen --family H4K2 --k 5 --gamma 1101001110 --eset B --gamma 0010110001
 negabench verify --in rec22.json --format json > rec22-report.json
 rc=0; negabench verify --in rec.json --k 1 || rc=$?; test "$rc" -eq 4
 rc=0; negabench dual --in rec.json --family G8K --gamma 1 || rc=$?; test "$rc" -eq 4
-# a spec beyond --max-n is refused up front, and an unknown flag is a usage error
-rc=0; negabench --max-n 8 gen --family G4K --k 3 --gamma 000111 || rc=$?; test "$rc" -eq 3
+# a spec beyond --max-n is refused up front, writing no --out file, and an
+# unknown flag is a usage error
+rm -f refused.json
+rc=0; negabench --max-n 8 gen --family G4K --k 3 --gamma 000111 --out refused.json || rc=$?
+test "$rc" -eq 3; test ! -e refused.json
 rc=0; negabench gen --bogus || rc=$?; test "$rc" -eq 2
 rc=0; negabench lemma-check --set S2 --k 1 --gamma 0000 --gamma 0011 || rc=$?; test "$rc" -eq 4
 negabench gen --family F2RS_ORBIT --k 1 --gamma 11 --out orbit.json

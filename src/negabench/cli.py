@@ -3,7 +3,9 @@
 Subcommands build constructions, dump spectra and ANFs, verify saved
 function files, and replay the verification suites.  Artifact outputs
 (gen, spectrum, anf, dual, orbits) are byte-deterministic; report outputs
-carry timings and are meant for humans or logs.
+carry timings and are meant for humans or logs.  A handler returns its
+output, as chunks of ASCII text, with its exit code; `main` alone writes the
+chunks, to the `--out` file or stdout, so a refused command writes no file.
 
 Exit codes: 0 success, 1 a verification or replay failed, 2 bad command
 line, 3 capacity limit, 4 invalid construction parameters, 5 unreadable
@@ -13,14 +15,14 @@ or malformed input file.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -88,20 +90,18 @@ def emit_report(report: VerificationReport, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_reports(reports: list[VerificationReport], fmt: str) -> str:
-    if fmt == "json":
-        return _json_line({
-            "passed": all(r.passed for r in reports),
-            "reports": [r.to_dict() for r in reports],
-        })
-    return "".join(emit_report(r, fmt) for r in reports)
-
-
-def _write_out(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
+def _reported(reports, fmt: str, text=None) -> tuple[list[str], int]:
+    """One report's output and exit code, or a list's, which JSON gives as one
+    {"passed", "reports"} object; `text` renders a report as text (emit_report
+    by default).  The exit code is 1 unless every report passed."""
+    group = reports if isinstance(reports, list) else [reports]
+    passed = all(r.passed for r in group)
+    if fmt != "json":
+        out = "".join(map(text or functools.partial(emit_report, fmt="text"), group))
     else:
-        sys.stdout.write(text)
+        out = _json_line({"passed": passed, "reports": [r.to_dict() for r in group]}
+                         if group is reports else reports.to_dict())
+    return [out], EXIT_OK if passed else EXIT_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +198,9 @@ def _resolve_function(args) -> BooleanFunction:
 # subcommand handlers
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[Iterable, int]:
     family, spec = _spec_from_args(args)
-    cf = construct(family, spec)
-    _write_out(_json_line(function_file_dict(cf)), args.out)
-    return EXIT_OK
+    return [_json_line(function_file_dict(construct(family, spec)))], EXIT_OK
 
 
 def _text_difference(key: str, text: str, closed: str) -> Optional[str]:
@@ -214,7 +212,7 @@ def _text_difference(key: str, text: str, closed: str) -> Optional[str]:
     return f"at {key}[{i}]: file {text[i:i + 1]!r} != closed form {closed[i:i + 1]!r}"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[Iterable, int]:
     if args.infile:
         data = _load_record(args)
         try:
@@ -228,13 +226,11 @@ def _cmd_verify(args) -> int:
         anf, dual_hex = _field(data, "anf", str), _field(data, "dual_tt_hex", str)
         fn = _function_from_file(data)
         if fn.n != rebuilt.n:
-            report = VerificationReport(
+            return _reported(VerificationReport(
                 subject=f"{family} from {args.infile}",
                 checks=(CheckResult("file-n-matches-family",
                                     counterexample=f"file n {fn.n} != {rebuilt.n}"),),
-                elapsed_ms=0.0)
-            _write_out(emit_report(report, args.format), None)
-            return EXIT_FAILED
+                elapsed_ms=0.0), args.format)
         cf = dataclasses.replace(rebuilt, function=fn)
         report = verify_construction(cf)
         flag_bad = (None if flag == cf.predicts_max_degree
@@ -254,8 +250,7 @@ def _cmd_verify(args) -> int:
     else:
         family, spec = _spec_from_args(args)
         report = verify_construction(construct(family, spec))
-    _write_out(emit_report(report, args.format), None)
-    return EXIT_OK if report.passed else EXIT_FAILED
+    return _reported(report, args.format)
 
 
 @functools.cache  # 256 KiB, built on first use so importing the CLI stays cheap
@@ -298,17 +293,7 @@ def _spectrum_rows(n: int, start: int, columns: list[np.ndarray]) -> bytearray:
     return lines.translate(None, b"\0")  # the zero padding dropped
 
 
-@contextlib.contextmanager
-def _byte_sink(out: Optional[str]):
-    """A write function for ASCII bytes, into the file `out` (truncated first) or to stdout."""
-    if out:
-        with open(out, "wb") as fh:
-            yield fh.write
-    else:
-        yield lambda data: sys.stdout.write(data.decode("ascii"))
-
-
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[Iterable, int]:
     fn = _resolve_function(args)
     size = 1 << fn.n
     spectra = []
@@ -316,72 +301,57 @@ def _cmd_spectrum(args) -> int:
         spectra.append(walsh_transform(fn))
     if args.kind in ("nega", "both"):
         spectra.append(nega_transform(fn))
-    # each block of lines is written as soon as it is made: the text is never held whole
-    with _byte_sink(args.out) as write:
-        for lo in range(0, size, TEXT_BLOCK):
-            block = slice(lo, min(lo + TEXT_BLOCK, size))
-            write(_spectrum_rows(fn.n, lo, [c for s in spectra for c in s.parts(block)]))
-    return EXIT_OK
+
+    def block_text(lo: int) -> bytearray:  # made as main writes it: the text is never whole
+        block = slice(lo, min(lo + TEXT_BLOCK, size))
+        return _spectrum_rows(fn.n, lo, [c for s in spectra for c in s.parts(block)])
+    return map(block_text, range(0, size, TEXT_BLOCK)), EXIT_OK
 
 
-def _cmd_anf(args) -> int:
-    fn = _resolve_function(args)
-    _write_out(anf_from_truth_table(fn).to_text() + "\n", args.out)
-    return EXIT_OK
+def _cmd_anf(args) -> tuple[Iterable, int]:
+    return [anf_from_truth_table(_resolve_function(args)).to_text() + "\n"], EXIT_OK
 
 
-def _cmd_dual(args) -> int:
-    fn = _resolve_function(args)
-    _write_out(dual(fn).to_hex() + "\n", args.out)
-    return EXIT_OK
+def _cmd_dual(args) -> tuple[Iterable, int]:
+    return [dual(_resolve_function(args)).to_hex() + "\n"], EXIT_OK
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args) -> tuple[Iterable, int]:
     reps, lengths = orbit_representatives(args.n)
     tails = np.array([f"\t{l}\n".encode() for l in range(args.n + 1)])  # NUL-padded
     tails = tails.view(np.uint8).reshape(args.n + 1, -1)
-    with _byte_sink(args.out) as write:
-        for at in range(0, reps.size, TEXT_BLOCK):  # a line: the coordinates, then a tail
-            rows = reps[at:at + TEXT_BLOCK, None].astype("<u4").view(np.uint8)
-            bits = np.unpackbits(rows, axis=1, count=args.n, bitorder="little") + ord("0")
-            lines = np.hstack((bits, tails[lengths[at:at + TEXT_BLOCK]]))
-            write(lines.tobytes().translate(None, b"\0"))
-    return EXIT_OK
+
+    def block_text(at: int) -> bytes:  # a line: the coordinates, then a tail
+        rows = reps[at:at + TEXT_BLOCK, None].astype("<u4").view(np.uint8)
+        bits = np.unpackbits(rows, axis=1, count=args.n, bitorder="little") + ord("0")
+        lines = np.hstack((bits, tails[lengths[at:at + TEXT_BLOCK]]))
+        return lines.tobytes().translate(None, b"\0")
+    return map(block_text, range(0, reps.size, TEXT_BLOCK)), EXIT_OK
 
 
-def _cmd_lemma_check(args) -> int:
+def _cmd_lemma_check(args) -> tuple[Iterable, int]:
     gammas = tuple(BitVector.from_string(s) for s in args.gamma)
     esets = tuple(args.eset) if args.eset else None
-    spec = GammaSpec(args.k, args.set_family, gammas, esets)
-    report = verify_fragmentary_lemma(spec)
-    _write_out(emit_report(report, args.format), None)
-    return EXIT_OK if report.passed else EXIT_FAILED
+    return _reported(verify_fragmentary_lemma(GammaSpec(args.k, args.set_family, gammas, esets)),
+                     args.format)
 
 
-def _cmd_table1(args) -> int:
-    report = check_table1(args.k)
-    _write_out(emit_report(report, args.format), None)
-    return EXIT_OK if report.passed else EXIT_FAILED
+def _cmd_table1(args) -> tuple[Iterable, int]:
+    return _reported(check_table1(args.k), args.format)
 
 
-def _cmd_su_check(args) -> int:
-    reports = [check_su_conditions(case) for case in SU_CASES]
-    _write_out(_emit_reports(reports, args.format), None)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
+def _cmd_su_check(args) -> tuple[Iterable, int]:
+    return _reported([check_su_conditions(case) for case in SU_CASES], args.format)
 
 
-def _cmd_repro_examples(args) -> int:
-    reports = [check_reference_case(case) for case in REFERENCE_CASES]
-    if args.format == "json":
-        _write_out(_emit_reports(reports, "json"), None)
-    else:
-        lines = []
-        for rep in reports:
-            lines.append(f"{'PASS' if rep.passed else 'FAIL'} {rep.subject}")
-            for c in rep.failures():
-                lines.append(f"  FAIL {c.name}: {c.counterexample}")
-        _write_out("\n".join(lines) + "\n", None)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
+def _replay_text(report: VerificationReport) -> str:
+    return f"{'PASS' if report.passed else 'FAIL'} {report.subject}\n" + "".join(
+        f"  FAIL {c.name}: {c.counterexample}\n" for c in report.failures())
+
+
+def _cmd_repro_examples(args) -> tuple[Iterable, int]:
+    return _reported([check_reference_case(case) for case in REFERENCE_CASES], args.format,
+                     _replay_text)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +443,15 @@ def main(argv=None) -> int:
     old_max_n = max_n()
     set_max_n(args.max_n)
     try:
-        return args.handler(args)
+        chunks, code = args.handler(args)
+        with open(args.out, "wb") if getattr(args, "out", None) else nullcontext() as fh:
+            for chunk in chunks:  # ASCII str or bytes; stdout takes a str as it is
+                if fh:
+                    fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
+                else:
+                    sys.stdout.write(chunk if isinstance(chunk, str) else chunk.decode("ascii"))
+                del chunk  # the written block is freed before the next one is made
+        return code
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -8,8 +8,8 @@ and its truth-table index are therefore interchangeable.
 Storage: every 2^n-entry table (truth table, vector set, ANF coefficients) is
 one Python int whose bit i holds entry i.  This module owns that layout.  Only
 `spectra` (`_sigma2_bytes`, `_spectrum`, `definitional_sums`, `quadratic_duals`
-and `dual_of_spectrum`) and `oracle` (`_table_difference` and `check_table1`)
-also read or write it.
+and `dual_of_spectrum`) and `oracle` (`_table_difference`, `check_table1` and
+`extract_frame_coefficients`) also read or write it.
 Each conversion to or from it is one O(2^n) pass through numpy or a single
 C-level int call, never a Python loop over entries.
 """

@@ -193,36 +193,24 @@ def _fmt(values) -> str:
     return f"{re}{im:+d}i"
 
 
-class _Agreement:
-    """Equality of aligned (got, want) spectra at every point, fed block by
-    block (any slice of the 2^n points, strided too); the first differing
-    point and both values are the counterexample.  `bounded` asserts the
-    int32 width of every wanted part: at most 2^(n/2+2) in magnitude."""
-
-    def __init__(self, n: int, got_label: str, want_label: str, bounded: bool = False) -> None:
-        self.n = n
-        self.labels = got_label, want_label
-        self.bound = 1 << (n // 2 + 2) if bounded else None
-        self.counterexample: Optional[str] = None
-
-    def feed(self, block: slice, got: tuple, want: tuple) -> Optional[str]:
-        """Compare the points of `block`; gives the counterexample so far."""
-        assert self.bound is None or all(int(np.abs(w).max()) <= self.bound for w in want)
-        if self.counterexample is None and not all(
-                np.array_equal(g, w) for g, w in zip(got, want)):
-            i = int(np.flatnonzero(np.any([g != w for g, w in zip(got, want)], axis=0))[0])
-            point = BitVector(self.n, range(1 << self.n)[block][i])
-            self.counterexample = (f"at {point}: {self.labels[0]} {_fmt([g[i] for g in got])} "
-                                   f"!= {self.labels[1]} {_fmt([w[i] for w in want])}")
-        return self.counterexample
+def _difference(n: int, block: slice, got: tuple, want: tuple, got_label: str,
+                want_label: str) -> Optional[str]:
+    """The first point of `block` (any slice of the 2^n points, strided too)
+    where aligned (got, want) spectra differ, with both values, or None."""
+    if all(np.array_equal(g, w) for g, w in zip(got, want)):
+        return None
+    i = int(np.flatnonzero(np.any([g != w for g, w in zip(got, want)], axis=0))[0])
+    return (f"at {BitVector(n, range(1 << n)[block][i])}: {got_label} "
+            f"{_fmt([g[i] for g in got])} != {want_label} {_fmt([w[i] for w in want])}")
 
 
 def _spectra_difference(n: int, block: slice, got: tuple, want: tuple, got_label: str,
                         want_label: str) -> Optional[str]:
     """The first point of `block` where aligned (W, re N, im N) triples
     differ, a W difference before an N one, or None."""
-    return _first(_Agreement(n, f"{got_label} {kind}", f"{want_label} {kind}").feed(
-        block, got[parts], want[parts]) for kind, parts in (("W", slice(1)), ("N", slice(1, 3))))
+    return _first(_difference(n, block, got[parts], want[parts], f"{got_label} {kind}",
+                              f"{want_label} {kind}")
+                  for kind, parts in (("W", slice(1)), ("N", slice(1, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +505,8 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     tset = build_modifier_set(spec)
     wt = fragmentary_walsh_spectrum(f0, tset)
     nt = fragmentary_nega_spectrum(f0, tset)
-    base_walsh = _Agreement(f0.n, "W_f0", "closed form", bounded=True)
-    base_nega = _Agreement(f0.n, "N_f0", "closed form", bounded=True)
-    walsh_agree = _Agreement(f0.n, "W_f0,T", "closed form", bounded=True)
-    nega_agree = _Agreement(f0.n, "2N_f0,T", "closed form", bounded=True)
+    # each check's first counterexample, or None
+    base_walsh = base_nega = walsh_agree = nega_agree = None
     nonzero = 0
     branches = np.zeros(len(BRANCHES), dtype=np.int64)
     max_w = max_n = 0
@@ -528,18 +514,25 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     predict = _predictor(spec)
     for block in _blocks(size):
         pred = predict(_points(block))
+        # the int32 width: every closed form is at most 2^(n/2+2) in magnitude
+        assert all(int(np.abs(v).max()) <= 1 << (f0.n // 2 + 2) for v in (
+            pred.base_walsh, *pred.base_nega, pred.walsh, pred.nega2_re, pred.nega2_im))
         with checks.timing("base-walsh-closed-form"):
-            base_walsh.feed(block, (exact(dual_w, block),), (pred.base_walsh,))
+            base_walsh = base_walsh or _difference(
+                f0.n, block, (exact(dual_w, block),), (pred.base_walsh,), "W_f0", "closed form")
         with checks.timing("base-nega-closed-form"):  # re N = (a + b)/2, im N = a - re
             a = exact(dual_g, block)  # W_g0(u), and b = W_g0(u') for u' = 2^n - 1 - u
             re = (a + exact(dual_g, slice(size - block.stop, size - block.start))[::-1]) >> 1
-            base_nega.feed(block, (re, a - re), pred.base_nega)
+            base_nega = base_nega or _difference(
+                f0.n, block, (re, a - re), pred.base_nega, "N_f0", "closed form")
         with checks.timing("fragment-walsh-closed-form"):
-            walsh_agree.feed(block, wt.parts(block), (pred.walsh,))
+            walsh_agree = walsh_agree or _difference(
+                f0.n, block, wt.parts(block), (pred.walsh,), "W_f0,T", "closed form")
             nonzero += int(np.count_nonzero(pred.walsh_matches))
         with checks.timing("fragment-nega-closed-form"):
-            nega_agree.feed(block, tuple(2 * p for p in nt.parts(block)),
-                            (pred.nega2_re, pred.nega2_im))
+            nega_agree = nega_agree or _difference(
+                f0.n, block, tuple(2 * p for p in nt.parts(block)),
+                (pred.nega2_re, pred.nega2_im), "2N_f0,T", "closed form")
             branches += np.bincount(pred.branch, minlength=len(BRANCHES))
         with checks.timing("contribution-bounds"):
             w, m, ok = pred.walsh_matches, pred.nega_matches, pred.structure_ok
@@ -553,13 +546,11 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
                     "admissible structure False != True")
         del pred  # free this block's arrays before the next block's prediction
 
-    checks.add("base-walsh-closed-form", lambda: base_walsh.counterexample,
-               lambda: f"{size} points")
-    checks.add("base-nega-closed-form", lambda: base_nega.counterexample,
-               lambda: f"{size} points")
-    checks.add("fragment-walsh-closed-form", lambda: walsh_agree.counterexample,
+    checks.add("base-walsh-closed-form", lambda: base_walsh, lambda: f"{size} points")
+    checks.add("base-nega-closed-form", lambda: base_nega, lambda: f"{size} points")
+    checks.add("fragment-walsh-closed-form", lambda: walsh_agree,
                lambda: f"{size} points, {nonzero} nonzero")
-    checks.add("fragment-nega-closed-form", lambda: nega_agree.counterexample, lambda: (
+    checks.add("fragment-nega-closed-form", lambda: nega_agree, lambda: (
         f"{size} points, branches " + " ".join(f"{b}={c}" for b, c in zip(BRANCHES, branches))))
     checks.add("contribution-bounds", lambda: over_bound, lambda: (
         f"max walsh matches {max_w}, max nega matches {max_n} (bound {bound})"))

@@ -158,6 +158,20 @@ class TestArtifactCommands:
         assert code == 0
         assert len(out.strip().split("\n")) == 256
 
+    @pytest.mark.parametrize("argv", [
+        GEN_ARGS,
+        ["spectrum", "--family", "H4K2", "--k", "1", "--gamma", "10", "--eset", "B"],
+        ["anf", "--family", "G4K", "--k", "2", "--gamma", "0001"],
+        ["dual", "--family", "G4K", "--k", "2", "--gamma", "0001"],
+        ["orbits", "--n", "6"],
+    ])
+    def test_out_file_equals_stdout(self, capsys, tmp_path, argv):
+        dest = tmp_path / "out"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert run(capsys, *argv, "--out", str(dest)) == (0, "", "")
+        assert dest.read_bytes() == out.encode("ascii")
+
 
 def _reference_spectrum(fn, kind):
     """Reference for `spectrum`: every line built by str, format and join."""
@@ -465,6 +479,26 @@ class TestExitCodes:
         assert code == 5
         assert err.startswith("error: ") and str(out) in err
         assert stdout == ""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--max-n", "8", "gen", "--family", "G4K", "--k", "3", "--gamma", "000111"], 3),
+        (["gen", "--family", "G4K", "--k", "2", "--gamma", "000"], 4),
+        *(([command, "--in", text], 5) for command in ("anf", "dual", "spectrum")
+          for text in ("{not json", json.dumps({
+              "n": 8, "family": "G4K", "params": {}, "tt_hex": "xyz", "anf": "",
+              "dual_tt_hex": "", "predicts_max_degree": False}))),
+    ])
+    def test_refused_command_writes_nothing(self, capsys, tmp_path, argv, want):
+        # main opens --out only once the handler has done its work, so a
+        # refused command leaves no file behind and prints nothing
+        if "--in" in argv:
+            record = tmp_path / "record.json"
+            record.write_text(argv[-1])
+            argv = [*argv[:-1], str(record)]
+        dest = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(dest))
+        assert (code, out) == (want, "") and err.startswith("error: ")
+        assert not dest.exists()
 
     @pytest.mark.parametrize("n", [30, 10 ** 8])
     def test_over_capacity_file(self, capsys, tmp_path, n):
