@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
 # Runs the installed `negabench` console script through each subcommand and
-# checks the exit codes of the refused inputs; it writes rec.json, spec.txt,
-# rec22.json, rec22-report.json, rec24.json, rec24rs.json, rec24all.json,
-# rec24g4k.json, orbit.json, nested.json and, for rec.json and rec22.json, a
-# flipped record and its report (flipped.json, flipped-report.json,
-# flipped22.json, flipped22-report.json) to the working directory, and fails
-# if a refused command leaves refused.json there.  Every CI
-# matrix job runs it after `pip install -e ".[test]"`: bash .github/console-script.sh
+# checks the exit codes of the refused inputs.  Its records and reports go to
+# a fresh temporary directory, and it fails if a refused command leaves
+# refused.json there.  Every CI matrix job runs it after
+# `pip install -e ".[test]"`: bash .github/console-script.sh
 set -euo pipefail
+cd "$(mktemp -d)"
 
 negabench repro-examples
 negabench table1 --k 2

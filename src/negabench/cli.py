@@ -78,10 +78,7 @@ def _json_line(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def emit_report(report: VerificationReport, fmt: str) -> str:
-    """Render one verification report; pure function of its input."""
-    if fmt == "json":
-        return _json_line(report.to_dict())
+def _report_text(report: VerificationReport) -> str:
     lines = [f"{report.subject}: {'PASS' if report.passed else 'FAIL'} "
              f"({report.elapsed_ms:.1f} ms)"]
     for c in report.checks:  # a pass carries details, a failure its counterexample
@@ -90,14 +87,14 @@ def emit_report(report: VerificationReport, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reported(reports, fmt: str, text=None) -> tuple[list[str], int]:
+def _reported(reports, fmt: str, text=_report_text) -> tuple[list[str], int]:
     """One report's output and exit code, or a list's, which JSON gives as one
-    {"passed", "reports"} object; `text` renders a report as text (emit_report
-    by default).  The exit code is 1 unless every report passed."""
+    {"passed", "reports"} object; `text` renders a report as text.  The exit
+    code is 1 unless every report passed."""
     group = reports if isinstance(reports, list) else [reports]
     passed = all(r.passed for r in group)
     if fmt != "json":
-        out = "".join(map(text or functools.partial(emit_report, fmt="text"), group))
+        out = "".join(map(text, group))
     else:
         out = _json_line({"passed": passed, "reports": [r.to_dict() for r in group]}
                          if group is reports else reports.to_dict())
@@ -217,8 +214,6 @@ def _cmd_verify(args) -> tuple[Iterable, int]:
         data = _load_record(args)
         try:
             family = normalize_family(str(data["family"]))
-            if not isinstance(data["params"], dict):
-                raise InvalidSpecError("params must be an object")
             rebuilt = construct(family, spec_from_dict(family, data["params"]))
         except ValueError as exc:
             raise _InputFileError(f"{args.infile}: {exc}") from exc

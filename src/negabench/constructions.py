@@ -509,8 +509,11 @@ def _string_list(value, what: str) -> list[str]:
 
 def spec_from_dict(family: str, d: dict) -> ConstructionSpec:
     """Parameters from a function file's params object (or the CLI flags
-    gathered into one); malformed entries raise InvalidSpecError."""
+    gathered into one); params that are not a dict with str keys, or a
+    malformed entry, raise InvalidSpecError."""
     fam = family_of(family)
+    if not isinstance(d, dict) or not all(isinstance(key, str) for key in d):
+        raise InvalidSpecError("params must be an object")
     unread = sorted(set(d) - fam.param_keys)
     if unread:
         raise InvalidSpecError(f"{fam.name} does not read {', '.join(unread)}")

@@ -422,19 +422,11 @@ def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
     # a point has at most 2|Gamma| <= 2^13 candidates at n <= 24
     w_count = np.bincount(wk | (eps << w), minlength=1 << (w + h0)).astype(np.int32)
     n_count = np.bincount(nk, minlength=1 << w).astype(np.int32)
-    # per nega key: the eps of its first candidate, and (S3) whether its first
-    # two are distinct gammas sharing gamma_1 with complementary eps
-    order = np.argsort(nk, kind="stable")
-    sk = nk[order]
-    head = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    first_eps = np.zeros(1 << w, dtype=np.int32)
-    first_eps[sk[head]] = eps[order[head]]
-    pair_ok = np.zeros(1 << w, dtype=bool)
-    if spec.family == "S3":
-        two = head[head + 1 < sk.size]
-        two = two[sk[two + 1] == sk[two]]
-        p, q = order[two], order[two + 1]
-        pair_ok[sk[two]] = (gi[p] != gi[q]) & (eps[p] != eps[q]) & (g1[p] == g1[q])
+    # per nega key, its candidates' eps summed: a lone one's eps, and for two
+    # (S3) 1 when they are the admissible pair, as an S3 key fixes gamma_1 and
+    # gamma_2 + eps: its candidates are distinct gammas that share gamma_1
+    eps_sum = np.bincount(nk, weights=eps, minlength=1 << w).astype(np.int32)
+    pair_ok = (eps_sum == 1) & (spec.family == "S3")
 
     closed_forms = h0_closed_forms if h0 else g0_closed_forms
 
@@ -453,7 +445,7 @@ def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
         # one h0 candidate gives half of N and two (S3) all of it; one g0
         # candidate gives all of N
         branch = np.minimum(count if h0 else _FULL * count, _FULL)
-        s = (turn ^ first_eps.take(nkey)) & 1 if h0 else 0
+        s = (turn ^ eps_sum.take(nkey)) & 1 if h0 else 0
         half = (branch == _HALF).astype(np.int32)
         nega2 = _combine(nega, _N_MULTIPLIER.take(branch), half * (1 - 2 * s))
         return _Prediction(np.where(w_matches > 0, walsh, 0), w_matches, *nega2, count, branch,

@@ -25,6 +25,21 @@ def run(capsys, *argv):
 GEN_ARGS = ["gen", "--family", "G4K", "--k", "2", "--gamma", "0001"]
 
 
+def _record_text(**fields) -> str:
+    """A function file's JSON text with every key, `fields` overriding."""
+    return json.dumps({"n": 8, "family": "G4K", "params": {}, "tt_hex": "", "anf": "",
+                       "dual_tt_hex": "", "predicts_max_degree": False, **fields})
+
+
+def _with_record(tmp_path, argv: list[str]) -> list[str]:
+    """argv, with the text after --in written to a file and replaced by its path."""
+    if "--in" not in argv:
+        return argv
+    record = tmp_path / "record.json"
+    record.write_text(argv[-1])
+    return [*argv[:-1], str(record)]
+
+
 class TestGen:
     def test_writes_valid_record(self, capsys, tmp_path):
         out = tmp_path / "f.json"
@@ -201,8 +216,7 @@ def _first_difference(got, want):
 def _record(tmp_path, fn):
     """A function file holding `fn`; spectrum reads only n and tt_hex."""
     f = tmp_path / f"random-{fn.n}.json"
-    f.write_text(json.dumps({"n": fn.n, "family": "G4K", "params": {}, "tt_hex": fn.to_hex(),
-                             "anf": "", "dual_tt_hex": "", "predicts_max_degree": False}))
+    f.write_text(_record_text(n=fn.n, tt_hex=fn.to_hex()))
     return f
 
 
@@ -484,21 +498,36 @@ class TestExitCodes:
         (["--max-n", "8", "gen", "--family", "G4K", "--k", "3", "--gamma", "000111"], 3),
         (["gen", "--family", "G4K", "--k", "2", "--gamma", "000"], 4),
         *(([command, "--in", text], 5) for command in ("anf", "dual", "spectrum")
-          for text in ("{not json", json.dumps({
-              "n": 8, "family": "G4K", "params": {}, "tt_hex": "xyz", "anf": "",
-              "dual_tt_hex": "", "predicts_max_degree": False}))),
+          for text in ("{not json", _record_text(tt_hex="xyz"))),
+        (["dual", "--in", _record_text(n=4, tt_hex="0000")], 1),  # main's one NotBentError arm
+        (["gen", "--family", "F2RS_ORBIT", "--k", "1", "--gamma", "11", "--gamma", "01"], 4),
+        (["gen", "--family", "F2RS", "--k", "2", "--p", "0101", "--p", "0101"], 4),
+        (["gen", "--family", "F2RS", "--k", "2", "--p", "01"], 4),
+        (["gen", "--family", "G4K", "--k", "0", "--gamma", "01"], 4),
+        (["orbits", "--n", "0"], 4),
     ])
     def test_refused_command_writes_nothing(self, capsys, tmp_path, argv, want):
         # main opens --out only once the handler has done its work, so a
         # refused command leaves no file behind and prints nothing
-        if "--in" in argv:
-            record = tmp_path / "record.json"
-            record.write_text(argv[-1])
-            argv = [*argv[:-1], str(record)]
         dest = tmp_path / "out"
-        code, out, err = run(capsys, *argv, "--out", str(dest))
+        code, out, err = run(capsys, *_with_record(tmp_path, argv), "--out", str(dest))
         assert (code, out) == (want, "") and err.startswith("error: ")
         assert not dest.exists()
+
+    @pytest.mark.parametrize("argv, want, says", [
+        (["verify", "--k", "1", "--gamma", "01"], 4, "--family is required without --in"),
+        (["verify", "--family", "G4K", "--gamma", "01"], 4, "--k is required without --in"),
+        (["lemma-check", "--set", "S5", "--k", "1", "--gamma", "01"], 4,
+         "unknown set family 'S5'"),
+        (["lemma-check", "--set", "S1", "--k", "0", "--gamma", "01"], 4,
+         "k must be a positive integer"),
+        (["verify", "--in", "[]"], 5, "expected a JSON object"),
+        (["verify", "--in", _record_text(params=[1])], 5, "params must be an object"),
+        (["verify", "--in", _record_text(params={"gammas": ["01"]})], 5, "params need a k entry"),
+    ])
+    def test_refused_command_prints_only_its_error(self, capsys, tmp_path, argv, want, says):
+        code, out, err = run(capsys, *_with_record(tmp_path, argv))
+        assert (code, out) == (want, "") and err.startswith("error: ") and says in err
 
     @pytest.mark.parametrize("n", [30, 10 ** 8])
     def test_over_capacity_file(self, capsys, tmp_path, n):

@@ -501,6 +501,11 @@ class TestSerialization:
         assert record["tt_hex"] == cf.function.to_hex()
         assert record["anf"] == cf.closed_anf.to_text()
 
+    @pytest.mark.parametrize("params", [None, [1], 3, {1: 2}, {"k": 1, 2: "x"}])
+    def test_params_not_an_object_refused(self, params):
+        with pytest.raises(InvalidSpecError, match="params must be an object"):
+            spec_from_dict("G4K", params)
+
 
 class TestConstructedProperties:
     def test_every_family_yields_bent_negabent(self):
