@@ -13,8 +13,19 @@ negabench su-check
 negabench orbits --n 8 > /dev/null
 negabench lemma-check --set S3 --k 4 --gamma 10110100 --eset B
 negabench lemma-check --set S2 --k 1 --gamma 0000 --gamma 1000
-# n = 24 on g0: the lemma's base checks read the GF(2) rule's duals block by block
-negabench lemma-check --set S1 --k 6 --gamma 000111000111 --gamma 101010101010
+# n = 24 on g0: the lemma's base checks read the GF(2) rule's duals block by
+# block.  Its Walsh pass drops the 64 MiB masked Walsh spectrum before the nega
+# pass takes the masked nega one: cold, its max RSS read 121 MiB on a 2-core
+# x86 Linux host (186 MiB with both live), so it fails above 150 MiB
+python3 - <<'PY'
+import os, subprocess, sys
+argv = ["negabench", "lemma-check", "--set", "S1", "--k", "6",
+        "--gamma", "000111000111", "--gamma", "101010101010"]
+_, status, usage = os.wait4(subprocess.Popen(argv).pid, 0)
+rss = usage.ru_maxrss / 1024  # Linux: KiB
+print(f"lemma-check S1 k=6: max RSS {rss:.0f} MiB (bound 150 MiB)")
+sys.exit(os.waitstatus_to_exitcode(status) or rss > 150)
+PY
 # n = 22 on h0: the base nega check reads the rule's W_g0 at every u and its mirror u'
 negabench lemma-check --set S3 --k 5 --gamma 1101001110 --eset B
 negabench verify --family G4K --k 3 --gamma 000111 --gamma 101010

@@ -14,7 +14,7 @@ import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .spectra import (
     NegaSpectrum,
     WalshSpectrum,
     _blocks,
+    _first_flagged,
     classify,
     definitional_sums,
     dual_of_spectrum,
@@ -314,14 +315,6 @@ def _combine(nega: tuple[np.ndarray, np.ndarray], a, b) -> tuple[np.ndarray, np.
     return a * re - b * im, a * im + b * re
 
 
-def _nega_g0(t: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) of the nega spectrum of the 4t-variable base g0 at the points (u, v)."""
-    d = v ^ u  # d & (d >> t) = (u' + v') & (u'' + v'')
-    scale = _sign(d & (d >> t), 1 << (2 * t))
-    e = (t - np.bitwise_count(u)) & 3  # uint8: the wrap mod 256 keeps it mod 4
-    return _I_RE.take(e) * scale, _I_IM.take(e) * scale
-
-
 def split_points(t: int, h0: bool, points) -> tuple[np.ndarray, ...]:
     """Each point as its base's closed forms take it: (u, v) of F_2^(4t) for
     g0, (u, u_m, v, v_m, turn) of F_2^(4t+2) for h0, where turn = u_0 + u_t
@@ -335,22 +328,32 @@ def split_points(t: int, h0: bool, points) -> tuple[np.ndarray, ...]:
     return u, big_u >> m, v, vm, (u ^ (u >> t) ^ (v >> t) ^ vm) & 1
 
 
-def g0_closed_forms(t: int, u: np.ndarray,
-                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms of the spectra of the 4t-variable base g0 at the points
-    (u, v) of `split_points`, as (W, re N, im N)."""
+def g0_walsh_closed_form(t: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """W of the 4t-variable base g0 at the points (u, v) of `split_points`."""
     # wt(u' & u'') + wt(u & v) mod 2, with u & (u >> t) = u' & u''
-    return (_sign(u & ((u >> t) ^ v), 1 << (2 * t)), *_nega_g0(t, u, v))
+    return _sign(u & ((u >> t) ^ v), 1 << (2 * t))
 
 
-def h0_closed_forms(t: int, u: np.ndarray, um: np.ndarray, v: np.ndarray, vm: np.ndarray,
-                    turn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms of the spectra of the (4t+2)-variable base h0 at the
-    points of `split_points`, as (W, re N, im N): N is 2N_g0 where the turn
-    bit is 0, else 2iN_g0, negated where u_m = 1."""
+def g0_nega_closed_form(t: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(re N, im N) of the 4t-variable base g0 at the points (u, v) of `split_points`."""
+    d = v ^ u  # d & (d >> t) = (u' + v') & (u'' + v'')
+    scale = _sign(d & (d >> t), 1 << (2 * t))
+    e = (t - np.bitwise_count(u)) & 3  # uint8: the wrap mod 256 keeps it mod 4
+    return _I_RE.take(e) * scale, _I_IM.take(e) * scale
+
+
+def h0_walsh_closed_form(t: int, u: np.ndarray, um: np.ndarray, v: np.ndarray, vm: np.ndarray,
+                         _turn: np.ndarray) -> np.ndarray:
+    """W of the (4t+2)-variable base h0 at the points of `split_points`."""
     # wt(u' & u'') + wt(u & v) + u_m v_m + u_m (v + u >> t)_0 mod 2
-    walsh = _sign((u & ((u >> t) ^ v)) ^ (um & (vm ^ v ^ (u >> t))), 2 << (2 * t))
-    return (walsh, *_combine(_nega_g0(t, u, v), 2 - 2 * turn, turn * (2 - 4 * um)))
+    return _sign((u & ((u >> t) ^ v)) ^ (um & (vm ^ v ^ (u >> t))), 2 << (2 * t))
+
+
+def h0_nega_closed_form(t: int, u: np.ndarray, um: np.ndarray, v: np.ndarray, _vm: np.ndarray,
+                        turn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(re N, im N) of the (4t+2)-variable base h0 at the points of `split_points`:
+    2N_g0 where the turn bit is 0, else 2iN_g0, negated where u_m = 1."""
+    return _combine(g0_nega_closed_form(t, u, v), 2 - 2 * turn, turn * (2 - 4 * um))
 
 
 # ---------------------------------------------------------------------------
@@ -361,28 +364,26 @@ BRANCHES = ("zero", "half", "full")
 _HALF, _FULL = 1, 2
 # the doubled nega value is a*N + b*iN: a by branch, b = (-1)^s on the half branch
 _N_MULTIPLIER = np.array([0, 1, 2], dtype=np.int32)
+# per modifier set, the largest admissible number of nega candidates at one point
+_LEMMAS = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
 
 
-@dataclass(frozen=True, eq=False)
-class _Prediction:
-    """Predicted fragment values and contribution counts, one entry a point.
-    The nega value is doubled so the half branch (1 + i(-1)^s)/2 * N stays
-    integral; `branch` indexes BRANCHES."""
+class _Predictor(NamedTuple):
+    """The two halves of `_predictor`, and the key tables they read.  A nega
+    value N is (re, im), and the predicted one is doubled so the half branch
+    (1 + i(-1)^s)/2 * N stays integral; a branch indexes BRANCHES."""
 
-    walsh: np.ndarray
-    walsh_matches: np.ndarray
-    nega2_re: np.ndarray
-    nega2_im: np.ndarray
-    nega_matches: np.ndarray
-    branch: np.ndarray
-    structure_ok: np.ndarray
-    base_walsh: np.ndarray  # the base's closed forms the predictions scale
-    base_nega: tuple[np.ndarray, np.ndarray]
+    walsh: Callable  # points -> (W_f0, the predicted W_f0,T, its number of candidates)
+    nega: Callable  # points -> (N_f0, the predicted 2N_f0,T, its candidates, its branch)
+    keys: Callable  # points -> (their split, Walsh keys, nega keys)
+    w_count: np.ndarray  # per Walsh key, its number of (gamma, eps) candidates
+    n_count: np.ndarray  # per nega key, its number of candidates
+    pair_ok: np.ndarray  # per nega key, whether its candidates are S3's admissible pair
 
 
-def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
+def _predictor(spec: GammaSpec) -> _Predictor:
     """The closed-form fragment spectra of an S1..S4 set, read off the spec
-    alone, as a function of an array of points.
+    alone, as functions of an array of points, one for each spectrum.
 
     A parameter (gamma, eps) contributes at a point exactly when its key
     equals the point's: the half sums (u' + u'', v' + v'') for S1/S3, the
@@ -397,16 +398,11 @@ def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
     h0 = spec.e_sets is not None  # S3, S4: the base h0, with u_m and v_m
     t = 2 * k if pairs else k  # the base parameter
     w = 2 * t  # the width of u and of v
-    if pairs:
-        low, shift = ((1 << w) - 1) // 3, 1  # the low bit of every pair of u
+    # the low bit of every pair of u, else the low half of u
+    low, shift = (((1 << w) - 1) // 3, 1) if pairs else ((1 << k) - 1, k)
 
-        def sums(z):
-            return (z ^ (z >> 1)) & low
-    else:
-        low, shift = (1 << k) - 1, k
-
-        def sums(z):
-            return (z & low) ^ (z >> k)
+    def sums(z):  # the sum of each pair of z's bits, else of its two halves
+        return (z ^ (z >> 1)) & low if pairs else (z & low) ^ (z >> k)
 
     # the (gamma, eps) candidates in spec order, and their keys
     cand = np.array([(i, e) for i in range(len(spec.gammas))
@@ -427,35 +423,30 @@ def _predictor(spec: GammaSpec) -> Callable[[np.ndarray], _Prediction]:
     # gamma_2 + eps: its candidates are distinct gammas that share gamma_1
     eps_sum = np.bincount(nk, weights=eps, minlength=1 << w).astype(np.int32)
     pair_ok = (eps_sum == 1) & (spec.family == "S3")
+    walsh_form, nega_form = ((h0_walsh_closed_form, h0_nega_closed_form) if h0 else
+                             (g0_walsh_closed_form, g0_nega_closed_form))
 
-    closed_forms = h0_closed_forms if h0 else g0_closed_forms
-
-    def predict(x: np.ndarray) -> _Prediction:
-        # the point split once, for both the closed forms and the keys
-        split = split_points(t, h0, x)
-        walsh, *nega = closed_forms(t, *split)
-        if h0:
-            u, um, v, _, turn = split
-            turn ^= um
-        else:
-            (u, v), um = split, 0
+    def keys(x: np.ndarray) -> tuple:
+        split = split_points(t, h0, x)  # once, for both the closed form and the keys
+        u, um, v = split[:3] if h0 else (split[0], 0, split[1])
         nkey = sums(u) | (sums(v) << shift)
-        wkey = (nkey ^ um) | (um << w)
-        w_matches, count = w_count.take(wkey), n_count.take(nkey)
-        # one h0 candidate gives half of N and two (S3) all of it; one g0
-        # candidate gives all of N
+        return split, (nkey ^ um) | (um << w), nkey
+
+    def walsh(x: np.ndarray) -> tuple:
+        split, wkey, _ = keys(x)
+        base, matches = walsh_form(t, *split), w_count.take(wkey)
+        return base, np.where(matches > 0, base, 0), matches
+
+    def nega(x: np.ndarray) -> tuple:
+        split, _, nkey = keys(x)
+        base, count = nega_form(t, *split), n_count.take(nkey)
+        # one h0 candidate gives half of N, two (S3) all of it; one g0 candidate all of N
         branch = np.minimum(count if h0 else _FULL * count, _FULL)
-        s = (turn ^ eps_sum.take(nkey)) & 1 if h0 else 0
+        s = (split[-1] ^ split[1] ^ eps_sum.take(nkey)) & 1 if h0 else 0  # turn + u_m + eps
         half = (branch == _HALF).astype(np.int32)
-        nega2 = _combine(nega, _N_MULTIPLIER.take(branch), half * (1 - 2 * s))
-        return _Prediction(np.where(w_matches > 0, walsh, 0), w_matches, *nega2, count, branch,
-                           (count <= 1) | ((count == 2) & pair_ok.take(nkey)), walsh, tuple(nega))
+        return base, _combine(base, _N_MULTIPLIER.take(branch), half * (1 - 2 * s)), count, branch
 
-    return predict
-
-
-# per modifier set, the largest admissible number of nega candidates at one point
-_LEMMAS = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
+    return _Predictor(walsh, nega, keys, w_count, n_count, pair_ok)
 
 
 def _points(block: slice) -> np.ndarray:
@@ -468,16 +459,13 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     exact masked transforms at every point.
 
     Also checks the closed-form base spectra against the GF(2) rule's exact
-    W_f0 and W_g0 (`_base_spectra`, no butterfly), the per-point bound on the
-    number of contributing parameters, and (on a deterministic sample) the
-    definitional restricted sums against the masked butterfly route.  One
-    pass runs over blocks of at most 2^14 points (`spectra._BLOCK`), holding
-    the two whole masked spectra; per block, `predict` evaluates the base's
-    closed forms once, for the base checks and the predictions alike.
-    `_predictor` reads only the spec, never the set or a spectrum: each point
-    looks its (gamma, eps) candidates up in key tables of at most 2^(n/2)
-    entries built once from the spec, so the predictions cost 2^n + |Gamma||E|
-    whatever the number of gammas.
+    W_f0 and W_g0 (`_base_spectra`, no butterfly), the bound on the number
+    of contributing parameters, read off `_predictor`'s key tables, and (on
+    a deterministic sample) the definitional restricted sums against the
+    masked butterfly route.  A Walsh pass, then a nega pass, runs over blocks
+    of at most 2^14 points (`spectra._BLOCK`), holding its one whole masked
+    spectrum; per block, its half of `_predictor` evaluates the base's
+    closed form once, for the base check and the prediction alike.
     """
     if spec.family not in _LEMMAS:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
@@ -485,7 +473,8 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     fam = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family)
     check_capacity(fam.n(spec.k))
     f0 = base_function(fam.base, fam.base_param(spec.k))
-    size, scale = 1 << f0.n, 1 << (f0.n // 2)
+    n = f0.n
+    size, scale = 1 << n, 1 << (n // 2)
     checks = _Checks()
     # the rule gives both duals at once: its call is charged to both base checks
     with checks.timing("base-walsh-closed-form"), checks.timing("base-nega-closed-form"):
@@ -495,48 +484,58 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
         return scale * (1 - 2 * dual.value_array(block).astype(np.int32))
 
     tset = build_modifier_set(spec)
-    wt = fragmentary_walsh_spectrum(f0, tset)
-    nt = fragmentary_nega_spectrum(f0, tset)
+    predictor = _predictor(spec)
     # each check's first counterexample, or None
     base_walsh = base_nega = walsh_agree = nega_agree = None
     nonzero = 0
     branches = np.zeros(len(BRANCHES), dtype=np.int64)
-    max_w = max_n = 0
-    over_bound: Optional[str] = None
-    predict = _predictor(spec)
+    sample = slice(0, size, max(1, size // 64))  # every point up to 64, else 64 evenly spaced
+    with checks.timing("fragment-walsh-closed-form"):
+        wt = fragmentary_walsh_spectrum(f0, tset)
     for block in _blocks(size):
-        pred = predict(_points(block))
-        # the int32 width: every closed form is at most 2^(n/2+2) in magnitude
-        assert all(int(np.abs(v).max()) <= 1 << (f0.n // 2 + 2) for v in (
-            pred.base_walsh, *pred.base_nega, pred.walsh, pred.nega2_re, pred.nega2_im))
+        base, walsh, matches = predictor.walsh(_points(block))
+        assert max(int(np.abs(v).max()) for v in (base, walsh)) <= 1 << (n // 2 + 2)
         with checks.timing("base-walsh-closed-form"):
             base_walsh = base_walsh or _difference(
-                f0.n, block, (exact(dual_w, block),), (pred.base_walsh,), "W_f0", "closed form")
+                n, block, (exact(dual_w, block),), (base,), "W_f0", "closed form")
+        with checks.timing("fragment-walsh-closed-form"):
+            walsh_agree = walsh_agree or _difference(
+                n, block, wt.parts(block), (walsh,), "W_f0,T", "closed form")
+            nonzero += int(np.count_nonzero(matches))
+    sampled = (wt.parts(sample)[0].copy(),)  # a copy, so no view keeps wt alive
+    del wt  # before the nega spectrum is taken: one whole spectrum at a time
+    with checks.timing("fragment-nega-closed-form"):
+        nt = fragmentary_nega_spectrum(f0, tset)
+    for block in _blocks(size):
+        base, nega2, _, branch = predictor.nega(_points(block))
+        assert max(int(np.abs(v).max()) for v in (*base, *nega2)) <= 1 << (n // 2 + 2)
         with checks.timing("base-nega-closed-form"):  # re N = (a + b)/2, im N = a - re
             a = exact(dual_g, block)  # W_g0(u), and b = W_g0(u') for u' = 2^n - 1 - u
             re = (a + exact(dual_g, slice(size - block.stop, size - block.start))[::-1]) >> 1
             base_nega = base_nega or _difference(
-                f0.n, block, (re, a - re), pred.base_nega, "N_f0", "closed form")
-        with checks.timing("fragment-walsh-closed-form"):
-            walsh_agree = walsh_agree or _difference(
-                f0.n, block, wt.parts(block), (pred.walsh,), "W_f0,T", "closed form")
-            nonzero += int(np.count_nonzero(pred.walsh_matches))
+                n, block, (re, a - re), base, "N_f0", "closed form")
         with checks.timing("fragment-nega-closed-form"):
             nega_agree = nega_agree or _difference(
-                f0.n, block, tuple(2 * p for p in nt.parts(block)),
-                (pred.nega2_re, pred.nega2_im), "2N_f0,T", "closed form")
-            branches += np.bincount(pred.branch, minlength=len(BRANCHES))
-        with checks.timing("contribution-bounds"):
-            w, m, ok = pred.walsh_matches, pred.nega_matches, pred.structure_ok
-            max_w, max_n = max(max_w, int(w.max())), max(max_n, int(m.max()))
-            bad = np.flatnonzero((w > 1) | (m > bound) | ~ok)
-            if bad.size and over_bound is None:
-                i = int(bad[0])
-                over_bound = f"at {BitVector(f0.n, block.start + i)}: " + (
-                    f"walsh matches {w[i]} != at most 1" if w[i] > 1 else
-                    f"nega matches {m[i]} != at most {bound}" if m[i] > bound else
-                    "admissible structure False != True")
-        del pred  # free this block's arrays before the next block's prediction
+                n, block, tuple(2 * p for p in nt.parts(block)), nega2, "2N_f0,T", "closed form")
+            branches += np.bincount(branch, minlength=len(BRANCHES))
+    sampled += nt.parts(sample)
+    del nt
+
+    def over_bound() -> Optional[str]:
+        # both key maps are onto (`sums` reaches every value, u_m is a free bit): the
+        # tables' verdicts are the points', scanned only to name a bad key's first point
+        w_count, n_count = predictor.w_count, predictor.n_count
+        w_bad, n_bad = w_count > 1, (n_count > bound) | ((n_count == 2) & ~predictor.pair_ok)
+        if not (w_bad.any() or n_bad.any()):
+            return None
+        at = _first_flagged(size, lambda block: np.logical_or(*map(  # a bad Walsh or nega key
+            np.take, (w_bad, n_bad), predictor.keys(_points(block))[1:])))
+        _, (wkey,), (nkey,) = predictor.keys(_points(slice(at, at + 1)))
+        w, m = w_count[wkey], n_count[nkey]
+        return f"at {BitVector(n, at)}: " + (
+            f"walsh matches {w} != at most 1" if w > 1 else
+            f"nega matches {m} != at most {bound}" if m > bound else
+            "admissible structure False != True")
 
     checks.add("base-walsh-closed-form", lambda: base_walsh, lambda: f"{size} points")
     checks.add("base-nega-closed-form", lambda: base_nega, lambda: f"{size} points")
@@ -544,19 +543,14 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
                lambda: f"{size} points, {nonzero} nonzero")
     checks.add("fragment-nega-closed-form", lambda: nega_agree, lambda: (
         f"{size} points, branches " + " ".join(f"{b}={c}" for b, c in zip(BRANCHES, branches))))
-    checks.add("contribution-bounds", lambda: over_bound, lambda: (
-        f"max walsh matches {max_w}, max nega matches {max_n} (bound {bound})"))
-
-    # every point up to 64, else 64 evenly spaced
-    sample = slice(0, size, max(1, size // 64))
-
+    checks.add("contribution-bounds", over_bound, lambda: (
+        f"max walsh matches {predictor.w_count.max()}, "
+        f"max nega matches {predictor.n_count.max()} (bound {bound})"))
     checks.add("literal-sum-agreement", lambda: _spectra_difference(
-        f0.n, sample, definitional_sums(f0, range(size)[sample], tset),
-        wt.parts(sample) + nt.parts(sample), "definitional", "masked butterfly"),
-        lambda: f"{len(range(size)[sample])} sampled points")
+        n, sample, definitional_sums(f0, range(size)[sample], tset), sampled,
+        "definitional", "masked butterfly"), lambda: f"{len(range(size)[sample])} sampled points")
 
-    subject = f"{spec.family} fragment lemma k={spec.k} |Gamma|={len(spec.gammas)}"
-    return checks.report(subject)
+    return checks.report(f"{spec.family} fragment lemma k={spec.k} |Gamma|={len(spec.gammas)}")
 
 
 # ---------------------------------------------------------------------------

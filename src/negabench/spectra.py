@@ -129,7 +129,7 @@ _INT16_BLOCK = 1 << 14  # the int16 levels sum blocks of 2^14 points: |v| <= 2^1
 _ENTRY_WORDS = 1 << 11  # packed words per entry chunk: 2^17 points, 256 KiB in int16
 _INT32_TILE = 1 << 16  # int32 scratch per tile of the int32 levels: 256 KiB
 # points per block of every pass over a whole spectrum (flatness scans, Parseval sums,
-# frame branch counts, the dual's packed sign bits and the lemma pass; a multiple of 8,
+# frame branch counts, the dual's packed sign bits and the lemma passes; a multiple of 8,
 # so a block packs into whole bytes): each block's temporaries, at most 128 KiB (int64
 # nega parts), reuse the heap memory the last block freed instead of faulting in fresh
 # pages; at 2^15 an n = 18 lemma check takes ten times the page faults, and is slower

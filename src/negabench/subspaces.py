@@ -3,7 +3,7 @@ rotation-symmetric set T.
 
 Every modifier set is a union of cosets of one linear subspace:
 `modifier_cells` gives its basis and one offset per coset, and
-`coset_union` builds the set from them in one numpy pass.
+`coset_union` builds the set from them, about 2^20 points at a time.
 """
 
 from __future__ import annotations
@@ -29,13 +29,17 @@ def coset_union(n: int, basis: Iterable[int], offsets: Iterable[int]) -> VectorS
     """The union over the offsets of the cosets offset + span(basis) in F_2^n.
     Starting from the origin, the span is doubled by its translate under each
     basis vector; a dependent vector only repeats points, which
-    `VectorSet.from_indices` counts once."""
+    `VectorSet.from_indices` counts once.  The cosets are listed about 2^20
+    points (8 MiB) at a time, so a union of all 2^24 is never listed whole."""
     check_capacity(n)
     pts = np.zeros(1, dtype=np.int64)
     for b in basis:
         pts = np.concatenate((pts, pts ^ b))
     offs = np.fromiter(offsets, dtype=np.int64)
-    return VectorSet.from_indices(n, (offs[:, None] ^ pts).ravel())
+    step, mask = max(1, (1 << 20) // pts.size), 0
+    for start in range(0, offs.size, step):
+        mask |= VectorSet.from_indices(n, (offs[start:start + step, None] ^ pts).ravel()).mask
+    return VectorSet(n, mask)
 
 
 def swap_halves(bits: int, half: int) -> int:

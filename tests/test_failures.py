@@ -106,16 +106,14 @@ def _lemma_flipped_dual(monkeypatch, which):
 
 
 def _overcounted(monkeypatch):
-    predictor = oracle._predictor
+    """The lemma report with every nega key table entry of two candidates
+    (the S3 bound) counting three, which moves no predicted value."""
+    real = oracle._predictor
 
     def overcounted(spec):
-        predict = predictor(spec)
-
-        def counted(xs):  # three more nega candidates than the S3 bound of 2 allows
-            pred = predict(xs)
-            return dataclasses.replace(pred, nega_matches=pred.nega_matches + 3 * (xs == POINT_37))
-
-        return counted
+        predictor = real(spec)
+        predictor.n_count[predictor.n_count == 2] += 1  # in place: the halves read it
+        return predictor
 
     monkeypatch.setattr(oracle, "_predictor", overcounted)
     return oracle.verify_fragmentary_lemma(LEMMA)

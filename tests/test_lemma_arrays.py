@@ -3,19 +3,22 @@
 The reference functions below are the earlier scalar implementations: one
 point at a time on Python ints and Gaussian integers, with loop-based pair
 predicates.  The array closed forms and predictors must agree with them at
-every point.  The tamper tests make one exact value wrong at one point: a
+every point, and the key tables' largest counts must be the points'.  The
+tamper tests make one exact value wrong at one point: a
 masked spectrum's stored entry shifted (a Walsh value by 2^(n/2), or the W_g
 value a nega spectrum is derived from by 2^(n/2+1), which moves re and im by
 2^(n/2)), or one bit of a base dual from the GF(2) rule flipped (W_f0
 negated, or W_g0, which turns N_f0 = re + i im into -im - i re).  The
 matching check must fail alone, naming the first wrong point and both
 values, also when the point lies in a later block of the blockwise checks;
-the block tests require the same reports whatever the block size, one
-closed-form evaluation a block, no butterfly on the base, and an n=20 check
-within a tracemalloc budget.
+a patched key table fails the contribution bound alone, naming the first
+point the patched entries count.  The block tests require the same reports
+whatever the block size, one evaluation of each closed form a block, no
+butterfly on the base, and an n=20 check within a tracemalloc budget.
 """
 
 import dataclasses
+import random
 import tracemalloc
 from dataclasses import dataclass
 
@@ -270,11 +273,18 @@ def _nega_pairs(values) -> tuple[list[int], list[int]]:
     return [z.re for z in values], [z.im for z in values]
 
 
+def _closed_forms(base, t, xs):
+    """(W, re N, im N) of the base g0 or h0 at the points xs, one closed form each."""
+    split = oracle.split_points(t, base == "h0", xs)
+    walsh = getattr(oracle, f"{base}_walsh_closed_form")(t, *split)
+    return walsh, *getattr(oracle, f"{base}_nega_closed_form")(t, *split)
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_g0_closed_forms(t):
     pts = range(1 << (4 * t))
     xs = np.arange(1 << (4 * t), dtype=np.int64)
-    walsh, re, im = oracle.g0_closed_forms(t, *oracle.split_points(t, False, xs))
+    walsh, re, im = _closed_forms("g0", t, xs)
     assert walsh.tolist() == [ref_walsh_g0(t, p) for p in pts]
     assert (re.tolist(), im.tolist()) == _nega_pairs(ref_nega_g0(t, p) for p in pts)
 
@@ -283,21 +293,21 @@ def test_g0_closed_forms(t):
 def test_h0_closed_forms(t):
     pts = range(1 << (4 * t + 2))
     xs = np.arange(1 << (4 * t + 2), dtype=np.int64)
-    walsh, re, im = oracle.h0_closed_forms(t, *oracle.split_points(t, True, xs))
+    walsh, re, im = _closed_forms("h0", t, xs)
     assert walsh.tolist() == [ref_walsh_h0(t, p) for p in pts]
     assert (re.tolist(), im.tolist()) == _nega_pairs(ref_nega_h0(t, p) for p in pts)
 
 
-@pytest.mark.parametrize("n, t, h0, closed_forms, walsh_ref, nega_ref", [
-    (24, 6, False, oracle.g0_closed_forms, ref_walsh_g0, ref_nega_g0),
-    (22, 5, True, oracle.h0_closed_forms, ref_walsh_h0, ref_nega_h0),
+@pytest.mark.parametrize("n, t, base, walsh_ref, nega_ref", [
+    (24, 6, "g0", ref_walsh_g0, ref_nega_g0),
+    (22, 5, "h0", ref_walsh_h0, ref_nega_h0),
 ], ids=["g0-n24", "h0-n22"])
-def test_int32_closed_forms_at_capacity(n, t, h0, closed_forms, walsh_ref, nega_ref):
+def test_int32_closed_forms_at_capacity(n, t, base, walsh_ref, nega_ref):
     # the top points of the largest g0 and h0 set every bit of an int32 point
     size = 1 << n
     xs = oracle._points(slice(size - 256, size))
     pts = range(size - 256, size)
-    walsh, re, im = closed_forms(t, *oracle.split_points(t, h0, xs))
+    walsh, re, im = _closed_forms(base, t, xs)
     assert {a.dtype for a in (xs, walsh, re, im)} == {np.dtype(np.int32)}
     assert walsh.tolist() == [walsh_ref(t, p) for p in pts]
     assert (re.tolist(), im.tolist()) == _nega_pairs(nega_ref(t, p) for p in pts)
@@ -331,21 +341,54 @@ _REFERENCE = {"S1": ref_predict_s1, "S2": ref_predict_s2,
               "S3": ref_predict_s3, "S4": ref_predict_s4}
 
 
+def _n(spec):
+    return next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family).n(spec.k)
+
+
 @pytest.mark.parametrize("name", sorted(PREDICTOR_SPECS))
 def test_predictor_matches_reference(name):
     spec = PREDICTOR_SPECS[name]
-    n = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family).n(spec.k)
-    got = oracle._predictor(spec)(np.arange(1 << n, dtype=np.int64))
-    refs = [_REFERENCE[spec.family](spec, p) for p in range(1 << n)]
-    assert got.walsh.tolist() == [r.walsh for r in refs]
-    assert got.walsh_matches.tolist() == [r.walsh_matches for r in refs]
-    assert (got.nega2_re.tolist(), got.nega2_im.tolist()) == _nega_pairs(
-        r.nega_doubled for r in refs)
-    assert got.nega_matches.tolist() == [r.nega_matches for r in refs]
-    assert [oracle.BRANCHES[b] for b in got.branch] == [r.nega_branch for r in refs]
-    assert got.structure_ok.tolist() == [r.structure_ok for r in refs]
+    xs = np.arange(1 << _n(spec), dtype=np.int64)
+    predictor = oracle._predictor(spec)
+    _, walsh, walsh_matches = predictor.walsh(xs)
+    _, (re, im), nega_matches, branch = predictor.nega(xs)
+    refs = [_REFERENCE[spec.family](spec, p) for p in range(1 << _n(spec))]
+    assert walsh.tolist() == [r.walsh for r in refs]
+    assert walsh_matches.tolist() == [r.walsh_matches for r in refs]
+    assert (re.tolist(), im.tolist()) == _nega_pairs(r.nega_doubled for r in refs)
+    assert nega_matches.tolist() == [r.nega_matches for r in refs]
+    assert [oracle.BRANCHES[b] for b in branch] == [r.nega_branch for r in refs]
+    # the nega table's verdict: no key has more candidates than the lemma
+    # admits, and two under one key are S3's admissible pair
+    n_count, bound = predictor.n_count, oracle._LEMMAS[spec.family]
+    n_bad = (n_count > bound) | ((n_count == 2) & ~predictor.pair_ok)
+    assert (not n_bad.any()) == all(r.structure_ok for r in refs)
+    _assert_tables_reach_maxima(predictor, xs, max(r.walsh_matches for r in refs),
+                                max(r.nega_matches for r in refs))
     # the specs reach beyond the trivial branch
     assert {r.nega_branch for r in refs} - {"zero"}
+
+
+def _assert_tables_reach_maxima(predictor, xs, walsh_max, nega_max):
+    """contribution-bounds reads its maxima off the key tables: both key maps
+    are onto, so every entry is some point's and the tables' maxima are the
+    points' largest counts."""
+    _, wkey, nkey = predictor.keys(xs)
+    assert np.bincount(wkey, minlength=predictor.w_count.size).all()
+    assert np.bincount(nkey, minlength=predictor.n_count.size).all()
+    assert (predictor.w_count.max(), predictor.n_count.max()) == (walsh_max, nega_max)
+
+
+def test_key_tables_reach_the_per_point_maxima_at_n20():
+    # five distinct gammas drawn for an S1 set at k = 5.  The per-point counts
+    # are the predictor's own, which the test above pins to the reference at
+    # every smaller spec
+    rng = random.Random(20261020)
+    spec = _spec(5, "S1", [f"{g:010b}" for g in rng.sample(range(1 << 10), 5)])
+    predictor = oracle._predictor(spec)
+    xs = np.arange(1 << 20, dtype=np.int64)
+    _assert_tables_reach_maxima(predictor, xs, predictor.walsh(xs)[2].max(),
+                                predictor.nega(xs)[2].max())
 
 
 # ---------------------------------------------------------------------------
@@ -494,29 +537,49 @@ def test_tampered_entry_in_a_late_block(monkeypatch, name, field, check):
     assert (whole.subject, _verdicts(whole)) == (report.subject, _verdicts(report))
 
 
+def _patch_table(monkeypatch, table):
+    """oracle._predictor with one key table patched in place, where its
+    halves read it: a Walsh key with a candidate gains one, a nega key with
+    two (the S3 bound) gains a third, or no pair is admissible.  None of
+    these moves a predicted value."""
+    real = oracle._predictor
+
+    def patched(spec):
+        predictor = real(spec)
+        if table == "w_count":
+            predictor.w_count[predictor.w_count > 0] += 1
+        elif table == "n_count":
+            predictor.n_count[predictor.n_count == 2] += 1
+        else:
+            predictor.pair_ok[:] = False
+        return predictor
+
+    monkeypatch.setattr(oracle, "_predictor", patched)
+
+
+# per patched table: which reference points it breaches, and the text it names one with
+BREACHES = {
+    "w_count": (lambda r: r.walsh_matches > 0,
+                lambda r: f"walsh matches {r.walsh_matches + 1} != at most 1"),
+    "n_count": (lambda r: r.nega_matches == 2, lambda r: "nega matches 3 != at most 2"),
+    "pair_ok": (lambda r: r.nega_matches == 2, lambda r: "admissible structure False != True"),
+}
+
+
 @pytest.mark.parametrize("block", [spectra._BLOCK, 16])
 def test_contribution_bound_breach_is_named(monkeypatch, block):
-    predictor, bound = oracle._predictor, oracle._LEMMAS["S3"]
-    one = predictor(TAMPER_SPEC)(np.array([TAMPER_POINT], dtype=np.int64))
-    w, m = int(one.walsh_matches[0]), int(one.nega_matches[0])
-
-    def overcounted(spec):
-        predict = predictor(spec)
-
-        def counted(xs):
-            # two breaches, blocks apart when the blocks are small: the first is named
-            pred = predict(xs)
-            extra = ((xs == TAMPER_POINT) | (xs == TAMPER_POINT + 100)) * (bound + 1)
-            return dataclasses.replace(pred, nega_matches=pred.nega_matches + extra)
-
-        return counted
-
-    monkeypatch.setattr(oracle, "_predictor", overcounted)
+    # each key table patched in turn: the first of the points it breaches, by
+    # the reference predictor, is named, and lies past the first 16-point block
+    refs = [ref_predict_s3(TAMPER_SPEC, p) for p in range(1 << 10)]
     monkeypatch.setattr(spectra, "_BLOCK", block)
-    failed = _failed_check(oracle.verify_fragmentary_lemma(TAMPER_SPEC), "contribution-bounds")
-    assert w <= 1
-    assert failed.counterexample == (f"at {BitVector(10, TAMPER_POINT)}: "
-                                     f"nega matches {m + bound + 1} != at most {bound}")
+    for table, (breached, text) in BREACHES.items():
+        with monkeypatch.context() as mp:
+            _patch_table(mp, table)
+            report = oracle.verify_fragmentary_lemma(TAMPER_SPEC)
+        at = next(p for p, r in enumerate(refs) if breached(r))
+        assert at >= 16
+        assert _failed_check(report, "contribution-bounds").counterexample == (
+            f"at {BitVector(10, at)}: {text(refs[at])}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,25 +601,28 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["S1-k2", "S2-k1", "S3-k2", "S4-k1"])
 def test_closed_forms_run_once_a_block(monkeypatch, name):
-    # the predictor evaluates the base's closed forms once per block, for the
-    # base checks and the predictions alike, and nothing evaluates the other base's
+    # each half of the predictor evaluates its base closed form once per
+    # block, for the base check and the prediction alike, and nothing
+    # evaluates the other base's, but for g0's nega form, which h0's builds on
     spec = PREDICTOR_SPECS[name]
     fam = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family)
-    used, unused = ((oracle.g0_closed_forms, "h0_closed_forms") if fam.base == "g0"
-                    else (oracle.h0_closed_forms, "g0_closed_forms"))
+    other = "h0" if fam.base == "g0" else "g0"
     calls = []
+    for kind in ("walsh", "nega"):
+        used = getattr(oracle, f"{fam.base}_{kind}_closed_form")
 
-    def counted(t, u, *coordinates):
-        calls.append(len(u))
-        return used(t, u, *coordinates)
+        def counted(t, u, *coordinates, kind=kind, used=used):
+            calls.append((kind, len(u)))
+            return used(t, u, *coordinates)
 
-    monkeypatch.setattr(oracle, used.__name__, counted)
-    monkeypatch.setattr(oracle, unused, None)
+        monkeypatch.setattr(oracle, used.__name__, counted)
+        if (other, kind) != ("g0", "nega"):
+            monkeypatch.setattr(oracle, f"{other}_{kind}_closed_form", None)
     monkeypatch.setattr(spectra, "_BLOCK", 16)
     report = oracle.verify_fragmentary_lemma(spec)
     assert report.passed, report.failures()
     blocks = (1 << fam.n(spec.k)) // 16
-    assert len(calls) == blocks and set(calls) == {16}
+    assert calls == [("walsh", 16)] * blocks + [("nega", 16)] * blocks
 
 
 @pytest.mark.parametrize("name", sorted(PREDICTOR_SPECS))
@@ -582,17 +648,16 @@ def test_no_butterfly_runs_on_the_base(monkeypatch, name):
 
 
 def test_lemma_memory_is_bounded_at_n20():
-    # the criterion-12 spec: n = 20, 64 blocks of 2^14 points.  The one pass
-    # holds the two whole masked spectra (two int32 arrays, 8 MiB) and the
-    # base's two rule duals (0.5 MiB with their bytes); everything else, the
-    # nega parts included, is per block.  The butterfly workspace, kept per
-    # thread, is made before the trace, so the peak reads the same alone and
-    # in the suite: in the sampled literal sums, 11.9 MiB (about 9.4 MiB held
-    # and a chunk's temporaries, its signs built in place in one buffer).  The
-    # bound leaves 0.6 MiB of margin, and a chain of full-size sign
-    # temporaries (12.9 MiB), a whole class-mask table (0.5 MiB at n = 20)
-    # kept beside the pass, or a butterfly spectrum of the base (4 MiB),
-    # crosses it
+    # the criterion-12 spec: n = 20, 64 blocks of 2^14 points.  The Walsh
+    # pass holds the whole masked Walsh spectrum (one int32 array, 4 MiB),
+    # which is dropped before the nega pass takes the masked nega spectrum,
+    # beside the base's two rule duals (0.5 MiB with their bytes);
+    # everything else, the nega parts included, is per block.  The butterfly
+    # workspace, kept per thread, is made before the trace, so the peak reads
+    # the same alone and in the suite: in the nega pass, 6.8 MiB (5.8 MiB if
+    # the rule's duals are cached).  The bound leaves 0.7 MiB of margin, and
+    # the two masked spectra held at once (11.9 MiB) or a butterfly spectrum
+    # of the base (4 MiB) crosses it
     spec = _spec(5, "S1", ("1101001110", "0010110001"))
     spectra._workspace()
     tracemalloc.start()
@@ -602,4 +667,4 @@ def test_lemma_memory_is_bounded_at_n20():
     finally:
         tracemalloc.stop()
     assert report.passed, report.failures()
-    assert peak <= 25 << 19, f"peak {peak / 2**20:.2f} MiB"  # 12.5 MiB
+    assert peak <= 15 << 19, f"peak {peak / 2**20:.2f} MiB"  # 7.5 MiB

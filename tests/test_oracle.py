@@ -41,8 +41,10 @@ from negabench.oracle import (
     check_su_conditions,
     check_table1,
     extract_frame_coefficients,
-    g0_closed_forms,
-    h0_closed_forms,
+    g0_nega_closed_form,
+    g0_walsh_closed_form,
+    h0_nega_closed_form,
+    h0_walsh_closed_form,
     naive_transforms,
     split_points,
     verify_construction,
@@ -243,7 +245,8 @@ class TestClosedFormBaseSpectra:
             f = base_function("g0", t)
             wf, nf = walsh_transform(f), nega_transform(f)
             us = np.arange(1 << f.n)
-            w, re, im = g0_closed_forms(t, *split_points(t, False, us))
+            split = split_points(t, False, us)
+            w, (re, im) = g0_walsh_closed_form(t, *split), g0_nega_closed_form(t, *split)
             assert np.array_equal(wf.values, w)
             nf_re, nf_im = nega_parts(nf)
             assert np.array_equal(nf_re, re) and np.array_equal(nf_im, im)
@@ -252,7 +255,8 @@ class TestClosedFormBaseSpectra:
         f = base_function("h0", 1)
         wf, nf = walsh_transform(f), nega_transform(f)
         us = np.arange(1 << 6)
-        w, re, im = h0_closed_forms(1, *split_points(1, True, us))
+        split = split_points(1, True, us)
+        w, (re, im) = h0_walsh_closed_form(1, *split), h0_nega_closed_form(1, *split)
         assert np.array_equal(wf.values, w)
         nf_re, nf_im = nega_parts(nf)
         assert np.array_equal(nf_re, re) and np.array_equal(nf_im, im)
