@@ -29,6 +29,14 @@ PY
 # n = 22 on h0: the base nega check reads the rule's W_g0 at every u and its mirror u'
 negabench lemma-check --set S3 --k 5 --gamma 1101001110 --eset B
 negabench verify --family G4K --k 3 --gamma 000111 --gamma 101010
+# n = 12, the top n of the butterfly-matches-naive cross-check (the definitional
+# sums at every point): the report must hold that check, passed
+negabench verify --family G4K --k 3 --gamma 000111 --gamma 101010 --format json > g4k12-report.json
+python3 - <<'PY'
+import json, sys
+checks = json.load(open("g4k12-report.json"))["checks"]
+sys.exit(not any(c["name"] == "butterfly-matches-naive" and c["passed"] for c in checks))
+PY
 negabench spectrum --family H4K2 --k 1 --gamma 10 --eset 0 --kind both
 negabench anf --family G4K --k 3 --gamma 000111 --gamma 101010
 # n = 20: the Moebius transform on 64-bit words at scale

@@ -39,6 +39,7 @@ from .spectra import (
     WalshSpectrum,
     _blocks,
     _first_flagged,
+    _grid_sums,
     classify,
     definitional_sums,
     dual_of_spectrum,
@@ -222,15 +223,16 @@ _NAIVE_LIMIT = 14
 
 
 def naive_transforms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only int64 (w, re, im) at every point by `definitional_sums` (3 2^(2n-6)
-    multiply-adds, so refused above n = 14): the butterfly kernels' cross-check on
-    an algorithmically independent route (no butterfly, no sigma2 identity)."""
+    """Read-only int64 (w, re, im) at every u = 64 u_hi + u_lo by `_grid_sums` on the whole
+    grid (3 2^(2n-6) multiply-adds, so refused above n = 14): the butterfly kernels'
+    cross-check on an algorithmically independent route (no butterfly, no sigma2 identity)."""
     if f.n > _NAIVE_LIMIT:
         raise CapacityError(f"naive transforms are limited to n <= {_NAIVE_LIMIT}")
-    sums = definitional_sums(f, np.arange(1 << f.n))
-    for arr in sums:
-        arr.setflags(write=False)
-    return sums
+    size = 1 << f.n
+    grid = _grid_sums(f, np.arange(min(64, size)), np.arange(max(1, size >> 6), dtype=np.uint32))
+    sums = grid.reshape(3, size).astype(np.int64)
+    sums.setflags(write=False)
+    return tuple(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,7 @@ class _Predictor(NamedTuple):
 
     walsh: Callable  # points -> (W_f0, the predicted W_f0,T, its number of candidates)
     nega: Callable  # points -> (N_f0, the predicted 2N_f0,T, its candidates, its branch)
-    keys: Callable  # points -> (their split, Walsh keys, nega keys)
+    keys: Callable  # points -> (their Walsh keys, their nega keys)
     w_count: np.ndarray  # per Walsh key, its number of (gamma, eps) candidates
     n_count: np.ndarray  # per nega key, its number of candidates
     pair_ok: np.ndarray  # per nega key, whether its candidates are S3's admissible pair
@@ -426,27 +428,28 @@ def _predictor(spec: GammaSpec) -> _Predictor:
     walsh_form, nega_form = ((h0_walsh_closed_form, h0_nega_closed_form) if h0 else
                              (g0_walsh_closed_form, g0_nega_closed_form))
 
-    def keys(x: np.ndarray) -> tuple:
-        split = split_points(t, h0, x)  # once, for both the closed form and the keys
-        u, um, v = split[:3] if h0 else (split[0], 0, split[1])
-        nkey = sums(u) | (sums(v) << shift)
-        return split, (nkey ^ um) | (um << w), nkey
+    def nega_key(split: tuple) -> np.ndarray:  # split: (u, v) or (u, u_m, v, ...)
+        return sums(split[0]) | (sums(split[2 if h0 else 1]) << shift)
+
+    def walsh_key(split: tuple) -> np.ndarray:
+        return (nega_key(split) ^ split[1]) | (split[1] << w) if h0 else nega_key(split)
 
     def walsh(x: np.ndarray) -> tuple:
-        split, wkey, _ = keys(x)
-        base, matches = walsh_form(t, *split), w_count.take(wkey)
+        split = split_points(t, h0, x)  # once, for both the closed form and the key
+        base, matches = walsh_form(t, *split), w_count.take(walsh_key(split))
         return base, np.where(matches > 0, base, 0), matches
 
     def nega(x: np.ndarray) -> tuple:
-        split, _, nkey = keys(x)
-        base, count = nega_form(t, *split), n_count.take(nkey)
+        split = split_points(t, h0, x)
+        base, count = nega_form(t, *split), n_count.take(nkey := nega_key(split))
         # one h0 candidate gives half of N, two (S3) all of it; one g0 candidate all of N
         branch = np.minimum(count if h0 else _FULL * count, _FULL)
         s = (split[-1] ^ split[1] ^ eps_sum.take(nkey)) & 1 if h0 else 0  # turn + u_m + eps
         half = (branch == _HALF).astype(np.int32)
         return base, _combine(base, _N_MULTIPLIER.take(branch), half * (1 - 2 * s)), count, branch
 
-    return _Predictor(walsh, nega, keys, w_count, n_count, pair_ok)
+    return _Predictor(walsh, nega, lambda x: (walsh_key(s := split_points(t, h0, x)), nega_key(s)),
+                      w_count, n_count, pair_ok)
 
 
 def _points(block: slice) -> np.ndarray:
@@ -493,31 +496,31 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     with checks.timing("fragment-walsh-closed-form"):
         wt = fragmentary_walsh_spectrum(f0, tset)
     for block in _blocks(size):
-        base, walsh, matches = predictor.walsh(_points(block))
-        assert max(int(np.abs(v).max()) for v in (base, walsh)) <= 1 << (n // 2 + 2)
-        with checks.timing("base-walsh-closed-form"):
-            base_walsh = base_walsh or _difference(
-                n, block, (exact(dual_w, block),), (base,), "W_f0", "closed form")
         with checks.timing("fragment-walsh-closed-form"):
+            base, walsh, matches = predictor.walsh(_points(block))
+            assert max(int(np.abs(v).max()) for v in (base, walsh)) <= 1 << (n // 2 + 2)
             walsh_agree = walsh_agree or _difference(
                 n, block, wt.parts(block), (walsh,), "W_f0,T", "closed form")
             nonzero += int(np.count_nonzero(matches))
+        with checks.timing("base-walsh-closed-form"):
+            base_walsh = base_walsh or _difference(
+                n, block, (exact(dual_w, block),), (base,), "W_f0", "closed form")
     sampled = (wt.parts(sample)[0].copy(),)  # a copy, so no view keeps wt alive
     del wt  # before the nega spectrum is taken: one whole spectrum at a time
     with checks.timing("fragment-nega-closed-form"):
         nt = fragmentary_nega_spectrum(f0, tset)
     for block in _blocks(size):
-        base, nega2, _, branch = predictor.nega(_points(block))
-        assert max(int(np.abs(v).max()) for v in (*base, *nega2)) <= 1 << (n // 2 + 2)
+        with checks.timing("fragment-nega-closed-form"):
+            base, nega2, _, branch = predictor.nega(_points(block))
+            assert max(int(np.abs(v).max()) for v in (*base, *nega2)) <= 1 << (n // 2 + 2)
+            nega_agree = nega_agree or _difference(
+                n, block, tuple(2 * p for p in nt.parts(block)), nega2, "2N_f0,T", "closed form")
+            branches += np.bincount(branch, minlength=len(BRANCHES))
         with checks.timing("base-nega-closed-form"):  # re N = (a + b)/2, im N = a - re
             a = exact(dual_g, block)  # W_g0(u), and b = W_g0(u') for u' = 2^n - 1 - u
             re = (a + exact(dual_g, slice(size - block.stop, size - block.start))[::-1]) >> 1
             base_nega = base_nega or _difference(
                 n, block, (re, a - re), base, "N_f0", "closed form")
-        with checks.timing("fragment-nega-closed-form"):
-            nega_agree = nega_agree or _difference(
-                n, block, tuple(2 * p for p in nt.parts(block)), nega2, "2N_f0,T", "closed form")
-            branches += np.bincount(branch, minlength=len(BRANCHES))
     sampled += nt.parts(sample)
     del nt
 
@@ -529,9 +532,8 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
         if not (w_bad.any() or n_bad.any()):
             return None
         at = _first_flagged(size, lambda block: np.logical_or(*map(  # a bad Walsh or nega key
-            np.take, (w_bad, n_bad), predictor.keys(_points(block))[1:])))
-        _, (wkey,), (nkey,) = predictor.keys(_points(slice(at, at + 1)))
-        w, m = w_count[wkey], n_count[nkey]
+            np.take, (w_bad, n_bad), predictor.keys(_points(block)))))
+        (w,), (m,) = map(np.take, (w_count, n_count), predictor.keys(_points(slice(at, at + 1))))
         return f"at {BitVector(n, at)}: " + (
             f"walsh matches {w} != at most 1" if w > 1 else
             f"nega matches {m} != at most {bound}" if m > bound else

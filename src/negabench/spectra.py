@@ -9,9 +9,8 @@ u' = u + (1, ..., 1), the index 2^n - 1 - u,
     N_f(u) = ((W_g(u) + W_g(u')) + i (W_g(u) - W_g(u'))) / 2,
 
 term by term, so masked (fragmentary) sums obey it too.  `NegaSpectrum`
-stores W_g and derives re and im block by block.  `definitional_sums`, the
-defining sums at chosen points per weight class mod 4, per low 6 bits of u
-and then against the signs of the high bits, shares none of this.
+stores W_g and derives re and im block by block.  `_grid_sums`, the defining
+sums per weight class mod 4 on a grid of low and high parts of u, shares none.
 
 `_spectrum` runs in three stages, each as narrow as its values allow.
 Entry: per 64-bit word of the packed table (for g, XORed with sigma2's),
@@ -310,16 +309,17 @@ class NegaSpectrum:
         are 1 mod 4, so while a^2 + b^2 = 2^(n+1) is a multiple of 4 both a
         and b are even and halve, down to a sum of 2 at even n, which forces
         |a| = |b| = 2^(n/2).  At odd n the sum of 1 forces {|a|, |b|} =
-        {2^((n+1)/2), 0}.  Either test is symmetric in u and u', so the first
-        bad u lies in the first half, and the half is read in blocks beside
-        its mirror (in int32)."""
-        def flags(block: slice) -> np.ndarray:
-            a, b = np.abs(self.wg[block]), np.abs(self.wg[::-1][block])
-            if self.n % 2 == 0:
-                return (a != 1 << (self.n // 2)) | (b != 1 << (self.n // 2))
-            return (a + b != 1 << (self.n + 1) // 2) | (np.minimum(a, b) != 0)
-
-        return _first_flagged(self.wg.shape[0] // 2, flags)
+        {2^((n+1)/2), 0}: the first half is read beside its mirror (in int32).
+        At even n, u is bad where |W_g| is not flat at u or u': W_g is read once,
+        and after a failure at u again from the top down to u, for a mirror."""
+        wg, flat = self.wg, 1 << (self.n // 2)
+        if self.n % 2:
+            return _first_flagged(wg.shape[0] // 2, lambda block: (
+                np.abs(wg[block]) + np.abs(wg[::-1][block]) != 2 * flat)
+                | ((wg[block] != 0) & (wg[::-1][block] != 0)))
+        first = _first_flagged(wg.shape[0], lambda block: np.abs(wg[block]) != flat)
+        mirror = first and _first_flagged(first, lambda block: np.abs(wg[::-1][block]) != flat)
+        return first if mirror is None else mirror
 
     def flat_failure(self) -> Optional[str]:
         """'at u: |N|^2 v != flat |N|^2 2^n' at the first u where N is not flat, or None."""
@@ -356,55 +356,53 @@ _ROW6 = np.packbits(np.bitwise_count(np.arange(64)[:, None] & np.arange(64)) & 1
 # the class C_c = {x : wt(x) = c mod 4} is _CLASS_WORDS[c, wt(j) mod 4]
 _CLASS_WORDS = np.array([[sum(1 << x for x in range(64) if (w + x.bit_count()) % 4 == c)
                           for w in range(4)] for c in range(4)], dtype=np.uint64)
-# folds the class sums (A_0, A_1, A_2, A_3) into (W, re N, im N)
-_FOLD = np.array([[1, 1, 1, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int32)
+assert all(sum(map(int, c)) == int(np.bitwise_or.reduce(c)) for c in _CLASS_WORDS.T)  # disjoint
 _SUM_ENTRIES = 1 << 18  # int32 class sums and signs (-1)^(u_hi.x_hi) per chunk: 1 MiB
+
+
+def _grid_sums(f: BooleanFunction, lo: np.ndarray, hi: np.ndarray,
+               t: Optional[VectorSet] = None) -> np.ndarray:
+    """int32 (W, re N, im N) of f over t (everywhere if None) at u = 64 u_hi + u_lo, as
+    [part, place of u_hi in `hi` (uint32), place of u_lo in `lo`]: with A_c(u) = |C_c &
+    T| - 2 wt((f + u.x) & C_c & T) on C_c = {x : wt(x) = c mod 4}, W = A_0 + .. + A_3 and
+    N = (A_0 - A_2) + i(A_1 - A_3).  Per chunk of words, A_c is popcounted per u_lo and
+    summed against (-1)^(u_hi.x_hi) per u_hi; no butterfly, no sigma2 identity, no cache."""
+    width = max(64, 1 << f.n)  # whole words; the padding points (n < 6) lie in no class
+    assert width <= 1 << 30  # |a| <= 64 a word: every sum is at most 2^n < 2^31 in int32
+    mask = t.mask if t is not None else (1 << (1 << f.n)) - 1 if f.n < 6 else None
+    live = None if mask is None else _raw_bytes(mask, width).view("<u8")
+    table = _raw_bytes(f.bits, width).view("<u8")
+    sums = np.zeros((3, hi.size, lo.size), dtype=np.int32)
+    step = max(1, _SUM_ENTRIES // max(hi.size, 4 * lo.size, 1))
+    for start in range(0, table.size, step):
+        x_hi = np.arange(start, min(table.size, start + step), dtype=np.uint32)
+        m = np.take(_CLASS_WORDS, np.bitwise_count(x_hi) & 3, axis=1)  # (4, words): the classes
+        if live is not None:
+            m &= live[start:start + step]
+        # a[c, x_hi, r] = |m_c| - 2 popcount((f ^ row(lo[r])) & m_c), in [-64, 64]: exact in int8
+        counts = np.bitwise_count((table[start:start + step, None] ^ _ROW6[lo]) & m[:, :, None])
+        a = (np.bitwise_count(m)[:, :, None] - 2 * counts).view(np.int8)
+        # |A_c| <= |m_c|, the m_c are disjoint, so |A_0| + .. + |A_3| <= 64: int8 folds are exact
+        folded = np.array((a[0] + a[1] + a[2] + a[3], a[0] - a[2], a[1] - a[3]))
+        # (-1)^(u_hi.x_hi), built in place in one buffer (u_hi, x_hi < 2^18: no sign bit)
+        signs = (hi[:, None] & x_hi).view(np.int32)
+        np.bitwise_and(np.bitwise_count(signs, out=signs), 1, out=signs)
+        np.bitwise_or(np.negative(signs, out=signs), 1, out=signs)  # -p | 1 = 1 - 2p, p = 0, 1
+        sums += np.einsum("kwr,hw->khr", folded, signs)
+    return sums
 
 
 def definitional_sums(f: BooleanFunction, us, t: Optional[VectorSet] = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W_{f,T}(u) and N_{f,T}(u) at the points `us` (T everywhere if None)
-    straight from the defining sums, as int64 arrays (w, re, im).
-
-    On each class C_c = {x : wt(x) = c mod 4}, A_c(u) = |C_c & T| - 2 wt((f +
-    u.x) & C_c & T); then W = A_0 + A_1 + A_2 + A_3 and, splitting i^wt(x)
-    by class, N = (A_0 - A_2) + i(A_1 - A_3).  With x and u split at bit 6,
-    each packed word's class sums are popcounted once per distinct u_lo and
-    summed against (-1)^(u_hi.x_hi) once per distinct u_hi.  The class words
-    are built, and ANDed with T, a chunk at a time, and nothing is cached; no
-    butterfly or sigma2 identity is reached."""
+    """W_{f,T}(u) and N_{f,T}(u) at the points `us` (T everywhere if None) as int64
+    arrays (w, re, im), by `_grid_sums` over the points' distinct low and high parts."""
     us = _index_array(f.n, us)
     if t is not None and t.n != f.n:
         raise DimensionError("function and subset dimensions differ")
-    # whole words; the padding points (n < 6) lie in no class
-    width = max(64, 1 << f.n)
-    assert width <= 1 << 30  # |b| <= 64 a word: every sum is at most 2^n < 2^31 in int32
-    if t is None and f.n < 6:
-        t = VectorSet(f.n, (1 << (1 << f.n)) - 1)
-    live = None if t is None else _raw_bytes(t.mask, width).view("<u8")
-    table = _raw_bytes(f.bits, width).view("<u8")
     u_lo, u_hi = us & 63, us >> 6  # lo, hi: their distinct values in order (no sort)
-    lo = np.flatnonzero(np.bincount(u_lo, minlength=64))
-    hi = np.flatnonzero(np.bincount(u_hi, minlength=table.size)).astype(np.uint32)
-    sums = np.zeros((3, lo.size, hi.size), dtype=np.int32)
-    step = max(1, _SUM_ENTRIES // max(hi.size, 4 * lo.size, 1))
-    for start in range(0, table.size, step):
-        stop = min(table.size, start + step)
-        x_hi = np.arange(start, stop, dtype=np.uint32)
-        m = np.take(_CLASS_WORDS, np.bitwise_count(x_hi) & 3, axis=1)  # (4, words): the classes
-        if live is not None:
-            m &= live[start:stop]
-        # b[c, r, x_hi] = |m_c| - 2 popcount((f ^ row(lo[r])) & m_c), in [-64, 64]: exact in int8
-        counts = np.bitwise_count((table[start:stop] ^ _ROW6[lo, None]) & m[:, None, :])
-        b = (np.bitwise_count(m)[:, None, :] - 2 * counts).view(np.int8)
-        folded = (_FOLD @ b.reshape(4, -1)).reshape(3, lo.size, stop - start)
-        # (-1)^(u_hi.x_hi), built in place in one buffer (u_hi, x_hi < 2^18: no sign bit)
-        signs = (hi[:, None] & x_hi).view(np.int32)
-        np.bitwise_and(np.bitwise_count(signs, out=signs), 1, out=signs)
-        signs *= -2
-        signs += 1
-        sums += np.einsum("krw,hw->krh", folded, signs)
-    return tuple(sums[:, np.searchsorted(lo, u_lo), np.searchsorted(hi, u_hi)].astype(np.int64))
+    lo, hi = (np.flatnonzero(np.bincount(p)) for p in (u_lo, u_hi))
+    sums = _grid_sums(f, lo, hi.astype(np.uint32), t)
+    return tuple(sums[:, np.searchsorted(hi, u_hi), np.searchsorted(lo, u_lo)].astype(np.int64))
 
 
 def fragmentary_walsh(f: BooleanFunction, t: VectorSet, u) -> int:

@@ -373,7 +373,7 @@ def _assert_tables_reach_maxima(predictor, xs, walsh_max, nega_max):
     """contribution-bounds reads its maxima off the key tables: both key maps
     are onto, so every entry is some point's and the tables' maxima are the
     points' largest counts."""
-    _, wkey, nkey = predictor.keys(xs)
+    wkey, nkey = predictor.keys(xs)
     assert np.bincount(wkey, minlength=predictor.w_count.size).all()
     assert np.bincount(nkey, minlength=predictor.n_count.size).all()
     assert (predictor.w_count.max(), predictor.n_count.max()) == (walsh_max, nega_max)

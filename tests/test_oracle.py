@@ -139,7 +139,7 @@ class TestNaiveTransforms:
             _assert_reference(f)
 
     def test_reaches_no_butterfly_code(self, monkeypatch):
-        for name in ("_levels", "_spectrum", "_sigma2_bytes", "_workspace",
+        for name in ("_levels", "_pease", "_spectrum", "_sigma2_bytes", "_workspace",
                      "walsh_transform", "nega_transform"):
             monkeypatch.setattr(spectra, name, _refuse)
         monkeypatch.setattr(spectra, "_ENTRY_ROWS", _RefusedTable())
@@ -172,8 +172,77 @@ class TestNaiveTransforms:
             assert all(np.array_equal(a, b) for a, b in zip((re, im), nega_parts(nf)))
 
     def test_capacity_guard(self):
+        got = naive_transforms(_random_function(14, seed=14))
+        assert [(a.dtype, a.shape, a.flags.writeable) for a in got] == [
+            (np.int64, (1 << 14,), False)] * 3
         with pytest.raises(CapacityError):
             naive_transforms(BooleanFunction(15, 0))
+
+
+def _every_table_reference(n, t):
+    """(W, re N, im N) of every 2^n-entry table over t (everywhere if None) at
+    every point, as int64 [part, table, u], by the literal double sum over
+    (u, x) of (-1)^(f(x) + u.x) and its twist by i^wt(x)."""
+    size = 1 << n
+    xs = np.arange(size)
+    signs = 1 - 2 * (np.arange(1 << size)[:, None] >> xs & 1)  # (-1)^f(x), table by table
+    if t is not None:
+        signs *= characteristic_function(t).value_array()
+    chi = 1 - 2 * (np.bitwise_count(xs[:, None] & xs) & 1).astype(np.int64)  # (-1)^(u.x)
+    twist = np.array([[1, 0, -1, 0], [0, 1, 0, -1]])[:, np.bitwise_count(xs) % 4]
+    return np.array([np.einsum("fx,ux->fu", signs * part, chi) for part in (1, *twist)])
+
+
+def _whole_grid(f, t=None):
+    """_grid_sums at every point, as int64 [part, u]."""
+    size = 1 << f.n
+    grid = spectra._grid_sums(f, np.arange(min(64, size)),
+                              np.arange(max(1, size >> 6), dtype=np.uint32), t)
+    assert grid.dtype == np.int32 and grid.shape[0] == 3
+    return grid.reshape(3, size).astype(np.int64)
+
+
+class TestGridSums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_table_matches_the_literal_double_sum(self, n):
+        for t in (None, _random_set(n, seed=970 + n)):
+            want = _every_table_reference(n, t)
+            for bits in range(1 << (1 << n)):
+                assert np.array_equal(_whole_grid(BooleanFunction(n, bits), t), want[:, bits])
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_tables_match_the_per_point_reference(self, n):
+        for seed in range(3):
+            f = _random_function(n, seed=980 + 10 * n + seed)
+            for t in (None, _random_set(n, seed=990 + 10 * n + seed)):
+                assert np.array_equal(_whole_grid(f, t), np.array(_reference_transforms(f, t)))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_any_product_set_of_parts(self, n):
+        # places in hi and lo index the axes, whatever parts the caller picks
+        rng = np.random.default_rng(1000 + n)
+        f, t = _random_function(n, seed=1010 + n), _random_set(n, seed=1020 + n)
+        lo = np.sort(rng.choice(64, size=5, replace=False))
+        hi = np.sort(rng.choice(1 << n >> 6, size=2, replace=False)).astype(np.uint32)
+        us = (64 * hi[:, None].astype(np.int64) + lo).reshape(-1)
+        want = np.array(_reference_transforms(f, t, us.tolist())).reshape(3, hi.size, lo.size)
+        assert np.array_equal(spectra._grid_sums(f, lo, hi, t), want)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_definitional_sums_read_the_grid(self, n):
+        # shuffled points with repeats, the 64-point stride sample, and no points
+        rng = np.random.default_rng(1030 + n)
+        size = 1 << n
+        f = _random_function(n, seed=1040 + n)
+        for t in (None, _random_set(n, seed=1050 + n)):
+            grid = _whole_grid(f, t)
+            picked = rng.integers(0, size, 40)
+            us = rng.permutation(np.concatenate([picked, picked[:15], [0, size - 1, 0]]))
+            for points in (us, range(0, size, size // 64)):
+                got = spectra.definitional_sums(f, points, t)
+                assert all(a.dtype == np.int64 for a in got)
+                assert np.array_equal(np.array(got), grid[:, list(points)])
+            assert [a.shape for a in spectra.definitional_sums(f, [], t)] == [(0,)] * 3
 
 
 class TestDefinitionalSums:

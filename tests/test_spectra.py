@@ -175,6 +175,30 @@ class TestNegaFlatness:
                     assert bad.flat_counterexample == _reference_flat_counterexample(bad)
                     assert bad.flat_counterexample == min(at, size - 1 - at)
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_two_tampered_values_scan_twice_at_even_n(self, monkeypatch, n):
+        # the index-order scan finds the first bad u; a second scan, only then
+        # and only down to u, finds the last one's mirror when that comes first
+        size = 1 << n
+        scans = []
+
+        def counted(stop, flags):
+            scans.append(stop)
+            return first_flagged(stop, flags)
+
+        first_flagged = spectra._first_flagged
+        monkeypatch.setattr(spectra, "_first_flagged", counted)
+        nf = nega_transform(next(_negabent_functions(n)))
+        assert nf.flat_counterexample is None and scans == [size]
+        for lo, hi in ((3, size - 2), (3, size - 9), (size // 2 - 1, size // 2 + 1)):
+            wg = nf.wg.copy()
+            wg[[lo, hi]] += 2
+            scans.clear()
+            bad = NegaSpectrum(n, wg)
+            assert bad.flat_counterexample == min(lo, size - 1 - hi)
+            assert bad.flat_counterexample == _reference_flat_counterexample(bad)
+            assert scans == [size, lo]
+
     @pytest.mark.parametrize("family, k", [("G4K", 1), ("H4K2", 1), ("G4K", 2),
                                            ("H4K2", 2), ("G4K", 3)])
     def test_failing_negabent_check_text(self, monkeypatch, family, k):
