@@ -16,15 +16,23 @@ negabench lemma-check --set S2 --k 1 --gamma 0000 --gamma 1000
 # n = 24 on g0: the lemma's base checks read the GF(2) rule's duals block by
 # block.  Its Walsh pass drops the 64 MiB masked Walsh spectrum before the nega
 # pass takes the masked nega one: cold, its max RSS read 121 MiB on a 2-core
-# x86 Linux host (186 MiB with both live), so it fails above 150 MiB
+# x86 Linux host (186 MiB with both live), so it fails above 150 MiB.  It also
+# fails if its checks' times sum above the report's: no work is charged twice
 python3 - <<'PY'
-import os, subprocess, sys
-argv = ["negabench", "lemma-check", "--set", "S1", "--k", "6",
+import json, os, subprocess, sys
+argv = ["negabench", "lemma-check", "--set", "S1", "--k", "6", "--format", "json",
         "--gamma", "000111000111", "--gamma", "101010101010"]
-_, status, usage = os.wait4(subprocess.Popen(argv).pid, 0)
+proc = subprocess.Popen(argv, stdout=subprocess.PIPE)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
 rss = usage.ru_maxrss / 1024  # Linux: KiB
-print(f"lemma-check S1 k=6: max RSS {rss:.0f} MiB (bound 150 MiB)")
-sys.exit(os.waitstatus_to_exitcode(status) or rss > 150)
+report = json.loads(out)
+spent = sum(c["elapsed_ms"] for c in report["checks"])
+# each time is rounded to 0.001 ms, so the sum may read up to 0.0005 ms a figure over
+over = spent > report["elapsed_ms"] + 0.0005 * (len(report["checks"]) + 1)
+print(f"lemma-check S1 k=6: max RSS {rss:.0f} MiB (bound 150 MiB), "
+      f"checks {spent:.1f} of {report['elapsed_ms']:.1f} ms")
+sys.exit(os.waitstatus_to_exitcode(status) or rss > 150 or over)
 PY
 # n = 22 on h0: the base nega check reads the rule's W_g0 at every u and its mirror u'
 negabench lemma-check --set S3 --k 5 --gamma 1101001110 --eset B

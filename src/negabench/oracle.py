@@ -308,7 +308,7 @@ _I_IM = np.array([0, 1, 0, -1], dtype=np.int32)
 
 def _sign(z: np.ndarray, scale: int) -> np.ndarray:
     """scale (-1)^wt(z) at each entry of z, as int32."""
-    return np.where(np.bitwise_count(z) & 1, np.int32(-scale), np.int32(scale))
+    return np.int32(scale) - np.int32(2 * scale) * (np.bitwise_count(z) & 1)
 
 
 def _combine(nega: tuple[np.ndarray, np.ndarray], a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -320,14 +320,20 @@ def _combine(nega: tuple[np.ndarray, np.ndarray], a, b) -> tuple[np.ndarray, np.
 def split_points(t: int, h0: bool, points) -> tuple[np.ndarray, ...]:
     """Each point as its base's closed forms take it: (u, v) of F_2^(4t) for
     g0, (u, u_m, v, v_m, turn) of F_2^(4t+2) for h0, where turn = u_0 + u_t
-    + v_t + v_m says whether N_h0 is a quarter turn of 2N_g0 at (u, v)."""
-    x = np.asarray(points, dtype=np.int32)
-    m = 2 * t
+    + v_t + v_m says whether N_h0 is a quarter turn of 2N_g0 at (u, v).  A block
+    (a slice) of whole rows of 2^(2t+h0) points is split as a grid, u-parts (u,
+    u_m) a row and v-parts a column, so terms in u or v alone run once a block."""
+    m, bits = 2 * t, 2 * t + h0  # bits: of u, with u_m
+    if isinstance(points, slice) and not (points.start | points.stop) & ((1 << bits) - 1):
+        big_u = _points(slice(0, 1 << bits))
+        big_v = _points(slice(points.start, points.stop, 1 << bits))[:, None] >> bits
+    else:
+        x = _points(points) if isinstance(points, slice) else np.asarray(points, dtype=np.int32)
+        big_u, big_v = x & ((1 << bits) - 1), x >> bits
     if not h0:
-        return x & ((1 << m) - 1), x >> m
-    big_u, big_v = x & ((1 << (m + 1)) - 1), x >> (m + 1)
+        return big_u, big_v
     u, v, vm = big_u & ((1 << m) - 1), big_v & ((1 << m) - 1), big_v >> m
-    return u, big_u >> m, v, vm, (u ^ (u >> t) ^ (v >> t) ^ vm) & 1
+    return u, big_u >> m, v, vm, ((u ^ (u >> t)) & 1) ^ (((v >> t) ^ vm) & 1)
 
 
 def g0_walsh_closed_form(t: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -363,9 +369,7 @@ def h0_nega_closed_form(t: int, u: np.ndarray, um: np.ndarray, v: np.ndarray, _v
 
 
 BRANCHES = ("zero", "half", "full")
-_HALF, _FULL = 1, 2
-# the doubled nega value is a*N + b*iN: a by branch, b = (-1)^s on the half branch
-_N_MULTIPLIER = np.array([0, 1, 2], dtype=np.int32)
+_HALF, _FULL = 1, 2  # the doubled nega value is a*N + b*iN, a the branch's index
 # per modifier set, the largest admissible number of nega candidates at one point
 _LEMMAS = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
 
@@ -375,17 +379,18 @@ class _Predictor(NamedTuple):
     value N is (re, im), and the predicted one is doubled so the half branch
     (1 + i(-1)^s)/2 * N stays integral; a branch indexes BRANCHES."""
 
-    walsh: Callable  # points -> (W_f0, the predicted W_f0,T, its number of candidates)
-    nega: Callable  # points -> (N_f0, the predicted 2N_f0,T, its candidates, its branch)
-    keys: Callable  # points -> (their Walsh keys, their nega keys)
+    walsh: Callable  # points or a block -> (W_f0, the predicted W_f0,T) at each point
+    nega: Callable  # points or a block -> (N_f0, the predicted 2N_f0,T) at each point
+    keys: Callable  # points or a block -> (their Walsh keys, their nega keys)
     w_count: np.ndarray  # per Walsh key, its number of (gamma, eps) candidates
     n_count: np.ndarray  # per nega key, its number of candidates
+    branch: np.ndarray  # per nega key, its branch
     pair_ok: np.ndarray  # per nega key, whether its candidates are S3's admissible pair
 
 
 def _predictor(spec: GammaSpec) -> _Predictor:
     """The closed-form fragment spectra of an S1..S4 set, read off the spec
-    alone, as functions of an array of points, one for each spectrum.
+    alone, as functions of points or a block, one for each spectrum.
 
     A parameter (gamma, eps) contributes at a point exactly when its key
     equals the point's: the half sums (u' + u'', v' + v'') for S1/S3, the
@@ -425,36 +430,40 @@ def _predictor(spec: GammaSpec) -> _Predictor:
     # gamma_2 + eps: its candidates are distinct gammas that share gamma_1
     eps_sum = np.bincount(nk, weights=eps, minlength=1 << w).astype(np.int32)
     pair_ok = (eps_sum == 1) & (spec.family == "S3")
+    # one h0 candidate gives half of N, two (S3) all of it; one g0 candidate all of N.
+    # On the half branch b = (-1)^(turn + u_m + eps): per key, its eps part
+    branch = np.minimum(n_count if h0 else _FULL * n_count, _FULL)
+    half_sign = (branch == _HALF) * (1 - 2 * (eps_sum & 1))
     walsh_form, nega_form = ((h0_walsh_closed_form, h0_nega_closed_form) if h0 else
                              (g0_walsh_closed_form, g0_nega_closed_form))
 
-    def nega_key(split: tuple) -> np.ndarray:  # split: (u, v) or (u, u_m, v, ...)
-        return sums(split[0]) | (sums(split[2 if h0 else 1]) << shift)
+    def nega_key(split: tuple, um=0) -> np.ndarray:  # intp, so a table takes it as is
+        return ((sums(split[0]).astype(np.intp) ^ um) | (um << w)
+                | (sums(split[2 if h0 else 1]).astype(np.intp) << shift))
 
-    def walsh_key(split: tuple) -> np.ndarray:
-        return (nega_key(split) ^ split[1]) | (split[1] << w) if h0 else nega_key(split)
+    def walsh_key(split: tuple) -> np.ndarray:  # u_m XORed into bit 0, and above the key
+        return nega_key(split, split[1]) if h0 else nega_key(split)
 
-    def walsh(x: np.ndarray) -> tuple:
+    def walsh(x) -> tuple:
         split = split_points(t, h0, x)  # once, for both the closed form and the key
-        base, matches = walsh_form(t, *split), w_count.take(walsh_key(split))
-        return base, np.where(matches > 0, base, 0), matches
+        base = walsh_form(t, *split)
+        return base.ravel(), (base * (w_count.take(walsh_key(split)) > 0)).ravel()
 
-    def nega(x: np.ndarray) -> tuple:
+    def nega(x) -> tuple:
         split = split_points(t, h0, x)
-        base, count = nega_form(t, *split), n_count.take(nkey := nega_key(split))
-        # one h0 candidate gives half of N, two (S3) all of it; one g0 candidate all of N
-        branch = np.minimum(count if h0 else _FULL * count, _FULL)
-        s = (split[-1] ^ split[1] ^ eps_sum.take(nkey)) & 1 if h0 else 0  # turn + u_m + eps
-        half = (branch == _HALF).astype(np.int32)
-        return base, _combine(base, _N_MULTIPLIER.take(branch), half * (1 - 2 * s)), count, branch
+        base, nkey = nega_form(t, *split), nega_key(split)
+        a = branch.take(nkey)
+        nega2 = (_combine(base, a, half_sign.take(nkey) * (1 - 2 * ((split[-1] ^ split[1]) & 1)))
+                 if h0 else (a * base[0], a * base[1]))
+        return tuple(tuple(p.ravel() for p in pair) for pair in (base, nega2))
 
     return _Predictor(walsh, nega, lambda x: (walsh_key(s := split_points(t, h0, x)), nega_key(s)),
-                      w_count, n_count, pair_ok)
+                      w_count, n_count, branch, pair_ok)
 
 
 def _points(block: slice) -> np.ndarray:
     assert block.stop <= 1 << 24  # the closed forms' int32 widths hold below 2^24
-    return np.arange(block.start, block.stop, dtype=np.int32)
+    return np.arange(block.start, block.stop, block.step or 1, dtype=np.int32)
 
 
 def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
@@ -479,8 +488,8 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     n = f0.n
     size, scale = 1 << n, 1 << (n // 2)
     checks = _Checks()
-    # the rule gives both duals at once: its call is charged to both base checks
-    with checks.timing("base-walsh-closed-form"), checks.timing("base-nega-closed-form"):
+    # the rule gives both duals at once: its one call is charged to the first base check
+    with checks.timing("base-walsh-closed-form"):
         dual_w, dual_g = _base_spectra(f0)
 
     def exact(dual: BooleanFunction, block: slice) -> np.ndarray:  # 2^(n/2) (-1)^dual, int32
@@ -490,18 +499,15 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     predictor = _predictor(spec)
     # each check's first counterexample, or None
     base_walsh = base_nega = walsh_agree = nega_agree = None
-    nonzero = 0
-    branches = np.zeros(len(BRANCHES), dtype=np.int64)
     sample = slice(0, size, max(1, size // 64))  # every point up to 64, else 64 evenly spaced
     with checks.timing("fragment-walsh-closed-form"):
         wt = fragmentary_walsh_spectrum(f0, tset)
     for block in _blocks(size):
         with checks.timing("fragment-walsh-closed-form"):
-            base, walsh, matches = predictor.walsh(_points(block))
+            base, walsh = predictor.walsh(block)
             assert max(int(np.abs(v).max()) for v in (base, walsh)) <= 1 << (n // 2 + 2)
             walsh_agree = walsh_agree or _difference(
                 n, block, wt.parts(block), (walsh,), "W_f0,T", "closed form")
-            nonzero += int(np.count_nonzero(matches))
         with checks.timing("base-walsh-closed-form"):
             base_walsh = base_walsh or _difference(
                 n, block, (exact(dual_w, block),), (base,), "W_f0", "closed form")
@@ -511,29 +517,29 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
         nt = fragmentary_nega_spectrum(f0, tset)
     for block in _blocks(size):
         with checks.timing("fragment-nega-closed-form"):
-            base, nega2, _, branch = predictor.nega(_points(block))
+            base, nega2 = predictor.nega(block)
             assert max(int(np.abs(v).max()) for v in (*base, *nega2)) <= 1 << (n // 2 + 2)
+            wg, wg_mirror = nt.wg[block], nt.wg[::-1][block]  # at u and u': 2N = sum, difference
             nega_agree = nega_agree or _difference(
-                n, block, tuple(2 * p for p in nt.parts(block)), nega2, "2N_f0,T", "closed form")
-            branches += np.bincount(branch, minlength=len(BRANCHES))
+                n, block, (wg + wg_mirror, wg - wg_mirror), nega2, "2N_f0,T", "closed form")
         with checks.timing("base-nega-closed-form"):  # re N = (a + b)/2, im N = a - re
             a = exact(dual_g, block)  # W_g0(u), and b = W_g0(u') for u' = 2^n - 1 - u
             re = (a + exact(dual_g, slice(size - block.stop, size - block.start))[::-1]) >> 1
             base_nega = base_nega or _difference(
                 n, block, (re, a - re), base, "N_f0", "closed form")
     sampled += nt.parts(sample)
-    del nt
+    del nt, wg, wg_mirror  # with the last block's views of it
+    # both key maps are linear and onto (`sums` reaches every value, u_m is a free bit), so
+    # 2^n / (table size) points share each key: the tables' tallies and verdicts are the points'
+    w_count, n_count, branch = predictor.w_count, predictor.n_count, predictor.branch
 
-    def over_bound() -> Optional[str]:
-        # both key maps are onto (`sums` reaches every value, u_m is a free bit): the
-        # tables' verdicts are the points', scanned only to name a bad key's first point
-        w_count, n_count = predictor.w_count, predictor.n_count
+    def over_bound() -> Optional[str]:  # scans the points only to name a bad key's first
         w_bad, n_bad = w_count > 1, (n_count > bound) | ((n_count == 2) & ~predictor.pair_ok)
         if not (w_bad.any() or n_bad.any()):
             return None
         at = _first_flagged(size, lambda block: np.logical_or(*map(  # a bad Walsh or nega key
-            np.take, (w_bad, n_bad), predictor.keys(_points(block)))))
-        (w,), (m,) = map(np.take, (w_count, n_count), predictor.keys(_points(slice(at, at + 1))))
+            np.take, (w_bad, n_bad), predictor.keys(block))))
+        (w,), (m,) = map(np.take, (w_count, n_count), predictor.keys(slice(at, at + 1)))
         return f"at {BitVector(n, at)}: " + (
             f"walsh matches {w} != at most 1" if w > 1 else
             f"nega matches {m} != at most {bound}" if m > bound else
@@ -541,13 +547,13 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
 
     checks.add("base-walsh-closed-form", lambda: base_walsh, lambda: f"{size} points")
     checks.add("base-nega-closed-form", lambda: base_nega, lambda: f"{size} points")
-    checks.add("fragment-walsh-closed-form", lambda: walsh_agree,
-               lambda: f"{size} points, {nonzero} nonzero")
-    checks.add("fragment-nega-closed-form", lambda: nega_agree, lambda: (
-        f"{size} points, branches " + " ".join(f"{b}={c}" for b, c in zip(BRANCHES, branches))))
+    checks.add("fragment-walsh-closed-form", lambda: walsh_agree, lambda: (
+        f"{size} points, {np.count_nonzero(w_count) * (size // w_count.size)} nonzero"))
+    checks.add("fragment-nega-closed-form", lambda: nega_agree, lambda: f"{size} points, branches "
+               + " ".join(f"{b}={c * (size // branch.size)}" for b, c in zip(BRANCHES, np.bincount(
+                   branch, minlength=len(BRANCHES)))))
     checks.add("contribution-bounds", over_bound, lambda: (
-        f"max walsh matches {predictor.w_count.max()}, "
-        f"max nega matches {predictor.n_count.max()} (bound {bound})"))
+        f"max walsh matches {w_count.max()}, max nega matches {n_count.max()} (bound {bound})"))
     checks.add("literal-sum-agreement", lambda: _spectra_difference(
         n, sample, definitional_sums(f0, range(size)[sample], tset), sampled,
         "definitional", "masked butterfly"), lambda: f"{len(range(size)[sample])} sampled points")

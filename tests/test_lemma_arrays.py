@@ -13,12 +13,15 @@ matching check must fail alone, naming the first wrong point and both
 values, also when the point lies in a later block of the blockwise checks;
 a patched key table fails the contribution bound alone, naming the first
 point the patched entries count.  The block tests require the same reports
-whatever the block size, one evaluation of each closed form a block, no
-butterfly on the base, and an n=20 check within a tracemalloc budget.
+whatever the block size, grid blocks that equal their points listed flat,
+one evaluation of each closed form a block, check times that sum within
+the report's, no butterfly on the base, and an n=20 check within a
+tracemalloc budget.
 """
 
 import dataclasses
 import random
+import time
 import tracemalloc
 from dataclasses import dataclass
 
@@ -350,8 +353,12 @@ def test_predictor_matches_reference(name):
     spec = PREDICTOR_SPECS[name]
     xs = np.arange(1 << _n(spec), dtype=np.int64)
     predictor = oracle._predictor(spec)
-    _, walsh, walsh_matches = predictor.walsh(xs)
-    _, (re, im), nega_matches, branch = predictor.nega(xs)
+    _, walsh = predictor.walsh(xs)
+    _, (re, im) = predictor.nega(xs)
+    # per point, its number of candidates and its branch, as the halves read them
+    wkey, nkey = predictor.keys(xs)
+    walsh_matches, nega_matches = predictor.w_count[wkey], predictor.n_count[nkey]
+    branch = predictor.branch[nkey]
     refs = [_REFERENCE[spec.family](spec, p) for p in range(1 << _n(spec))]
     assert walsh.tolist() == [r.walsh for r in refs]
     assert walsh_matches.tolist() == [r.walsh_matches for r in refs]
@@ -381,14 +388,62 @@ def _assert_tables_reach_maxima(predictor, xs, walsh_max, nega_max):
 
 def test_key_tables_reach_the_per_point_maxima_at_n20():
     # five distinct gammas drawn for an S1 set at k = 5.  The per-point counts
-    # are the predictor's own, which the test above pins to the reference at
-    # every smaller spec
+    # are the tables read at the points' keys, as the halves read them, which
+    # the test above pins to the reference at every smaller spec
     rng = random.Random(20261020)
     spec = _spec(5, "S1", [f"{g:010b}" for g in rng.sample(range(1 << 10), 5)])
     predictor = oracle._predictor(spec)
     xs = np.arange(1 << 20, dtype=np.int64)
-    _assert_tables_reach_maxima(predictor, xs, predictor.walsh(xs)[2].max(),
-                                predictor.nega(xs)[2].max())
+    wkey, nkey = predictor.keys(xs)
+    _assert_tables_reach_maxima(predictor, xs, predictor.w_count[wkey].max(),
+                                predictor.n_count[nkey].max())
+
+
+# one two-gamma spec per set at k = 1..3 (S4 stops at k = 2, n = 18: k = 3 is
+# n = 26, beyond capacity), and the claims-suite's two n = 18 one-gamma shapes
+GRID_SPECS = {
+    "S1-k1": _spec(1, "S1", ("01", "10")),
+    "S1-k2": _spec(2, "S1", ("0110", "1011")),
+    "S1-k3": _spec(3, "S1", ("011010", "110001")),
+    "S2-k1": _spec(1, "S2", ("0000", "1000")),
+    "S2-k2": _spec(2, "S2", ("10000000", "00101000")),
+    "S2-k3": _spec(3, "S2", ("100000000000", "001010000000")),
+    "S3-k1": _spec(1, "S3", ("01", "10"), ("0", "B")),
+    "S3-k2": _spec(2, "S3", ("1000", "0111"), ("1", "B")),
+    "S3-k3": _spec(3, "S3", ("101100", "010011"), ("B", "0")),
+    "S3-k4-claims": _spec(4, "S3", ("10110100",), ("B",)),
+    "S4-k1": _spec(1, "S4", ("0000", "1000"), ("B", "1")),
+    "S4-k2": _spec(2, "S4", ("10000000", "00100000"), ("0", "B")),
+    "S4-k2-claims": _spec(2, "S4", ("01001011",), ("1",)),
+}
+
+
+def _arrays(result):
+    """The arrays of a predictor half's result, its nega pairs unpacked."""
+    return [a for part in result for a in (part if isinstance(part, tuple) else (part,))]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SPECS))
+def test_grid_blocks_match_flat_points(name):
+    # an aligned block is split as a grid, its u-parts (u with u_m) a row and
+    # its v-parts a column; each half of the predictor, and the keys, over the
+    # block equal their evaluation at the block's points listed flat
+    spec = GRID_SPECS[name]
+    size, h0 = 1 << _n(spec), spec.e_sets is not None
+    t = 2 * spec.k if spec.family in ("S2", "S4") else spec.k
+    bits, step = 2 * t + h0, min(spectra._BLOCK, size)
+    predictor = oracle._predictor(spec)
+    for start in sorted({0, size // 2 // step * step, size - step}):  # first, middle, last
+        block = slice(start, start + step)
+        split = oracle.split_points(t, h0, block)
+        assert (split[0].shape, split[-3 if h0 else 1].shape) == ((1 << bits,), (step >> bits, 1))
+        points = oracle._points(block)
+        for half in (predictor.walsh, predictor.nega):
+            grid, flat = _arrays(half(block)), _arrays(half(points))
+            assert [(a.dtype, a.shape) for a in grid] == [(np.dtype(np.int32), (step,))] * len(flat)
+            assert all(np.array_equal(g, f) for g, f in zip(grid, flat))
+        assert all(np.array_equal(g.ravel(), f) for g, f in
+                   zip(predictor.keys(block), predictor.keys(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +654,25 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name):
     assert _verdicts(oracle.verify_fragmentary_lemma(spec)) == whole
 
 
+@pytest.mark.parametrize("spec", [TAMPER_SPEC, LATE_SPEC], ids=["n10", "n18"])
+def test_check_times_sum_within_the_report(monkeypatch, spec):
+    # the GF(2) rule gives both base duals in one call, slowed here by 50 ms:
+    # it is charged once, to base-walsh-closed-form, so the checks' times sum
+    # to at most the report's
+    real = oracle._base_spectra
+
+    def slow(f0):
+        time.sleep(0.05)
+        return real(f0)
+
+    monkeypatch.setattr(oracle, "_base_spectra", slow)
+    report = oracle.verify_fragmentary_lemma(spec)
+    assert report.passed, report.failures()
+    assert sum(c.elapsed_ms for c in report.checks) <= report.elapsed_ms
+    charged = {c.name: c.elapsed_ms for c in report.checks}
+    assert charged["base-walsh-closed-form"] >= 50 > charged["base-nega-closed-form"]
+
+
 @pytest.mark.parametrize("name", ["S1-k2", "S2-k1", "S3-k2", "S4-k1"])
 def test_closed_forms_run_once_a_block(monkeypatch, name):
     # each half of the predictor evaluates its base closed form once per
@@ -612,7 +686,7 @@ def test_closed_forms_run_once_a_block(monkeypatch, name):
         used = getattr(oracle, f"{fam.base}_{kind}_closed_form")
 
         def counted(t, u, *coordinates, kind=kind, used=used):
-            calls.append((kind, len(u)))
+            calls.append((kind, np.broadcast(u, *coordinates).size))  # points, grid or flat
             return used(t, u, *coordinates)
 
         monkeypatch.setattr(oracle, used.__name__, counted)
@@ -652,12 +726,13 @@ def test_lemma_memory_is_bounded_at_n20():
     # pass holds the whole masked Walsh spectrum (one int32 array, 4 MiB),
     # which is dropped before the nega pass takes the masked nega spectrum,
     # beside the base's two rule duals (0.5 MiB with their bytes);
-    # everything else, the nega parts included, is per block.  The butterfly
-    # workspace, kept per thread, is made before the trace, so the peak reads
-    # the same alone and in the suite: in the nega pass, 6.8 MiB (5.8 MiB if
-    # the rule's duals are cached).  The bound leaves 0.7 MiB of margin, and
-    # the two masked spectra held at once (11.9 MiB) or a butterfly spectrum
-    # of the base (4 MiB) crosses it
+    # everything else, the int32 doubled nega parts included, is per block.
+    # The butterfly workspace, kept per thread, is made before the trace, so
+    # the peak reads the same alone and in the suite: 6.1 MiB (5.1 MiB if the
+    # rule's duals are cached).  The bound leaves 0.7 MiB of margin, and the
+    # two masked spectra held at once (11.9 MiB), a butterfly spectrum of the
+    # base (4 MiB) or a view that keeps the masked nega spectrum alive past
+    # its pass (8.0 MiB) crosses it
     spec = _spec(5, "S1", ("1101001110", "0010110001"))
     spectra._workspace()
     tracemalloc.start()
@@ -667,4 +742,4 @@ def test_lemma_memory_is_bounded_at_n20():
     finally:
         tracemalloc.stop()
     assert report.passed, report.failures()
-    assert peak <= 15 << 19, f"peak {peak / 2**20:.2f} MiB"  # 7.5 MiB
+    assert peak <= 6.8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
