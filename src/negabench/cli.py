@@ -39,8 +39,9 @@ from .core import (
     set_max_n,
 )
 from .spectra import dual, nega_transform, walsh_transform
-from .subspaces import GammaSpec, orbit_representatives
+from .subspaces import E_SYMBOLS, SET_SHAPES, GammaSpec, orbit_representatives
 from .constructions import (
+    FAMILIES,
     construct,
     family_of,
     normalize_family,
@@ -106,13 +107,12 @@ def _reported(reports, fmt: str, text=_report_text) -> tuple[list[str], int]:
 
 
 def _add_spec_options(sp: argparse.ArgumentParser, with_infile: bool = True) -> None:
-    sp.add_argument("--family", help="construction family (G4K, G8K, H4K2, H8K2, "
-                                     "F2RS, F2RS_SET, F2RS_ORBIT)")
+    sp.add_argument("--family", help=f"construction family ({', '.join(FAMILIES)})")
     sp.add_argument("--k", type=int, help="size parameter k")
     sp.add_argument("--gamma", action="append", default=[], metavar="BITS",
                     help="gamma vector as a bit string, character j = coordinate j; "
                          "repeat for several")
-    sp.add_argument("--eset", action="append", default=[], choices=["0", "1", "B"],
+    sp.add_argument("--eset", action="append", default=[], choices=list(E_SYMBOLS),
                     help="E symbol per gamma for H4K2/H8K2 (B = both values)")
     sp.add_argument("--p", action="append", default=[], metavar="BITS",
                     help="orbit representative for F2RS; repeat for several")
@@ -404,10 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lemma-check",
                         help="verify the fragment spectrum formulas of one modifier set")
     sp.add_argument("--set", dest="set_family", required=True,
-                    help="modifier set family (S1, S2, S3, S4)")
+                    help="modifier set family ("
+                         f"{', '.join(tag for tag, shape in SET_SHAPES.items() if shape.bound)})")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--gamma", action="append", default=[], metavar="BITS")
-    sp.add_argument("--eset", action="append", default=[], choices=["0", "1", "B"])
+    sp.add_argument("--eset", action="append", default=[], choices=list(E_SYMBOLS))
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.set_defaults(handler=_cmd_lemma_check)
 

@@ -43,6 +43,7 @@ from .core import (
     truth_table_from_anf,
 )
 from .subspaces import (
+    SET_SHAPES,
     GammaSpec,
     build_modifier_set,
     coset_union,
@@ -55,14 +56,16 @@ from .subspaces import (
 @dataclass(frozen=True)
 class Family:
     """One construction family: a quadratic bent-negabent base plus the
-    indicator of a modifier set.  The variable count, the maximum degree and
-    rotation symmetry all follow from these fields."""
+    indicator of a modifier set.  The base, its parameter, the variable count,
+    the maximum degree and rotation symmetry all follow from the set tag."""
 
     name: str
     set_tag: str  # modifier set: S1..S4, or T for the rotation-symmetric forms
-    base: str  # g0, h0 or f0
-    base_mult: int  # the base parameter is base_mult * k
     params_key: str  # key of the parameter vectors in a function file
+
+    @property
+    def base(self) -> str:
+        return SET_SHAPES[self.set_tag].base
 
     @property
     def rotation_symmetric(self) -> bool:
@@ -74,25 +77,23 @@ class Family:
         return {"k", self.params_key} | (set() if self.rotation_symmetric else {"esets"})
 
     def base_param(self, k: int) -> int:
-        return self.base_mult * k
+        return SET_SHAPES[self.set_tag].t_per_k * k
 
     def n(self, k: int) -> int:
-        """g0(t) and f0(t) have 4t variables, h0(t) has 4t+2."""
-        t = self.base_param(k)
-        return 4 * t + 2 if self.base == "h0" else 4 * t
+        return SET_SHAPES[self.set_tag].n(k)
 
     def max_degree(self, k: int) -> int:
         return self.n(k) // 2
 
 
 FAMILY_TABLE = {f.name: f for f in (
-    Family("G4K", "S1", "g0", 1, "gammas"),
-    Family("G8K", "S2", "g0", 2, "gammas"),
-    Family("H4K2", "S3", "h0", 1, "gammas"),
-    Family("H8K2", "S4", "h0", 2, "gammas"),
-    Family("F2RS", "T", "f0", 1, "p"),
-    Family("F2RS_SET", "T", "f0", 1, "a_set"),
-    Family("F2RS_ORBIT", "T", "f0", 1, "gamma"),
+    Family("G4K", "S1", "gammas"),
+    Family("G8K", "S2", "gammas"),
+    Family("H4K2", "S3", "gammas"),
+    Family("H8K2", "S4", "gammas"),
+    Family("F2RS", "T", "p"),
+    Family("F2RS_SET", "T", "a_set"),
+    Family("F2RS_ORBIT", "T", "gamma"),
 )}
 
 FAMILIES = tuple(FAMILY_TABLE)
@@ -147,7 +148,38 @@ def _sigma2_anf(n: int) -> AnfPolynomial:
     return AnfPolynomial.from_monomials(n, mons)
 
 
-_BASE_ANFS = {"g0": _g0_anf, "h0": _h0_anf, "f0": _f0_anf, "sigma2": _sigma2_anf}
+def _g0_dual_anf(t: int) -> AnfPolynomial:
+    """x' . x'' + x . y on 4t variables."""
+    m, n = 2 * t, 4 * t
+    mons = [(1 << i) | (1 << (t + i)) for i in range(t)]
+    mons += [(1 << i) | (1 << (m + i)) for i in range(m)]
+    return AnfPolynomial.from_monomials(n, mons)
+
+
+def _h0_dual_anf(t: int) -> AnfPolynomial:
+    """X . Y + x' . x'' + x_m (x_t + y_0) on 4t+2 variables."""
+    m, n = 2 * t, 4 * t + 2
+    mons = [(1 << i) | (1 << (m + 1 + i)) for i in range(m + 1)]
+    mons += [(1 << i) | (1 << (t + i)) for i in range(t)]
+    mons.append((1 << m) | (1 << t))
+    mons.append((1 << m) | (1 << (m + 1)))
+    return AnfPolynomial.from_monomials(n, mons)
+
+
+def _f0_dual_quadratic_anf(k: int) -> AnfPolynomial:
+    """x_ev.x_od + y_ev.y_od + x_ev.y_ev on 4k variables."""
+    n = 4 * k
+    mons = []
+    for i in range(k):
+        mons.append((1 << (2 * i)) | (1 << (2 * i + 1)))
+        mons.append((1 << (2 * k + 2 * i)) | (1 << (2 * k + 2 * i + 1)))
+        mons.append((1 << (2 * i)) | (1 << (2 * k + 2 * i)))
+    return AnfPolynomial.from_monomials(n, mons)
+
+
+# per base, the builders of its ANF and of its dual's; sigma2 is no family's base
+_BASES = {"g0": (_g0_anf, _g0_dual_anf), "h0": (_h0_anf, _h0_dual_anf),
+          "f0": (_f0_anf, _f0_dual_quadratic_anf), "sigma2": (_sigma2_anf, None)}
 
 
 # Built once per (base, param), which every spec of one family and k shares.
@@ -156,16 +188,21 @@ _BASE_ANFS = {"g0": _g0_anf, "h0": _h0_anf, "f0": _f0_anf, "sigma2": _sigma2_anf
 @cache
 def base_anf(name: str, param: int) -> AnfPolynomial:
     """ANF of a named base function.  param = t for g0/h0, k for f0, n for sigma2."""
-    if name not in _BASE_ANFS:
+    if name not in _BASES:
         raise InvalidSpecError(f"unknown base function {name!r}")
     if param < 1:
         raise InvalidSpecError("base function parameter must be positive")
-    return _BASE_ANFS[name](param)
+    return _BASES[name][0](param)
 
 
 @cache
 def base_function(name: str, param: int) -> BooleanFunction:
     return truth_table_from_anf(base_anf(name, param))
+
+
+@cache  # one table per (base, param), as for base_function
+def _dual_base(name: str, param: int) -> BooleanFunction:
+    return truth_table_from_anf(_BASES[name][1](param))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +350,8 @@ def _cell_covering(spec: GammaSpec) -> tuple[list[int], list[int]]:
       one point per value of its E set.
     """
     k = spec.k
-    pairs = spec.family in ("S2", "S4")
-    w = 4 * k if pairs else 2 * k  # width of x and of y
+    pairs = spec.shape.pairs
+    w = 2 * spec.shape.t_per_k * k  # width of x and of y
     e = int(spec.e_sets is not None)
     half = [3 << (2 * i) for i in range(2 * k)] if pairs else [(1 | 1 << k) << j for j in range(k)]
     groups = half + [g << (w + e) for g in half] + [1 << (2 * w + 1)] * e
@@ -323,7 +360,7 @@ def _cell_covering(spec: GammaSpec) -> tuple[list[int], list[int]]:
         b = g.bits  # S2, S4: bit j of the y half of p is b_2j + b_2j+1
         p = (sum(((b >> 2 * j ^ b >> 2 * j + 1) & 1) << j for j in range(2 * k)) << 2 * k
              if pairs else b)
-        points += [p | ym << (2 * len(half)) for ym in (spec.e_values(i) if e else (0,))]
+        points += [p | ym << (2 * len(half)) for ym in spec.e_values(i)]
     return groups, points
 
 
@@ -347,35 +384,6 @@ def closed_form_anf(fam: Family, params: ConstructionSpec) -> AnfPolynomial:
 # closed-form duals
 
 
-def _g0_dual_anf(t: int) -> AnfPolynomial:
-    """x' . x'' + x . y on 4t variables."""
-    m, n = 2 * t, 4 * t
-    mons = [(1 << i) | (1 << (t + i)) for i in range(t)]
-    mons += [(1 << i) | (1 << (m + i)) for i in range(m)]
-    return AnfPolynomial.from_monomials(n, mons)
-
-
-def _h0_dual_anf(t: int) -> AnfPolynomial:
-    """X . Y + x' . x'' + x_m (x_t + y_0) on 4t+2 variables."""
-    m, n = 2 * t, 4 * t + 2
-    mons = [(1 << i) | (1 << (m + 1 + i)) for i in range(m + 1)]
-    mons += [(1 << i) | (1 << (t + i)) for i in range(t)]
-    mons.append((1 << m) | (1 << t))
-    mons.append((1 << m) | (1 << (m + 1)))
-    return AnfPolynomial.from_monomials(n, mons)
-
-
-def _f0_dual_quadratic_anf(k: int) -> AnfPolynomial:
-    """x_ev.x_od + y_ev.y_od + x_ev.y_ev on 4k variables."""
-    n = 4 * k
-    mons = []
-    for i in range(k):
-        mons.append((1 << (2 * i)) | (1 << (2 * i + 1)))
-        mons.append((1 << (2 * k + 2 * i)) | (1 << (2 * k + 2 * i + 1)))
-        mons.append((1 << (2 * i)) | (1 << (2 * k + 2 * i)))
-    return AnfPolynomial.from_monomials(n, mons)
-
-
 def _dual_cells(spec: GammaSpec) -> tuple[int, list[int], list[int]]:
     """The set on which the closed-form dual flips the base's dual, as
     (n, basis, offsets) in the layout of `subspaces.modifier_cells`.
@@ -397,27 +405,19 @@ def _dual_cells(spec: GammaSpec) -> tuple[int, list[int], list[int]]:
         ds = [(g >> 1) & ev | ((g ^ (g >> 1) ^ ev) & ev) << 1
               for g in (v.bits for v in spec.gammas)]
         return n, basis, [d << (2 * k) for d in ds]
-    e = int(spec.e_sets is not None)
+    e, pairs = int(spec.e_sets is not None), spec.shape.pairs
     w = n // 2 - e  # width of x and of y
     if e:  # y_m is free and x_m is restricted instead
         basis = [b for b in basis if b != 1 << w] + [1 << (n - 1)]
     offsets = []
     for i, g in enumerate(spec.gammas):
-        if spec.family in ("S2", "S4"):
+        if pairs:
             x, y = g.bits, swap_halves(g.bits, 2 * k)
         else:
             g1, g2 = spec.gamma_halves(i)
             x, y = g2, g1 ^ g2 ^ ((1 << k) - 1)
-        offsets += [x ^ xm | xm << w | y << (w + e) for xm in (spec.e_values(i) if e else (0,))]
+        offsets += [x ^ xm | xm << w | y << (w + e) for xm in spec.e_values(i)]
     return n, basis, offsets
-
-
-_DUAL_BASES = {"g0": _g0_dual_anf, "h0": _h0_dual_anf, "f0": _f0_dual_quadratic_anf}
-
-
-@cache  # one table per (base, param), as for base_function
-def _dual_base(name: str, param: int) -> BooleanFunction:
-    return truth_table_from_anf(_DUAL_BASES[name](param))
 
 
 def closed_form_dual(fam: Family, gs: GammaSpec) -> BooleanFunction:

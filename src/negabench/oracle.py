@@ -51,6 +51,8 @@ from .spectra import (
     walsh_transform,
 )
 from .subspaces import (
+    E_SYMBOLS,
+    SET_SHAPES,
     GammaSpec,
     build_T,
     build_modifier_set,
@@ -370,8 +372,6 @@ def h0_nega_closed_form(t: int, u: np.ndarray, um: np.ndarray, v: np.ndarray, _v
 
 BRANCHES = ("zero", "half", "full")
 _HALF, _FULL = 1, 2  # the doubled nega value is a*N + b*iN, a the branch's index
-# per modifier set, the largest admissible number of nega candidates at one point
-_LEMMAS = {"S1": 1, "S2": 1, "S3": 2, "S4": 1}
 
 
 class _Predictor(NamedTuple):
@@ -400,10 +400,10 @@ def _predictor(spec: GammaSpec) -> _Predictor:
     2^(n/2) entries, built here once from the spec: 2^n + |Gamma||E| work in
     all, however many blocks the points come in.
     """
-    k = spec.k
-    pairs = spec.family in ("S2", "S4")
+    k, shape = spec.k, spec.shape
+    pairs = shape.pairs
     h0 = spec.e_sets is not None  # S3, S4: the base h0, with u_m and v_m
-    t = 2 * k if pairs else k  # the base parameter
+    t = shape.t_per_k * k  # the base parameter
     w = 2 * t  # the width of u and of v
     # the low bit of every pair of u, else the low half of u
     low, shift = (((1 << w) - 1) // 3, 1) if pairs else ((1 << k) - 1, k)
@@ -413,7 +413,7 @@ def _predictor(spec: GammaSpec) -> _Predictor:
 
     # the (gamma, eps) candidates in spec order, and their keys
     cand = np.array([(i, e) for i in range(len(spec.gammas))
-                     for e in (spec.e_values(i) if h0 else (0,))], dtype=np.int32)
+                     for e in spec.e_values(i)], dtype=np.int32)
     gi, eps = cand[:, 0], cand[:, 1]
     g = np.array([gm.bits for gm in spec.gammas], dtype=np.int32)[gi]
     if pairs:
@@ -429,7 +429,7 @@ def _predictor(spec: GammaSpec) -> _Predictor:
     # (S3) 1 when they are the admissible pair, as an S3 key fixes gamma_1 and
     # gamma_2 + eps: its candidates are distinct gammas that share gamma_1
     eps_sum = np.bincount(nk, weights=eps, minlength=1 << w).astype(np.int32)
-    pair_ok = (eps_sum == 1) & (spec.family == "S3")
+    pair_ok = (eps_sum == 1) & (shape.bound == 2)
     # one h0 candidate gives half of N, two (S3) all of it; one g0 candidate all of N.
     # On the half branch b = (-1)^(turn + u_m + eps): per key, its eps part
     branch = np.minimum(n_count if h0 else _FULL * n_count, _FULL)
@@ -479,12 +479,12 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     spectrum; per block, its half of `_predictor` evaluates the base's
     closed form once, for the base check and the prediction alike.
     """
-    if spec.family not in _LEMMAS:
+    shape = spec.shape
+    bound = shape.bound
+    if not bound:
         raise InvalidSpecError(f"no fragment lemma for family {spec.family!r}")
-    bound = _LEMMAS[spec.family]
-    fam = next(f for f in FAMILY_TABLE.values() if f.set_tag == spec.family)
-    check_capacity(fam.n(spec.k))
-    f0 = base_function(fam.base, fam.base_param(spec.k))
+    check_capacity(shape.n(spec.k))
+    f0 = base_function(shape.base, shape.t_per_k * spec.k)
     n = f0.n
     size, scale = 1 << n, 1 << (n // 2)
     checks = _Checks()
@@ -627,30 +627,27 @@ def check_table1(k: int = 1) -> VerificationReport:
             lambda: f"{len(specs)} indicator functions"
             + ("" if order is None else f", rotation order {order}"))
 
-    s1_specs = [GammaSpec(k, "S1", (BitVector(k2, g),)) for g in range(1 << k2)]
-    sweep("chi-s1-negabent-not-bent", s1_specs)
-
-    # the least member of each coset of A_2^(2k): every pair 00 or 10, no odd bit
-    odd = 2 * ((1 << n4) - 1) // 3
-    reps = [BitVector(n4, x) for x in range(1 << n4) if not x & odd]
-    s2_specs = [GammaSpec(k, "S2", (r,)) for r in reps]
-    sweep("chi-s2-negabent-not-bent", s2_specs)
-
-    s3_specs = [GammaSpec(k, "S3", (BitVector(k2, g),), (e,))
-                for g in range(1 << k2) for e in ("0", "1", "B")]
-    sweep("chi-s3-negabent-not-bent", s3_specs)
-
-    s4_specs = [GammaSpec(k, "S4", (r,), (e,)) for r in reps for e in ("0", "1", "B")]
-    sweep("chi-s4-negabent-not-bent", s4_specs)
+    picks = {}  # per S shape, the sweep's second spec: gamma 1, or on h0 gamma 0 with E 1
+    for tag, shape in SET_SHAPES.items():
+        if tag == "T":  # swept below, on rotation-closed gamma sets
+            continue
+        glen = 2 * shape.t_per_k * k
+        # pair-shaped: the least member of each coset of A_2^(2k), every pair 00 or 10
+        odd = 2 * ((1 << glen) - 1) // 3 if shape.pairs else 0
+        esets = [(e,) for e in E_SYMBOLS] if shape.base == "h0" else [None]
+        specs = [GammaSpec(k, tag, (BitVector(glen, g),), e)
+                 for g in range(1 << glen) if not g & odd for e in esets]
+        sweep(f"chi-{tag.lower()}-negabent-not-bent", specs)
+        picks[tag] = specs[1]
 
     unit_orbit = tuple(BitVector(k2, i) for i in orbit(BitVector(k2, 1)))
     t_specs = [GammaSpec(k, "T", unit_orbit), GammaSpec(k, "T", (BitVector.ones(k2),))]
     sweep("chi-t-rotation-symmetric-negabent-not-bent", t_specs, build_T, order=1)
 
     def sums() -> Iterator[Optional[str]]:
-        for base, spec in ((g0, s1_specs[1]), (base_function("g0", k2), s2_specs[0]),
-                           (h0, s3_specs[2]), (base_function("h0", k2), s4_specs[1])):
-            yield row(f"base + {spec.family} indicator",
+        for tag, spec in picks.items():
+            base = base_function(SET_SHAPES[tag].base, SET_SHAPES[tag].t_per_k * k)
+            yield row(f"base + {tag} indicator",
                       base ^ characteristic_function(build_modifier_set(spec)))
         yield row("f0 + T indicator", f0 ^ characteristic_function(build_T(t_specs[0])), order=2)
 
@@ -659,7 +656,7 @@ def check_table1(k: int = 1) -> VerificationReport:
 
     def named_exchange_check() -> Optional[str]:
         # adding the quadratic symmetric function swaps the two flatness kinds
-        chi = characteristic_function(build_modifier_set(s1_specs[1]))
+        chi = characteristic_function(build_modifier_set(picks["S1"]))
         return (_unequal("g0 + sigma2 negabent", classify(g0 ^ sigma4).is_negabent, True)
                 or _unequal("S1 indicator + sigma2 bent", classify(chi ^ sigma4).is_bent, True))
 

@@ -9,7 +9,7 @@ Every modifier set is a union of cosets of one linear subspace:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,7 +87,23 @@ def orbit_representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
 # modifier-set parameter bundle
 
 
-SET_FAMILIES = ("S1", "S2", "S3", "S4", "T")
+class SetShape(NamedTuple):
+    """A modifier-set shape: its gammas have 2t bits, and on h0 an E set each."""
+
+    base: str  # g0, h0 or f0
+    t_per_k: int  # the base parameter t is t_per_k * k
+    bound: int  # the most nega candidates its fragment lemma admits at a point; 0: no lemma
+
+    def n(self, k: int) -> int:  # g0(t) and f0(t) have 4t variables, h0(t) has 4t+2
+        return 4 * self.t_per_k * k + 2 * (self.base == "h0")
+
+    @property
+    def pairs(self) -> bool:  # whether the cells lie on cosets of A_2^(2k)
+        return self.t_per_k == 2
+
+
+SET_SHAPES = {"S1": SetShape("g0", 1, 1), "S2": SetShape("g0", 2, 1), "S3": SetShape("h0", 1, 2),
+              "S4": SetShape("h0", 2, 1), "T": SetShape("f0", 1, 0)}
 
 E_SYMBOLS = {"0": (0,), "1": (1,), "B": (0, 1)}
 
@@ -96,9 +112,9 @@ E_SYMBOLS = {"0": (0,), "1": (1,), "B": (0, 1)}
 class GammaSpec:
     """Parameters of one modifier set.
 
-    `family` names the set shape (S1..S4 or T) and fixes the expected gamma
-    length: 2k for S1/S3/T, 4k for S2/S4.  `e_sets` aligns with `gammas` and
-    is required exactly for S3/S4 ('0', '1' or 'B' = both).
+    `family` names the set shape, a key of SET_SHAPES, whose row fixes the
+    expected gamma length 2t.  `e_sets` aligns with `gammas` and is required
+    exactly for the h0 shapes ('0', '1' or 'B' = both).
     """
 
     k: int
@@ -109,11 +125,11 @@ class GammaSpec:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InvalidSpecError("k must be a positive integer")
-        if self.family not in SET_FAMILIES:
+        if self.family not in SET_SHAPES:
             raise InvalidSpecError(f"unknown set family {self.family!r}")
         if not self.gammas:
             raise InvalidSpecError("gamma set must be nonempty")
-        glen = 2 * self.k if self.family in ("S1", "S3", "T") else 4 * self.k
+        glen = 2 * self.shape.t_per_k * self.k
         for g in self.gammas:
             if g.n != glen:
                 raise InvalidSpecError(
@@ -122,7 +138,7 @@ class GammaSpec:
                 )
         if len(set(g.bits for g in self.gammas)) != len(self.gammas):
             raise InvalidSpecError("duplicate gamma")
-        if self.family in ("S3", "S4"):
+        if self.shape.base == "h0":
             if self.e_sets is None or len(self.e_sets) != len(self.gammas):
                 raise InvalidSpecError(
                     f"{self.family} needs one E entry per gamma")
@@ -131,9 +147,9 @@ class GammaSpec:
                     raise InvalidSpecError(f"E entries must be '0', '1' or 'B', got {sym!r}")
         elif self.e_sets is not None:
             raise InvalidSpecError(f"{self.family} takes no E sets")
-        if self.family in ("S2", "S4"):
+        if self.shape.pairs:
             # two gammas share a coset of A_2^(2k) iff their pair sums agree
-            low = ((1 << (4 * self.k)) - 1) // 3  # the low bit of every pair
+            low = ((1 << glen) - 1) // 3  # the low bit of every pair
             cosets: dict[int, list[BitVector]] = {}
             for g in self.gammas:
                 cosets.setdefault((g.bits ^ g.bits >> 1) & low, []).append(g)
@@ -143,9 +159,13 @@ class GammaSpec:
                     f"gammas {clash[0]} and {clash[1]} lie in the same coset of "
                     "the pair-repetition subspace")
 
+    @property
+    def shape(self) -> SetShape:
+        return SET_SHAPES[self.family]
+
     def e_values(self, i: int) -> tuple[int, ...]:
-        assert self.e_sets is not None
-        return E_SYMBOLS[self.e_sets[i]]
+        """The E set of gamma i; a shape without E sets reads as E = {0}."""
+        return E_SYMBOLS[self.e_sets[i]] if self.e_sets else (0,)
 
     def e_size_sum(self) -> int:
         assert self.e_sets is not None
@@ -177,8 +197,8 @@ def modifier_cells(spec: GammaSpec) -> tuple[int, list[int], list[int]]:
     k = spec.k
     if spec.family == "T":
         return 4 * k, _diagonal(2 * k, 0), [g.bits << (2 * k) for g in spec.gammas]
-    pairs = spec.family in ("S2", "S4")
-    w = 4 * k if pairs else 2 * k  # width of x and of y
+    pairs = spec.shape.pairs
+    w = 2 * spec.shape.t_per_k * k  # width of x and of y
     e = int(spec.e_sets is not None)  # 1 when x_m and y_m are present
     # A_2^(2k) is spanned by the pairs 11 at coordinates (2i, 2i+1)
     x_basis = [3 << (2 * i) for i in range(2 * k)] if pairs else _diagonal(k, 0)
@@ -187,8 +207,7 @@ def modifier_cells(spec: GammaSpec) -> tuple[int, list[int], list[int]]:
     for i, g in enumerate(spec.gammas):
         # the cell's point with x'' = y'' = 0 (S1, S3) or with x = 0 (S2, S4)
         x, y = (0, g.bits) if pairs else spec.gamma_halves(i)
-        offsets += [x | y << (w + e) | ym << (2 * w + 1)
-                    for ym in (spec.e_values(i) if e else (0,))]
+        offsets += [x | y << (w + e) | ym << (2 * w + 1) for ym in spec.e_values(i)]
     return 2 * (w + e), basis, offsets
 
 

@@ -541,6 +541,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["gen", "--family", "G4K", "--k", "7", "--gamma", "0" * 14],
         ["lemma-check", "--set", "S1", "--k", "7", "--gamma", "0" * 14],
+        # one per shape: pair-shaped on g0 (n = 32), and on h0 (n = 26) each way
+        ["lemma-check", "--set", "S2", "--k", "4", "--gamma", "0" * 16],
+        ["lemma-check", "--set", "S3", "--k", "6", "--gamma", "0" * 12, "--eset", "0"],
+        ["lemma-check", "--set", "S4", "--k", "3", "--gamma", "0" * 12, "--eset", "0"],
+        ["gen", "--family", "H8K2", "--k", "3", "--gamma", "0" * 12, "--eset", "0"],
         ["table1", "--k", "7"],
     ])
     def test_capacity_refused_before_allocation(self, capsys, argv):

@@ -16,6 +16,7 @@ from negabench.core import (
     truth_table_from_anf,
 )
 from negabench.subspaces import (
+    SET_SHAPES,
     GammaSpec,
     build_T,
     build_modifier_set,
@@ -27,6 +28,7 @@ from negabench.constructions import (
     FAMILY_TABLE,
     RotationSpec,
     _dual_cells,
+    base_function,
     closed_form_anf,
 )
 
@@ -243,9 +245,25 @@ def test_closed_form_dual_flips_the_point_built_set(family):
                 and len(s.gammas) == 2)
     if fam.rotation_symmetric:  # the orbit-closed gamma set of the vectors
         spec = constructions._modifier_spec(fam, RotationSpec(1, spec.gammas[:1]))
-    base = constructions._DUAL_BASES[fam.base](fam.base_param(spec.k))
+    base = constructions._BASES[fam.base][1](fam.base_param(spec.k))
     want = truth_table_from_anf(base) ^ characteristic_function(REFERENCE[fam.set_tag][1](spec))
     assert constructions.closed_form_dual(fam, spec) == want
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("tag", sorted(SET_SHAPES))
+def test_routes_agree_on_each_shape(tag, k):
+    # the family table, both cell builders and the base read one row of SET_SHAPES
+    shape = SET_SHAPES[tag]
+    t, h0 = shape.t_per_k * k, shape.base == "h0"
+    spec = GammaSpec(k, tag, (BitVector(2 * t, 1),), ("B",) if h0 else None)
+    fam = next(f for f in FAMILY_TABLE.values() if f.set_tag == tag)
+    n = fam.n(k)
+    assert modifier_cells(spec)[0] == _dual_cells(spec)[0] == base_function(shape.base, t).n == n
+    if shape.bound:  # the predictor's key tables: u and v's sums, and u_m on h0's Walsh side
+        predictor = oracle._predictor(spec)
+        assert predictor.n_count.size == predictor.branch.size == 1 << (2 * t)
+        assert predictor.w_count.size == 1 << (2 * t + h0)
 
 
 def test_span_points_and_coset_union():

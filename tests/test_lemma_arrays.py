@@ -367,7 +367,7 @@ def test_predictor_matches_reference(name):
     assert [oracle.BRANCHES[b] for b in branch] == [r.nega_branch for r in refs]
     # the nega table's verdict: no key has more candidates than the lemma
     # admits, and two under one key are S3's admissible pair
-    n_count, bound = predictor.n_count, oracle._LEMMAS[spec.family]
+    n_count, bound = predictor.n_count, spec.shape.bound
     n_bad = (n_count > bound) | ((n_count == 2) & ~predictor.pair_ok)
     assert (not n_bad.any()) == all(r.structure_ok for r in refs)
     _assert_tables_reach_maxima(predictor, xs, max(r.walsh_matches for r in refs),
