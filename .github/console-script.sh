@@ -8,7 +8,25 @@ set -euo pipefail
 cd "$(mktemp -d)"
 
 negabench repro-examples
-negabench table1 --k 2
+# the relation table at k = 2, cold in a fresh process: its sweeps classify
+# stacks of tables, one stack of spectra live at a time.  It fails unless the
+# report passes, if its checks' times sum above the report's (the lemma step's
+# rule below), or above 64 MiB max RSS (39 MiB read on a 2-core x86 Linux host)
+python3 - <<'PY'
+import json, os, subprocess, sys
+proc = subprocess.Popen(["negabench", "table1", "--k", "2", "--format", "json"],
+                        stdout=subprocess.PIPE)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+rss = usage.ru_maxrss / 1024  # Linux: KiB
+report = json.loads(out)
+spent = sum(c["elapsed_ms"] for c in report["checks"])
+# each time is rounded to 0.001 ms, so the sum may read up to 0.0005 ms a figure over
+over = spent > report["elapsed_ms"] + 0.0005 * (len(report["checks"]) + 1)
+print(f"table1 k=2: passed {report['passed']}, max RSS {rss:.0f} MiB (bound 64 MiB), "
+      f"checks {spent:.1f} of {report['elapsed_ms']:.1f} ms")
+sys.exit(bool(os.waitstatus_to_exitcode(status) or not report["passed"] or rss > 64 or over))
+PY
 negabench su-check
 negabench orbits --n 8 > /dev/null
 negabench lemma-check --set S3 --k 4 --gamma 10110100 --eset B

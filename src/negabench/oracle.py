@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -41,6 +42,7 @@ from .spectra import (
     _first_flagged,
     _grid_sums,
     classify,
+    classify_many,
     definitional_sums,
     dual_of_spectrum,
     fragmentary_nega_spectrum,
@@ -492,9 +494,6 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
     with checks.timing("base-walsh-closed-form"):
         dual_w, dual_g = _base_spectra(f0)
 
-    def exact(dual: BooleanFunction, block: slice) -> np.ndarray:  # 2^(n/2) (-1)^dual, int32
-        return scale * (1 - 2 * dual.value_array(block).astype(np.int32))
-
     tset = build_modifier_set(spec)
     predictor = _predictor(spec)
     # each check's first counterexample, or None
@@ -509,8 +508,9 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
             walsh_agree = walsh_agree or _difference(
                 n, block, wt.parts(block), (walsh,), "W_f0,T", "closed form")
         with checks.timing("base-walsh-closed-form"):
-            base_walsh = base_walsh or _difference(
-                n, block, (exact(dual_w, block),), (base,), "W_f0", "closed form")
+            exact = scale * (1 - 2 * dual_w.value_array(block).astype(np.int32))  # int32
+            base_walsh = base_walsh or _difference(n, block, (exact,), (base,), "W_f0",
+                                                   "closed form")
     sampled = (wt.parts(sample)[0].copy(),)  # a copy, so no view keeps wt alive
     del wt  # before the nega spectrum is taken: one whole spectrum at a time
     with checks.timing("fragment-nega-closed-form"):
@@ -522,11 +522,15 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
             wg, wg_mirror = nt.wg[block], nt.wg[::-1][block]  # at u and u': 2N = sum, difference
             nega_agree = nega_agree or _difference(
                 n, block, (wg + wg_mirror, wg - wg_mirror), nega2, "2N_f0,T", "closed form")
-        with checks.timing("base-nega-closed-form"):  # re N = (a + b)/2, im N = a - re
-            a = exact(dual_g, block)  # W_g0(u), and b = W_g0(u') for u' = 2^n - 1 - u
-            re = (a + exact(dual_g, slice(size - block.stop, size - block.start))[::-1]) >> 1
-            base_nega = base_nega or _difference(
-                n, block, (re, a - re), base, "N_f0", "closed form")
+        with checks.timing("base-nega-closed-form"):  # a, b = W_g0(u), W_g0(u'): from sign
+            # bits p, q (the table read backwards for u'), re N = (a + b)/2 = 2^(n/2) (1 - p - q)
+            # and im N = (a - b)/2 = 2^(n/2) (q - p), from int8 units
+            at = slice(block.start >> 3, (block.stop + 7) >> 3)
+            p, q = np.unpackbits(np.array((dual_g.table_bytes[at], _REVERSED.take(
+                dual_g.table_bytes[::-1][at]))), axis=1, bitorder="little").view(np.int8)[
+                    :, block.start & 7:][:, :block.stop - block.start]
+            base_nega = base_nega or _difference(n, block, np.multiply(
+                (1 - p - q, q - p), scale, dtype=np.int32), base, "N_f0", "closed form")
     sampled += nt.parts(sample)
     del nt, wg, wg_mirror  # with the last block's views of it
     # both key maps are linear and onto (`sums` reaches every value, u_m is a free bit), so
@@ -592,6 +596,13 @@ def check_reference_case(case: ReferenceCase) -> VerificationReport:
 # relation table between bent and negabent behaviour
 
 
+def _classified(fs: Iterable[BooleanFunction]) -> Iterator[tuple[BooleanFunction, Classification]]:
+    """Each of a lazy run of functions of one n with its `classify_many` flags."""
+    held: deque[BooleanFunction] = deque()
+    for cls in classify_many(held.append(f) or f for f in fs):
+        yield held.popleft(), cls
+
+
 def check_table1(k: int = 1) -> VerificationReport:
     """Recheck the classification rows relating the bases, the modifier-set
     indicators and the quadratic symmetric function at parameter k."""
@@ -606,9 +617,9 @@ def check_table1(k: int = 1) -> VerificationReport:
     f0 = base_function("f0", k)
 
     def row(subject: str, f: BooleanFunction, bent: bool = True, negabent: bool = True,
-            order: Optional[int] = None) -> Optional[str]:
-        """classify's flags on f, then its rotation order when one is asked."""
-        return _flags(subject, classify(f), bent, negabent) or (order and _unequal(
+            order: Optional[int] = None, cls: Optional[Classification] = None) -> Optional[str]:
+        """classify's flags on f (cls, when given), then its rotation order when one is asked."""
+        return _flags(subject, cls or classify(f), bent, negabent) or (order and _unequal(
             f"{subject} rotation order", rotation_symmetry_order(f), order))
 
     checks.add("sigma2-bent-not-negabent", lambda: row("sigma2", sigma4, negabent=False),
@@ -622,8 +633,9 @@ def check_table1(k: int = 1) -> VerificationReport:
               order: Optional[int] = None) -> None:
         """One row a spec: its indicator is negabent, not bent, and of rotation order `order`."""
         checks.add(name, lambda: _first(row(
-            f"{spec.family} gammas {[str(g) for g in spec.gammas]}",
-            characteristic_function(build(spec)), False, order=order) for spec in specs),
+            f"{spec.family} gammas {[str(g) for g in spec.gammas]}", f, False, order=order,
+            cls=cls) for spec, (f, cls) in zip(specs, _classified(
+                characteristic_function(build(spec)) for spec in specs))),
             lambda: f"{len(specs)} indicator functions"
             + ("" if order is None else f", rotation order {order}"))
 
@@ -663,14 +675,15 @@ def check_table1(k: int = 1) -> VerificationReport:
     checks.add("named-sigma2-sums", named_exchange_check,
                lambda: "bent base -> negabent sum; negabent indicator -> bent sum")
 
-    def exchanged(f: BooleanFunction) -> Optional[str]:
-        cls = classify(f)
-        return row(f"table {f.to_hex()} + sigma2", f ^ sigma4, cls.is_negabent, cls.is_bent)
+    def exchanged() -> Iterator[Optional[str]]:  # each table, then its sum, in one run
+        both = _classified(g for _ in range(50) for f in [BooleanFunction(
+            n4, int.from_bytes(rng.bytes(1 << n4 >> 3), "little"))] for g in (f, f ^ sigma4))
+        for (f, cls), (g, swapped) in zip(both, both):
+            yield row(f"table {f.to_hex()} + sigma2", g, cls.is_negabent, cls.is_bent, cls=swapped)
 
     rng = np.random.default_rng(20260814)
-    checks.add("sigma2-exchange-sampled", lambda: _first(
-        exchanged(BooleanFunction(n4, int.from_bytes(rng.bytes(1 << n4 >> 3), "little")))
-        for _ in range(50)), lambda: "50 random functions")
+    checks.add("sigma2-exchange-sampled", lambda: _first(exchanged()),
+               lambda: "50 random functions")
 
     return checks.report(f"relation table k={k}")
 

@@ -1,6 +1,7 @@
 """Exact Walsh-Hadamard and nega-Hadamard spectra, with no floating point.
 
-One butterfly, `_spectrum`, computes every spectrum.  The nega
+One butterfly, `_butterfly`, computes every spectrum, for a stack of
+tables of one n at a time; `_spectrum` is its one-table call.  The nega
 spectrum is the Walsh spectrum of g = f + sigma2, sigma2(x) = C(wt(x), 2)
 mod 2 (Parker & Pott 2007; Stanica et al., IEEE Trans. IT 58(6), 2012):
 since i^wt(x) = (-1)^sigma2(x) ((1 + i) + (1 - i)(-1)^wt(x)) / 2, with
@@ -12,27 +13,30 @@ term by term, so masked (fragmentary) sums obey it too.  `NegaSpectrum`
 stores W_g and derives re and im block by block.  `_grid_sums`, the defining
 sums per weight class mod 4 on a grid of low and high parts of u, shares none.
 
-`_spectrum` runs in three stages, each as narrow as its values allow.
-Entry: per 64-bit word of the packed table (for g, XORed with sigma2's),
+`_butterfly` runs in three stages, each as narrow as its values allow.
+Entry: per 64-bit word of the packed tables (for g, XORed with sigma2's),
 popcounts against the 64 packed rows u.x do six levels at once, to [-64,
 64] (with no restriction set, no mask AND and no popcount of it); for
-n <= 6 that one word is the whole transform.  int16 (`_pease`): the levels
+n <= 6 a row's one word is its whole transform.  int16 (`_pease`): the levels
 64 .. 2^13, per chunk of 2^17 points in cache, as constant-geometry
 passes between two ping-pong buffers, so no ufunc writes over its own
 input, to |v| <= 2^14 < 2^15.  int32 (`_levels`): the rest, in place, to
 |W| <= 2^n <= 2^24 < 2^31, in tiles that stay in cache with their 256 KiB
-of scratch.  Memory: the output, the packed table of g for a nega
+of scratch.  Memory: the output, the packed tables of g for a nega
 spectrum, and a 1.125 MiB per-thread workspace that every transform reuses
 for its chunks, ping-pong buffers and scratch: about 66 MiB at n = 24.
+`classify_many` stacks at most 2^14 points (`_BLOCK`; one table when larger),
+so its spectra of a stack take at most 64 KiB, or one table's.
 Squares reach 2^48, so their sums are int64.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +64,7 @@ def _levels(a: np.ndarray, h: int, stop: int, scratch: np.ndarray) -> None:
     scratch is a view of the workspace's signs.  A pass works through a in
     tiles sized to scratch, so a tile and its scratch stay in cache
     together; sizes are powers of two, so every tile of a pass has one
-    shape."""
+    shape, but the last when a stack's row count is not."""
     while h < stop:
         q = 4 if 2 * h < stop else 2  # points per group: two levels, or one
         groups = a.reshape(-1, q, h)
@@ -70,9 +74,10 @@ def _levels(a: np.ndarray, h: int, stop: int, scratch: np.ndarray) -> None:
         for r in range(0, groups.shape[0], rows):
             for c in range(0, h, cols):
                 x = groups[r:r + rows, :, c:c + cols].transpose(1, 0, 2)
+                t = s[:, :x.shape[1]]
                 if q == 4:
                     x0, x1, x2, x3 = x
-                    s0, s1 = s
+                    s0, s1 = t
                     np.add(x0, x1, out=s0)
                     np.subtract(x0, x1, out=s1)
                     np.add(x2, x3, out=x0)
@@ -83,9 +88,9 @@ def _levels(a: np.ndarray, h: int, stop: int, scratch: np.ndarray) -> None:
                     np.add(s1, x1, out=x1)
                 else:
                     x0, x1 = x
-                    np.subtract(x0, x1, out=s[0])
+                    np.subtract(x0, x1, out=t[0])
                     x0 += x1
-                    x1[...] = s[0]
+                    x1[...] = t[0]
         h *= q
 
 
@@ -124,6 +129,7 @@ def _pease(x: np.ndarray, y: np.ndarray, sums: np.ndarray, block: int) -> np.nda
 # _ENTRY_ROWS[u] packs u.x, x < 64: (-1)^(u.x) is the Kronecker square of _H8
 _H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1).astype(np.int8)
 _ENTRY_ROWS = np.packbits(np.kron(_H8, _H8) < 0, axis=1, bitorder="little").view("<u8")[:, 0]
+_WORD_TYPES = {b: np.dtype(f"<u{b}") for b in (1, 2, 4, 8)}  # a table of n <= 6, by its bytes
 _INT16_BLOCK = 1 << 14  # the int16 levels sum blocks of 2^14 points: |v| <= 2^14 < 2^15
 _ENTRY_WORDS = 1 << 11  # packed words per entry chunk: 2^17 points, 256 KiB in int16
 _INT32_TILE = 1 << 16  # int32 scratch per tile of the int32 levels: 256 KiB
@@ -170,33 +176,35 @@ def _sigma2_bytes(n: int) -> np.ndarray:
     return table
 
 
-def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> np.ndarray:
-    """sum_{x in t} (-1)^(p(x) + u.x) for every u as a read-only int32 array,
-    with p = f + sigma2 if `nega` else f, and t everywhere if None."""
-    if t is not None and t.n != f.n:
-        raise DimensionError("function and subset dimensions differ")
-    size = 1 << f.n
+def _butterfly(n: int, tables: np.ndarray, nega: bool, mask: Optional[int] = None) -> np.ndarray:
+    """sum_{x in mask} (-1)^(p(x) + u.x) for every u as int32 (..., 2^n), p = f + sigma2 if
+    `nega` else f, for each packed table f of n variables in `tables` (..., bytes): one
+    table, or a stack (rows, bytes); a mask (a bitmask of points, everywhere if None) is
+    for one table only."""
+    size = 1 << n
     assert size <= 1 << 30 and _INT16_BLOCK < 1 << 15  # the widths argued below
-    table = f.table_bytes ^ _sigma2_bytes(f.n) if nega else f.table_bytes
-    if size <= 64:  # one word: the entry stage is the whole transform
+    assert mask is None or tables.ndim == 1
+    tables = tables ^ _sigma2_bytes(n) if nega else tables
+    if size <= 64:  # one word a table: the entry stage is the whole transform
         # for n < 6 the mask keeps the 2^n live bits, whose u.x read only u's n low bits
-        live = (1 << size) - 1 if t is None else t.mask
-        signs = np.uint64(int.from_bytes(table, "little")) ^ _ENTRY_ROWS[:size]
-        out = live.bit_count() - 2 * np.bitwise_count(signs & live).astype(np.int32)
-        out.setflags(write=False)
-        return out
-    words = table.view("<u8")
-    masks = None if t is None else _raw_bytes(t.mask, size).view("<u8")
-    out = np.empty(size, dtype=np.int32)  # the one full-size buffer
+        live = (1 << size) - 1 if mask is None else mask
+        words = tables.view(_WORD_TYPES[tables.shape[-1]]).astype(np.uint64)  # (..., 1)
+        counts = np.bitwise_count((words ^ _ENTRY_ROWS[:size]) & np.uint64(live))
+        return live.bit_count() - 2 * counts.astype(np.int32)
+    words = tables.reshape(-1).view("<u8")  # table after table: a chunk holds whole ones or a part
+    masks = None if mask is None else _raw_bytes(mask, size).view("<u8")
+    out = np.empty((*tables.shape[:-1], size), dtype=np.int32)  # the one full-size buffer
+    flat = out.reshape(-1)
     ws = _workspace()
     step = min(words.shape[0], _ENTRY_WORDS)
-    signs, counts = ws.signs[:step], ws.counts[:step]
-    # free once a chunk's counts are taken: the ping-pong pair and a pass's sums
-    x, y, sums = ws.signs.reshape(-1).view(np.int16)[:3 * (step << 6)].reshape(3, -1)
-    block = min(step << 6, _INT16_BLOCK)
+    block = min(step << 6, _INT16_BLOCK, size)
     for start in range(0, words.shape[0], step):
+        chunk = words[start:start + step, None]  # the last may be short, by whole tables
+        signs, counts = ws.signs[:chunk.shape[0]], ws.counts[:chunk.shape[0]]
+        # free once a chunk's counts are taken: the ping-pong pair and a pass's sums
+        x, y, sums = ws.signs.reshape(-1).view(np.int16)[:3 * counts.size].reshape(3, -1)
         signs[:] = _ENTRY_ROWS  # then one broadcast operand: one iterator buffer, not two
-        signs ^= words[start:start + step, None]
+        signs ^= chunk
         # six levels: popcount(m) - 2 popcount((p ^ u.x) & m) in [-64, 64], exact in int8
         live = np.uint8(64)  # popcount(m) with T everywhere, which needs no AND
         if masks is not None:
@@ -207,9 +215,17 @@ def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> 
         counts += counts
         np.subtract(live, counts, out=counts)
         x[:] = counts.reshape(-1).view(np.int8)
-        out[start << 6:(start + step) << 6] = _pease(x, y, sums, block)
-    # |W| <= 2^n
-    _levels(out, _INT16_BLOCK, size, ws.signs.reshape(-1).view(np.int32)[:_INT32_TILE])
+        flat[start << 6:(start << 6) + counts.size] = _pease(x, y, sums, block)
+    # |W| <= 2^n; a level's groups stop at 2^n, so none spans two tables
+    _levels(flat, _INT16_BLOCK, size, ws.signs.reshape(-1).view(np.int32)[:_INT32_TILE])
+    return out
+
+
+def _spectrum(f: BooleanFunction, nega: bool, t: Optional[VectorSet] = None) -> np.ndarray:
+    """The one-table `_butterfly` of f, masked by t (everywhere if None), read-only."""
+    if t is not None and t.n != f.n:
+        raise DimensionError("function and subset dimensions differ")
+    out = _butterfly(f.n, f.table_bytes, nega, None if t is None else t.mask)
     out.setflags(write=False)
     return out
 
@@ -233,6 +249,22 @@ def _first_flagged(size: int, flags: Callable[[slice], np.ndarray]) -> Optional[
         if bad.size:
             return block.start + int(bad[0])
     return None
+
+
+def _not_flat(n: int, w: np.ndarray, block: slice) -> np.ndarray:
+    """Where the spectrum w (of W_f, or of W_g for N) is not flat at the points of `block`
+    (of w's last axis): at even n where |w| != 2^(n/2), for W_f and N alike; at odd n,
+    where only N can be flat, on the first half, where N is not.
+
+    |N(u)|^2 = (a^2 + b^2) / 2 with a = W_g(u), b = W_g(u').  Odd squares
+    are 1 mod 4, so while a^2 + b^2 = 2^(n+1) is a multiple of 4 both a
+    and b are even and halve, down to a sum of 2 at even n, which forces
+    |a| = |b| = 2^(n/2).  At odd n the sum of 1 forces {|a|, |b|} =
+    {2^((n+1)/2), 0}: the first half is read beside its mirror (in int32)."""
+    if n % 2 == 0:
+        return np.abs(w[..., block]) != 1 << (n // 2)
+    a, b = w[..., block], w[..., ::-1][..., block]
+    return (np.abs(a) + np.abs(b) != 2 << (n // 2)) | ((a != 0) & (b != 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +293,7 @@ class WalshSpectrum:
         if self.n % 2:
             return 0 if self.values.shape[0] else None
         return _first_flagged(self.values.shape[0],
-                              lambda block: np.abs(self.values[block]) != 1 << (self.n // 2))
+                              lambda block: _not_flat(self.n, self.values, block))
 
     def flat_failure(self) -> Optional[str]:
         """'at u: |W| v != flat |W| 2^(n/2)' at the first u where W is not flat, or None."""
@@ -303,22 +335,14 @@ class NegaSpectrum:
 
     @functools.cached_property  # the scan, once per spectrum
     def flat_counterexample(self) -> Optional[int]:
-        """Index u with |N(u)|^2 != 2^n, or None when negabent-flat.
-
-        |N(u)|^2 = (a^2 + b^2) / 2 with a = W_g(u), b = W_g(u').  Odd squares
-        are 1 mod 4, so while a^2 + b^2 = 2^(n+1) is a multiple of 4 both a
-        and b are even and halve, down to a sum of 2 at even n, which forces
-        |a| = |b| = 2^(n/2).  At odd n the sum of 1 forces {|a|, |b|} =
-        {2^((n+1)/2), 0}: the first half is read beside its mirror (in int32).
+        """Index u with |N(u)|^2 != 2^n, or None when negabent-flat (`_not_flat`).
         At even n, u is bad where |W_g| is not flat at u or u': W_g is read once,
         and after a failure at u again from the top down to u, for a mirror."""
-        wg, flat = self.wg, 1 << (self.n // 2)
-        if self.n % 2:
-            return _first_flagged(wg.shape[0] // 2, lambda block: (
-                np.abs(wg[block]) + np.abs(wg[::-1][block]) != 2 * flat)
-                | ((wg[block] != 0) & (wg[::-1][block] != 0)))
-        first = _first_flagged(wg.shape[0], lambda block: np.abs(wg[block]) != flat)
-        mirror = first and _first_flagged(first, lambda block: np.abs(wg[::-1][block]) != flat)
+        n, wg = self.n, self.wg
+        first = _first_flagged(wg.shape[0] >> n % 2, lambda block: _not_flat(n, wg, block))
+        if not first or n % 2:  # none, u = 0, or at odd n the first bad pair
+            return first
+        mirror = _first_flagged(first, lambda block: _not_flat(n, wg[::-1], block))
         return first if mirror is None else mirror
 
     def flat_failure(self) -> Optional[str]:
@@ -438,20 +462,39 @@ class Classification:
 
 
 def classify(f: BooleanFunction) -> Classification:
-    """Exact bent / negabent flags.
+    """Exact bent / negabent flags: `classify_many` of the one function."""
+    return next(classify_many((f,)))
 
-    Bentness requires even n; for odd n the flag is False rather than an
-    error.  Negabentness is defined for every n.  The weight is a
-    witness against bentness: W_f(0) = 2^n - 2 wt(f) by the defining sum, so
-    the Walsh butterfly runs only when |W_f(0)| = 2^(n/2), and it alone
-    decides every True flag.
-    """
-    nega_ok = nega_transform(f).flat_counterexample is None
-    if f.n % 2:
-        return Classification(False, nega_ok)
-    bent_ok = (abs((1 << f.n) - 2 * f.weight()) == 1 << (f.n // 2)
-               and walsh_transform(f).flat_counterexample is None)
-    return Classification(bent_ok, nega_ok)
+
+def classify_many(fs: Iterable[BooleanFunction]) -> Iterator[Classification]:
+    """Exact bent / negabent flags of each of fs, functions of one n, drawn lazily in
+    stacks of at most _BLOCK points (one table, when larger).  Bentness requires even n;
+    for odd n the flag is False rather than an error.  The weight is a witness against
+    bentness: W_f(0) = 2^n - 2 wt(f) by the defining sum, so a stack takes one nega
+    butterfly call, then one Walsh call on its rows where |W_f(0)| = 2^(n/2), which
+    alone decides every True flag; one stack's spectra are live at a time."""
+    fs = iter(fs)
+    for first in fs:
+        stack = [first, *itertools.islice(fs, max(1, _BLOCK >> first.n) - 1)]
+        check_capacity(n := first.n)
+        if any(f.n != n for f in stack):
+            raise DimensionError("classify_many takes functions of one n")
+        size, tables = 1 << n, np.array([f.table_bytes for f in stack])
+        nega = _flat_rows(n, _butterfly(n, tables, True), size >> n % 2)
+        witness = [n % 2 == 0 and abs(size - 2 * f.weight()) == 1 << (n // 2) for f in stack]
+        bent = np.zeros(len(stack), dtype=bool)
+        if any(witness):
+            bent[witness] = _flat_rows(
+                n, _butterfly(n, tables.compress(witness, axis=0), False), size)
+        del stack, tables  # only the flags are held while they are read
+        yield from map(Classification, bent.tolist(), nega.tolist())
+
+
+def _flat_rows(n: int, w: np.ndarray, size: int) -> np.ndarray:
+    """Per row of a stack of spectra, whether no point below size is `_not_flat`, read a
+    block of points at a time."""
+    return ~functools.reduce(np.logical_or, (_not_flat(n, w, block).any(axis=-1)
+                                             for block in _blocks(size)))
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:

@@ -12,6 +12,7 @@ flipping both classify flags of one function it classifies.
 """
 
 import dataclasses
+import itertools
 import json
 import re
 
@@ -65,14 +66,18 @@ def _shifted(monkeypatch, name, field, target, delta, at=3):
 
 
 def _flipped_classify(monkeypatch, target: BooleanFunction):
-    """oracle.classify with both flags of `target` negated."""
-    real = oracle.classify
+    """oracle.classify and oracle.classify_many with both flags of `target` negated."""
+    real, real_many = oracle.classify, oracle.classify_many
 
-    def classify(f):
-        cls = real(f)
+    def flipped(f, cls):
         return Classification(not cls.is_bent, not cls.is_negabent) if f == target else cls
 
-    monkeypatch.setattr(oracle, "classify", classify)
+    def classify_many(fs):
+        fs, again = itertools.tee(fs)
+        return map(flipped, again, real_many(fs))
+
+    monkeypatch.setattr(oracle, "classify", lambda f: flipped(f, real(f)))
+    monkeypatch.setattr(oracle, "classify_many", classify_many)
 
 
 def _verify(cf, **changes):

@@ -875,16 +875,36 @@ class TestTable:
     @pytest.mark.parametrize("k, walsh, nega", [(1, 44, 145), (2, 18, 241)])
     def test_butterflies_per_table(self, monkeypatch, k, walsh, nega):
         # every classification takes the nega butterfly; the Walsh one runs
-        # only at bent weight, which no modifier-set indicator has at k = 2
-        calls = {"walsh_transform": 0, "nega_transform": 0}
-        for name in calls:
-            def counted(f, original=getattr(spectra, name), name=name):
-                calls[name] += 1
-                return original(f)
+        # only at bent weight, which no modifier-set indicator has at k = 2.
+        # Tables are counted as the butterfly's rows: the sweeps stack theirs,
+        # so 189 tables take 29 calls at k = 1 and 259 take 95 at k = 2
+        rows, calls = {False: 0, True: 0}, []
+        real = spectra._butterfly
 
-            monkeypatch.setattr(spectra, name, counted)
+        def counted(n, tables, is_nega, mask=None):
+            rows[is_nega] += tables.shape[0]
+            calls.append(n)
+            return real(n, tables, is_nega, mask)
+
+        monkeypatch.setattr(spectra, "_butterfly", counted)
         assert check_table1(k).passed
-        assert calls == {"walsh_transform": walsh, "nega_transform": nega}
+        assert rows == {False: walsh, True: nega}
+        assert len(calls) == {1: 29, 2: 95}[k]
+
+    @pytest.mark.parametrize("k, bound", [(1, 1 << 18), (2, 3 << 19)])
+    def test_one_stack_of_spectra_at_a_time(self, k, bound):
+        # indicators are built as the sweeps draw them, and a stack's nega
+        # spectra are dropped before its Walsh ones are taken: at k = 2 one
+        # n = 18 spectrum (1 MiB) is live at a time (1.27 MiB read on a
+        # 2-core x86 host), at k = 1 a stack of at most 2^14 points (0.13 MiB)
+        check_table1(k)  # warm-up: workspace, cached bases and sigma2 tables
+        tracemalloc.start()
+        try:
+            assert check_table1(k).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
 
 
 class TestSuComparison:

@@ -23,6 +23,7 @@ from negabench.spectra import (
     Classification,
     NegaSpectrum,
     classify,
+    classify_many,
     dual,
     dual_of_spectrum,
     fragmentary_nega,
@@ -360,12 +361,14 @@ class TestClassify:
         # W_f(0) = 2^n - 2 wt(f), so only a function of weight 2^(n-1) +-
         # 2^(n/2-1) can be bent: the Walsh butterfly runs for those alone
         walsh_calls = []
+        real = spectra._butterfly
 
-        def counted(f):
-            walsh_calls.append(f)
-            return walsh_transform(f)
+        def counted(n, tables, nega, mask=None):
+            walsh_calls.extend([] if nega else [BooleanFunction(
+                n, int.from_bytes(t.tobytes(), "little") & ((1 << (1 << n)) - 1)) for t in tables])
+            return real(n, tables, nega, mask)
 
-        monkeypatch.setattr(spectra, "walsh_transform", counted)
+        monkeypatch.setattr(spectra, "_butterfly", counted)
         kinds = {"bent": 0, "bent weight, not bent": 0, "other weight": 0, "negabent": 0}
         for f in _witness_functions():
             w, re, im = oracle.naive_transforms(f)
@@ -394,6 +397,100 @@ class TestClassify:
         f = truth_table_from_anf(AnfPolynomial.from_monomials(4, [0b0011, 0b1100, 0b0001]))
         assert classify(f).is_bent
         assert dual(dual(f)) == f
+
+
+class TestStackedButterfly:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_rows_equal_one_row_calls(self, n):
+        # a stack with an all-0 and an all-1 row; from n = 6 on, rows enough
+        # that the 2^17-point entry chunks split it and the last one is short
+        size = 1 << n
+        count = ((spectra._ENTRY_WORDS << 6) >> n) + 3 if n >= 6 else 40
+        fs = [BooleanFunction(n, 0), BooleanFunction(n, (1 << size) - 1),
+              *_random_functions(n, count - 2, seed=600 + n)]
+        tables = np.array([f.table_bytes for f in fs])
+        for nega in (False, True):
+            got = spectra._butterfly(n, tables, nega)
+            assert got.shape == (count, size) and got.dtype == np.int32
+            for f, row in zip(fs, got):
+                assert np.array_equal(row, spectra._spectrum(f, nega)), (n, nega)
+
+
+def _unstacked_flags(f):
+    """The flags read off f's own spectra by their flatness scans, with no stack."""
+    return Classification(f.n % 2 == 0 and walsh_transform(f).flat_counterexample is None,
+                          nega_transform(f).flat_counterexample is None)
+
+
+class TestClassifyMany:
+    def test_every_table_of_at_most_four_variables(self):
+        # 2^16 tables at n = 4: 64 stacks of 1,024
+        for n in range(1, 5):
+            fs = [BooleanFunction(n, bits) for bits in range(1 << (1 << n))]
+            got = list(classify_many(fs))
+            assert got == [classify(f) for f in fs] == [_unstacked_flags(f) for f in fs], n
+
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_seeded_tables(self, n):
+        # two whole stacks and part of a third, with bent rows at even n
+        count = 2 * max(1, spectra._BLOCK >> n) + 1
+        fs = _random_functions(n, count, seed=700 + n)
+        if n % 2 == 0:
+            fs[1:1] = _bent_functions(n, seed=700 + n)
+        got = list(classify_many(fs))
+        assert got == [classify(f) for f in fs] == [_unstacked_flags(f) for f in fs]
+
+    @pytest.mark.parametrize("name, param", [("g0", 1), ("g0", 2), ("h0", 1), ("h0", 2),
+                                             ("f0", 1), ("f0", 2)])
+    def test_bases_and_one_bit_flips(self, name, param):
+        # the even-n base and, at odd n, its half at x_(n-1) = 0, each with
+        # one-bit flips at even and odd points
+        f = base_function(name, param)
+        half = BooleanFunction(f.n - 1, f.bits & ((1 << (1 << f.n >> 1)) - 1))
+        assert classify(f) == Classification(True, True)
+        for g in (f, half):
+            size = 1 << g.n
+            fs = [g, *(BooleanFunction(g.n, g.bits ^ 1 << u) for u in (0, 3, size // 2, size - 1))]
+            got = list(classify_many(fs))
+            assert got == [classify(h) for h in fs] == [_unstacked_flags(h) for h in fs], g.n
+
+    def test_one_nega_call_a_stack_and_one_walsh_call_on_witness_rows(self, monkeypatch):
+        # n = 8: 64 tables a stack; sigma2 and the MM function pass the weight witness
+        calls = []
+        real = spectra._butterfly
+
+        def counted(n, tables, nega, mask=None):
+            calls.append((tables.shape[0], nega))
+            return real(n, tables, nega, mask)
+
+        monkeypatch.setattr(spectra, "_butterfly", counted)
+        fs = _random_functions(8, 150, seed=8)
+        fs[70:70] = _bent_functions(8, seed=8)
+        got = list(classify_many(fs))
+        witness = [abs(256 - 2 * f.weight()) == 16 for f in fs]
+        want = []
+        for start in range(0, len(fs), 64):
+            stack = witness[start:start + 64]
+            want += [(len(stack), True)] + ([(sum(stack), False)] if any(stack) else [])
+        assert calls == want and len(want) >= 4
+        assert got[70:72] == [Classification(True, False)] * 2
+
+    def test_draws_one_stack_at_a_time(self):
+        drawn = []
+
+        def tables():
+            for f in _random_functions(10, 40, seed=10):
+                drawn.append(f)
+                yield f
+
+        classes = classify_many(tables())
+        next(classes)
+        assert len(drawn) == spectra._BLOCK >> 10  # 16 tables a stack at n = 10
+        assert len(list(classes)) == 39 and len(drawn) == 40
+
+    def test_mixed_n_is_refused(self):
+        with pytest.raises(core.DimensionError):
+            list(classify_many([BooleanFunction(4, 0), BooleanFunction(5, 0)]))
 
 
 def _bent_functions(n, seed):
