@@ -38,6 +38,7 @@ from .spectra import (
     Classification,
     NegaSpectrum,
     WalshSpectrum,
+    _BYTE_XOR,
     _blocks,
     _first_flagged,
     _grid_sums,
@@ -249,9 +250,6 @@ NEGA_BRANCHES = ("0", "1", "i", "-i")
 # W_f0 and W_g0 as bent duals; a sweep meets each base many times
 _base_spectra = functools.lru_cache(maxsize=8)(quadratic_duals)
 
-# each byte with its bits reversed: a packed table read backwards so holds u' = 2^n - 1 - u at u
-_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-
 
 def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaSpectrum
                                ) -> tuple[np.ndarray, np.ndarray]:
@@ -280,14 +278,14 @@ def extract_frame_coefficients(f0: BooleanFunction, w1: WalshSpectrum, n1: NegaS
     if failure := w1.flat_failure() or n1.flat_failure():
         raise NotBentError(f"f1 = f0 + 1_T not flat: {failure}")
     size = 1 << f0.n  # n >= 4 for a bent-negabent base: every block is whole bytes
-    table = dual_g.table_bytes
+    table = dual_g.table_bytes  # read backwards, each byte reversed (bit i at i ^ 7): u' at u
     counts = [0, 0, 0, 0]  # the popcounts of w0^w1, x&y, x|y and v&(x^y)
     for block in _blocks(size):
         at = slice(block.start >> 3, block.stop >> 3)
         signs = np.packbits(np.array((w1.values[block], n1.wg[block], n1.wg[::-1][block])) < 0,
                             axis=1, bitorder="little")  # W_f1, a1, b1
         w0, a0, b0, w, a1, b1 = (int.from_bytes(row.tobytes(), "little") for row in (
-            dual_w.table_bytes[at], table[at], _REVERSED.take(table[::-1][at]), *signs))
+            dual_w.table_bytes[at], table[at], _BYTE_XOR[7].take(table[::-1][at]), *signs))
         x, y, v = a0 ^ a1, b0 ^ b1, a0 ^ b1
         counts = [c + p.bit_count() for c, p in zip(counts, (w0 ^ w, x & y, x | y, v & (x ^ y)))]
     flips, both, either, quarter = counts
@@ -526,7 +524,7 @@ def verify_fragmentary_lemma(spec: GammaSpec) -> VerificationReport:
             # bits p, q (the table read backwards for u'), re N = (a + b)/2 = 2^(n/2) (1 - p - q)
             # and im N = (a - b)/2 = 2^(n/2) (q - p), from int8 units
             at = slice(block.start >> 3, (block.stop + 7) >> 3)
-            p, q = np.unpackbits(np.array((dual_g.table_bytes[at], _REVERSED.take(
+            p, q = np.unpackbits(np.array((dual_g.table_bytes[at], _BYTE_XOR[7].take(
                 dual_g.table_bytes[::-1][at]))), axis=1, bitorder="little").view(np.int8)[
                     :, block.start & 7:][:, :block.stop - block.start]
             base_nega = base_nega or _difference(n, block, np.multiply(

@@ -25,8 +25,10 @@ input, to |v| <= 2^14 < 2^15.  int32 (`_levels`): the rest, in place, to
 of scratch.  Memory: the output, the packed tables of g for a nega
 spectrum, and a 1.125 MiB per-thread workspace that every transform reuses
 for its chunks, ping-pong buffers and scratch: about 66 MiB at n = 24.
-`classify_many` stacks at most 2^14 points (`_BLOCK`; one table when larger),
-so its spectra of a stack take at most 64 KiB, or one table's.
+`classify_many`'s stacks of at most 2^14 points (`_BLOCK`) take 64 KiB of
+spectra (one table's, when larger); translates f_a(x) = f(x + a) it keys alike
+share a transform, as W_{f_a}(u) = (-1)^(u.a) W_f(u), N_{f_a}(u) = (-1)^(u.a)
+i^wt(a) N_f(u + a) (wt(y + a) = wt(y) + wt(a) - 2 wt(y & a)) and wt(f_a) = wt(f).
 Squares reach 2^48, so their sums are int64.
 """
 
@@ -130,6 +132,9 @@ def _pease(x: np.ndarray, y: np.ndarray, sums: np.ndarray, block: int) -> np.nda
 _H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1).astype(np.int8)
 _ENTRY_ROWS = np.packbits(np.kron(_H8, _H8) < 0, axis=1, bitorder="little").view("<u8")[:, 0]
 _WORD_TYPES = {b: np.dtype(f"<u{b}") for b in (1, 2, 4, 8)}  # a table of n <= 6, by its bytes
+# _BYTE_XOR[s, b]: byte b with bit i moved to bit i ^ s, s < 8 (row 7 reverses a byte)
+_BYTE_XOR = ((np.arange(256)[:, None] >> np.arange(8) & 1)
+             << (np.arange(8)[:, None, None] ^ np.arange(8))).sum(axis=-1, dtype=np.uint8)
 _INT16_BLOCK = 1 << 14  # the int16 levels sum blocks of 2^14 points: |v| <= 2^14 < 2^15
 _ENTRY_WORDS = 1 << 11  # packed words per entry chunk: 2^17 points, 256 KiB in int16
 _INT32_TILE = 1 << 16  # int32 scratch per tile of the int32 levels: 256 KiB
@@ -467,27 +472,46 @@ def classify(f: BooleanFunction) -> Classification:
 
 
 def classify_many(fs: Iterable[BooleanFunction]) -> Iterator[Classification]:
-    """Exact bent / negabent flags of each of fs, functions of one n, drawn lazily in
-    stacks of at most _BLOCK points (one table, when larger).  Bentness requires even n;
-    for odd n the flag is False rather than an error.  The weight is a witness against
-    bentness: W_f(0) = 2^n - 2 wt(f) by the defining sum, so a stack takes one nega
-    butterfly call, then one Walsh call on its rows where |W_f(0)| = 2^(n/2), which
-    alone decides every True flag; one stack's spectra are live at a time."""
-    fs = iter(fs)
+    """Exact bent / negabent flags of each of fs, functions of one n (the first's, else
+    DimensionError), drawn lazily in stacks of at most _BLOCK points (one table, when
+    larger); at odd n bent is False, not an error.  A call transforms one function a key,
+    held once: x -> f(x + m), m f's least support point.  Equal keys prove f'(y) = f(y +
+    m + m') at every y, so f and f' share their flags (see above); unequal ones cost a
+    transform.  W_f(0) = 2^n - 2 wt(f) is a witness against bentness, so a stack's new
+    keys take one nega butterfly call, then one Walsh call on those with |W_f(0)| =
+    2^(n/2), which alone decides every True flag; one stack's spectra are live at a time."""
+    fs, n, seen = iter(fs), None, {}
     for first in fs:
-        stack = [first, *itertools.islice(fs, max(1, _BLOCK >> first.n) - 1)]
-        check_capacity(n := first.n)
+        check_capacity(n := n or first.n)  # the first function's n, for the whole run
+        stack = [first, *itertools.islice(fs, max(1, _BLOCK >> n) - 1)]
         if any(f.n != n for f in stack):
             raise DimensionError("classify_many takes functions of one n")
         size, tables = 1 << n, np.array([f.table_bytes for f in stack])
-        nega = _flat_rows(n, _butterfly(n, tables, True), size >> n % 2)
-        witness = [n % 2 == 0 and abs(size - 2 * f.weight()) == 1 << (n // 2) for f in stack]
-        bent = np.zeros(len(stack), dtype=bool)
-        if any(witness):
-            bent[witness] = _flat_rows(
-                n, _butterfly(n, tables.compress(witness, axis=0), False), size)
-        del stack, tables  # only the flags are held while they are read
-        yield from map(Classification, bent.tolist(), nega.tolist())
+        keys = _translation_keys(tables)
+        # each key not seen in the call, by its first row in the stack (the last write)
+        new = {key: row for row, key in reversed(list(enumerate(keys))) if key not in seen}
+        if new:
+            tables = tables[list(new.values())]
+            nega = _flat_rows(n, _butterfly(n, tables, True), size >> n % 2)
+            bent = np.array([n % 2 == 0 and abs(size - 2 * stack[row].weight()) == 1 << (n // 2)
+                             for row in new.values()])  # the witness, then the flags
+            if bent.any():
+                bent[bent] = _flat_rows(n, _butterfly(n, tables[bent], False), size)
+            seen.update(zip(new, map(Classification, bent.tolist(), nega.tolist())))
+        del stack, tables, new  # only the flags of each key and the stack's keys are held
+        yield from [seen[key] for key in keys]
+
+
+def _translation_keys(tables: np.ndarray) -> list[bytes]:
+    """Each row f of a stack of packed tables as the bytes of x -> f(x + m), m its least
+    support point: byte j ^ (m >> 3) of f with bit i moved to bit i ^ (m & 7)."""
+    first = (tables != 0).argmax(axis=1)  # m >> 3: the first nonzero byte, 0 in a zero row
+    low = tables[np.arange(tables.shape[0]), first]
+    shift = np.bitwise_count((low & -low) - np.uint8(1)) & 7  # m & 7, its lowest set bit
+    at = np.arange(tables.size).reshape(tables.shape)
+    at ^= first[:, None]  # m >> 3 < width, a power of two: the flat index stays in its row
+    np.bitwise_or(tables.take(at), shift[:, None].astype(np.intp) << 8, out=at)  # [m & 7, byte]
+    return _BYTE_XOR.take(at).view(np.dtype((np.void, tables.shape[1]))).ravel().tolist()
 
 
 def _flat_rows(n: int, w: np.ndarray, size: int) -> np.ndarray:

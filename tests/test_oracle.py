@@ -872,12 +872,15 @@ class TestTable:
         assert rep.passed, [c.name for c in rep.failures()]
         assert len(rep.checks) == 12
 
-    @pytest.mark.parametrize("k, walsh, nega", [(1, 44, 145), (2, 18, 241)])
+    @pytest.mark.parametrize("k, walsh, nega", [(1, 44, 119), (2, 18, 119)])
     def test_butterflies_per_table(self, monkeypatch, k, walsh, nega):
-        # every classification takes the nega butterfly; the Walsh one runs
-        # only at bent weight, which no modifier-set indicator has at k = 2.
-        # Tables are counted as the butterfly's rows: the sweeps stack theirs,
-        # so 189 tables take 29 calls at k = 1 and 259 take 95 at k = 2
+        # each translation key of a sweep (a table translated by its least
+        # support point) takes the nega butterfly once; the Walsh one runs only
+        # at bent weight, which no modifier-set indicator has at k = 2.  Tables
+        # are counted as the butterfly's rows: the sweeps stack theirs, so 163
+        # rows take 29 calls at k = 1 and 137 take 32 at k = 2, where the 48 S4
+        # indicators at n = 18, cosets of two subspaces, key as the two (with a
+        # transform a table: 145 and 241 nega rows, in 29 and 95 calls)
         rows, calls = {False: 0, True: 0}, []
         real = spectra._butterfly
 
@@ -889,7 +892,7 @@ class TestTable:
         monkeypatch.setattr(spectra, "_butterfly", counted)
         assert check_table1(k).passed
         assert rows == {False: walsh, True: nega}
-        assert len(calls) == {1: 29, 2: 95}[k]
+        assert len(calls) == {1: 29, 2: 32}[k]
 
     @pytest.mark.parametrize("k, bound", [(1, 1 << 18), (2, 3 << 19)])
     def test_one_stack_of_spectra_at_a_time(self, k, bound):

@@ -24,6 +24,7 @@ from negabench.spectra import (
     NegaSpectrum,
     classify,
     classify_many,
+    definitional_sums,
     dual,
     dual_of_spectrum,
     fragmentary_nega,
@@ -489,8 +490,99 @@ class TestClassifyMany:
         assert len(list(classes)) == 39 and len(drawn) == 40
 
     def test_mixed_n_is_refused(self):
-        with pytest.raises(core.DimensionError):
-            list(classify_many([BooleanFunction(4, 0), BooleanFunction(5, 0)]))
+        # in the first stack and as the first function of a later one: the n = 1
+        # table 0b10 and the n = 2 table 0b0010 both key to the byte 0x01, but
+        # the first is balanced and the second bent
+        for n, other in ((4, 5), (1, 2), (8, 10)):
+            f, g = BooleanFunction(n, (1 << (1 << n)) - 2), BooleanFunction(other, 0b0010)
+            for count in (1, spectra._BLOCK >> n):
+                with pytest.raises(core.DimensionError):
+                    list(classify_many([f] * count + [g]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 10])
+    def test_translates_and_complements_against_their_own_scans(self, monkeypatch, n):
+        # every translate of f and of its complement, the zero and all-ones
+        # functions, and at n = 8 a stack of other tables before f's translates
+        # come back: each flag is the one read off the function's own spectra,
+        # and one function a key, x -> g(x + m) for g's least support point m, is
+        # transformed
+        size = 1 << n
+        f = _random_functions(n, 1, seed=900 + n)[0]
+        flip = BooleanFunction(n, f.bits ^ (1 << size) - 1)
+        others = _random_functions(n, 70, seed=950 + n) if n == 8 else []
+        fs = [BooleanFunction(n, 0), BooleanFunction(n, (1 << size) - 1), f, flip, *others,
+              *(_translate(g, a) for a in range(size) for g in (f, flip))]
+        if n % 2 == 0:
+            fs += [h for b in _bent_functions(n, seed=n) for h in (b, _translate(b, size - 1))]
+        want = [_unstacked_flags(g) for g in fs]
+        rows = _counted_rows(monkeypatch)
+        assert list(classify_many(fs)) == want
+        assert rows[True] == len({_key(g) for g in fs}) < len(fs)
+
+    def test_single_table_stacks_at_n18(self, monkeypatch):
+        # sigma2, a Maiorana-McFarland function and a random table, each with a
+        # translate and its key, which keys as the function: sigma2's and the
+        # random table's translates key apart, the MM function's by x_0 does not
+        fs = [*_bent_functions(18, seed=18), *_random_functions(18, 1, seed=18)]
+        fs = [h for f, a in zip(fs, (0x2A5C3, 1, 0x3FFFF)) for h in (f, _translate(f, a), _key(f))]
+        want = [_unstacked_flags(f) for f in fs]
+        rows = _counted_rows(monkeypatch)
+        assert list(classify_many(fs)) == want
+        keys = {_key(f): f for f in fs}  # the bent weight: |2^18 - 2 wt| = 2^9
+        bent_weight = sum(abs((1 << 18) - 2 * f.weight()) == 1 << 9 for f in keys.values())
+        assert rows == {False: bent_weight, True: len(keys)} == {False: 3, True: 5}
+
+    def test_equal_weight_non_translates_both_transformed(self, monkeypatch):
+        # 1_{0,1} and 1_{0,3} share a weight but no translate: the key tells
+        # them apart, so both reach the butterfly, and 1_{2,3} takes 1_{0,1}'s
+        fs = [BooleanFunction(4, 0b11), BooleanFunction(4, 0b1001), BooleanFunction(4, 0b1100)]
+        want = [_unstacked_flags(f) for f in fs]
+        rows = _counted_rows(monkeypatch)
+        assert list(classify_many(fs)) == want
+        assert rows == {False: 0, True: 2}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_translation_permutes_both_spectra(n):
+    # the identities the classes rest on, by the defining sums of f(x + a) built
+    # from its values: W_{f_a}(u) = (-1)^(u.a) W_f(u) and N_{f_a}(u) =
+    # (-1)^(u.a) i^wt(a) N_f(u + a), in exact integers at every u
+    rng = np.random.default_rng(1000 + n)
+    size = 1 << n
+    us = np.arange(size)
+    for f in _random_functions(n, 3, seed=1000 + n):
+        a = int(rng.integers(size))
+        w, re, im = definitional_sums(f, us)
+        wa, re_a, im_a = definitional_sums(_translate(f, a), us)
+        sign = 1 - 2 * (np.bitwise_count(us & a) & 1).astype(np.int64)
+        assert np.array_equal(wa, sign * w)
+        re, im = re[us ^ a], im[us ^ a]
+        for _ in range(a.bit_count() % 4):  # times i: (re, im) -> (-im, re)
+            re, im = -im, re
+        assert np.array_equal(re_a, sign * re) and np.array_equal(im_a, sign * im)
+
+
+def _translate(f, a):
+    """x -> f(x + a), built from f's values."""
+    return BooleanFunction.from_values(f.n, f.value_array()[np.arange(1 << f.n) ^ a])
+
+
+def _key(f):
+    """f translated by its least support point (by 0 if none), as classify_many keys it."""
+    return _translate(f, (f.bits & -f.bits).bit_length() - 1 if f.bits else 0)
+
+
+def _counted_rows(monkeypatch):
+    """Rows of each kind (nega True, Walsh False) through spectra._butterfly from now on."""
+    rows = {False: 0, True: 0}
+    real = spectra._butterfly
+
+    def counted(n, tables, nega, mask=None):
+        rows[nega] += tables.shape[0]
+        return real(n, tables, nega, mask)
+
+    monkeypatch.setattr(spectra, "_butterfly", counted)
+    return rows
 
 
 def _bent_functions(n, seed):
