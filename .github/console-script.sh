@@ -7,6 +7,10 @@
 set -euo pipefail
 cd "$(mktemp -d)"
 
+# every subcommand's parser builds and prints its help
+for command in gen verify spectrum anf dual orbits lemma-check table1 su-check repro-examples; do
+  negabench "$command" --help > /dev/null
+done
 negabench repro-examples
 # the relation table at k = 2, cold in a fresh process: its sweeps classify
 # stacks of tables, one stack of spectra live at a time.  It fails unless the

@@ -75,6 +75,11 @@ class _InputFileError(Exception):
     pass
 
 
+# a refusal's exit code, by the first kind it is: NotBentError before its base ValueError
+_ERROR_EXITS = ((CapacityError, EXIT_CAPACITY), (NotBentError, EXIT_FAILED),
+                ((_InputFileError, OSError), EXIT_FILE), (ValueError, EXIT_SPEC))
+
+
 def _json_line(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -370,62 +375,42 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"(default {DEFAULT_MAX_N})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("gen", help="build a construction and write its JSON record")
-    _add_spec_options(sp, with_infile=False)
-    sp.add_argument("--out", metavar="FILE")
-    sp.set_defaults(handler=_cmd_gen)
+    def command(name: str, help: str, handler, kind: str, spec: str = ""):
+        """A subcommand: an "artifact" writes to --out FILE, a "report" takes --format;
+        spec "flags" adds the spec flags, "in" the spec flags and --in."""
+        sp = sub.add_parser(name, help=help)
+        if spec:
+            _add_spec_options(sp, with_infile=spec == "in")
+        if kind == "artifact":
+            sp.add_argument("--out", metavar="FILE")
+        else:
+            sp.add_argument("--format", choices=["text", "json"], default="text")
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("verify", help="verify a construction or a saved file")
-    _add_spec_options(sp)
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.set_defaults(handler=_cmd_verify)
-
-    sp = sub.add_parser("spectrum", help="print a spectrum, one point per line")
-    _add_spec_options(sp)
-    sp.add_argument("--kind", choices=["walsh", "nega", "both"], default="both")
-    sp.add_argument("--out", metavar="FILE")
-    sp.set_defaults(handler=_cmd_spectrum)
-
-    sp = sub.add_parser("anf", help="print the algebraic normal form")
-    _add_spec_options(sp)
-    sp.add_argument("--out", metavar="FILE")
-    sp.set_defaults(handler=_cmd_anf)
-
-    sp = sub.add_parser("dual", help="print the dual's truth table in hex")
-    _add_spec_options(sp)
-    sp.add_argument("--out", metavar="FILE")
-    sp.set_defaults(handler=_cmd_dual)
-
-    sp = sub.add_parser("orbits", help="list rotation orbit representatives")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out", metavar="FILE")
-    sp.set_defaults(handler=_cmd_orbits)
-
-    sp = sub.add_parser("lemma-check",
-                        help="verify the fragment spectrum formulas of one modifier set")
+    command("gen", "build a construction and write its JSON record", _cmd_gen, "artifact",
+            "flags")
+    command("verify", "verify a construction or a saved file", _cmd_verify, "report", "in")
+    command("spectrum", "print a spectrum, one point per line", _cmd_spectrum, "artifact",
+            "in").add_argument("--kind", choices=["walsh", "nega", "both"], default="both")
+    command("anf", "print the algebraic normal form", _cmd_anf, "artifact", "in")
+    command("dual", "print the dual's truth table in hex", _cmd_dual, "artifact", "in")
+    command("orbits", "list rotation orbit representatives", _cmd_orbits, "artifact"
+            ).add_argument("--n", type=int, required=True)
+    sp = command("lemma-check", "verify the fragment spectrum formulas of one modifier set",
+                 _cmd_lemma_check, "report")
     sp.add_argument("--set", dest="set_family", required=True,
                     help="modifier set family ("
                          f"{', '.join(tag for tag, shape in SET_SHAPES.items() if shape.bound)})")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--gamma", action="append", default=[], metavar="BITS")
     sp.add_argument("--eset", action="append", default=[], choices=list(E_SYMBOLS))
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.set_defaults(handler=_cmd_lemma_check)
-
-    sp = sub.add_parser("table1", help="verify the bent/negabent relation table")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.set_defaults(handler=_cmd_table1)
-
-    sp = sub.add_parser("su-check",
-                        help="verify the subspace-modification comparison cases")
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.set_defaults(handler=_cmd_su_check)
-
-    sp = sub.add_parser("repro-examples", help="replay the recorded worked examples")
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.set_defaults(handler=_cmd_repro_examples)
-
+    command("table1", "verify the bent/negabent relation table", _cmd_table1, "report"
+            ).add_argument("--k", type=int, default=1)
+    command("su-check", "verify the subspace-modification comparison cases", _cmd_su_check,
+            "report")
+    command("repro-examples", "replay the recorded worked examples", _cmd_repro_examples,
+            "report")
     return parser
 
 
@@ -448,18 +433,9 @@ def main(argv=None) -> int:
                     sys.stdout.write(chunk if isinstance(chunk, str) else chunk.decode("ascii"))
                 del chunk  # the written block is freed before the next one is made
         return code
-    except CapacityError as exc:
+    except (CapacityError, _InputFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except NotBentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except (_InputFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except ValueError as exc:  # InvalidSpecError, DimensionError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
+        return next(code for kinds, code in _ERROR_EXITS if isinstance(exc, kinds))
     finally:
         set_max_n(old_max_n)
 

@@ -627,13 +627,12 @@ def check_table1(k: int = 1) -> VerificationReport:
     checks.add("f0-2rs-bent-negabent", lambda: row("f0", f0, order=2),
                lambda: "bent-negabent, rotation order 2")
 
-    def sweep(name: str, specs: list[GammaSpec], build=build_modifier_set,
-              order: Optional[int] = None) -> None:
+    def sweep(name: str, specs: list[GammaSpec], order: Optional[int] = None) -> None:
         """One row a spec: its indicator is negabent, not bent, and of rotation order `order`."""
         checks.add(name, lambda: _first(row(
             f"{spec.family} gammas {[str(g) for g in spec.gammas]}", f, False, order=order,
             cls=cls) for spec, (f, cls) in zip(specs, _classified(
-                characteristic_function(build(spec)) for spec in specs))),
+                characteristic_function(build_modifier_set(spec)) for spec in specs))),
             lambda: f"{len(specs)} indicator functions"
             + ("" if order is None else f", rotation order {order}"))
 
@@ -652,7 +651,7 @@ def check_table1(k: int = 1) -> VerificationReport:
 
     unit_orbit = tuple(BitVector(k2, i) for i in orbit(BitVector(k2, 1)))
     t_specs = [GammaSpec(k, "T", unit_orbit), GammaSpec(k, "T", (BitVector.ones(k2),))]
-    sweep("chi-t-rotation-symmetric-negabent-not-bent", t_specs, build_T, order=1)
+    sweep("chi-t-rotation-symmetric-negabent-not-bent", t_specs, order=1)
 
     def sums() -> Iterator[Optional[str]]:
         for tag, spec in picks.items():

@@ -144,6 +144,7 @@ _INT32_TILE = 1 << 16  # int32 scratch per tile of the int32 levels: 256 KiB
 # nega parts), reuse the heap memory the last block freed instead of faulting in fresh
 # pages; at 2^15 an n = 18 lemma check takes ten times the page faults, and is slower
 _BLOCK = 1 << 14
+_KEY_BYTES = 1 << 20  # a classify_many call drops its translation keys once they pass 1 MiB
 
 
 def _blocks(size: int) -> Iterator[slice]:
@@ -467,39 +468,48 @@ class Classification:
 
 
 def classify(f: BooleanFunction) -> Classification:
-    """Exact bent / negabent flags: `classify_many` of the one function."""
-    return next(classify_many((f,)))
+    """Exact bent / negabent flags: `_stack_flags` of the one function, with no key."""
+    check_capacity(f.n)
+    return _stack_flags([f])[0]
 
 
 def classify_many(fs: Iterable[BooleanFunction]) -> Iterator[Classification]:
     """Exact bent / negabent flags of each of fs, functions of one n (the first's, else
     DimensionError), drawn lazily in stacks of at most _BLOCK points (one table, when
-    larger); at odd n bent is False, not an error.  A call transforms one function a key,
-    held once: x -> f(x + m), m f's least support point.  Equal keys prove f'(y) = f(y +
-    m + m') at every y, so f and f' share their flags (see above); unequal ones cost a
-    transform.  W_f(0) = 2^n - 2 wt(f) is a witness against bentness, so a stack's new
-    keys take one nega butterfly call, then one Walsh call on those with |W_f(0)| =
-    2^(n/2), which alone decides every True flag; one stack's spectra are live at a time."""
+    larger).  A call transforms one function a key, x -> f(x + m), m f's least support
+    point, and drops the keys it holds once they pass _KEY_BYTES.  Equal keys prove f'(y)
+    = f(y + m + m') at every y, so f and f' share their flags (see above); unequal ones
+    cost a transform.  A stack's new keys take one `_stack_flags` call; one stack's
+    spectra are live at a time."""
     fs, n, seen = iter(fs), None, {}
     for first in fs:
         check_capacity(n := n or first.n)  # the first function's n, for the whole run
         stack = [first, *itertools.islice(fs, max(1, _BLOCK >> n) - 1)]
         if any(f.n != n for f in stack):
             raise DimensionError("classify_many takes functions of one n")
-        size, tables = 1 << n, np.array([f.table_bytes for f in stack])
-        keys = _translation_keys(tables)
+        keys = _translation_keys(np.array([f.table_bytes for f in stack]))
         # each key not seen in the call, by its first row in the stack (the last write)
         new = {key: row for row, key in reversed(list(enumerate(keys))) if key not in seen}
         if new:
-            tables = tables[list(new.values())]
-            nega = _flat_rows(n, _butterfly(n, tables, True), size >> n % 2)
-            bent = np.array([n % 2 == 0 and abs(size - 2 * stack[row].weight()) == 1 << (n // 2)
-                             for row in new.values()])  # the witness, then the flags
-            if bent.any():
-                bent[bent] = _flat_rows(n, _butterfly(n, tables[bent], False), size)
-            seen.update(zip(new, map(Classification, bent.tolist(), nega.tolist())))
-        del stack, tables, new  # only the flags of each key and the stack's keys are held
+            seen.update(zip(new, _stack_flags([stack[row] for row in new.values()])))
+        del stack, new  # only the flags of each key and the stack's keys are held
         yield from [seen[key] for key in keys]
+        if len(seen) * len(keys[0]) > _KEY_BYTES:
+            seen.clear()
+
+
+def _stack_flags(fs: Sequence[BooleanFunction]) -> list[Classification]:
+    """The flags of each of fs, functions of one n, as one stack.  W_f(0) = 2^n - 2 wt(f)
+    is a witness against bentness, so the stack takes one nega butterfly call, then one
+    Walsh call on the rows with |W_f(0)| = 2^(n/2), which alone decides every True flag;
+    at odd n bent is False, not an error."""
+    n, tables = fs[0].n, np.array([f.table_bytes for f in fs])
+    size = 1 << n
+    nega = _flat_rows(n, _butterfly(n, tables, True), size >> n % 2)
+    bent = np.array([n % 2 == 0 and abs(size - 2 * f.weight()) == 1 << (n // 2) for f in fs])
+    if bent.any():
+        bent[bent] = _flat_rows(n, _butterfly(n, tables[bent], False), size)
+    return list(map(Classification, bent.tolist(), nega.tolist()))
 
 
 def _translation_keys(tables: np.ndarray) -> list[bytes]:

@@ -386,6 +386,18 @@ class TestClassify:
         # each route decides some verdicts
         assert min(kinds.values()) >= 4, kinds
 
+    def test_no_translation_key(self, monkeypatch):
+        # classify transforms its one table: it computes no key it could reuse
+        def refused(tables):
+            raise AssertionError("classify computed a translation key")
+
+        fs = [base_function(name, p) for name in ("g0", "h0", "f0") for p in (1, 2)]
+        fs += _random_functions(10, 1, seed=10)
+        want = [_unstacked_flags(f) for f in fs]
+        monkeypatch.setattr(spectra, "_translation_keys", refused)
+        assert [classify(f) for f in fs] == want
+        assert want[:6] == [Classification(True, True)] * 6 and want[6] != want[0]
+
     def test_odd_n_is_never_bent(self):
         # bentness needs even n; the constant function is negabent at every n
         assert classify(BooleanFunction(3, 0)) == Classification(False, True)
@@ -531,6 +543,21 @@ class TestClassifyMany:
         keys = {_key(f): f for f in fs}  # the bent weight: |2^18 - 2 wt| = 2^9
         bent_weight = sum(abs((1 << 18) - 2 * f.weight()) == 1 << 9 for f in keys.values())
         assert rows == {False: bent_weight, True: len(keys)} == {False: 3, True: 5}
+
+    def test_held_keys_are_capped(self):
+        # 200 distinct n = 18 tables, one 32 KiB key each: the call drops its keys
+        # once they pass 1 MiB, where holding all would take 6.25 MiB
+        fs = _random_functions(18, 203, seed=1800)
+        for f in fs:
+            f.table_bytes  # built and kept with each function before the trace
+        list(classify_many(fs[:3]))  # the butterfly workspace, made on first use
+        tracemalloc.start()
+        try:
+            list(classify_many(fs[3:]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 << 19, f"peak {peak / 2**20:.2f} MiB"  # 2.5 MiB
 
     def test_equal_weight_non_translates_both_transformed(self, monkeypatch):
         # 1_{0,1} and 1_{0,3} share a weight but no translate: the key tells
